@@ -185,16 +185,25 @@ def _as_choice(cfg: Dict[str, str], key: str, choices: Sequence[str]) -> Optiona
 # ---------------------------------------------------------------------------
 
 
+def _dimension(arg: str, where: str, default: int) -> int:
+    """Positive integer parameter of an inline spec (``default`` when absent)."""
+    try:
+        dim = int(arg) if arg else default
+    except ValueError:
+        dim = 0
+    if dim < 1:
+        raise ConfigError(f"{where}: expected a positive integer, got {arg!r}")
+    return dim
+
+
 def _inline_atlas(spec: str) -> Tuple[ChartAtlas, str]:
     name, _, arg = spec.partition(":")
     if name == "euclidean":
-        dim = int(arg) if arg else 0
-        if dim < 1:
+        if not arg:
             raise ConfigError("scenario.atlas: euclidean needs a dimension, e.g. euclidean:2")
-        return euclidean_atlas(dim), name
+        return euclidean_atlas(_dimension(arg, "scenario.atlas", 0)), name
     if name == "torus":
-        dim = int(arg) if arg else 2
-        return torus_atlas(dim), name
+        return torus_atlas(_dimension(arg, "scenario.atlas", 2)), name
     if name == "sphere2":
         if arg:
             raise ConfigError("scenario.atlas: sphere2 takes no parameter")
@@ -297,7 +306,10 @@ def _inline_k0(spec: str, atlas: ChartAtlas, kind: str) -> TensorFieldSpec:
     if name == "one_form":
         if kind == "sphere2":
             raise ConfigError("scenario.K0: one_form is not defined on the sphere charts")
-        i = int(arg) if arg else 0
+        try:
+            i = int(arg) if arg else 0
+        except ValueError:
+            raise ConfigError(f"scenario.K0: one_form needs an index, got {arg!r}") from None
         if not 0 <= i < dim:
             raise ConfigError(f"scenario.K0: one_form index out of range for dim {dim}")
         comps = [sp.Integer(1) if j == i else sp.Integer(0) for j in range(dim)]

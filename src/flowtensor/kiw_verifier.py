@@ -58,8 +58,8 @@ from .stochastics import (
 )
 from .tensor_calculus import (
     TensorFieldSpec,
+    _contract,
     fd_jets_from_stencil,
-    lie_derivative,
     lie_jet,
     pair_batch,
     pullback_batch,
@@ -149,34 +149,10 @@ class Scenario:
         object.__setattr__(self, "fv_specs", tuple(self.fv_specs))
         object.__setattr__(self, "mart_specs", tuple(self.mart_specs))
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
-        object.__setattr__(self, "_derived", {})
 
     @property
     def atlas(self):
         return self.sde.atlas
-
-    def derived_field(self, key: Tuple) -> TensorFieldSpec:
-        """Cached Lie-derivative fields used by the pullback integrands.
-
-        ``key`` is ``("Lb", label)``, ``("Lx", label, j)`` or
-        ``("LL", label, j)`` where ``label`` is ``"K0"`` or ``"G<i>"``.
-        """
-        cache = self._derived
-        if key in cache:
-            return cache[key]
-        op, label = key[0], key[1]
-        base = self.K0 if label == "K0" else self.G[int(label[1:])]
-        if op == "Lb":
-            out = lie_derivative(base, self.sde.drift)
-        elif op == "Lx":
-            out = lie_derivative(base, self.sde.diffusions[key[2]])
-        elif op == "LL":
-            inner = self.derived_field(("Lx", label, key[2]))
-            out = lie_derivative(inner, self.sde.diffusions[key[2]])
-        else:
-            raise KeyError(f"unknown derived field {key}")
-        cache[key] = out
-        return out
 
 
 def validate_scenario(scenario: Scenario):
@@ -259,12 +235,14 @@ class KPath:
     weights: np.ndarray  # (P, npoints, n_drivers)
 
     def combine(self, base_vals: np.ndarray, g_vals: Sequence[np.ndarray]) -> np.ndarray:
-        """Weight per-field value paths (P, npoints, comps...) into K values."""
-        out = base_vals.copy()
+        """Weight per-field value paths (P, npoints, comps...) into K values.
+
+        The weighted sum accumulates into ``base_vals``, which is returned.
+        """
         for i, gv in enumerate(g_vals):
             w = self.weights[:, :, i]
-            out += w.reshape(w.shape + (1,) * (gv.ndim - 2)) * gv
-        return out
+            base_vals += w.reshape(w.shape + (1,) * (gv.ndim - 2)) * gv
+        return base_vals
 
 
 def synthesize_K_path(scenario: Scenario, drivers: DrivingPaths) -> KPath:
@@ -377,36 +355,98 @@ def _assemble_forward_rhs(
     return RhsResult(values=values, terms=terms, bracket_mode=bracket_mode)
 
 
+def _lie_terms(jets: Sequence[np.ndarray], b_jets: Sequence[np.ndarray],
+               xi_jets: Sequence[Sequence[np.ndarray]], valence: Tuple[int, int],
+               strat: bool) -> Dict[str, np.ndarray]:
+    """One field's value and Lie terms from its jets and the coefficient jets.
+
+    Returns ``val``, ``Lb`` (along the drift), ``Lx<j>`` (along noise j)
+    and, unless ``strat``, ``LL<j>`` (twice along noise j).  The field
+    jets must reach order 1 for ``strat`` and order 2 otherwise, as must
+    the noise jets; the drift jets reach order 1.  Coefficient jets may
+    carry singleton batch axes that broadcast against the field's.
+    """
+    out = {"val": jets[0], "Lb": lie_jet(jets[:2], b_jets, valence, 0)[0]}
+    for j, xj in enumerate(xi_jets):
+        if strat:
+            out[f"Lx{j}"] = lie_jet(jets[:2], xj[:2], valence, 0)[0]
+        else:
+            inner = lie_jet(jets, xj, valence, 1)
+            out[f"Lx{j}"] = inner[0]
+            out[f"LL{j}"] = lie_jet(inner, xj[:2], valence, 0)[0]
+    return out
+
+
+def _integrand_paths(terms: Dict[str, Dict[str, np.ndarray]], kpath: KPath, n_noise: int,
+                     strat: bool) -> Dict[str, np.ndarray]:
+    """Weight per-field terms, each (P, npoints) + comps, into integrand paths.
+
+    ``terms`` maps ``K0`` and ``G<i>`` to the :func:`_lie_terms` of that
+    field after transport; the ``K0`` arrays are weighted in place.
+    Besides the integrands read by :func:`_assemble_forward_rhs` the
+    result holds ``K``, the transported tensor path.
+    """
+    gs = [terms[f"G{i}"] for i in range(len(terms) - 1)]
+
+    def weighted(name):
+        return kpath.combine(terms["K0"][name], [g[name] for g in gs])
+
+    paths = {"K": weighted("val"), "LbK": weighted("Lb")}
+    for i, g in enumerate(gs):
+        paths[f"G{i}"] = g["val"]
+    for j in range(n_noise):
+        paths[f"LxK{j}"] = weighted(f"Lx{j}")
+        for i, g in enumerate(gs):
+            paths[f"LxG{i}_{j}"] = g[f"Lx{j}"]
+        if not strat:
+            paths[f"LLK{j}"] = weighted(f"LL{j}")
+    return paths
+
+
+# largest number of flow states whose jets are held at once; the pullback
+# integrands are built in blocks of whole grid rows below this bound
+_JET_BLOCK_STATES = 8192
+
+
 def _pullback_integrand_paths(
     scenario: Scenario, flow: FlowEnsemble, kpath: KPath, strat: bool
 ) -> Dict[str, np.ndarray]:
-    """Integrand paths for the pullback-family selectors."""
-    nG = len(scenario.G)
-    nB = scenario.sde.n_noise
+    """Integrand paths for the pullback-family selectors.
 
-    out: Dict[str, np.ndarray] = {}
-    for i in range(nG):
-        out[f"G{i}"] = _pull_path(scenario.G[i], flow)
-
-    lb0 = _pull_path(scenario.derived_field(("Lb", "K0")), flow)
-    lbg = [_pull_path(scenario.derived_field(("Lb", f"G{i}")), flow) for i in range(nG)]
-    out["LbK"] = kpath.combine(lb0, lbg)
-
-    for j in range(nB):
-        lx0 = _pull_path(scenario.derived_field(("Lx", "K0", j)), flow)
-        lxg = [_pull_path(scenario.derived_field(("Lx", f"G{i}", j)), flow) for i in range(nG)]
-        out[f"LxK{j}"] = kpath.combine(lx0, lxg)
-        for i in range(nG):
-            out[f"LxG{i}_{j}"] = lxg[i]
-
+    The Lie terms of ``K0`` and every ``G_i`` come from :func:`lie_jet` on
+    the analytic jets of the fields, the drift and the noise fields at the
+    flow states, chart by chart, and are then pulled back along the flow.
+    The states are processed in blocks of whole grid rows, at most
+    ``_JET_BLOCK_STATES`` of them per block, so the jets of the whole
+    ensemble never exist at once.
+    """
+    sde = scenario.sde
+    order = 1 if strat else 2
+    valence = scenario.K0.valence
+    fields = {"K0": scenario.K0, **{f"G{i}": g for i, g in enumerate(scenario.G)}}
+    names = ["val", "Lb"] + [f"Lx{j}" for j in range(sde.n_noise)]
     if not strat:
-        for j in range(nB):
-            ll0 = _pull_path(scenario.derived_field(("LL", "K0", j)), flow)
-            llg = [
-                _pull_path(scenario.derived_field(("LL", f"G{i}", j)), flow) for i in range(nG)
-            ]
-            out[f"LLK{j}"] = kpath.combine(ll0, llg)
-    return out
+        names += [f"LL{j}" for j in range(sde.n_noise)]
+    L1, P = flow.charts.shape
+    # path-major views of the flow states, so pulled terms land in place
+    charts = flow.charts.T
+    tgrid = np.broadcast_to(flow.grid.times(), (P, L1))
+    coords, jac, inv_jac = (np.swapaxes(a, 0, 1) for a in (flow.coords, flow.jac, flow.inv_jac))
+    terms = {lbl: {nm: np.empty((P, L1) + scenario.K0.shape) for nm in names} for lbl in fields}
+    rows = max(1, _JET_BLOCK_STATES // P)
+    for k0 in range(0, L1, rows):
+        blk = (slice(None), slice(k0, k0 + rows))
+        for cid in np.unique(charts[blk]).tolist():
+            mask = charts[blk] == cid
+            t, x = tgrid[blk][mask], coords[blk][mask]
+            A, Ai = jac[blk][mask], inv_jac[blk][mask]
+            b_jets = sde.drift.jet_batch(t, x, cid, 1)
+            xi_jets = [xi.jet_batch(t, x, cid, order) for xi in sde.diffusions]
+            for lbl, f in fields.items():
+                lie = _lie_terms(f.jet_batch(t, x, cid, order), b_jets, xi_jets, valence, strat)
+                for nm, v in lie.items():
+                    terms[lbl][nm][blk][mask] = pullback_batch(v, valence, A, Ai)
+    return _integrand_paths(terms, kpath, sde.n_noise, strat)
 
 
 # ---------------------------------------------------------------------------
@@ -552,17 +592,10 @@ def _pushforward_integrand_paths(
     point.
     """
     sde = scenario.sde
-    nG = len(scenario.G)
-    nB = sde.n_noise
     L1 = flow.grid.npoints
-    P = flow.n_paths
     times = flow.grid.times()
     jet_order = 1 if strat else 2
-    valence = scenario.K0.valence
-
-    field_jets = {"K0": _push_field_jets(scenario.K0, scenario, flow, tp, jet_order)}
-    for i, g in enumerate(scenario.G):
-        field_jets[f"G{i}"] = _push_field_jets(g, scenario, flow, tp, jet_order)
+    fields = {"K0": scenario.K0, **{f"G{i}": g for i, g in enumerate(scenario.G)}}
 
     # analytic jets of the flow coefficients at the observation point,
     # with a singleton path axis for broadcasting
@@ -571,39 +604,12 @@ def _pushforward_integrand_paths(
     xi_jets = [
         [a[:, None] for a in xi.jet_batch(times, pts, 0, jet_order)] for xi in sde.diffusions
     ]
-
-    def to_paths(arr):
-        return np.swapaxes(arr, 0, 1)
-
-    w = kpath.weights  # (P, npoints, nG)
-
-    def weighted(values_per_field):
-        out = to_paths(values_per_field["K0"]).copy()
-        for i in range(nG):
-            gi = to_paths(values_per_field[f"G{i}"])
-            out += w[:, :, i].reshape(P, L1, *([1] * (gi.ndim - 2))) * gi
-        return out
-
-    paths: Dict[str, np.ndarray] = {}
-    for i in range(nG):
-        paths[f"G{i}"] = to_paths(field_jets[f"G{i}"][0])
-
-    lb = {lbl: lie_jet(jets[:2], b_jets, valence, 0)[0] for lbl, jets in field_jets.items()}
-    paths["LbK"] = weighted(lb)
-
-    for j in range(nB):
-        lx = {lbl: lie_jet(jets[:2], xi_jets[j][:2], valence, 0)[0]
-              for lbl, jets in field_jets.items()}
-        paths[f"LxK{j}"] = weighted(lx)
-        for i in range(nG):
-            paths[f"LxG{i}_{j}"] = to_paths(lx[f"G{i}"])
-        if not strat:
-            ll = {}
-            for lbl, jets in field_jets.items():
-                inner = lie_jet(jets, xi_jets[j], valence, 1)
-                ll[lbl] = lie_jet(inner, xi_jets[j][:2], valence, 0)[0]
-            paths[f"LLK{j}"] = weighted(ll)
-    return paths
+    terms = {}
+    for lbl, f in fields.items():
+        jets = _push_field_jets(f, scenario, flow, tp, jet_order)
+        lie = _lie_terms(jets, b_jets, xi_jets, f.valence, strat)
+        terms[lbl] = {nm: np.swapaxes(v, 0, 1) for nm, v in lie.items()}
+    return _integrand_paths(terms, kpath, sde.n_noise, strat)
 
 
 def _push_lhs(scenario: Scenario, kpath: KPath, tp: PushTransport, flow: FlowEnsemble) -> np.ndarray:
@@ -671,13 +677,10 @@ def eval_rhs(
             transport = _push_transport(scenario, flow, drivers)
         strat = theorem == "KiwStratPushforward"
         paths = _pushforward_integrand_paths(scenario, flow, kpath, transport, strat)
-        lhs0 = _push_lhs(scenario, kpath, transport, flow)[:, 0]
-        return _assemble_forward_rhs(scenario, drivers, lhs0, paths, strat, mode)
-    strat = theorem == "KiwStratPullback"
-    paths = _pullback_integrand_paths(scenario, flow, kpath, strat)
-    base = _pull_path(scenario.K0, flow)
-    lhs0 = kpath.combine(base, [paths[f"G{i}"] for i in range(len(scenario.G))])[:, 0]
-    return _assemble_forward_rhs(scenario, drivers, lhs0, paths, strat, mode)
+    else:
+        strat = theorem == "KiwStratPullback"
+        paths = _pullback_integrand_paths(scenario, flow, kpath, strat)
+    return _assemble_forward_rhs(scenario, drivers, paths["K"][:, 0], paths, strat, mode)
 
 
 def strat_ito_bridge_gap(scenario: Scenario, flow: FlowEnsemble, kpath: KPath,
@@ -694,8 +697,7 @@ def strat_ito_bridge_gap(scenario: Scenario, flow: FlowEnsemble, kpath: KPath,
     if scenario.theorem not in ("KiwStratPullback", "KiwItoPullback"):
         raise WiringMismatch("the bridge identity applies to the transported-tensor selectors")
     paths = _pullback_integrand_paths(scenario, flow, kpath, strat=False)
-    base = _pull_path(scenario.K0, flow)
-    lhs0 = kpath.combine(base, [paths[f"G{i}"] for i in range(len(scenario.G))])[:, 0]
+    lhs0 = paths["K"][:, 0]
     ito = _assemble_forward_rhs(scenario, drivers, lhs0, paths, False, "realized")
     strat = _assemble_forward_rhs(scenario, drivers, lhs0, paths, True, "realized")
 
@@ -797,18 +799,17 @@ def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPa
                 Ai[:nrows].reshape(nrows, P, S, n, n),
             )
             jets = fd_jets_from_stencil(pulled, n, eps, order=2, ncomp_axes=K0.order)
-            lb = lie_jet(jets[:2], [a[:nrows] for a in b_grid], K0.valence, 0)[0]
+            lie = _lie_terms(jets, [a[:nrows] for a in b_grid],
+                             [[a[:nrows] for a in xj] for xj in xi_grid], K0.valence, False)
             dt_w = np.full((nrows, 1) + comp1, h)
             dt_w[m] = 0.0  # left sum in s: the s = t endpoint never enters
-            terms["L_b"][:, cp_pos] = np.sum(lb * dt_w, axis=0)
+            terms["L_b"][:, cp_pos] = np.sum(lie["Lb"] * dt_w, axis=0)
             lx_sum = np.zeros((P,) + K0.shape)
             ll_sum = np.zeros((P,) + K0.shape)
             for j in range(sde.n_noise):
-                xj = [a[:nrows] for a in xi_grid[j]]
-                lx_j = lie_jet(jets, xj, K0.valence, 1)
-                ll_sum += np.sum(lie_jet(lx_j, xj[:2], K0.valence, 0)[0] * dt_w, axis=0)
+                ll_sum += np.sum(lie[f"LL{j}"] * dt_w, axis=0)
                 dbj = np.moveaxis(drivers.bm[:, 1 : m + 1, j] - drivers.bm[:, :m, j], 1, 0)
-                lx_sum += np.sum(lx_j[0][1 : m + 1] * dbj.reshape(dbj.shape + comp1), axis=0)
+                lx_sum += np.sum(lie[f"Lx{j}"][1 : m + 1] * dbj.reshape(dbj.shape + comp1), axis=0)
             terms["L_xi"][:, cp_pos] = lx_sum
             terms["L2"][:, cp_pos] = 0.5 * ll_sum
             out_vals[:, cp_pos] = (
@@ -827,49 +828,25 @@ def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPa
 # ---------------------------------------------------------------------------
 
 
-def _contract_mods(T, valence, A, Binv, mods):
-    """Pullback-style contraction with per-slot matrix overrides.
-
-    ``mods`` maps a slot index to a replacement matrix stack carrying
-    the same orientation as the matrix it replaces (``Binv``-like for
-    contravariant slots, ``A``-like for covariant ones).
-    """
-    r, s = valence
-    k = r + s
-    if k == 0:
-        return np.asarray(T, dtype=float)
-    letters = string.ascii_lowercase
-    in_idx = letters[:k]
-    out_idx = letters[k : 2 * k]
-    operands = []
-    factors = []
-    for a in range(r):
-        factors.append(f"...{out_idx[a]}{in_idx[a]}")
-        operands.append(mods.get(a, Binv))
-    for b in range(r, k):
-        factors.append(f"...{in_idx[b]}{out_idx[b]}")
-        operands.append(mods.get(b, A))
-    return np.einsum(",".join(factors) + f",...{in_idx}->...{out_idx}", *operands, T)
-
-
 def _route_a_integrands(state: Dict, valence: Tuple[int, int]) -> Dict:
     """Lie-derivative route: build the Lie values from jets, transport, pair."""
     r, s = valence
     A, Binv, S = state["A"], state["Binv"], state["S"]
+    n_noise = len(state["xi"])
 
     def paired(T):
         return pair_batch(pullback_batch(T, valence, A, Binv), valence, S, (s, r))
 
-    g1 = paired(lie_jet(state["K"][:2], state["b"], valence, 0)[0])
-    h2 = []
-    for xi_jets in state["xi"]:
-        inner = lie_jet(state["K"], xi_jets, valence, 1)
-        g1 = g1 + 0.5 * paired(lie_jet(inner, xi_jets[:2], valence, 0)[0])
-        h2.append(paired(lie_jet(state["K"][:2], xi_jets[:2], valence, 0)[0]))
+    lie = _lie_terms(state["K"], state["b"], state["xi"], valence, strat=False)
+    g1 = paired(lie["Lb"])
+    for j in range(n_noise):
+        g1 = g1 + 0.5 * paired(lie[f"LL{j}"])
+    h2 = [paired(lie[f"Lx{j}"]) for j in range(n_noise)]
     g2 = {}
     for i, g_jets in enumerate(state["G"]):
-        for j, xi_jets in enumerate(state["xi"]):
-            g2[(i, j)] = paired(lie_jet(g_jets, xi_jets[:2], valence, 0)[0])
+        lie_g = _lie_terms(g_jets, state["b"], state["xi"], valence, strat=True)
+        for j in range(n_noise):
+            g2[(i, j)] = paired(lie_g[f"Lx{j}"])
     g3 = [paired(g_jets[0]) for g_jets in state["G"]]
     return {"g1": g1, "h2": h2, "g2": g2, "g3": g3}
 
@@ -906,7 +883,8 @@ def _route_b_integrands(state: Dict, valence: Tuple[int, int]) -> Dict:
     noise_psi = [-np.einsum("...ip,...pl->...il", Binv, dxi) for (_, dxi, _) in state["xi"]]
 
     def paired(T, mods=None):
-        return pair_batch(_contract_mods(T, valence, A, Binv, mods or {}), valence, S, (s, r))
+        # the slot matrices and their overrides transform like the pullback's
+        return pair_batch(_contract(T, valence, Binv, A, mods), valence, S, (s, r))
 
     def mod_for(slot, j):
         return noise_psi[j] if slot < r else noise_A[j]
@@ -1090,31 +1068,19 @@ def _sup_residual_per_path(lhs: np.ndarray, rhs: RhsResult, flow: FlowEnsemble) 
 def _warmup(scenario: Scenario):
     """Materialise symbolic caches serially before any threaded run.
 
-    Builds the step kernels, the derived Lie fields and the compiled
-    component evaluators once, so worker threads only ever hit caches.
+    Builds the step kernels and the compiled evaluators of every jet the
+    integrands read (fields to order 2, drift to 1, noise fields to 2),
+    so worker threads only ever hit caches.
     """
     sde = scenario.sde
-    jets = scenario.theorem in _PUSH_THEOREMS or scenario.theorem == "KunitaFirst"
-    fields = [scenario.K0, *scenario.G]
-    if not jets:
-        labels = ["K0"] + [f"G{i}" for i in range(len(scenario.G))]
-        keys = [("Lb", lbl) for lbl in labels]
-        for j in range(sde.n_noise):
-            keys += [("Lx", lbl, j) for lbl in labels]
-            keys += [("LL", lbl, j) for lbl in labels]
-        fields += [scenario.derived_field(key) for key in keys]
+    jet_orders = [(sde.drift, 1)] + [(xi, 2) for xi in sde.diffusions]
+    jet_orders += [(f, 2) for f in (scenario.K0, *scenario.G)]
     for ch in scenario.atlas.charts:
         pt = ch.center[None, :]
         sde._kernel(ch.id)(0.0, pt)
-        for f in fields:
+        for f, order in jet_orders:
             if ch.id in f.comps:
-                f.eval_batch(0.0, pt, ch.id)
-        if jets:
-            sde.drift.jet_batch(0.0, pt, ch.id, 1)
-            for xi in sde.diffusions:
-                xi.jet_batch(0.0, pt, ch.id, 2)
-            for f in (scenario.K0, *scenario.G):
-                f.jet_batch(0.0, pt, ch.id, 2)
+                f.jet_batch(0.0, pt, ch.id, order)
 
 
 def _run_level(scenario: Scenario, drivers: DrivingPaths, bracket_mode: Optional[str]) -> Dict:

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import string
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, permutations, product
+from math import prod
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -266,11 +267,12 @@ class TensorFieldSpec:
         base = out[0].shape
         for m in range(1, order + 1):
             arr = np.empty(base + (self.dim,) * m)
-            for directions in product(range(self.dim), repeat=m):
-                alpha = [0] * self.dim
-                for d in directions:
-                    alpha[d] += 1
-                arr[(Ellipsis,) + directions] = self.partial_batch(t, coords, chart, alpha)
+            # each distinct partial once, copied into its symmetric slots
+            for directions in combinations_with_replacement(range(self.dim), m):
+                alpha = [directions.count(d) for d in range(self.dim)]
+                vals = self.partial_batch(t, coords, chart, alpha)
+                for slots in set(permutations(directions)):
+                    arr[(Ellipsis,) + slots] = vals
             out.append(arr)
         return out
 
@@ -435,23 +437,43 @@ def lie_derivative_fd_oracle(
 _LETTERS = string.ascii_lowercase
 
 
-def _contract(comp, valence, contra_mat, cov_mat):
+def _slot_replace(T: np.ndarray, M: np.ndarray, slot: int, nslots: int, n_extra: int = 0,
+                  n_m_extra: int = 0, transpose: bool = False) -> np.ndarray:
+    """Contract slot ``slot`` of ``T`` with the matrix stack ``M`` by matmul.
+
+    ``T`` has shape ``batch + (n,) * nslots`` followed by ``n_extra``
+    trailing axes kept as they are; ``M`` has shape ``batch + (rows, cols)``
+    followed by ``n_m_extra`` trailing axes, which are appended to the
+    result.  The batch axes broadcast.  With ``transpose`` False the new
+    index is the first matrix index (``out_i = M[i, l] T[l]``), with True
+    it is the second (``out_j = T[l] M[l, j]``).
+    """
+    nb = T.ndim - nslots - n_extra
+    kept = T.shape[nb : nb + slot] + T.shape[nb + slot + 1 :]
+    m_tail = M.shape[M.ndim - n_m_extra :]
+    Mm = M if transpose else np.swapaxes(M, -2 - n_m_extra, -1 - n_m_extra)
+    n_in, n_new = Mm.shape[M.ndim - n_m_extra - 2 : M.ndim - n_m_extra]
+    Tm = np.moveaxis(T, nb + slot, -1).reshape(T.shape[:nb] + (prod(kept), n_in))
+    Mm = Mm.reshape(M.shape[: M.ndim - n_m_extra - 2] + (n_in, n_new * prod(m_tail)))
+    res = np.matmul(Tm, Mm)  # batch + (kept, new * m_tail)
+    res = res.reshape(res.shape[:-2] + kept + (n_new,) + m_tail)
+    return np.moveaxis(res, -1 - n_m_extra, res.ndim - nslots - n_extra - n_m_extra + slot)
+
+
+def _contract(comp, valence, contra_mat, cov_mat, mods=None):
+    """Contract every slot of ``comp``, one slot at a time.
+
+    Contravariant slots contract with ``contra_mat`` (``out_i = M[i, l]
+    T[l]``), covariant ones with ``cov_mat`` (``out_j = T[l] M[l, j]``);
+    ``mods`` maps a slot index to a matrix stack used there instead.
+    """
     r, s = valence
-    k = r + s
-    if k == 0:
-        return np.asarray(comp, dtype=float)
-    in_idx = _LETTERS[:k]
-    out_idx = _LETTERS[k : 2 * k]
-    operands = []
-    factors = []
-    for a in range(r):
-        factors.append(f"...{out_idx[a]}{in_idx[a]}")
-        operands.append(contra_mat)
-    for b in range(r, k):
-        factors.append(f"...{in_idx[b]}{out_idx[b]}")
-        operands.append(cov_mat)
-    script = ",".join(factors) + f",...{in_idx}->...{out_idx}"
-    return np.einsum(script, *operands, comp)
+    out = np.asarray(comp, dtype=float)
+    for slot in range(r + s):
+        default = contra_mat if slot < r else cov_mat
+        mat = mods.get(slot, default) if mods else default
+        out = _slot_replace(out, mat, slot, r + s, transpose=slot >= r)
+    return out
 
 
 def pullback_batch(
@@ -511,22 +533,6 @@ def pair(K: TensorValue, S: TensorValue) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _slot_replace(T: np.ndarray, M: np.ndarray, slot: int, nslots: int, extra: str,
-                  m_extra: str, transpose: bool) -> np.ndarray:
-    """Contract slot ``slot`` of ``T`` with the matrix stack ``M``.
-
-    ``extra`` are trailing derivative letters on ``T`` kept as-is;
-    ``m_extra`` are trailing letters on ``M``.  With ``transpose`` False
-    the new index is the first matrix index (``out_i = M[i, l] T[l]``),
-    with True it is the second (``out_j = T[l] M[l, j]``).
-    """
-    letters = _LETTERS[:nslots]
-    t_in = letters[:slot] + "z" + letters[slot + 1 :] + extra
-    out = letters[:slot] + "y" + letters[slot + 1 :] + extra + m_extra
-    m_idx = ("zy" if transpose else "yz") + m_extra
-    return np.einsum(f"...{t_in},...{m_idx}->...{out}", T, M)
-
-
 def lie_jet(
     t_jets: Sequence[np.ndarray],
     x_jets: Sequence[np.ndarray],
@@ -549,33 +555,33 @@ def lie_jet(
         )
     X, dX = x_jets[0], x_jets[1]
     T, dT = t_jets[0], t_jets[1]
-    letters = _LETTERS[:k]
+    Xcol = X[..., None]  # X as an (n, 1) matrix stack
 
-    def transport(T_m, dX_loc, extra):
+    def transport(T_m, dX_loc, n_extra):
         """Slot terms of the Lie formula applied to a derivative stack."""
         acc = np.zeros_like(T_m)
         for a in range(r):
-            acc -= _slot_replace(T_m, dX_loc, a, k, extra, "", transpose=False)
+            acc -= _slot_replace(T_m, dX_loc, a, k, n_extra, transpose=False)
         for b in range(r, k):
-            acc += _slot_replace(T_m, dX_loc, b, k, extra, "", transpose=True)
+            acc += _slot_replace(T_m, dX_loc, b, k, n_extra, transpose=True)
         return acc
 
     # value: X^l d_l T  - sum_a T(l@a) d_l X^{i_a} + sum_b T(l@b) d_{j_b} X^l
-    val = np.einsum(f"...z,...{letters}z->...{letters}", X, dT)
-    val = val + transport(T, dX, "")
+    val = _slot_replace(dT, Xcol, k, k + 1, transpose=True)[..., 0]
+    val = val + transport(T, dX, 0)
     out = [val]
     if out_order >= 1:
         d2T = t_jets[2]
         d2X = x_jets[2]
         # d_m (X^l d_l T) = d_m X^l d_l T + X^l d^2_{lm} T
-        term = np.einsum(f"...zm,...{letters}z->...{letters}m", dX, dT)
-        term = term + np.einsum(f"...z,...{letters}zm->...{letters}m", X, d2T)
+        term = _slot_replace(dT, dX, k, k + 1, transpose=True)
+        term = term + _slot_replace(d2T, Xcol, k, k + 2, transpose=True)[..., 0, :]
         # slot terms differentiated with Leibniz
-        term = term + transport(dT, dX, "m")
+        term = term + transport(dT, dX, 1)
         for a in range(r):
-            term -= _slot_replace(T, d2X, a, k, "", "m", transpose=False)
+            term -= _slot_replace(T, d2X, a, k, n_m_extra=1, transpose=False)
         for b in range(r, k):
-            term += _slot_replace(T, d2X, b, k, "", "m", transpose=True)
+            term += _slot_replace(T, d2X, b, k, n_m_extra=1, transpose=True)
         out.append(term)
     if out_order >= 2:
         raise NotImplementedError("jets beyond first order are not needed here")

@@ -256,6 +256,10 @@ def test_config_steps_override_scales_h(tmp_path):
         ("scenario.atlas = euclidean:1\n", "scenario.name"),
         ("run.scenario = identity\nrun.paths = 0\n", ""),
         ("run.scenario = identity\nrun.scheme = leapfrog\n", ""),
+        ("scenario.name = x\nscenario.atlas = euclidean:abc\n", "scenario.atlas"),
+        ("scenario.name = x\nscenario.atlas = torus:0\n", "scenario.atlas"),
+        ("scenario.name = x\nscenario.atlas = euclidean:2\nscenario.K0 = one_form:z\n",
+         "scenario.K0"),
     ],
 )
 def test_config_errors_exit_one(tmp_path, text, fragment):

@@ -28,10 +28,16 @@ from flowtensor.kiw_verifier import (
     synthesize_K_path,
     validate_scenario,
 )
-from flowtensor.kiw_verifier import _random_jet_states, _route_a_integrands
+from flowtensor import kiw_verifier
+from flowtensor.kiw_verifier import (
+    _pull_path,
+    _pullback_integrand_paths,
+    _random_jet_states,
+    _route_a_integrands,
+)
 from flowtensor.scenarios import get_scenario, list_scenarios, scenario_table
 from flowtensor.stochastics import TimeGrid, build_driving_paths
-from flowtensor.tensor_calculus import coord_symbols
+from flowtensor.tensor_calculus import coord_symbols, lie_derivative
 
 
 def drivers_for(sc, n_paths=None, grid=None):
@@ -193,6 +199,66 @@ def test_static_reduction_is_bitwise():
     a = eval_rhs(sc, flow, kp, d)
     b = eval_rhs(replace(sc, theorem="KiwItoPullback"), flow, kp, d)
     assert np.array_equal(a.values, b.values)
+
+
+def _symbolic_integrand_paths(sc, flow, kp, strat):
+    """Reference integrands: symbolic Lie fields evaluated and pulled back."""
+    fields = [sc.K0, *sc.G]
+    val = [_pull_path(f, flow) for f in fields]
+    paths = {"K": kp.combine(val[0], val[1:])}
+    paths.update({f"G{i}": v for i, v in enumerate(val[1:])})
+    lb = [_pull_path(lie_derivative(f, sc.sde.drift), flow) for f in fields]
+    paths["LbK"] = kp.combine(lb[0], lb[1:])
+    for j, xi in enumerate(sc.sde.diffusions):
+        lx_fields = [lie_derivative(f, xi) for f in fields]
+        lx = [_pull_path(f, flow) for f in lx_fields]
+        paths[f"LxK{j}"] = kp.combine(lx[0], lx[1:])
+        paths.update({f"LxG{i}_{j}": v for i, v in enumerate(lx[1:])})
+        if not strat:
+            ll = [_pull_path(lie_derivative(f, xi), flow) for f in lx_fields]
+            paths[f"LLK{j}"] = kp.combine(ll[0], ll[1:])
+    return paths
+
+
+@pytest.mark.parametrize(
+    "name,n_paths",
+    [
+        ("kiw_ito_pullback_r2", 6),
+        ("kiw_strat_pullback_r2", 6),
+        ("scalar_itowentzell_r2", 6),
+        ("kiw_ito_pullback_bracket", 6),
+        ("kunita_sphere_rotation", 12),
+    ],
+)
+def test_jet_integrands_match_symbolic_lie_fields(name, n_paths):
+    """The jet route reproduces the symbolic Lie fields, pulled back."""
+    sc = get_scenario(name)
+    d, flow, kp = flow_and_kpath(sc, n_paths=n_paths)
+    if len(sc.atlas.charts) > 1:
+        assert len(flow.hops) > 0  # both charts' components are exercised
+    strat = sc.theorem == "KiwStratPullback"
+    got = _pullback_integrand_paths(sc, flow, kp, strat)
+    want = _symbolic_integrand_paths(sc, flow, kp, strat)
+    assert set(got) == set(want)
+    # terms that vanish identically (rotations about the sphere's axis
+    # leave the weighted metric invariant) are exact zeros symbolically
+    # and round-off from the jets, hence the absolute floor at the
+    # scale of the integrands
+    scale = max(float(np.max(np.abs(v))) for v in want.values())
+    for key, val in want.items():
+        assert_allclose(got[key], val, rtol=1e-11, atol=1e-11 * scale, err_msg=key)
+
+
+def test_jet_integrands_do_not_depend_on_the_block_size(monkeypatch):
+    sc = get_scenario("kunita_sphere_rotation")
+    d, flow, kp = flow_and_kpath(sc, n_paths=12)
+    assert len(flow.hops) > 0
+    default = _pullback_integrand_paths(sc, flow, kp, strat=False)
+    monkeypatch.setattr(kiw_verifier, "_JET_BLOCK_STATES", 1)  # one grid row per block
+    rowwise = _pullback_integrand_paths(sc, flow, kp, strat=False)
+    assert set(default) == set(rowwise)
+    for key in default:
+        assert np.array_equal(default[key], rowwise[key]), key
 
 
 def test_scalar_selector_shares_the_tensor_code_path():

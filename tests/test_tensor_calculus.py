@@ -1,5 +1,7 @@
 """Symbolic tensor fields, Lie derivatives and transport contractions."""
 
+import string
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -37,6 +39,7 @@ from flowtensor.tensor_calculus import (
     pushforward_batch,
     stencil_offsets,
 )
+from flowtensor.tensor_calculus import _contract, _slot_replace
 
 X0, X1 = coord_symbols(2)
 
@@ -59,6 +62,25 @@ def test_jet_batch_matches_hand_derivatives():
     assert_allclose(val, [1.5**2 * -2.0])
     assert_allclose(d1[0], [2 * 1.5 * -2.0, 1.5**2])
     assert_allclose(d2[0], [[2 * -2.0, 2 * 1.5], [2 * 1.5, 0.0]])
+
+
+def test_jet_batch_evaluates_each_distinct_partial_once(monkeypatch):
+    f = random_tensor_field((1, 1), 2, np.random.default_rng(5), kind="trig", scale=0.6)
+    calls = []
+    original = TensorFieldSpec._eval_flat
+
+    def counting(self, t, coords, chart, alpha):
+        calls.append(alpha)
+        return original(self, t, coords, chart, alpha)
+
+    monkeypatch.setattr(TensorFieldSpec, "_eval_flat", counting)
+    pts = np.random.default_rng(6).uniform(-0.7, 0.7, size=(5, 2))
+    _, d1, d2 = f.jet_batch(0.0, pts, 0, 2)
+    # value, two first partials and the three distinct second partials
+    assert len(calls) == 6
+    assert len(set(calls)) == 6
+    assert np.array_equal(d2, np.swapaxes(d2, -1, -2))
+    assert_allclose(d2[..., 0, 1], f.partial_batch(0.0, pts, 0, (1, 1)), rtol=0, atol=0)
 
 
 def test_jet_order_capped_by_smoothness():
@@ -271,6 +293,57 @@ def test_transport_duality_under_pairing(valence):
     lhs = pair_batch(pullback_batch(K, valence, jac, inv), valence, S, (s, r))
     rhs = pair_batch(K, valence, pushforward_batch(S, (s, r), jac, inv), (s, r))
     assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-10)
+
+
+def _einsum_slot(T, M, slot, nslots, n_extra, n_m_extra, transpose):
+    """Reference for ``_slot_replace`` written as one explicit einsum."""
+    letters = string.ascii_lowercase[:nslots]
+    extra = "pqr"[:n_extra]
+    m_extra = "uvw"[:n_m_extra]
+    t_in = letters[:slot] + "z" + letters[slot + 1 :] + extra
+    out = letters[:slot] + "y" + letters[slot + 1 :] + extra + m_extra
+    m_idx = ("zy" if transpose else "yz") + m_extra
+    return np.einsum(f"...{t_in},...{m_idx}->...{out}", T, M)
+
+
+@pytest.mark.parametrize("valence", [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (2, 0), (2, 1)])
+@pytest.mark.parametrize("n_extra,n_m_extra", [(0, 0), (1, 0), (0, 1), (2, 1)])
+def test_slot_replace_matches_einsum(valence, n_extra, n_m_extra):
+    rng = np.random.default_rng(sum(valence) + 10 * n_extra + 100 * n_m_extra)
+    k = sum(valence)
+    # a (5, 3) batch against matrices with a singleton second batch axis,
+    # the broadcast the pushforward uses for its coefficient jets
+    T = rng.standard_normal((5, 3) + (2,) * (k + n_extra))
+    M = rng.standard_normal((5, 1, 2, 2) + (2,) * n_m_extra)
+    for slot in range(k):
+        for transpose in (False, True):
+            got = _slot_replace(T, M, slot, k, n_extra, n_m_extra, transpose)
+            want = _einsum_slot(T, M, slot, k, n_extra, n_m_extra, transpose)
+            assert got.shape == want.shape
+            assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("valence", [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (2, 0), (2, 1)])
+def test_contract_matches_einsum(valence):
+    rng = np.random.default_rng(7 + sum(valence))
+    r, s = valence
+    k = r + s
+    T = rng.standard_normal((4, 3) + (2,) * k)
+    A = rng.standard_normal((4, 1, 2, 2))
+    B = rng.standard_normal((4, 3, 2, 2))
+    override = rng.standard_normal((4, 3, 2, 2))
+    for mods in ({}, {k - 1: override} if k else {}):
+        letters = string.ascii_lowercase
+        ins, outs = letters[:k], letters[k : 2 * k]
+        factors = [f"...{outs[a]}{ins[a]}" for a in range(r)]
+        factors += [f"...{ins[b]}{outs[b]}" for b in range(r, k)]
+        mats = [mods.get(a, B if a < r else A) for a in range(k)]
+        want = np.einsum(",".join(factors + [f"...{ins}"]) + f"->...{outs}", *mats, T)
+        got = _contract(T, valence, B, A, mods)
+        assert_allclose(got, np.broadcast_to(want, got.shape), rtol=1e-13, atol=1e-13)
+    assert_allclose(pullback_batch(T, valence, A, B), _contract(T, valence, B, A), rtol=0, atol=0)
+    assert_allclose(pushforward_batch(T, valence, A, B), _contract(T, valence, A, B), rtol=0,
+                    atol=0)
 
 
 def test_pair_single_entry():
