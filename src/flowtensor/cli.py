@@ -185,15 +185,15 @@ def _as_choice(cfg: Dict[str, str], key: str, choices: Sequence[str]) -> Optiona
 # ---------------------------------------------------------------------------
 
 
-def _dimension(arg: str, where: str, default: int) -> int:
-    """Positive integer parameter of an inline spec (``default`` when absent)."""
+def _positive_int(arg: str, where: str) -> int:
+    """Positive integer parameter of an inline spec."""
     try:
-        dim = int(arg) if arg else default
+        value = int(arg)
     except ValueError:
-        dim = 0
-    if dim < 1:
+        value = 0
+    if value < 1:
         raise ConfigError(f"{where}: expected a positive integer, got {arg!r}")
-    return dim
+    return value
 
 
 def _inline_atlas(spec: str) -> Tuple[ChartAtlas, str]:
@@ -201,9 +201,9 @@ def _inline_atlas(spec: str) -> Tuple[ChartAtlas, str]:
     if name == "euclidean":
         if not arg:
             raise ConfigError("scenario.atlas: euclidean needs a dimension, e.g. euclidean:2")
-        return euclidean_atlas(_dimension(arg, "scenario.atlas", 0)), name
+        return euclidean_atlas(_positive_int(arg, "scenario.atlas")), name
     if name == "torus":
-        return torus_atlas(_dimension(arg, "scenario.atlas", 2)), name
+        return torus_atlas(_positive_int(arg or "2", "scenario.atlas")), name
     if name == "sphere2":
         if arg:
             raise ConfigError("scenario.atlas: sphere2 takes no parameter")
