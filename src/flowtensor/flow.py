@@ -22,19 +22,25 @@ The Jacobian update of either scheme is the exact tangent map of its
 point update, so a finite-difference derivative of the discrete flow
 must agree with the variational Jacobian to truncation error; that is
 one of the acceptance checks.
+
+:func:`scheme_step` is the one place both updates are written; forward
+integration, the Newton inversion of the pushforward transport and the
+restart wavefront all call it.  Its coefficients come from the fields'
+compiled jets (:meth:`FlowSDE.coeffs`): the drift to first order, and the
+noise fields to second order for Euler (``a``, ``c_plus``, ``c_minus``)
+but only to first order for Heun.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-import sympy as sp
 
 from .geometry import R_MAX, ChartAtlas, locate_chart, locate_chart_batch
 from .stochastics import DrivingPaths, TimeGrid
-from .tensor_calculus import VectorFieldSpec, coord_symbols, TIME, _compiled
+from .tensor_calculus import VectorFieldSpec
 
 __all__ = [
     "SchemeSmoothnessMismatch",
@@ -44,6 +50,7 @@ __all__ = [
     "FlowPath",
     "FlowEnsemble",
     "integrate_flow",
+    "scheme_step",
     "strat_to_ito_correction",
     "inverse_flow_residual",
     "inverse_flow_residual_ensemble",
@@ -80,7 +87,6 @@ class FlowSDE:
     drift: VectorFieldSpec
     diffusions: Tuple[VectorFieldSpec, ...]
     atlas: ChartAtlas
-    _kernels: Dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "diffusions", tuple(self.diffusions))
@@ -91,13 +97,6 @@ class FlowSDE:
             for ch in self.atlas.charts:
                 if ch.id not in f.comps:
                     raise ValueError(f"coefficient {f.name!r} missing on chart {ch.id}")
-        merged: Dict = {}
-        for f in (self.drift, *self.diffusions):
-            for sym, val in f.params:
-                if sym in merged and merged[sym] != val:
-                    raise ValueError(f"parameter {sym} bound to conflicting values")
-                merged[sym] = val
-        object.__setattr__(self, "_params", tuple(sorted(merged.items(), key=lambda kv: kv[0].name)))
 
     @property
     def dim(self) -> int:
@@ -114,89 +113,78 @@ class FlowSDE:
             k = min(k, xi.smoothness_order - 1)
         return k
 
-    def _kernel(self, chart_id: int):
-        """Compiled per-chart evaluator for all stepping quantities."""
-        fn = self._kernels.get(chart_id)
-        if fn is not None:
-            return fn
-        n = self.dim
-        xs = coord_symbols(n)
-        b = [self.drift.comps[chart_id][(i,)] for i in range(n)]
-        xis = [[xi.comps[chart_id][(i,)] for i in range(n)] for xi in self.diffusions]
-        Db = [[sp.diff(b[i], xs[l]) for l in range(n)] for i in range(n)]
-        Dxis = [[[sp.diff(x[i], xs[l]) for l in range(n)] for i in range(n)] for x in xis]
+    def coeffs(self, t, pts: np.ndarray, chart: int, noise_order: int) -> Dict[str, np.ndarray]:
+        """Scheme coefficients at a batch of points, from the fields' compiled jets.
 
-        def conv_drift(i):
-            # 1/2 sum_j xi_j^l d_l xi_j^i
-            return sp.Rational(1, 2) * sum(
-                x[l] * Dx[i][l] for x, Dx in zip(xis, Dxis) for l in range(n)
-            )
-
-        a = [sp.expand(b[i] + conv_drift(i)) for i in range(n)]
-        cp = [[sp.Integer(0)] * n for _ in range(n)]
-        cm = [[sp.Integer(0)] * n for _ in range(n)]
-        for x, Dx in zip(xis, Dxis):
-            for i in range(n):
-                for m in range(n):
-                    sq = sum(Dx[i][l] * Dx[l][m] for l in range(n))
-                    second = sum(x[l] * sp.diff(Dx[i][l], xs[m]) for l in range(n))
-                    cp[i][m] = cp[i][m] + sp.Rational(1, 2) * (sq + second)
-                    cm[i][m] = cm[i][m] + sp.Rational(1, 2) * (sq - second)
-
-        flat: List[sp.Expr] = []
-        flat += b
-        flat += a
-        for x in xis:
-            flat += x
-        for row in Db:
-            flat += row
-        for Dx in Dxis:
-            for row in Dx:
-                flat += row
-        for row in cp:
-            flat += row
-        for row in cm:
-            flat += row
-        psyms = tuple(s for s, _ in self._params)
-        compiled = _compiled(tuple(sp.expand(e) for e in flat), n, psyms)
-        pvals = tuple(v for _, v in self._params)
-
+        Returns ``b`` and ``Db`` (drift and its Jacobian), ``xi`` and
+        ``Dxi`` (stacked over the noise fields, leading axis of length
+        ``n_noise``).  With ``noise_order`` 2 it adds the Ito drift ``a``
+        and the correction matrices ``cp`` / ``cm``, which need the second
+        derivatives of the noise fields.
+        """
+        b, Db = self.drift.jet_batch(t, pts, chart, 1)
+        jets = [xi.jet_batch(t, pts, chart, noise_order) for xi in self.diffusions]
         N = self.n_noise
+        xi = np.array([j[0] for j in jets]).reshape((N,) + b.shape)
+        Dxi = np.array([j[1] for j in jets]).reshape((N,) + Db.shape)
+        out = {"b": b, "Db": Db, "xi": xi, "Dxi": Dxi}
+        if noise_order >= 2:
+            D2xi = np.array([j[2] for j in jets]).reshape((N,) + Db.shape + (self.dim,))
+            # 1/2 sum_j xi_j^l d_l xi_j^i, and sum_j xi_j^l d_l d_m xi_j^i
+            conv = 0.5 * np.sum(Dxi @ xi[..., None], axis=0)[..., 0]
+            second = np.sum(xi[..., None, None, :] @ D2xi, axis=0)[..., 0, :]
+            sq = np.sum(Dxi @ Dxi, axis=0)
+            out.update(a=b + conv, cp=0.5 * (sq + second), cm=0.5 * (sq - second))
+        return out
 
-        def kernel(t, pts: np.ndarray) -> Dict[str, np.ndarray]:
-            m = pts.shape[0]
-            args = (t,) + tuple(pts[:, i] for i in range(n)) + pvals
-            vals = [np.broadcast_to(np.asarray(v, dtype=float), (m,)) for v in compiled(*args)]
-            pos = 0
 
-            def take(shape):
-                nonlocal pos
-                cnt = int(np.prod(shape)) if shape else 1
-                block = np.stack(vals[pos : pos + cnt], axis=-1).reshape((m,) + shape)
-                pos += cnt
-                return block
+def scheme_step(sde: FlowSDE, scheme: str, cid: int, t0: float, t1: float, h: float,
+                u: np.ndarray, J: np.ndarray, Ji: Optional[np.ndarray], db: np.ndarray):
+    """One step of ``scheme`` over ``[t0, t1]`` for points ``u`` in chart ``cid``.
 
-            out = {
-                "b": take((n,)),
-                "a": take((n,)),
-                "xi": np.stack([take((n,)) for _ in range(N)], axis=0) if N else np.zeros((0, m, n)),
-                "Db": take((n, n)),
-                "Dxi": np.stack([take((n, n)) for _ in range(N)], axis=0)
-                if N
-                else np.zeros((0, m, n, n)),
-                "cp": take((n, n)),
-                "cm": take((n, n)),
-            }
-            return out
+    Advances the points, the forward Jacobians ``J`` by the exact tangent
+    of the point update, and the inverse Jacobians ``Ji`` (skipped when
+    ``Ji`` is None).  ``db`` holds the Brownian increments, shape
+    ``(m, n_noise)``.  Returns ``(u, J, Ji)`` after the step.
+    """
 
-        self._kernels[chart_id] = kernel
-        return kernel
+    def sweep(q, drift):
+        # point increment and tangent of the noise part, one Euler sweep
+        du = q[drift] * h
+        W = np.zeros_like(q["Db"])
+        for j in range(sde.n_noise):
+            w = db[:, j : j + 1]
+            du = du + q["xi"][j] * w
+            W = W + q["Dxi"][j] * w[..., None]
+        return du, W
+
+    if scheme == "euler_maruyama":
+        q = sde.coeffs(t0, u, cid, 2)
+        du, W = sweep(q, "a")
+        Jn = J + ((q["Db"] + q["cp"]) * h + W) @ J
+        Jin = None if Ji is None else Ji - Ji @ ((q["Db"] - q["cm"]) * h + W)
+        return u + du, Jn, Jin
+    if scheme != "heun":
+        raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+    q0 = sde.coeffs(t0, u, cid, 1)
+    du0, W0 = sweep(q0, "b")
+    M0 = q0["Db"] * h + W0
+    q1 = sde.coeffs(t1, u + du0, cid, 1)
+    du1, W1 = sweep(q1, "b")
+    M1 = q1["Db"] * h + W1
+    A0 = M0 @ J
+    Jn = J + 0.5 * (A0 + M1 @ (J + A0))
+    Jin = None
+    if Ji is not None:
+        B0 = Ji @ M0
+        Jin = Ji - 0.5 * (B0 + (Ji - B0) @ M1)
+    return u + 0.5 * (du0 + du1), Jn, Jin
 
 
 def strat_to_ito_correction(sde: FlowSDE, t: float, coords: np.ndarray, chart: int = 0) -> CorrectionTerms:
     """Correction matrices ``c_plus`` / ``c_minus`` at a batch of points."""
     pts = np.atleast_2d(np.asarray(coords, dtype=float))
-    out = sde._kernel(chart)(t, pts)
+    out = sde.coeffs(t, pts, chart, 2)
     squeeze = np.asarray(coords).ndim == 1
     cp, cm = out["cp"], out["cm"]
     if squeeze:
@@ -361,43 +349,10 @@ def integrate_flow(
         for cid in sorted(set(charts[k, active].tolist())):
             sel = active & (charts[k] == cid)
             idx = np.flatnonzero(sel)
-            u = coords[k, idx]
-            J = jac[k, idx]
-            Ji = inv_jac[k, idx]
-            db = dB[idx]
-            kern = sde._kernel(cid)
-            if scheme == "euler_maruyama":
-                q = kern(times[k], u)
-                unew = u + q["a"] * h
-                Jn = J + (q["Db"] + q["cp"]) @ J * h
-                Jin = Ji - Ji @ (q["Db"] - q["cm"]) * h
-                for j in range(sde.n_noise):
-                    w = db[:, j : j + 1]
-                    unew = unew + q["xi"][j] * w
-                    Jn = Jn + (q["Dxi"][j] @ J) * w[..., None]
-                    Jin = Jin - (Ji @ q["Dxi"][j]) * w[..., None]
-            else:  # heun
-                q0 = kern(times[k], u)
-                pred = u + q0["b"] * h
-                Jp = J + q0["Db"] @ J * h
-                Jip = Ji - Ji @ q0["Db"] * h
-                for j in range(sde.n_noise):
-                    w = db[:, j : j + 1]
-                    pred = pred + q0["xi"][j] * w
-                    Jp = Jp + (q0["Dxi"][j] @ J) * w[..., None]
-                    Jip = Jip - (Ji @ q0["Dxi"][j]) * w[..., None]
-                q1 = kern(times[k + 1], pred)
-                unew = u + 0.5 * (q0["b"] + q1["b"]) * h
-                Jn = J + 0.5 * (q0["Db"] @ J + q1["Db"] @ Jp) * h
-                Jin = Ji - 0.5 * (Ji @ q0["Db"] + Jip @ q1["Db"]) * h
-                for j in range(sde.n_noise):
-                    w = db[:, j : j + 1]
-                    unew = unew + 0.5 * (q0["xi"][j] + q1["xi"][j]) * w
-                    Jn = Jn + 0.5 * (q0["Dxi"][j] @ J + q1["Dxi"][j] @ Jp) * w[..., None]
-                    Jin = Jin - 0.5 * (Ji @ q0["Dxi"][j] + Jip @ q1["Dxi"][j]) * w[..., None]
-            coords[k + 1, idx] = unew
-            jac[k + 1, idx] = Jn
-            inv_jac[k + 1, idx] = Jin
+            coords[k + 1, idx], jac[k + 1, idx], inv_jac[k + 1, idx] = scheme_step(
+                sde, scheme, cid, times[k], times[k + 1], h, coords[k, idx], jac[k, idx],
+                inv_jac[k, idx], dB[idx]
+            )
 
         # blow-up: non-finite or runaway coordinates stop the path at k+1
         bad = active & (
@@ -476,9 +431,8 @@ def _backward_step(sde: FlowSDE, scheme: str, cid: int, t_left: float, t_right: 
     the forward step map, so the returned points carry the scheme's own
     one-step inversion error.
     """
-    kern = sde._kernel(cid)
     if scheme == "euler_maruyama":
-        k = kern(t_left, q)
+        k = sde.coeffs(t_left, q, cid, 2)
         out = q - k["a"] * h
         for j in range(sde.n_noise):
             w = db[:, j : j + 1]
@@ -490,11 +444,11 @@ def _backward_step(sde: FlowSDE, scheme: str, cid: int, t_left: float, t_right: 
         return out
     # heun: predictor-corrector on the inverse transport equation, run
     # from the right endpoint of the step towards the left
-    k1 = kern(t_right, q)
+    k1 = sde.coeffs(t_right, q, cid, 1)
     pred = q - k1["b"] * h
     for j in range(sde.n_noise):
         pred = pred - k1["xi"][j] * db[:, j : j + 1]
-    k0 = kern(t_left, pred)
+    k0 = sde.coeffs(t_left, pred, cid, 1)
     out = q - 0.5 * (k1["b"] + k0["b"]) * h
     for j in range(sde.n_noise):
         out = out - 0.5 * (k1["xi"][j] + k0["xi"][j]) * db[:, j : j + 1]

@@ -45,7 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .flow import FlowEnsemble, FlowSDE, _backward_step, integrate_flow
+from .flow import FlowEnsemble, FlowSDE, _backward_step, integrate_flow, scheme_step
 from .stochastics import (
     DrivingPaths,
     TimeGrid,
@@ -111,8 +111,8 @@ _PUSH_THEOREMS = ("KiwItoPushforward", "KiwStratPushforward")
 # demanded of the drift, the noise fields, the tensor and the driver
 # fields.  G is None where the identity takes a static tensor field.
 _REQUIREMENTS = {
-    "KiwItoPullback": dict(k=1, b=1, xi=2, K=2, G=1),
-    "ScalarItoWentzell": dict(k=1, b=1, xi=2, K=2, G=1),
+    "KiwItoPullback": dict(k=1, b=1, xi=2, K=2, G=2),
+    "ScalarItoWentzell": dict(k=1, b=1, xi=2, K=2, G=2),
     "KunitaSecond": dict(k=1, b=1, xi=2, K=2, G=None),
     "KiwItoPushforward": dict(k=3, b=3, xi=4, K=2, G=1),
     "KiwStratPullback": dict(k=4, b=4, xi=5, K=3, G=2),
@@ -454,42 +454,6 @@ def _pullback_integrand_paths(
 # ---------------------------------------------------------------------------
 
 
-def _step_map(sde: FlowSDE, scheme: str, cid: int, t0: float, t1: float, h: float,
-              u: np.ndarray, db: np.ndarray):
-    """One forward scheme step and its exact tangent at ``u``.
-
-    The tangent is the derivative of the discrete step map itself; for
-    both schemes it coincides with the variational update applied to an
-    identity seed.
-    """
-    kern = sde._kernel(cid)
-    eye = np.eye(u.shape[1])
-    if scheme == "euler_maruyama":
-        q = kern(t0, u)
-        out = u + q["a"] * h
-        D = eye + (q["Db"] + q["cp"]) * h
-        for j in range(sde.n_noise):
-            w = db[:, j : j + 1]
-            out = out + q["xi"][j] * w
-            D = D + q["Dxi"][j] * w[..., None]
-        return out, D
-    q0 = kern(t0, u)
-    pred = u + q0["b"] * h
-    Dpred = eye + q0["Db"] * h
-    for j in range(sde.n_noise):
-        w = db[:, j : j + 1]
-        pred = pred + q0["xi"][j] * w
-        Dpred = Dpred + q0["Dxi"][j] * w[..., None]
-    q1 = kern(t1, pred)
-    out = u + 0.5 * (q0["b"] + q1["b"]) * h
-    D = eye + 0.5 * (q0["Db"] + q1["Db"] @ Dpred) * h
-    for j in range(sde.n_noise):
-        w = db[:, j : j + 1]
-        out = out + 0.5 * (q0["xi"][j] + q1["xi"][j]) * w
-        D = D + 0.5 * (q0["Dxi"][j] + q1["Dxi"][j] @ Dpred) * w[..., None]
-    return out, D
-
-
 _NEWTON_ITERS = 6
 
 
@@ -546,10 +510,14 @@ def _push_transport(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPath
         )[sel]
         v = q[sel]
         u = _backward_step(sde, flow.scheme, 0, times[j - 1], times[j], h, v, db)
+        # the tangent of the step map is the Jacobian update of an identity seed
+        eye = np.broadcast_to(np.eye(n), (u.shape[0], n, n))
         for _ in range(_NEWTON_ITERS):
-            fu, Du = _step_map(sde, flow.scheme, 0, times[j - 1], times[j], h, u, db)
+            fu, Du, _ = scheme_step(sde, flow.scheme, 0, times[j - 1], times[j], h, u, eye,
+                                    None, db)
             u = u - np.linalg.solve(Du, (fu - v)[..., None])[..., 0]
-        _, Dfinal = _step_map(sde, flow.scheme, 0, times[j - 1], times[j], h, u, db)
+        _, Dfinal, _ = scheme_step(sde, flow.scheme, 0, times[j - 1], times[j], h, u, eye,
+                                   None, db)
         q[sel] = u
         A[sel] = A[sel] @ Dfinal
 
@@ -726,10 +694,10 @@ def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPa
 
     For each checkpoint time t the flow maps from every grid time s to t
     are realised by restarting a stencil at s and advancing all restarts
-    together with the Euler update; at the checkpoint the transported
-    tensor is differentiated across the stencil and the Lie integrands
-    are summed in s, left-point in time and right-point (backward)
-    against the noise.
+    together with the flow's scheme step (Euler, see validate_scenario);
+    at the checkpoint the transported tensor is differentiated across the
+    stencil and the Lie integrands are summed in s, left-point in time and
+    right-point (backward) against the noise.
     """
     sde = scenario.sde
     grid = flow.grid
@@ -762,7 +730,6 @@ def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPa
         "L_xi": np.zeros((P, cps.size) + K0.shape),
         "L2": np.zeros((P, cps.size) + K0.shape),
     }
-    kern = sde._kernel(0)
     K_at_x0 = K0.eval_batch(0.0, scenario.x0[None, :], 0)[0]
     cp_pos = 0
 
@@ -772,18 +739,10 @@ def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPa
             dbr = np.broadcast_to(db[None, :, None, :], (m, P, S, drivers.n_noise)).reshape(
                 -1, drivers.n_noise
             )
-            rows = Q[:m].reshape(-1, n)
-            q = kern(times[m - 1], rows)
-            Arows = A[:m].reshape(-1, n, n)
-            Airows = Ai[:m].reshape(-1, n, n)
-            newrows = rows + q["a"] * h
-            newA = Arows + (q["Db"] + q["cp"]) @ Arows * h
-            newAi = Airows - Airows @ (q["Db"] - q["cm"]) * h
-            for j in range(sde.n_noise):
-                wj = dbr[:, j : j + 1]
-                newrows = newrows + q["xi"][j] * wj
-                newA = newA + (q["Dxi"][j] @ Arows) * wj[..., None]
-                newAi = newAi - (Airows @ q["Dxi"][j]) * wj[..., None]
+            newrows, newA, newAi = scheme_step(
+                sde, flow.scheme, 0, times[m - 1], times[m], h, Q[:m].reshape(-1, n),
+                A[:m].reshape(-1, n, n), Ai[:m].reshape(-1, n, n), dbr
+            )
             Q[:m] = newrows.reshape(m, P * S, n)
             A[:m] = newA.reshape(m, P * S, n, n)
             Ai[:m] = newAi.reshape(m, P * S, n, n)
@@ -1068,19 +1027,21 @@ def _sup_residual_per_path(lhs: np.ndarray, rhs: RhsResult, flow: FlowEnsemble) 
 def _warmup(scenario: Scenario):
     """Materialise symbolic caches serially before any threaded run.
 
-    Builds the step kernels and the compiled evaluators of every jet the
-    integrands read (fields to order 2, drift to 1, noise fields to 2),
-    so worker threads only ever hit caches.
+    A jet of each order is its own compiled evaluator, so this compiles
+    every order that a selector or scheme reads: the drift to order 1,
+    the noise fields to orders 1 and 2, the tensor and driver fields to
+    orders 0 (plain values), 1 and 2, each capped at the field's declared
+    smoothness.  Worker threads then only ever hit caches.
     """
     sde = scenario.sde
-    jet_orders = [(sde.drift, 1)] + [(xi, 2) for xi in sde.diffusions]
-    jet_orders += [(f, 2) for f in (scenario.K0, *scenario.G)]
+    jet_orders = [(sde.drift, (1,))] + [(xi, (1, 2)) for xi in sde.diffusions]
+    jet_orders += [(f, (0, 1, 2)) for f in (scenario.K0, *scenario.G)]
     for ch in scenario.atlas.charts:
         pt = ch.center[None, :]
-        sde._kernel(ch.id)(0.0, pt)
-        for f, order in jet_orders:
-            if ch.id in f.comps:
-                f.jet_batch(0.0, pt, ch.id, order)
+        for f, orders in jet_orders:
+            for order in orders:
+                if ch.id in f.comps and order <= f.smoothness_order:
+                    f.jet_batch(0.0, pt, ch.id, order)
 
 
 def _run_level(scenario: Scenario, drivers: DrivingPaths, bracket_mode: Optional[str]) -> Dict:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import string
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, product
 from math import prod
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -99,6 +99,26 @@ def _canonical_params(params: Optional[Mapping]) -> Tuple[Tuple[sp.Symbol, float
         items.append((sym, float(v)))
     items.sort(key=lambda kv: kv[0].name)
     return tuple(items)
+
+
+@lru_cache(maxsize=None)
+def _jet_layout(dim: int, order: int, ncomp: int):
+    """Distinct partials up to ``order`` and where a jet reads each from.
+
+    Returns ``(alphas, columns)``: ``alphas`` lists every distinct
+    multi-index of total order at most ``order``, and ``columns[m]`` maps
+    each (component, direction tuple) of the order-``m`` stack, in C
+    order, to its column in the flat output of ``_eval_flat(alphas)``.
+    """
+    dirs = [d for m in range(order + 1) for d in combinations_with_replacement(range(dim), m)]
+    row = {d: i for i, d in enumerate(dirs)}
+    alphas = tuple(tuple(d.count(k) for k in range(dim)) for d in dirs)
+    columns = tuple(
+        np.array([row[tuple(sorted(d))] * ncomp + c
+                  for c in range(ncomp) for d in product(range(dim), repeat=m)])
+        for m in range(order + 1)
+    )
+    return alphas, columns
 
 
 class TensorFieldSpec:
@@ -192,50 +212,57 @@ class TensorFieldSpec:
 
     # -- evaluation --------------------------------------------------------
 
-    def _exprs(self, chart: int, alpha: Tuple[int, ...]) -> Tuple[sp.Expr, ...]:
-        key = (chart, alpha)
+    def _exprs(self, chart: int, alphas: Tuple[Tuple[int, ...], ...]) -> Tuple[sp.Expr, ...]:
+        """Flattened components of every partial ``d^alpha`` in ``alphas``, in order."""
+        key = (chart, alphas)
         cached = self._partial_exprs.get(key)
         if cached is not None:
             return cached
         if chart not in self.comps:
             raise KeyError(f"field {self.name!r} has no components in chart {chart}")
-        if sum(alpha) > self.smoothness_order:
+        top = max(sum(alpha) for alpha in alphas)
+        if top > self.smoothness_order:
             raise InsufficientSmoothness(
                 f"field {self.name!r} is C^{self.smoothness_order}; "
-                f"derivative of order {sum(alpha)} requested"
+                f"derivative of order {top} requested"
             )
         xs = coord_symbols(self.dim)
         flat = []
         arr = self.comps[chart]
-        for idx in np.ndindex(arr.shape) if arr.shape else [()]:
-            e = arr[idx]
-            for k, m in enumerate(alpha):
-                if m:
-                    e = sp.diff(e, xs[k], m)
-            flat.append(e)
+        for alpha in alphas:
+            for idx in np.ndindex(arr.shape) if arr.shape else [()]:
+                e = arr[idx]
+                for k, m in enumerate(alpha):
+                    if m:
+                        e = sp.diff(e, xs[k], m)
+                flat.append(e)
         out = tuple(flat)
         self._partial_exprs[key] = out
         return out
 
-    def _eval_flat(self, t, coords: np.ndarray, chart: int, alpha: Tuple[int, ...]) -> np.ndarray:
-        """Evaluate all components (flattened) on a batch; shape (ncomp,) + batch."""
+    def _eval_flat(self, t, coords: np.ndarray, chart: int,
+                   alphas: Tuple[Tuple[int, ...], ...]) -> np.ndarray:
+        """Evaluate every partial in ``alphas`` with one compiled call.
+
+        Returns shape ``batch + (len(alphas) * ncomp,)``: the flattened
+        components of each partial, one partial after the other.
+        """
         coords = np.asarray(coords, dtype=float)
-        exprs = self._exprs(chart, alpha)
+        exprs = self._exprs(chart, alphas)
         psyms = tuple(s for s, _ in self.params)
         fn = _compiled(exprs, self.dim, psyms)
         args = (t,) + tuple(coords[..., i] for i in range(self.dim))
         args += tuple(v for _, v in self.params)
-        vals = fn(*args)
         batch = np.broadcast_shapes(np.shape(t), coords.shape[:-1])
-        return np.stack(
-            [np.broadcast_to(np.asarray(v, dtype=float), batch) for v in vals], axis=0
-        )
+        out = np.empty(batch + (len(exprs),))
+        for i, v in enumerate(fn(*args)):
+            out[..., i] = v
+        return out
 
     def eval_batch(self, t, coords: np.ndarray, chart: int = 0) -> np.ndarray:
         """Component values on a batch of points; shape ``batch + self.shape``."""
-        flat = self._eval_flat(t, coords, chart, (0,) * self.dim)
-        batch = flat.shape[1:]
-        return np.moveaxis(flat, 0, -1).reshape(batch + self.shape)
+        flat = self._eval_flat(t, coords, chart, ((0,) * self.dim,))
+        return flat.reshape(flat.shape[:-1] + self.shape)
 
     def eval(self, t: float, coords: np.ndarray, chart: int = 0) -> TensorValue:
         return TensorValue(self.valence, self.eval_batch(t, np.asarray(coords, float), chart))
@@ -247,34 +274,31 @@ class TensorFieldSpec:
         alpha = tuple(int(a) for a in alpha)
         if len(alpha) != self.dim:
             raise ShapeMismatch(f"alpha {alpha} has wrong length for dim {self.dim}")
-        flat = self._eval_flat(t, coords, chart, alpha)
-        batch = flat.shape[1:]
-        return np.moveaxis(flat, 0, -1).reshape(batch + self.shape)
+        flat = self._eval_flat(t, coords, chart, (alpha,))
+        return flat.reshape(flat.shape[:-1] + self.shape)
 
     def jet_batch(self, t, coords: np.ndarray, chart: int, order: int) -> List[np.ndarray]:
         """Value and derivative stacks up to ``order``.
 
         Returns ``[T, dT, d2T, ...]`` where the m-th entry has shape
         ``batch + self.shape + (dim,) * m`` and the trailing axes are the
-        differentiation directions (symmetric by construction).
+        differentiation directions (symmetric by construction).  Every
+        distinct partial is evaluated once, all of them in one compiled
+        call.
         """
         if order > self.smoothness_order:
             raise InsufficientSmoothness(
                 f"field {self.name!r} is C^{self.smoothness_order}; jet order {order} requested"
             )
-        coords = np.asarray(coords, dtype=float)
-        out = [self.eval_batch(t, coords, chart)]
-        base = out[0].shape
-        for m in range(1, order + 1):
-            arr = np.empty(base + (self.dim,) * m)
-            # each distinct partial once, copied into its symmetric slots
-            for directions in combinations_with_replacement(range(self.dim), m):
-                alpha = [directions.count(d) for d in range(self.dim)]
-                vals = self.partial_batch(t, coords, chart, alpha)
-                for slots in set(permutations(directions)):
-                    arr[(Ellipsis,) + slots] = vals
-            out.append(arr)
-        return out
+        alphas, columns = _jet_layout(self.dim, order, prod(self.shape))
+        flat = self._eval_flat(t, coords, chart, alphas)
+        batch = flat.shape[:-1]
+        # np.take keeps the stacks C-contiguous, so batched matmuls on them
+        # take the same code path whatever the batch size
+        return [
+            np.take(flat, cols, axis=-1).reshape(batch + self.shape + (self.dim,) * m)
+            for m, cols in enumerate(columns)
+        ]
 
     def __repr__(self):
         return (

@@ -26,7 +26,7 @@ from flowtensor.flow import (
 )
 from flowtensor.geometry import euclidean_atlas, sphere_atlas, torus_atlas
 from flowtensor.stochastics import DrivingPaths, TimeGrid, build_driving_paths
-from flowtensor.tensor_calculus import VectorFieldSpec, coord_symbols
+from flowtensor.tensor_calculus import InsufficientSmoothness, VectorFieldSpec, coord_symbols
 
 X1D = coord_symbols(1)
 X2D = coord_symbols(2)
@@ -320,6 +320,17 @@ def test_euler_needs_twice_differentiable_noise():
     d = build_driving_paths(TimeGrid(1.0, 4), 1, 1, 1)
     with pytest.raises(SchemeSmoothnessMismatch):
         integrate_flow(sde, d, np.array([1.0]), "euler_maruyama")
+
+
+def test_heun_reads_only_first_order_noise_jets():
+    c1 = vector_field(1, [sp.sin(X1D[0]) / 2 + 1], name="c1_noise", smoothness_order=1)
+    sde = FlowSDE(zero_drift(1), [c1], euclidean_atlas(1))
+    d = build_driving_paths(TimeGrid(1.0, 8), 1, 3, 4)
+    ens = integrate_flow(sde, d, np.array([0.2]), "heun")
+    assert np.all(ens.completed)
+    # c_plus needs the second derivative of the noise field
+    with pytest.raises(InsufficientSmoothness):
+        strat_to_ito_correction(sde, 0.0, np.array([0.2]))
 
 
 def test_heun_requires_c1_time_dependence_of_noise():

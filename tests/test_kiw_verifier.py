@@ -32,6 +32,7 @@ from flowtensor import kiw_verifier
 from flowtensor.kiw_verifier import (
     _pull_path,
     _pullback_integrand_paths,
+    _push_transport,
     _random_jet_states,
     _route_a_integrands,
 )
@@ -94,6 +95,15 @@ def test_validation_names_the_smoothness_gap():
     sc = get_scenario("kiw_push_lowreg")
     with pytest.raises(HypothesisViolation, match="KiwItoPushforward"):
         validate_scenario(sc)
+
+
+@pytest.mark.parametrize("name", ["kiw_ito_pullback_bracket", "scalar_itowentzell_r2"])
+def test_ito_pullback_selectors_need_c2_driver_fields(name):
+    # the Ito assembly reads L_xi L_xi G_i, two derivatives of each driver field
+    sc = get_scenario(name)
+    rough = replace(sc, G=(sc.G[0].with_order(1),) + sc.G[1:])
+    with pytest.raises(HypothesisViolation, match=sc.theorem):
+        validate_scenario(rough)
 
 
 def scalar_scenario(**overrides):
@@ -259,6 +269,21 @@ def test_jet_integrands_do_not_depend_on_the_block_size(monkeypatch):
     assert set(default) == set(rowwise)
     for key in default:
         assert np.array_equal(default[key], rowwise[key]), key
+
+
+@pytest.mark.parametrize("name", ["kiw_ito_pushforward_r2", "kiw_strat_pushforward_r2"])
+def test_push_transport_inverts_the_discrete_flow(name):
+    """Forward runs from the preimages land on the stencil with the same Jacobians."""
+    sc = get_scenario(name)
+    d, flow, _ = flow_and_kpath(sc, n_paths=6)
+    assert np.all(flow.completed)
+    tp = _push_transport(sc, flow, d)
+    stencil = sc.x0 + tp.eps * tp.offsets
+    for s, target in enumerate(stencil):
+        for k in range(flow.grid.npoints):
+            fwd = integrate_flow(sc.sde, d, tp.preimages[k, :, s], sc.scheme)
+            assert_allclose(fwd.coords[k], np.broadcast_to(target, (6, 2)), rtol=0, atol=1e-12)
+            assert_allclose(fwd.jac[k], tp.jac[k, :, s], rtol=0, atol=1e-12)
 
 
 def test_scalar_selector_shares_the_tensor_code_path():

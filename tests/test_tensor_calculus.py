@@ -69,16 +69,18 @@ def test_jet_batch_evaluates_each_distinct_partial_once(monkeypatch):
     calls = []
     original = TensorFieldSpec._eval_flat
 
-    def counting(self, t, coords, chart, alpha):
-        calls.append(alpha)
-        return original(self, t, coords, chart, alpha)
+    def counting(self, t, coords, chart, alphas):
+        calls.append(alphas)
+        return original(self, t, coords, chart, alphas)
 
     monkeypatch.setattr(TensorFieldSpec, "_eval_flat", counting)
     pts = np.random.default_rng(6).uniform(-0.7, 0.7, size=(5, 2))
     _, d1, d2 = f.jet_batch(0.0, pts, 0, 2)
-    # value, two first partials and the three distinct second partials
-    assert len(calls) == 6
-    assert len(set(calls)) == 6
+    # one compiled call: the value, two first partials and the three
+    # distinct second partials
+    assert len(calls) == 1
+    assert len(calls[0]) == 6
+    assert len(set(calls[0])) == 6
     assert np.array_equal(d2, np.swapaxes(d2, -1, -2))
     assert_allclose(d2[..., 0, 1], f.partial_batch(0.0, pts, 0, (1, 1)), rtol=0, atol=0)
 
