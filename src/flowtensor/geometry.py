@@ -10,11 +10,15 @@ region on which the chart maps and transition maps are trusted.
 Tensor components are plain numpy arrays of shape ``(dim,) * (r + s)``
 for valence ``(r, s)`` (``r`` contravariant slots first, then ``s``
 covariant slots).  A scalar has valence ``(0, 0)`` and a 0-d array.
+
+``_slot_replace`` and ``_contract`` are the package's one contraction
+kernel: :func:`transform_tensor` and every transport contraction in
+``tensor_calculus`` and ``kiw_verifier`` call them.  They work on
+batch-last arrays, whose batch axes trail the component axes.
 """
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -131,41 +135,67 @@ class JacobianData:
         return float(np.max(np.abs(self.jac @ self.inv_jac - np.eye(n))))
 
 
-_LETTERS = string.ascii_lowercase
+def _slot_replace(T: np.ndarray, M: np.ndarray, slot: int, nslots: int, n_extra: int = 0,
+                  n_m_extra: int = 0, transpose: bool = False) -> np.ndarray:
+    """Contract slot ``slot`` of the batch-last ``T`` with the matrix stack ``M``.
+
+    ``T`` has shape ``(n,) * nslots`` followed by ``n_extra`` axes kept as
+    they are and then the batch axes; ``M`` has shape ``(rows, cols)``
+    followed by ``n_m_extra`` axes, which follow the extra axes in the
+    result, and then the batch axes.  Both carry the same number of batch
+    axes, which broadcast.  With ``transpose`` False the new index is the
+    first matrix index (``out_i = M[i, l] T[l]``), with True it is the
+    second (``out_j = T[l] M[l, j]``).  The sum over ``l`` is an
+    elementwise multiply-add, so the batch axes are the inner loop.
+    """
+    t_index = (slice(None),) * slot
+    m_axes = tuple(range(nslots + n_extra, nslots + n_extra + n_m_extra))
+    out = None
+    for l in range(M.shape[0] if transpose else M.shape[1]):
+        Tl = np.expand_dims(T[t_index + (l,)], (slot,) + m_axes)
+        Ml = M[l] if transpose else M[:, l]
+        Ml = Ml.reshape((1,) * slot + Ml.shape[:1] + (1,) * (nslots - slot - 1 + n_extra)
+                        + Ml.shape[1:])
+        if out is None:
+            out = Tl * Ml
+        else:
+            out += Tl * Ml
+    return out
 
 
-def _transform_components(
-    comp: np.ndarray,
-    valence: Tuple[int, int],
-    contra_mat: np.ndarray,
-    cov_mat: np.ndarray,
-) -> np.ndarray:
-    """Contract every slot of ``comp`` with the appropriate matrix.
+def _contract(comp, valence, contra_mat, cov_mat, mods=None):
+    """Contract every slot of the batch-last ``comp``, one slot at a time.
 
-    Contravariant slot ``a``: ``out[i_a] = contra_mat[i_a, p] comp[p]``.
-    Covariant slot ``b``:     ``out[j_b] = comp[q] cov_mat[q, j_b]``.
-
-    ``comp`` may carry leading batch axes; the matrices may carry the
-    same leading batch axes (or none).
+    Contravariant slots contract with ``contra_mat`` (``out_i = M[i, l]
+    T[l]``), covariant ones with ``cov_mat`` (``out_j = T[l] M[l, j]``);
+    ``mods`` maps a slot index to a matrix stack used there instead.  All
+    arrays are batch-last, as in :func:`_slot_replace`.
     """
     r, s = valence
-    k = r + s
-    if k == 0:
-        return comp
-    if k > len(_LETTERS) // 2:
-        raise ShapeMismatch(f"tensor order {k} not supported")
-    in_idx = _LETTERS[:k]
-    out_idx = _LETTERS[k : 2 * k]
-    operands = []
-    factors = []
-    for a in range(r):
-        factors.append(f"...{out_idx[a]}{in_idx[a]}")
-        operands.append(contra_mat)
-    for b in range(r, k):
-        factors.append(f"...{in_idx[b]}{out_idx[b]}")
-        operands.append(cov_mat)
-    script = ",".join(factors) + f",...{in_idx}->...{out_idx}"
-    return np.einsum(script, *operands, comp)
+    out = np.asarray(comp, dtype=float)
+    for slot in range(r + s):
+        default = contra_mat if slot < r else cov_mat
+        mat = mods.get(slot, default) if mods else default
+        out = _slot_replace(out, mat, slot, r + s, transpose=slot >= r)
+    return out
+
+
+def _batch_last(a, nb: int, core: Optional[int] = None) -> np.ndarray:
+    """C-contiguous copy of ``a`` with its ``nb`` leading batch axes moved to the end.
+
+    With ``core`` (the number of trailing non-batch axes) given, ``a`` may
+    carry fewer batch axes; it is padded with leading singletons first, as
+    numpy broadcasting aligns leading batch axes.
+    """
+    a = np.asarray(a, dtype=float)
+    if core is not None:
+        a = a.reshape((1,) * (nb + core - a.ndim) + a.shape)
+    return np.asarray(np.moveaxis(a, range(nb), range(a.ndim - nb, a.ndim)), order="C")
+
+
+def _batch_first(a: np.ndarray, nb: int) -> np.ndarray:
+    """View of ``a`` with its ``nb`` trailing batch axes moved to the front."""
+    return np.moveaxis(a, range(a.ndim - nb, a.ndim), range(nb))
 
 
 def transform_tensor(value: TensorValue, jac: np.ndarray, inv_jac: np.ndarray) -> TensorValue:
@@ -182,9 +212,7 @@ def transform_tensor(value: TensorValue, jac: np.ndarray, inv_jac: np.ndarray) -
         raise ShapeMismatch(
             f"jacobian shape {jac.shape}/{inv_jac.shape} incompatible with dim {n}"
         )
-    return TensorValue(
-        value.valence, _transform_components(value.components, value.valence, jac, inv_jac)
-    )
+    return TensorValue(value.valence, _contract(value.components, value.valence, jac, inv_jac))
 
 
 @dataclass(frozen=True)

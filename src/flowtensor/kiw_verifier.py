@@ -46,6 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .flow import FlowEnsemble, FlowSDE, _backward_step, integrate_flow, scheme_step
+from .geometry import _batch_first, _batch_last, _contract
 from .stochastics import (
     DrivingPaths,
     TimeGrid,
@@ -58,9 +59,8 @@ from .stochastics import (
 )
 from .tensor_calculus import (
     TensorFieldSpec,
-    _contract,
+    _lie_jet,
     fd_jets_from_stencil,
-    lie_jet,
     pair_batch,
     pullback_batch,
     pushforward_batch,
@@ -298,12 +298,14 @@ class RhsResult:
     terms: Dict[str, np.ndarray]
     bracket_mode: str
     checkpoint_indices: Optional[np.ndarray] = None  # set by KunitaFirst
+    # the transported tensor path K the integrands were built with,
+    # (P, npoints) + comps; None for KunitaFirst
+    transported: Optional[np.ndarray] = None
 
 
 def _assemble_forward_rhs(
     scenario: Scenario,
     drivers: DrivingPaths,
-    lhs0: np.ndarray,
     paths: Dict[str, np.ndarray],
     strat: bool,
     bracket_mode: str,
@@ -311,7 +313,8 @@ def _assemble_forward_rhs(
     """Sum the identity's terms from precomputed integrand paths.
 
     ``paths`` maps integrand labels (``G<i>``, ``LbK``, ``LxK<j>``,
-    ``LxG<i>_<j>``, ``LLK<j>``) to (P, npoints, comps...) arrays.  The
+    ``LxG<i>_<j>``, ``LLK<j>``) and the transported tensor ``K`` to
+    (P, npoints, comps...) arrays; the sums start from ``K`` at time 0.  The
     pullback and pushforward variants share this assembly; the transport
     direction only changes how the integrand paths were produced and the
     sign of the Lie terms.  Pure time integrals always use left sums;
@@ -351,8 +354,14 @@ def _assemble_forward_rhs(
             terms["L2"] = 0.5 * sum(fv_integral(paths[f"LLK{j}"], t, axis=1) for j in range(nB))
 
     order = ("G_dA", "G_dM", "L_b", "L_xi", "bracket", "L2")
-    values = lhs0[:, None, ...] + sum(terms[k] for k in order if k in terms)
-    return RhsResult(values=values, terms=terms, bracket_mode=bracket_mode)
+    values = paths["K"][:, :1] + sum(terms[k] for k in order if k in terms)
+    return RhsResult(values=values, terms=terms, bracket_mode=bracket_mode,
+                     transported=paths["K"])
+
+
+def _jets_last(jets: Sequence[np.ndarray], nb: int) -> List[np.ndarray]:
+    """Batch-last copies of a jet's stacks, whose ``nb`` leading axes are batch."""
+    return [_batch_last(a, nb) for a in jets]
 
 
 def _lie_terms(jets: Sequence[np.ndarray], b_jets: Sequence[np.ndarray],
@@ -363,17 +372,18 @@ def _lie_terms(jets: Sequence[np.ndarray], b_jets: Sequence[np.ndarray],
     Returns ``val``, ``Lb`` (along the drift), ``Lx<j>`` (along noise j)
     and, unless ``strat``, ``LL<j>`` (twice along noise j).  The field
     jets must reach order 1 for ``strat`` and order 2 otherwise, as must
-    the noise jets; the drift jets reach order 1.  Coefficient jets may
+    the noise jets; the drift jets reach order 1.  Every jet and every
+    result is batch-last (see :func:`_lie_jet`); coefficient jets may
     carry singleton batch axes that broadcast against the field's.
     """
-    out = {"val": jets[0], "Lb": lie_jet(jets[:2], b_jets, valence, 0)[0]}
+    out = {"val": jets[0], "Lb": _lie_jet(jets[:2], b_jets, valence, 0)[0]}
     for j, xj in enumerate(xi_jets):
         if strat:
-            out[f"Lx{j}"] = lie_jet(jets[:2], xj[:2], valence, 0)[0]
+            out[f"Lx{j}"] = _lie_jet(jets[:2], xj[:2], valence, 0)[0]
         else:
-            inner = lie_jet(jets, xj, valence, 1)
+            inner = _lie_jet(jets, xj, valence, 1)
             out[f"Lx{j}"] = inner[0]
-            out[f"LL{j}"] = lie_jet(inner, xj[:2], valence, 0)[0]
+            out[f"LL{j}"] = _lie_jet(inner, xj[:2], valence, 0)[0]
     return out
 
 
@@ -413,12 +423,14 @@ def _pullback_integrand_paths(
 ) -> Dict[str, np.ndarray]:
     """Integrand paths for the pullback-family selectors.
 
-    The Lie terms of ``K0`` and every ``G_i`` come from :func:`lie_jet` on
+    The Lie terms of ``K0`` and every ``G_i`` come from :func:`_lie_jet` on
     the analytic jets of the fields, the drift and the noise fields at the
     flow states, chart by chart, and are then pulled back along the flow.
     The states are processed in blocks of whole grid rows, at most
     ``_JET_BLOCK_STATES`` of them per block, so the jets of the whole
-    ensemble never exist at once.
+    ensemble never exist at once.  Each block's jets and Jacobians are
+    moved batch-last once, and each pulled-back term is moved back once,
+    into the path-major output.
     """
     sde = scenario.sde
     order = 1 if strat else 2
@@ -439,13 +451,13 @@ def _pullback_integrand_paths(
         for cid in np.unique(charts[blk]).tolist():
             mask = charts[blk] == cid
             t, x = tgrid[blk][mask], coords[blk][mask]
-            A, Ai = jac[blk][mask], inv_jac[blk][mask]
-            b_jets = sde.drift.jet_batch(t, x, cid, 1)
-            xi_jets = [xi.jet_batch(t, x, cid, order) for xi in sde.diffusions]
+            A, Ai = (_batch_last(a[blk][mask], 1) for a in (jac, inv_jac))
+            b_jets = _jets_last(sde.drift.jet_batch(t, x, cid, 1), 1)
+            xi_jets = [_jets_last(xi.jet_batch(t, x, cid, order), 1) for xi in sde.diffusions]
             for lbl, f in fields.items():
-                lie = _lie_terms(f.jet_batch(t, x, cid, order), b_jets, xi_jets, valence, strat)
-                for nm, v in lie.items():
-                    terms[lbl][nm][blk][mask] = pullback_batch(v, valence, A, Ai)
+                jets = _jets_last(f.jet_batch(t, x, cid, order), 1)
+                for nm, v in _lie_terms(jets, b_jets, xi_jets, valence, strat).items():
+                    terms[lbl][nm][blk][mask] = _batch_first(_contract(v, valence, Ai, A), 1)
     return _integrand_paths(terms, kpath, sde.n_noise, strat)
 
 
@@ -555,7 +567,7 @@ def _pushforward_integrand_paths(
     """Integrand paths for the pushforward-family selectors.
 
     The Lie derivatives act on the transported field, so they are taken
-    numerically from stencil jets via :func:`lie_jet`; the flow
+    numerically from stencil jets via :func:`_lie_jet`; the flow
     coefficients enter through their analytic jets at the observation
     point.
     """
@@ -568,15 +580,17 @@ def _pushforward_integrand_paths(
     # analytic jets of the flow coefficients at the observation point,
     # with a singleton path axis for broadcasting
     pts = np.broadcast_to(scenario.x0, (L1, sde.dim))
-    b_jets = [a[:, None] for a in sde.drift.jet_batch(times, pts, 0, 1)]
+    b_jets = _jets_last([a[:, None] for a in sde.drift.jet_batch(times, pts, 0, 1)], 2)
     xi_jets = [
-        [a[:, None] for a in xi.jet_batch(times, pts, 0, jet_order)] for xi in sde.diffusions
+        _jets_last([a[:, None] for a in xi.jet_batch(times, pts, 0, jet_order)], 2)
+        for xi in sde.diffusions
     ]
     terms = {}
     for lbl, f in fields.items():
-        jets = _push_field_jets(f, scenario, flow, tp, jet_order)
+        jets = _jets_last(_push_field_jets(f, scenario, flow, tp, jet_order), 2)
         lie = _lie_terms(jets, b_jets, xi_jets, f.valence, strat)
-        terms[lbl] = {nm: np.swapaxes(v, 0, 1) for nm, v in lie.items()}
+        # batch-last (npoints, P) to path-major (P, npoints)
+        terms[lbl] = {nm: np.moveaxis(v, (-1, -2), (0, 1)) for nm, v in lie.items()}
     return _integrand_paths(terms, kpath, sde.n_noise, strat)
 
 
@@ -648,7 +662,7 @@ def eval_rhs(
     else:
         strat = theorem == "KiwStratPullback"
         paths = _pullback_integrand_paths(scenario, flow, kpath, strat)
-    return _assemble_forward_rhs(scenario, drivers, paths["K"][:, 0], paths, strat, mode)
+    return _assemble_forward_rhs(scenario, drivers, paths, strat, mode)
 
 
 def strat_ito_bridge_gap(scenario: Scenario, flow: FlowEnsemble, kpath: KPath,
@@ -665,9 +679,8 @@ def strat_ito_bridge_gap(scenario: Scenario, flow: FlowEnsemble, kpath: KPath,
     if scenario.theorem not in ("KiwStratPullback", "KiwItoPullback"):
         raise WiringMismatch("the bridge identity applies to the transported-tensor selectors")
     paths = _pullback_integrand_paths(scenario, flow, kpath, strat=False)
-    lhs0 = paths["K"][:, 0]
-    ito = _assemble_forward_rhs(scenario, drivers, lhs0, paths, False, "realized")
-    strat = _assemble_forward_rhs(scenario, drivers, lhs0, paths, True, "realized")
+    ito = _assemble_forward_rhs(scenario, drivers, paths, False, "realized")
+    strat = _assemble_forward_rhs(scenario, drivers, paths, True, "realized")
 
     correction = np.zeros_like(ito.values)
     for i in range(len(scenario.G)):
@@ -721,8 +734,9 @@ def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPa
 
     # coefficient jets at the observation point for every restart time
     pts = np.broadcast_to(scenario.x0, (L + 1, n))
-    b_grid = [a[:, None] for a in sde.drift.jet_batch(times, pts, 0, 1)]
-    xi_grid = [[a[:, None] for a in xi.jet_batch(times, pts, 0, 2)] for xi in sde.diffusions]
+    b_grid = _jets_last([a[:, None] for a in sde.drift.jet_batch(times, pts, 0, 1)], 2)
+    xi_grid = [_jets_last([a[:, None] for a in xi.jet_batch(times, pts, 0, 2)], 2)
+               for xi in sde.diffusions]
 
     out_vals = np.zeros((P, cps.size) + K0.shape)
     terms = {
@@ -758,8 +772,9 @@ def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPa
                 Ai[:nrows].reshape(nrows, P, S, n, n),
             )
             jets = fd_jets_from_stencil(pulled, n, eps, order=2, ncomp_axes=K0.order)
-            lie = _lie_terms(jets, [a[:nrows] for a in b_grid],
-                             [[a[:nrows] for a in xj] for xj in xi_grid], K0.valence, False)
+            lie = _lie_terms(_jets_last(jets, 2), [a[..., :nrows, :] for a in b_grid],
+                             [[a[..., :nrows, :] for a in xj] for xj in xi_grid], K0.valence, False)
+            lie = {nm: _batch_first(v, 2) for nm, v in lie.items()}
             dt_w = np.full((nrows, 1) + comp1, h)
             dt_w[m] = 0.0  # left sum in s: the s = t endpoint never enters
             terms["L_b"][:, cp_pos] = np.sum(lie["Lb"] * dt_w, axis=0)
@@ -790,23 +805,25 @@ def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPa
 def _route_a_integrands(state: Dict, valence: Tuple[int, int]) -> Dict:
     """Lie-derivative route: build the Lie values from jets, transport, pair."""
     r, s = valence
-    A, Binv, S = state["A"], state["Binv"], state["S"]
-    n_noise = len(state["xi"])
+    A, Binv = _batch_last(state["A"], 1), _batch_last(state["Binv"], 1)
+    b, xi = _jets_last(state["b"], 1), [_jets_last(x, 1) for x in state["xi"]]
+    n_noise = len(xi)
 
     def paired(T):
-        return pair_batch(pullback_batch(T, valence, A, Binv), valence, S, (s, r))
+        pulled = _batch_first(_contract(T, valence, Binv, A), 1)
+        return pair_batch(pulled, valence, state["S"], (s, r))
 
-    lie = _lie_terms(state["K"], state["b"], state["xi"], valence, strat=False)
+    lie = _lie_terms(_jets_last(state["K"], 1), b, xi, valence, strat=False)
     g1 = paired(lie["Lb"])
     for j in range(n_noise):
         g1 = g1 + 0.5 * paired(lie[f"LL{j}"])
     h2 = [paired(lie[f"Lx{j}"]) for j in range(n_noise)]
-    g2 = {}
+    g2, g3 = {}, []
     for i, g_jets in enumerate(state["G"]):
-        lie_g = _lie_terms(g_jets, state["b"], state["xi"], valence, strat=True)
+        lie_g = _lie_terms(_jets_last(g_jets, 1), b, xi, valence, strat=True)
         for j in range(n_noise):
             g2[(i, j)] = paired(lie_g[f"Lx{j}"])
-    g3 = [paired(g_jets[0]) for g_jets in state["G"]]
+        g3.append(paired(lie_g["val"]))
     return {"g1": g1, "h2": h2, "g2": g2, "g3": g3}
 
 
@@ -841,9 +858,13 @@ def _route_b_integrands(state: Dict, valence: Tuple[int, int]) -> Dict:
     noise_A = [np.einsum("...ql,...lj->...qj", dxi, A) for (_, dxi, _) in state["xi"]]
     noise_psi = [-np.einsum("...ip,...pl->...il", Binv, dxi) for (_, dxi, _) in state["xi"]]
 
+    A_last, Binv_last = _batch_last(A, 1), _batch_last(Binv, 1)
+
     def paired(T, mods=None):
         # the slot matrices and their overrides transform like the pullback's
-        return pair_batch(_contract(T, valence, Binv, A, mods), valence, S, (s, r))
+        mods = {slot: _batch_last(m, 1) for slot, m in (mods or {}).items()}
+        pulled = _batch_first(_contract(_batch_last(T, 1), valence, Binv_last, A_last, mods), 1)
+        return pair_batch(pulled, valence, S, (s, r))
 
     def mod_for(slot, j):
         return noise_psi[j] if slot < r else noise_A[j]
@@ -1028,14 +1049,22 @@ def _warmup(scenario: Scenario):
     """Materialise symbolic caches serially before any threaded run.
 
     A jet of each order is its own compiled evaluator, so this compiles
-    every order that a selector or scheme reads: the drift to order 1,
-    the noise fields to orders 1 and 2, the tensor and driver fields to
-    orders 0 (plain values), 1 and 2, each capped at the field's declared
-    smoothness.  Worker threads then only ever hit caches.
+    the orders that the scenario's scheme and selector read, and no
+    others.  The scheme reads the drift to order 1 and the noise fields
+    to order 2 (Euler) or 1 (Heun).  The Lie terms read the noise fields
+    to order 2 (Ito) or 1 (Stratonovich); the pullback selectors take
+    them from the tensor and driver fields' jets of that order, while the
+    pushforward selectors and KunitaFirst evaluate those fields' plain
+    values (order 0) at transported points.  Worker threads then only
+    ever hit caches.
     """
     sde = scenario.sde
-    jet_orders = [(sde.drift, (1,))] + [(xi, (1, 2)) for xi in sde.diffusions]
-    jet_orders += [(f, (0, 1, 2)) for f in (scenario.K0, *scenario.G)]
+    theorem = scenario.theorem
+    lie_order = 1 if theorem in ("KiwStratPullback", "KiwStratPushforward") else 2
+    field_order = 0 if theorem in _PUSH_THEOREMS or theorem == "KunitaFirst" else lie_order
+    noise_orders = {2 if scenario.scheme == "euler_maruyama" else 1, lie_order}
+    jet_orders = [(sde.drift, (1,))] + [(xi, noise_orders) for xi in sde.diffusions]
+    jet_orders += [(f, (field_order,)) for f in (scenario.K0, *scenario.G)]
     for ch in scenario.atlas.charts:
         pt = ch.center[None, :]
         for f, orders in jet_orders:
@@ -1051,8 +1080,10 @@ def _run_level(scenario: Scenario, drivers: DrivingPaths, bracket_mode: Optional
     transport = None
     if scenario.theorem in _PUSH_THEOREMS:
         transport = _push_transport(scenario, flow, drivers)
-    lhs = eval_lhs(scenario, flow, kpath, transport)
     rhs = eval_rhs(scenario, flow, kpath, drivers, bracket_mode, transport)
+    lhs = rhs.transported
+    if lhs is None:
+        lhs = eval_lhs(scenario, flow, kpath, transport)
     return {
         "residual": _sup_residual_per_path(lhs, rhs, flow),
         "term_sups": {k: _sup_per_path(v) for k, v in rhs.terms.items()},

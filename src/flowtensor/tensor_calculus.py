@@ -13,6 +13,17 @@ derivative order callers may request.  Asking beyond it raises
 :class:`InsufficientSmoothness`, which is how verification scenarios
 with deliberately capped regularity fail fast instead of silently using
 derivatives the hypotheses do not grant.
+
+Every slot contraction (pullback, pushforward, the slot terms of
+:func:`lie_jet`) runs one kernel, ``_slot_replace`` and ``_contract``
+from :mod:`flowtensor.geometry`, on batch-last arrays: the component and
+derivative axes come first, the batch axes trail (any number of them,
+equal in number on every operand, singletons broadcast).  A contraction
+is then an n-term elementwise multiply-add over the contracted index,
+with the batch axis as the inner loop.  The public batch-first
+functions (``lie_jet``, ``pullback_batch``, ``pushforward_batch``) move
+the batch axes to the end at entry and back at exit; the verifier's
+integrand chain stays batch-last from the jets to the pulled-back terms.
 """
 
 from __future__ import annotations
@@ -26,7 +37,15 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 import sympy as sp
 
-from .geometry import JacobianData, ShapeMismatch, TensorValue
+from .geometry import (
+    JacobianData,
+    ShapeMismatch,
+    TensorValue,
+    _batch_first,
+    _batch_last,
+    _contract,
+    _slot_replace,
+)
 
 __all__ = [
     "InsufficientSmoothness",
@@ -461,43 +480,13 @@ def lie_derivative_fd_oracle(
 _LETTERS = string.ascii_lowercase
 
 
-def _slot_replace(T: np.ndarray, M: np.ndarray, slot: int, nslots: int, n_extra: int = 0,
-                  n_m_extra: int = 0, transpose: bool = False) -> np.ndarray:
-    """Contract slot ``slot`` of ``T`` with the matrix stack ``M`` by matmul.
-
-    ``T`` has shape ``batch + (n,) * nslots`` followed by ``n_extra``
-    trailing axes kept as they are; ``M`` has shape ``batch + (rows, cols)``
-    followed by ``n_m_extra`` trailing axes, which are appended to the
-    result.  The batch axes broadcast.  With ``transpose`` False the new
-    index is the first matrix index (``out_i = M[i, l] T[l]``), with True
-    it is the second (``out_j = T[l] M[l, j]``).
-    """
-    nb = T.ndim - nslots - n_extra
-    kept = T.shape[nb : nb + slot] + T.shape[nb + slot + 1 :]
-    m_tail = M.shape[M.ndim - n_m_extra :]
-    Mm = M if transpose else np.swapaxes(M, -2 - n_m_extra, -1 - n_m_extra)
-    n_in, n_new = Mm.shape[M.ndim - n_m_extra - 2 : M.ndim - n_m_extra]
-    Tm = np.moveaxis(T, nb + slot, -1).reshape(T.shape[:nb] + (prod(kept), n_in))
-    Mm = Mm.reshape(M.shape[: M.ndim - n_m_extra - 2] + (n_in, n_new * prod(m_tail)))
-    res = np.matmul(Tm, Mm)  # batch + (kept, new * m_tail)
-    res = res.reshape(res.shape[:-2] + kept + (n_new,) + m_tail)
-    return np.moveaxis(res, -1 - n_m_extra, res.ndim - nslots - n_extra - n_m_extra + slot)
-
-
-def _contract(comp, valence, contra_mat, cov_mat, mods=None):
-    """Contract every slot of ``comp``, one slot at a time.
-
-    Contravariant slots contract with ``contra_mat`` (``out_i = M[i, l]
-    T[l]``), covariant ones with ``cov_mat`` (``out_j = T[l] M[l, j]``);
-    ``mods`` maps a slot index to a matrix stack used there instead.
-    """
-    r, s = valence
-    out = np.asarray(comp, dtype=float)
-    for slot in range(r + s):
-        default = contra_mat if slot < r else cov_mat
-        mat = mods.get(slot, default) if mods else default
-        out = _slot_replace(out, mat, slot, r + s, transpose=slot >= r)
-    return out
+def _contract_batch_first(comps, valence, contra_mat, cov_mat) -> np.ndarray:
+    """:func:`_contract` on batch-first arrays, whose batch axes broadcast as numpy's do."""
+    k = sum(valence)
+    nb = max(np.ndim(comps) - k, np.ndim(contra_mat) - 2, np.ndim(cov_mat) - 2)
+    out = _contract(_batch_last(comps, nb, k), valence, _batch_last(contra_mat, nb, 2),
+                    _batch_last(cov_mat, nb, 2))
+    return _batch_first(out, nb)
 
 
 def pullback_batch(
@@ -509,14 +498,14 @@ def pullback_batch(
     Jacobian at the base point and ``inv_jac`` its inverse; contravariant
     slots contract with ``inv_jac``, covariant slots with ``jac``.
     """
-    return _contract(comps, valence, inv_jac, jac)
+    return _contract_batch_first(comps, valence, inv_jac, jac)
 
 
 def pushforward_batch(
     comps: np.ndarray, valence: Tuple[int, int], jac: np.ndarray, inv_jac: np.ndarray
 ) -> np.ndarray:
     """Pushforward contraction (inverse transport): slots swap matrices."""
-    return _contract(comps, valence, jac, inv_jac)
+    return _contract_batch_first(comps, valence, jac, inv_jac)
 
 
 def pullback(value: TensorValue, data: JacobianData) -> TensorValue:
@@ -571,6 +560,21 @@ def lie_jet(
     inputs and returns ``[value, first derivative, ...]`` up to
     ``out_order``.
     """
+    k = sum(valence)
+    nb = max(np.ndim(t_jets[0]) - k, np.ndim(x_jets[0]) - 1)
+    out = _lie_jet([_batch_last(a, nb, k + m) for m, a in enumerate(t_jets)],
+                   [_batch_last(a, nb, 1 + m) for m, a in enumerate(x_jets)], valence, out_order)
+    return [_batch_first(a, nb) for a in out]
+
+
+def _lie_jet(
+    t_jets: Sequence[np.ndarray],
+    x_jets: Sequence[np.ndarray],
+    valence: Tuple[int, int],
+    out_order: int = 0,
+) -> List[np.ndarray]:
+    """:func:`lie_jet` on batch-last jets: ``t_jets[m]`` has shape
+    ``shape + (n,) * m + batch``, and the results are batch-last too."""
     r, s = valence
     k = r + s
     if len(t_jets) < out_order + 2 or len(x_jets) < out_order + 2:
@@ -579,34 +583,26 @@ def lie_jet(
         )
     X, dX = x_jets[0], x_jets[1]
     T, dT = t_jets[0], t_jets[1]
-    Xcol = X[..., None]  # X as an (n, 1) matrix stack
+    Xcol = X[:, None]  # X as an (n, 1) matrix stack
+    drop_col = (slice(None),) * k + (0,)  # the single index of a contraction with Xcol
 
-    def transport(T_m, dX_loc, n_extra):
-        """Slot terms of the Lie formula applied to a derivative stack."""
-        acc = np.zeros_like(T_m)
+    def add_transport(acc, T_m, M, n_extra=0, n_m_extra=0):
+        """Add the slot terms of the Lie formula, taken with ``M``, to ``acc`` in place."""
         for a in range(r):
-            acc -= _slot_replace(T_m, dX_loc, a, k, n_extra, transpose=False)
+            acc -= _slot_replace(T_m, M, a, k, n_extra, n_m_extra)
         for b in range(r, k):
-            acc += _slot_replace(T_m, dX_loc, b, k, n_extra, transpose=True)
+            acc += _slot_replace(T_m, M, b, k, n_extra, n_m_extra, transpose=True)
         return acc
 
     # value: X^l d_l T  - sum_a T(l@a) d_l X^{i_a} + sum_b T(l@b) d_{j_b} X^l
-    val = _slot_replace(dT, Xcol, k, k + 1, transpose=True)[..., 0]
-    val = val + transport(T, dX, 0)
-    out = [val]
+    out = [add_transport(_slot_replace(dT, Xcol, k, k + 1, transpose=True)[drop_col], T, dX)]
     if out_order >= 1:
-        d2T = t_jets[2]
-        d2X = x_jets[2]
         # d_m (X^l d_l T) = d_m X^l d_l T + X^l d^2_{lm} T
         term = _slot_replace(dT, dX, k, k + 1, transpose=True)
-        term = term + _slot_replace(d2T, Xcol, k, k + 2, transpose=True)[..., 0, :]
+        term += _slot_replace(t_jets[2], Xcol, k, k + 2, transpose=True)[drop_col]
         # slot terms differentiated with Leibniz
-        term = term + transport(dT, dX, 1)
-        for a in range(r):
-            term -= _slot_replace(T, d2X, a, k, n_m_extra=1, transpose=False)
-        for b in range(r, k):
-            term += _slot_replace(T, d2X, b, k, n_m_extra=1, transpose=True)
-        out.append(term)
+        add_transport(term, dT, dX, n_extra=1)
+        out.append(add_transport(term, T, x_jets[2], n_m_extra=1))
     if out_order >= 2:
         raise NotImplementedError("jets beyond first order are not needed here")
     return out

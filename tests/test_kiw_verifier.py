@@ -271,6 +271,48 @@ def test_jet_integrands_do_not_depend_on_the_block_size(monkeypatch):
         assert np.array_equal(default[key], rowwise[key]), key
 
 
+@pytest.mark.parametrize(
+    "name", ["kiw_ito_pullback_r2", "kunita_sphere_rotation", "kiw_ito_pushforward_r2"]
+)
+def test_rhs_transported_tensor_is_eval_lhs_bitwise(name):
+    """A study level takes its left-hand side from the integrands' K path."""
+    sc = get_scenario(name)
+    d, flow, kp = flow_and_kpath(sc, n_paths=12)
+    rhs = eval_rhs(sc, flow, kp, d)
+    assert np.array_equal(rhs.transported, eval_lhs(sc, flow, kp, drivers=d))
+
+
+def test_warmup_compiles_only_the_jets_the_study_reads(monkeypatch):
+    """On the two-chart sphere (Euler, Ito pullback) set-up compiles 8 evaluators.
+
+    Each is read again by the study, which compiles nothing more.
+    """
+    from flowtensor import tensor_calculus
+
+    sc = get_scenario("kunita_sphere_rotation")
+    lambdify, compiled = sp.lambdify, tensor_calculus._compiled
+    calls, keys = [], set()
+
+    def counting_lambdify(*args, **kwargs):
+        calls.append(args)
+        return lambdify(*args, **kwargs)
+
+    def recording_compiled(exprs, dim, param_syms):
+        keys.add((exprs, dim, param_syms))
+        return compiled(exprs, dim, param_syms)
+
+    monkeypatch.setattr(tensor_calculus, "_LAMBDIFY_CACHE", {})
+    monkeypatch.setattr(sp, "lambdify", counting_lambdify)
+    monkeypatch.setattr(tensor_calculus, "_compiled", recording_compiled)
+    kiw_verifier._warmup(sc)
+    assert len(calls) == 8
+    warmed, keys = set(keys), set()
+    monkeypatch.setattr(kiw_verifier, "_warmup", lambda scenario: None)
+    convergence_study(sc, levels=1, n_paths=12)
+    assert len(calls) == 8
+    assert keys == warmed
+
+
 @pytest.mark.parametrize("name", ["kiw_ito_pushforward_r2", "kiw_strat_pushforward_r2"])
 def test_push_transport_inverts_the_discrete_flow(name):
     """Forward runs from the preimages land on the stencil with the same Jacobians."""

@@ -298,54 +298,69 @@ def test_transport_duality_under_pairing(valence):
 
 
 def _einsum_slot(T, M, slot, nslots, n_extra, n_m_extra, transpose):
-    """Reference for ``_slot_replace`` written as one explicit einsum."""
+    """Reference for ``_slot_replace`` written as one explicit einsum, batch-last."""
     letters = string.ascii_lowercase[:nslots]
     extra = "pqr"[:n_extra]
     m_extra = "uvw"[:n_m_extra]
     t_in = letters[:slot] + "z" + letters[slot + 1 :] + extra
     out = letters[:slot] + "y" + letters[slot + 1 :] + extra + m_extra
     m_idx = ("zy" if transpose else "yz") + m_extra
-    return np.einsum(f"...{t_in},...{m_idx}->...{out}", T, M)
+    return np.einsum(f"{t_in}...,{m_idx}...->{out}...", T, M)
 
 
+# two trailing batch axes, with a broadcasting singleton on either operand;
+# (5, 1) is the broadcast the pushforward uses for its coefficient jets
+_BATCHES = [((5, 3), (5, 1)), ((1, 3), (4, 3))]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("t_batch,m_batch", _BATCHES)
 @pytest.mark.parametrize("valence", [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (2, 0), (2, 1)])
 @pytest.mark.parametrize("n_extra,n_m_extra", [(0, 0), (1, 0), (0, 1), (2, 1)])
-def test_slot_replace_matches_einsum(valence, n_extra, n_m_extra):
-    rng = np.random.default_rng(sum(valence) + 10 * n_extra + 100 * n_m_extra)
+def test_slot_replace_matches_einsum(valence, n_extra, n_m_extra, t_batch, m_batch, dim):
+    rng = np.random.default_rng(sum(valence) + 10 * n_extra + 100 * n_m_extra + 1000 * dim)
     k = sum(valence)
-    # a (5, 3) batch against matrices with a singleton second batch axis,
-    # the broadcast the pushforward uses for its coefficient jets
-    T = rng.standard_normal((5, 3) + (2,) * (k + n_extra))
-    M = rng.standard_normal((5, 1, 2, 2) + (2,) * n_m_extra)
+    T = rng.standard_normal((dim,) * (k + n_extra) + t_batch)
     for slot in range(k):
         for transpose in (False, True):
-            got = _slot_replace(T, M, slot, k, n_extra, n_m_extra, transpose)
-            want = _einsum_slot(T, M, slot, k, n_extra, n_m_extra, transpose)
-            assert got.shape == want.shape
-            assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+            # square matrices, and the single column lie_jet contracts with
+            for n_new in (dim, 1):
+                rows, cols = (dim, n_new) if transpose else (n_new, dim)
+                M = rng.standard_normal((rows, cols) + (dim,) * n_m_extra + m_batch)
+                got = _slot_replace(T, M, slot, k, n_extra, n_m_extra, transpose)
+                want = _einsum_slot(T, M, slot, k, n_extra, n_m_extra, transpose)
+                assert got.shape == want.shape
+                assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("valence", [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (2, 0), (2, 1)])
-def test_contract_matches_einsum(valence):
-    rng = np.random.default_rng(7 + sum(valence))
+def test_contract_matches_einsum(valence, dim):
+    rng = np.random.default_rng(7 + sum(valence) + 100 * dim)
     r, s = valence
     k = r + s
-    T = rng.standard_normal((4, 3) + (2,) * k)
-    A = rng.standard_normal((4, 1, 2, 2))
-    B = rng.standard_normal((4, 3, 2, 2))
-    override = rng.standard_normal((4, 3, 2, 2))
+    T = rng.standard_normal((dim,) * k + (4, 3))
+    A = rng.standard_normal((dim, dim, 4, 1))
+    B = rng.standard_normal((dim, dim, 4, 3))
+    override = rng.standard_normal((dim, dim, 4, 3))
     for mods in ({}, {k - 1: override} if k else {}):
         letters = string.ascii_lowercase
         ins, outs = letters[:k], letters[k : 2 * k]
-        factors = [f"...{outs[a]}{ins[a]}" for a in range(r)]
-        factors += [f"...{ins[b]}{outs[b]}" for b in range(r, k)]
+        factors = [f"{outs[a]}{ins[a]}..." for a in range(r)]
+        factors += [f"{ins[b]}{outs[b]}..." for b in range(r, k)]
         mats = [mods.get(a, B if a < r else A) for a in range(k)]
-        want = np.einsum(",".join(factors + [f"...{ins}"]) + f"->...{outs}", *mats, T)
+        want = np.einsum(",".join(factors + [f"{ins}..."]) + f"->{outs}...", *mats, T)
         got = _contract(T, valence, B, A, mods)
         assert_allclose(got, np.broadcast_to(want, got.shape), rtol=1e-13, atol=1e-13)
-    assert_allclose(pullback_batch(T, valence, A, B), _contract(T, valence, B, A), rtol=0, atol=0)
-    assert_allclose(pushforward_batch(T, valence, A, B), _contract(T, valence, A, B), rtol=0,
-                    atol=0)
+
+    # the batch-first public contractions run the same kernel: same bits
+    def first(a):
+        return np.moveaxis(a, (-2, -1), (0, 1))
+
+    assert np.array_equal(pullback_batch(first(T), valence, first(A), first(B)),
+                          first(_contract(T, valence, B, A)))
+    assert np.array_equal(pushforward_batch(first(T), valence, first(A), first(B)),
+                          first(_contract(T, valence, A, B)))
 
 
 def test_pair_single_entry():
