@@ -25,10 +25,13 @@ one of the acceptance checks.
 
 :func:`scheme_step` is the one place both updates are written; forward
 integration, the Newton inversion of the pushforward transport and the
-restart wavefront all call it.  Its coefficients come from the fields'
-compiled jets (:meth:`FlowSDE.coeffs`): the drift to first order, and the
-noise fields to second order for Euler (``a``, ``c_plus``, ``c_minus``)
-but only to first order for Heun.
+restart wavefront all call it.  It works on batch-last arrays (component
+axes first, points last), the layout of ``geometry._slot_replace``, which
+applies the Jacobian updates.  Its coefficients come from one compiled
+evaluator per chart and noise order (:meth:`FlowSDE.coeffs`): the drift
+to first order and every noise field to second order for Euler (``a``,
+``c_plus``, ``c_minus``) but only to first order for Heun, written into
+one buffer that the coefficient arrays are views of.
 """
 
 from __future__ import annotations
@@ -37,10 +40,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+import sympy as sp
 
-from .geometry import R_MAX, ChartAtlas, locate_chart, locate_chart_batch
+from . import tensor_calculus
+from .geometry import (R_MAX, ChartAtlas, NoCoveringChart, _batch_first, _batch_last,
+                       _slot_replace, locate_chart_batch)
 from .stochastics import DrivingPaths, TimeGrid
-from .tensor_calculus import VectorFieldSpec
+from .tensor_calculus import VectorFieldSpec, _jet_layout
 
 __all__ = [
     "SchemeSmoothnessMismatch",
@@ -90,6 +96,7 @@ class FlowSDE:
 
     def __post_init__(self):
         object.__setattr__(self, "diffusions", tuple(self.diffusions))
+        object.__setattr__(self, "_programs", {})
         n = self.atlas.dim
         for f in (self.drift, *self.diffusions):
             if f.valence != (1, 0) or f.dim != n:
@@ -113,28 +120,81 @@ class FlowSDE:
             k = min(k, xi.smoothness_order - 1)
         return k
 
-    def coeffs(self, t, pts: np.ndarray, chart: int, noise_order: int) -> Dict[str, np.ndarray]:
-        """Scheme coefficients at a batch of points, from the fields' compiled jets.
+    def _program(self, chart: int, noise_order: int):
+        """Flat coefficient expressions of one chart, their parameters and layout.
 
-        Returns ``b`` and ``Db`` (drift and its Jacobian), ``xi`` and
-        ``Dxi`` (stacked over the noise fields, leading axis of length
-        ``n_noise``).  With ``noise_order`` 2 it adds the Ito drift ``a``
-        and the correction matrices ``cp`` / ``cm``, which need the second
-        derivatives of the noise fields.
+        The drift's value and first partials come first, then the noise
+        fields' values, first partials and (to ``noise_order``) second
+        partials, each stack over all noise fields in turn, components in
+        C order; the layout lists each stack's name, rows and shape.
+        Every field's parameters are renamed to symbols prefixed with its
+        position, so two fields may bind one name to different values.
+        Requesting partials beyond a field's declared smoothness raises
+        ``InsufficientSmoothness``.
         """
-        b, Db = self.drift.jet_batch(t, pts, chart, 1)
-        jets = [xi.jet_batch(t, pts, chart, noise_order) for xi in self.diffusions]
-        N = self.n_noise
-        xi = np.array([j[0] for j in jets]).reshape((N,) + b.shape)
-        Dxi = np.array([j[1] for j in jets]).reshape((N,) + Db.shape)
-        out = {"b": b, "Db": Db, "xi": xi, "Dxi": Dxi}
-        if noise_order >= 2:
-            D2xi = np.array([j[2] for j in jets]).reshape((N,) + Db.shape + (self.dim,))
-            # 1/2 sum_j xi_j^l d_l xi_j^i, and sum_j xi_j^l d_l d_m xi_j^i
-            conv = 0.5 * np.sum(Dxi @ xi[..., None], axis=0)[..., 0]
-            second = np.sum(xi[..., None, None, :] @ D2xi, axis=0)[..., 0, :]
-            sq = np.sum(Dxi @ Dxi, axis=0)
-            out.update(a=b + conv, cp=0.5 * (sq + second), cm=0.5 * (sq - second))
+        key = (chart, noise_order)
+        if key not in self._programs:
+            n, N = self.dim, self.n_noise
+            stacks, psyms, pvals = [], [], []
+            for k, f in enumerate((self.drift, *self.diffusions)):
+                alphas, columns = _jet_layout(n, 1 if k == 0 else noise_order, n)
+                rename = {s: sp.Symbol(f"c{k}_{s.name}", real=True) for s, _ in f.params}
+                flat = [e.xreplace(rename) for e in f._exprs(chart, alphas)]
+                stacks.append([[flat[c] for c in cols] for cols in columns])
+                psyms += rename.values()
+                pvals += [v for _, v in f.params]
+            groups = [("b", (n,), stacks[0][0]), ("Db", (n, n), stacks[0][1])]
+            groups += [(("xi", "Dxi", "D2xi")[m], (N,) + (n,) * (m + 1),
+                        [e for st in stacks[1:] for e in st[m]]) for m in range(noise_order + 1)]
+            exprs, layout = [], []
+            for nm, shape, rows in groups:
+                layout.append((nm, len(exprs), len(exprs) + len(rows), shape))
+                exprs += rows
+            self._programs[key] = (tuple(exprs), tuple(psyms), tuple(pvals), layout)
+        return self._programs[key]
+
+    def jets(self, t, pts: np.ndarray, chart: int, noise_order: int) -> Dict[str, np.ndarray]:
+        """Drift and noise jets at batch-last points ``pts`` (shape ``(n,) + batch``).
+
+        One compiled call (common subexpressions shared) writes every
+        value into one ``(C,) + batch`` buffer, and the results are views
+        of it, batch-last: ``b`` and ``Db`` (drift and its Jacobian,
+        ``Db[i, l] = d_l b^i``), ``xi``, ``Dxi`` and, with ``noise_order``
+        2, ``D2xi`` (leading axis over the noise fields, derivative
+        directions last).
+        """
+        exprs, psyms, pvals, layout = self._program(chart, noise_order)
+        # common subexpressions are shared here only: a field's own evaluators
+        # stay without, so its value is bitwise the same from every jet order
+        fn = tensor_calculus._compiled(exprs, self.dim, psyms, cse=True)
+        pts = np.asarray(pts, dtype=float)
+        batch = np.broadcast(t, pts[0]).shape
+        buf = np.empty((len(exprs),) + batch)
+        for i, v in enumerate(fn(t, *pts, *pvals)):
+            buf[i] = v
+        return {nm: buf[a:b].reshape(shape + batch) for nm, a, b, shape in layout}
+
+    def coeffs(self, t, pts: np.ndarray, chart: int, noise_order: int) -> Dict[str, np.ndarray]:
+        """Scheme coefficients at batch-last points: the :meth:`jets` and,
+        with ``noise_order`` 2, the Ito drift ``a`` and the correction
+        matrices ``cp`` / ``cm``."""
+        out = self.jets(t, pts, chart, noise_order)
+        if noise_order < 2:
+            return out
+        n, N, batch = self.dim, self.n_noise, out["b"].shape[1:]
+        # the (noise j, direction l) terms of sq, second and conv, multiplied at
+        # once, then added in order of (j, l), so no sum depends on the batch size
+        xi, Dxi, D2xi = out["xi"], out["Dxi"], out["D2xi"]
+        dxi = Dxi.swapaxes(1, 2)  # [j, l, i]
+        terms = np.empty((N, n, n, 2 * n + 1) + batch)
+        np.multiply(dxi[:, :, :, None], Dxi[:, :, None], out=terms[:, :, :, :n])
+        np.multiply(D2xi.swapaxes(1, 2), xi[:, :, None, None], out=terms[:, :, :, n:-1])
+        np.multiply(dxi, xi[:, :, None], out=terms[:, :, :, -1])
+        S = np.zeros((n, 2 * n + 1) + batch)
+        for term in terms.reshape((N * n, n, 2 * n + 1) + batch):
+            S += term
+        sq, second, conv = S[:, :n], S[:, n:-1], S[:, -1]
+        out.update(a=out["b"] + 0.5 * conv, cp=0.5 * (sq + second), cm=0.5 * (sq - second))
         return out
 
 
@@ -144,25 +204,28 @@ def scheme_step(sde: FlowSDE, scheme: str, cid: int, t0: float, t1: float, h: fl
 
     Advances the points, the forward Jacobians ``J`` by the exact tangent
     of the point update, and the inverse Jacobians ``Ji`` (skipped when
-    ``Ji`` is None).  ``db`` holds the Brownian increments, shape
-    ``(m, n_noise)``.  Returns ``(u, J, Ji)`` after the step.
+    ``Ji`` is None).  Every array is batch-last: ``u`` has shape ``(n, m)``,
+    ``J`` and ``Ji`` ``(n, n, m)`` (a singleton batch axis broadcasts) and
+    the Brownian increments ``db`` ``(n_noise, m)``.  Returns ``(u, J, Ji)``
+    after the step.
     """
 
     def sweep(q, drift):
         # point increment and tangent of the noise part, one Euler sweep
         du = q[drift] * h
         W = np.zeros_like(q["Db"])
-        for j in range(sde.n_noise):
-            w = db[:, j : j + 1]
-            du = du + q["xi"][j] * w
-            W = W + q["Dxi"][j] * w[..., None]
+        for xi_db, Dxi_db in zip(q["xi"] * db[:, None], q["Dxi"] * db[:, None, None]):
+            du += xi_db
+            W += Dxi_db
         return du, W
 
     if scheme == "euler_maruyama":
         q = sde.coeffs(t0, u, cid, 2)
         du, W = sweep(q, "a")
-        Jn = J + ((q["Db"] + q["cp"]) * h + W) @ J
-        Jin = None if Ji is None else Ji - Ji @ ((q["Db"] - q["cm"]) * h + W)
+        # M @ J contracts slot 0 of J, Ji @ M slot 1 of Ji with M transposed
+        Jn = J + _slot_replace(J, (q["Db"] + q["cp"]) * h + W, 0, 2)
+        Jin = None if Ji is None else Ji - _slot_replace(Ji, (q["Db"] - q["cm"]) * h + W, 1, 2,
+                                                         transpose=True)
         return u + du, Jn, Jin
     if scheme != "heun":
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
@@ -172,24 +235,20 @@ def scheme_step(sde: FlowSDE, scheme: str, cid: int, t0: float, t1: float, h: fl
     q1 = sde.coeffs(t1, u + du0, cid, 1)
     du1, W1 = sweep(q1, "b")
     M1 = q1["Db"] * h + W1
-    A0 = M0 @ J
-    Jn = J + 0.5 * (A0 + M1 @ (J + A0))
+    A0 = _slot_replace(J, M0, 0, 2)
+    Jn = J + 0.5 * (A0 + _slot_replace(J + A0, M1, 0, 2))
     Jin = None
     if Ji is not None:
-        B0 = Ji @ M0
-        Jin = Ji - 0.5 * (B0 + (Ji - B0) @ M1)
+        B0 = _slot_replace(Ji, M0, 1, 2, transpose=True)
+        Jin = Ji - 0.5 * (B0 + _slot_replace(Ji - B0, M1, 1, 2, transpose=True))
     return u + 0.5 * (du0 + du1), Jn, Jin
 
 
 def strat_to_ito_correction(sde: FlowSDE, t: float, coords: np.ndarray, chart: int = 0) -> CorrectionTerms:
     """Correction matrices ``c_plus`` / ``c_minus`` at a batch of points."""
-    pts = np.atleast_2d(np.asarray(coords, dtype=float))
-    out = sde.coeffs(t, pts, chart, 2)
-    squeeze = np.asarray(coords).ndim == 1
-    cp, cm = out["cp"], out["cm"]
-    if squeeze:
-        cp, cm = cp[0], cm[0]
-    return CorrectionTerms(c_plus=cp, c_minus=cm)
+    out = sde.coeffs(t, np.moveaxis(np.asarray(coords, dtype=float), -1, 0), chart, 2)
+    nb = out["cp"].ndim - 2
+    return CorrectionTerms(c_plus=_batch_first(out["cp"], nb), c_minus=_batch_first(out["cm"], nb))
 
 
 @dataclass(frozen=True)
@@ -260,15 +319,11 @@ class FlowEnsemble:
 
     def jac_consistency_max(self) -> float:
         """Worst ``|J Jinv - I|`` over all live states."""
-        n = self.coords.shape[2]
-        eye = np.eye(n)
-        worst = 0.0
+        # batch-last views: integrate_flow stores the Jacobians that way
+        J, Ji = (np.moveaxis(a, (2, 3), (0, 1)) for a in (self.jac, self.inv_jac))
+        dev = np.abs(_slot_replace(Ji, J, 0, 2) - np.eye(J.shape[0])[..., None, None])
         live = self._live_mask()
-        prod = np.matmul(self.jac, self.inv_jac) - eye
-        dev = np.max(np.abs(prod), axis=(2, 3))
-        if np.any(live):
-            worst = float(np.max(dev[live]))
-        return worst
+        return float(np.max(dev.max(axis=(0, 1))[live])) if np.any(live) else 0.0
 
     def _live_mask(self) -> np.ndarray:
         ks = np.arange(self.grid.npoints)[:, None]
@@ -320,98 +375,81 @@ def integrate_flow(
     P = drivers.n_paths
     times = grid.times()
 
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim == 1:
-        x0 = np.broadcast_to(x0, (P, n)).copy()
-    cid0 = locate_chart(atlas, x0[0], start_chart)
-    if cid0 != start_chart:
-        x0 = atlas.transition_between(start_chart, cid0).apply(x0)
-    coords = np.empty((L + 1, P, n))
+    # every row of x0 starts in the lowest-numbered chart covering it
+    x0 = np.broadcast_to(np.asarray(x0, dtype=float), (P, n))
+    cid0 = locate_chart_batch(atlas, x0, start_chart)
+    if np.any(cid0 < 0):
+        raise NoCoveringChart(f"start point {x0[np.argmin(cid0)]} (chart {start_chart}) "
+                              f"not in any inner ball of {atlas.name!r}")
+    coords = np.empty((L + 1, n, P))
     charts = np.empty((L + 1, P), dtype=int)
-    jac = np.empty((L + 1, P, n, n))
-    inv_jac = np.empty((L + 1, P, n, n))
-    coords[0] = x0
+    jac = np.empty((L + 1, n, n, P))
+    inv_jac = np.empty((L + 1, n, n, P))
+    coords[0] = x0.T
+    for cid in set(cid0.tolist()) - {start_chart}:
+        grp = cid0 == cid
+        coords[0][:, grp] = atlas.transition_between(start_chart, cid).apply(x0[grp]).T
     charts[0] = cid0
-    jac[0] = np.eye(n)
-    inv_jac[0] = np.eye(n)
+    jac[0] = np.eye(n)[..., None]
+    inv_jac[0] = np.eye(n)[..., None]
     stop_step = np.full(P, L + 1, dtype=int)
     active = np.ones(P, dtype=bool)
     hops: List[Tuple[int, int, int, int]] = []
+    dBs = np.diff(drivers.bm, axis=1).transpose(1, 2, 0).copy()  # (L, n_noise, P)
 
     for k in range(L):
-        coords[k + 1] = coords[k]
-        charts[k + 1] = charts[k]
-        jac[k + 1] = jac[k]
-        inv_jac[k + 1] = inv_jac[k]
+        for a in (coords, charts, jac, inv_jac):
+            a[k + 1] = a[k]
         if not np.any(active):
             continue
-        dB = drivers.bm[:, k + 1, :] - drivers.bm[:, k, :]
         for cid in sorted(set(charts[k, active].tolist())):
-            sel = active & (charts[k] == cid)
-            idx = np.flatnonzero(sel)
-            coords[k + 1, idx], jac[k + 1, idx], inv_jac[k + 1, idx] = scheme_step(
-                sde, scheme, cid, times[k], times[k + 1], h, coords[k, idx], jac[k, idx],
-                inv_jac[k, idx], dB[idx]
-            )
-
-        # blow-up: non-finite or runaway coordinates stop the path at k+1
-        bad = active & (
-            ~np.isfinite(coords[k + 1]).all(axis=1) | (np.abs(coords[k + 1]).max(axis=1) > R_MAX)
-        )
-        if np.any(bad):
-            stop_step[bad] = k + 1
-            active &= ~bad
-
-        # chart hops: leaving the 2r ball hands the path to a covering chart
-        for cid in sorted(set(charts[k + 1, active].tolist())):
+            idx = np.flatnonzero(active & (charts[k] == cid))
+            sel = slice(None) if idx.size == P else idx
+            # take keeps the columns C-contiguous, a trailing fancy index would not
+            u, J, Ji = scheme_step(sde, scheme, cid, times[k], times[k + 1], h,
+                                   *(a if idx.size == P else a.take(idx, axis=-1)
+                                     for a in (coords[k], jac[k], inv_jac[k], dBs[k])))
+            # blow-up: non-finite or runaway coordinates stop the path at k+1
+            stop = ~(np.abs(u).max(axis=0) <= R_MAX)
+            # chart hops: leaving the 2r ball hands the path to a covering chart
             ch = atlas.chart(cid)
-            sel = active & (charts[k + 1] == cid)
-            idx = np.flatnonzero(sel)
-            if idx.size == 0:
-                continue
-            out_ball = ch.dist(coords[k + 1, idx]) > ch.hop_radius
-            movers = idx[out_ball]
-            if movers.size == 0:
-                continue
-            new_ids = locate_chart_batch(atlas, coords[k + 1, movers], cid)
-            lost = movers[new_ids < 0]
-            if lost.size:
-                stop_step[lost] = k + 1
-                active[lost] = False
-            for nid in sorted(set(new_ids[new_ids >= 0].tolist())):
-                grp = movers[new_ids == nid]
-                if nid == cid or grp.size == 0:
-                    continue
-                fwd = atlas.transition_between(cid, nid)
-                rev = atlas.transition_between(nid, cid)
-                old_u = coords[k + 1, grp]
-                new_u = fwd.apply(old_u)
-                T = fwd.jacobian(old_u)
-                Tinv = rev.jacobian(new_u)
-                coords[k + 1, grp] = new_u
-                jac[k + 1, grp] = T @ jac[k + 1, grp]
-                inv_jac[k + 1, grp] = inv_jac[k + 1, grp] @ Tinv
-                charts[k + 1, grp] = nid
-                for p in grp:
-                    hops.append((k + 1, int(p), cid, nid))
+            movers = np.flatnonzero(~stop & (ch.dist(u.T) > ch.hop_radius))
+            if movers.size:
+                new_ids = locate_chart_batch(atlas, u[:, movers].T, cid)
+                stop[movers[new_ids < 0]] = True
+                for nid in sorted(set(new_ids[new_ids >= 0].tolist()) - {cid}):
+                    grp = movers[new_ids == nid]
+                    fwd = atlas.transition_between(cid, nid)
+                    rev = atlas.transition_between(nid, cid)
+                    old_u = u[:, grp].T
+                    new_u = fwd.apply(old_u)
+                    T = _batch_last(fwd.jacobian(old_u), 1)
+                    Tinv = _batch_last(rev.jacobian(new_u), 1)
+                    u[:, grp] = new_u.T
+                    J[..., grp] = _slot_replace(J[..., grp], T, 0, 2)
+                    Ji[..., grp] = _slot_replace(Ji[..., grp], Tinv, 1, 2, transpose=True)
+                    charts[k + 1, idx[grp]] = nid
+                    hops.extend((k + 1, int(p), cid, nid) for p in idx[grp])
+            coords[k + 1][:, sel], jac[k + 1][..., sel], inv_jac[k + 1][..., sel] = u, J, Ji
+            if stop.any():
+                stop_step[idx[stop]] = k + 1
+                active[idx[stop]] = False
 
     # freeze stopped paths at their last valid state
     for p in np.flatnonzero(stop_step <= L):
-        s = stop_step[p]
-        coords[s:, p] = coords[s - 1, p] if s > 0 else coords[0, p]
-        charts[s:, p] = charts[s - 1, p] if s > 0 else charts[0, p]
-        jac[s:, p] = jac[s - 1, p] if s > 0 else jac[0, p]
-        inv_jac[s:, p] = inv_jac[s - 1, p] if s > 0 else inv_jac[0, p]
+        for a in (coords, charts, jac, inv_jac):
+            a[stop_step[p]:, ..., p] = a[stop_step[p] - 1, ..., p]
 
+    # path-major views of the batch-last (paths last) state; nothing is copied
     return FlowEnsemble(
         grid=grid,
         atlas=atlas,
         scheme=scheme,
         path_ids=drivers.path_ids.copy(),
         charts=charts,
-        coords=coords,
-        jac=jac,
-        inv_jac=inv_jac,
+        coords=np.moveaxis(coords, 2, 1),
+        jac=np.moveaxis(jac, 3, 1),
+        inv_jac=np.moveaxis(inv_jac, 3, 1),
         stop_step=np.minimum(stop_step, L + 1),
         hops=tuple(hops),
     )
@@ -429,29 +467,28 @@ def _backward_step(sde: FlowSDE, scheme: str, cid: int, t_left: float, t_right: 
     This mirrors the forward scheme on the transport equation of the
     inverse flow; it is deliberately not an exact (Newton) inversion of
     the forward step map, so the returned points carry the scheme's own
-    one-step inversion error.
+    one-step inversion error.  Batch-last like :func:`scheme_step`: ``q``
+    has shape ``(n, m)`` and ``db`` ``(n_noise, m)``.
     """
     if scheme == "euler_maruyama":
         k = sde.coeffs(t_left, q, cid, 2)
         out = q - k["a"] * h
         for j in range(sde.n_noise):
-            w = db[:, j : j + 1]
-            out = out - k["xi"][j] * w
+            out = out - k["xi"][j] * db[j]
             # second-order noise term of the inverse expansion
             for l in range(sde.n_noise):
-                wl = db[:, l : l + 1]
-                out = out + (k["Dxi"][j] @ k["xi"][l][..., None])[..., 0] * w * wl
+                out = out + _slot_replace(k["xi"][l], k["Dxi"][j], 0, 1) * db[j] * db[l]
         return out
     # heun: predictor-corrector on the inverse transport equation, run
     # from the right endpoint of the step towards the left
     k1 = sde.coeffs(t_right, q, cid, 1)
     pred = q - k1["b"] * h
     for j in range(sde.n_noise):
-        pred = pred - k1["xi"][j] * db[:, j : j + 1]
+        pred = pred - k1["xi"][j] * db[j]
     k0 = sde.coeffs(t_left, pred, cid, 1)
     out = q - 0.5 * (k1["b"] + k0["b"]) * h
     for j in range(sde.n_noise):
-        out = out - 0.5 * (k1["xi"][j] + k0["xi"][j]) * db[:, j : j + 1]
+        out = out - 0.5 * (k1["xi"][j] + k0["xi"][j]) * db[j]
     return out
 
 
@@ -473,22 +510,22 @@ def inverse_flow_residual_ensemble(flow: FlowEnsemble, sde: FlowSDE, drivers: Dr
     times = grid.times()
     live = flow.stop_step[None, :] > np.arange(L + 1)[:, None]  # (L+1, P)
 
-    # wavefront: row k-1 holds the current preimage of phi_{t_k}(x)
-    q = flow.coords[1:].reshape(L * P, n).copy()
+    # wavefront, batch-last: column (k-1) * P + p holds the current
+    # preimage of phi_{t_k}(x_p)
+    q = np.moveaxis(flow.coords[1:], 2, 0).copy().reshape(n, L * P)
     residual = np.zeros((P, L + 1))
     for j in range(L, 0, -1):
         sel = np.repeat(np.arange(1, L + 1) >= j, P) & live[1:].reshape(-1)
         if not np.any(sel):
             continue
-        db = np.broadcast_to(
-            drivers.bm[:, j, :] - drivers.bm[:, j - 1, :], (L, P, drivers.n_noise)
-        ).reshape(L * P, -1)
-        q[sel] = _backward_step(
-            sde, flow.scheme, 0, times[j - 1], times[j], h, q[sel], db[sel]
+        db = np.tile((drivers.bm[:, j, :] - drivers.bm[:, j - 1, :]).T, L)
+        q[:, sel] = _backward_step(
+            sde, flow.scheme, 0, times[j - 1], times[j], h, q.compress(sel, axis=-1),
+            db.compress(sel, axis=-1)
         )
     x0 = flow.coords[0]  # (P, n)
-    recon = q.reshape(L, P, n)
-    dist = np.linalg.norm(recon - x0[None, :, :], axis=2)
+    recon = q.reshape(n, L, P)
+    dist = np.linalg.norm(recon - x0.T[:, None, :], axis=0)
     residual[:, 1:] = np.where(live[1:], dist, 0.0).T
     return residual
 

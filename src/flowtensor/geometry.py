@@ -12,8 +12,9 @@ for valence ``(r, s)`` (``r`` contravariant slots first, then ``s``
 covariant slots).  A scalar has valence ``(0, 0)`` and a 0-d array.
 
 ``_slot_replace`` and ``_contract`` are the package's one contraction
-kernel: :func:`transform_tensor` and every transport contraction in
-``tensor_calculus`` and ``kiw_verifier`` call them.  They work on
+kernel: :func:`transform_tensor`, every transport contraction in
+``tensor_calculus`` and ``kiw_verifier`` and the Jacobian updates of
+the flow's scheme step call them.  They work on
 batch-last arrays, whose batch axes trail the component axes.
 """
 
@@ -148,14 +149,13 @@ def _slot_replace(T: np.ndarray, M: np.ndarray, slot: int, nslots: int, n_extra:
     second (``out_j = T[l] M[l, j]``).  The sum over ``l`` is an
     elementwise multiply-add, so the batch axes are the inner loop.
     """
-    t_index = (slice(None),) * slot
-    m_axes = tuple(range(nslots + n_extra, nslots + n_extra + n_m_extra))
+    # basic indexing only: T keeps the slot as a singleton, M gains singletons
+    keep = (slice(None),) * (nslots - slot - 1 + n_extra)
     out = None
     for l in range(M.shape[0] if transpose else M.shape[1]):
-        Tl = np.expand_dims(T[t_index + (l,)], (slot,) + m_axes)
-        Ml = M[l] if transpose else M[:, l]
-        Ml = Ml.reshape((1,) * slot + Ml.shape[:1] + (1,) * (nslots - slot - 1 + n_extra)
-                        + Ml.shape[1:])
+        Tl = T[(slice(None),) * slot + (slice(l, l + 1),) + keep + (None,) * n_m_extra]
+        Ml = M[(None,) * slot + ((l, slice(None)) if transpose else (slice(None), l))
+               + (None,) * len(keep)]
         if out is None:
             out = Tl * Ml
         else:

@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .flow import FlowEnsemble, FlowSDE, _backward_step, integrate_flow, scheme_step
-from .geometry import _batch_first, _batch_last, _contract
+from .geometry import _batch_first, _batch_last, _contract, _slot_replace
 from .stochastics import (
     DrivingPaths,
     TimeGrid,
@@ -364,6 +364,13 @@ def _jets_last(jets: Sequence[np.ndarray], nb: int) -> List[np.ndarray]:
     return [_batch_last(a, nb) for a in jets]
 
 
+def _coeff_jets(q: Dict[str, np.ndarray], order: int):
+    """Drift and per-noise jets, as :func:`_lie_terms` reads them, from
+    :meth:`FlowSDE.jets` views (batch-last already, so nothing is copied)."""
+    names = ("xi", "Dxi", "D2xi")[: order + 1]
+    return [q["b"], q["Db"]], [[q[nm][j] for nm in names] for j in range(len(q["xi"]))]
+
+
 def _lie_terms(jets: Sequence[np.ndarray], b_jets: Sequence[np.ndarray],
                xi_jets: Sequence[Sequence[np.ndarray]], valence: Tuple[int, int],
                strat: bool) -> Dict[str, np.ndarray]:
@@ -424,13 +431,14 @@ def _pullback_integrand_paths(
     """Integrand paths for the pullback-family selectors.
 
     The Lie terms of ``K0`` and every ``G_i`` come from :func:`_lie_jet` on
-    the analytic jets of the fields, the drift and the noise fields at the
-    flow states, chart by chart, and are then pulled back along the flow.
-    The states are processed in blocks of whole grid rows, at most
-    ``_JET_BLOCK_STATES`` of them per block, so the jets of the whole
-    ensemble never exist at once.  Each block's jets and Jacobians are
-    moved batch-last once, and each pulled-back term is moved back once,
-    into the path-major output.
+    the analytic jets of the fields and the flow coefficients
+    (:meth:`FlowSDE.jets`) at the flow states, chart by chart, and are
+    then pulled back along the flow.  The states are processed in blocks
+    of whole grid rows, at most ``_JET_BLOCK_STATES`` of them per block,
+    so the jets of the whole ensemble never exist at once.  Each block's
+    states, field jets and Jacobians are gathered batch-last once, and
+    each pulled-back term is written back once into the path-major
+    output: into the block itself when the block lies in one chart.
     """
     sde = scenario.sde
     order = 1 if strat else 2
@@ -450,14 +458,24 @@ def _pullback_integrand_paths(
         blk = (slice(None), slice(k0, k0 + rows))
         for cid in np.unique(charts[blk]).tolist():
             mask = charts[blk] == cid
-            t, x = tgrid[blk][mask], coords[blk][mask]
-            A, Ai = (_batch_last(a[blk][mask], 1) for a in (jac, inv_jac))
-            b_jets = _jets_last(sde.drift.jet_batch(t, x, cid, 1), 1)
-            xi_jets = [_jets_last(xi.jet_batch(t, x, cid, order), 1) for xi in sde.diffusions]
+            whole = bool(mask.all())
+
+            def states(a):
+                """The block's states in this chart, batch-last and C-contiguous."""
+                a = np.moveaxis(a[blk], (0, 1), (-2, -1)).reshape(a.shape[2:] + (-1,))
+                return a if whole else a.compress(mask.ravel(), axis=-1)
+
+            t, x, A, Ai = (states(a) for a in (tgrid, coords, jac, inv_jac))
+            b_jets, xi_jets = _coeff_jets(sde.jets(t, x, cid, order), order)
             for lbl, f in fields.items():
-                jets = _jets_last(f.jet_batch(t, x, cid, order), 1)
+                jets = _jets_last(f.jet_batch(t, x.T, cid, order), 1)
                 for nm, v in _lie_terms(jets, b_jets, xi_jets, valence, strat).items():
-                    terms[lbl][nm][blk][mask] = _batch_first(_contract(v, valence, Ai, A), 1)
+                    out = np.moveaxis(terms[lbl][nm][blk], (0, 1), (-2, -1))
+                    pulled = _contract(v, valence, Ai, A)
+                    if whole:
+                        out[...] = pulled.reshape(out.shape)
+                    else:
+                        out[..., mask] = pulled
     return _integrand_paths(terms, kpath, sde.n_noise, strat)
 
 
@@ -476,7 +494,9 @@ class PushTransport:
     ``preimages[k, p, s]`` is the inverse of the discrete flow map up to
     time t_k applied to stencil point s around the observation point;
     ``jac`` is the forward Jacobian accumulated along that preimage
-    trajectory and ``inv_jac`` its matrix inverse.
+    trajectory and ``inv_jac`` its matrix inverse.  ``newton_residual_max``
+    is the worst ``|f(u) - v|`` left by the Newton inversions of the
+    step maps ``f``, over every stage, live point and coordinate.
     """
 
     eps: float
@@ -484,6 +504,7 @@ class PushTransport:
     preimages: np.ndarray  # (npoints, P, S, n)
     jac: np.ndarray  # (npoints, P, S, n, n)
     inv_jac: np.ndarray
+    newton_residual_max: float
 
 
 def _push_transport(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPaths) -> PushTransport:
@@ -507,40 +528,46 @@ def _push_transport(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPath
     live = flow.completed
 
     stencil = scenario.x0[None, :] + eps * offsets  # (S, n)
-    q = np.broadcast_to(stencil, (L, P, S, n)).reshape(-1, n).copy()
-    A = np.broadcast_to(np.eye(n), (L * P * S, n, n)).copy()
+    # batch-last wavefront: column ((k-1) * P + p) * S + s holds stencil
+    # point s of path p pulled back from time t_k
+    q = np.broadcast_to(stencil.T[:, None, None, :], (n, L, P, S)).reshape(n, -1).copy()
+    A = np.broadcast_to(np.eye(n)[..., None], (n, n, L * P * S)).copy()
     rows_k = np.repeat(np.arange(1, L + 1), P * S)
     live_rows = np.tile(np.repeat(live, S), L)
+    # the tangent of the step map is the Jacobian update of an identity seed
+    eye = np.eye(n)[..., None]
+    worst = 0.0
 
     for j in range(L, 0, -1):
         sel = (rows_k >= j) & live_rows
         if not np.any(sel):
             continue
-        db_j = drivers.bm[:, j, :] - drivers.bm[:, j - 1, :]  # (P, N)
-        db = np.broadcast_to(db_j[None, :, None, :], (L, P, S, drivers.n_noise)).reshape(
-            -1, drivers.n_noise
-        )[sel]
-        v = q[sel]
+        db_j = (drivers.bm[:, j, :] - drivers.bm[:, j - 1, :]).T  # (N, P)
+        # compress keeps the columns C-contiguous, a trailing fancy index would not
+        db = np.broadcast_to(db_j[:, None, :, None], (drivers.n_noise, L, P, S)).reshape(
+            drivers.n_noise, -1
+        ).compress(sel, axis=-1)
+        v = q.compress(sel, axis=-1)
         u = _backward_step(sde, flow.scheme, 0, times[j - 1], times[j], h, v, db)
-        # the tangent of the step map is the Jacobian update of an identity seed
-        eye = np.broadcast_to(np.eye(n), (u.shape[0], n, n))
         for _ in range(_NEWTON_ITERS):
             fu, Du, _ = scheme_step(sde, flow.scheme, 0, times[j - 1], times[j], h, u, eye,
                                     None, db)
-            u = u - np.linalg.solve(Du, (fu - v)[..., None])[..., 0]
-        _, Dfinal, _ = scheme_step(sde, flow.scheme, 0, times[j - 1], times[j], h, u, eye,
-                                   None, db)
-        q[sel] = u
-        A[sel] = A[sel] @ Dfinal
+            u = u - np.linalg.solve(np.moveaxis(Du, -1, 0), (fu - v).T[..., None])[..., 0].T
+        fu, Dfinal, _ = scheme_step(sde, flow.scheme, 0, times[j - 1], times[j], h, u, eye,
+                                    None, db)
+        worst = max(worst, float(np.max(np.abs(fu - v))))
+        q[:, sel] = u
+        A[..., sel] = _slot_replace(A.compress(sel, axis=-1), Dfinal, 1, 2, transpose=True)
 
     preimages = np.empty((L + 1, P, S, n))
     preimages[0] = np.broadcast_to(stencil, (P, S, n))
-    preimages[1:] = q.reshape(L, P, S, n)
+    preimages[1:] = np.moveaxis(q.reshape(n, L, P, S), 0, -1)
     jac = np.empty((L + 1, P, S, n, n))
     jac[0] = np.eye(n)
-    jac[1:] = A.reshape(L, P, S, n, n)
+    jac[1:] = np.moveaxis(A.reshape(n, n, L, P, S), (0, 1), (-2, -1))
     inv_jac = np.linalg.inv(jac)
-    return PushTransport(eps=eps, offsets=offsets, preimages=preimages, jac=jac, inv_jac=inv_jac)
+    return PushTransport(eps=eps, offsets=offsets, preimages=preimages, jac=jac, inv_jac=inv_jac,
+                         newton_residual_max=worst)
 
 
 def _push_field_jets(f: TensorFieldSpec, scenario: Scenario, flow: FlowEnsemble,
@@ -579,12 +606,8 @@ def _pushforward_integrand_paths(
 
     # analytic jets of the flow coefficients at the observation point,
     # with a singleton path axis for broadcasting
-    pts = np.broadcast_to(scenario.x0, (L1, sde.dim))
-    b_jets = _jets_last([a[:, None] for a in sde.drift.jet_batch(times, pts, 0, 1)], 2)
-    xi_jets = [
-        _jets_last([a[:, None] for a in xi.jet_batch(times, pts, 0, jet_order)], 2)
-        for xi in sde.diffusions
-    ]
+    q = sde.jets(times, np.broadcast_to(scenario.x0[:, None], (sde.dim, L1)), 0, jet_order)
+    b_jets, xi_jets = _coeff_jets({k: v[..., None] for k, v in q.items()}, jet_order)
     terms = {}
     for lbl, f in fields.items():
         jets = _jets_last(_push_field_jets(f, scenario, flow, tp, jet_order), 2)
@@ -726,17 +749,14 @@ def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPa
     comp1 = (1,) * len(K0.shape)
     stencil = scenario.x0[None, :] + eps * offsets
 
-    # Q[s] is the restart-s stencil advanced to the current time; A and
-    # Ai carry the accumulated variational and inverse-variational state
-    Q = np.broadcast_to(stencil, (L + 1, P, S, n)).reshape(L + 1, P * S, n).copy()
-    A = np.broadcast_to(np.eye(n), (L + 1, P * S, n, n)).copy()
+    # batch-last: Q[:, s] is the restart-s stencil advanced to the current time,
+    # A[:, :, s] and Ai[:, :, s] its accumulated (inverse) variational state
+    Q = np.broadcast_to(stencil.T[:, None, None, :], (n, L + 1, P, S)).reshape(n, L + 1, -1).copy()
+    A = np.broadcast_to(np.eye(n)[..., None, None], (n, n, L + 1, P * S)).copy()
     Ai = A.copy()
 
     # coefficient jets at the observation point for every restart time
-    pts = np.broadcast_to(scenario.x0, (L + 1, n))
-    b_grid = _jets_last([a[:, None] for a in sde.drift.jet_batch(times, pts, 0, 1)], 2)
-    xi_grid = [_jets_last([a[:, None] for a in xi.jet_batch(times, pts, 0, 2)], 2)
-               for xi in sde.diffusions]
+    q = sde.jets(times, np.broadcast_to(scenario.x0[:, None], (n, L + 1)), 0, 2)
 
     out_vals = np.zeros((P, cps.size) + K0.shape)
     terms = {
@@ -749,31 +769,29 @@ def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPa
 
     for m in range(L + 1):
         if m > 0:
-            db = drivers.bm[:, m, :] - drivers.bm[:, m - 1, :]
-            dbr = np.broadcast_to(db[None, :, None, :], (m, P, S, drivers.n_noise)).reshape(
-                -1, drivers.n_noise
+            db = (drivers.bm[:, m, :] - drivers.bm[:, m - 1, :]).T
+            dbr = np.broadcast_to(db[:, None, :, None], (drivers.n_noise, m, P, S)).reshape(
+                drivers.n_noise, -1
             )
             newrows, newA, newAi = scheme_step(
-                sde, flow.scheme, 0, times[m - 1], times[m], h, Q[:m].reshape(-1, n),
-                A[:m].reshape(-1, n, n), Ai[:m].reshape(-1, n, n), dbr
+                sde, flow.scheme, 0, times[m - 1], times[m], h, Q[:, :m].reshape(n, -1),
+                A[:, :, :m].reshape(n, n, -1), Ai[:, :, :m].reshape(n, n, -1), dbr
             )
-            Q[:m] = newrows.reshape(m, P * S, n)
-            A[:m] = newA.reshape(m, P * S, n, n)
-            Ai[:m] = newAi.reshape(m, P * S, n, n)
+            Q[:, :m] = newrows.reshape(n, m, P * S)
+            A[:, :, :m] = newA.reshape(n, n, m, P * S)
+            Ai[:, :, :m] = newAi.reshape(n, n, m, P * S)
         if cp_pos < cps.size and m == cps[cp_pos]:
             nrows = m + 1
-            vals = K0.eval_batch(times[m], Q[:nrows].reshape(-1, n), 0).reshape(
+            vals = K0.eval_batch(times[m], Q[:, :nrows].reshape(n, -1).T, 0).reshape(
                 (nrows, P, S) + K0.shape
             )
-            pulled = pullback_batch(
-                vals,
-                K0.valence,
-                A[:nrows].reshape(nrows, P, S, n, n),
-                Ai[:nrows].reshape(nrows, P, S, n, n),
-            )
+            batch = (nrows, P, S)
+            pulled = _batch_first(_contract(_batch_last(vals, 3), K0.valence,
+                                            Ai[:, :, :nrows].reshape((n, n) + batch),
+                                            A[:, :, :nrows].reshape((n, n) + batch)), 3)
             jets = fd_jets_from_stencil(pulled, n, eps, order=2, ncomp_axes=K0.order)
-            lie = _lie_terms(_jets_last(jets, 2), [a[..., :nrows, :] for a in b_grid],
-                             [[a[..., :nrows, :] for a in xj] for xj in xi_grid], K0.valence, False)
+            coef = _coeff_jets({k: v[..., :nrows, None] for k, v in q.items()}, 2)
+            lie = _lie_terms(_jets_last(jets, 2), *coef, K0.valence, False)
             lie = {nm: _batch_first(v, 2) for nm, v in lie.items()}
             dt_w = np.full((nrows, 1) + comp1, h)
             dt_w[m] = 0.0  # left sum in s: the s = t endpoint never enters
@@ -1048,29 +1066,27 @@ def _sup_residual_per_path(lhs: np.ndarray, rhs: RhsResult, flow: FlowEnsemble) 
 def _warmup(scenario: Scenario):
     """Materialise symbolic caches serially before any threaded run.
 
-    A jet of each order is its own compiled evaluator, so this compiles
-    the orders that the scenario's scheme and selector read, and no
-    others.  The scheme reads the drift to order 1 and the noise fields
-    to order 2 (Euler) or 1 (Heun).  The Lie terms read the noise fields
-    to order 2 (Ito) or 1 (Stratonovich); the pullback selectors take
-    them from the tensor and driver fields' jets of that order, while the
-    pushforward selectors and KunitaFirst evaluate those fields' plain
+    Every compiled evaluator is built for one chart and one jet order, so
+    this compiles, per chart, the orders that the scenario's scheme and
+    selector read, and no others.  The flow coefficients are one
+    evaluator per noise order (:meth:`FlowSDE.jets`, drift to order 1):
+    the scheme reads noise order 2 (Euler) or 1 (Heun), and the Lie terms
+    read 2 (Ito) or 1 (Stratonovich).  The pullback selectors take the
+    Lie terms from the tensor and driver fields' jets of that order, while
+    the pushforward selectors and KunitaFirst evaluate those fields' plain
     values (order 0) at transported points.  Worker threads then only
     ever hit caches.
     """
-    sde = scenario.sde
     theorem = scenario.theorem
     lie_order = 1 if theorem in ("KiwStratPullback", "KiwStratPushforward") else 2
     field_order = 0 if theorem in _PUSH_THEOREMS or theorem == "KunitaFirst" else lie_order
-    noise_orders = {2 if scenario.scheme == "euler_maruyama" else 1, lie_order}
-    jet_orders = [(sde.drift, (1,))] + [(xi, noise_orders) for xi in sde.diffusions]
-    jet_orders += [(f, (field_order,)) for f in (scenario.K0, *scenario.G)]
+    noise_orders = sorted({2 if scenario.scheme == "euler_maruyama" else 1, lie_order})
     for ch in scenario.atlas.charts:
-        pt = ch.center[None, :]
-        for f, orders in jet_orders:
-            for order in orders:
-                if ch.id in f.comps and order <= f.smoothness_order:
-                    f.jet_batch(0.0, pt, ch.id, order)
+        for order in noise_orders:
+            scenario.sde.jets(0.0, ch.center[:, None], ch.id, order)
+        for f in (scenario.K0, *scenario.G):
+            if ch.id in f.comps and field_order <= f.smoothness_order:
+                f.jet_batch(0.0, ch.center[None, :], ch.id, field_order)
 
 
 def _run_level(scenario: Scenario, drivers: DrivingPaths, bracket_mode: Optional[str]) -> Dict:

@@ -87,12 +87,13 @@ def coord_symbols(dim: int) -> Tuple[sp.Symbol, ...]:
 _LAMBDIFY_CACHE: Dict[tuple, object] = {}
 
 
-def _compiled(exprs: Tuple[sp.Expr, ...], dim: int, param_syms: Tuple[sp.Symbol, ...]):
-    key = (exprs, dim, param_syms)
+def _compiled(exprs: Tuple[sp.Expr, ...], dim: int, param_syms: Tuple[sp.Symbol, ...],
+              cse: bool = False):
+    key = (exprs, dim, param_syms, cse)
     fn = _LAMBDIFY_CACHE.get(key)
     if fn is None:
         args = (TIME,) + coord_symbols(dim) + param_syms
-        fn = sp.lambdify(args, list(exprs), modules="numpy")
+        fn = sp.lambdify(args, list(exprs), modules="numpy", cse=cse)
         _LAMBDIFY_CACHE[key] = fn
     return fn
 

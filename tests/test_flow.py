@@ -5,6 +5,7 @@ import pytest
 import sympy as sp
 from numpy.testing import assert_allclose
 
+from flowtensor import tensor_calculus
 from flowtensor.fields import (
     gbm_vector_field,
     linear_vector_field,
@@ -24,9 +25,15 @@ from flowtensor.flow import (
     jacobian_fd_check,
     strat_to_ito_correction,
 )
-from flowtensor.geometry import euclidean_atlas, sphere_atlas, torus_atlas
+from flowtensor.geometry import NoCoveringChart, euclidean_atlas, sphere_atlas, torus_atlas
+from flowtensor.scenarios import get_scenario
 from flowtensor.stochastics import DrivingPaths, TimeGrid, build_driving_paths
-from flowtensor.tensor_calculus import InsufficientSmoothness, VectorFieldSpec, coord_symbols
+from flowtensor.tensor_calculus import (
+    InsufficientSmoothness,
+    TensorFieldSpec,
+    VectorFieldSpec,
+    coord_symbols,
+)
 
 X1D = coord_symbols(1)
 X2D = coord_symbols(2)
@@ -43,6 +50,12 @@ def make_swirl_sde():
     x1 = vector_field(2, [X2D[1] ** 2 / 8 + sp.Rational(1, 2), X2D[0] / 4], name="q1")
     x2 = vector_field(2, [sp.cos(X2D[0]) / 3, sp.sin(X2D[1]) / 2 + sp.Rational(1, 4)], name="q2")
     return FlowSDE(b, [x1, x2], euclidean_atlas(2))
+
+
+def make_sphere_sde():
+    gens = sphere_rotation_fields((0.9, 1.1, 0.7))
+    rest = VectorFieldSpec(2, {0: [sp.Integer(0)] * 2, 1: [sp.Integer(0)] * 2}, 8, None, "rest2")
+    return FlowSDE(rest, list(gens), sphere_atlas())
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +92,74 @@ def test_correction_terms_quadratic_noise():
     c = strat_to_ito_correction(sde, 0.0, np.array([1.0]))
     assert_allclose(c.c_plus, [[0.75]], atol=1e-14)
     assert_allclose(c.c_minus, [[0.25]], atol=1e-14)
+
+
+@pytest.mark.parametrize("noise_order", [1, 2])
+@pytest.mark.parametrize(
+    "name, chart",
+    [("kunita_sphere_rotation", 0), ("kunita_sphere_rotation", 1), ("kiw_ito_pullback_r2", 0)],
+)
+def test_fused_coefficients_match_field_jets_and_matmul_formulas(name, chart, noise_order):
+    """One compiled call gives the per-field jets and the Ito terms of the old matmuls."""
+    sde = get_scenario(name).sde
+    pts = np.random.default_rng(5).uniform(-0.8, 0.8, (40, 2))
+    t = 0.3
+    got = sde.coeffs(t, pts.T, chart, noise_order)
+    b, Db = sde.drift.jet_batch(t, pts, chart, 1)
+    jets = [xi.jet_batch(t, pts, chart, noise_order) for xi in sde.diffusions]
+    want = {"b": b, "Db": Db}
+    for m, nm in enumerate(("xi", "Dxi", "D2xi")[: noise_order + 1]):
+        want[nm] = np.array([j[m] for j in jets])
+    if noise_order == 2:
+        xi, Dxi, D2xi = want["xi"], want["Dxi"], want["D2xi"]
+        conv = 0.5 * np.sum(Dxi @ xi[..., None], axis=0)[..., 0]
+        second = np.sum(xi[..., None, None, :] @ D2xi, axis=0)[..., 0, :]
+        sq = np.sum(Dxi @ Dxi, axis=0)
+        want.update(a=b + conv, cp=0.5 * (sq + second), cm=0.5 * (sq - second))
+    assert set(got) == set(want)
+    for key, val in want.items():
+        batch_axis = 1 if key in ("xi", "Dxi", "D2xi") else 0  # after the noise axis
+        assert_allclose(np.moveaxis(got[key], -1, batch_axis), val, rtol=1e-13, err_msg=key)
+
+
+def test_fused_coefficients_bind_each_fields_own_parameters():
+    """Two noise fields binding one parameter name to different values."""
+    w = sp.Symbol("w", real=True)
+    slow = vector_field(1, [w * X1D[0]], params={w: 0.5}, name="slow")
+    fast = vector_field(1, [w * X1D[0]], params={w: 2.0}, name="fast")
+    sde = FlowSDE(zero_drift(1), [slow, fast], euclidean_atlas(1))
+    q = sde.coeffs(0.0, np.array([[1.5]]), 0, 2)
+    assert_allclose(q["xi"][:, 0, 0], [0.75, 3.0], rtol=1e-15)
+    assert_allclose(q["Dxi"][:, 0, 0, 0], [0.5, 2.0], rtol=1e-15)
+    # c_plus = 1/2 sum_j w_j^2 for linear noise
+    assert_allclose(q["cp"][0, 0, 0], 0.5 * (0.25 + 4.0), rtol=1e-15)
+
+
+@pytest.mark.parametrize("scheme", ["euler_maruyama", "heun"])
+def test_flow_makes_one_coefficient_call_per_chart_group_and_stage(monkeypatch, scheme):
+    """No per-field jets: one compiled coefficient call per chart group and stage."""
+    sde = make_sphere_sde()
+    d = build_driving_paths(TimeGrid(1.0, 32), 3, 35, 16)
+    compiled, calls = tensor_calculus._compiled, []
+
+    def counting_compiled(*args, **kwargs):
+        fn = compiled(*args, **kwargs)
+
+        def counted(*a):
+            calls.append(kwargs.get("cse", False))
+            return fn(*a)
+
+        return counted
+
+    def no_field_jets(*args, **kwargs):
+        raise AssertionError("the flow read a per-field jet")
+
+    monkeypatch.setattr(tensor_calculus, "_compiled", counting_compiled)
+    monkeypatch.setattr(TensorFieldSpec, "jet_batch", no_field_jets)
+    ens = integrate_flow(sde, d, np.array([0.9, 0.5]), scheme)
+    assert np.all(ens.completed) and len(ens.hops) > 0
+    groups = sum(np.unique(row).size for row in ens.charts[:-1])
+    assert calls == [True] * groups * (2 if scheme == "heun" else 1)
 
 
 def test_correction_terms_sum_over_noises():
@@ -259,9 +340,7 @@ def test_torus_hop_bookkeeping_keeps_abstract_point():
 
 
 def test_sphere_flow_hops_without_blowing_up():
-    gens = sphere_rotation_fields((0.9, 1.1, 0.7))
-    rest = VectorFieldSpec(2, {0: [sp.Integer(0)] * 2, 1: [sp.Integer(0)] * 2}, 8, None, "rest2")
-    sde = FlowSDE(rest, list(gens), sphere_atlas())
+    sde = make_sphere_sde()
     d = build_driving_paths(TimeGrid(1.0, 64), 3, 35, 32)
     ens = integrate_flow(sde, d, np.array([0.9, 0.5]), "euler_maruyama")
     assert ens.blowup_fraction() == 0.0
@@ -272,6 +351,22 @@ def test_sphere_flow_hops_without_blowing_up():
         cid = ens.charts[k][0]
         p = sde.atlas.chart(cid).from_coords(ens.coords[k][0])
         assert np.linalg.norm(p) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_each_start_row_begins_in_its_own_chart():
+    """A batched row starts and runs as it does alone, bitwise."""
+    sde = make_sphere_sde()
+    d = build_driving_paths(TimeGrid(1.0, 16), 3, 35, 2)
+    # row 1 lies outside chart 0's inner ball and is covered only by chart 1
+    x0 = np.array([[0.9, 0.5], [2.5, 0.0]])
+    both = integrate_flow(sde, d, x0)
+    assert both.charts[0].tolist() == [0, 1]
+    for p in range(2):
+        alone = integrate_flow(sde, d.slice_paths(p, p + 1), x0[p])
+        for field in ("charts", "coords", "jac", "inv_jac"):
+            assert np.array_equal(getattr(both, field)[:, p], getattr(alone, field)[:, 0]), field
+    with pytest.raises(NoCoveringChart):
+        integrate_flow(sde, d, np.array([[0.9, 0.5], [np.nan, 0.0]]))
 
 
 def test_zero_drift_needs_zero_component_on_south_chart():

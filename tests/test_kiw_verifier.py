@@ -283,9 +283,11 @@ def test_rhs_transported_tensor_is_eval_lhs_bitwise(name):
 
 
 def test_warmup_compiles_only_the_jets_the_study_reads(monkeypatch):
-    """On the two-chart sphere (Euler, Ito pullback) set-up compiles 8 evaluators.
+    """On the two-chart sphere (Euler, Ito pullback) set-up compiles 4 evaluators.
 
-    Each is read again by the study, which compiles nothing more.
+    Per chart: the flow coefficients at noise order 2 and the tensor's
+    order-2 jet.  Each is read again by the study, which compiles nothing
+    more.
     """
     from flowtensor import tensor_calculus
 
@@ -297,19 +299,19 @@ def test_warmup_compiles_only_the_jets_the_study_reads(monkeypatch):
         calls.append(args)
         return lambdify(*args, **kwargs)
 
-    def recording_compiled(exprs, dim, param_syms):
-        keys.add((exprs, dim, param_syms))
-        return compiled(exprs, dim, param_syms)
+    def recording_compiled(*args, **kwargs):
+        keys.add((args, tuple(sorted(kwargs.items()))))
+        return compiled(*args, **kwargs)
 
     monkeypatch.setattr(tensor_calculus, "_LAMBDIFY_CACHE", {})
     monkeypatch.setattr(sp, "lambdify", counting_lambdify)
     monkeypatch.setattr(tensor_calculus, "_compiled", recording_compiled)
     kiw_verifier._warmup(sc)
-    assert len(calls) == 8
+    assert len(calls) == 4
     warmed, keys = set(keys), set()
     monkeypatch.setattr(kiw_verifier, "_warmup", lambda scenario: None)
     convergence_study(sc, levels=1, n_paths=12)
-    assert len(calls) == 8
+    assert len(calls) == 4
     assert keys == warmed
 
 
@@ -326,6 +328,15 @@ def test_push_transport_inverts_the_discrete_flow(name):
             fwd = integrate_flow(sc.sde, d, tp.preimages[k, :, s], sc.scheme)
             assert_allclose(fwd.coords[k], np.broadcast_to(target, (6, 2)), rtol=0, atol=1e-12)
             assert_allclose(fwd.jac[k], tp.jac[k, :, s], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["kiw_ito_pushforward_r2", "kiw_strat_pushforward_r2"])
+def test_push_transport_reports_its_newton_residual(name):
+    """The worst |f(u) - v| after the Newton iterations is kept, and it is tiny."""
+    sc = get_scenario(name)
+    d, flow, _ = flow_and_kpath(sc, n_paths=6)
+    tp = _push_transport(sc, flow, d)
+    assert 0.0 <= tp.newton_residual_max <= 1e-12
 
 
 def test_scalar_selector_shares_the_tensor_code_path():
