@@ -26,12 +26,15 @@ one of the acceptance checks.
 :func:`scheme_step` is the one place both updates are written; forward
 integration, the Newton inversion of the pushforward transport and the
 restart wavefront all call it.  It works on batch-last arrays (component
-axes first, points last), the layout of ``geometry._slot_replace``, which
-applies the Jacobian updates.  Its coefficients come from one compiled
-evaluator per chart and noise order (:meth:`FlowSDE.coeffs`): the drift
-to first order and every noise field to second order for Euler (``a``,
-``c_plus``, ``c_minus``) but only to first order for Heun, written into
-one buffer that the coefficient arrays are views of.
+axes first, points last) and makes one compiled call per step
+(:meth:`FlowSDE._step_program`, one program per chart, scheme and
+whether ``Jinv`` is advanced).  The program takes the drift jet to first
+order and every noise jet to second order for Euler (``a``, ``c_plus``,
+``c_minus``) but only to first order for Heun; one common-subexpression
+pass covers the point update and the tangent matrices ``M`` of the
+Jacobian updates, whose products with ``J`` and ``Jinv`` are plain sums
+over the entries of ``M``.  :meth:`FlowSDE.coeffs` evaluates the same
+coefficients as arrays for the backward step and the correction terms.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from . import tensor_calculus
 from .geometry import (R_MAX, ChartAtlas, NoCoveringChart, _batch_first, _batch_last,
                        _slot_replace, locate_chart_batch)
 from .stochastics import DrivingPaths, TimeGrid
-from .tensor_calculus import VectorFieldSpec, _jet_layout
+from .tensor_calculus import TIME, VectorFieldSpec, _jet_layout, coord_symbols
 
 __all__ = [
     "SchemeSmoothnessMismatch",
@@ -68,6 +71,9 @@ SCHEMES = ("euler_maruyama", "heun")
 
 COMPLETED = "completed"
 STOPPED = "stopped"
+
+# the step program's end time and step size
+_T1, _H = sp.Symbol("_t1"), sp.Symbol("_h")
 
 
 class SchemeSmoothnessMismatch(Exception):
@@ -164,15 +170,83 @@ class FlowSDE:
         directions last).
         """
         exprs, psyms, pvals, layout = self._program(chart, noise_order)
-        # common subexpressions are shared here only: a field's own evaluators
-        # stay without, so its value is bitwise the same from every jet order
-        fn = tensor_calculus._compiled(exprs, self.dim, psyms, cse=True)
+        rows = sp.symbols(f"_q0:{len(exprs)}")
+        fn = tensor_calculus._compiled(rows, (TIME,) + coord_symbols(self.dim) + psyms,
+                                       (tuple(zip(rows, exprs)),))
         pts = np.asarray(pts, dtype=float)
         batch = np.broadcast(t, pts[0]).shape
         buf = np.empty((len(exprs),) + batch)
         for i, v in enumerate(fn(t, *pts, *pvals)):
             buf[i] = v
         return {nm: buf[a:b].reshape(shape + batch) for nm, a, b, shape in layout}
+
+    def _step_program(self, chart: int, scheme: str, with_inv: bool):
+        """The compiled step of ``scheme`` in ``chart`` and its parameter values.
+
+        The function takes ``(t0, t1, h, x, db, J, Ji, params)``, each
+        array entry an argument of its own in C order (``Ji`` only
+        ``with_inv``), and returns the rows of the new points, then of the
+        new ``J`` and ``Ji``.  Euler writes ``u + a h + sum_j xi_j db_j``,
+        ``J + M+ J`` and ``Ji - Ji M-`` with ``M+- = (Db +- c+-) h + W`` and
+        ``W = sum_j Dxi_j db_j``; Heun writes the same sweep (``Db h + W``)
+        at ``(t0, x)`` and, through the bound predictor ``x + du0``, at
+        ``t1``.  The coefficients are the expressions of :meth:`_program`;
+        the point and ``M`` rows share one common-subexpression pass, and
+        the Jacobian products are plain sums over entry symbols of ``M``.
+        """
+        key = (chart, scheme, with_inv)
+        if key not in self._programs:
+            if scheme not in SCHEMES:
+                raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+            n, N = self.dim, self.n_noise
+            euler = scheme == "euler_maruyama"
+            exprs, psyms, pvals, layout = self._program(chart, 2 if euler else 1)
+            q = {nm: _objects(exprs[a:b], shape) for nm, a, b, shape in layout}
+            xs = _objects(coord_symbols(n), (n,))
+            db = sp.symbols(f"_db0:{N}")
+            J = _objects(sp.symbols(f"_J0:{n}_0:{n}"), (n, n))
+            Ji = _objects(sp.symbols(f"_Ji0:{n}_0:{n}"), (n, n))
+            xi, Dxi = q["xi"], q["Dxi"]
+
+            def noise_sum(f, shape):
+                return sum((f(j) for j in range(N)), np.zeros(shape, dtype=object))
+
+            W = noise_sum(lambda j: Dxi[j] * db[j], (n, n))
+            noise = noise_sum(lambda j: xi[j] * db[j], (n,))
+            if euler:
+                D2xi = q["D2xi"]
+                a = q["b"] + noise_sum(lambda j: Dxi[j] @ xi[j], (n,)) / 2
+                sq = noise_sum(lambda j: Dxi[j] @ Dxi[j], (n, n))
+                second = noise_sum(lambda j: D2xi[j] @ xi[j], (n, n))
+                blocks = [[]]
+                u1 = _bind(blocks[0], "u", xs + a * _H + noise)
+                Mp = _bind(blocks[0], "Mp", (q["Db"] + (sq + second) / 2) * _H + W)
+                Jn = J + Mp @ J
+                if with_inv:
+                    Mm = _bind(blocks[0], "Mm", (q["Db"] - (sq - second) / 2) * _H + W)
+                    Jin = Ji - Ji @ Mm
+            else:
+                # the sweep at (t0, x), then at (t1, x + du0) with du0 bound
+                du, M = q["b"] * _H + noise, q["Db"] * _H + W
+                blocks = [[], [], [], []]
+                du0, M0 = _bind(blocks[0], "du0_", du), _bind(blocks[0], "M0_", M)
+                sub = {TIME: _T1, **dict(zip(xs, _bind(blocks[1], "y", xs + du0)))}
+
+                def at_y(arr):
+                    return _objects([e.xreplace(sub) for e in arr.flat], arr.shape)
+
+                du1, M1 = _bind(blocks[2], "du1_", at_y(du)), _bind(blocks[2], "M1_", at_y(M))
+                A0 = _bind(blocks[3], "A0_", M0 @ J)
+                u1 = xs + (du0 + du1) / 2
+                Jn = J + (A0 + M1 @ (J + A0)) / 2
+                if with_inv:
+                    B0 = _bind(blocks[3], "B0_", Ji @ M0)
+                    Jin = Ji - (B0 + (Ji - B0) @ M1) / 2
+            outs = (*u1.flat, *Jn.flat, *(Jin.flat if with_inv else ()))
+            args = (TIME, _T1, _H, *xs, *db, *J.flat, *(Ji.flat if with_inv else ()), *psyms)
+            blocks = tuple(tuple(blk) for blk in blocks if blk)
+            self._programs[key] = (tensor_calculus._compiled(outs, args, blocks), pvals)
+        return self._programs[key]
 
     def coeffs(self, t, pts: np.ndarray, chart: int, noise_order: int) -> Dict[str, np.ndarray]:
         """Scheme coefficients at batch-last points: the :meth:`jets` and,
@@ -206,42 +280,44 @@ def scheme_step(sde: FlowSDE, scheme: str, cid: int, t0: float, t1: float, h: fl
     of the point update, and the inverse Jacobians ``Ji`` (skipped when
     ``Ji`` is None).  Every array is batch-last: ``u`` has shape ``(n, m)``,
     ``J`` and ``Ji`` ``(n, n, m)`` (a singleton batch axis broadcasts) and
-    the Brownian increments ``db`` ``(n_noise, m)``.  Returns ``(u, J, Ji)``
-    after the step.
+    the Brownian increments ``db`` ``(n_noise, m)``.  One call of the
+    chart's compiled step program (:meth:`FlowSDE._step_program`) writes
+    every new entry into one buffer; returns ``(u, J, Ji)`` after the
+    step as views of it.
     """
+    fn, pvals = sde._step_program(cid, scheme, Ji is not None)
+    n, batch = sde.dim, u.shape[1:]
+    inv = () if Ji is None else Ji.reshape((n * n,) + Ji.shape[2:])
+    rows = fn(t0, t1, h, *u, *db, *J.reshape((n * n,) + J.shape[2:]), *inv, *pvals)
+    out = np.empty((len(rows),) + batch)
+    for i, v in enumerate(rows):
+        out[i] = v
+    shape = (n, n) + batch
+    return (out[:n], out[n:n + n * n].reshape(shape),
+            None if Ji is None else out[n + n * n:].reshape(shape))
 
-    def sweep(q, drift):
-        # point increment and tangent of the noise part, one Euler sweep
-        du = q[drift] * h
-        W = np.zeros_like(q["Db"])
-        for xi_db, Dxi_db in zip(q["xi"] * db[:, None], q["Dxi"] * db[:, None, None]):
-            du += xi_db
-            W += Dxi_db
-        return du, W
 
-    if scheme == "euler_maruyama":
-        q = sde.coeffs(t0, u, cid, 2)
-        du, W = sweep(q, "a")
-        # M @ J contracts slot 0 of J, Ji @ M slot 1 of Ji with M transposed
-        Jn = J + _slot_replace(J, (q["Db"] + q["cp"]) * h + W, 0, 2)
-        Jin = None if Ji is None else Ji - _slot_replace(Ji, (q["Db"] - q["cm"]) * h + W, 1, 2,
-                                                         transpose=True)
-        return u + du, Jn, Jin
-    if scheme != "heun":
-        raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
-    q0 = sde.coeffs(t0, u, cid, 1)
-    du0, W0 = sweep(q0, "b")
-    M0 = q0["Db"] * h + W0
-    q1 = sde.coeffs(t1, u + du0, cid, 1)
-    du1, W1 = sweep(q1, "b")
-    M1 = q1["Db"] * h + W1
-    A0 = _slot_replace(J, M0, 0, 2)
-    Jn = J + 0.5 * (A0 + _slot_replace(J + A0, M1, 0, 2))
-    Jin = None
-    if Ji is not None:
-        B0 = _slot_replace(Ji, M0, 1, 2, transpose=True)
-        Jin = Ji - 0.5 * (B0 + _slot_replace(Ji - B0, M1, 1, 2, transpose=True))
-    return u + 0.5 * (du0 + du1), Jn, Jin
+def _objects(seq, shape) -> np.ndarray:
+    """The sympy objects of ``seq`` as an object array of ``shape``, C order."""
+    out = np.empty(len(seq), dtype=object)
+    out[:] = list(seq)
+    return out.reshape(shape)
+
+
+def _bind(block: list, name: str, exprs: np.ndarray) -> np.ndarray:
+    """Entry symbols ``_<name><i>`` for ``exprs`` (C order), bound in ``block``.
+
+    Constant entries are returned as they are, so products with them
+    simplify when the step program is built.
+    """
+    out = _objects(sp.symbols(f"_{name}0:{exprs.size}"), exprs.shape)
+    for k, e in enumerate(exprs.flat):
+        e = sp.sympify(e)
+        if e.is_Number:
+            out.flat[k] = e
+        else:
+            block.append((out.flat[k], e))
+    return out
 
 
 def strat_to_ito_correction(sde: FlowSDE, t: float, coords: np.ndarray, chart: int = 0) -> CorrectionTerms:

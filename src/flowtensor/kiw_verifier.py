@@ -1066,24 +1066,32 @@ def _sup_residual_per_path(lhs: np.ndarray, rhs: RhsResult, flow: FlowEnsemble) 
 def _warmup(scenario: Scenario):
     """Materialise symbolic caches serially before any threaded run.
 
-    Every compiled evaluator is built for one chart and one jet order, so
-    this compiles, per chart, the orders that the scenario's scheme and
-    selector read, and no others.  The flow coefficients are one
-    evaluator per noise order (:meth:`FlowSDE.jets`, drift to order 1):
-    the scheme reads noise order 2 (Euler) or 1 (Heun), and the Lie terms
-    read 2 (Ito) or 1 (Stratonovich).  The pullback selectors take the
-    Lie terms from the tensor and driver fields' jets of that order, while
-    the pushforward selectors and KunitaFirst evaluate those fields' plain
+    Every compiled evaluator is built for one chart, so this compiles,
+    per chart, what the scenario's scheme and selector read, and nothing
+    else.  The flow steps with one program per chart and scheme
+    (:meth:`FlowSDE._step_program`), advancing ``Jinv`` too; the
+    pushforward Newton loop steps without it.  The flow coefficients are
+    one evaluator per noise order (:meth:`FlowSDE.jets`, drift to order
+    1): the Lie terms read 2 (Ito) or 1 (Stratonovich), and the
+    pushforward selectors' backward step reads the scheme's order, 2
+    (Euler) or 1 (Heun).  The pullback selectors take the Lie terms from
+    the tensor and driver fields' jets of the Lie order, while the
+    pushforward selectors and KunitaFirst evaluate those fields' plain
     values (order 0) at transported points.  Worker threads then only
     ever hit caches.
     """
-    theorem = scenario.theorem
+    theorem, sde = scenario.theorem, scenario.sde
+    push = theorem in _PUSH_THEOREMS
     lie_order = 1 if theorem in ("KiwStratPullback", "KiwStratPushforward") else 2
-    field_order = 0 if theorem in _PUSH_THEOREMS or theorem == "KunitaFirst" else lie_order
-    noise_orders = sorted({2 if scenario.scheme == "euler_maruyama" else 1, lie_order})
+    field_order = 0 if push or theorem == "KunitaFirst" else lie_order
+    noise_orders = {lie_order}
+    if push:
+        noise_orders.add(2 if scenario.scheme == "euler_maruyama" else 1)
     for ch in scenario.atlas.charts:
-        for order in noise_orders:
-            scenario.sde.jets(0.0, ch.center[:, None], ch.id, order)
+        for order in sorted(noise_orders):
+            sde.jets(0.0, ch.center[:, None], ch.id, order)
+        for with_inv in (True, False) if push else (True,):
+            sde._step_program(ch.id, scenario.scheme, with_inv)
         for f in (scenario.K0, *scenario.G):
             if ch.id in f.comps and field_order <= f.smoothness_order:
                 f.jet_batch(0.0, ch.center[None, :], ch.id, field_order)

@@ -87,15 +87,46 @@ def coord_symbols(dim: int) -> Tuple[sp.Symbol, ...]:
 _LAMBDIFY_CACHE: Dict[tuple, object] = {}
 
 
-def _compiled(exprs: Tuple[sp.Expr, ...], dim: int, param_syms: Tuple[sp.Symbol, ...],
-              cse: bool = False):
-    key = (exprs, dim, param_syms, cse)
+def _compiled(exprs: Tuple[sp.Expr, ...], args: Tuple[sp.Symbol, ...], blocks: tuple = ()):
+    """``exprs`` lambdified over ``args``, compiled once per process.
+
+    ``blocks`` bind symbols before the outputs are computed.  Each block
+    is a tuple of ``(symbol, expr)`` pairs, and one ``sp.cse`` over its
+    right-hand sides shares their common subexpressions.  A block may
+    read the symbols of earlier blocks, and the outputs may read any of
+    them; the outputs themselves are printed as given.  The numpy module
+    object (not the name ``"numpy"``, which star-imports all of numpy
+    into the namespace) resolves the printed function names.
+    """
+    key = (exprs, args, blocks)
     fn = _LAMBDIFY_CACHE.get(key)
     if fn is None:
-        args = (TIME,) + coord_symbols(dim) + param_syms
-        fn = sp.lambdify(args, list(exprs), modules="numpy", cse=cse)
+        taken = {s.name for s in args} | {s.name for blk in blocks for s, _ in blk}
+        names = (s for s in sp.numbered_symbols("_s") if s.name not in taken)
+        prelude = []
+        for blk in blocks:
+            syms, rhs = zip(*blk)
+            repl, reduced = sp.cse(list(rhs), symbols=names)
+            prelude += repl + list(zip(syms, reduced))
+        fn = sp.lambdify(args, list(exprs), modules=np,
+                         cse=(lambda e: (prelude, e)) if blocks else False)
         _LAMBDIFY_CACHE[key] = fn
     return fn
+
+
+@lru_cache(maxsize=None)
+def _partial(e: sp.Expr, alpha: Tuple[int, ...]) -> sp.Expr:
+    """``d^alpha e``: one ``sp.diff`` per coordinate, in coordinate order.
+
+    Memoised, so equal components and repeated multi-indices are
+    differentiated once.  Each partial is taken from the bare expression:
+    ``diff(diff(e, x), x)`` comes out larger than ``diff(e, x, 2)``.
+    """
+    xs = coord_symbols(len(alpha))
+    for k, m in enumerate(alpha):
+        if m:
+            e = sp.diff(e, xs[k], m)
+    return e
 
 
 def _as_expr_array(comps, valence: Tuple[int, int], dim: int) -> np.ndarray:
@@ -246,17 +277,9 @@ class TensorFieldSpec:
                 f"field {self.name!r} is C^{self.smoothness_order}; "
                 f"derivative of order {top} requested"
             )
-        xs = coord_symbols(self.dim)
-        flat = []
         arr = self.comps[chart]
-        for alpha in alphas:
-            for idx in np.ndindex(arr.shape) if arr.shape else [()]:
-                e = arr[idx]
-                for k, m in enumerate(alpha):
-                    if m:
-                        e = sp.diff(e, xs[k], m)
-                flat.append(e)
-        out = tuple(flat)
+        out = tuple(_partial(arr[idx], alpha) for alpha in alphas
+                    for idx in (np.ndindex(arr.shape) if arr.shape else [()]))
         self._partial_exprs[key] = out
         return out
 
@@ -269,8 +292,13 @@ class TensorFieldSpec:
         """
         coords = np.asarray(coords, dtype=float)
         exprs = self._exprs(chart, alphas)
+        ncomp = prod(self.shape)
+        # the first partial's rows print as given, so a jet's values are
+        # bitwise those of eval_batch; the later rows share subexpressions
+        rest = sp.symbols(f"_d0:{len(exprs) - ncomp}")
         psyms = tuple(s for s, _ in self.params)
-        fn = _compiled(exprs, self.dim, psyms)
+        fn = _compiled(exprs[:ncomp] + rest, (TIME,) + coord_symbols(self.dim) + psyms,
+                       (tuple(zip(rest, exprs[ncomp:])),) if rest else ())
         args = (t,) + tuple(coords[..., i] for i in range(self.dim))
         args += tuple(v for _, v in self.params)
         batch = np.broadcast_shapes(np.shape(t), coords.shape[:-1])

@@ -23,9 +23,11 @@ from flowtensor.flow import (
     inverse_flow_residual,
     inverse_flow_residual_ensemble,
     jacobian_fd_check,
+    scheme_step,
     strat_to_ito_correction,
 )
-from flowtensor.geometry import NoCoveringChart, euclidean_atlas, sphere_atlas, torus_atlas
+from flowtensor.geometry import (NoCoveringChart, _slot_replace, euclidean_atlas, sphere_atlas,
+                                 torus_atlas)
 from flowtensor.scenarios import get_scenario
 from flowtensor.stochastics import DrivingPaths, TimeGrid, build_driving_paths
 from flowtensor.tensor_calculus import (
@@ -137,7 +139,11 @@ def test_fused_coefficients_bind_each_fields_own_parameters():
 
 @pytest.mark.parametrize("scheme", ["euler_maruyama", "heun"])
 def test_flow_makes_one_coefficient_call_per_chart_group_and_stage(monkeypatch, scheme):
-    """No per-field jets: one compiled coefficient call per chart group and stage."""
+    """No per-field jets: one compiled step call per chart group, for either scheme.
+
+    Heun's corrector is part of the same compiled step program as its
+    predictor, so it makes no call of its own; each chart has one program.
+    """
     sde = make_sphere_sde()
     d = build_driving_paths(TimeGrid(1.0, 32), 3, 35, 16)
     compiled, calls = tensor_calculus._compiled, []
@@ -146,7 +152,7 @@ def test_flow_makes_one_coefficient_call_per_chart_group_and_stage(monkeypatch, 
         fn = compiled(*args, **kwargs)
 
         def counted(*a):
-            calls.append(kwargs.get("cse", False))
+            calls.append(fn)
             return fn(*a)
 
         return counted
@@ -159,7 +165,75 @@ def test_flow_makes_one_coefficient_call_per_chart_group_and_stage(monkeypatch, 
     ens = integrate_flow(sde, d, np.array([0.9, 0.5]), scheme)
     assert np.all(ens.completed) and len(ens.hops) > 0
     groups = sum(np.unique(row).size for row in ens.charts[:-1])
-    assert calls == [True] * groups * (2 if scheme == "heun" else 1)
+    assert len(calls) == groups
+    assert len(set(calls)) == np.unique(ens.charts[:-1]).size
+
+
+def _numpy_step(sde, scheme, cid, t0, t1, h, u, J, Ji, db):
+    """Reference step: the Euler and Heun updates in numpy, from coeffs and the slot kernel."""
+
+    def sweep(q, drift):
+        du = q[drift] * h
+        W = np.zeros_like(q["Db"])
+        for xi_db, Dxi_db in zip(q["xi"] * db[:, None], q["Dxi"] * db[:, None, None]):
+            du += xi_db
+            W += Dxi_db
+        return du, W
+
+    if scheme == "euler_maruyama":
+        q = sde.coeffs(t0, u, cid, 2)
+        du, W = sweep(q, "a")
+        Jn = J + _slot_replace(J, (q["Db"] + q["cp"]) * h + W, 0, 2)
+        Jin = None if Ji is None else Ji - _slot_replace(Ji, (q["Db"] - q["cm"]) * h + W, 1, 2,
+                                                         transpose=True)
+        return u + du, Jn, Jin
+    q0 = sde.coeffs(t0, u, cid, 1)
+    du0, W0 = sweep(q0, "b")
+    M0 = q0["Db"] * h + W0
+    q1 = sde.coeffs(t1, u + du0, cid, 1)
+    du1, W1 = sweep(q1, "b")
+    M1 = q1["Db"] * h + W1
+    A0 = _slot_replace(J, M0, 0, 2)
+    Jn = J + 0.5 * (A0 + _slot_replace(J + A0, M1, 0, 2))
+    Jin = None
+    if Ji is not None:
+        B0 = _slot_replace(Ji, M0, 1, 2, transpose=True)
+        Jin = Ji - 0.5 * (B0 + _slot_replace(Ji - B0, M1, 1, 2, transpose=True))
+    return u + 0.5 * (du0 + du1), Jn, Jin
+
+
+@pytest.mark.parametrize("seed", ["random", "identity"])
+@pytest.mark.parametrize("with_inv", [True, False])
+@pytest.mark.parametrize("scheme", ["euler_maruyama", "heun"])
+@pytest.mark.parametrize(
+    "name, chart",
+    [("kunita_sphere_rotation", 0), ("kunita_sphere_rotation", 1), ("kiw_ito_pullback_r2", 0)],
+)
+def test_step_program_matches_the_numpy_reference(name, chart, scheme, with_inv, seed):
+    """One compiled call gives the numpy updates' points, J and Jinv.
+
+    The ``identity`` seed is the Newton loop's: a singleton batch axis on
+    ``J = I`` that broadcasts against the points.
+    """
+    sde = get_scenario(name).sde
+    rng = np.random.default_rng(11)
+    m, n, h = 40, sde.dim, 0.01
+    u = rng.uniform(-0.8, 0.8, (n, m))
+    db = rng.normal(0.0, np.sqrt(h), (sde.n_noise, m))
+    if seed == "identity":
+        J = np.eye(n)[..., None]
+        Ji = J if with_inv else None
+    else:
+        J = np.eye(n)[..., None] + rng.normal(0.0, 0.2, (n, n, m))
+        Ji = np.eye(n)[..., None] + rng.normal(0.0, 0.2, (n, n, m)) if with_inv else None
+    got = scheme_step(sde, scheme, chart, 0.3, 0.31, h, u, J, Ji, db)
+    want = _numpy_step(sde, scheme, chart, 0.3, 0.31, h, u, J, Ji, db)
+    for g, w, what in zip(got, want, ("u", "J", "Ji")):
+        if w is None:
+            assert g is None
+        else:
+            assert g.shape == w.shape == ((n, m) if what == "u" else (n, n, m))
+            assert_allclose(g, w, rtol=1e-13, atol=0, err_msg=what)
 
 
 def test_correction_terms_sum_over_noises():

@@ -283,36 +283,39 @@ def test_rhs_transported_tensor_is_eval_lhs_bitwise(name):
 
 
 def test_warmup_compiles_only_the_jets_the_study_reads(monkeypatch):
-    """On the two-chart sphere (Euler, Ito pullback) set-up compiles 4 evaluators.
+    """On the two-chart sphere (Euler, Ito pullback) set-up compiles 6 evaluators.
 
-    Per chart: the flow coefficients at noise order 2 and the tensor's
-    order-2 jet.  Each is read again by the study, which compiles nothing
-    more.
+    Per chart: the flow coefficients at noise order 2, the step program
+    and the tensor's order-2 jet.  The study calls each of them and
+    compiles nothing more.
     """
     from flowtensor import tensor_calculus
 
     sc = get_scenario("kunita_sphere_rotation")
-    lambdify, compiled = sp.lambdify, tensor_calculus._compiled
-    calls, keys = [], set()
+    # a fresh FlowSDE, so no step program is held from an earlier study
+    sc = replace(sc, sde=FlowSDE(sc.sde.drift, sc.sde.diffusions, sc.sde.atlas))
+    lambdify, called = sp.lambdify, set()
+    compiled = []
 
-    def counting_lambdify(*args, **kwargs):
-        calls.append(args)
-        return lambdify(*args, **kwargs)
+    def recording_lambdify(*args, **kwargs):
+        fn, k = lambdify(*args, **kwargs), len(compiled)
+        compiled.append(k)
 
-    def recording_compiled(*args, **kwargs):
-        keys.add((args, tuple(sorted(kwargs.items()))))
-        return compiled(*args, **kwargs)
+        def recorded(*a):
+            called.add(k)
+            return fn(*a)
+
+        return recorded
 
     monkeypatch.setattr(tensor_calculus, "_LAMBDIFY_CACHE", {})
-    monkeypatch.setattr(sp, "lambdify", counting_lambdify)
-    monkeypatch.setattr(tensor_calculus, "_compiled", recording_compiled)
+    monkeypatch.setattr(sp, "lambdify", recording_lambdify)
     kiw_verifier._warmup(sc)
-    assert len(calls) == 4
-    warmed, keys = set(keys), set()
+    assert len(compiled) == 6
+    called.clear()
     monkeypatch.setattr(kiw_verifier, "_warmup", lambda scenario: None)
     convergence_study(sc, levels=1, n_paths=12)
-    assert len(calls) == 4
-    assert keys == warmed
+    assert len(compiled) == 6
+    assert called == set(compiled)
 
 
 @pytest.mark.parametrize("name", ["kiw_ito_pushforward_r2", "kiw_strat_pushforward_r2"])

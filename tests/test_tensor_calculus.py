@@ -1,6 +1,9 @@
 """Symbolic tensor fields, Lie derivatives and transport contractions."""
 
+import os
 import string
+import subprocess
+import sys
 from itertools import product
 
 import numpy as np
@@ -40,7 +43,9 @@ from flowtensor.tensor_calculus import (
     pushforward_batch,
     stencil_offsets,
 )
-from flowtensor.tensor_calculus import _contract, _slot_replace
+from flowtensor import tensor_calculus
+from flowtensor.scenarios import get_scenario
+from flowtensor.tensor_calculus import TIME, _contract, _jet_layout, _slot_replace
 
 X0, X1 = coord_symbols(2)
 
@@ -113,6 +118,55 @@ def test_missing_chart_components_raise():
     f = scalar_field(2, X0, name="s")
     with pytest.raises(KeyError):
         f.eval_batch(0.0, np.zeros((1, 2)), 7)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize(
+    "name, field, chart",
+    [("kunita_sphere_rotation", "K0", 0), ("kunita_sphere_rotation", "K0", 1),
+     ("kiw_ito_pullback_r2", "K0", 0), ("kiw_ito_pullback_r2", "G0", 0)],
+)
+def test_jet_values_are_bitwise_eval_batch_and_derivatives_match_a_plain_compile(
+        name, field, chart, order):
+    """A jet shares subexpressions across its derivative rows only.
+
+    Its value rows print as eval_batch's do, so they agree bitwise; the
+    derivative rows agree to round-off with a compile that shares nothing,
+    to 1e-13 of the jet's magnitude (an entry that cancels to 1e-3 of it
+    keeps fewer relative digits).
+    """
+    sc = get_scenario(name)
+    f = sc.K0 if field == "K0" else sc.G[0]
+    pts = np.random.default_rng(7).uniform(-0.8, 0.8, (50, f.dim))
+    t = 0.4
+    jets = f.jet_batch(t, pts, chart, order)
+    assert np.array_equal(jets[0], f.eval_batch(t, pts, chart))
+    alphas, _ = _jet_layout(f.dim, order, int(np.prod(f.shape)))
+    plain = tensor_calculus._compiled(
+        f._exprs(chart, alphas), (TIME,) + coord_symbols(f.dim) + tuple(s for s, _ in f.params)
+    )
+    want = np.array(np.broadcast_arrays(*plain(t, *pts.T, *(v for _, v in f.params)))).T
+    got = f._eval_flat(t, pts, chart, alphas)
+    assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+
+def test_building_an_evaluator_does_not_import_numpy_f2py():
+    """Evaluators compile against the numpy module, not numpy's star-import namespace."""
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from flowtensor.fields import scalar_field\n"
+        "from flowtensor.tensor_calculus import coord_symbols\n"
+        "x, y = coord_symbols(2)\n"
+        "f = scalar_field(2, x**2 * y + x, name='f')\n"
+        "f.jet_batch(0.0, np.zeros((3, 2)), 0, 2)\n"
+        "assert 'numpy.f2py' not in sys.modules, 'numpy.f2py was imported'\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tensor_calculus.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
 
 
 # ---------------------------------------------------------------------------
