@@ -72,6 +72,7 @@ from .flow import (
     FlowStopped,
     SchemeSmoothnessMismatch,
     integrate_flow,
+    integrate_flow_levels,
     inverse_flow_residual,
     strat_to_ito_correction,
 )
@@ -128,6 +129,7 @@ __all__ = [
     "FlowStopped",
     "SchemeSmoothnessMismatch",
     "integrate_flow",
+    "integrate_flow_levels",
     "inverse_flow_residual",
     "strat_to_ito_correction",
     "HypothesisViolation",

@@ -422,6 +422,9 @@ def _resolve_config(args) -> RunConfig:
     if args.out is not None:
         rc.out = Path(args.out)
 
+    if rc.seed is not None and not 0 <= rc.seed < 2**64:
+        where = "--seed" if args.seed is not None else "run.seed"
+        raise ConfigError(f"{where}: expected an integer in [0, 2**64), got {rc.seed}")
     if rc.paths is not None and rc.paths < 1:
         raise ConfigError("paths must be >= 1")
     if rc.levels < 1:

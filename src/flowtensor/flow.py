@@ -35,12 +35,19 @@ pass covers the point update and the tangent matrices ``M`` of the
 Jacobian updates, whose products with ``J`` and ``Jinv`` are plain sums
 over the entries of ``M``.  :meth:`FlowSDE.coeffs` evaluates the same
 coefficients as arrays for the backward step and the correction terms.
+
+:func:`integrate_flow_levels` is the only forward integration loop.  It
+advances the refinement levels of one driver ensemble together over the
+finest grid: every level's columns sit side by side in one state, and a
+step call covers each chart group of the levels that step at that fine
+step, each column with its own level's times, step size and increments.
+:func:`integrate_flow` is its one-level case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import sympy as sp
@@ -59,6 +66,7 @@ __all__ = [
     "FlowPath",
     "FlowEnsemble",
     "integrate_flow",
+    "integrate_flow_levels",
     "scheme_step",
     "strat_to_ito_correction",
     "inverse_flow_residual",
@@ -162,20 +170,24 @@ class FlowSDE:
     def jets(self, t, pts: np.ndarray, chart: int, noise_order: int) -> Dict[str, np.ndarray]:
         """Drift and noise jets at batch-last points ``pts`` (shape ``(n,) + batch``).
 
-        One compiled call (common subexpressions shared) writes every
-        value into one ``(C,) + batch`` buffer, and the results are views
-        of it, batch-last: ``b`` and ``Db`` (drift and its Jacobian,
+        One compiled call (common subexpressions shared, the function held
+        per chart and noise order) writes every value into one
+        ``(C,) + batch`` buffer, and the results are views of it, batch-last: ``b`` and ``Db`` (drift and its Jacobian,
         ``Db[i, l] = d_l b^i``), ``xi``, ``Dxi`` and, with ``noise_order``
         2, ``D2xi`` (leading axis over the noise fields, derivative
         directions last).
         """
-        exprs, psyms, pvals, layout = self._program(chart, noise_order)
-        rows = sp.symbols(f"_q0:{len(exprs)}")
-        fn = tensor_calculus._compiled(rows, (TIME,) + coord_symbols(self.dim) + psyms,
-                                       (tuple(zip(rows, exprs)),))
+        key = ("jets", chart, noise_order)
+        if key not in self._programs:
+            exprs, psyms, pvals, layout = self._program(chart, noise_order)
+            rows = sp.symbols(f"_q0:{len(exprs)}")
+            fn = tensor_calculus._compiled(rows, (TIME,) + coord_symbols(self.dim) + psyms,
+                                           (tuple(zip(rows, exprs)),))
+            self._programs[key] = (fn, pvals, layout, len(exprs))
+        fn, pvals, layout, rows = self._programs[key]
         pts = np.asarray(pts, dtype=float)
         batch = np.broadcast(t, pts[0]).shape
-        buf = np.empty((len(exprs),) + batch)
+        buf = np.empty((rows,) + batch)
         for i, v in enumerate(fn(t, *pts, *pvals)):
             buf[i] = v
         return {nm: buf[a:b].reshape(shape + batch) for nm, a, b, shape in layout}
@@ -280,7 +292,8 @@ def scheme_step(sde: FlowSDE, scheme: str, cid: int, t0: float, t1: float, h: fl
     of the point update, and the inverse Jacobians ``Ji`` (skipped when
     ``Ji`` is None).  Every array is batch-last: ``u`` has shape ``(n, m)``,
     ``J`` and ``Ji`` ``(n, n, m)`` (a singleton batch axis broadcasts) and
-    the Brownian increments ``db`` ``(n_noise, m)``.  One call of the
+    the Brownian increments ``db`` ``(n_noise, m)``; ``t0``, ``t1`` and ``h``
+    are floats or ``(m,)`` arrays, one entry per column.  One call of the
     chart's compiled step program (:meth:`FlowSDE._step_program`) writes
     every new entry into one buffer; returns ``(u, J, Ji)`` after the
     step as views of it.
@@ -437,19 +450,61 @@ def integrate_flow(
     scheme: str = "euler_maruyama",
     start_chart: int = 0,
 ) -> FlowEnsemble:
-    """Integrate the flow and its variational equations for all driver paths."""
+    """Integrate the flow and its variational equations for all driver paths.
+
+    The one-level case of :func:`integrate_flow_levels`.
+    """
+    return integrate_flow_levels(sde, (drivers,), x0, scheme, start_chart)[0]
+
+
+def integrate_flow_levels(
+    sde: FlowSDE,
+    levels: Sequence[DrivingPaths],
+    x0: np.ndarray,
+    scheme: str = "euler_maruyama",
+    start_chart: int = 0,
+) -> Tuple[FlowEnsemble, ...]:
+    """Integrate the flow on nested grids of the same paths in one time loop.
+
+    ``levels`` are driver ensembles of the same paths (``path_ids``),
+    noise count and horizon on nested grids: every step count divides
+    the next finer one.  All levels' columns sit side by side in one
+    batch-last state, finest level first, and the loop runs over the
+    finest grid.  A level of ``L_f / r`` steps advances at every ``r``-th
+    fine step, so the levels stepping at a fine step are a leading slice
+    of the columns, and each chart group of that slice is one
+    :func:`scheme_step` call with per-column ``t0``, ``t1``, ``h`` and
+    increments.  The step program is elementwise, so each level's
+    ensemble is bitwise the one it would get on its own; blow-up stops,
+    chart hops (grouped on the charts from before the step) and the
+    final freeze act per column.  Returns one :class:`FlowEnsemble` per
+    level, in the order given.
+    """
     _require_scheme_smoothness(sde, scheme)
-    if drivers.n_noise != sde.n_noise:
-        raise ValueError(
-            f"drivers carry {drivers.n_noise} noise components, sde has {sde.n_noise}"
-        )
+    levels = tuple(levels)
+    if not levels:
+        raise ValueError("no levels to integrate")
+    for d in levels:
+        if d.n_noise != sde.n_noise:
+            raise ValueError(
+                f"drivers carry {d.n_noise} noise components, sde has {sde.n_noise}"
+            )
+        if d.grid.horizon != levels[0].grid.horizon or not np.array_equal(
+            d.path_ids, levels[0].path_ids
+        ):
+            raise ValueError("levels must share the horizon and the path ids")
+    order = sorted(range(len(levels)), key=lambda i: -levels[i].grid.steps)  # finest first
+    grids = [levels[i].grid for i in order]
+    steps = [g.steps for g in grids]
+    if any(fine % coarse for fine, coarse in zip(steps, steps[1:])):
+        raise ValueError(f"levels of {sorted(steps)} steps are not nested grids")
     atlas = sde.atlas
     n = sde.dim
-    grid = drivers.grid
-    L = grid.steps
-    h = grid.h
-    P = drivers.n_paths
-    times = grid.times()
+    P = levels[0].n_paths
+    nlev, C = len(levels), len(levels) * P
+    ratio = [steps[0] // L for L in steps]
+    ratio_col = np.repeat(ratio, P)
+    h_col = np.repeat([g.h for g in grids], P)
 
     # every row of x0 starts in the lowest-numbered chart covering it
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), (P, n))
@@ -457,78 +512,99 @@ def integrate_flow(
     if np.any(cid0 < 0):
         raise NoCoveringChart(f"start point {x0[np.argmin(cid0)]} (chart {start_chart}) "
                               f"not in any inner ball of {atlas.name!r}")
-    coords = np.empty((L + 1, n, P))
-    charts = np.empty((L + 1, P), dtype=int)
-    jac = np.empty((L + 1, n, n, P))
-    inv_jac = np.empty((L + 1, n, n, P))
-    coords[0] = x0.T
+    u0 = x0.T.copy()
     for cid in set(cid0.tolist()) - {start_chart}:
         grp = cid0 == cid
-        coords[0][:, grp] = atlas.transition_between(start_chart, cid).apply(x0[grp]).T
-    charts[0] = cid0
-    jac[0] = np.eye(n)[..., None]
-    inv_jac[0] = np.eye(n)[..., None]
-    stop_step = np.full(P, L + 1, dtype=int)
-    active = np.ones(P, dtype=bool)
-    hops: List[Tuple[int, int, int, int]] = []
-    dBs = np.diff(drivers.bm, axis=1).transpose(1, 2, 0).copy()  # (L, n_noise, P)
+        u0[:, grp] = atlas.transition_between(start_chart, cid).apply(x0[grp]).T
 
-    for k in range(L):
-        for a in (coords, charts, jac, inv_jac):
-            a[k + 1] = a[k]
-        if not np.any(active):
-            continue
-        for cid in sorted(set(charts[k, active].tolist())):
-            idx = np.flatnonzero(active & (charts[k] == cid))
-            sel = slice(None) if idx.size == P else idx
-            # take keeps the columns C-contiguous, a trailing fancy index would not
-            u, J, Ji = scheme_step(sde, scheme, cid, times[k], times[k + 1], h,
-                                   *(a if idx.size == P else a.take(idx, axis=-1)
-                                     for a in (coords[k], jac[k], inv_jac[k], dBs[k])))
-            # blow-up: non-finite or runaway coordinates stop the path at k+1
-            stop = ~(np.abs(u).max(axis=0) <= R_MAX)
-            # chart hops: leaving the 2r ball hands the path to a covering chart
-            ch = atlas.chart(cid)
-            movers = np.flatnonzero(~stop & (ch.dist(u.T) > ch.hop_radius))
-            if movers.size:
-                new_ids = locate_chart_batch(atlas, u[:, movers].T, cid)
-                stop[movers[new_ids < 0]] = True
-                for nid in sorted(set(new_ids[new_ids >= 0].tolist()) - {cid}):
-                    grp = movers[new_ids == nid]
-                    fwd = atlas.transition_between(cid, nid)
-                    rev = atlas.transition_between(nid, cid)
-                    old_u = u[:, grp].T
-                    new_u = fwd.apply(old_u)
-                    T = _batch_last(fwd.jacobian(old_u), 1)
-                    Tinv = _batch_last(rev.jacobian(new_u), 1)
-                    u[:, grp] = new_u.T
-                    J[..., grp] = _slot_replace(J[..., grp], T, 0, 2)
-                    Ji[..., grp] = _slot_replace(Ji[..., grp], Tinv, 1, 2, transpose=True)
-                    charts[k + 1, idx[grp]] = nid
-                    hops.extend((k + 1, int(p), cid, nid) for p in idx[grp])
-            coords[k + 1][:, sel], jac[k + 1][..., sel], inv_jac[k + 1][..., sel] = u, J, Ji
-            if stop.any():
-                stop_step[idx[stop]] = k + 1
-                active[idx[stop]] = False
+    # the current state of every column, level after level
+    u = np.tile(u0, nlev)
+    charts = np.tile(cid0, nlev)
+    J = np.broadcast_to(np.eye(n)[..., None], (n, n, C)).copy()
+    Ji = J.copy()
+    active = np.ones(C, dtype=bool)
+    stop_step = np.repeat([L + 1 for L in steps], P)
+    # per level: the state history and the increments, batch-last, and the hops
+    hist = [(np.empty((L + 1, n, P)), np.empty((L + 1, P), dtype=int),
+             np.empty((L + 1, n, n, P)), np.empty((L + 1, n, n, P))) for L in steps]
+    dBs = [np.diff(levels[i].bm, axis=1).transpose(1, 2, 0).copy() for i in order]
+    hops: List[List[Tuple[int, int, int, int]]] = [[] for _ in steps]
 
-    # freeze stopped paths at their last valid state
-    for p in np.flatnonzero(stop_step <= L):
-        for a in (coords, charts, jac, inv_jac):
-            a[stop_step[p]:, ..., p] = a[stop_step[p] - 1, ..., p]
+    def store(i: int, row: int):
+        cols = slice(i * P, (i + 1) * P)
+        for a, cur in zip(hist[i], (u, charts, J, Ji)):
+            a[row] = cur[..., cols]
 
-    # path-major views of the batch-last (paths last) state; nothing is copied
-    return FlowEnsemble(
-        grid=grid,
-        atlas=atlas,
-        scheme=scheme,
-        path_ids=drivers.path_ids.copy(),
-        charts=charts,
-        coords=np.moveaxis(coords, 2, 1),
-        jac=np.moveaxis(jac, 3, 1),
-        inv_jac=np.moveaxis(inv_jac, 3, 1),
-        stop_step=np.minimum(stop_step, L + 1),
-        hops=tuple(hops),
-    )
+    for i in range(nlev):
+        store(i, 0)
+    for k in range(steps[0]):
+        m = sum(k % r == 0 for r in ratio)  # the levels stepping now lead
+        mP = m * P
+        kcol = k // ratio_col[:mP]
+        live = active[:mP]
+        if live.any():
+            # each level's own times, as TimeGrid.times computes them
+            t0, t1, h = kcol * h_col[:mP], (kcol + 1) * h_col[:mP], h_col[:mP]
+            db = np.concatenate([dBs[i][k // ratio[i]] for i in range(m)], axis=1)
+            before = charts[:mP].copy()  # group on the charts from before the step
+            for cid in np.flatnonzero(np.bincount(before[live])).tolist():
+                idx = np.flatnonzero(live & (before == cid))
+                sel = slice(0, mP) if idx.size == mP else idx
+                # take keeps the columns C-contiguous, a trailing fancy index would not
+                un, Jn, Jin = scheme_step(
+                    sde, scheme, cid,
+                    *(a[..., sel] if idx.size == mP else a.take(idx, axis=-1)
+                      for a in (t0, t1, h, u, J, Ji, db)))
+                # blow-up: non-finite or runaway coordinates stop the path
+                stop = ~(np.abs(un).max(axis=0) <= R_MAX)
+                # chart hops: leaving the 2r ball hands the path to a covering chart
+                ch = atlas.chart(cid)
+                movers = np.flatnonzero(~stop & (ch.dist(un.T) > ch.hop_radius))
+                if movers.size:
+                    new_ids = locate_chart_batch(atlas, un[:, movers].T, cid)
+                    stop[movers[new_ids < 0]] = True
+                    for nid in sorted(set(new_ids[new_ids >= 0].tolist()) - {cid}):
+                        grp = movers[new_ids == nid]
+                        fwd = atlas.transition_between(cid, nid)
+                        rev = atlas.transition_between(nid, cid)
+                        old_u = un[:, grp].T
+                        new_u = fwd.apply(old_u)
+                        T = _batch_last(fwd.jacobian(old_u), 1)
+                        Tinv = _batch_last(rev.jacobian(new_u), 1)
+                        un[:, grp] = new_u.T
+                        Jn[..., grp] = _slot_replace(Jn[..., grp], T, 0, 2)
+                        Jin[..., grp] = _slot_replace(Jin[..., grp], Tinv, 1, 2, transpose=True)
+                        charts[idx[grp]] = nid
+                        for c in idx[grp].tolist():
+                            hops[c // P].append((int(kcol[c]) + 1, c % P, cid, nid))
+                u[:, sel], J[..., sel], Ji[..., sel] = un, Jn, Jin
+                if stop.any():
+                    stop_step[idx[stop]] = kcol[idx[stop]] + 1
+                    active[idx[stop]] = False
+        for i in range(m):
+            store(i, k // ratio[i] + 1)
+
+    out = []
+    for i, (grid, (coords, chs, jac, inv_jac)) in enumerate(zip(grids, hist)):
+        L, st = grid.steps, stop_step[i * P:(i + 1) * P]
+        # freeze stopped paths at their last valid state
+        for p in np.flatnonzero(st <= L):
+            for a in (coords, chs, jac, inv_jac):
+                a[st[p]:, ..., p] = a[st[p] - 1, ..., p]
+        # path-major views of the batch-last (paths last) state; nothing is copied
+        out.append(FlowEnsemble(
+            grid=grid,
+            atlas=atlas,
+            scheme=scheme,
+            path_ids=levels[order[i]].path_ids.copy(),
+            charts=chs,
+            coords=np.moveaxis(coords, 2, 1),
+            jac=np.moveaxis(jac, 3, 1),
+            inv_jac=np.moveaxis(inv_jac, 3, 1),
+            stop_step=np.minimum(st, L + 1),
+            hops=tuple(hops[i]),
+        ))
+    return tuple(out[order.index(i)] for i in range(nlev))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,12 @@ sums as the identity's calculus dictates) are evaluated on the whole
 grid, and the residual is their sup-norm difference.  Halving the step
 with bridge refinement and refitting the residual exposes the strong
 order of the integration scheme; the identities themselves hold
-pathwise, so the residual must shrink at that order.
+pathwise, so the residual must shrink at that order.  A study refines
+the drivers of every level first, integrates all levels' flows in one
+sweep of the finest grid (:func:`flowtensor.flow.integrate_flow_levels`)
+and then reduces the levels coarse to fine, dropping each level's
+drivers and flow once it is reduced; the assembly frees each integrand
+once it is summed.
 
 Selectors
 ---------
@@ -45,7 +50,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .flow import FlowEnsemble, FlowSDE, _backward_step, integrate_flow, scheme_step
+from .flow import FlowEnsemble, FlowSDE, _backward_step, integrate_flow_levels, scheme_step
 from .geometry import _batch_first, _batch_last, _contract, _slot_replace
 from .stochastics import (
     DrivingPaths,
@@ -320,6 +325,11 @@ def _assemble_forward_rhs(
     sign of the Lie terms.  Pure time integrals always use left sums;
     trapezoid sums apply only to the martingale and noise integrators of
     the Stratonovich form.
+
+    The assembly takes ownership of ``paths``: it removes every entry
+    after its last use, and the ``LxG`` entries, which the Stratonovich
+    form never reads, at once; only ``K`` is left.  A caller that reads
+    the integrands afterwards passes a copy of the dict.
     """
     sign = -1.0 if scenario.theorem in _PUSH_THEOREMS else 1.0
     t = drivers.times()
@@ -327,36 +337,44 @@ def _assemble_forward_rhs(
     nB = drivers.n_noise
     mint = stratonovich_integral if strat else ito_integral
     terms: Dict[str, np.ndarray] = {}
+    K = paths["K"]
+    if strat:
+        for key in [k for k in paths if k.startswith("LxG")]:
+            del paths[key]
 
     if nG:
-        terms["G_dA"] = sum(
-            fv_integral(paths[f"G{i}"], drivers.fv[:, i], axis=1) for i in range(nG)
-        )
-        terms["G_dM"] = sum(
-            mint(paths[f"G{i}"], drivers.mart[:, :, i], axis=1) for i in range(nG)
-        )
+        # added up as sum() would, one field at a time, so each G<i> goes after use
+        dA = dM = 0
+        for i in range(nG):
+            g = paths.pop(f"G{i}")
+            dA = dA + fv_integral(g, drivers.fv[:, i], axis=1)
+            dM = dM + mint(g, drivers.mart[:, :, i], axis=1)
+            del g
+        terms["G_dA"], terms["G_dM"] = dA, dM
 
-    terms["L_b"] = sign * fv_integral(paths["LbK"], t, axis=1)
+    terms["L_b"] = sign * fv_integral(paths.pop("LbK"), t, axis=1)
 
     if nB:
         terms["L_xi"] = sign * sum(
-            mint(paths[f"LxK{j}"], drivers.bm[:, :, j], axis=1) for j in range(nB)
+            mint(paths.pop(f"LxK{j}"), drivers.bm[:, :, j], axis=1) for j in range(nB)
         )
         if not strat:
             if nG:
                 terms["bracket"] = sign * sum(
                     fv_integral(
-                        paths[f"LxG{i}_{j}"], drivers.bracket_with_bm(i, j, bracket_mode), axis=1
+                        paths.pop(f"LxG{i}_{j}"), drivers.bracket_with_bm(i, j, bracket_mode),
+                        axis=1
                     )
                     for i in range(nG)
                     for j in range(nB)
                 )
-            terms["L2"] = 0.5 * sum(fv_integral(paths[f"LLK{j}"], t, axis=1) for j in range(nB))
+            terms["L2"] = 0.5 * sum(
+                fv_integral(paths.pop(f"LLK{j}"), t, axis=1) for j in range(nB)
+            )
 
     order = ("G_dA", "G_dM", "L_b", "L_xi", "bracket", "L2")
-    values = paths["K"][:, :1] + sum(terms[k] for k in order if k in terms)
-    return RhsResult(values=values, terms=terms, bracket_mode=bracket_mode,
-                     transported=paths["K"])
+    values = K[:, :1] + sum(terms[k] for k in order if k in terms)
+    return RhsResult(values=values, terms=terms, bracket_mode=bracket_mode, transported=K)
 
 
 def _jets_last(jets: Sequence[np.ndarray], nb: int) -> List[np.ndarray]:
@@ -435,10 +453,11 @@ def _pullback_integrand_paths(
     (:meth:`FlowSDE.jets`) at the flow states, chart by chart, and are
     then pulled back along the flow.  The states are processed in blocks
     of whole grid rows, at most ``_JET_BLOCK_STATES`` of them per block,
-    so the jets of the whole ensemble never exist at once.  Each block's
-    states, field jets and Jacobians are gathered batch-last once, and
-    each pulled-back term is written back once into the path-major
-    output: into the block itself when the block lies in one chart.
+    so the jets of the whole ensemble never exist at once.  Everything
+    is batch-last: each block's states and Jacobians are gathered once,
+    the jets are whole rows of one compiled call, and each term is held
+    as ``comps + (npoints, P)``, so a block in one chart is written as one
+    contiguous slice.  The results are ``(P, npoints) + comps`` views.
     """
     sde = scenario.sde
     order = 1 if strat else 2
@@ -448,35 +467,41 @@ def _pullback_integrand_paths(
     if not strat:
         names += [f"LL{j}" for j in range(sde.n_noise)]
     L1, P = flow.charts.shape
-    # path-major views of the flow states, so pulled terms land in place
-    charts = flow.charts.T
-    tgrid = np.broadcast_to(flow.grid.times(), (P, L1))
-    coords, jac, inv_jac = (np.swapaxes(a, 0, 1) for a in (flow.coords, flow.jac, flow.inv_jac))
-    terms = {lbl: {nm: np.empty((P, L1) + scenario.K0.shape) for nm in names} for lbl in fields}
+    times = flow.grid.times()
+    # batch-last views of the flow states: component axes, then (npoints, P)
+    coords = np.moveaxis(flow.coords, 2, 0)
+    jac, inv_jac = (np.moveaxis(a, (2, 3), (0, 1)) for a in (flow.jac, flow.inv_jac))
+    shape = scenario.K0.shape
+    terms = {lbl: {nm: np.empty(shape + (L1, P)) for nm in names} for lbl in fields}
     rows = max(1, _JET_BLOCK_STATES // P)
     for k0 in range(0, L1, rows):
-        blk = (slice(None), slice(k0, k0 + rows))
-        for cid in np.unique(charts[blk]).tolist():
-            mask = charts[blk] == cid
+        blk = slice(k0, k0 + rows)
+        charts = flow.charts[blk]
+        for cid in np.unique(charts).tolist():
+            mask = charts == cid
             whole = bool(mask.all())
+            rows_at, paths_at = np.nonzero(mask)  # in the states' (row, path) order
 
             def states(a):
                 """The block's states in this chart, batch-last and C-contiguous."""
-                a = np.moveaxis(a[blk], (0, 1), (-2, -1)).reshape(a.shape[2:] + (-1,))
+                a = a[..., blk, :].reshape(a.shape[:-2] + (-1,))
                 return a if whole else a.compress(mask.ravel(), axis=-1)
 
-            t, x, A, Ai = (states(a) for a in (tgrid, coords, jac, inv_jac))
+            t = states(np.broadcast_to(times[:, None], (L1, P)))
+            x, A, Ai = (states(a) for a in (coords, jac, inv_jac))
             b_jets, xi_jets = _coeff_jets(sde.jets(t, x, cid, order), order)
             for lbl, f in fields.items():
-                jets = _jets_last(f.jet_batch(t, x.T, cid, order), 1)
+                jets = f._jet_last(t, x, cid, order)
                 for nm, v in _lie_terms(jets, b_jets, xi_jets, valence, strat).items():
-                    out = np.moveaxis(terms[lbl][nm][blk], (0, 1), (-2, -1))
+                    out = terms[lbl][nm][..., blk, :]
                     pulled = _contract(v, valence, Ai, A)
                     if whole:
                         out[...] = pulled.reshape(out.shape)
                     else:
-                        out[..., mask] = pulled
-    return _integrand_paths(terms, kpath, sde.n_noise, strat)
+                        out[..., rows_at, paths_at] = pulled
+    views = {lbl: {nm: np.moveaxis(a, (-1, -2), (0, 1)) for nm, a in tt.items()}
+             for lbl, tt in terms.items()}
+    return _integrand_paths(views, kpath, sde.n_noise, strat)
 
 
 # ---------------------------------------------------------------------------
@@ -702,8 +727,9 @@ def strat_ito_bridge_gap(scenario: Scenario, flow: FlowEnsemble, kpath: KPath,
     if scenario.theorem not in ("KiwStratPullback", "KiwItoPullback"):
         raise WiringMismatch("the bridge identity applies to the transported-tensor selectors")
     paths = _pullback_integrand_paths(scenario, flow, kpath, strat=False)
-    ito = _assemble_forward_rhs(scenario, drivers, paths, False, "realized")
-    strat = _assemble_forward_rhs(scenario, drivers, paths, True, "realized")
+    # each assembly frees the integrands of the dict it is given
+    ito = _assemble_forward_rhs(scenario, drivers, dict(paths), False, "realized")
+    strat = _assemble_forward_rhs(scenario, drivers, dict(paths), True, "realized")
 
     correction = np.zeros_like(ito.values)
     for i in range(len(scenario.G)):
@@ -1097,9 +1123,9 @@ def _warmup(scenario: Scenario):
                 f.jet_batch(0.0, ch.center[None, :], ch.id, field_order)
 
 
-def _run_level(scenario: Scenario, drivers: DrivingPaths, bracket_mode: Optional[str]) -> Dict:
-    flow = integrate_flow(scenario.sde, drivers, scenario.x0, scenario.scheme,
-                          scenario.start_chart)
+def _run_level(scenario: Scenario, drivers: DrivingPaths, flow: FlowEnsemble,
+               bracket_mode: Optional[str]) -> Dict:
+    """Residual and monitors of one level from its drivers and its flow."""
     kpath = synthesize_K_path(scenario, drivers)
     transport = None
     if scenario.theorem in _PUSH_THEOREMS:
@@ -1116,6 +1142,21 @@ def _run_level(scenario: Scenario, drivers: DrivingPaths, bracket_mode: Optional
     }
 
 
+def _run_levels(scenario: Scenario, drivers: List[DrivingPaths],
+                bracket_mode: Optional[str]) -> List[Dict]:
+    """Every level of one path set: one flow sweep, then the levels coarse to fine.
+
+    Each level's drivers and flow are dropped as soon as it is reduced.
+    """
+    flows = list(integrate_flow_levels(scenario.sde, drivers, scenario.x0, scenario.scheme,
+                                       scenario.start_chart))
+    parts = []
+    for lvl in range(len(drivers)):
+        parts.append(_run_level(scenario, drivers[lvl], flows[lvl], bracket_mode))
+        drivers[lvl] = flows[lvl] = None
+    return parts
+
+
 def convergence_study(
     scenario: Scenario,
     levels: int = 4,
@@ -1127,9 +1168,12 @@ def convergence_study(
 ) -> ResidualReport:
     """Run the scenario across dyadic refinements and fit the decay order.
 
-    Paths are sampled from counter-based streams and all reductions act
-    on per-path arrays reassembled in path order, so the report is
-    byte-identical for any ``n_workers``.
+    The drivers of every level are refined first, and one sweep
+    (:func:`integrate_flow_levels`) integrates all levels' flows; the
+    levels are then reduced coarse to fine.  Paths are sampled from
+    counter-based streams and all reductions act on per-path arrays
+    reassembled in path order, so the report is byte-identical for any
+    ``n_workers``: each worker sweeps the levels of its own path chunk.
     """
     kw = {}
     if n_paths is not None:
@@ -1140,55 +1184,56 @@ def convergence_study(
         kw["scheme"] = scheme
     if kw:
         scenario = replace(scenario, **kw)
+    if levels < 1:
+        raise ValueError(f"a study needs at least one level, got {levels}")
     validate_scenario(scenario)
     _warmup(scenario)
     P = scenario.n_paths
-    drivers = build_driving_paths(
+    drivers = [build_driving_paths(
         scenario.base_grid,
         scenario.sde.n_noise,
         scenario.seed,
         P,
         scenario.fv_specs,
         scenario.mart_specs,
-    )
+    )]
+    while len(drivers) < levels:
+        drivers.append(refine_dyadic(drivers[-1]))
+    grids = [d.grid for d in drivers]
+    if n_workers > 1 and P >= 2 * n_workers:
+        bounds = np.linspace(0, P, n_workers + 1).astype(int)
+        chunks = [[d.slice_paths(a, b) for d in drivers]
+                  for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+        del drivers
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            per_chunk = list(pool.map(lambda ds: _run_levels(scenario, ds, bracket_mode), chunks))
+        per_level = [[parts[lvl] for parts in per_chunk] for lvl in range(levels)]
+    else:
+        per_level = [[part] for part in _run_levels(scenario, drivers, bracket_mode)]
+
     stats: List[LevelStats] = []
-    for lvl in range(levels):
-        if n_workers > 1 and P >= 2 * n_workers:
-            bounds = np.linspace(0, P, n_workers + 1).astype(int)
-            chunks = [drivers.slice_paths(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                parts = list(pool.map(lambda d: _run_level(scenario, d, bracket_mode), chunks))
-            residual = np.concatenate([p["residual"] for p in parts])
-            completed = np.concatenate([p["completed"] for p in parts])
-            term_sups = {
-                k: np.concatenate([p["term_sups"][k] for p in parts])
-                for k in parts[0]["term_sups"]
-            }
-            jac_max = max(p["jac_max"] for p in parts)
-        else:
-            part = _run_level(scenario, drivers, bracket_mode)
-            residual = part["residual"]
-            completed = part["completed"]
-            term_sups = part["term_sups"]
-            jac_max = part["jac_max"]
+    for lvl, parts in enumerate(per_level):
+        residual = np.concatenate([p["residual"] for p in parts])
+        completed = np.concatenate([p["completed"] for p in parts])
+        term_sups = {
+            k: np.concatenate([p["term_sups"][k] for p in parts]) for k in parts[0]["term_sups"]
+        }
         any_live = bool(np.any(completed))
         stats.append(
             LevelStats(
                 level=lvl,
-                h=drivers.grid.h,
-                steps=drivers.grid.steps,
+                h=grids[lvl].h,
+                steps=grids[lvl].steps,
                 n_paths=P,
                 rms_sup_residual=float(np.sqrt(np.mean(residual[completed] ** 2)))
                 if any_live
                 else float("nan"),
                 max_sup_residual=float(np.max(residual[completed])) if any_live else float("nan"),
                 term_means={k: float(np.mean(v)) for k, v in term_sups.items()},
-                jac_consistency_max=jac_max,
+                jac_consistency_max=max(p["jac_max"] for p in parts),
                 blowup_fraction=float(1.0 - np.mean(completed)),
             )
         )
-        if lvl + 1 < levels:
-            drivers = refine_dyadic(drivers)
 
     hs = np.array([s.h for s in stats])
     rms = np.array([s.rms_sup_residual for s in stats])

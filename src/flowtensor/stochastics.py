@@ -70,30 +70,62 @@ class TimeGrid:
 _KIND_TAGS = {"bm": 1, "bm_mid": 2, "aux": 3}
 
 
+def _philox() -> np.random.Generator:
+    """A Philox generator for :meth:`RngStream.normals` to reset, stream by stream.
+
+    Each sampling call makes its own, so no generator is shared between
+    threads.
+    """
+    return np.random.Generator(np.random.Philox(key=0))
+
+
 @dataclass(frozen=True)
 class RngStream:
-    """Addressable Gaussian stream for one sample path."""
+    """Addressable Gaussian stream for one sample path.
+
+    ``seed`` and ``path_index`` are the two 64-bit words of the Philox
+    key, so each must lie in ``[0, 2**64)``.
+    """
 
     seed: int
     path_index: int
 
-    def normals(self, kind: str, component: int, level: int, count: int) -> np.ndarray:
+    def __post_init__(self):
+        for what, word in (("seed", self.seed), ("path index", self.path_index)):
+            if not 0 <= int(word) < 2**64:
+                raise ValueError(f"stream {what} must lie in [0, 2**64), got {word}")
+
+    def normals(self, kind: str, component: int, level: int, count: int,
+                gen: Optional[np.random.Generator] = None) -> np.ndarray:
+        """``count`` normals of the stream ``(kind, component, level)``.
+
+        The bit generator of ``gen`` (one from :func:`_philox`, a new one
+        when None) is reset to the stream's counter and key, so the draws
+        are bitwise those of a freshly constructed Philox at that address.
+        """
         if component < 0 or component >= 2**20 or level < 0 or level >= 2**20:
             raise ValueError(f"stream address out of range: {component}, {level}")
         tag = _KIND_TAGS[kind]
         stream_word = (tag << 40) | (component << 20) | level
-        bitgen = np.random.Philox(
-            counter=np.array([0, stream_word, 0, 0], dtype=np.uint64),
-            key=np.array([self.seed, self.path_index], dtype=np.uint64),
-        )
-        return np.random.Generator(bitgen).standard_normal(count)
+        gen = gen if gen is not None else _philox()
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.array([0, stream_word, 0, 0], dtype=np.uint64),
+                      "key": np.array([self.seed, self.path_index], dtype=np.uint64)},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,  # empty: the next draw starts at the counter
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return gen.standard_normal(count)
 
 
-def sample_brownian(grid: TimeGrid, dims: int, stream: RngStream) -> np.ndarray:
+def sample_brownian(grid: TimeGrid, dims: int, stream: RngStream,
+                    gen: Optional[np.random.Generator] = None) -> np.ndarray:
     """One Brownian path on the grid, shape ``(npoints, dims)``, B_0 = 0."""
     dz = np.empty((grid.steps, dims))
     for j in range(dims):
-        dz[:, j] = stream.normals("bm", j, 0, grid.steps)
+        dz[:, j] = stream.normals("bm", j, 0, grid.steps, gen)
     out = np.zeros((grid.npoints, dims))
     np.cumsum(dz * np.sqrt(grid.h), axis=0, out=out[1:])
     return out
@@ -227,8 +259,9 @@ def build_driving_paths(
         path_ids = np.arange(n_paths)
     path_ids = np.asarray(path_ids, dtype=int)
     bm = np.empty((path_ids.size, grid.npoints, n_noise))
+    gen = _philox()
     for p, pid in enumerate(path_ids):
-        bm[p] = sample_brownian(grid, n_noise, RngStream(seed, int(pid)))
+        bm[p] = sample_brownian(grid, n_noise, RngStream(seed, int(pid)), gen)
     return DrivingPaths(
         grid=grid,
         seed=seed,
@@ -258,10 +291,11 @@ def refine_dyadic(paths: DrivingPaths) -> DrivingPaths:
     bm_f = np.empty((P, fine.npoints, N))
     bm_f[:, 0::2, :] = paths.bm
     mids = 0.5 * (paths.bm[:, :-1, :] + paths.bm[:, 1:, :])
+    gen = _philox()
     for p, pid in enumerate(paths.path_ids):
         stream = RngStream(paths.seed, int(pid))
         for j in range(N):
-            z = stream.normals("bm_mid", j, level, grid.steps)
+            z = stream.normals("bm_mid", j, level, grid.steps, gen)
             bm_f[p, 1::2, j] = mids[p, :, j] + sd * z
     return DrivingPaths(
         grid=fine,

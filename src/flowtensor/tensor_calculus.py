@@ -208,6 +208,7 @@ class TensorFieldSpec:
             int(cid): _as_expr_array(c, self.valence, self.dim) for cid, c in comps.items()
         }
         self._partial_exprs: Dict[tuple, Tuple[sp.Expr, ...]] = {}
+        self._evaluators: Dict[tuple, tuple] = {}
         syms = set()
         for arr in self.comps.values():
             for idx in np.ndindex(arr.shape) if arr.shape else [()]:
@@ -241,7 +242,7 @@ class TensorFieldSpec:
         out = object.__new__(type(self))
         out.__dict__.update(self.__dict__)
         out.smoothness_order = int(smoothness_order)
-        out._partial_exprs = {}
+        out._partial_exprs, out._evaluators = {}, {}
         return out
 
     def with_params(self, params: Mapping) -> "TensorFieldSpec":
@@ -283,34 +284,51 @@ class TensorFieldSpec:
         self._partial_exprs[key] = out
         return out
 
-    def _eval_flat(self, t, coords: np.ndarray, chart: int,
+    def _evaluator(self, chart: int, alphas: Tuple[Tuple[int, ...], ...]):
+        """The compiled evaluator of every partial in ``alphas`` and its row count.
+
+        Held per ``(chart, alphas)``, so a call builds no symbols and
+        hashes no expressions.
+        """
+        key = (chart, alphas)
+        held = self._evaluators.get(key)
+        if held is None:
+            exprs = self._exprs(chart, alphas)
+            ncomp = prod(self.shape)
+            # the first partial's rows print as given, so a jet's values are
+            # bitwise those of eval_batch; the later rows share subexpressions
+            rest = sp.symbols(f"_d0:{len(exprs) - ncomp}")
+            psyms = tuple(s for s, _ in self.params)
+            fn = _compiled(exprs[:ncomp] + rest, (TIME,) + coord_symbols(self.dim) + psyms,
+                           (tuple(zip(rest, exprs[ncomp:])),) if rest else ())
+            held = self._evaluators[key] = (fn, len(exprs))
+        return held
+
+    def _eval_flat(self, t, pts: np.ndarray, chart: int,
                    alphas: Tuple[Tuple[int, ...], ...]) -> np.ndarray:
         """Evaluate every partial in ``alphas`` with one compiled call.
 
-        Returns shape ``batch + (len(alphas) * ncomp,)``: the flattened
-        components of each partial, one partial after the other.
+        Batch-last: ``pts`` has shape ``(dim,) + batch`` and the result
+        ``(len(alphas) * ncomp,) + batch``, the flattened components of each
+        partial, one partial after the other, each row written whole.
         """
-        coords = np.asarray(coords, dtype=float)
-        exprs = self._exprs(chart, alphas)
-        ncomp = prod(self.shape)
-        # the first partial's rows print as given, so a jet's values are
-        # bitwise those of eval_batch; the later rows share subexpressions
-        rest = sp.symbols(f"_d0:{len(exprs) - ncomp}")
-        psyms = tuple(s for s, _ in self.params)
-        fn = _compiled(exprs[:ncomp] + rest, (TIME,) + coord_symbols(self.dim) + psyms,
-                       (tuple(zip(rest, exprs[ncomp:])),) if rest else ())
-        args = (t,) + tuple(coords[..., i] for i in range(self.dim))
-        args += tuple(v for _, v in self.params)
-        batch = np.broadcast_shapes(np.shape(t), coords.shape[:-1])
-        out = np.empty(batch + (len(exprs),))
-        for i, v in enumerate(fn(*args)):
-            out[..., i] = v
+        fn, rows = self._evaluator(chart, alphas)
+        batch = np.broadcast_shapes(np.shape(t), np.shape(pts)[1:])
+        out = np.empty((rows,) + batch)
+        for i, v in enumerate(fn(t, *pts, *(v for _, v in self.params))):
+            out[i] = v
         return out
+
+    def _batch_first_flat(self, t, coords, chart: int, alpha: Tuple[int, ...]) -> np.ndarray:
+        """One partial at batch-first ``coords``, batch-first (a view)."""
+        coords = np.asarray(coords, dtype=float)
+        flat = self._eval_flat(t, np.moveaxis(coords, -1, 0), chart, (alpha,))
+        batch = flat.shape[1:]
+        return _batch_first(flat.reshape(self.shape + batch), len(batch))
 
     def eval_batch(self, t, coords: np.ndarray, chart: int = 0) -> np.ndarray:
         """Component values on a batch of points; shape ``batch + self.shape``."""
-        flat = self._eval_flat(t, coords, chart, ((0,) * self.dim,))
-        return flat.reshape(flat.shape[:-1] + self.shape)
+        return self._batch_first_flat(t, coords, chart, (0,) * self.dim)
 
     def eval(self, t: float, coords: np.ndarray, chart: int = 0) -> TensorValue:
         return TensorValue(self.valence, self.eval_batch(t, np.asarray(coords, float), chart))
@@ -322,8 +340,21 @@ class TensorFieldSpec:
         alpha = tuple(int(a) for a in alpha)
         if len(alpha) != self.dim:
             raise ShapeMismatch(f"alpha {alpha} has wrong length for dim {self.dim}")
-        flat = self._eval_flat(t, coords, chart, (alpha,))
-        return flat.reshape(flat.shape[:-1] + self.shape)
+        return self._batch_first_flat(t, coords, chart, alpha)
+
+    def _jet_last(self, t, pts: np.ndarray, chart: int, order: int) -> List[np.ndarray]:
+        """:meth:`jet_batch` batch-last: ``pts`` has shape ``(dim,) + batch``
+        and the m-th stack ``self.shape + (dim,) * m + batch``."""
+        if order > self.smoothness_order:
+            raise InsufficientSmoothness(
+                f"field {self.name!r} is C^{self.smoothness_order}; jet order {order} requested"
+            )
+        alphas, columns = _jet_layout(self.dim, order, prod(self.shape))
+        flat = self._eval_flat(t, pts, chart, alphas)
+        batch = flat.shape[1:]
+        # whole rows, so each stack is C-contiguous
+        return [np.take(flat, cols, axis=0).reshape(self.shape + (self.dim,) * m + batch)
+                for m, cols in enumerate(columns)]
 
     def jet_batch(self, t, coords: np.ndarray, chart: int, order: int) -> List[np.ndarray]:
         """Value and derivative stacks up to ``order``.
@@ -332,21 +363,12 @@ class TensorFieldSpec:
         ``batch + self.shape + (dim,) * m`` and the trailing axes are the
         differentiation directions (symmetric by construction).  Every
         distinct partial is evaluated once, all of them in one compiled
-        call.
+        call.  The stacks are C-contiguous copies of :meth:`_jet_last`'s.
         """
-        if order > self.smoothness_order:
-            raise InsufficientSmoothness(
-                f"field {self.name!r} is C^{self.smoothness_order}; jet order {order} requested"
-            )
-        alphas, columns = _jet_layout(self.dim, order, prod(self.shape))
-        flat = self._eval_flat(t, coords, chart, alphas)
-        batch = flat.shape[:-1]
-        # np.take keeps the stacks C-contiguous, so batched matmuls on them
-        # take the same code path whatever the batch size
-        return [
-            np.take(flat, cols, axis=-1).reshape(batch + self.shape + (self.dim,) * m)
-            for m, cols in enumerate(columns)
-        ]
+        coords = np.asarray(coords, dtype=float)
+        jets = self._jet_last(t, np.moveaxis(coords, -1, 0), chart, order)
+        nb = jets[0].ndim - self.order
+        return [np.ascontiguousarray(_batch_first(a, nb)) for a in jets]
 
     def __repr__(self):
         return (
@@ -425,9 +447,10 @@ def lie_derivative(
                 for l in range(K.dim):
                     swapped = idx[:b] + (l,) + idx[b + 1 :]
                     e += Karr[swapped] * sp.diff(Xarr[(l,)], xs[idx[b]])
-            # rational normal form: repeated derivatives of quotient
-            # components otherwise grow multiplicatively
-            out[idx] = sp.cancel(e)
+            # rational normal form where a denominator depends on the
+            # coordinates: repeated derivatives of quotient components
+            # otherwise grow multiplicatively; other components stay as built
+            out[idx] = sp.cancel(e) if _has_coordinate_denominator(e, xs) else e
         new_comps[cid] = out
 
     merged = dict(K.params)
@@ -444,6 +467,12 @@ def lie_derivative(
         name=f"L_{X.name or 'X'}({K.name or 'K'})",
     )
     return result
+
+
+def _has_coordinate_denominator(e: sp.Expr, xs: Tuple[sp.Symbol, ...]) -> bool:
+    """Whether ``e`` divides by an expression of the coordinates ``xs``."""
+    return any(p.exp.is_negative and not p.base.free_symbols.isdisjoint(xs)
+               for p in e.atoms(sp.Pow))
 
 
 def _freeze_time_rhs(X: TensorFieldSpec, t: float, chart: int):

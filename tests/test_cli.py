@@ -260,6 +260,8 @@ def test_config_steps_override_scales_h(tmp_path):
         ("scenario.name = x\nscenario.atlas = torus:0\n", "scenario.atlas"),
         ("scenario.name = x\nscenario.atlas = euclidean:2\nscenario.K0 = one_form:z\n",
          "scenario.K0"),
+        ("run.scenario = identity\nrun.seed = -1\n", "run.seed"),
+        ("run.scenario = identity\nrun.seed = 18446744073709551616\n", "run.seed"),
     ],
 )
 def test_config_errors_exit_one(tmp_path, text, fragment):
@@ -267,6 +269,14 @@ def test_config_errors_exit_one(tmp_path, text, fragment):
     out = run_cli("--config", str(cfg))
     assert out.returncode == 1
     assert fragment in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_out_of_range_seed_flag_exits_one(tmp_path):
+    out = run_cli("kiw_ito_pullback_r2", "--seed", "-1", "--out", str(tmp_path))
+    assert out.returncode == 1
+    assert "--seed" in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 def test_missing_config_file_exits_one(tmp_path):

@@ -20,6 +20,7 @@ from flowtensor.flow import (
     FlowStopped,
     SchemeSmoothnessMismatch,
     integrate_flow,
+    integrate_flow_levels,
     inverse_flow_residual,
     inverse_flow_residual_ensemble,
     jacobian_fd_check,
@@ -29,7 +30,7 @@ from flowtensor.flow import (
 from flowtensor.geometry import (NoCoveringChart, _slot_replace, euclidean_atlas, sphere_atlas,
                                  torus_atlas)
 from flowtensor.scenarios import get_scenario
-from flowtensor.stochastics import DrivingPaths, TimeGrid, build_driving_paths
+from flowtensor.stochastics import DrivingPaths, TimeGrid, build_driving_paths, refine_dyadic
 from flowtensor.tensor_calculus import (
     InsufficientSmoothness,
     TensorFieldSpec,
@@ -524,3 +525,74 @@ def test_unknown_scheme_rejected():
     d = build_driving_paths(TimeGrid(1.0, 4), 0, 1, 1)
     with pytest.raises(ValueError, match="scheme"):
         integrate_flow(sde, d, np.array([1.0]), "milstein")
+
+
+# ---------------------------------------------------------------------------
+# all refinement levels in one sweep
+# ---------------------------------------------------------------------------
+
+
+def _nested_drivers(grid, n_noise, seed, n_paths, levels=4):
+    ds = [build_driving_paths(grid, n_noise, seed, n_paths)]
+    while len(ds) < levels:
+        ds.append(refine_dyadic(ds[-1]))
+    return ds
+
+
+def _time_dependent_sde():
+    """Drift and noise that depend on time, so each level's own times enter."""
+    t = tensor_calculus.TIME
+    x, y = X2D
+    b = vector_field(2, [sp.sin(3 * t) * y - x / 4, sp.cos(2 * t) * x + sp.exp(-t) / 5], name="bt")
+    q1 = vector_field(2, [sp.cos(t) / 2 + y**2 / 8, sp.sin(t) * x / 3], name="q1t")
+    q2 = vector_field(2, [sp.exp(t / 2) * x / 6, sp.Rational(1, 3) + t * sp.sin(y) / 4],
+                      name="q2t")
+    return FlowSDE(b, [q1, q2], euclidean_atlas(2))
+
+
+def _assert_same_ensemble(got, want):
+    assert got.grid == want.grid and got.scheme == want.scheme and got.atlas is want.atlas
+    for field in ("path_ids", "charts", "coords", "jac", "inv_jac", "stop_step"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert np.array_equal(a, b), field
+    assert got.hops == want.hops  # order included
+
+
+@pytest.mark.parametrize("case", ["kunita_sphere_rotation", "kiw_strat_pullback_r2",
+                                  "blowup_cubic", "time_dependent_heun", "time_dependent_euler"])
+def test_level_sweep_is_bitwise_each_level_alone(case):
+    """Every level of the sweep equals its own integration, field by field."""
+    if case.startswith("time_dependent"):
+        sde, x0, start = _time_dependent_sde(), np.array([0.3, -0.2]), 0
+        scheme = "heun" if case.endswith("heun") else "euler_maruyama"
+        ds = _nested_drivers(TimeGrid(1.0, 8), sde.n_noise, 5, 7)
+    else:
+        sc = get_scenario(case)
+        sde, x0, scheme, start = sc.sde, sc.x0, sc.scheme, sc.start_chart
+        ds = _nested_drivers(sc.base_grid, sde.n_noise, sc.seed, 16)
+    # the caller's order is kept, whatever it is
+    shuffled = [ds[2], ds[0], ds[3], ds[1]]
+    swept = integrate_flow_levels(sde, shuffled, x0, scheme, start)
+    for d, got in zip(shuffled, swept):
+        _assert_same_ensemble(got, integrate_flow(sde, d, x0, scheme, start))
+    if case == "kunita_sphere_rotation":
+        assert all(len(f.hops) > 0 for f in swept)
+    if case == "blowup_cubic":
+        assert all(not f.completed.all() for f in swept)
+
+
+def test_level_sweep_rejects_levels_that_do_not_nest():
+    sde = make_swirl_sde()
+    x0 = np.array([0.1, 0.2])
+    d4, d6 = (build_driving_paths(TimeGrid(1.0, L), 2, 3, 4) for L in (4, 6))
+    with pytest.raises(ValueError, match="nested"):
+        integrate_flow_levels(sde, [d4, d6], x0)
+    with pytest.raises(ValueError, match="horizon"):
+        integrate_flow_levels(sde, [d4, build_driving_paths(TimeGrid(2.0, 8), 2, 3, 4)], x0)
+    with pytest.raises(ValueError, match="path ids"):
+        integrate_flow_levels(sde, [d4, refine_dyadic(d4).slice_paths(1, 4)], x0)
+    with pytest.raises(ValueError, match="noise"):
+        integrate_flow_levels(sde, [d4, build_driving_paths(TimeGrid(1.0, 8), 1, 3, 4)], x0)
+    with pytest.raises(ValueError, match="no levels"):
+        integrate_flow_levels(sde, [], x0)

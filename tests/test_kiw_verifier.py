@@ -292,8 +292,10 @@ def test_warmup_compiles_only_the_jets_the_study_reads(monkeypatch):
     from flowtensor import tensor_calculus
 
     sc = get_scenario("kunita_sphere_rotation")
-    # a fresh FlowSDE, so no step program is held from an earlier study
-    sc = replace(sc, sde=FlowSDE(sc.sde.drift, sc.sde.diffusions, sc.sde.atlas))
+    # a fresh FlowSDE and a fresh K0, so no step program and no field
+    # evaluator is held from an earlier study
+    sc = replace(sc, sde=FlowSDE(sc.sde.drift, sc.sde.diffusions, sc.sde.atlas),
+                 K0=sc.K0.with_order(sc.K0.smoothness_order))
     lambdify, called = sp.lambdify, set()
     compiled = []
 
@@ -383,6 +385,28 @@ def test_bridge_identity_between_assemblies():
     sc = get_scenario("kiw_strat_pullback_r2")
     d, flow, kp = flow_and_kpath(sc)
     assert strat_ito_bridge_gap(sc, flow, kp, d) < 1e-10
+
+
+def test_assembly_frees_every_integrand_but_k():
+    """The assembly takes its dict and leaves only K; the sums are those of a copy."""
+    for name, strat in (("kiw_ito_pullback_r2", False), ("kiw_strat_pullback_r2", True)):
+        sc = get_scenario(name)
+        d, flow, kp = flow_and_kpath(sc, n_paths=5)
+        paths = kiw_verifier._pullback_integrand_paths(sc, flow, kp, strat)
+        assert len(paths) > 1
+        kept = dict(paths)
+        owned = kiw_verifier._assemble_forward_rhs(sc, d, paths, strat, "closed_form")
+        assert list(paths) == ["K"] and paths["K"] is kept["K"]
+        copied = kiw_verifier._assemble_forward_rhs(sc, d, dict(kept), strat, "closed_form")
+        assert np.array_equal(owned.values, copied.values)
+        assert owned.terms.keys() == copied.terms.keys()
+        for key in owned.terms:
+            assert np.array_equal(owned.terms[key], copied.terms[key]), key
+
+
+def test_study_rejects_an_out_of_range_seed():
+    with pytest.raises(ValueError, match="seed"):
+        convergence_study(get_scenario("kiw_ito_pullback_r2"), levels=1, n_paths=2, seed=-3)
 
 
 def test_bridge_rejects_pushforward_selectors():

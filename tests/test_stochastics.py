@@ -43,6 +43,33 @@ def test_rng_stream_is_reproducible_and_keyed():
     assert not np.array_equal(a, RngStream(7, 3).normals("bm_mid", 0, 0, 16))
 
 
+@pytest.mark.parametrize(
+    "seed, path_index, kind, component, level",
+    [(0, 0, "bm", 0, 0), (7, 3, "bm", 2, 0), (2024, 99, "bm_mid", 1, 3),
+     (2**64 - 1, 2**64 - 1, "aux", 2**20 - 1, 2**20 - 1), (5, 11, "bm_mid", 0, 1)],
+)
+def test_rng_stream_is_bitwise_a_fresh_philox(seed, path_index, kind, component, level):
+    """A reused generator, reset per stream, draws what a new Philox would."""
+    tag = {"bm": 1, "bm_mid": 2, "aux": 3}[kind]
+    fresh = np.random.Generator(np.random.Philox(
+        counter=np.array([0, (tag << 40) | (component << 20) | level, 0, 0], dtype=np.uint64),
+        key=np.array([seed, path_index], dtype=np.uint64),
+    )).standard_normal(37)
+    stream = RngStream(seed, path_index)
+    assert np.array_equal(stream.normals(kind, component, level, 37), fresh)
+    # one generator shared across streams, left mid-buffer by an odd-sized draw
+    gen = np.random.Generator(np.random.Philox(key=0))
+    RngStream(1, 2).normals("bm", 0, 0, 3, gen)
+    gen.random(1)
+    assert np.array_equal(stream.normals(kind, component, level, 37, gen), fresh)
+
+
+@pytest.mark.parametrize("seed, path_index", [(-1, 0), (2**64, 0), (0, -3), (1, 2**64)])
+def test_rng_stream_rejects_out_of_range_words(seed, path_index):
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        RngStream(seed, path_index)
+
+
 def test_brownian_path_starts_at_zero_with_h_scaling():
     g = TimeGrid(1.0, 4096)
     b = sample_brownian(g, 2, RngStream(1, 0))

@@ -146,7 +146,7 @@ def test_jet_values_are_bitwise_eval_batch_and_derivatives_match_a_plain_compile
         f._exprs(chart, alphas), (TIME,) + coord_symbols(f.dim) + tuple(s for s, _ in f.params)
     )
     want = np.array(np.broadcast_arrays(*plain(t, *pts.T, *(v for _, v in f.params)))).T
-    got = f._eval_flat(t, pts, chart, alphas)
+    got = f._eval_flat(t, pts.T, chart, alphas).T  # batch-last in and out
     assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
 
