@@ -44,7 +44,6 @@ Selectors
 from __future__ import annotations
 
 import string
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -751,6 +750,18 @@ def _checkpoint_indices(L: int, count: int) -> np.ndarray:
     return np.unique(np.round(np.linspace(0, L, count + 1)).astype(int)[1:])
 
 
+def _fold_rows(x: np.ndarray) -> np.ndarray:
+    """Sum over axis 0, one row after another from zero.
+
+    ``np.sum(x, axis=0)`` sums pairwise when the rest of ``x`` holds one
+    element, so a one-path batch would round differently from a larger one.
+    """
+    acc = np.zeros(x.shape[1:])
+    for row in x:
+        acc += row
+    return acc
+
+
 def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPaths) -> RhsResult:
     """Right-hand side of the intermediate-time transport identity.
 
@@ -821,13 +832,13 @@ def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPa
             lie = {nm: _batch_first(v, 2) for nm, v in lie.items()}
             dt_w = np.full((nrows, 1) + comp1, h)
             dt_w[m] = 0.0  # left sum in s: the s = t endpoint never enters
-            terms["L_b"][:, cp_pos] = np.sum(lie["Lb"] * dt_w, axis=0)
+            terms["L_b"][:, cp_pos] = _fold_rows(lie["Lb"] * dt_w)
             lx_sum = np.zeros((P,) + K0.shape)
             ll_sum = np.zeros((P,) + K0.shape)
             for j in range(sde.n_noise):
-                ll_sum += np.sum(lie[f"LL{j}"] * dt_w, axis=0)
+                ll_sum += _fold_rows(lie[f"LL{j}"] * dt_w)
                 dbj = np.moveaxis(drivers.bm[:, 1 : m + 1, j] - drivers.bm[:, :m, j], 1, 0)
-                lx_sum += np.sum(lie[f"Lx{j}"][1 : m + 1] * dbj.reshape(dbj.shape + comp1), axis=0)
+                lx_sum += _fold_rows(lie[f"Lx{j}"][1 : m + 1] * dbj.reshape(dbj.shape + comp1))
             terms["L_xi"][:, cp_pos] = lx_sum
             terms["L2"][:, cp_pos] = 0.5 * ll_sum
             out_vals[:, cp_pos] = (
@@ -1089,40 +1100,6 @@ def _sup_residual_per_path(lhs: np.ndarray, rhs: RhsResult, flow: FlowEnsemble) 
     return np.max(np.where(live, dev, 0.0), axis=1)
 
 
-def _warmup(scenario: Scenario):
-    """Materialise symbolic caches serially before any threaded run.
-
-    Every compiled evaluator is built for one chart, so this compiles,
-    per chart, what the scenario's scheme and selector read, and nothing
-    else.  The flow steps with one program per chart and scheme
-    (:meth:`FlowSDE._step_program`), advancing ``Jinv`` too; the
-    pushforward Newton loop steps without it.  The flow coefficients are
-    one evaluator per noise order (:meth:`FlowSDE.jets`, drift to order
-    1): the Lie terms read 2 (Ito) or 1 (Stratonovich), and the
-    pushforward selectors' backward step reads the scheme's order, 2
-    (Euler) or 1 (Heun).  The pullback selectors take the Lie terms from
-    the tensor and driver fields' jets of the Lie order, while the
-    pushforward selectors and KunitaFirst evaluate those fields' plain
-    values (order 0) at transported points.  Worker threads then only
-    ever hit caches.
-    """
-    theorem, sde = scenario.theorem, scenario.sde
-    push = theorem in _PUSH_THEOREMS
-    lie_order = 1 if theorem in ("KiwStratPullback", "KiwStratPushforward") else 2
-    field_order = 0 if push or theorem == "KunitaFirst" else lie_order
-    noise_orders = {lie_order}
-    if push:
-        noise_orders.add(2 if scenario.scheme == "euler_maruyama" else 1)
-    for ch in scenario.atlas.charts:
-        for order in sorted(noise_orders):
-            sde.jets(0.0, ch.center[:, None], ch.id, order)
-        for with_inv in (True, False) if push else (True,):
-            sde._step_program(ch.id, scenario.scheme, with_inv)
-        for f in (scenario.K0, *scenario.G):
-            if ch.id in f.comps and field_order <= f.smoothness_order:
-                f.jet_batch(0.0, ch.center[None, :], ch.id, field_order)
-
-
 def _run_level(scenario: Scenario, drivers: DrivingPaths, flow: FlowEnsemble,
                bracket_mode: Optional[str]) -> Dict:
     """Residual and monitors of one level from its drivers and its flow."""
@@ -1168,12 +1145,14 @@ def convergence_study(
 ) -> ResidualReport:
     """Run the scenario across dyadic refinements and fit the decay order.
 
-    The drivers of every level are refined first, and one sweep
-    (:func:`integrate_flow_levels`) integrates all levels' flows; the
-    levels are then reduced coarse to fine.  Paths are sampled from
-    counter-based streams and all reductions act on per-path arrays
-    reassembled in path order, so the report is byte-identical for any
-    ``n_workers``: each worker sweeps the levels of its own path chunk.
+    The drivers of every level are refined first, then the paths are
+    split into ``min(n_workers, n_paths)`` chunks, run one after
+    another.  For each chunk one sweep (:func:`integrate_flow_levels`)
+    integrates all levels' flows and the levels are reduced coarse to
+    fine.  Paths are sampled from counter-based streams and every
+    per-path result is independent of the other paths in its chunk, so
+    the report is byte-identical for any ``n_workers``.  Each evaluator
+    compiles on its first call.
     """
     kw = {}
     if n_paths is not None:
@@ -1186,8 +1165,11 @@ def convergence_study(
         scenario = replace(scenario, **kw)
     if levels < 1:
         raise ValueError(f"a study needs at least one level, got {levels}")
+    if scenario.n_paths < 1:
+        raise ValueError(f"a study needs at least one path, got n_paths={scenario.n_paths}")
+    if n_workers < 1:
+        raise ValueError(f"a study needs at least one path chunk, got n_workers={n_workers}")
     validate_scenario(scenario)
-    _warmup(scenario)
     P = scenario.n_paths
     drivers = [build_driving_paths(
         scenario.base_grid,
@@ -1200,16 +1182,11 @@ def convergence_study(
     while len(drivers) < levels:
         drivers.append(refine_dyadic(drivers[-1]))
     grids = [d.grid for d in drivers]
-    if n_workers > 1 and P >= 2 * n_workers:
-        bounds = np.linspace(0, P, n_workers + 1).astype(int)
-        chunks = [[d.slice_paths(a, b) for d in drivers]
-                  for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        del drivers
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            per_chunk = list(pool.map(lambda ds: _run_levels(scenario, ds, bracket_mode), chunks))
-        per_level = [[parts[lvl] for parts in per_chunk] for lvl in range(levels)]
-    else:
-        per_level = [[part] for part in _run_levels(scenario, drivers, bracket_mode)]
+    bounds = np.linspace(0, P, min(n_workers, P) + 1).astype(int)
+    chunks = [[d.slice_paths(a, b) for d in drivers] for a, b in zip(bounds[:-1], bounds[1:])]
+    del drivers
+    per_chunk = [_run_levels(scenario, ds, bracket_mode) for ds in chunks]
+    per_level = [[parts[lvl] for parts in per_chunk] for lvl in range(levels)]
 
     stats: List[LevelStats] = []
     for lvl, parts in enumerate(per_level):

@@ -3,7 +3,7 @@
 Randomness is counter-based: every normal variate is addressed by
 ``(seed, path id, kind, component, refinement level, draw index)``
 through a Philox generator, so any path can be rebuilt in isolation,
-in any order, on any worker, bitwise identically.
+in any order and in any batch, bitwise identically.
 
 Dyadic refinement keeps the already-sampled Brownian values on the
 coarse grid points untouched and fills midpoints with Brownian-bridge
@@ -71,11 +71,7 @@ _KIND_TAGS = {"bm": 1, "bm_mid": 2, "aux": 3}
 
 
 def _philox() -> np.random.Generator:
-    """A Philox generator for :meth:`RngStream.normals` to reset, stream by stream.
-
-    Each sampling call makes its own, so no generator is shared between
-    threads.
-    """
+    """A Philox generator for :meth:`RngStream.normals` to reset, stream by stream."""
     return np.random.Generator(np.random.Philox(key=0))
 
 

@@ -2,7 +2,8 @@
 
 Fields are stored as sympy expressions per chart in the time symbol
 ``t`` and coordinate symbols ``x0, x1, ...``; evaluation lambdifies the
-expressions once (cached module-wide) and then works on numpy batches.
+expressions once (held per field, chart and multi-index) and then works
+on numpy batches.
 Free symbols other than time and coordinates are field parameters and
 must be bound to floats in ``params``; because parameter values enter
 only at call time, re-drawing random coefficients for a fixed template
@@ -84,12 +85,11 @@ def coord_symbols(dim: int) -> Tuple[sp.Symbol, ...]:
     return sp.symbols(f"x0:{dim}", real=True)
 
 
-_LAMBDIFY_CACHE: Dict[tuple, object] = {}
-
-
 def _compiled(exprs: Tuple[sp.Expr, ...], args: Tuple[sp.Symbol, ...], blocks: tuple = ()):
-    """``exprs`` lambdified over ``args``, compiled once per process.
+    """``exprs`` lambdified over ``args``; every call compiles anew.
 
+    Callers hold what they compile (:meth:`TensorFieldSpec._evaluator`,
+    :meth:`flowtensor.flow.FlowSDE.jets` and ``_step_program``).
     ``blocks`` bind symbols before the outputs are computed.  Each block
     is a tuple of ``(symbol, expr)`` pairs, and one ``sp.cse`` over its
     right-hand sides shares their common subexpressions.  A block may
@@ -98,20 +98,15 @@ def _compiled(exprs: Tuple[sp.Expr, ...], args: Tuple[sp.Symbol, ...], blocks: t
     object (not the name ``"numpy"``, which star-imports all of numpy
     into the namespace) resolves the printed function names.
     """
-    key = (exprs, args, blocks)
-    fn = _LAMBDIFY_CACHE.get(key)
-    if fn is None:
-        taken = {s.name for s in args} | {s.name for blk in blocks for s, _ in blk}
-        names = (s for s in sp.numbered_symbols("_s") if s.name not in taken)
-        prelude = []
-        for blk in blocks:
-            syms, rhs = zip(*blk)
-            repl, reduced = sp.cse(list(rhs), symbols=names)
-            prelude += repl + list(zip(syms, reduced))
-        fn = sp.lambdify(args, list(exprs), modules=np,
-                         cse=(lambda e: (prelude, e)) if blocks else False)
-        _LAMBDIFY_CACHE[key] = fn
-    return fn
+    taken = {s.name for s in args} | {s.name for blk in blocks for s, _ in blk}
+    names = (s for s in sp.numbered_symbols("_s") if s.name not in taken)
+    prelude = []
+    for blk in blocks:
+        syms, rhs = zip(*blk)
+        repl, reduced = sp.cse(list(rhs), symbols=names)
+        prelude += repl + list(zip(syms, reduced))
+    return sp.lambdify(args, list(exprs), modules=np,
+                       cse=(lambda e: (prelude, e)) if blocks else False)
 
 
 @lru_cache(maxsize=None)
@@ -246,12 +241,18 @@ class TensorFieldSpec:
         return out
 
     def with_params(self, params: Mapping) -> "TensorFieldSpec":
-        """Copy with parameter values replaced (same expressions)."""
+        """Copy with parameter values replaced (same expressions).
+
+        Only declared parameters can be rebound: the copy shares the
+        compiled evaluators, whose signatures are fixed.
+        """
+        new, given = dict(self.params), _canonical_params(params)
+        unknown = sorted(k.name for k, _ in given if k not in new)
+        if unknown:
+            raise ValueError(f"field {self.name!r} declares no parameter(s) {unknown}")
+        new.update(given)
         out = object.__new__(type(self))
         out.__dict__.update(self.__dict__)
-        new = dict(self.params)
-        for k, v in _canonical_params(params):
-            new[k] = v
         out.params = tuple(sorted(new.items(), key=lambda kv: kv[0].name))
         return out
 

@@ -159,6 +159,14 @@ def test_worker_count_does_not_change_bytes(tmp_path):
     assert (a / f"{name}.csv").read_bytes() == (b / f"{name}.csv").read_bytes()
 
 
+@pytest.mark.parametrize("workers", ["abc", "0", "-2"])
+def test_invalid_worker_count_exits_one(tmp_path, workers):
+    out = run_cli("identity", "--out", str(tmp_path), env={"FLOWTENSOR_WORKERS": workers})
+    assert out.returncode == 1
+    assert "FLOWTENSOR_WORKERS" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_seed_override_changes_report(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     r1 = run_cli("kiw_ito_pullback_bracket", "--out", str(a), "--paths", "8",

@@ -282,15 +282,13 @@ def test_rhs_transported_tensor_is_eval_lhs_bitwise(name):
     assert np.array_equal(rhs.transported, eval_lhs(sc, flow, kp, drivers=d))
 
 
-def test_warmup_compiles_only_the_jets_the_study_reads(monkeypatch):
-    """On the two-chart sphere (Euler, Ito pullback) set-up compiles 6 evaluators.
+def test_study_compiles_only_the_evaluators_it_reads(monkeypatch):
+    """On the two-chart sphere (Euler, Ito pullback) a study compiles 6 evaluators.
 
     Per chart: the flow coefficients at noise order 2, the step program
-    and the tensor's order-2 jet.  The study calls each of them and
-    compiles nothing more.
+    and the tensor's order-2 jet.  The study calls each of them, and a
+    second study compiles nothing more.
     """
-    from flowtensor import tensor_calculus
-
     sc = get_scenario("kunita_sphere_rotation")
     # a fresh FlowSDE and a fresh K0, so no step program and no field
     # evaluator is held from an earlier study
@@ -309,15 +307,38 @@ def test_warmup_compiles_only_the_jets_the_study_reads(monkeypatch):
 
         return recorded
 
-    monkeypatch.setattr(tensor_calculus, "_LAMBDIFY_CACHE", {})
     monkeypatch.setattr(sp, "lambdify", recording_lambdify)
-    kiw_verifier._warmup(sc)
-    assert len(compiled) == 6
-    called.clear()
-    monkeypatch.setattr(kiw_verifier, "_warmup", lambda scenario: None)
     convergence_study(sc, levels=1, n_paths=12)
     assert len(compiled) == 6
     assert called == set(compiled)
+    convergence_study(sc, levels=1, n_paths=12)
+    assert len(compiled) == 6
+
+
+@pytest.mark.parametrize(
+    "name", ["kiw_ito_pullback_r2", "kiw_ito_pushforward_r2", "kunita_first_gbm", "blowup_cubic"]
+)
+def test_chunk_count_does_not_change_the_report(name):
+    """Serial path chunks of any size give the same report, one-path chunks too."""
+    sc, P = get_scenario(name), 5
+    want = repr(convergence_study(sc, levels=2, n_paths=P, n_workers=1))
+    for n_workers in (3, P, P + 5):
+        assert repr(convergence_study(sc, levels=2, n_paths=P, n_workers=n_workers)) == want
+    with pytest.raises(ValueError, match="n_workers=0"):
+        convergence_study(sc, levels=2, n_paths=P, n_workers=0)
+
+
+def test_restart_sums_do_not_depend_on_the_batch_size():
+    """KunitaFirst: a one-path slice gives path 0 of a 4-path run, bitwise."""
+    sc = get_scenario("kunita_first_gbm")
+    d, flow, kp = flow_and_kpath(sc, n_paths=4)
+    full = eval_rhs(sc, flow, kp, d)
+    d1 = d.slice_paths(0, 1)
+    flow1 = integrate_flow(sc.sde, d1, sc.x0, sc.scheme, sc.start_chart)
+    one = eval_rhs(sc, flow1, synthesize_K_path(sc, d1), d1)
+    assert np.array_equal(one.values[0], full.values[0])
+    for key in full.terms:
+        assert np.array_equal(one.terms[key][0], full.terms[key][0]), key
 
 
 @pytest.mark.parametrize("name", ["kiw_ito_pushforward_r2", "kiw_strat_pushforward_r2"])
@@ -407,6 +428,14 @@ def test_assembly_frees_every_integrand_but_k():
 def test_study_rejects_an_out_of_range_seed():
     with pytest.raises(ValueError, match="seed"):
         convergence_study(get_scenario("kiw_ito_pullback_r2"), levels=1, n_paths=2, seed=-3)
+
+
+def test_study_needs_a_level_and_a_path():
+    sc = get_scenario("identity")
+    with pytest.raises(ValueError, match="level"):
+        convergence_study(sc, levels=0)
+    with pytest.raises(ValueError, match="n_paths=0"):
+        convergence_study(sc, levels=1, n_paths=0)
 
 
 def test_bridge_rejects_pushforward_selectors():

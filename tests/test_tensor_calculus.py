@@ -466,6 +466,13 @@ def test_with_params_rebinds_without_recompiling():
     assert not np.allclose(K.eval_batch(0.0, pt, 0), K2.eval_batch(0.0, pt, 0))
 
 
+def test_with_params_rejects_an_undeclared_symbol():
+    """The copy shares compiled evaluators, which have no slot for a new symbol."""
+    K = random_tensor_field((0, 1), 2, np.random.default_rng(2))
+    with pytest.raises(ValueError, match="stray"):
+        K.with_params({"stray": 1.0})
+
+
 def test_gbm_field_scales_linearly():
     f = gbm_vector_field(0.4)
     assert_allclose(f.eval_batch(0.0, np.array([[2.0]]), 0), [[0.8]])
