@@ -15,7 +15,8 @@ the convergence study and writes two files into the output directory:
 ``<scenario>.manifest.json``
     The resolved configuration, seed and library version.
 
-Exit codes: 0 success, 1 configuration / file trouble, 2 a scenario
+Exit codes: 0 success, 1 configuration / file trouble (a stdout closed
+before the output is printed counts as file trouble), 2 a scenario
 failed its hypothesis validation, 3 more than half the paths blew up.
 
 Config keys (all optional unless noted)::
@@ -35,8 +36,8 @@ Config keys (all optional unless noted)::
     scenario.drift    field spec, see below
     scenario.noise.<j>  field spec for the j-th noise (j = 0, 1, ...)
     scenario.K0       metric | one_form:<i> | position_one_form
-    scenario.x0       comma-separated start coordinates
-    scenario.horizon  time horizon (default 1.0)
+    scenario.x0       comma-separated start coordinates, in a chart
+    scenario.horizon  finite time horizon > 0 (default 1.0)
     scenario.steps    base grid steps (default 16)
     scenario.scheme   euler_maruyama | heun
 
@@ -68,7 +69,7 @@ from .fields import (
     sphere_round_metric,
 )
 from .flow import FlowSDE
-from .geometry import ChartAtlas, euclidean_atlas, sphere_atlas, torus_atlas
+from .geometry import ChartAtlas, euclidean_atlas, locate_chart_batch, sphere_atlas, torus_atlas
 from .kiw_verifier import (
     HypothesisViolation,
     ResidualReport,
@@ -345,10 +346,19 @@ def _build_inline_scenario(cfg: Dict[str, str]) -> Scenario:
         x0 = np.array(_as_floats(cfg["scenario.x0"], "scenario.x0"))
         if x0.size != atlas.dim:
             raise ConfigError(f"scenario.x0: expected {atlas.dim} coordinates")
+        with np.errstate(over="ignore", invalid="ignore"):  # huge coordinates overflow
+            covered = locate_chart_batch(atlas, x0[None, :], 0)[0] >= 0
+        if not covered:
+            raise ConfigError(f"scenario.x0: {cfg['scenario.x0']!r} lies in no chart of "
+                              f"the {atlas.name} atlas")
     else:
         x0 = np.array(atlas.charts[0].center, dtype=float)
     horizon = _as_float(cfg.get("scenario.horizon", "1.0"), "scenario.horizon")
-    steps = _as_int(cfg, "scenario.steps")
+    if not 0 < horizon < np.inf:
+        raise ConfigError(
+            f"scenario.horizon: expected a finite positive number, got {cfg['scenario.horizon']!r}"
+        )
+    steps = _positive_int(cfg.get("scenario.steps", "16"), "scenario.steps")
     scheme = _as_choice(cfg, "scenario.scheme", _SCHEMES) or "euler_maruyama"
     return Scenario(
         name=cfg["scenario.name"],
@@ -357,7 +367,7 @@ def _build_inline_scenario(cfg: Dict[str, str]) -> Scenario:
         sde=FlowSDE(drift=drift, diffusions=noises, atlas=atlas),
         K0=k0,
         x0=x0,
-        base_grid=TimeGrid(horizon, steps if steps is not None else 16),
+        base_grid=TimeGrid(horizon, steps),
         scheme=scheme,
     )
 
@@ -606,7 +616,16 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main():
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (``flowtensor --list | head``); a study
+        # has written its reports by then.  Point stdout at devnull so the
+        # interpreter's flush at exit has nothing left to report.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_CONFIG
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -67,7 +67,6 @@ from .tensor_calculus import (
     fd_jets_from_stencil,
     pair_batch,
     pullback_batch,
-    pushforward_batch,
     stencil_offsets,
 )
 
@@ -515,18 +514,19 @@ _NEWTON_ITERS = 6
 class PushTransport:
     """Preimages and transport Jacobians for pushforward evaluation.
 
-    ``preimages[k, p, s]`` is the inverse of the discrete flow map up to
-    time t_k applied to stencil point s around the observation point;
-    ``jac`` is the forward Jacobian accumulated along that preimage
-    trajectory and ``inv_jac`` its matrix inverse.  ``newton_residual_max``
-    is the worst ``|f(u) - v|`` left by the Newton inversions of the
-    step maps ``f``, over every stage, live point and coordinate.
+    Batch-last, as the wavefront computes them: ``preimages[:, k, p, s]``
+    is the inverse of the discrete flow map up to time t_k applied to
+    stencil point s around the observation point; ``jac[:, :, k, p, s]``
+    is the forward Jacobian accumulated along that preimage trajectory and
+    ``inv_jac`` its matrix inverse.  ``newton_residual_max`` is the worst
+    ``|f(u) - v|`` left by the Newton inversions of the step maps ``f``,
+    over every stage, live point and coordinate.
     """
 
     eps: float
     offsets: np.ndarray  # (S, dim)
-    preimages: np.ndarray  # (npoints, P, S, n)
-    jac: np.ndarray  # (npoints, P, S, n, n)
+    preimages: np.ndarray  # (n, npoints, P, S)
+    jac: np.ndarray  # (n, n, npoints, P, S)
     inv_jac: np.ndarray
     newton_residual_max: float
 
@@ -583,33 +583,41 @@ def _push_transport(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPath
         q[:, sel] = u
         A[..., sel] = _slot_replace(A.compress(sel, axis=-1), Dfinal, 1, 2, transpose=True)
 
-    preimages = np.empty((L + 1, P, S, n))
-    preimages[0] = np.broadcast_to(stencil, (P, S, n))
-    preimages[1:] = np.moveaxis(q.reshape(n, L, P, S), 0, -1)
-    jac = np.empty((L + 1, P, S, n, n))
-    jac[0] = np.eye(n)
-    jac[1:] = np.moveaxis(A.reshape(n, n, L, P, S), (0, 1), (-2, -1))
-    inv_jac = np.linalg.inv(jac)
+    preimages = np.empty((n, L + 1, P, S))
+    preimages[:, 0] = stencil.T[:, None, :]
+    preimages[:, 1:] = q.reshape(n, L, P, S)
+    jac = np.empty((n, n, L + 1, P, S))
+    jac[:, :, 0] = np.eye(n)[..., None, None]
+    jac[:, :, 1:] = A.reshape(n, n, L, P, S)
+    # np.linalg.inv reads the matrices from the trailing axes of a view
+    inv_jac = np.moveaxis(np.linalg.inv(np.moveaxis(jac, (0, 1), (-2, -1))), (-2, -1), (0, 1))
     return PushTransport(eps=eps, offsets=offsets, preimages=preimages, jac=jac, inv_jac=inv_jac,
                          newton_residual_max=worst)
 
 
-def _push_field_jets(f: TensorFieldSpec, scenario: Scenario, flow: FlowEnsemble,
-                     tp: PushTransport, order: int) -> List[np.ndarray]:
-    """Jets of the pushed-forward field at the observation point.
+def _transported(f: TensorFieldSpec, t, pts: np.ndarray, contra: np.ndarray,
+                 cov: np.ndarray) -> np.ndarray:
+    """Field values at the batch-last ``pts`` (chart 0), each slot transported
+    (:func:`_contract`); the result is ``f.shape + batch``."""
+    return _contract(f._jet_last(t, pts, 0, 0)[0], f.valence, contra, cov)
 
-    Evaluates the field at the preimages, applies the pushforward
-    contraction with the accumulated Jacobians and differentiates across
-    the stencil; entries have shape (npoints, P) + comps + (dim,) * m.
+
+def _stencil_lie_terms(f: TensorFieldSpec, t, pts: np.ndarray, contra: np.ndarray,
+                       cov: np.ndarray, eps: float, b_jets: Sequence[np.ndarray],
+                       xi_jets: Sequence[Sequence[np.ndarray]],
+                       strat: bool) -> Dict[str, np.ndarray]:
+    """:func:`_lie_terms` of a transported field, from its values on a stencil.
+
+    ``pts`` is ``(dim,) + batch + (3^dim,)`` and ``contra``/``cov`` are
+    ``(dim, dim) + batch + (3^dim,)``, the stencil axis last.  The field
+    is evaluated and transported on the stencil, differentiated across it
+    (:func:`fd_jets_from_stencil`, eps ``eps``) and combined with the
+    coefficient jets at the centre; the results are ``f.shape + batch``.
     """
-    times = flow.grid.times()
-    shape = tp.preimages.shape[:3]
-    tgrid = np.broadcast_to(times[:, None, None], shape)
-    vals = f.eval_batch(tgrid.reshape(-1), tp.preimages.reshape(-1, scenario.sde.dim), 0)
-    vals = vals.reshape(shape + f.shape)
-    pushed = pushforward_batch(vals, f.valence, tp.jac, tp.inv_jac)
-    return fd_jets_from_stencil(pushed, scenario.sde.dim, tp.eps, order=order,
+    order = 1 if strat else 2
+    jets = fd_jets_from_stencil(_transported(f, t, pts, contra, cov), f.dim, eps, order,
                                 ncomp_axes=f.order)
+    return _lie_terms(jets, b_jets, xi_jets, f.valence, strat)
 
 
 def _pushforward_integrand_paths(
@@ -618,9 +626,9 @@ def _pushforward_integrand_paths(
     """Integrand paths for the pushforward-family selectors.
 
     The Lie derivatives act on the transported field, so they are taken
-    numerically from stencil jets via :func:`_lie_jet`; the flow
-    coefficients enter through their analytic jets at the observation
-    point.
+    numerically from stencil jets of the pushed-forward field
+    (:func:`_stencil_lie_terms`); the flow coefficients enter through
+    their analytic jets at the observation point.
     """
     sde = scenario.sde
     L1 = flow.grid.npoints
@@ -634,8 +642,8 @@ def _pushforward_integrand_paths(
     b_jets, xi_jets = _coeff_jets({k: v[..., None] for k, v in q.items()}, jet_order)
     terms = {}
     for lbl, f in fields.items():
-        jets = _jets_last(_push_field_jets(f, scenario, flow, tp, jet_order), 2)
-        lie = _lie_terms(jets, b_jets, xi_jets, f.valence, strat)
+        lie = _stencil_lie_terms(f, times[:, None, None], tp.preimages, tp.jac, tp.inv_jac,
+                                 tp.eps, b_jets, xi_jets, strat)
         # batch-last (npoints, P) to path-major (P, npoints)
         terms[lbl] = {nm: np.moveaxis(v, (-1, -2), (0, 1)) for nm, v in lie.items()}
     return _integrand_paths(terms, kpath, sde.n_noise, strat)
@@ -644,16 +652,12 @@ def _pushforward_integrand_paths(
 def _push_lhs(scenario: Scenario, kpath: KPath, tp: PushTransport, flow: FlowEnsemble) -> np.ndarray:
     """Pushed-forward tensor values at the observation point, (P, npoints) + comps."""
     center = (tp.offsets.shape[0] - 1) // 2
-    times = flow.grid.times()
-    shape = tp.preimages.shape[:2]
-    tgrid = np.broadcast_to(times[:, None], shape)
+    t = flow.grid.times()[:, None]
 
     def pushed_center(f: TensorFieldSpec) -> np.ndarray:
-        vals = f.eval_batch(
-            tgrid.reshape(-1), tp.preimages[:, :, center].reshape(-1, scenario.sde.dim), 0
-        ).reshape(shape + f.shape)
-        out = pushforward_batch(vals, f.valence, tp.jac[:, :, center], tp.inv_jac[:, :, center])
-        return np.swapaxes(out, 0, 1)
+        out = _transported(f, t, tp.preimages[..., center], tp.jac[..., center],
+                           tp.inv_jac[..., center])
+        return np.moveaxis(out, (-1, -2), (0, 1))
 
     base = pushed_center(scenario.K0)
     return kpath.combine(base, [pushed_center(g) for g in scenario.G])
@@ -668,22 +672,19 @@ def eval_lhs(
     scenario: Scenario,
     flow: FlowEnsemble,
     kpath: KPath,
-    transport: Optional[PushTransport] = None,
     drivers: Optional[DrivingPaths] = None,
 ) -> np.ndarray:
     """Transported tensor values on the grid, shape (P, npoints) + comps.
 
-    Pushforward selectors need either a precomputed ``transport`` or the
-    ``drivers`` to build one; pullback selectors touch neither.
+    Pushforward selectors need the ``drivers`` to invert the discrete
+    flow; pullback selectors do not read them.  A study takes the
+    pushforward left-hand side from :attr:`RhsResult.transported`
+    instead, which holds the same values bitwise.
     """
     if scenario.theorem in _PUSH_THEOREMS:
-        if transport is None:
-            if drivers is None:
-                raise WiringMismatch(
-                    "pushforward evaluation needs the driver paths or a precomputed transport"
-                )
-            transport = _push_transport(scenario, flow, drivers)
-        return _push_lhs(scenario, kpath, transport, flow)
+        if drivers is None:
+            raise WiringMismatch("pushforward evaluation needs the driver paths")
+        return _push_lhs(scenario, kpath, _push_transport(scenario, flow, drivers), flow)
     base = _pull_path(scenario.K0, flow)
     return kpath.combine(base, [_pull_path(g, flow) for g in scenario.G])
 
@@ -694,7 +695,6 @@ def eval_rhs(
     kpath: KPath,
     drivers: DrivingPaths,
     bracket_mode: Optional[str] = None,
-    transport: Optional[PushTransport] = None,
 ) -> RhsResult:
     """Assemble the identity's right-hand side for every path and grid time."""
     mode = bracket_mode or scenario.bracket_mode
@@ -702,10 +702,9 @@ def eval_rhs(
     if theorem == "KunitaFirst":
         return _kunita_first_rhs(scenario, flow, drivers)
     if theorem in _PUSH_THEOREMS:
-        if transport is None:
-            transport = _push_transport(scenario, flow, drivers)
         strat = theorem == "KiwStratPushforward"
-        paths = _pushforward_integrand_paths(scenario, flow, kpath, transport, strat)
+        tp = _push_transport(scenario, flow, drivers)
+        paths = _pushforward_integrand_paths(scenario, flow, kpath, tp, strat)
     else:
         strat = theorem == "KiwStratPullback"
         paths = _pullback_integrand_paths(scenario, flow, kpath, strat)
@@ -819,16 +818,12 @@ def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPa
             Ai[:, :, :m] = newAi.reshape(n, n, m, P * S)
         if cp_pos < cps.size and m == cps[cp_pos]:
             nrows = m + 1
-            vals = K0.eval_batch(times[m], Q[:, :nrows].reshape(n, -1).T, 0).reshape(
-                (nrows, P, S) + K0.shape
-            )
             batch = (nrows, P, S)
-            pulled = _batch_first(_contract(_batch_last(vals, 3), K0.valence,
-                                            Ai[:, :, :nrows].reshape((n, n) + batch),
-                                            A[:, :, :nrows].reshape((n, n) + batch)), 3)
-            jets = fd_jets_from_stencil(pulled, n, eps, order=2, ncomp_axes=K0.order)
             coef = _coeff_jets({k: v[..., :nrows, None] for k, v in q.items()}, 2)
-            lie = _lie_terms(_jets_last(jets, 2), *coef, K0.valence, False)
+            lie = _stencil_lie_terms(K0, times[m], Q[:, :nrows].reshape((n,) + batch),
+                                     Ai[:, :, :nrows].reshape((n, n) + batch),
+                                     A[:, :, :nrows].reshape((n, n) + batch), eps, *coef, False)
+            # restart rows first, for the sums over s
             lie = {nm: _batch_first(v, 2) for nm, v in lie.items()}
             dt_w = np.full((nrows, 1) + comp1, h)
             dt_w[m] = 0.0  # left sum in s: the s = t endpoint never enters
@@ -1104,13 +1099,10 @@ def _run_level(scenario: Scenario, drivers: DrivingPaths, flow: FlowEnsemble,
                bracket_mode: Optional[str]) -> Dict:
     """Residual and monitors of one level from its drivers and its flow."""
     kpath = synthesize_K_path(scenario, drivers)
-    transport = None
-    if scenario.theorem in _PUSH_THEOREMS:
-        transport = _push_transport(scenario, flow, drivers)
-    rhs = eval_rhs(scenario, flow, kpath, drivers, bracket_mode, transport)
+    rhs = eval_rhs(scenario, flow, kpath, drivers, bracket_mode)
     lhs = rhs.transported
     if lhs is None:
-        lhs = eval_lhs(scenario, flow, kpath, transport)
+        lhs = eval_lhs(scenario, flow, kpath)
     return {
         "residual": _sup_residual_per_path(lhs, rhs, flow),
         "term_sups": {k: _sup_per_path(v) for k, v in rhs.terms.items()},

@@ -43,13 +43,13 @@ class GridMismatch(Exception):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid on [0, horizon] with ``steps`` intervals."""
+    """Uniform grid on [0, horizon] with ``steps`` intervals; the horizon is finite."""
 
     horizon: float
     steps: int
 
     def __post_init__(self):
-        if self.steps < 1 or self.horizon <= 0:
+        if self.steps < 1 or not 0 < self.horizon < np.inf:
             raise ValueError(f"bad grid: horizon={self.horizon}, steps={self.steps}")
 
     @property

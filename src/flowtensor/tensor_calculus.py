@@ -23,8 +23,12 @@ equal in number on every operand, singletons broadcast).  A contraction
 is then an n-term elementwise multiply-add over the contracted index,
 with the batch axis as the inner loop.  The public batch-first
 functions (``lie_jet``, ``pullback_batch``, ``pushforward_batch``) move
-the batch axes to the end at entry and back at exit; the verifier's
-integrand chain stays batch-last from the jets to the pulled-back terms.
+the batch axes to the end at entry and back at exit.  The verifier's
+integrand chains stay batch-last from end to end: the pull-back route
+from the analytic jets to the pulled-back terms, and the stencil route
+(push-forward and restart selectors) from the stencil values through
+:func:`fd_jets_from_stencil`, which takes the stencil axis last and
+returns batch-last jets.
 """
 
 from __future__ import annotations
@@ -202,7 +206,6 @@ class TensorFieldSpec:
         self.comps = {
             int(cid): _as_expr_array(c, self.valence, self.dim) for cid, c in comps.items()
         }
-        self._partial_exprs: Dict[tuple, Tuple[sp.Expr, ...]] = {}
         self._evaluators: Dict[tuple, tuple] = {}
         syms = set()
         for arr in self.comps.values():
@@ -237,7 +240,7 @@ class TensorFieldSpec:
         out = object.__new__(type(self))
         out.__dict__.update(self.__dict__)
         out.smoothness_order = int(smoothness_order)
-        out._partial_exprs, out._evaluators = {}, {}
+        out._evaluators = {}
         return out
 
     def with_params(self, params: Mapping) -> "TensorFieldSpec":
@@ -266,11 +269,11 @@ class TensorFieldSpec:
     # -- evaluation --------------------------------------------------------
 
     def _exprs(self, chart: int, alphas: Tuple[Tuple[int, ...], ...]) -> Tuple[sp.Expr, ...]:
-        """Flattened components of every partial ``d^alpha`` in ``alphas``, in order."""
-        key = (chart, alphas)
-        cached = self._partial_exprs.get(key)
-        if cached is not None:
-            return cached
+        """Flattened components of every partial ``d^alpha`` in ``alphas``, in order.
+
+        Built anew on each call: :meth:`_evaluator` holds what it compiles
+        from them, and :func:`_partial` memoises each partial.
+        """
         if chart not in self.comps:
             raise KeyError(f"field {self.name!r} has no components in chart {chart}")
         top = max(sum(alpha) for alpha in alphas)
@@ -280,10 +283,8 @@ class TensorFieldSpec:
                 f"derivative of order {top} requested"
             )
         arr = self.comps[chart]
-        out = tuple(_partial(arr[idx], alpha) for alpha in alphas
-                    for idx in (np.ndindex(arr.shape) if arr.shape else [()]))
-        self._partial_exprs[key] = out
-        return out
+        return tuple(_partial(arr[idx], alpha) for alpha in alphas
+                     for idx in (np.ndindex(arr.shape) if arr.shape else [()]))
 
     def _evaluator(self, chart: int, alphas: Tuple[Tuple[int, ...], ...]):
         """The compiled evaluator of every partial in ``alphas`` and its row count.
@@ -677,62 +678,43 @@ def fd_jets_from_stencil(
 ) -> List[np.ndarray]:
     """Central-difference jets from values on a (-eps, 0, +eps)^dim stencil.
 
-    ``values`` has shape ``batch + (3^dim,) + shape`` where ``shape``
-    spans the trailing ``ncomp_axes`` component axes and the stencil axis
-    is enumerated as in :func:`stencil_offsets`.  Returns value and
-    derivative stacks at the centre; the mixed second derivatives use the
-    four corner points of each coordinate plane.
+    Batch-last: ``values`` has shape ``shape + batch + (3^dim,)``, where
+    ``shape`` spans the leading ``ncomp_axes`` component axes and the
+    trailing stencil axis is enumerated as in :func:`stencil_offsets`.
+    Returns the value and derivative stacks at the centre as new arrays,
+    the m-th of shape ``shape + (dim,) * m + batch`` as :func:`_lie_jet`
+    reads them; the mixed second derivatives use the four corner points
+    of each coordinate plane.
     """
     values = np.asarray(values, dtype=float)
     npoints = 3**dim
-    axis = values.ndim - 1 - ncomp_axes
-    if axis < 0 or values.shape[axis] != npoints:
+    if values.ndim < ncomp_axes + 1 or values.shape[-1] != npoints:
         raise ShapeMismatch(
-            f"expected stencil axis of length {npoints} at position {axis} in {values.shape}"
+            f"expected a trailing stencil axis of length {npoints} after {ncomp_axes} "
+            f"component axes in {values.shape}"
         )
-    values = np.moveaxis(values, axis, 0)  # (3^dim, batch..., shape...)
+    comp = (slice(None),) * ncomp_axes  # index prefix of the component axes
 
-    def at(offs: Tuple[int, ...]) -> np.ndarray:
-        idx = 0
-        for o in offs:
-            idx = idx * 3 + (o + 1)
-        return values[idx]
+    def at(*steps: Tuple[int, int]) -> np.ndarray:
+        """Values at the centre moved by ``sign`` along each ``(direction, sign)``."""
+        idx = (npoints - 1) // 2 + sum(sign * 3 ** (dim - 1 - k) for k, sign in steps)
+        return values[..., idx]
 
-    center = (0,) * dim
-    out = [at(center)]
+    out = [at().copy()]  # not a view, so the stencil values can be freed
+    shape, batch = out[0].shape[:ncomp_axes], out[0].shape[ncomp_axes:]
     if order >= 1:
-        d1 = np.empty(out[0].shape + (dim,))
-        for kdir in range(dim):
-            plus = list(center)
-            minus = list(center)
-            plus[kdir] = 1
-            minus[kdir] = -1
-            d1[..., kdir] = (at(tuple(plus)) - at(tuple(minus))) / (2.0 * eps)
+        d1 = np.empty(shape + (dim,) + batch)
+        for k in range(dim):
+            d1[comp + (k,)] = (at((k, 1)) - at((k, -1))) / (2.0 * eps)
         out.append(d1)
     if order >= 2:
-        d2 = np.empty(out[0].shape + (dim, dim))
-        for kdir in range(dim):
-            plus = list(center)
-            minus = list(center)
-            plus[kdir] = 1
-            minus[kdir] = -1
-            d2[..., kdir, kdir] = (
-                at(tuple(plus)) - 2.0 * at(center) + at(tuple(minus))
-            ) / eps**2
-            for ldir in range(kdir + 1, dim):
-                pp = list(center)
-                pm = list(center)
-                mp = list(center)
-                mm = list(center)
-                pp[kdir] = pp[ldir] = 1
-                mm[kdir] = mm[ldir] = -1
-                pm[kdir], pm[ldir] = 1, -1
-                mp[kdir], mp[ldir] = -1, 1
-                mixed = (at(tuple(pp)) - at(tuple(pm)) - at(tuple(mp)) + at(tuple(mm))) / (
-                    4.0 * eps**2
-                )
-                d2[..., kdir, ldir] = mixed
-                d2[..., ldir, kdir] = mixed
+        d2 = np.empty(shape + (dim, dim) + batch)
+        for k in range(dim):
+            d2[comp + (k, k)] = (at((k, 1)) - 2.0 * at() + at((k, -1))) / eps**2
+            for l in range(k + 1, dim):
+                mixed = (at((k, 1), (l, 1)) - at((k, 1), (l, -1)) - at((k, -1), (l, 1))
+                         + at((k, -1), (l, -1))) / (4.0 * eps**2)
+                d2[comp + (k, l)] = d2[comp + (l, k)] = mixed
         out.append(d2)
     if order >= 3:
         raise NotImplementedError("stencil jets beyond second order are not needed here")

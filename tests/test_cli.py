@@ -270,6 +270,18 @@ def test_config_steps_override_scales_h(tmp_path):
          "scenario.K0"),
         ("run.scenario = identity\nrun.seed = -1\n", "run.seed"),
         ("run.scenario = identity\nrun.seed = 18446744073709551616\n", "run.seed"),
+        ("scenario.name = x\nscenario.atlas = euclidean:1\nscenario.steps = 0\n",
+         "scenario.steps"),
+        ("scenario.name = x\nscenario.atlas = euclidean:1\nscenario.horizon = -1\n",
+         "scenario.horizon"),
+        ("scenario.name = x\nscenario.atlas = euclidean:1\nscenario.horizon = nan\n",
+         "scenario.horizon"),
+        ("scenario.name = x\nscenario.atlas = euclidean:1\nscenario.horizon = inf\n",
+         "scenario.horizon"),
+        ("scenario.name = x\nscenario.atlas = euclidean:1\nscenario.x0 = nan\n", "scenario.x0"),
+        ("scenario.name = x\nscenario.atlas = euclidean:1\nscenario.x0 = 1e300\n",
+         "scenario.x0"),
+        ("scenario.name = x\nscenario.atlas = sphere2\nscenario.x0 = 1e300,0\n", "scenario.x0"),
     ],
 )
 def test_config_errors_exit_one(tmp_path, text, fragment):
@@ -278,6 +290,22 @@ def test_config_errors_exit_one(tmp_path, text, fragment):
     assert out.returncode == 1
     assert fragment in out.stderr
     assert "Traceback" not in out.stderr
+    assert "Warning" not in out.stderr
+
+
+@pytest.mark.parametrize("args", [["--list"], ["identity", "--out", None]])
+def test_closed_stdout_exits_one_quietly(tmp_path, args):
+    """A reader that closes stdout at once gets no traceback; the reports are still written."""
+    args = [str(tmp_path) if a is None else a for a in args]
+    proc = subprocess.Popen(CLI + args, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
+    if "--out" in args:
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "identity.csv", "identity.manifest.json"]
 
 
 def test_out_of_range_seed_flag_exits_one(tmp_path):

@@ -32,13 +32,16 @@ from flowtensor import kiw_verifier
 from flowtensor.kiw_verifier import (
     _pull_path,
     _pullback_integrand_paths,
+    _coeff_jets,
+    _lie_terms,
     _push_transport,
     _random_jet_states,
     _route_a_integrands,
+    _stencil_lie_terms,
 )
 from flowtensor.scenarios import get_scenario, list_scenarios, scenario_table
 from flowtensor.stochastics import TimeGrid, build_driving_paths
-from flowtensor.tensor_calculus import coord_symbols, lie_derivative
+from flowtensor.tensor_calculus import coord_symbols, lie_derivative, stencil_offsets
 
 
 def drivers_for(sc, n_paths=None, grid=None):
@@ -351,9 +354,36 @@ def test_push_transport_inverts_the_discrete_flow(name):
     stencil = sc.x0 + tp.eps * tp.offsets
     for s, target in enumerate(stencil):
         for k in range(flow.grid.npoints):
-            fwd = integrate_flow(sc.sde, d, tp.preimages[k, :, s], sc.scheme)
+            fwd = integrate_flow(sc.sde, d, tp.preimages[:, k, :, s].T, sc.scheme)
             assert_allclose(fwd.coords[k], np.broadcast_to(target, (6, 2)), rtol=0, atol=1e-12)
-            assert_allclose(fwd.jac[k], tp.jac[k, :, s], rtol=0, atol=1e-12)
+            assert_allclose(fwd.jac[k], np.moveaxis(tp.jac[:, :, k, :, s], -1, 0), rtol=0,
+                            atol=1e-12)
+
+
+@pytest.mark.parametrize("name,field,strat", [
+    ("kiw_ito_pushforward_r2", "K0", False),
+    ("kiw_ito_pushforward_r2", "G0", False),
+    ("kiw_strat_pushforward_r2", "K0", True),
+    ("kiw_strat_pushforward_r2", "G0", True),
+    ("kunita_first_gbm", "K0", False),
+])
+def test_stencil_lie_terms_match_the_analytic_jets(name, field, strat):
+    """With identity transport the stencil route gives the Lie terms of the field itself."""
+    sc = get_scenario(name)
+    f = sc.K0 if field == "K0" else sc.G[0]
+    n, eps, order = sc.sde.dim, sc.stencil_eps, 1 if strat else 2
+    offsets = np.random.default_rng(5).uniform(-0.1, 0.1, (n, 2, 3))
+    centres = sc.x0[:, None, None] + offsets  # batch (2, 3) around x0
+    stencil = stencil_offsets(n).T[:, None, None, :]
+    pts = centres[..., None] + eps * stencil
+    eye = np.broadcast_to(np.eye(n)[:, :, None, None, None], (n, n) + pts.shape[1:])
+    t = 0.3
+    b_jets, xi_jets = _coeff_jets(sc.sde.jets(t, centres, 0, order), order)
+    got = _stencil_lie_terms(f, t, pts, eye, eye, eps, b_jets, xi_jets, strat)
+    want = _lie_terms(f._jet_last(t, centres, 0, order), b_jets, xi_jets, f.valence, strat)
+    assert got.keys() == want.keys()
+    for nm in want:
+        assert_allclose(got[nm], want[nm], rtol=1e-6, atol=1e-6, err_msg=nm)
 
 
 @pytest.mark.parametrize("name", ["kiw_ito_pushforward_r2", "kiw_strat_pushforward_r2"])

@@ -32,6 +32,14 @@ def test_time_grid_basics():
     assert fine.horizon == g.horizon
 
 
+@pytest.mark.parametrize("horizon,steps", [
+    (1.0, 0), (0.0, 4), (-1.0, 4), (float("nan"), 4), (float("inf"), 4),
+])
+def test_time_grid_rejects_bad_grids(horizon, steps):
+    with pytest.raises(ValueError, match="bad grid"):
+        TimeGrid(horizon, steps)
+
+
 def test_rng_stream_is_reproducible_and_keyed():
     a = RngStream(7, 3).normals("bm", 0, 0, 16)
     b = RngStream(7, 3).normals("bm", 0, 0, 16)

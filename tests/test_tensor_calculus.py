@@ -45,7 +45,7 @@ from flowtensor.tensor_calculus import (
 )
 from flowtensor import tensor_calculus
 from flowtensor.scenarios import get_scenario
-from flowtensor.tensor_calculus import TIME, _contract, _jet_layout, _slot_replace
+from flowtensor.tensor_calculus import TIME, _contract, _jet_layout, _lie_jet, _slot_replace
 
 X0, X1 = coord_symbols(2)
 
@@ -283,13 +283,25 @@ def test_lie_jet_from_fd_stencil():
     eps = 1e-4
     lattice = pts[:, None, :] + eps * stencil_offsets(2)[None, :, :]
     flat = lattice.reshape(-1, 2)
-    kv = K.eval_batch(0.0, flat, 0).reshape(6, 9, 2)
-    xv = X.eval_batch(0.0, flat, 0).reshape(6, 9, 2)
+    # batch-last stencil values: components, points, stencil
+    kv = np.moveaxis(K.eval_batch(0.0, flat, 0).reshape(6, 9, 2), -1, 0)
+    xv = np.moveaxis(X.eval_batch(0.0, flat, 0).reshape(6, 9, 2), -1, 0)
     t_jets = fd_jets_from_stencil(kv, 2, eps, order=1, ncomp_axes=1)
     x_jets = fd_jets_from_stencil(xv, 2, eps, order=1, ncomp_axes=1)
-    got = lie_jet(t_jets, x_jets, (0, 1))[0]
-    want = lie_derivative(K, X).eval_batch(0.0, pts, 0)
+    got = _lie_jet(t_jets, x_jets, (0, 1))[0]
+    want = lie_derivative(K, X).eval_batch(0.0, pts, 0).T
     assert_allclose(got, want, atol=1e-7)
+
+
+def test_fd_jets_are_batch_last_and_pointwise():
+    """Two batch axes and a (1, 1) field give per-point calls' jets bitwise."""
+    vals = np.random.default_rng(31).standard_normal((2, 2, 3, 4, 9))
+    jets = fd_jets_from_stencil(vals, 2, 1e-3, order=2, ncomp_axes=2)
+    assert [a.shape for a in jets] == [(2, 2, 3, 4), (2, 2, 2, 3, 4), (2, 2, 2, 2, 3, 4)]
+    for i, j in product(range(3), range(4)):
+        one = fd_jets_from_stencil(vals[:, :, i, j], 2, 1e-3, order=2, ncomp_axes=2)
+        for a, b in zip(jets, one):
+            assert np.array_equal(a[..., i, j], b)
 
 
 def test_fd_jets_reproduce_polynomial_derivatives():
@@ -301,6 +313,18 @@ def test_fd_jets_reproduce_polynomial_derivatives():
     assert_allclose(v, 2.0, rtol=1e-12)
     assert_allclose(d1, [1.0, 3.0], rtol=1e-9)
     assert_allclose(d2, [[0.0, 1.0], [1.0, 0.0]], atol=1e-9)
+
+
+def test_fd_jets_reproduce_polynomial_derivatives_in_three_dimensions():
+    eps = 1e-3
+    offs = stencil_offsets(3).T * eps  # (3, 27)
+    grad = np.array([1.0, -2.0, 0.5])
+    hess = np.array([[2.0, 0.3, -1.0], [0.3, -4.0, 0.7], [-1.0, 0.7, 6.0]])
+    vals = 1.5 + grad @ offs + 0.5 * np.einsum("is,ij,js->s", offs, hess, offs)
+    v, d1, d2 = fd_jets_from_stencil(vals, 3, eps, order=2)
+    assert_allclose(v, 1.5, rtol=1e-12)
+    assert_allclose(d1, grad, rtol=1e-9)
+    assert_allclose(d2, hess, rtol=1e-6, atol=1e-6)
 
 
 def test_lie_jet_needs_one_extra_jet_order():
