@@ -47,6 +47,10 @@ Field specs are ``name`` or ``name:p1,p2,...``: ``zero``,
 atlas the noise spec ``sphere_rotation:rx,ry,rz`` which expands to the
 three rotation generators.  Inline scenarios carry no tensor-path
 drivers, so selectors that need them reduce to their static forms.
+
+A study may hold at most ``MAX_STUDY_STATES`` flow states (paths times
+the grid points of all levels, see
+:func:`flowtensor.kiw_verifier.study_states`); a larger one exits 1.
 """
 
 from __future__ import annotations
@@ -76,6 +80,7 @@ from .kiw_verifier import (
     Scenario,
     WiringMismatch,
     convergence_study,
+    study_states,
     validate_scenario,
 )
 from .scenarios import get_scenario, scenario_table
@@ -416,7 +421,9 @@ def _resolve_config(args) -> RunConfig:
     rc = RunConfig(scenario=scenario, raw=dict(cfg))
     rc.seed = _as_int(cfg, "run.seed")
     rc.paths = _as_int(cfg, "run.paths")
-    rc.levels = _as_int(cfg, "run.levels") or 4
+    levels = _as_int(cfg, "run.levels")
+    if levels is not None:
+        rc.levels = levels
     rc.steps = _as_int(cfg, "run.steps")
     rc.scheme = _as_choice(cfg, "run.scheme", _SCHEMES)
     rc.bracket_mode = _as_choice(cfg, "run.bracket_mode", _BRACKET_MODES)
@@ -432,15 +439,26 @@ def _resolve_config(args) -> RunConfig:
     if args.out is not None:
         rc.out = Path(args.out)
 
+    # the key or flag each count came from, None where the scenario's default holds
+    where = {
+        key: f"--{key}" if getattr(args, key, None) is not None
+        else f"run.{key}" if f"run.{key}" in cfg else None
+        for key in ("seed", "paths", "levels", "steps")
+    }
+    if where["steps"] is None and "scenario.steps" in cfg:
+        where["steps"] = "scenario.steps"
     if rc.seed is not None and not 0 <= rc.seed < 2**64:
-        where = "--seed" if args.seed is not None else "run.seed"
-        raise ConfigError(f"{where}: expected an integer in [0, 2**64), got {rc.seed}")
-    if rc.paths is not None and rc.paths < 1:
-        raise ConfigError("paths must be >= 1")
-    if rc.levels < 1:
-        raise ConfigError("levels must be >= 1")
-    if rc.steps is not None and rc.steps < 1:
-        raise ConfigError("steps must be >= 1")
+        raise ConfigError(f"{where['seed']}: expected an integer in [0, 2**64), got {rc.seed}")
+    for key in ("paths", "levels", "steps"):
+        value = getattr(rc, key)
+        if value is not None and value < 1:
+            raise ConfigError(f"{where[key]}: {key} must be >= 1, got {value}")
+    try:
+        study_states(rc.paths or scenario.n_paths, rc.steps or scenario.base_grid.steps,
+                     rc.levels)
+    except ValueError as e:
+        keys = [w for w in (where["paths"], where["levels"], where["steps"]) if w]
+        raise ConfigError(f"{', '.join(keys) or 'scenario'}: {e}") from None
     return rc
 
 

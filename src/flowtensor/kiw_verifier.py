@@ -86,6 +86,8 @@ __all__ = [
     "eval_rhs",
     "strat_ito_bridge_gap",
     "expanded_integrand_check",
+    "MAX_STUDY_STATES",
+    "study_states",
     "convergence_study",
 ]
 
@@ -270,21 +272,24 @@ def synthesize_K_path(scenario: Scenario, drivers: DrivingPaths) -> KPath:
 # ---------------------------------------------------------------------------
 
 
-def _eval_along_flow(f: TensorFieldSpec, flow: FlowEnsemble) -> np.ndarray:
-    """Field values along all trajectory states, shape (npoints, P) + comps."""
-    times = flow.grid.times()
-    tgrid = np.broadcast_to(times[:, None], flow.charts.shape)
-    out = np.empty(flow.charts.shape + f.shape)
-    for cid in np.unique(flow.charts).tolist():
-        mask = flow.charts == cid
-        out[mask] = f.eval_batch(tgrid[mask], flow.coords[mask], cid)
+def _eval_along_flow(f: TensorFieldSpec, flow: FlowEnsemble, cols=slice(None)) -> np.ndarray:
+    """Field values along the trajectory states at the grid times ``cols``
+    (all by default), shape (times, P) + comps."""
+    charts = flow.charts[cols]
+    tgrid = np.broadcast_to(flow.grid.times()[cols, None], charts.shape)
+    coords = flow.coords[cols]
+    out = np.empty(charts.shape + f.shape)
+    for cid in np.unique(charts).tolist():
+        mask = charts == cid
+        out[mask] = f.eval_batch(tgrid[mask], coords[mask], cid)
     return out
 
 
-def _pull_path(f: TensorFieldSpec, flow: FlowEnsemble) -> np.ndarray:
-    """Pullback of a field along the flow, shape (P, npoints) + comps."""
-    vals = _eval_along_flow(f, flow)
-    pulled = pullback_batch(vals, f.valence, flow.jac, flow.inv_jac)
+def _pull_path(f: TensorFieldSpec, flow: FlowEnsemble, cols=slice(None)) -> np.ndarray:
+    """Pullback of a field along the flow at the grid times ``cols`` (all by
+    default), shape (P, times) + comps."""
+    vals = _eval_along_flow(f, flow, cols)
+    pulled = pullback_batch(vals, f.valence, flow.jac[cols], flow.inv_jac[cols])
     return np.swapaxes(pulled, 0, 1)
 
 
@@ -300,10 +305,10 @@ class RhsResult:
     values: np.ndarray  # (P, npoints or n_checkpoints) + comps
     terms: Dict[str, np.ndarray]
     bracket_mode: str
+    # the transported tensor path K, the identity's left-hand side, at the
+    # grid times of ``values``
+    transported: np.ndarray
     checkpoint_indices: Optional[np.ndarray] = None  # set by KunitaFirst
-    # the transported tensor path K the integrands were built with,
-    # (P, npoints) + comps; None for KunitaFirst
-    transported: Optional[np.ndarray] = None
 
 
 def _assemble_forward_rhs(
@@ -678,8 +683,9 @@ def eval_lhs(
 
     Pushforward selectors need the ``drivers`` to invert the discrete
     flow; pullback selectors do not read them.  A study takes the
-    pushforward left-hand side from :attr:`RhsResult.transported`
-    instead, which holds the same values bitwise.
+    left-hand side from :attr:`RhsResult.transported` instead, which
+    holds the same values bitwise (for ``KunitaFirst`` at the checkpoint
+    times only).
     """
     if scenario.theorem in _PUSH_THEOREMS:
         if drivers is None:
@@ -844,7 +850,7 @@ def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPa
             )
             cp_pos += 1
     return RhsResult(values=out_vals, terms=terms, bracket_mode="closed_form",
-                     checkpoint_indices=cps)
+                     checkpoint_indices=cps, transported=_pull_path(K0, flow, cps))
 
 
 # ---------------------------------------------------------------------------
@@ -1082,12 +1088,12 @@ class ResidualReport:
         return out
 
 
-def _sup_residual_per_path(lhs: np.ndarray, rhs: RhsResult, flow: FlowEnsemble) -> np.ndarray:
-    """Sup over live grid times of the worst component deviation, per path."""
-    if rhs.checkpoint_indices is not None:
-        lhs = lhs[:, rhs.checkpoint_indices]
-        kidx = rhs.checkpoint_indices
-    else:
+def _sup_residual_per_path(rhs: RhsResult, flow: FlowEnsemble) -> np.ndarray:
+    """Sup over live grid times of the worst component deviation between
+    the transported tensor and the right-hand side, per path."""
+    lhs = rhs.transported
+    kidx = rhs.checkpoint_indices
+    if kidx is None:
         kidx = np.arange(lhs.shape[1])
     diff = np.abs(lhs - rhs.values).reshape(lhs.shape[0], lhs.shape[1], -1)
     dev = np.max(diff, axis=2)
@@ -1100,11 +1106,8 @@ def _run_level(scenario: Scenario, drivers: DrivingPaths, flow: FlowEnsemble,
     """Residual and monitors of one level from its drivers and its flow."""
     kpath = synthesize_K_path(scenario, drivers)
     rhs = eval_rhs(scenario, flow, kpath, drivers, bracket_mode)
-    lhs = rhs.transported
-    if lhs is None:
-        lhs = eval_lhs(scenario, flow, kpath)
     return {
-        "residual": _sup_residual_per_path(lhs, rhs, flow),
+        "residual": _sup_residual_per_path(rhs, flow),
         "term_sups": {k: _sup_per_path(v) for k, v in rhs.terms.items()},
         "jac_max": flow.jac_consistency_max(),
         "completed": flow.completed,
@@ -1126,6 +1129,34 @@ def _run_levels(scenario: Scenario, drivers: List[DrivingPaths],
     return parts
 
 
+# Largest number of flow states one study may hold: its path count times
+# the grid points of all its levels.  87 times the largest pinned study
+# (kunita_sphere_rotation: 200 paths over 65 + 129 + 257 + 513 grid
+# points, 192,800 states), so a larger request is refused before the
+# drivers are drawn instead of failing in numpy or exhausting memory.
+MAX_STUDY_STATES = 2**24
+
+
+def study_states(n_paths: int, steps: int, levels: int) -> int:
+    """Flow states of a study, ``n_paths * sum_l (steps * 2**l + 1)`` over
+    its ``levels`` dyadic levels of a ``steps``-step base grid.
+
+    Raises ``ValueError`` when that exceeds :data:`MAX_STUDY_STATES`.  A
+    finest level of ``2**(levels - 1)`` steps or more already does so
+    once ``levels`` exceeds the bound's bit length, so ``2**levels`` is
+    only formed below it.
+    """
+    if levels > MAX_STUDY_STATES.bit_length():
+        raise ValueError(f"a study of {levels} levels holds more than "
+                         f"MAX_STUDY_STATES = {MAX_STUDY_STATES} flow states")
+    states = n_paths * (steps * (2**levels - 1) + levels)
+    if states > MAX_STUDY_STATES:
+        raise ValueError(f"a study of {n_paths} paths over {levels} levels from {steps} steps "
+                         f"holds {states} flow states, more than "
+                         f"MAX_STUDY_STATES = {MAX_STUDY_STATES}")
+    return states
+
+
 def convergence_study(
     scenario: Scenario,
     levels: int = 4,
@@ -1144,7 +1175,9 @@ def convergence_study(
     fine.  Paths are sampled from counter-based streams and every
     per-path result is independent of the other paths in its chunk, so
     the report is byte-identical for any ``n_workers``.  Each evaluator
-    compiles on its first call.
+    compiles on its first call.  A study larger than
+    :data:`MAX_STUDY_STATES` (see :func:`study_states`) raises
+    ``ValueError`` before anything is allocated.
     """
     kw = {}
     if n_paths is not None:
@@ -1161,6 +1194,7 @@ def convergence_study(
         raise ValueError(f"a study needs at least one path, got n_paths={scenario.n_paths}")
     if n_workers < 1:
         raise ValueError(f"a study needs at least one path chunk, got n_workers={n_workers}")
+    study_states(scenario.n_paths, scenario.base_grid.steps, levels)
     validate_scenario(scenario)
     P = scenario.n_paths
     drivers = [build_driving_paths(

@@ -4,19 +4,26 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 CLI = [sys.executable, "-m", "flowtensor.cli"]
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli(*args, env=None, cwd=None):
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
+def cli_env(env=None):
+    """The caller's environment with ``src`` first on an absolute ``PYTHONPATH``."""
+    full_env = dict(os.environ, **(env or {}))
+    full_env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), full_env.get("PYTHONPATH")]))
+    return full_env
+
+
+def run_cli(*args, cwd, env=None):
+    """Run the CLI in ``cwd``, so a wrongly accepted run writes nowhere else."""
     return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=full_env, cwd=cwd
+        CLI + list(args), capture_output=True, text=True, env=cli_env(env), cwd=cwd
     )
 
 
@@ -32,16 +39,16 @@ def read_csv(path):
 # ---------------------------------------------------------------------------
 
 
-def test_list_names_every_scenario():
-    out = run_cli("--list")
+def test_list_names_every_scenario(tmp_path):
+    out = run_cli("--list", cwd=tmp_path)
     assert out.returncode == 0
     names = [ln.split()[0] for ln in out.stdout.strip().splitlines()]
     assert "identity" in names
     assert len(names) >= 7
 
 
-def test_list_machine_readable_covers_all_selectors():
-    out = run_cli("--list", "--machine-readable")
+def test_list_machine_readable_covers_all_selectors(tmp_path):
+    out = run_cli("--list", "--machine-readable", cwd=tmp_path)
     assert out.returncode == 0
     rows = json.loads(out.stdout)
     theorems = {r["theorem"] for r in rows}
@@ -63,7 +70,7 @@ def test_list_machine_readable_covers_all_selectors():
 
 
 def test_identity_run_writes_zero_residual_csv(tmp_path):
-    out = run_cli("identity", "--out", str(tmp_path))
+    out = run_cli("identity", "--out", str(tmp_path), cwd=tmp_path)
     assert out.returncode == 0, out.stderr
     header, rows = read_csv(tmp_path / "identity.csv")
     assert header[:4] == ["level", "h", "rms_sup_residual", "fitted_order"]
@@ -80,7 +87,8 @@ def test_identity_run_writes_zero_residual_csv(tmp_path):
 
 
 def test_csv_levels_halve_h(tmp_path):
-    out = run_cli("gbm_oneform", "--out", str(tmp_path), "--paths", "8", "--levels", "3")
+    out = run_cli("gbm_oneform", "--out", str(tmp_path), "--paths", "8", "--levels", "3",
+                  cwd=tmp_path)
     assert out.returncode == 0, out.stderr
     _, rows = read_csv(tmp_path / "gbm_oneform.csv")
     hs = [float(r["h"]) for r in rows]
@@ -91,7 +99,7 @@ def test_csv_levels_halve_h(tmp_path):
 
 def test_machine_readable_run_is_strict_json(tmp_path):
     out = run_cli(
-        "identity", "--out", str(tmp_path), "--machine-readable"
+        "identity", "--out", str(tmp_path), "--machine-readable", cwd=tmp_path
     )
     assert out.returncode == 0, out.stderr
 
@@ -105,13 +113,13 @@ def test_machine_readable_run_is_strict_json(tmp_path):
 
 
 def test_unknown_scenario_exits_one_and_names_known(tmp_path):
-    out = run_cli("not_a_scenario", "--out", str(tmp_path))
+    out = run_cli("not_a_scenario", "--out", str(tmp_path), cwd=tmp_path)
     assert out.returncode == 1
     assert "identity" in out.stderr
 
 
 def test_low_regularity_scenario_fails_validation(tmp_path):
-    out = run_cli("kiw_push_lowreg", "--out", str(tmp_path))
+    out = run_cli("kiw_push_lowreg", "--out", str(tmp_path), cwd=tmp_path)
     assert out.returncode == 2
     assert "hypothesis violation" in out.stderr
     assert "k = 3" in out.stderr
@@ -119,7 +127,8 @@ def test_low_regularity_scenario_fails_validation(tmp_path):
 
 
 def test_blowup_scenario_exits_three_but_reports(tmp_path):
-    out = run_cli("blowup_cubic", "--out", str(tmp_path), "--paths", "8", "--levels", "1")
+    out = run_cli("blowup_cubic", "--out", str(tmp_path), "--paths", "8", "--levels", "1",
+                  cwd=tmp_path)
     assert out.returncode == 3
     assert "blew up" in out.stderr
     assert (tmp_path / "blowup_cubic.csv").exists()
@@ -136,7 +145,7 @@ def test_same_config_same_bytes(tmp_path):
     for out_dir in (a, b):
         r = run_cli(
             "kiw_ito_pullback_bracket",
-            "--out", str(out_dir), "--paths", "16", "--levels", "2",
+            "--out", str(out_dir), "--paths", "16", "--levels", "2", cwd=tmp_path,
         )
         assert r.returncode == 0, r.stderr
     name = "kiw_ito_pullback_bracket"
@@ -152,7 +161,7 @@ def test_worker_count_does_not_change_bytes(tmp_path):
         r = run_cli(
             "kiw_ito_pullback_bracket",
             "--out", str(out_dir), "--paths", "24", "--levels", "2",
-            env={"FLOWTENSOR_WORKERS": workers},
+            env={"FLOWTENSOR_WORKERS": workers}, cwd=tmp_path,
         )
         assert r.returncode == 0, r.stderr
     name = "kiw_ito_pullback_bracket"
@@ -161,7 +170,8 @@ def test_worker_count_does_not_change_bytes(tmp_path):
 
 @pytest.mark.parametrize("workers", ["abc", "0", "-2"])
 def test_invalid_worker_count_exits_one(tmp_path, workers):
-    out = run_cli("identity", "--out", str(tmp_path), env={"FLOWTENSOR_WORKERS": workers})
+    out = run_cli("identity", "--out", str(tmp_path), env={"FLOWTENSOR_WORKERS": workers},
+                  cwd=tmp_path)
     assert out.returncode == 1
     assert "FLOWTENSOR_WORKERS" in out.stderr
     assert "Traceback" not in out.stderr
@@ -170,9 +180,9 @@ def test_invalid_worker_count_exits_one(tmp_path, workers):
 def test_seed_override_changes_report(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     r1 = run_cli("kiw_ito_pullback_bracket", "--out", str(a), "--paths", "8",
-                 "--levels", "1", "--seed", "100")
+                 "--levels", "1", "--seed", "100", cwd=tmp_path)
     r2 = run_cli("kiw_ito_pullback_bracket", "--out", str(b), "--paths", "8",
-                 "--levels", "1", "--seed", "101")
+                 "--levels", "1", "--seed", "101", cwd=tmp_path)
     assert r1.returncode == 0 and r2.returncode == 0
     name = "kiw_ito_pullback_bracket"
     assert (a / f"{name}.csv").read_bytes() != (b / f"{name}.csv").read_bytes()
@@ -199,7 +209,7 @@ def test_config_file_named_run(tmp_path):
         "run.levels = 2\n"
         f"run.out = {tmp_path}\n",
     )
-    out = run_cli("--config", str(cfg))
+    out = run_cli("--config", str(cfg), cwd=tmp_path)
     assert out.returncode == 0, out.stderr
     assert (tmp_path / "identity.csv").exists()
 
@@ -217,7 +227,7 @@ def test_config_inline_sphere_scenario(tmp_path):
         "run.levels = 2\n"
         f"run.out = {tmp_path}\n",
     )
-    out = run_cli("--config", str(cfg))
+    out = run_cli("--config", str(cfg), cwd=tmp_path)
     assert out.returncode == 0, out.stderr
     header, rows = read_csv(tmp_path / "rolling_sphere.csv")
     assert len(rows) == 2
@@ -238,7 +248,7 @@ def test_config_inline_gbm_line_scenario(tmp_path):
         "run.levels = 2\n"
         f"run.out = {tmp_path}\n",
     )
-    out = run_cli("--config", str(cfg))
+    out = run_cli("--config", str(cfg), cwd=tmp_path)
     assert out.returncode == 0, out.stderr
     assert (tmp_path / "log_line.csv").exists()
 
@@ -249,7 +259,7 @@ def test_config_steps_override_scales_h(tmp_path):
         "run.scenario = identity\nrun.steps = 32\nrun.levels = 1\n"
         f"run.out = {tmp_path}\n",
     )
-    out = run_cli("--config", str(cfg))
+    out = run_cli("--config", str(cfg), cwd=tmp_path)
     assert out.returncode == 0, out.stderr
     _, rows = read_csv(tmp_path / "identity.csv")
     assert float(rows[0]["h"]) == pytest.approx(1.0 / 32.0)
@@ -282,11 +292,17 @@ def test_config_steps_override_scales_h(tmp_path):
         ("scenario.name = x\nscenario.atlas = euclidean:1\nscenario.x0 = 1e300\n",
          "scenario.x0"),
         ("scenario.name = x\nscenario.atlas = sphere2\nscenario.x0 = 1e300,0\n", "scenario.x0"),
+        ("run.scenario = identity\nrun.levels = 0\n", "run.levels"),
+        ("run.scenario = identity\nrun.levels = 64\n", "run.levels: a study of 64 levels"),
+        ("run.scenario = identity\nrun.paths = 100000000000000000000000\n",
+         "run.paths: a study of 100000000000000000000000 paths"),
+        ("scenario.name = x\nscenario.atlas = euclidean:1\nscenario.steps = 100000000\n",
+         "scenario.steps: a study of 100 paths"),
     ],
 )
 def test_config_errors_exit_one(tmp_path, text, fragment):
     cfg = write_config(tmp_path, text)
-    out = run_cli("--config", str(cfg))
+    out = run_cli("--config", str(cfg), cwd=tmp_path)
     assert out.returncode == 1
     assert fragment in out.stderr
     assert "Traceback" not in out.stderr
@@ -297,7 +313,8 @@ def test_config_errors_exit_one(tmp_path, text, fragment):
 def test_closed_stdout_exits_one_quietly(tmp_path, args):
     """A reader that closes stdout at once gets no traceback; the reports are still written."""
     args = [str(tmp_path) if a is None else a for a in args]
-    proc = subprocess.Popen(CLI + args, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc = subprocess.Popen(CLI + args, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=cli_env(), cwd=tmp_path)
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
@@ -309,14 +326,27 @@ def test_closed_stdout_exits_one_quietly(tmp_path, args):
 
 
 def test_out_of_range_seed_flag_exits_one(tmp_path):
-    out = run_cli("kiw_ito_pullback_r2", "--seed", "-1", "--out", str(tmp_path))
+    out = run_cli("kiw_ito_pullback_r2", "--seed", "-1", "--out", str(tmp_path),
+                  cwd=tmp_path)
     assert out.returncode == 1
     assert "--seed" in out.stderr
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("flag,value", [("--paths", "100000000000000000000000"),
+                                        ("--levels", "99999999999999999999")])
+def test_oversized_study_flag_exits_one(tmp_path, flag, value):
+    """A study beyond MAX_STUDY_STATES is refused before it allocates anything."""
+    out = run_cli("identity", flag, value, "--out", str(tmp_path), cwd=tmp_path)
+    assert out.returncode == 1
+    assert f"{flag}: a study of" in out.stderr
+    assert "MAX_STUDY_STATES" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_config_file_exits_one(tmp_path):
-    out = run_cli("--config", str(tmp_path / "absent.cfg"))
+    out = run_cli("--config", str(tmp_path / "absent.cfg"), cwd=tmp_path)
     assert out.returncode == 1
 
 
@@ -324,10 +354,10 @@ def test_scenario_argument_conflicts_with_inline_config(tmp_path):
     cfg = write_config(
         tmp_path, "scenario.name = x\nscenario.atlas = euclidean:1\n"
     )
-    out = run_cli("identity", "--config", str(cfg), "--out", str(tmp_path))
+    out = run_cli("identity", "--config", str(cfg), "--out", str(tmp_path), cwd=tmp_path)
     assert out.returncode == 1
 
 
 def test_no_scenario_at_all_exits_one(tmp_path):
-    out = run_cli("--out", str(tmp_path))
+    out = run_cli("--out", str(tmp_path), cwd=tmp_path)
     assert out.returncode == 1

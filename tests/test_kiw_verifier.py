@@ -580,6 +580,34 @@ def test_restart_selector_checkpoints():
     lhs = eval_lhs(sc, flow, kp)
     residual = np.abs(lhs[:, idx] - out.values)
     assert np.max(residual) < 1.0
+    # the study's left-hand side: the transported tensor at the checkpoints only
+    assert np.array_equal(out.transported, lhs[:, idx])
+
+
+@pytest.mark.parametrize("kw", [dict(levels=64), dict(n_paths=10**23)])
+def test_oversized_study_is_refused_before_drawing_drivers(monkeypatch, kw):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drivers drawn for an oversized study")
+
+    monkeypatch.setattr(kiw_verifier, "build_driving_paths", no_draws)
+    with pytest.raises(ValueError, match="MAX_STUDY_STATES"):
+        convergence_study(get_scenario("identity"), **kw)
+
+
+def test_study_states_bound():
+    cap = kiw_verifier.MAX_STUDY_STATES
+    pinned = get_scenario("kunita_sphere_rotation")
+    assert kiw_verifier.study_states(pinned.n_paths, pinned.base_grid.steps, 4) == 192_800
+    assert 50 * 192_800 <= cap
+    assert kiw_verifier.study_states(1, cap - 1, 1) == cap
+    with pytest.raises(ValueError):
+        kiw_verifier.study_states(1, cap, 1)
+    # 26 levels of one step already exceed 2**24 states; a huge count is
+    # refused by its bit length, without forming 2**levels
+    with pytest.raises(ValueError):
+        kiw_verifier.study_states(1, 1, cap.bit_length() + 1)
+    with pytest.raises(ValueError):
+        kiw_verifier.study_states(1, 1, 10**30)
 
 
 def test_study_seed_override_changes_draws():

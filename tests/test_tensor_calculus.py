@@ -43,7 +43,8 @@ from flowtensor.tensor_calculus import (
     pushforward_batch,
     stencil_offsets,
 )
-from flowtensor import tensor_calculus
+from flowtensor import scenarios, tensor_calculus
+from flowtensor.kiw_verifier import convergence_study
 from flowtensor.scenarios import get_scenario
 from flowtensor.tensor_calculus import TIME, _contract, _jet_layout, _lie_jet, _slot_replace
 
@@ -148,6 +149,67 @@ def test_jet_values_are_bitwise_eval_batch_and_derivatives_match_a_plain_compile
     want = np.array(np.broadcast_arrays(*plain(t, *pts.T, *(v for _, v in f.params)))).T
     got = f._eval_flat(t, pts.T, chart, alphas).T  # batch-last in and out
     assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+
+def _plain_partial(e, alpha):
+    """``d^alpha e`` by ``sp.diff`` of the component as given."""
+    for k, m in enumerate(alpha):
+        if m:
+            e = sp.diff(e, coord_symbols(len(alpha))[k], m)
+    return e
+
+
+@pytest.mark.parametrize("chart", [0, 1])
+def test_factored_sphere_metric_partials_match_the_unfactored_component(chart):
+    """Both sphere-metric charts differentiate in factored form, to the same values."""
+    f = get_scenario("kunita_sphere_rotation").K0
+    e = f.comps[chart][0, 0]
+    assert tensor_calculus._diff_form(e, 2) != e
+    rng = np.random.default_rng(3)
+    radius = 1.5 * np.sqrt(rng.uniform(0.0, 1.0, 64))  # the charts' inner ball
+    angle = rng.uniform(0.0, 2.0 * np.pi, 64)
+    pts = (radius * np.cos(angle), radius * np.sin(angle))
+    alphas, _ = _jet_layout(2, 2, 1)
+    for alpha in alphas:
+        got = sp.lambdify((X0, X1), tensor_calculus._partial(e, alpha), modules=np)(*pts)
+        want = sp.lambdify((X0, X1), _plain_partial(e, alpha), modules=np)(*pts)
+        assert_allclose(np.broadcast_to(got, (64,)), np.broadcast_to(want, (64,)), rtol=1e-12,
+                        err_msg=str(alpha))
+
+
+def test_quotient_whose_factored_form_is_larger_is_differentiated_as_given():
+    """``sin(x0) + 1/(x0**2+1)`` factors to 9 ops from 5, so it is kept as given."""
+    (x,) = coord_symbols(1)
+    e = sp.sin(x) + 1 / (x**2 + 1)
+    assert tensor_calculus._diff_form(e, 1) is e
+    assert tensor_calculus._partial(e, (0,)) is e
+    for m in (1, 2):
+        assert sp.srepr(tensor_calculus._partial(e, (m,))) == sp.srepr(sp.diff(e, x, m))
+
+
+def test_pullback_field_partials_are_plain_diffs():
+    """No component of ``kiw_ito_pullback_r2`` divides by the coordinates."""
+    sc = get_scenario("kiw_ito_pullback_r2")
+    alphas, _ = _jet_layout(sc.K0.dim, 2, 1)
+    for f in (sc.K0, *sc.G, sc.sde.drift, *sc.sde.diffusions):
+        arr = f.comps[0]
+        for idx in np.ndindex(arr.shape):
+            for alpha in alphas:
+                assert sp.srepr(tensor_calculus._partial(arr[idx], alpha)) == sp.srepr(
+                    _plain_partial(arr[idx], alpha)), (f.name, idx, alpha)
+
+
+def test_sphere_setup_study_factors_each_quotient_component_once(monkeypatch):
+    """The north and south metric components are the only quotients: 2 factorisations."""
+    calls = []
+    factor = sp.factor
+    monkeypatch.setattr(sp, "factor", lambda e, *a, **k: calls.append(e) or factor(e, *a, **k))
+    monkeypatch.setattr(scenarios, "_CACHE", {})  # fields that hold no evaluators yet
+    tensor_calculus._partial.cache_clear()
+    tensor_calculus._diff_form.cache_clear()
+    convergence_study(get_scenario("kunita_sphere_rotation"), levels=1, n_paths=4)
+    assert len(calls) == 2
+    assert len(set(calls)) == 2
 
 
 def test_building_an_evaluator_does_not_import_numpy_f2py():
