@@ -28,9 +28,10 @@ Config keys (all optional unless noted)::
     run.steps         override the base grid step count
     run.scheme        euler_maruyama | heun
     run.bracket_mode  closed_form | realized
-    run.out           output directory
+    run.out           output directory (made if missing)
 
-    scenario.name     name for an inline scenario (required inline)
+    scenario.name     name for an inline scenario (required inline), a plain
+                      file name: no / or \\, not . or ..
     scenario.theorem  identity selector, e.g. KunitaSecond
     scenario.atlas    euclidean:<dim> | torus:<dim> | sphere2
     scenario.drift    field spec, see below
@@ -338,6 +339,10 @@ def _inline_k0(spec: str, atlas: ChartAtlas, kind: str) -> TensorFieldSpec:
 def _build_inline_scenario(cfg: Dict[str, str]) -> Scenario:
     if "scenario.name" not in cfg:
         raise ConfigError("inline scenarios need scenario.name")
+    name = cfg["scenario.name"]
+    if not name or name in (".", "..") or "/" in name or "\\" in name:
+        # the reports are written as <name>.csv and <name>.manifest.json in the output directory
+        raise ConfigError(f"scenario.name: expected a plain file name, got {name!r}")
     if "scenario.atlas" not in cfg:
         raise ConfigError("inline scenarios need scenario.atlas")
     atlas, kind = _inline_atlas(cfg["scenario.atlas"])
@@ -366,7 +371,7 @@ def _build_inline_scenario(cfg: Dict[str, str]) -> Scenario:
     steps = _positive_int(cfg.get("scenario.steps", "16"), "scenario.steps")
     scheme = _as_choice(cfg, "scenario.scheme", _SCHEMES) or "euler_maruyama"
     return Scenario(
-        name=cfg["scenario.name"],
+        name=name,
         description="inline scenario",
         theorem=theorem,
         sde=FlowSDE(drift=drift, diffusions=noises, atlas=atlas),
@@ -438,6 +443,15 @@ def _resolve_config(args) -> RunConfig:
         rc.levels = args.levels
     if args.out is not None:
         rc.out = Path(args.out)
+    # the reports are written after the study, so an output path that cannot
+    # be a directory is refused before it
+    try:
+        existing = next((p for p in (rc.out, *rc.out.parents) if p.exists()), rc.out)
+        problem = None if existing.is_dir() else f"{str(existing)!r} is not a directory"
+    except (OSError, ValueError) as e:  # e.g. a name too long, a NUL byte
+        problem = str(e)
+    if problem:
+        raise ConfigError(f"{'--out' if args.out is not None else 'run.out'}: {problem}")
 
     # the key or flag each count came from, None where the scenario's default holds
     where = {

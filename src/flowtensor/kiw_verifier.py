@@ -320,14 +320,20 @@ def _assemble_forward_rhs(
 ) -> RhsResult:
     """Sum the identity's terms from precomputed integrand paths.
 
-    ``paths`` maps integrand labels (``G<i>``, ``LbK``, ``LxK<j>``,
-    ``LxG<i>_<j>``, ``LLK<j>``) and the transported tensor ``K`` to
-    (P, npoints, comps...) arrays; the sums start from ``K`` at time 0.  The
-    pullback and pushforward variants share this assembly; the transport
-    direction only changes how the integrand paths were produced and the
-    sign of the Lie terms.  Pure time integrals always use left sums;
-    trapezoid sums apply only to the martingale and noise integrators of
-    the Stratonovich form.
+    ``paths`` maps integrand labels and the transported tensor ``K`` to
+    (P, npoints, comps...) arrays; the sums start from ``K`` at time 0.
+    The labels are ``G<i>`` (driver field i), ``LbK`` (``L_b K_t``),
+    ``LxK<j>`` (``L_xi_j K_t``), ``LxG<i>_<j>`` (``L_xi_j G_i``, read by the
+    Ito bracket only) and ``LLK``, the Ito correction summed over the
+    noises, ``sum_j L_xi_j L_xi_j K_t``.  An absent Lie label is a term
+    that vanishes identically (its coefficient field is zero, see
+    :func:`_coeff_jets`); the identity's term series are reported all the
+    same, as zeros where nothing enters them.  The pullback and
+    pushforward variants share this assembly; the transport direction
+    only changes how the integrand paths were produced and the sign of
+    the Lie terms.  Pure time integrals always use left sums; trapezoid
+    sums apply only to the martingale and noise integrators of the
+    Stratonovich form.
 
     The assembly takes ownership of ``paths``: it removes every entry
     after its last use, and the ``LxG`` entries, which the Stratonovich
@@ -345,6 +351,17 @@ def _assemble_forward_rhs(
         for key in [k for k in paths if k.startswith("LxG")]:
             del paths[key]
 
+    def summed(integrate, parts):
+        """The sum, in order, of ``integrate`` over the ``(label, integrator)``
+        pairs of ``parts`` whose label is present, each integrand removed
+        once it is integrated; zeros when no label is present."""
+        acc = None
+        for key, integrator in parts:
+            if key in paths:
+                part = integrate(paths.pop(key), integrator, axis=1)
+                acc = part if acc is None else acc + part
+        return np.zeros_like(K) if acc is None else acc
+
     if nG:
         # added up as sum() would, one field at a time, so each G<i> goes after use
         dA = dM = 0
@@ -355,25 +372,18 @@ def _assemble_forward_rhs(
             del g
         terms["G_dA"], terms["G_dM"] = dA, dM
 
-    terms["L_b"] = sign * fv_integral(paths.pop("LbK"), t, axis=1)
+    terms["L_b"] = sign * summed(fv_integral, [("LbK", t)])
 
     if nB:
-        terms["L_xi"] = sign * sum(
-            mint(paths.pop(f"LxK{j}"), drivers.bm[:, :, j], axis=1) for j in range(nB)
-        )
+        terms["L_xi"] = sign * summed(mint, ((f"LxK{j}", drivers.bm[:, :, j]) for j in range(nB)))
         if not strat:
             if nG:
-                terms["bracket"] = sign * sum(
-                    fv_integral(
-                        paths.pop(f"LxG{i}_{j}"), drivers.bracket_with_bm(i, j, bracket_mode),
-                        axis=1
-                    )
+                terms["bracket"] = sign * summed(fv_integral, (
+                    (f"LxG{i}_{j}", drivers.bracket_with_bm(i, j, bracket_mode))
                     for i in range(nG)
-                    for j in range(nB)
-                )
-            terms["L2"] = 0.5 * sum(
-                fv_integral(paths.pop(f"LLK{j}"), t, axis=1) for j in range(nB)
-            )
+                    for j in range(nB) if f"LxG{i}_{j}" in paths
+                ))
+            terms["L2"] = 0.5 * summed(fv_integral, [("LLK", t)])
 
     order = ("G_dA", "G_dM", "L_b", "L_xi", "bracket", "L2")
     values = K[:, :1] + sum(terms[k] for k in order if k in terms)
@@ -385,60 +395,64 @@ def _jets_last(jets: Sequence[np.ndarray], nb: int) -> List[np.ndarray]:
     return [_batch_last(a, nb) for a in jets]
 
 
-def _coeff_jets(q: Dict[str, np.ndarray], order: int):
+def _coeff_jets(sde: FlowSDE, q: Dict[str, np.ndarray], order: int):
     """Drift and per-noise jets, as :func:`_lie_terms` reads them, from
-    :meth:`FlowSDE.jets` views (batch-last already, so nothing is copied)."""
+    :meth:`FlowSDE.jets` views (batch-last already, so nothing is copied).
+
+    A coefficient field whose components are all 0 (:meth:`TensorFieldSpec.is_zero`)
+    gets ``None`` in place of its jets: its Lie terms vanish identically
+    and are not built.
+    """
     names = ("xi", "Dxi", "D2xi")[: order + 1]
-    return [q["b"], q["Db"]], [[q[nm][j] for nm in names] for j in range(len(q["xi"]))]
+    b_jets = None if sde.drift.is_zero() else [q["b"], q["Db"]]
+    xi_jets = [None if xi.is_zero() else [q[nm][j] for nm in names]
+               for j, xi in enumerate(sde.diffusions)]
+    return b_jets, xi_jets
 
 
-def _lie_terms(jets: Sequence[np.ndarray], b_jets: Sequence[np.ndarray],
-               xi_jets: Sequence[Sequence[np.ndarray]], valence: Tuple[int, int],
+def _lie_terms(jets: Sequence[np.ndarray], b_jets: Optional[Sequence[np.ndarray]],
+               xi_jets: Sequence[Optional[Sequence[np.ndarray]]], valence: Tuple[int, int],
                strat: bool) -> Dict[str, np.ndarray]:
     """One field's value and Lie terms from its jets and the coefficient jets.
 
     Returns ``val``, ``Lb`` (along the drift), ``Lx<j>`` (along noise j)
-    and, unless ``strat``, ``LL<j>`` (twice along noise j).  The field
-    jets must reach order 1 for ``strat`` and order 2 otherwise, as must
-    the noise jets; the drift jets reach order 1.  Every jet and every
+    and, unless ``strat``, ``LL``: the second-order terms summed over the
+    noises in j order, ``sum_j L_xi_j L_xi_j``, the only way the Ito
+    correction reads them.  A coefficient whose jets are ``None`` (a zero
+    field, see :func:`_coeff_jets`) contributes no term, and no key.  The
+    field jets must reach order 1 for ``strat`` and order 2 otherwise, as
+    must the noise jets; the drift jets reach order 1.  Every jet and every
     result is batch-last (see :func:`_lie_jet`); coefficient jets may
     carry singleton batch axes that broadcast against the field's.
     """
-    out = {"val": jets[0], "Lb": _lie_jet(jets[:2], b_jets, valence, 0)[0]}
+    out = {"val": jets[0]}
+    if b_jets is not None:
+        out["Lb"] = _lie_jet(jets[:2], b_jets, valence, 0)[0]
     for j, xj in enumerate(xi_jets):
+        if xj is None:
+            continue
         if strat:
             out[f"Lx{j}"] = _lie_jet(jets[:2], xj[:2], valence, 0)[0]
         else:
             inner = _lie_jet(jets, xj, valence, 1)
             out[f"Lx{j}"] = inner[0]
-            out[f"LL{j}"] = _lie_jet(inner, xj[:2], valence, 0)[0]
+            second = _lie_jet(inner, xj[:2], valence, 0)[0]
+            if "LL" in out:
+                out["LL"] += second
+            else:
+                out["LL"] = second
     return out
 
 
-def _integrand_paths(terms: Dict[str, Dict[str, np.ndarray]], kpath: KPath, n_noise: int,
-                     strat: bool) -> Dict[str, np.ndarray]:
-    """Weight per-field terms, each (P, npoints) + comps, into integrand paths.
+def _path_major(a: np.ndarray) -> np.ndarray:
+    """A batch-last ``comps + (npoints, P)`` array as a ``(P, npoints) + comps`` view."""
+    return np.moveaxis(a, (-1, -2), (0, 1))
 
-    ``terms`` maps ``K0`` and ``G<i>`` to the :func:`_lie_terms` of that
-    field after transport; the ``K0`` arrays are weighted in place.
-    Besides the integrands read by :func:`_assemble_forward_rhs` the
-    result holds ``K``, the transported tensor path.
-    """
-    gs = [terms[f"G{i}"] for i in range(len(terms) - 1)]
 
-    def weighted(name):
-        return kpath.combine(terms["K0"][name], [g[name] for g in gs])
-
-    paths = {"K": weighted("val"), "LbK": weighted("Lb")}
-    for i, g in enumerate(gs):
-        paths[f"G{i}"] = g["val"]
-    for j in range(n_noise):
-        paths[f"LxK{j}"] = weighted(f"Lx{j}")
-        for i, g in enumerate(gs):
-            paths[f"LxG{i}_{j}"] = g[f"Lx{j}"]
-        if not strat:
-            paths[f"LLK{j}"] = weighted(f"LL{j}")
-    return paths
+def _k_label(name: str) -> str:
+    """The integrand label of a :func:`_lie_terms` key taken of ``K_t``:
+    ``Lb`` -> ``LbK``, ``Lx<j>`` -> ``LxK<j>``, ``LL`` -> ``LLK``."""
+    return name[:2] + "K" + name[2:]
 
 
 # largest number of flow states whose jets are held at once; the pullback
@@ -451,31 +465,39 @@ def _pullback_integrand_paths(
 ) -> Dict[str, np.ndarray]:
     """Integrand paths for the pullback-family selectors.
 
-    The Lie terms of ``K0`` and every ``G_i`` come from :func:`_lie_jet` on
-    the analytic jets of the fields and the flow coefficients
-    (:meth:`FlowSDE.jets`) at the flow states, chart by chart, and are
-    then pulled back along the flow.  The states are processed in blocks
-    of whole grid rows, at most ``_JET_BLOCK_STATES`` of them per block,
-    so the jets of the whole ensemble never exist at once.  Everything
-    is batch-last: each block's states and Jacobians are gathered once,
-    the jets are whole rows of one compiled call, and each term is held
-    as ``comps + (npoints, P)``, so a block in one chart is written as one
+    The Lie terms are those of the driven tensor ``K_t`` itself.  At the
+    flow states, chart by chart, the analytic jets of ``K0`` and every
+    ``G_i`` are evaluated and weighted with the states' driver weights
+    into the jets of ``K_t`` (``jK0 + sum_i w_i jG_i``, added in i order
+    as :meth:`KPath.combine` adds values); :func:`_lie_terms` takes them
+    with the flow coefficients' jets (:meth:`FlowSDE.jets`), and the
+    results are pulled back along the flow.  The Ito bracket reads the
+    Lie terms of each ``G_i`` along each noise, which are built from the
+    field's own jets.  ``K`` is combined from the pulled-back values of
+    the fields, as :func:`eval_lhs` combines them, so the two agree
+    bitwise.  The keys are those :func:`_assemble_forward_rhs` reads,
+    without the terms of a zero coefficient field.
+
+    The states are processed in blocks of whole grid rows, at most
+    ``_JET_BLOCK_STATES`` of them per block, so the jets of the whole
+    ensemble never exist at once.  Everything is batch-last: each block's
+    states, Jacobians and weights are gathered once, the jets are whole
+    rows of one compiled call, and each integrand is held as
+    ``comps + (npoints, P)``, so a block in one chart is written as one
     contiguous slice.  The results are ``(P, npoints) + comps`` views.
     """
     sde = scenario.sde
     order = 1 if strat else 2
     valence = scenario.K0.valence
-    fields = {"K0": scenario.K0, **{f"G{i}": g for i, g in enumerate(scenario.G)}}
-    names = ["val", "Lb"] + [f"Lx{j}" for j in range(sde.n_noise)]
-    if not strat:
-        names += [f"LL{j}" for j in range(sde.n_noise)]
+    fields = (scenario.K0, *scenario.G)
     L1, P = flow.charts.shape
     times = flow.grid.times()
     # batch-last views of the flow states: component axes, then (npoints, P)
     coords = np.moveaxis(flow.coords, 2, 0)
     jac, inv_jac = (np.moveaxis(a, (2, 3), (0, 1)) for a in (flow.jac, flow.inv_jac))
+    weights = np.moveaxis(kpath.weights, (0, 1), (-1, -2))  # (n_drivers, npoints, P)
     shape = scenario.K0.shape
-    terms = {lbl: {nm: np.empty(shape + (L1, P)) for nm in names} for lbl in fields}
+    held: Dict[str, np.ndarray] = {}
     rows = max(1, _JET_BLOCK_STATES // P)
     for k0 in range(0, L1, rows):
         blk = slice(k0, k0 + rows)
@@ -492,19 +514,40 @@ def _pullback_integrand_paths(
 
             t = states(np.broadcast_to(times[:, None], (L1, P)))
             x, A, Ai = (states(a) for a in (coords, jac, inv_jac))
-            b_jets, xi_jets = _coeff_jets(sde.jets(t, x, cid, order), order)
-            for lbl, f in fields.items():
-                jets = f._jet_last(t, x, cid, order)
-                for nm, v in _lie_terms(jets, b_jets, xi_jets, valence, strat).items():
-                    out = terms[lbl][nm][..., blk, :]
-                    pulled = _contract(v, valence, Ai, A)
-                    if whole:
-                        out[...] = pulled.reshape(out.shape)
-                    else:
-                        out[..., rows_at, paths_at] = pulled
-    views = {lbl: {nm: np.moveaxis(a, (-1, -2), (0, 1)) for nm, a in tt.items()}
-             for lbl, tt in terms.items()}
-    return _integrand_paths(views, kpath, sde.n_noise, strat)
+
+            def put(key, v):
+                """Pull ``v`` back and write it into the integrand ``key``."""
+                if key not in held:
+                    held[key] = np.empty(shape + (L1, P))
+                out = held[key][..., blk, :]
+                pulled = _contract(v, valence, Ai, A)
+                if whole:
+                    out[...] = pulled.reshape(out.shape)
+                else:
+                    out[..., rows_at, paths_at] = pulled
+
+            b_jets, xi_jets = _coeff_jets(sde, sde.jets(t, x, cid, order), order)
+            jets = [f._jet_last(t, x, cid, order) for f in fields]
+            put("K0", jets[0][0])
+            for i, g_jets in enumerate(jets[1:]):
+                put(f"G{i}", g_jets[0])
+                if not strat:
+                    for j, xj in enumerate(xi_jets):
+                        if xj is not None:
+                            put(f"LxG{i}_{j}", _lie_jet(g_jets[:2], xj[:2], valence, 0)[0])
+            # the jets of K_t, accumulated in place into K0's
+            k_jets = jets[0]
+            if scenario.G:
+                w = states(weights)
+                for i, g_jets in enumerate(jets[1:]):
+                    for kj, gj in zip(k_jets, g_jets):
+                        kj += w[i] * gj
+            for nm, v in _lie_terms(k_jets, b_jets, xi_jets, valence, strat).items():
+                if nm != "val":
+                    put(_k_label(nm), v)
+    paths = {key: _path_major(a) for key, a in held.items()}
+    paths["K"] = kpath.combine(paths.pop("K0"), [paths[f"G{i}"] for i in range(len(scenario.G))])
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -607,22 +650,21 @@ def _transported(f: TensorFieldSpec, t, pts: np.ndarray, contra: np.ndarray,
     return _contract(f._jet_last(t, pts, 0, 0)[0], f.valence, contra, cov)
 
 
-def _stencil_lie_terms(f: TensorFieldSpec, t, pts: np.ndarray, contra: np.ndarray,
-                       cov: np.ndarray, eps: float, b_jets: Sequence[np.ndarray],
-                       xi_jets: Sequence[Sequence[np.ndarray]],
+def _stencil_lie_terms(values: np.ndarray, valence: Tuple[int, int], dim: int, eps: float,
+                       b_jets: Optional[Sequence[np.ndarray]],
+                       xi_jets: Sequence[Optional[Sequence[np.ndarray]]],
                        strat: bool) -> Dict[str, np.ndarray]:
     """:func:`_lie_terms` of a transported field, from its values on a stencil.
 
-    ``pts`` is ``(dim,) + batch + (3^dim,)`` and ``contra``/``cov`` are
-    ``(dim, dim) + batch + (3^dim,)``, the stencil axis last.  The field
-    is evaluated and transported on the stencil, differentiated across it
-    (:func:`fd_jets_from_stencil`, eps ``eps``) and combined with the
-    coefficient jets at the centre; the results are ``f.shape + batch``.
+    ``values`` is ``shape + batch + (3^dim,)``, the stencil axis last, as
+    :func:`_transported` returns it on a stencil of points.  The values
+    are differentiated across the stencil (:func:`fd_jets_from_stencil`,
+    eps ``eps``) and combined with the coefficient jets at the centre;
+    the results are ``shape + batch``.
     """
     order = 1 if strat else 2
-    jets = fd_jets_from_stencil(_transported(f, t, pts, contra, cov), f.dim, eps, order,
-                                ncomp_axes=f.order)
-    return _lie_terms(jets, b_jets, xi_jets, f.valence, strat)
+    jets = fd_jets_from_stencil(values, dim, eps, order, ncomp_axes=sum(valence))
+    return _lie_terms(jets, b_jets, xi_jets, valence, strat)
 
 
 def _pushforward_integrand_paths(
@@ -633,25 +675,43 @@ def _pushforward_integrand_paths(
     The Lie derivatives act on the transported field, so they are taken
     numerically from stencil jets of the pushed-forward field
     (:func:`_stencil_lie_terms`); the flow coefficients enter through
-    their analytic jets at the observation point.
+    their analytic jets at the observation point.  ``K0`` and every
+    ``G_i`` are transported on the stencil, and their values there are
+    weighted into those of ``K_t`` (in i order, as :meth:`KPath.combine`
+    adds values) before the Lie terms of ``K_t`` are taken; the Ito
+    bracket reads the Lie terms of each ``G_i`` along each noise.  ``K``
+    combines the fields' values at the stencil centre, as
+    :func:`eval_lhs` does.
     """
     sde = scenario.sde
     L1 = flow.grid.npoints
     times = flow.grid.times()
     jet_order = 1 if strat else 2
-    fields = {"K0": scenario.K0, **{f"G{i}": g for i, g in enumerate(scenario.G)}}
+    valence = scenario.K0.valence
+    center = (tp.offsets.shape[0] - 1) // 2
 
     # analytic jets of the flow coefficients at the observation point,
     # with a singleton path axis for broadcasting
     q = sde.jets(times, np.broadcast_to(scenario.x0[:, None], (sde.dim, L1)), 0, jet_order)
-    b_jets, xi_jets = _coeff_jets({k: v[..., None] for k, v in q.items()}, jet_order)
-    terms = {}
-    for lbl, f in fields.items():
-        lie = _stencil_lie_terms(f, times[:, None, None], tp.preimages, tp.jac, tp.inv_jac,
-                                 tp.eps, b_jets, xi_jets, strat)
-        # batch-last (npoints, P) to path-major (P, npoints)
-        terms[lbl] = {nm: np.moveaxis(v, (-1, -2), (0, 1)) for nm, v in lie.items()}
-    return _integrand_paths(terms, kpath, sde.n_noise, strat)
+    b_jets, xi_jets = _coeff_jets(sde, {k: v[..., None] for k, v in q.items()}, jet_order)
+    # every field transported on the stencil, shape + (npoints, P, 3^dim)
+    k_vals, *g_vals = (_transported(f, times[:, None, None], tp.preimages, tp.jac, tp.inv_jac)
+                       for f in (scenario.K0, *scenario.G))
+    paths = {f"G{i}": _path_major(v[..., center].copy()) for i, v in enumerate(g_vals)}
+    paths["K"] = kpath.combine(_path_major(k_vals[..., center].copy()),
+                               [paths[f"G{i}"] for i in range(len(g_vals))])
+    if not strat:
+        for i, v in enumerate(g_vals):
+            lie = _stencil_lie_terms(v, valence, sde.dim, tp.eps, None, xi_jets, True)
+            paths.update({f"LxG{i}_{nm[2:]}": _path_major(a) for nm, a in lie.items()
+                          if nm != "val"})
+    # the stencil values of K_t, accumulated in place into K0's
+    for i, v in enumerate(g_vals):
+        k_vals += kpath.weights[:, :, i].T[..., None] * v
+    del g_vals
+    lie = _stencil_lie_terms(k_vals, valence, sde.dim, tp.eps, b_jets, xi_jets, strat)
+    paths.update({_k_label(nm): _path_major(a) for nm, a in lie.items() if nm != "val"})
+    return paths
 
 
 def _push_lhs(scenario: Scenario, kpath: KPath, tp: PushTransport, flow: FlowEnsemble) -> np.ndarray:
@@ -739,7 +799,8 @@ def strat_ito_bridge_gap(scenario: Scenario, flow: FlowEnsemble, kpath: KPath,
     for i in range(len(scenario.G)):
         correction += 0.5 * covariation(paths[f"G{i}"], drivers.mart[:, :, i], axis=1)
     for j in range(drivers.n_noise):
-        correction += 0.5 * covariation(paths[f"LxK{j}"], drivers.bm[:, :, j], axis=1)
+        if f"LxK{j}" in paths:  # absent along a zero noise field
+            correction += 0.5 * covariation(paths[f"LxK{j}"], drivers.bm[:, :, j], axis=1)
     gap = strat.values - ito.values - (
         correction - ito.terms.get("bracket", 0.0) - ito.terms["L2"]
     )
@@ -825,23 +886,27 @@ def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPa
         if cp_pos < cps.size and m == cps[cp_pos]:
             nrows = m + 1
             batch = (nrows, P, S)
-            coef = _coeff_jets({k: v[..., :nrows, None] for k, v in q.items()}, 2)
-            lie = _stencil_lie_terms(K0, times[m], Q[:, :nrows].reshape((n,) + batch),
-                                     Ai[:, :, :nrows].reshape((n, n) + batch),
-                                     A[:, :, :nrows].reshape((n, n) + batch), eps, *coef, False)
+            coef = _coeff_jets(sde, {k: v[..., :nrows, None] for k, v in q.items()}, 2)
+            vals = _transported(K0, times[m], Q[:, :nrows].reshape((n,) + batch),
+                                Ai[:, :, :nrows].reshape((n, n) + batch),
+                                A[:, :, :nrows].reshape((n, n) + batch))
+            lie = _stencil_lie_terms(vals, K0.valence, n, eps, *coef, False)
             # restart rows first, for the sums over s
             lie = {nm: _batch_first(v, 2) for nm, v in lie.items()}
             dt_w = np.full((nrows, 1) + comp1, h)
             dt_w[m] = 0.0  # left sum in s: the s = t endpoint never enters
-            terms["L_b"][:, cp_pos] = _fold_rows(lie["Lb"] * dt_w)
+            # an absent term (a zero coefficient field) keeps its zeros
+            if "Lb" in lie:
+                terms["L_b"][:, cp_pos] = _fold_rows(lie["Lb"] * dt_w)
+            if "LL" in lie:
+                terms["L2"][:, cp_pos] = 0.5 * _fold_rows(lie["LL"] * dt_w)
             lx_sum = np.zeros((P,) + K0.shape)
-            ll_sum = np.zeros((P,) + K0.shape)
             for j in range(sde.n_noise):
-                ll_sum += _fold_rows(lie[f"LL{j}"] * dt_w)
-                dbj = np.moveaxis(drivers.bm[:, 1 : m + 1, j] - drivers.bm[:, :m, j], 1, 0)
-                lx_sum += _fold_rows(lie[f"Lx{j}"][1 : m + 1] * dbj.reshape(dbj.shape + comp1))
+                if f"Lx{j}" in lie:
+                    dbj = np.moveaxis(drivers.bm[:, 1 : m + 1, j] - drivers.bm[:, :m, j], 1, 0)
+                    dbj = dbj.reshape(dbj.shape + comp1)
+                    lx_sum += _fold_rows(lie[f"Lx{j}"][1 : m + 1] * dbj)
             terms["L_xi"][:, cp_pos] = lx_sum
-            terms["L2"][:, cp_pos] = 0.5 * ll_sum
             out_vals[:, cp_pos] = (
                 K_at_x0
                 + terms["L_b"][:, cp_pos]
@@ -871,12 +936,12 @@ def _route_a_integrands(state: Dict, valence: Tuple[int, int]) -> Dict:
 
     lie = _lie_terms(_jets_last(state["K"], 1), b, xi, valence, strat=False)
     g1 = paired(lie["Lb"])
-    for j in range(n_noise):
-        g1 = g1 + 0.5 * paired(lie[f"LL{j}"])
+    if n_noise:
+        g1 = g1 + 0.5 * paired(lie["LL"])
     h2 = [paired(lie[f"Lx{j}"]) for j in range(n_noise)]
     g2, g3 = {}, []
     for i, g_jets in enumerate(state["G"]):
-        lie_g = _lie_terms(_jets_last(g_jets, 1), b, xi, valence, strat=True)
+        lie_g = _lie_terms(_jets_last(g_jets, 1), None, xi, valence, strat=True)
         for j in range(n_noise):
             g2[(i, j)] = paired(lie_g[f"Lx{j}"])
         g3.append(paired(lie_g["val"]))

@@ -286,6 +286,10 @@ class TensorFieldSpec:
         out.params = tuple(sorted(new.items(), key=lambda kv: kv[0].name))
         return out
 
+    def is_zero(self) -> bool:
+        """Whether every component in every chart is the number 0."""
+        return all(e.is_Number and e.is_zero for arr in self.comps.values() for e in arr.flat)
+
     def is_time_independent(self) -> bool:
         return all(
             TIME not in arr[idx].free_symbols

@@ -298,15 +298,59 @@ def test_config_steps_override_scales_h(tmp_path):
          "run.paths: a study of 100000000000000000000000 paths"),
         ("scenario.name = x\nscenario.atlas = euclidean:1\nscenario.steps = 100000000\n",
          "scenario.steps: a study of 100 paths"),
+        # the reports are <name>.csv and <name>.manifest.json in the output directory
+        ("scenario.name = ../x\nscenario.atlas = euclidean:1\n", "scenario.name"),
+        ("scenario.name = ../../x\nscenario.atlas = euclidean:1\n", "scenario.name"),
+        ("scenario.name = sub/a\nscenario.atlas = euclidean:1\n", "scenario.name"),
+        ("scenario.name = sub\\a\nscenario.atlas = euclidean:1\n", "scenario.name"),
+        ("scenario.name = .\nscenario.atlas = euclidean:1\n", "scenario.name"),
+        ("scenario.name = ..\nscenario.atlas = euclidean:1\n", "scenario.name"),
+        # ``file`` is a file in the run's working directory
+        ("run.scenario = identity\nrun.out = file\n", "run.out: 'file' is not a directory"),
+        ("run.scenario = identity\nrun.out = file/sub\n", "run.out: 'file' is not a directory"),
     ],
 )
 def test_config_errors_exit_one(tmp_path, text, fragment):
+    """Exit 1 with the key named, writing nothing outside ``tmp_path/out``."""
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "file").write_text("")
     cfg = write_config(tmp_path, text)
-    out = run_cli("--config", str(cfg), cwd=tmp_path)
+    before = set(tmp_path.rglob("*"))
+    out = run_cli("--config", str(cfg), cwd=out_dir)
     assert out.returncode == 1
     assert fragment in out.stderr
     assert "Traceback" not in out.stderr
     assert "Warning" not in out.stderr
+    assert all(out_dir in p.parents for p in set(tmp_path.rglob("*")) - before)
+    assert not (tmp_path.parent / "x.csv").exists()
+
+
+@pytest.mark.parametrize("out_arg", ["file", "file/sub"])
+def test_out_flag_naming_a_file_exits_one(tmp_path, out_arg):
+    (tmp_path / "file").write_text("")
+    out = run_cli("identity", "--out", out_arg, cwd=tmp_path)
+    assert out.returncode == 1
+    assert "--out: 'file' is not a directory" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["identity", "--out", "file"],
+    ["--config", "run.cfg"],
+])
+def test_report_path_errors_come_before_the_study(tmp_path, monkeypatch, argv):
+    from flowtensor import cli, kiw_verifier
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drivers drawn for a run whose reports cannot be written")
+
+    monkeypatch.setattr(kiw_verifier, "build_driving_paths", no_draws)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("")
+    write_config(tmp_path, "scenario.name = sub/a\nscenario.atlas = euclidean:1\n")
+    assert cli.run(argv) == 1
 
 
 @pytest.mark.parametrize("args", [["--list"], ["identity", "--out", None]])

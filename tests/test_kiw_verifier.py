@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from flowtensor.fields import (
     coordinate_one_form,
     gbm_vector_field,
+    random_tensor_field,
     scalar_field,
     tensor_field,
     vector_field,
@@ -38,9 +39,10 @@ from flowtensor.kiw_verifier import (
     _random_jet_states,
     _route_a_integrands,
     _stencil_lie_terms,
+    _transported,
 )
 from flowtensor.scenarios import get_scenario, list_scenarios, scenario_table
-from flowtensor.stochastics import TimeGrid, build_driving_paths
+from flowtensor.stochastics import FvSpec, MartSpec, TimeGrid, build_driving_paths
 from flowtensor.tensor_calculus import coord_symbols, lie_derivative, stencil_offsets
 
 
@@ -140,8 +142,6 @@ def test_wiring_rejects_driver_count_mismatch():
 
 
 def test_wiring_rejects_static_selector_with_drivers():
-    from flowtensor.stochastics import FvSpec, MartSpec
-
     sc = scalar_scenario(
         G=(coordinate_one_form(1, 0),),
         fv_specs=(FvSpec("a", lambda t: t),),
@@ -152,8 +152,6 @@ def test_wiring_rejects_static_selector_with_drivers():
 
 
 def test_wiring_rejects_valence_mismatch_in_drivers():
-    from flowtensor.stochastics import FvSpec, MartSpec
-
     wrong = tensor_field((1, 0), 1, [coord_symbols(1)[0]], name="updown")
     sc = scalar_scenario(
         theorem="KiwItoPullback",
@@ -214,8 +212,34 @@ def test_static_reduction_is_bitwise():
     assert np.array_equal(a.values, b.values)
 
 
+TWO_DRIVERS = "kiw_ito_pullback_r2_two_drivers"
+
+
+def pullback_scenario(name):
+    """A registered scenario, or ``kiw_ito_pullback_r2`` with a second driver field.
+
+    The variant adds a field with its own finite-variation driver and a
+    martingale driver on the moving noise, so two weights are gathered
+    per state and the bracket of the second field carries weight; no
+    registered scenario has two driver fields.
+    """
+    if name != TWO_DRIVERS:
+        return get_scenario(name)
+    sc = get_scenario("kiw_ito_pullback_r2")
+    G1 = random_tensor_field((1, 1), 2, np.random.default_rng(707), degree=2, scale=0.3,
+                             prefix="hc", name="polyH")
+    return replace(sc, name=TWO_DRIVERS, G=sc.G + (G1,),
+                   fv_specs=sc.fv_specs + (FvSpec("sin", np.sin),),
+                   mart_specs=sc.mart_specs + (MartSpec("mart_bm0", "bm", component=0),))
+
+
 def _symbolic_integrand_paths(sc, flow, kp, strat):
-    """Reference integrands: symbolic Lie fields evaluated and pulled back."""
+    """Reference integrands: symbolic Lie fields evaluated and pulled back.
+
+    Every term of every coefficient field is built, zero fields too; the
+    Ito correction is one ``LLK``, summed over the noises in order, and
+    the ``LxG`` terms are built for the Ito bracket only.
+    """
     fields = [sc.K0, *sc.G]
     val = [_pull_path(f, flow) for f in fields]
     paths = {"K": kp.combine(val[0], val[1:])}
@@ -226,10 +250,11 @@ def _symbolic_integrand_paths(sc, flow, kp, strat):
         lx_fields = [lie_derivative(f, xi) for f in fields]
         lx = [_pull_path(f, flow) for f in lx_fields]
         paths[f"LxK{j}"] = kp.combine(lx[0], lx[1:])
-        paths.update({f"LxG{i}_{j}": v for i, v in enumerate(lx[1:])})
         if not strat:
+            paths.update({f"LxG{i}_{j}": v for i, v in enumerate(lx[1:])})
             ll = [_pull_path(lie_derivative(f, xi), flow) for f in lx_fields]
-            paths[f"LLK{j}"] = kp.combine(ll[0], ll[1:])
+            llk = kp.combine(ll[0], ll[1:])
+            paths["LLK"] = llk if j == 0 else paths["LLK"] + llk
     return paths
 
 
@@ -237,6 +262,7 @@ def _symbolic_integrand_paths(sc, flow, kp, strat):
     "name,n_paths",
     [
         ("kiw_ito_pullback_r2", 6),
+        (TWO_DRIVERS, 6),
         ("kiw_strat_pullback_r2", 6),
         ("scalar_itowentzell_r2", 6),
         ("kiw_ito_pullback_bracket", 6),
@@ -244,34 +270,81 @@ def _symbolic_integrand_paths(sc, flow, kp, strat):
     ],
 )
 def test_jet_integrands_match_symbolic_lie_fields(name, n_paths):
-    """The jet route reproduces the symbolic Lie fields, pulled back."""
-    sc = get_scenario(name)
+    """The jet route reproduces the symbolic Lie fields, pulled back.
+
+    It leaves out the terms along a zero coefficient field (the sphere's
+    drift, the second noise of ``kiw_ito_pullback_r2``), whose symbolic
+    references are exact zeros.
+    """
+    sc = pullback_scenario(name)
     d, flow, kp = flow_and_kpath(sc, n_paths=n_paths)
     if len(sc.atlas.charts) > 1:
         assert len(flow.hops) > 0  # both charts' components are exercised
     strat = sc.theorem == "KiwStratPullback"
     got = _pullback_integrand_paths(sc, flow, kp, strat)
     want = _symbolic_integrand_paths(sc, flow, kp, strat)
-    assert set(got) == set(want)
+    assert set(got) <= set(want)
+    for key in set(want) - set(got):
+        assert not np.any(want[key]), key
     # terms that vanish identically (rotations about the sphere's axis
     # leave the weighted metric invariant) are exact zeros symbolically
     # and round-off from the jets, hence the absolute floor at the
     # scale of the integrands
     scale = max(float(np.max(np.abs(v))) for v in want.values())
-    for key, val in want.items():
-        assert_allclose(got[key], val, rtol=1e-11, atol=1e-11 * scale, err_msg=key)
+    for key, val in got.items():
+        assert_allclose(val, want[key], rtol=1e-11, atol=1e-11 * scale, err_msg=key)
 
 
-def test_jet_integrands_do_not_depend_on_the_block_size(monkeypatch):
-    sc = get_scenario("kunita_sphere_rotation")
+@pytest.mark.parametrize("name", ["kunita_sphere_rotation", "kiw_ito_pullback_r2"])
+def test_jet_integrands_do_not_depend_on_the_block_size(monkeypatch, name):
+    sc = get_scenario(name)
     d, flow, kp = flow_and_kpath(sc, n_paths=12)
-    assert len(flow.hops) > 0
+    if len(sc.atlas.charts) > 1:
+        assert len(flow.hops) > 0
     default = _pullback_integrand_paths(sc, flow, kp, strat=False)
     monkeypatch.setattr(kiw_verifier, "_JET_BLOCK_STATES", 1)  # one grid row per block
     rowwise = _pullback_integrand_paths(sc, flow, kp, strat=False)
     assert set(default) == set(rowwise)
     for key in default:
         assert np.array_equal(default[key], rowwise[key]), key
+
+
+@pytest.mark.parametrize("name,keys,lie_jets,contractions", [
+    # K_t: L_b, L_xi0 and L_xi0 L_xi0, none along the zero second noise;
+    # G0: L_xi0 for the bracket.  Pulled back: K0 and G0 (combined into K)
+    # and the four Lie terms
+    ("kiw_ito_pullback_r2", {"K", "G0", "LbK", "LxK0", "LLK", "LxG0_0"}, 4, 6),
+    # no drift term, two per noise; pulled back: K and the four Lie terms
+    ("kunita_sphere_rotation", {"K", "LxK0", "LxK1", "LxK2", "LLK"}, 6, 5),
+])
+def test_one_block_builds_each_integrand_once(monkeypatch, name, keys, lie_jets, contractions):
+    """The integrands and kernel calls of one block in one chart, counted.
+
+    A zero coefficient field gets no integrand, and the Ito correction is
+    pulled back once, summed over the noises.
+    """
+    sc = get_scenario(name)
+    if len(sc.atlas.charts) > 1:
+        # near the chart centre over a short horizon the paths stay in chart 0
+        sc = replace(sc, x0=np.array([0.1, 0.2]), base_grid=TimeGrid(0.25, 8))
+    d, flow, kp = flow_and_kpath(sc, n_paths=4)
+    assert flow.charts.size <= kiw_verifier._JET_BLOCK_STATES
+    assert np.all(flow.charts == flow.charts[0, 0])
+    calls = {"_lie_jet": 0, "_contract": 0}
+
+    def counted(name):
+        fn = getattr(kiw_verifier, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for fn_name in calls:
+        monkeypatch.setattr(kiw_verifier, fn_name, counted(fn_name))
+    assert set(_pullback_integrand_paths(sc, flow, kp, strat=False)) == keys
+    assert calls == {"_lie_jet": lie_jets, "_contract": contractions}
 
 
 @pytest.mark.parametrize(
@@ -378,8 +451,9 @@ def test_stencil_lie_terms_match_the_analytic_jets(name, field, strat):
     pts = centres[..., None] + eps * stencil
     eye = np.broadcast_to(np.eye(n)[:, :, None, None, None], (n, n) + pts.shape[1:])
     t = 0.3
-    b_jets, xi_jets = _coeff_jets(sc.sde.jets(t, centres, 0, order), order)
-    got = _stencil_lie_terms(f, t, pts, eye, eye, eps, b_jets, xi_jets, strat)
+    b_jets, xi_jets = _coeff_jets(sc.sde, sc.sde.jets(t, centres, 0, order), order)
+    got = _stencil_lie_terms(_transported(f, t, pts, eye, eye), f.valence, n, eps, b_jets,
+                             xi_jets, strat)
     want = _lie_terms(f._jet_last(t, centres, 0, order), b_jets, xi_jets, f.valence, strat)
     assert got.keys() == want.keys()
     for nm in want:
@@ -432,8 +506,10 @@ def test_linear_coefficients_telescope_to_zero_residual():
     assert np.max(np.abs(lhs - rhs.values)) < 1e-12
 
 
-def test_bridge_identity_between_assemblies():
-    sc = get_scenario("kiw_strat_pullback_r2")
+@pytest.mark.parametrize("name", ["kiw_strat_pullback_r2", "kiw_ito_pullback_r2", TWO_DRIVERS])
+def test_bridge_identity_between_assemblies(name):
+    """Holds with absent terms too: ``kiw_ito_pullback_r2`` has no ``LxK1``."""
+    sc = pullback_scenario(name)
     d, flow, kp = flow_and_kpath(sc)
     assert strat_ito_bridge_gap(sc, flow, kp, d) < 1e-10
 
