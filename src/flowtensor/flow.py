@@ -524,10 +524,10 @@ def integrate_flow_levels(
     Ji = J.copy()
     active = np.ones(C, dtype=bool)
     stop_step = np.repeat([L + 1 for L in steps], P)
-    # per level: the state history and the increments, batch-last, and the hops
+    # per level: the state history, batch-last, the Brownian paths and the hops
     hist = [(np.empty((L + 1, n, P)), np.empty((L + 1, P), dtype=int),
              np.empty((L + 1, n, n, P)), np.empty((L + 1, n, n, P))) for L in steps]
-    dBs = [np.diff(levels[i].bm, axis=1).transpose(1, 2, 0).copy() for i in order]
+    bms = [levels[i].bm for i in order]
     hops: List[List[Tuple[int, int, int, int]]] = [[] for _ in steps]
 
     def store(i: int, row: int):
@@ -545,7 +545,9 @@ def integrate_flow_levels(
         if live.any():
             # each level's own times, as TimeGrid.times computes them
             t0, t1, h = kcol * h_col[:mP], (kcol + 1) * h_col[:mP], h_col[:mP]
-            db = np.concatenate([dBs[i][k // ratio[i]] for i in range(m)], axis=1)
+            # each level's increment over its current step, as np.diff takes it
+            db = np.concatenate([(bms[i][:, k // ratio[i] + 1] - bms[i][:, k // ratio[i]]).T
+                                 for i in range(m)], axis=1)
             before = charts[:mP].copy()  # group on the charts from before the step
             for cid in np.flatnonzero(np.bincount(before[live])).tolist():
                 idx = np.flatnonzero(live & (before == cid))

@@ -242,6 +242,8 @@ class TensorFieldSpec:
         missing = syms - allowed
         if missing:
             raise ValueError(f"unbound symbols {sorted(map(str, missing))} in field {name!r}")
+        # copies (with_order, with_params) keep the expressions, hence the flag
+        self._time_independent = TIME not in syms
 
     # -- structure ---------------------------------------------------------
 
@@ -291,11 +293,8 @@ class TensorFieldSpec:
         return all(e.is_Number and e.is_zero for arr in self.comps.values() for e in arr.flat)
 
     def is_time_independent(self) -> bool:
-        return all(
-            TIME not in arr[idx].free_symbols
-            for arr in self.comps.values()
-            for idx in (np.ndindex(arr.shape) if arr.shape else [()])
-        )
+        """Whether no component in any chart reads ``t`` (found once, at construction)."""
+        return self._time_independent
 
     # -- evaluation --------------------------------------------------------
 

@@ -32,7 +32,7 @@ from flowtensor.kiw_verifier import (
 from flowtensor import kiw_verifier
 from flowtensor.kiw_verifier import (
     _pull_path,
-    _pullback_integrand_paths,
+    _pullback_integrand_blocks,
     _coeff_jets,
     _lie_terms,
     _push_transport,
@@ -61,6 +61,12 @@ def flow_and_kpath(sc, n_paths=None):
     d = drivers_for(sc, n_paths)
     flow = integrate_flow(sc.sde, d, sc.x0, sc.scheme, sc.start_chart)
     return d, flow, synthesize_K_path(sc, d)
+
+
+def pullback_integrands(sc, flow, kp, strat):
+    """The pullback integrand blocks joined into ``(P, npoints) + comps`` arrays."""
+    blocks = list(_pullback_integrand_blocks(sc, flow, kp, strat))
+    return {key: kiw_verifier._joined([b[key] for b in blocks]) for key in blocks[0]}
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +188,28 @@ def test_restart_selector_is_euler_only():
         validate_scenario(sc)
 
 
-def test_kpath_needs_time_independent_fields():
+@pytest.mark.parametrize("where", ["K0", "G"])
+def test_kpath_needs_time_independent_fields(where):
+    """The flag is found once per field and kept by its copies."""
     from flowtensor.tensor_calculus import TIME
 
-    sc = scalar_scenario(K0=tensor_field((0, 1), 1, [TIME], name="tdx"))
-    d = drivers_for(sc)
-    with pytest.raises(WiringMismatch):
-        synthesize_K_path(sc, d)
+    x = coord_symbols(1)[0]
+    a = sp.Symbol("a")
+    timed = tensor_field((0, 1), 1, [a * TIME * x], params={a: 1.0}, name="tdx")
+    for field in (timed, timed.with_order(2), timed.with_params({a: 2.0})):
+        assert not field.is_time_independent()
+        if where == "K0":
+            sc = scalar_scenario(K0=field)
+        else:
+            sc = scalar_scenario(theorem="KiwItoPullback", G=(field,),
+                                 fv_specs=(FvSpec("t", lambda t: t),),
+                                 mart_specs=(MartSpec("zero", "zero"),))
+        d = drivers_for(sc)
+        with pytest.raises(WiringMismatch, match="time"):
+            synthesize_K_path(sc, d)
+    still = tensor_field((0, 1), 1, [a * x], params={a: 1.0}, name="xdx")
+    assert all(f.is_time_independent() for f in (still, still.with_order(1),
+                                                  still.with_params({a: 3.0})))
 
 
 def test_kpath_weights_are_driver_sums():
@@ -281,7 +302,7 @@ def test_jet_integrands_match_symbolic_lie_fields(name, n_paths):
     if len(sc.atlas.charts) > 1:
         assert len(flow.hops) > 0  # both charts' components are exercised
     strat = sc.theorem == "KiwStratPullback"
-    got = _pullback_integrand_paths(sc, flow, kp, strat)
+    got = pullback_integrands(sc, flow, kp, strat)
     want = _symbolic_integrand_paths(sc, flow, kp, strat)
     assert set(got) <= set(want)
     for key in set(want) - set(got):
@@ -297,16 +318,24 @@ def test_jet_integrands_match_symbolic_lie_fields(name, n_paths):
 
 @pytest.mark.parametrize("name", ["kunita_sphere_rotation", "kiw_ito_pullback_r2"])
 def test_jet_integrands_do_not_depend_on_the_block_size(monkeypatch, name):
+    """The integrands, and the sums the collect sink joins, bitwise."""
     sc = get_scenario(name)
     d, flow, kp = flow_and_kpath(sc, n_paths=12)
     if len(sc.atlas.charts) > 1:
         assert len(flow.hops) > 0
-    default = _pullback_integrand_paths(sc, flow, kp, strat=False)
+    default = pullback_integrands(sc, flow, kp, strat=False)
+    default_rhs = eval_rhs(sc, flow, kp, d)
     monkeypatch.setattr(kiw_verifier, "_JET_BLOCK_STATES", 1)  # one grid row per block
-    rowwise = _pullback_integrand_paths(sc, flow, kp, strat=False)
+    rowwise = pullback_integrands(sc, flow, kp, strat=False)
+    rowwise_rhs = eval_rhs(sc, flow, kp, d)
     assert set(default) == set(rowwise)
     for key in default:
         assert np.array_equal(default[key], rowwise[key]), key
+    assert np.array_equal(default_rhs.values, rowwise_rhs.values)
+    assert np.array_equal(default_rhs.transported, rowwise_rhs.transported)
+    assert default_rhs.terms.keys() == rowwise_rhs.terms.keys()
+    for key in default_rhs.terms:
+        assert np.array_equal(default_rhs.terms[key], rowwise_rhs.terms[key]), key
 
 
 @pytest.mark.parametrize("name,keys,lie_jets,contractions", [
@@ -343,7 +372,8 @@ def test_one_block_builds_each_integrand_once(monkeypatch, name, keys, lie_jets,
 
     for fn_name in calls:
         monkeypatch.setattr(kiw_verifier, fn_name, counted(fn_name))
-    assert set(_pullback_integrand_paths(sc, flow, kp, strat=False)) == keys
+    (block,) = _pullback_integrand_blocks(sc, flow, kp, strat=False)
+    assert set(block) == keys
     assert calls == {"_lie_jet": lie_jets, "_contract": contractions}
 
 
@@ -514,21 +544,95 @@ def test_bridge_identity_between_assemblies(name):
     assert strat_ito_bridge_gap(sc, flow, kp, d) < 1e-10
 
 
-def test_assembly_frees_every_integrand_but_k():
-    """The assembly takes its dict and leaves only K; the sums are those of a copy."""
+def test_assembly_only_reads_its_blocks():
+    """Two assemblies of one list of blocks: the blocks are left as they were."""
     for name, strat in (("kiw_ito_pullback_r2", False), ("kiw_strat_pullback_r2", True)):
         sc = get_scenario(name)
         d, flow, kp = flow_and_kpath(sc, n_paths=5)
-        paths = kiw_verifier._pullback_integrand_paths(sc, flow, kp, strat)
-        assert len(paths) > 1
-        kept = dict(paths)
-        owned = kiw_verifier._assemble_forward_rhs(sc, d, paths, strat, "closed_form")
-        assert list(paths) == ["K"] and paths["K"] is kept["K"]
-        copied = kiw_verifier._assemble_forward_rhs(sc, d, dict(kept), strat, "closed_form")
-        assert np.array_equal(owned.values, copied.values)
-        assert owned.terms.keys() == copied.terms.keys()
-        for key in owned.terms:
-            assert np.array_equal(owned.terms[key], copied.terms[key]), key
+        blocks = list(_pullback_integrand_blocks(sc, flow, kp, strat))
+        kept = [{key: a.copy() for key, a in b.items()} for b in blocks]
+        first, again = (list(kiw_verifier._assembled_blocks(sc, d, blocks, strat, "closed_form"))
+                        for _ in range(2))
+        for b, k in zip(blocks, kept):
+            assert b.keys() == k.keys()
+            assert all(np.array_equal(b[key], k[key]) for key in b)
+        for x, y in zip(first, again):
+            assert np.array_equal(x.values, y.values)
+            assert x.terms.keys() == y.terms.keys()
+            for key in x.terms:
+                assert (x.terms[key] is None) == (y.terms[key] is None), key
+                assert x.terms[key] is None or np.array_equal(x.terms[key], y.terms[key]), key
+
+
+def _whole_array_reductions(rhs, stop_step):
+    """A level's residual and term sups, reduced from the whole arrays of ``rhs``."""
+    lhs = rhs.transported
+    P, rows = lhs.shape[:2]
+    kidx = rhs.checkpoint_indices if rhs.checkpoint_indices is not None else np.arange(rows)
+    dev = np.max(np.abs(lhs - rhs.values).reshape(P, rows, -1), axis=2)
+    live = stop_step[:, None] > kidx[None, :]
+    residual = np.max(np.where(live, dev, 0.0), axis=1)
+    return residual, {k: np.max(np.abs(v).reshape(P, -1), axis=1) for k, v in rhs.terms.items()}
+
+
+@pytest.mark.parametrize("block_states", [None, 1, 40])
+@pytest.mark.parametrize("name", [n for n in list_scenarios() if n != "kiw_push_lowreg"])
+def test_streamed_reduction_is_the_whole_array_reduction(monkeypatch, name, block_states):
+    """A study level's sups are bitwise those of the whole arrays.
+
+    At the default block size, one grid row per block and six rows per
+    block (40 states of 6 paths, so the last block is short): stopped
+    paths (``blowup_cubic``), the trapezoid row carried across blocks
+    (``kiw_strat_pullback_r2``), driver weights and the bracket
+    (``kiw_ito_pullback_r2``), chart hops, checkpoints (``KunitaFirst``)
+    and the one-block pushforward routes.
+    """
+    sc = get_scenario(name)
+    d, flow, kp = flow_and_kpath(sc, n_paths=6)
+    want_residual, want_sups = _whole_array_reductions(eval_rhs(sc, flow, kp, d), flow.stop_step)
+    if block_states is not None:
+        monkeypatch.setattr(kiw_verifier, "_JET_BLOCK_STATES", block_states)
+    got = kiw_verifier._run_level(sc, d, flow, None)
+    assert np.array_equal(got["residual"], want_residual, equal_nan=True)
+    assert got["term_sups"].keys() == want_sups.keys()
+    for key, sup in want_sups.items():
+        assert np.array_equal(got["term_sups"][key], sup, equal_nan=True), key
+    if name == "blowup_cubic":
+        assert not np.all(flow.completed)
+
+
+# bytes a study may use per state of its row block, on top of its flows and
+# drivers: the jets, Lie terms and pullbacks of one block (about 1500 bytes
+# per state on the sphere at 1024-state blocks) and the assembly and
+# reduction of its rows
+BLOCK_STATE_BYTES = 256 * 8
+
+
+def test_study_holds_its_flows_drivers_and_one_block(monkeypatch):
+    """The memory guard: no whole-path integrand or term series is held.
+
+    A 64-path ``kunita_sphere_rotation`` study of four levels, after a set-up
+    study, in 1024-state blocks (16 grid rows of the 513-row finest level);
+    the smaller block keeps whole-path arrays well above the allowance.
+    """
+    import tracemalloc
+
+    monkeypatch.setattr(kiw_verifier, "_JET_BLOCK_STATES", 1024)
+    sc = replace(get_scenario("kunita_sphere_rotation"), n_paths=64)
+    convergence_study(sc, levels=1)  # compiles every evaluator the study reads
+    n, N = sc.sde.dim, sc.sde.n_noise
+    states = kiw_verifier.study_states(sc.n_paths, sc.base_grid.steps, 4)
+    # per state: coordinates, chart id, Jacobian and inverse; the Brownian path
+    # and the martingale drivers (the sphere has no driver fields)
+    held = states * (n + 1 + 2 * n * n + N + len(sc.mart_specs)) * 8
+    allowance = kiw_verifier._JET_BLOCK_STATES * BLOCK_STATE_BYTES
+    tracemalloc.start()
+    try:
+        convergence_study(sc, levels=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < held + allowance, (peak, held, allowance)
 
 
 def test_study_rejects_an_out_of_range_seed():
