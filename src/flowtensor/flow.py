@@ -46,7 +46,7 @@ step, each column with its own level's times, step size and increments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -404,6 +404,19 @@ class FlowEnsemble:
             status=COMPLETED if self.stop_step[pos] >= self.grid.npoints else STOPPED,
             stop_step=int(self.stop_step[pos]),
             hops=hops,
+        )
+
+    def slice_paths(self, start: int, stop: int) -> "FlowEnsemble":
+        """The paths at positions ``start:stop``, as views; hops renumbered."""
+        return replace(
+            self,
+            path_ids=self.path_ids[start:stop],
+            charts=self.charts[:, start:stop],
+            coords=self.coords[:, start:stop],
+            jac=self.jac[:, start:stop],
+            inv_jac=self.inv_jac[:, start:stop],
+            stop_step=self.stop_step[start:stop],
+            hops=tuple((k, p - start, a, b) for (k, p, a, b) in self.hops if start <= p < stop),
         )
 
     def jac_consistency_max(self) -> float:

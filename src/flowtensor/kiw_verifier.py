@@ -18,10 +18,9 @@ the drivers of every level first, integrates all levels' flows in one
 sweep of the finest grid (:func:`flowtensor.flow.integrate_flow_levels`)
 and then reduces the levels coarse to fine, dropping each level's
 drivers and flow once it is reduced.  A level is reduced in blocks of
-whole grid rows: its integrands are built a block at a time, one
-assembler (:func:`_assembled_blocks`) carries the cumulative sums from
-block to block, and the study keeps only per-path sups
-(:func:`_reduced`), so no whole-path integrand or term series exists.
+whole paths (:func:`_run_level`), so a level's integrands and term
+series exist for one block of paths at a time; the assembly frees each
+integrand once it is summed.
 
 Selectors
 ---------
@@ -46,10 +45,9 @@ Selectors
 
 from __future__ import annotations
 
-import itertools
 import string
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,7 +58,10 @@ from .stochastics import (
     TimeGrid,
     build_driving_paths,
     covariation,
+    fv_integral,
+    ito_integral,
     refine_dyadic,
+    stratonovich_integral,
 )
 from .tensor_calculus import (
     TensorFieldSpec,
@@ -294,6 +295,11 @@ def _pull_path(f: TensorFieldSpec, flow: FlowEnsemble, cols=slice(None)) -> np.n
     return np.swapaxes(pulled, 0, 1)
 
 
+def _sup_per_path(term: np.ndarray) -> np.ndarray:
+    """Sup over grid and components, one value per path."""
+    return np.max(np.abs(term).reshape(term.shape[0], -1), axis=1)
+
+
 @dataclass(frozen=True)
 class RhsResult:
     """Right-hand side values plus the individual cumulative terms."""
@@ -305,6 +311,85 @@ class RhsResult:
     # grid times of ``values``
     transported: np.ndarray
     checkpoint_indices: Optional[np.ndarray] = None  # set by KunitaFirst
+
+
+def _assemble_forward_rhs(
+    scenario: Scenario,
+    drivers: DrivingPaths,
+    paths: Dict[str, np.ndarray],
+    strat: bool,
+    bracket_mode: str,
+) -> RhsResult:
+    """Sum the identity's terms from precomputed integrand paths.
+
+    ``paths`` maps integrand labels and the transported tensor ``K`` to
+    (P, npoints, comps...) arrays; the sums start from ``K`` at time 0.
+    The labels are ``G<i>`` (driver field i), ``LbK`` (``L_b K_t``),
+    ``LxK<j>`` (``L_xi_j K_t``), ``LxG<i>_<j>`` (``L_xi_j G_i``, read by the
+    Ito bracket only) and ``LLK``, the Ito correction summed over the
+    noises, ``sum_j L_xi_j L_xi_j K_t``.  An absent Lie label is a term
+    that vanishes identically (its coefficient field is zero, see
+    :func:`_coeff_jets`); the identity's term series are reported all the
+    same, as zeros where nothing enters them.  The pullback and
+    pushforward variants share this assembly; the transport direction
+    only changes how the integrand paths were produced and the sign of
+    the Lie terms.  Pure time integrals always use left sums; trapezoid
+    sums apply only to the martingale and noise integrators of the
+    Stratonovich form.
+
+    The assembly takes ownership of ``paths``: it removes every entry
+    after its last use, and the ``LxG`` entries, which the Stratonovich
+    form never reads, at once; only ``K`` is left.  A caller that reads
+    the integrands afterwards passes a copy of the dict.
+    """
+    sign = -1.0 if scenario.theorem in _PUSH_THEOREMS else 1.0
+    t = drivers.times()
+    nG = len(scenario.G)
+    nB = drivers.n_noise
+    mint = stratonovich_integral if strat else ito_integral
+    terms: Dict[str, np.ndarray] = {}
+    K = paths["K"]
+    if strat:
+        for key in [k for k in paths if k.startswith("LxG")]:
+            del paths[key]
+
+    def summed(integrate, parts):
+        """The sum, in order, of ``integrate`` over the ``(label, integrator)``
+        pairs of ``parts`` whose label is present, each integrand removed
+        once it is integrated; zeros when no label is present."""
+        acc = None
+        for key, integrator in parts:
+            if key in paths:
+                part = integrate(paths.pop(key), integrator, axis=1)
+                acc = part if acc is None else acc + part
+        return np.zeros_like(K) if acc is None else acc
+
+    if nG:
+        # added up as sum() would, one field at a time, so each G<i> goes after use
+        dA = dM = 0
+        for i in range(nG):
+            g = paths.pop(f"G{i}")
+            dA = dA + fv_integral(g, drivers.fv[:, i], axis=1)
+            dM = dM + mint(g, drivers.mart[:, :, i], axis=1)
+            del g
+        terms["G_dA"], terms["G_dM"] = dA, dM
+
+    terms["L_b"] = sign * summed(fv_integral, [("LbK", t)])
+
+    if nB:
+        terms["L_xi"] = sign * summed(mint, ((f"LxK{j}", drivers.bm[:, :, j]) for j in range(nB)))
+        if not strat:
+            if nG:
+                terms["bracket"] = sign * summed(fv_integral, (
+                    (f"LxG{i}_{j}", drivers.bracket_with_bm(i, j, bracket_mode))
+                    for i in range(nG)
+                    for j in range(nB) if f"LxG{i}_{j}" in paths
+                ))
+            terms["L2"] = 0.5 * summed(fv_integral, [("LLK", t)])
+
+    order = ("G_dA", "G_dM", "L_b", "L_xi", "bracket", "L2")
+    values = K[:, :1] + sum(terms[k] for k in order if k in terms)
+    return RhsResult(values=values, terms=terms, bracket_mode=bracket_mode, transported=K)
 
 
 def _jets_last(jets: Sequence[np.ndarray], nb: int) -> List[np.ndarray]:
@@ -372,15 +457,16 @@ def _k_label(name: str) -> str:
     return name[:2] + "K" + name[2:]
 
 
-# largest number of flow states whose jets are held at once; the pullback
-# integrands are built in blocks of whole grid rows below this bound
+# largest number of flow states whose jets are held at once: a study level
+# is reduced in blocks of whole paths below this bound, and the pullback
+# integrands are built in blocks of whole grid rows below it
 _JET_BLOCK_STATES = 8192
 
 
-def _pullback_integrand_blocks(
+def _pullback_integrand_paths(
     scenario: Scenario, flow: FlowEnsemble, kpath: KPath, strat: bool
-) -> Iterator[Dict[str, np.ndarray]]:
-    """Integrand blocks for the pullback-family selectors.
+) -> Dict[str, np.ndarray]:
+    """Integrand paths for the pullback-family selectors.
 
     The Lie terms are those of the driven tensor ``K_t`` itself.  At the
     flow states, chart by chart, the analytic jets of ``K0`` and every
@@ -392,16 +478,16 @@ def _pullback_integrand_blocks(
     Lie terms of each ``G_i`` along each noise, which are built from the
     field's own jets.  ``K`` is combined from the pulled-back values of
     the fields, as :func:`eval_lhs` combines them, so the two agree
-    bitwise.  The keys are those :func:`_assembled_blocks` reads,
+    bitwise.  The keys are those :func:`_assemble_forward_rhs` reads,
     without the terms of a zero coefficient field.
 
-    The states are taken in blocks of whole grid rows, at most
-    ``_JET_BLOCK_STATES`` of them per block, and each block is yielded,
-    in time order, as a dict of batch-last ``comps + (rows, P)`` arrays;
-    the caller reduces it before the next block is built.  Within a
-    block each chart's states, Jacobians and weights are gathered once,
-    the jets are whole rows of one compiled call, and a block in one
-    chart is written as one contiguous slice.
+    The states are processed in blocks of whole grid rows, at most
+    ``_JET_BLOCK_STATES`` of them per block, so the jets of the whole
+    ensemble never exist at once.  Everything is batch-last: each block's
+    states, Jacobians and weights are gathered once, the jets are whole
+    rows of one compiled call, and each integrand is held as
+    ``comps + (npoints, P)``, so a block in one chart is written as one
+    contiguous slice.  The results are ``(P, npoints) + comps`` views.
     """
     sde = scenario.sde
     order = 1 if strat else 2
@@ -414,11 +500,11 @@ def _pullback_integrand_blocks(
     jac, inv_jac = (np.moveaxis(a, (2, 3), (0, 1)) for a in (flow.jac, flow.inv_jac))
     weights = np.moveaxis(kpath.weights, (0, 1), (-1, -2))  # (n_drivers, npoints, P)
     shape = scenario.K0.shape
+    held: Dict[str, np.ndarray] = {}
     rows = max(1, _JET_BLOCK_STATES // P)
     for k0 in range(0, L1, rows):
         blk = slice(k0, k0 + rows)
         charts = flow.charts[blk]
-        held: Dict[str, np.ndarray] = {}
         for cid in np.unique(charts).tolist():
             mask = charts == cid
             whole = bool(mask.all())
@@ -435,8 +521,8 @@ def _pullback_integrand_blocks(
             def put(key, v):
                 """Pull ``v`` back and write it into the integrand ``key``."""
                 if key not in held:
-                    held[key] = np.empty(shape + charts.shape)
-                out = held[key]
+                    held[key] = np.empty(shape + (L1, P))
+                out = held[key][..., blk, :]
                 pulled = _contract(v, valence, Ai, A)
                 if whole:
                     out[...] = pulled.reshape(out.shape)
@@ -462,14 +548,9 @@ def _pullback_integrand_blocks(
             for nm, v in _lie_terms(k_jets, b_jets, xi_jets, valence, strat).items():
                 if nm != "val":
                     put(_k_label(nm), v)
-            # nothing but the integrands outlives the chart group, so the block
-            # is reduced while the generator holds no jets
-            del jets, k_jets, b_jets, xi_jets, t, x, A, Ai
-        # the values of K_t, combined from the fields' as KPath.combine combines them
-        held["K"] = held.pop("K0")
-        for i in range(len(scenario.G)):
-            held["K"] += weights[i, blk] * held[f"G{i}"]
-        yield held
+    paths = {key: _path_major(a) for key, a in held.items()}
+    paths["K"] = kpath.combine(paths.pop("K0"), [paths[f"G{i}"] for i in range(len(scenario.G))])
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -589,10 +670,10 @@ def _stencil_lie_terms(values: np.ndarray, valence: Tuple[int, int], dim: int, e
     return _lie_terms(jets, b_jets, xi_jets, valence, strat)
 
 
-def _pushforward_integrand_blocks(
+def _pushforward_integrand_paths(
     scenario: Scenario, flow: FlowEnsemble, kpath: KPath, tp: PushTransport, strat: bool
-) -> Iterator[Dict[str, np.ndarray]]:
-    """Integrand blocks for the pushforward-family selectors.
+) -> Dict[str, np.ndarray]:
+    """Integrand paths for the pushforward-family selectors.
 
     The Lie derivatives act on the transported field, so they are taken
     numerically from stencil jets of the pushed-forward field
@@ -603,10 +684,7 @@ def _pushforward_integrand_blocks(
     adds values) before the Lie terms of ``K_t`` are taken; the Ito
     bracket reads the Lie terms of each ``G_i`` along each noise.  ``K``
     combines the fields' values at the stencil centre, as
-    :func:`eval_lhs` does.  The transport wavefront spans the whole
-    level, so the whole level is one block: one dict of batch-last
-    ``comps + (npoints, P)`` arrays, keyed as
-    :func:`_pullback_integrand_blocks` keys them.
+    :func:`eval_lhs` does.
     """
     sde = scenario.sde
     L1 = flow.grid.npoints
@@ -622,23 +700,21 @@ def _pushforward_integrand_blocks(
     # every field transported on the stencil, shape + (npoints, P, 3^dim)
     k_vals, *g_vals = (_transported(f, times[:, None, None], tp.preimages, tp.jac, tp.inv_jac)
                        for f in (scenario.K0, *scenario.G))
-    block = {f"G{i}": v[..., center].copy() for i, v in enumerate(g_vals)}
-    K = k_vals[..., center].copy()
-    for i in range(len(g_vals)):
-        K += kpath.weights[:, :, i].T * block[f"G{i}"]
-    block["K"] = K
+    paths = {f"G{i}": _path_major(v[..., center].copy()) for i, v in enumerate(g_vals)}
+    paths["K"] = kpath.combine(_path_major(k_vals[..., center].copy()),
+                               [paths[f"G{i}"] for i in range(len(g_vals))])
     if not strat:
         for i, v in enumerate(g_vals):
             lie = _stencil_lie_terms(v, valence, sde.dim, tp.eps, None, xi_jets, True)
-            block.update({f"LxG{i}_{nm[2:]}": a for nm, a in lie.items() if nm != "val"})
+            paths.update({f"LxG{i}_{nm[2:]}": _path_major(a) for nm, a in lie.items()
+                          if nm != "val"})
     # the stencil values of K_t, accumulated in place into K0's
     for i, v in enumerate(g_vals):
         k_vals += kpath.weights[:, :, i].T[..., None] * v
     del g_vals
     lie = _stencil_lie_terms(k_vals, valence, sde.dim, tp.eps, b_jets, xi_jets, strat)
-    del k_vals
-    block.update({_k_label(nm): a for nm, a in lie.items() if nm != "val"})
-    yield block
+    paths.update({_k_label(nm): _path_major(a) for nm, a in lie.items() if nm != "val"})
+    return paths
 
 
 def _push_lhs(scenario: Scenario, kpath: KPath, tp: PushTransport, flow: FlowEnsemble) -> np.ndarray:
@@ -656,204 +732,6 @@ def _push_lhs(scenario: Scenario, kpath: KPath, tp: PushTransport, flow: FlowEns
 
 
 # ---------------------------------------------------------------------------
-# assembly in row blocks, and its two sinks
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _RhsBlock:
-    """Consecutive rows of one level's identity, batch-last.
-
-    ``rows`` are the grid indices of the rows; ``K`` (the transported
-    tensor), ``values`` (the right-hand side) and every term series are
-    ``comps + (rows.size, P)``.  A term that vanishes identically (no
-    integrand enters it) is ``None``.
-    """
-
-    rows: np.ndarray
-    K: np.ndarray
-    values: np.ndarray
-    terms: Dict[str, Optional[np.ndarray]]
-
-
-def _carried_cumsum(steps: np.ndarray, carry: Optional[np.ndarray]) -> np.ndarray:
-    """Cumulative sums of ``steps`` along the row axis (-2), continued from
-    the row ``carry``, or from a zero row (which is kept) when ``carry`` is
-    None.  The additions are those of one cumulative sum over the whole
-    grid, so the bits do not depend on where the blocks split it."""
-    if carry is None:
-        out = np.zeros(steps.shape[:-2] + (steps.shape[-2] + 1, steps.shape[-1]))
-        np.cumsum(steps, axis=-2, out=out[..., 1:, :])
-        return out
-    return np.cumsum(np.concatenate((carry, steps), axis=-2), axis=-2)[..., 1:, :]
-
-
-def _assembled_blocks(
-    scenario: Scenario,
-    drivers: DrivingPaths,
-    integrands: Iterable[Dict[str, np.ndarray]],
-    strat: bool,
-    bracket_mode: str,
-) -> Iterator[_RhsBlock]:
-    """The assembler: sum the identity's terms from integrand blocks.
-
-    ``integrands`` yields, in time order, blocks of whole grid rows: dicts
-    mapping integrand labels and the transported tensor ``K`` to
-    batch-last ``comps + (rows, P)`` arrays, every block with the same
-    keys.  The labels are ``G<i>`` (driver field i), ``LbK`` (``L_b K_t``),
-    ``LxK<j>`` (``L_xi_j K_t``), ``LxG<i>_<j>`` (``L_xi_j G_i``, read by the
-    Ito bracket only) and ``LLK``, the Ito correction summed over the
-    noises, ``sum_j L_xi_j L_xi_j K_t``.  An absent Lie label is a term
-    that vanishes identically (its coefficient field is zero, see
-    :func:`_coeff_jets`).  The pullback and pushforward variants share this
-    assembly; the transport direction only changes how the integrands
-    were produced and the sign of the Lie terms.  Pure time integrals
-    always use left sums; trapezoid sums apply only to the martingale and
-    noise integrators of the Stratonovich form.
-
-    Each increment over ``[t_k, t_k+1]`` is ``f[k] dX[k]`` (left point) or
-    ``(f[k] + f[k+1]) / 2 dX[k]`` (trapezoid), with ``dX[k] = X[k+1] -
-    X[k]`` as :func:`numpy.diff` takes it, so the increments ending in a
-    block's rows read the last integrand row of the block before.  Each
-    integrand's cumulative sum is carried from block to block
-    (:func:`_carried_cumsum`), the sums of one term are added in order,
-    and ``values`` is ``K`` at time 0 plus the terms in the order
-    ``G_dA, G_dM, L_b, L_xi, bracket, L2``: the arithmetic of a
-    whole-grid assembly, so every result is bitwise independent of the
-    block size.  Yields one :class:`_RhsBlock` per integrand block; a
-    term that no integrand enters is ``None`` (zero).  The blocks given
-    are only read.
-    """
-    sign = -1.0 if scenario.theorem in _PUSH_THEOREMS else 1.0
-    t = drivers.times()
-    nG, nB = len(scenario.G), drivers.n_noise
-    blocks = iter(integrands)
-    first = next(blocks)
-    # term -> (factor or None, its parts: (integrand label, trapezoid?, integrator)),
-    # each part with a label the blocks carry
-    plan = {}
-    if nG:
-        plan["G_dA"] = (None, [(f"G{i}", False, drivers.fv[:, i]) for i in range(nG)])
-        plan["G_dM"] = (None, [(f"G{i}", strat, drivers.mart[:, :, i]) for i in range(nG)])
-    plan["L_b"] = (sign, [("LbK", False, t)] if "LbK" in first else [])
-    if nB:
-        plan["L_xi"] = (sign, [(f"LxK{j}", strat, drivers.bm[:, :, j])
-                               for j in range(nB) if f"LxK{j}" in first])
-        if not strat:
-            if nG:
-                plan["bracket"] = (sign, [
-                    (f"LxG{i}_{j}", False, drivers.bracket_with_bm(i, j, bracket_mode))
-                    for i in range(nG) for j in range(nB) if f"LxG{i}_{j}" in first
-                ])
-            plan["L2"] = (0.5, [("LLK", False, t)] if "LLK" in first else [])
-    used = {label for _, parts in plan.values() for label, _, _ in parts}
-    last: Dict[str, np.ndarray] = {}  # label -> the last integrand row before the block
-    carry: Dict[Tuple[str, str], np.ndarray] = {}  # (term, label) -> its last cumulative row
-    K_at_0 = first["K"][..., :1, :].copy()
-    start = 0
-
-    def assembled(blk: Dict[str, np.ndarray]) -> _RhsBlock:
-        """The next block's terms and values; its temporaries die on return."""
-        nonlocal last, start
-        stop = start + blk["K"].shape[-2]
-        # each integrand from the row before the block on, so that every
-        # increment ending in the block's rows reads one array
-        ext = {label: blk[label] if start == 0
-               else np.concatenate((last[label], blk[label]), axis=-2) for label in used}
-        terms: Dict[str, Optional[np.ndarray]] = {}
-        for name, (factor, parts) in plan.items():
-            acc = None
-            for label, trapezoid, X in parts:
-                f = ext[label]
-                # a (npoints,) or (P, npoints) integrator's rows, batch-last
-                lo = max(start - 1, 0)
-                Xr = X[lo:stop, None] if X.ndim == 1 else X[:, lo:stop].T
-                dX = Xr[1:] - Xr[:-1]
-                left = f[..., :-1, :]
-                steps = 0.5 * (left + f[..., 1:, :]) * dX if trapezoid else left * dX
-                part = _carried_cumsum(steps, carry.get((name, label)))
-                carry[name, label] = part[..., -1:, :].copy()
-                acc = part if acc is None else acc + part
-            terms[name] = acc if acc is None or factor is None else factor * acc
-        present = [v for v in terms.values() if v is not None]
-        values = K_at_0 + (sum(present) if present else np.zeros_like(blk["K"]))
-        last = {label: a[..., -1:, :].copy() for label, a in ext.items()}
-        out = _RhsBlock(rows=np.arange(start, stop), K=blk["K"], values=values, terms=terms)
-        start = stop
-        return out
-
-    blocks = itertools.chain((first,), blocks)
-    del first
-    for blk in blocks:
-        # nothing of a block stays referenced here while the next one is built
-        yield assembled(blk)
-        del blk
-
-
-def _rhs_blocks(scenario: Scenario, flow: FlowEnsemble, kpath: KPath, drivers: DrivingPaths,
-                bracket_mode: str) -> Iterator[_RhsBlock]:
-    """One level's identity, in row blocks: the selector's integrand blocks
-    through :func:`_assembled_blocks`, or the ``KunitaFirst`` restart sums
-    at the checkpoints as one block."""
-    theorem = scenario.theorem
-    if theorem == "KunitaFirst":
-        yield _kunita_first_block(scenario, flow, drivers)
-        return
-    if theorem in _PUSH_THEOREMS:
-        strat = theorem == "KiwStratPushforward"
-        tp = _push_transport(scenario, flow, drivers)
-        integrands = _pushforward_integrand_blocks(scenario, flow, kpath, tp, strat)
-    else:
-        strat = theorem == "KiwStratPullback"
-        integrands = _pullback_integrand_blocks(scenario, flow, kpath, strat)
-    yield from _assembled_blocks(scenario, drivers, integrands, strat, bracket_mode)
-
-
-def _reduced(blocks: Iterable[_RhsBlock], stop_step: np.ndarray):
-    """The reduce sink: what a study keeps of a level, one block at a time.
-
-    Returns, per path, the sup over the live rows (the grid times before
-    the path's ``stop_step``) of the worst component of ``|K - values|``,
-    and a dict with each term's sup of ``|term|`` over all rows and
-    components (0 for a term that is ``None``).  Maxima are exact, so the
-    results are those of the whole arrays whatever the blocks.
-    """
-    residual, sups = None, {}
-    for b in blocks:
-        P = b.K.shape[-1]
-        if residual is None:
-            residual = np.zeros(P)
-            sups = {name: np.zeros(P) for name in b.terms}
-        dev = np.abs(b.K - b.values).reshape(-1, b.rows.size, P).max(axis=0)
-        live = stop_step[None, :] > b.rows[:, None]
-        np.maximum(residual, np.where(live, dev, 0.0).max(axis=0), out=residual)
-        for name, sup in sups.items():
-            if b.terms[name] is not None:
-                np.maximum(sup, np.abs(b.terms[name]).reshape(-1, P).max(axis=0), out=sup)
-        del b, dev, live  # before the next block is built
-    return residual, sups
-
-
-def _joined(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Batch-last row blocks joined into one ``(P, rows) + comps`` view."""
-    return _path_major(np.concatenate(arrays, axis=-2))
-
-
-def _collected(blocks: Iterable[_RhsBlock], bracket_mode: str, checkpoints: bool) -> RhsResult:
-    """The collect sink: the blocks joined into whole-grid :class:`RhsResult`
-    arrays, zeros for a ``None`` term; ``checkpoints`` keeps the blocks'
-    rows as :attr:`RhsResult.checkpoint_indices`."""
-    blocks = list(blocks)
-    K = _joined([b.K for b in blocks])
-    terms = {name: np.zeros(K.shape) if term is None else _joined([b.terms[name] for b in blocks])
-             for name, term in blocks[0].terms.items()}
-    return RhsResult(values=_joined([b.values for b in blocks]), terms=terms,
-                     bracket_mode=bracket_mode, transported=K,
-                     checkpoint_indices=np.concatenate([b.rows for b in blocks])
-                     if checkpoints else None)
-
-
-# ---------------------------------------------------------------------------
 # public evaluation entry points
 # ---------------------------------------------------------------------------
 
@@ -868,9 +746,9 @@ def eval_lhs(
 
     Pushforward selectors need the ``drivers`` to invert the discrete
     flow; pullback selectors do not read them.  A study takes the
-    left-hand side from the ``K`` its right-hand side is assembled with
-    (:attr:`RhsResult.transported` of :func:`eval_rhs`), which holds the
-    same values bitwise (for ``KunitaFirst`` at the checkpoint times only).
+    left-hand side from :attr:`RhsResult.transported` instead, which
+    holds the same values bitwise (for ``KunitaFirst`` at the checkpoint
+    times only).
     """
     if scenario.theorem in _PUSH_THEOREMS:
         if drivers is None:
@@ -887,16 +765,19 @@ def eval_rhs(
     drivers: DrivingPaths,
     bracket_mode: Optional[str] = None,
 ) -> RhsResult:
-    """Assemble the identity's right-hand side for every path and grid time.
-
-    The collect sink (:func:`_collected`) of the row blocks a study
-    reduces (:func:`_rhs_blocks`), so its arrays hold the bits a study
-    reduces.
-    """
+    """Assemble the identity's right-hand side for every path and grid time."""
     mode = bracket_mode or scenario.bracket_mode
-    kunita = scenario.theorem == "KunitaFirst"
-    return _collected(_rhs_blocks(scenario, flow, kpath, drivers, mode),
-                      "closed_form" if kunita else mode, kunita)
+    theorem = scenario.theorem
+    if theorem == "KunitaFirst":
+        return _kunita_first_rhs(scenario, flow, drivers)
+    if theorem in _PUSH_THEOREMS:
+        strat = theorem == "KiwStratPushforward"
+        tp = _push_transport(scenario, flow, drivers)
+        paths = _pushforward_integrand_paths(scenario, flow, kpath, tp, strat)
+    else:
+        strat = theorem == "KiwStratPullback"
+        paths = _pullback_integrand_paths(scenario, flow, kpath, strat)
+    return _assemble_forward_rhs(scenario, drivers, paths, strat, mode)
 
 
 def strat_ito_bridge_gap(scenario: Scenario, flow: FlowEnsemble, kpath: KPath,
@@ -912,20 +793,17 @@ def strat_ito_bridge_gap(scenario: Scenario, flow: FlowEnsemble, kpath: KPath,
     """
     if scenario.theorem not in ("KiwStratPullback", "KiwItoPullback"):
         raise WiringMismatch("the bridge identity applies to the transported-tensor selectors")
-    blocks = list(_pullback_integrand_blocks(scenario, flow, kpath, strat=False))
-    ito = _collected(_assembled_blocks(scenario, drivers, blocks, False, "realized"),
-                     "realized", False)
-    strat = _collected(_assembled_blocks(scenario, drivers, blocks, True, "realized"),
-                       "realized", False)
+    paths = _pullback_integrand_paths(scenario, flow, kpath, strat=False)
+    # each assembly frees the integrands of the dict it is given
+    ito = _assemble_forward_rhs(scenario, drivers, dict(paths), False, "realized")
+    strat = _assemble_forward_rhs(scenario, drivers, dict(paths), True, "realized")
 
     correction = np.zeros_like(ito.values)
     for i in range(len(scenario.G)):
-        g = _joined([b[f"G{i}"] for b in blocks])
-        correction += 0.5 * covariation(g, drivers.mart[:, :, i], axis=1)
+        correction += 0.5 * covariation(paths[f"G{i}"], drivers.mart[:, :, i], axis=1)
     for j in range(drivers.n_noise):
-        if f"LxK{j}" in blocks[0]:  # absent along a zero noise field
-            lx = _joined([b[f"LxK{j}"] for b in blocks])
-            correction += 0.5 * covariation(lx, drivers.bm[:, :, j], axis=1)
+        if f"LxK{j}" in paths:  # absent along a zero noise field
+            correction += 0.5 * covariation(paths[f"LxK{j}"], drivers.bm[:, :, j], axis=1)
     gap = strat.values - ito.values - (
         correction - ito.terms.get("bracket", 0.0) - ito.terms["L2"]
     )
@@ -953,7 +831,7 @@ def _fold_rows(x: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _kunita_first_block(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPaths) -> _RhsBlock:
+def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPaths) -> RhsResult:
     """Right-hand side of the intermediate-time transport identity.
 
     For each checkpoint time t the flow maps from every grid time s to t
@@ -961,9 +839,7 @@ def _kunita_first_block(scenario: Scenario, flow: FlowEnsemble, drivers: Driving
     together with the flow's scheme step (Euler, see validate_scenario);
     at the checkpoint the transported tensor is differentiated across the
     stencil and the Lie integrands are summed in s, left-point in time and
-    right-point (backward) against the noise.  The restarts span the whole
-    level, so the checkpoints are one block, whose rows are their grid
-    indices.
+    right-point (backward) against the noise.
     """
     sde = scenario.sde
     grid = flow.grid
@@ -1041,12 +917,8 @@ def _kunita_first_block(scenario: Scenario, flow: FlowEnsemble, drivers: Driving
                 + terms["L2"][:, cp_pos]
             )
             cp_pos += 1
-    def last(a):
-        """A ``(P, checkpoints) + comps`` array as a batch-last view."""
-        return np.moveaxis(a, (0, 1), (-1, -2))
-
-    return _RhsBlock(rows=cps, K=last(_pull_path(K0, flow, cps)), values=last(out_vals),
-                     terms={name: last(v) for name, v in terms.items()})
+    return RhsResult(values=out_vals, terms=terms, bracket_mode="closed_form",
+                     checkpoint_indices=cps, transported=_pull_path(K0, flow, cps))
 
 
 # ---------------------------------------------------------------------------
@@ -1284,16 +1156,44 @@ class ResidualReport:
         return out
 
 
+def _sup_residual_per_path(rhs: RhsResult, flow: FlowEnsemble) -> np.ndarray:
+    """Sup over live grid times of the worst component deviation between
+    the transported tensor and the right-hand side, per path."""
+    lhs = rhs.transported
+    kidx = rhs.checkpoint_indices
+    if kidx is None:
+        kidx = np.arange(lhs.shape[1])
+    diff = np.abs(lhs - rhs.values).reshape(lhs.shape[0], lhs.shape[1], -1)
+    dev = np.max(diff, axis=2)
+    live = flow.stop_step[:, None] > kidx[None, :]
+    return np.max(np.where(live, dev, 0.0), axis=1)
+
+
 def _run_level(scenario: Scenario, drivers: DrivingPaths, flow: FlowEnsemble,
                bracket_mode: Optional[str]) -> Dict:
-    """Residual and monitors of one level from its drivers and its flow,
-    reduced block by block (:func:`_reduced`)."""
-    kpath = synthesize_K_path(scenario, drivers)
-    blocks = _rhs_blocks(scenario, flow, kpath, drivers, bracket_mode or scenario.bracket_mode)
-    residual, term_sups = _reduced(blocks, flow.stop_step)
+    """Residual and monitors of one level from its drivers and its flow.
+
+    The level is reduced in blocks of whole paths, each of at most
+    ``_JET_BLOCK_STATES`` flow states (at least one path): the block's
+    right-hand side is assembled by :func:`eval_rhs` and reduced to
+    per-path sups before the next block is built, so a study never holds
+    a level's integrands or term series for all its paths.  Every
+    per-path result is independent of the other paths in its block (see
+    :func:`convergence_study`), so the sups do not depend on the block
+    size.
+    """
+    size = max(1, _JET_BLOCK_STATES // flow.grid.npoints)
+    residual, term_sups = [], []
+    for start in range(0, flow.n_paths, size):
+        d = drivers.slice_paths(start, start + size)
+        f = flow.slice_paths(start, start + size)
+        rhs = eval_rhs(scenario, f, synthesize_K_path(scenario, d), d, bracket_mode)
+        residual.append(_sup_residual_per_path(rhs, f))
+        term_sups.append({k: _sup_per_path(v) for k, v in rhs.terms.items()})
+        del rhs  # before the next block is built
     return {
-        "residual": residual,
-        "term_sups": term_sups,
+        "residual": np.concatenate(residual),
+        "term_sups": {k: np.concatenate([s[k] for s in term_sups]) for k in term_sups[0]},
         "jac_max": flow.jac_consistency_max(),
         "completed": flow.completed,
     }

@@ -70,28 +70,9 @@ class TimeGrid:
 _KIND_TAGS = {"bm": 1, "bm_mid": 2, "aux": 3}
 
 
-def _philox_state(stream_word: int, seed: int, path_index: int) -> dict:
-    """The Philox state at the start of a stream: counter, key, empty buffer."""
-    return {
-        "bit_generator": "Philox",
-        "state": {"counter": np.array([0, stream_word, 0, 0], dtype=np.uint64),
-                  "key": np.array([seed, path_index], dtype=np.uint64)},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,  # empty: the next draw starts at the counter
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
-class _StreamGenerator(np.random.Generator):
-    """A Philox generator for :meth:`RngStream.normals` to reset, stream by
-    stream.  It keeps one state dict that each stream's counter and key are
-    written into; assigning the dict to the bit generator copies it, so no
-    new state (three arrays) is built per stream."""
-
-    def __init__(self):
-        super().__init__(np.random.Philox(key=0))
-        self.stream_state = _philox_state(0, 0, 0)
+def _philox() -> np.random.Generator:
+    """A Philox generator for :meth:`RngStream.normals` to reset, stream by stream."""
+    return np.random.Generator(np.random.Philox(key=0))
 
 
 @dataclass(frozen=True)
@@ -114,24 +95,25 @@ class RngStream:
                 gen: Optional[np.random.Generator] = None) -> np.ndarray:
         """``count`` normals of the stream ``(kind, component, level)``.
 
-        The bit generator of ``gen`` (any Philox generator, a new
-        :class:`_StreamGenerator` when None) is reset to the stream's
-        counter and key, so the draws are bitwise those of a freshly
-        constructed Philox at that address.  A :class:`_StreamGenerator`
-        is reset through the state dict it keeps.
+        The bit generator of ``gen`` (one from :func:`_philox`, a new one
+        when None) is reset to the stream's counter and key, so the draws
+        are bitwise those of a freshly constructed Philox at that address.
         """
         if component < 0 or component >= 2**20 or level < 0 or level >= 2**20:
             raise ValueError(f"stream address out of range: {component}, {level}")
         tag = _KIND_TAGS[kind]
         stream_word = (tag << 40) | (component << 20) | level
-        gen = gen if gen is not None else _StreamGenerator()
-        if isinstance(gen, _StreamGenerator):
-            state = gen.stream_state
-            state["state"]["counter"][1] = stream_word
-            state["state"]["key"][:] = self.seed, self.path_index
-        else:
-            state = _philox_state(stream_word, self.seed, self.path_index)
-        gen.bit_generator.state = state
+        gen = gen if gen is not None else _philox()
+        # plain ints: the setter copies them word by word into the bit
+        # generator, so no arrays are built per stream
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, stream_word, 0, 0), "key": (self.seed, self.path_index)},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,  # empty: the next draw starts at the counter
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
         return gen.standard_normal(count)
 
 
@@ -274,7 +256,7 @@ def build_driving_paths(
         path_ids = np.arange(n_paths)
     path_ids = np.asarray(path_ids, dtype=int)
     bm = np.empty((path_ids.size, grid.npoints, n_noise))
-    gen = _StreamGenerator()
+    gen = _philox()
     for p, pid in enumerate(path_ids):
         bm[p] = sample_brownian(grid, n_noise, RngStream(seed, int(pid)), gen)
     return DrivingPaths(
@@ -306,7 +288,7 @@ def refine_dyadic(paths: DrivingPaths) -> DrivingPaths:
     bm_f = np.empty((P, fine.npoints, N))
     bm_f[:, 0::2, :] = paths.bm
     mids = 0.5 * (paths.bm[:, :-1, :] + paths.bm[:, 1:, :])
-    gen = _StreamGenerator()
+    gen = _philox()
     for p, pid in enumerate(paths.path_ids):
         stream = RngStream(paths.seed, int(pid))
         for j in range(N):

@@ -32,7 +32,7 @@ from flowtensor.kiw_verifier import (
 from flowtensor import kiw_verifier
 from flowtensor.kiw_verifier import (
     _pull_path,
-    _pullback_integrand_blocks,
+    _pullback_integrand_paths,
     _coeff_jets,
     _lie_terms,
     _push_transport,
@@ -61,12 +61,6 @@ def flow_and_kpath(sc, n_paths=None):
     d = drivers_for(sc, n_paths)
     flow = integrate_flow(sc.sde, d, sc.x0, sc.scheme, sc.start_chart)
     return d, flow, synthesize_K_path(sc, d)
-
-
-def pullback_integrands(sc, flow, kp, strat):
-    """The pullback integrand blocks joined into ``(P, npoints) + comps`` arrays."""
-    blocks = list(_pullback_integrand_blocks(sc, flow, kp, strat))
-    return {key: kiw_verifier._joined([b[key] for b in blocks]) for key in blocks[0]}
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +296,7 @@ def test_jet_integrands_match_symbolic_lie_fields(name, n_paths):
     if len(sc.atlas.charts) > 1:
         assert len(flow.hops) > 0  # both charts' components are exercised
     strat = sc.theorem == "KiwStratPullback"
-    got = pullback_integrands(sc, flow, kp, strat)
+    got = _pullback_integrand_paths(sc, flow, kp, strat)
     want = _symbolic_integrand_paths(sc, flow, kp, strat)
     assert set(got) <= set(want)
     for key in set(want) - set(got):
@@ -318,24 +312,16 @@ def test_jet_integrands_match_symbolic_lie_fields(name, n_paths):
 
 @pytest.mark.parametrize("name", ["kunita_sphere_rotation", "kiw_ito_pullback_r2"])
 def test_jet_integrands_do_not_depend_on_the_block_size(monkeypatch, name):
-    """The integrands, and the sums the collect sink joins, bitwise."""
     sc = get_scenario(name)
     d, flow, kp = flow_and_kpath(sc, n_paths=12)
     if len(sc.atlas.charts) > 1:
         assert len(flow.hops) > 0
-    default = pullback_integrands(sc, flow, kp, strat=False)
-    default_rhs = eval_rhs(sc, flow, kp, d)
+    default = _pullback_integrand_paths(sc, flow, kp, strat=False)
     monkeypatch.setattr(kiw_verifier, "_JET_BLOCK_STATES", 1)  # one grid row per block
-    rowwise = pullback_integrands(sc, flow, kp, strat=False)
-    rowwise_rhs = eval_rhs(sc, flow, kp, d)
+    rowwise = _pullback_integrand_paths(sc, flow, kp, strat=False)
     assert set(default) == set(rowwise)
     for key in default:
         assert np.array_equal(default[key], rowwise[key]), key
-    assert np.array_equal(default_rhs.values, rowwise_rhs.values)
-    assert np.array_equal(default_rhs.transported, rowwise_rhs.transported)
-    assert default_rhs.terms.keys() == rowwise_rhs.terms.keys()
-    for key in default_rhs.terms:
-        assert np.array_equal(default_rhs.terms[key], rowwise_rhs.terms[key]), key
 
 
 @pytest.mark.parametrize("name,keys,lie_jets,contractions", [
@@ -372,8 +358,7 @@ def test_one_block_builds_each_integrand_once(monkeypatch, name, keys, lie_jets,
 
     for fn_name in calls:
         monkeypatch.setattr(kiw_verifier, fn_name, counted(fn_name))
-    (block,) = _pullback_integrand_blocks(sc, flow, kp, strat=False)
-    assert set(block) == keys
+    assert set(_pullback_integrand_paths(sc, flow, kp, strat=False)) == keys
     assert calls == {"_lie_jet": lie_jets, "_contract": contractions}
 
 
@@ -544,24 +529,22 @@ def test_bridge_identity_between_assemblies(name):
     assert strat_ito_bridge_gap(sc, flow, kp, d) < 1e-10
 
 
-def test_assembly_only_reads_its_blocks():
-    """Two assemblies of one list of blocks: the blocks are left as they were."""
+def test_assembly_frees_every_integrand_but_k():
+    """The assembly takes its dict and leaves only K; the sums are those of a copy."""
     for name, strat in (("kiw_ito_pullback_r2", False), ("kiw_strat_pullback_r2", True)):
         sc = get_scenario(name)
         d, flow, kp = flow_and_kpath(sc, n_paths=5)
-        blocks = list(_pullback_integrand_blocks(sc, flow, kp, strat))
-        kept = [{key: a.copy() for key, a in b.items()} for b in blocks]
-        first, again = (list(kiw_verifier._assembled_blocks(sc, d, blocks, strat, "closed_form"))
-                        for _ in range(2))
-        for b, k in zip(blocks, kept):
-            assert b.keys() == k.keys()
-            assert all(np.array_equal(b[key], k[key]) for key in b)
-        for x, y in zip(first, again):
-            assert np.array_equal(x.values, y.values)
-            assert x.terms.keys() == y.terms.keys()
-            for key in x.terms:
-                assert (x.terms[key] is None) == (y.terms[key] is None), key
-                assert x.terms[key] is None or np.array_equal(x.terms[key], y.terms[key]), key
+        paths = kiw_verifier._pullback_integrand_paths(sc, flow, kp, strat)
+        assert len(paths) > 1
+        kept = dict(paths)
+        owned = kiw_verifier._assemble_forward_rhs(sc, d, paths, strat, "closed_form")
+        assert list(paths) == ["K"] and paths["K"] is kept["K"]
+        copied = kiw_verifier._assemble_forward_rhs(sc, d, dict(kept), strat, "closed_form")
+        assert np.array_equal(owned.values, copied.values)
+        assert owned.terms.keys() == copied.terms.keys()
+        for key in owned.terms:
+            assert np.array_equal(owned.terms[key], copied.terms[key]), key
+
 
 
 def _whole_array_reductions(rhs, stop_step):
@@ -575,23 +558,25 @@ def _whole_array_reductions(rhs, stop_step):
     return residual, {k: np.max(np.abs(v).reshape(P, -1), axis=1) for k, v in rhs.terms.items()}
 
 
-@pytest.mark.parametrize("block_states", [None, 1, 40])
+@pytest.mark.parametrize("block", ["default", "one state", "four paths"])
 @pytest.mark.parametrize("name", [n for n in list_scenarios() if n != "kiw_push_lowreg"])
-def test_streamed_reduction_is_the_whole_array_reduction(monkeypatch, name, block_states):
-    """A study level's sups are bitwise those of the whole arrays.
+def test_path_block_reduction_is_the_whole_array_reduction(monkeypatch, name, block):
+    """A study level's sups are bitwise those of one whole-level :func:`eval_rhs`.
 
-    At the default block size, one grid row per block and six rows per
-    block (40 states of 6 paths, so the last block is short): stopped
-    paths (``blowup_cubic``), the trapezoid row carried across blocks
-    (``kiw_strat_pullback_r2``), driver weights and the bracket
-    (``kiw_ito_pullback_r2``), chart hops, checkpoints (``KunitaFirst``)
-    and the one-block pushforward routes.
+    At the default block size (one block of all six paths), at one state
+    (one path per block, its integrands built one grid row at a time) and
+    at four paths per block (so the last block is short): stopped
+    paths (``blowup_cubic``), the trapezoid sums (``kiw_strat_pullback_r2``),
+    driver weights and the bracket (``kiw_ito_pullback_r2``), chart hops
+    renumbered in a path slice, checkpoints (``KunitaFirst``) and the
+    pushforward wavefronts.
     """
     sc = get_scenario(name)
     d, flow, kp = flow_and_kpath(sc, n_paths=6)
     want_residual, want_sups = _whole_array_reductions(eval_rhs(sc, flow, kp, d), flow.stop_step)
-    if block_states is not None:
-        monkeypatch.setattr(kiw_verifier, "_JET_BLOCK_STATES", block_states)
+    states = {"default": kiw_verifier._JET_BLOCK_STATES, "one state": 1,
+              "four paths": 4 * flow.grid.npoints}[block]
+    monkeypatch.setattr(kiw_verifier, "_JET_BLOCK_STATES", states)
     got = kiw_verifier._run_level(sc, d, flow, None)
     assert np.array_equal(got["residual"], want_residual, equal_nan=True)
     assert got["term_sups"].keys() == want_sups.keys()
@@ -601,19 +586,33 @@ def test_streamed_reduction_is_the_whole_array_reduction(monkeypatch, name, bloc
         assert not np.all(flow.completed)
 
 
-# bytes a study may use per state of its row block, on top of its flows and
-# drivers: the jets, Lie terms and pullbacks of one block (about 1500 bytes
-# per state on the sphere at 1024-state blocks) and the assembly and
-# reduction of its rows
+def test_flow_path_slice_keeps_each_path():
+    """A path slice of a flow is the flow of those paths, its hops renumbered."""
+    sc = get_scenario("kunita_sphere_rotation")
+    _, flow, _ = flow_and_kpath(sc, n_paths=12)
+    assert len({p for _, p, _, _ in flow.hops}) > 1
+    part = flow.slice_paths(3, 9)
+    assert part.n_paths == 6 and np.array_equal(part.path_ids, flow.path_ids[3:9])
+    for pos in range(6):
+        want, got = flow.path(pos + 3), part.path(pos)
+        assert got.hops == want.hops and got.stop_step == want.stop_step
+        for attr in ("charts", "coords", "jac", "inv_jac"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+
+
+# bytes a study may use per state of its path block, on top of its flows and
+# drivers: the jets, Lie terms and pullbacks of one block and the integrands,
+# term series and sums that eval_rhs assembles from them
 BLOCK_STATE_BYTES = 256 * 8
 
 
 def test_study_holds_its_flows_drivers_and_one_block(monkeypatch):
-    """The memory guard: no whole-path integrand or term series is held.
+    """The memory guard: no level's integrands or term series are held for
+    all its paths at once.
 
     A 64-path ``kunita_sphere_rotation`` study of four levels, after a set-up
-    study, in 1024-state blocks (16 grid rows of the 513-row finest level);
-    the smaller block keeps whole-path arrays well above the allowance.
+    study, in 1024-state blocks (one path of the 513-point finest level per
+    block); whole-level arrays take far more than the allowance.
     """
     import tracemalloc
 
@@ -633,7 +632,6 @@ def test_study_holds_its_flows_drivers_and_one_block(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < held + allowance, (peak, held, allowance)
-
 
 def test_study_rejects_an_out_of_range_seed():
     with pytest.raises(ValueError, match="seed"):
