@@ -73,7 +73,7 @@ from .fields import (
     sphere_rotation_fields,
     sphere_round_metric,
 )
-from .flow import FlowSDE
+from .flow import SCHEMES, FlowSDE
 from .geometry import ChartAtlas, euclidean_atlas, locate_chart_batch, sphere_atlas, torus_atlas
 from .kiw_verifier import (
     HypothesisViolation,
@@ -85,16 +85,13 @@ from .kiw_verifier import (
     validate_scenario,
 )
 from .scenarios import get_scenario, scenario_table
-from .stochastics import TimeGrid
+from .stochastics import BRACKET_MODES, TimeGrid
 from .tensor_calculus import TensorFieldSpec, VectorFieldSpec, coord_symbols
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_HYPOTHESIS = 2
 EXIT_BLOWUP = 3
-
-_SCHEMES = ("euler_maruyama", "heun")
-_BRACKET_MODES = ("closed_form", "realized")
 
 _RUN_KEYS = {
     "run.scenario",
@@ -369,7 +366,7 @@ def _build_inline_scenario(cfg: Dict[str, str]) -> Scenario:
             f"scenario.horizon: expected a finite positive number, got {cfg['scenario.horizon']!r}"
         )
     steps = _positive_int(cfg.get("scenario.steps", "16"), "scenario.steps")
-    scheme = _as_choice(cfg, "scenario.scheme", _SCHEMES) or "euler_maruyama"
+    scheme = _as_choice(cfg, "scenario.scheme", SCHEMES) or "euler_maruyama"
     return Scenario(
         name=name,
         description="inline scenario",
@@ -389,13 +386,10 @@ def _build_inline_scenario(cfg: Dict[str, str]) -> Scenario:
 
 @dataclass
 class RunConfig:
-    scenario: Scenario
+    scenario: Scenario  # with the run's steps, scheme and bracket mode
     seed: Optional[int] = None
     paths: Optional[int] = None
     levels: int = 4
-    steps: Optional[int] = None
-    scheme: Optional[str] = None
-    bracket_mode: Optional[str] = None
     out: Path = Path(".")
     raw: Dict[str, str] = field(default_factory=dict)
 
@@ -429,9 +423,9 @@ def _resolve_config(args) -> RunConfig:
     levels = _as_int(cfg, "run.levels")
     if levels is not None:
         rc.levels = levels
-    rc.steps = _as_int(cfg, "run.steps")
-    rc.scheme = _as_choice(cfg, "run.scheme", _SCHEMES)
-    rc.bracket_mode = _as_choice(cfg, "run.bracket_mode", _BRACKET_MODES)
+    steps = _as_int(cfg, "run.steps")
+    scheme = _as_choice(cfg, "run.scheme", SCHEMES)
+    bracket_mode = _as_choice(cfg, "run.bracket_mode", BRACKET_MODES)
     if "run.out" in cfg:
         rc.out = Path(cfg["run.out"])
 
@@ -463,16 +457,21 @@ def _resolve_config(args) -> RunConfig:
         where["steps"] = "scenario.steps"
     if rc.seed is not None and not 0 <= rc.seed < 2**64:
         raise ConfigError(f"{where['seed']}: expected an integer in [0, 2**64), got {rc.seed}")
-    for key in ("paths", "levels", "steps"):
-        value = getattr(rc, key)
+    for key, value in (("paths", rc.paths), ("levels", rc.levels), ("steps", steps)):
         if value is not None and value < 1:
             raise ConfigError(f"{where[key]}: {key} must be >= 1, got {value}")
+    steps = steps or scenario.base_grid.steps
     try:
-        study_states(rc.paths or scenario.n_paths, rc.steps or scenario.base_grid.steps,
-                     rc.levels)
+        study_states(rc.paths or scenario.n_paths, steps, rc.levels)
     except ValueError as e:
         keys = [w for w in (where["paths"], where["levels"], where["steps"]) if w]
         raise ConfigError(f"{', '.join(keys) or 'scenario'}: {e}") from None
+    rc.scenario = replace(
+        scenario,
+        base_grid=TimeGrid(scenario.base_grid.horizon, steps),
+        scheme=scheme or scenario.scheme,
+        bracket_mode=bracket_mode or scenario.bracket_mode,
+    )
     return rc
 
 
@@ -515,7 +514,7 @@ def _manifest_text(rc: RunConfig, report: ResidualReport) -> str:
         "seed": report.seed,
         "paths": report.levels[0].n_paths if report.levels else None,
         "levels": len(report.levels),
-        "bracket_mode": rc.bracket_mode or rc.scenario.bracket_mode,
+        "bracket_mode": rc.scenario.bracket_mode,
     }
     manifest = {
         "config": rc.raw,
@@ -600,16 +599,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         print(f"flowtensor: {e}", file=sys.stderr)
         return EXIT_CONFIG
 
-    scenario = rc.scenario
-    if rc.steps is not None:
-        scenario = replace(
-            scenario, base_grid=TimeGrid(scenario.base_grid.horizon, rc.steps)
-        )
-    probe = scenario
-    if rc.scheme is not None:
-        probe = replace(probe, scheme=rc.scheme)
     try:
-        validate_scenario(probe)
+        validate_scenario(rc.scenario)
     except HypothesisViolation as e:
         print(f"flowtensor: hypothesis violation: {e}", file=sys.stderr)
         return EXIT_HYPOTHESIS
@@ -618,13 +609,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG
 
     report = convergence_study(
-        scenario,
-        levels=rc.levels,
-        n_paths=rc.paths,
-        seed=rc.seed,
-        scheme=rc.scheme,
-        bracket_mode=rc.bracket_mode,
-        n_workers=workers,
+        rc.scenario, levels=rc.levels, n_paths=rc.paths, seed=rc.seed, n_workers=workers
     )
 
     try:

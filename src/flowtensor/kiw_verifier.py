@@ -19,8 +19,9 @@ sweep of the finest grid (:func:`flowtensor.flow.integrate_flow_levels`)
 and then reduces the levels coarse to fine, dropping each level's
 drivers and flow once it is reduced.  A level is reduced in blocks of
 whole paths (:func:`_run_level`), so a level's integrands and term
-series exist for one block of paths at a time; the assembly frees each
-integrand once it is summed.
+series exist for one block of paths at a time.  A study reads every
+setting from its :class:`Scenario`; a variant, such as another scheme,
+is studied as ``dataclasses.replace(scenario, ...)``.
 
 Selectors
 ---------
@@ -51,9 +52,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .flow import FlowEnsemble, FlowSDE, _backward_step, integrate_flow_levels, scheme_step
+from .flow import (SCHEMES, FlowEnsemble, FlowSDE, _backward_step, integrate_flow_levels,
+                   scheme_step)
 from .geometry import _batch_first, _batch_last, _contract, _slot_replace
 from .stochastics import (
+    BRACKET_MODES,
     DrivingPaths,
     TimeGrid,
     build_driving_paths,
@@ -130,7 +133,9 @@ _REQUIREMENTS = {
 
 @dataclass(frozen=True)
 class Scenario:
-    """A complete, reproducible verification setup."""
+    """A complete, reproducible verification setup, the only source of a
+    study's settings.  The flow starts at ``x0`` in chart 0; ``scheme`` is
+    one of ``flow.SCHEMES`` and ``bracket_mode`` one of ``BRACKET_MODES``."""
 
     name: str
     description: str
@@ -141,15 +146,12 @@ class Scenario:
     fv_specs: Tuple = ()
     mart_specs: Tuple = ()
     x0: Optional[np.ndarray] = None
-    start_chart: int = 0
     base_grid: TimeGrid = TimeGrid(1.0, 64)
     n_paths: int = 100
     seed: int = 2024
     scheme: str = "euler_maruyama"
     bracket_mode: str = "closed_form"
     expected_order: Optional[Tuple[float, float]] = None
-    stencil_eps: float = 1.0e-4
-    n_checkpoints: int = 8
 
     def __post_init__(self):
         object.__setattr__(self, "G", tuple(self.G))
@@ -163,11 +165,16 @@ class Scenario:
 
 
 def validate_scenario(scenario: Scenario):
-    """Check the selector's hypotheses and the driver wiring."""
+    """Check the selector's hypotheses, the driver wiring and the settings."""
     if scenario.theorem not in THEOREMS:
         raise WiringMismatch(
             f"unknown selector {scenario.theorem!r}; choose from {THEOREMS}"
         )
+    if scenario.scheme not in SCHEMES:
+        raise WiringMismatch(f"unknown scheme {scenario.scheme!r}; choose from {SCHEMES}")
+    if scenario.bracket_mode not in BRACKET_MODES:
+        raise WiringMismatch(f"unknown bracket mode {scenario.bracket_mode!r}; "
+                             f"choose from {BRACKET_MODES}")
     req = _REQUIREMENTS[scenario.theorem]
     sde = scenario.sde
     K0 = scenario.K0
@@ -297,16 +304,15 @@ def _pull_path(f: TensorFieldSpec, flow: FlowEnsemble, cols=slice(None)) -> np.n
 
 def _sup_per_path(term: np.ndarray) -> np.ndarray:
     """Sup over grid and components, one value per path."""
-    return np.max(np.abs(term).reshape(term.shape[0], -1), axis=1)
+    return np.max(np.abs(term), axis=tuple(range(1, term.ndim)))
 
 
 @dataclass(frozen=True)
 class RhsResult:
     """Right-hand side values plus the individual cumulative terms."""
 
-    values: np.ndarray  # (P, npoints or n_checkpoints) + comps
+    values: np.ndarray  # (P, npoints or checkpoints) + comps
     terms: Dict[str, np.ndarray]
-    bracket_mode: str
     # the transported tensor path K, the identity's left-hand side, at the
     # grid times of ``values``
     transported: np.ndarray
@@ -318,7 +324,6 @@ def _assemble_forward_rhs(
     drivers: DrivingPaths,
     paths: Dict[str, np.ndarray],
     strat: bool,
-    bracket_mode: str,
 ) -> RhsResult:
     """Sum the identity's terms from precomputed integrand paths.
 
@@ -335,12 +340,8 @@ def _assemble_forward_rhs(
     only changes how the integrand paths were produced and the sign of
     the Lie terms.  Pure time integrals always use left sums; trapezoid
     sums apply only to the martingale and noise integrators of the
-    Stratonovich form.
-
-    The assembly takes ownership of ``paths``: it removes every entry
-    after its last use, and the ``LxG`` entries, which the Stratonovich
-    form never reads, at once; only ``K`` is left.  A caller that reads
-    the integrands afterwards passes a copy of the dict.
+    Stratonovich form, which never reads the ``LxG`` entries.  ``paths``
+    is only read.
     """
     sign = -1.0 if scenario.theorem in _PUSH_THEOREMS else 1.0
     t = drivers.times()
@@ -349,30 +350,23 @@ def _assemble_forward_rhs(
     mint = stratonovich_integral if strat else ito_integral
     terms: Dict[str, np.ndarray] = {}
     K = paths["K"]
-    if strat:
-        for key in [k for k in paths if k.startswith("LxG")]:
-            del paths[key]
 
     def summed(integrate, parts):
         """The sum, in order, of ``integrate`` over the ``(label, integrator)``
-        pairs of ``parts`` whose label is present, each integrand removed
-        once it is integrated; zeros when no label is present."""
+        pairs of ``parts`` whose label is present; zeros when no label is
+        present."""
         acc = None
         for key, integrator in parts:
             if key in paths:
-                part = integrate(paths.pop(key), integrator, axis=1)
+                part = integrate(paths[key], integrator, axis=1)
                 acc = part if acc is None else acc + part
         return np.zeros_like(K) if acc is None else acc
 
     if nG:
-        # added up as sum() would, one field at a time, so each G<i> goes after use
-        dA = dM = 0
-        for i in range(nG):
-            g = paths.pop(f"G{i}")
-            dA = dA + fv_integral(g, drivers.fv[:, i], axis=1)
-            dM = dM + mint(g, drivers.mart[:, :, i], axis=1)
-            del g
-        terms["G_dA"], terms["G_dM"] = dA, dM
+        terms["G_dA"] = sum(fv_integral(paths[f"G{i}"], drivers.fv[:, i], axis=1)
+                            for i in range(nG))
+        terms["G_dM"] = sum(mint(paths[f"G{i}"], drivers.mart[:, :, i], axis=1)
+                            for i in range(nG))
 
     terms["L_b"] = sign * summed(fv_integral, [("LbK", t)])
 
@@ -381,7 +375,7 @@ def _assemble_forward_rhs(
         if not strat:
             if nG:
                 terms["bracket"] = sign * summed(fv_integral, (
-                    (f"LxG{i}_{j}", drivers.bracket_with_bm(i, j, bracket_mode))
+                    (f"LxG{i}_{j}", drivers.bracket_with_bm(i, j, scenario.bracket_mode))
                     for i in range(nG)
                     for j in range(nB) if f"LxG{i}_{j}" in paths
                 ))
@@ -389,7 +383,7 @@ def _assemble_forward_rhs(
 
     order = ("G_dA", "G_dM", "L_b", "L_xi", "bracket", "L2")
     values = K[:, :1] + sum(terms[k] for k in order if k in terms)
-    return RhsResult(values=values, terms=terms, bracket_mode=bracket_mode, transported=K)
+    return RhsResult(values=values, terms=terms, transported=K)
 
 
 def _jets_last(jets: Sequence[np.ndarray], nb: int) -> List[np.ndarray]:
@@ -559,6 +553,11 @@ def _pullback_integrand_paths(
 
 
 _NEWTON_ITERS = 6
+# spacing of the (-eps, 0, +eps)^dim stencil around the observation point
+# that the pushforward and KunitaFirst routes differentiate across
+_STENCIL_EPS = 1.0e-4
+# grid times at which KunitaFirst checks its identity, spread over the grid
+_N_CHECKPOINTS = 8
 
 
 @dataclass(frozen=True)
@@ -567,15 +566,15 @@ class PushTransport:
 
     Batch-last, as the wavefront computes them: ``preimages[:, k, p, s]``
     is the inverse of the discrete flow map up to time t_k applied to
-    stencil point s around the observation point; ``jac[:, :, k, p, s]``
-    is the forward Jacobian accumulated along that preimage trajectory and
-    ``inv_jac`` its matrix inverse.  ``newton_residual_max`` is the worst
+    stencil point s around the observation point, ``x0 + _STENCIL_EPS *
+    stencil_offsets(dim)[s]`` (the centre ``s = (3**dim - 1) // 2`` is
+    ``x0`` itself); ``jac[:, :, k, p, s]`` is the forward Jacobian
+    accumulated along that preimage trajectory and ``inv_jac`` its
+    matrix inverse.  ``newton_residual_max`` is the worst
     ``|f(u) - v|`` left by the Newton inversions of the step maps ``f``,
     over every stage, live point and coordinate.
     """
 
-    eps: float
-    offsets: np.ndarray  # (S, dim)
     preimages: np.ndarray  # (n, npoints, P, S)
     jac: np.ndarray  # (n, n, npoints, P, S)
     inv_jac: np.ndarray
@@ -597,12 +596,11 @@ def _push_transport(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPath
     times = grid.times()
     n = sde.dim
     P = flow.n_paths
-    eps = scenario.stencil_eps
     offsets = stencil_offsets(n)
     S = offsets.shape[0]
     live = flow.completed
 
-    stencil = scenario.x0[None, :] + eps * offsets  # (S, n)
+    stencil = scenario.x0[None, :] + _STENCIL_EPS * offsets  # (S, n)
     # batch-last wavefront: column ((k-1) * P + p) * S + s holds stencil
     # point s of path p pulled back from time t_k
     q = np.broadcast_to(stencil.T[:, None, None, :], (n, L, P, S)).reshape(n, -1).copy()
@@ -642,8 +640,7 @@ def _push_transport(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPath
     jac[:, :, 1:] = A.reshape(n, n, L, P, S)
     # np.linalg.inv reads the matrices from the trailing axes of a view
     inv_jac = np.moveaxis(np.linalg.inv(np.moveaxis(jac, (0, 1), (-2, -1))), (-2, -1), (0, 1))
-    return PushTransport(eps=eps, offsets=offsets, preimages=preimages, jac=jac, inv_jac=inv_jac,
-                         newton_residual_max=worst)
+    return PushTransport(preimages=preimages, jac=jac, inv_jac=inv_jac, newton_residual_max=worst)
 
 
 def _transported(f: TensorFieldSpec, t, pts: np.ndarray, contra: np.ndarray,
@@ -653,7 +650,7 @@ def _transported(f: TensorFieldSpec, t, pts: np.ndarray, contra: np.ndarray,
     return _contract(f._jet_last(t, pts, 0, 0)[0], f.valence, contra, cov)
 
 
-def _stencil_lie_terms(values: np.ndarray, valence: Tuple[int, int], dim: int, eps: float,
+def _stencil_lie_terms(values: np.ndarray, valence: Tuple[int, int], dim: int,
                        b_jets: Optional[Sequence[np.ndarray]],
                        xi_jets: Sequence[Optional[Sequence[np.ndarray]]],
                        strat: bool) -> Dict[str, np.ndarray]:
@@ -662,11 +659,11 @@ def _stencil_lie_terms(values: np.ndarray, valence: Tuple[int, int], dim: int, e
     ``values`` is ``shape + batch + (3^dim,)``, the stencil axis last, as
     :func:`_transported` returns it on a stencil of points.  The values
     are differentiated across the stencil (:func:`fd_jets_from_stencil`,
-    eps ``eps``) and combined with the coefficient jets at the centre;
+    eps ``_STENCIL_EPS``) and combined with the coefficient jets at the centre;
     the results are ``shape + batch``.
     """
     order = 1 if strat else 2
-    jets = fd_jets_from_stencil(values, dim, eps, order, ncomp_axes=sum(valence))
+    jets = fd_jets_from_stencil(values, dim, _STENCIL_EPS, order, ncomp_axes=sum(valence))
     return _lie_terms(jets, b_jets, xi_jets, valence, strat)
 
 
@@ -691,7 +688,7 @@ def _pushforward_integrand_paths(
     times = flow.grid.times()
     jet_order = 1 if strat else 2
     valence = scenario.K0.valence
-    center = (tp.offsets.shape[0] - 1) // 2
+    center = (3**sde.dim - 1) // 2  # the observation point among the stencil_offsets
 
     # analytic jets of the flow coefficients at the observation point,
     # with a singleton path axis for broadcasting
@@ -705,21 +702,21 @@ def _pushforward_integrand_paths(
                                [paths[f"G{i}"] for i in range(len(g_vals))])
     if not strat:
         for i, v in enumerate(g_vals):
-            lie = _stencil_lie_terms(v, valence, sde.dim, tp.eps, None, xi_jets, True)
+            lie = _stencil_lie_terms(v, valence, sde.dim, None, xi_jets, True)
             paths.update({f"LxG{i}_{nm[2:]}": _path_major(a) for nm, a in lie.items()
                           if nm != "val"})
     # the stencil values of K_t, accumulated in place into K0's
     for i, v in enumerate(g_vals):
         k_vals += kpath.weights[:, :, i].T[..., None] * v
     del g_vals
-    lie = _stencil_lie_terms(k_vals, valence, sde.dim, tp.eps, b_jets, xi_jets, strat)
+    lie = _stencil_lie_terms(k_vals, valence, sde.dim, b_jets, xi_jets, strat)
     paths.update({_k_label(nm): _path_major(a) for nm, a in lie.items() if nm != "val"})
     return paths
 
 
 def _push_lhs(scenario: Scenario, kpath: KPath, tp: PushTransport, flow: FlowEnsemble) -> np.ndarray:
     """Pushed-forward tensor values at the observation point, (P, npoints) + comps."""
-    center = (tp.offsets.shape[0] - 1) // 2
+    center = (3**scenario.sde.dim - 1) // 2
     t = flow.grid.times()[:, None]
 
     def pushed_center(f: TensorFieldSpec) -> np.ndarray:
@@ -763,10 +760,9 @@ def eval_rhs(
     flow: FlowEnsemble,
     kpath: KPath,
     drivers: DrivingPaths,
-    bracket_mode: Optional[str] = None,
 ) -> RhsResult:
-    """Assemble the identity's right-hand side for every path and grid time."""
-    mode = bracket_mode or scenario.bracket_mode
+    """Assemble the identity's right-hand side for every path and grid time,
+    the bracket as ``scenario.bracket_mode`` says."""
     theorem = scenario.theorem
     if theorem == "KunitaFirst":
         return _kunita_first_rhs(scenario, flow, drivers)
@@ -777,7 +773,7 @@ def eval_rhs(
     else:
         strat = theorem == "KiwStratPullback"
         paths = _pullback_integrand_paths(scenario, flow, kpath, strat)
-    return _assemble_forward_rhs(scenario, drivers, paths, strat, mode)
+    return _assemble_forward_rhs(scenario, drivers, paths, strat)
 
 
 def strat_ito_bridge_gap(scenario: Scenario, flow: FlowEnsemble, kpath: KPath,
@@ -794,9 +790,9 @@ def strat_ito_bridge_gap(scenario: Scenario, flow: FlowEnsemble, kpath: KPath,
     if scenario.theorem not in ("KiwStratPullback", "KiwItoPullback"):
         raise WiringMismatch("the bridge identity applies to the transported-tensor selectors")
     paths = _pullback_integrand_paths(scenario, flow, kpath, strat=False)
-    # each assembly frees the integrands of the dict it is given
-    ito = _assemble_forward_rhs(scenario, drivers, dict(paths), False, "realized")
-    strat = _assemble_forward_rhs(scenario, drivers, dict(paths), True, "realized")
+    realized = replace(scenario, bracket_mode="realized")
+    ito = _assemble_forward_rhs(realized, drivers, paths, False)
+    strat = _assemble_forward_rhs(realized, drivers, paths, True)
 
     correction = np.zeros_like(ito.values)
     for i in range(len(scenario.G)):
@@ -847,13 +843,12 @@ def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPa
     times = grid.times()
     n = sde.dim
     P = flow.n_paths
-    eps = scenario.stencil_eps
     offsets = stencil_offsets(n)
     S = offsets.shape[0]
-    cps = _checkpoint_indices(L, scenario.n_checkpoints)
+    cps = _checkpoint_indices(L, _N_CHECKPOINTS)
     K0 = scenario.K0
     comp1 = (1,) * len(K0.shape)
-    stencil = scenario.x0[None, :] + eps * offsets
+    stencil = scenario.x0[None, :] + _STENCIL_EPS * offsets
 
     # batch-last: Q[:, s] is the restart-s stencil advanced to the current time,
     # A[:, :, s] and Ai[:, :, s] its accumulated (inverse) variational state
@@ -893,7 +888,7 @@ def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPa
             vals = _transported(K0, times[m], Q[:, :nrows].reshape((n,) + batch),
                                 Ai[:, :, :nrows].reshape((n, n) + batch),
                                 A[:, :, :nrows].reshape((n, n) + batch))
-            lie = _stencil_lie_terms(vals, K0.valence, n, eps, *coef, False)
+            lie = _stencil_lie_terms(vals, K0.valence, n, *coef, False)
             # restart rows first, for the sums over s
             lie = {nm: _batch_first(v, 2) for nm, v in lie.items()}
             dt_w = np.full((nrows, 1) + comp1, h)
@@ -917,8 +912,8 @@ def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPa
                 + terms["L2"][:, cp_pos]
             )
             cp_pos += 1
-    return RhsResult(values=out_vals, terms=terms, bracket_mode="closed_form",
-                     checkpoint_indices=cps, transported=_pull_path(K0, flow, cps))
+    return RhsResult(values=out_vals, terms=terms, checkpoint_indices=cps,
+                     transported=_pull_path(K0, flow, cps))
 
 
 # ---------------------------------------------------------------------------
@@ -1163,14 +1158,12 @@ def _sup_residual_per_path(rhs: RhsResult, flow: FlowEnsemble) -> np.ndarray:
     kidx = rhs.checkpoint_indices
     if kidx is None:
         kidx = np.arange(lhs.shape[1])
-    diff = np.abs(lhs - rhs.values).reshape(lhs.shape[0], lhs.shape[1], -1)
-    dev = np.max(diff, axis=2)
+    dev = np.max(np.abs(lhs - rhs.values), axis=tuple(range(2, lhs.ndim)))
     live = flow.stop_step[:, None] > kidx[None, :]
     return np.max(np.where(live, dev, 0.0), axis=1)
 
 
-def _run_level(scenario: Scenario, drivers: DrivingPaths, flow: FlowEnsemble,
-               bracket_mode: Optional[str]) -> Dict:
+def _run_level(scenario: Scenario, drivers: DrivingPaths, flow: FlowEnsemble) -> Dict:
     """Residual and monitors of one level from its drivers and its flow.
 
     The level is reduced in blocks of whole paths, each of at most
@@ -1187,7 +1180,7 @@ def _run_level(scenario: Scenario, drivers: DrivingPaths, flow: FlowEnsemble,
     for start in range(0, flow.n_paths, size):
         d = drivers.slice_paths(start, start + size)
         f = flow.slice_paths(start, start + size)
-        rhs = eval_rhs(scenario, f, synthesize_K_path(scenario, d), d, bracket_mode)
+        rhs = eval_rhs(scenario, f, synthesize_K_path(scenario, d), d)
         residual.append(_sup_residual_per_path(rhs, f))
         term_sups.append({k: _sup_per_path(v) for k, v in rhs.terms.items()})
         del rhs  # before the next block is built
@@ -1199,17 +1192,15 @@ def _run_level(scenario: Scenario, drivers: DrivingPaths, flow: FlowEnsemble,
     }
 
 
-def _run_levels(scenario: Scenario, drivers: List[DrivingPaths],
-                bracket_mode: Optional[str]) -> List[Dict]:
+def _run_levels(scenario: Scenario, drivers: List[DrivingPaths]) -> List[Dict]:
     """Every level of one path set: one flow sweep, then the levels coarse to fine.
 
     Each level's drivers and flow are dropped as soon as it is reduced.
     """
-    flows = list(integrate_flow_levels(scenario.sde, drivers, scenario.x0, scenario.scheme,
-                                       scenario.start_chart))
+    flows = list(integrate_flow_levels(scenario.sde, drivers, scenario.x0, scenario.scheme))
     parts = []
     for lvl in range(len(drivers)):
-        parts.append(_run_level(scenario, drivers[lvl], flows[lvl], bracket_mode))
+        parts.append(_run_level(scenario, drivers[lvl], flows[lvl]))
         drivers[lvl] = flows[lvl] = None
     return parts
 
@@ -1247,30 +1238,29 @@ def convergence_study(
     levels: int = 4,
     n_paths: Optional[int] = None,
     seed: Optional[int] = None,
-    scheme: Optional[str] = None,
-    bracket_mode: Optional[str] = None,
     n_workers: int = 1,
 ) -> ResidualReport:
     """Run the scenario across dyadic refinements and fit the decay order.
 
-    The drivers of every level are refined first, then the paths are
-    split into ``min(n_workers, n_paths)`` chunks, run one after
-    another.  For each chunk one sweep (:func:`integrate_flow_levels`)
-    integrates all levels' flows and the levels are reduced coarse to
-    fine.  Paths are sampled from counter-based streams and every
-    per-path result is independent of the other paths in its chunk, so
-    the report is byte-identical for any ``n_workers``.  Each evaluator
-    compiles on its first call.  A study larger than
-    :data:`MAX_STUDY_STATES` (see :func:`study_states`) raises
-    ``ValueError`` before anything is allocated.
+    ``n_paths`` and ``seed`` stand in for the scenario's fields when
+    given; every other setting, the scheme and the bracket estimator
+    among them, is the scenario's own.  The drivers of every level are
+    refined first, then the paths are split into ``min(n_workers,
+    n_paths)`` chunks, run one after another.  For each chunk one sweep
+    (:func:`integrate_flow_levels`) integrates all levels' flows and the
+    levels are reduced coarse to fine.  Paths are sampled from
+    counter-based streams and every per-path result is independent of
+    the other paths in its chunk, so the report is byte-identical for
+    any ``n_workers``.  Each evaluator compiles on its first call.  A
+    study larger than :data:`MAX_STUDY_STATES` (see
+    :func:`study_states`) raises ``ValueError`` before anything is
+    allocated.
     """
     kw = {}
     if n_paths is not None:
         kw["n_paths"] = n_paths
     if seed is not None:
         kw["seed"] = seed
-    if scheme is not None:
-        kw["scheme"] = scheme
     if kw:
         scenario = replace(scenario, **kw)
     if levels < 1:
@@ -1296,7 +1286,7 @@ def convergence_study(
     bounds = np.linspace(0, P, min(n_workers, P) + 1).astype(int)
     chunks = [[d.slice_paths(a, b) for d in drivers] for a, b in zip(bounds[:-1], bounds[1:])]
     del drivers
-    per_chunk = [_run_levels(scenario, ds, bracket_mode) for ds in chunks]
+    per_chunk = [_run_levels(scenario, ds) for ds in chunks]
     per_level = [[parts[lvl] for parts in per_chunk] for lvl in range(levels)]
 
     stats: List[LevelStats] = []

@@ -28,6 +28,7 @@ __all__ = [
     "FvSpec",
     "MartSpec",
     "DrivingPaths",
+    "BRACKET_MODES",
     "build_driving_paths",
     "refine_dyadic",
     "ito_integral",
@@ -158,6 +159,10 @@ class MartSpec:
     sigma_antideriv: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
+# how :meth:`DrivingPaths.bracket_with_bm` takes the bracket [M^i, B^j]
+BRACKET_MODES = ("closed_form", "realized")
+
+
 @dataclass(frozen=True)
 class DrivingPaths:
     """Sampled drivers for an ensemble of paths on one grid."""
@@ -197,13 +202,13 @@ class DrivingPaths:
         ``closed_form`` uses the driver recipe (exact limit), ``realized``
         the discrete covariation of the sampled paths.
         """
+        if mode not in BRACKET_MODES:
+            raise ValueError(f"unknown bracket mode {mode!r}; choose from {BRACKET_MODES}")
         spec = self.mart_specs[mart_index]
         P = self.n_paths
         t = self.times()
         if mode == "realized":
             return covariation(self.mart[:, :, mart_index], self.bm[:, :, bm_component])
-        if mode != "closed_form":
-            raise ValueError(f"unknown bracket mode {mode!r}")
         if spec.kind == "zero" or spec.component != bm_component:
             return np.zeros((P, t.size))
         if spec.kind == "bm":

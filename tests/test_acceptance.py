@@ -144,7 +144,7 @@ def test_criterion_04_static_reduction_and_sphere_order(criterion):
     t0 = time.perf_counter()
     sc = get_scenario("kunita_sphere_rotation")
     d = drivers_for(sc, n_paths=16)
-    flow = integrate_flow(sc.sde, d, sc.x0, sc.scheme, sc.start_chart)
+    flow = integrate_flow(sc.sde, d, sc.x0, sc.scheme)
     kp = synthesize_K_path(sc, d)
     moving = eval_rhs(replace(sc, theorem="KiwItoPullback"), flow, kp, d)
     static = eval_rhs(sc, flow, kp, d)
@@ -297,7 +297,7 @@ def test_criterion_09_flow_machinery(criterion):
 
     sph = get_scenario("kunita_sphere_rotation")
     ds = drivers_for(sph)
-    ens = integrate_flow(sph.sde, ds, sph.x0, sph.scheme, sph.start_chart)
+    ens = integrate_flow(sph.sde, ds, sph.x0, sph.scheme)
     hops = len(ens.hops)
     blowup = ens.blowup_fraction()
 

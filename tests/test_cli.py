@@ -265,6 +265,38 @@ def test_config_steps_override_scales_h(tmp_path):
     assert float(rows[0]["h"]) == pytest.approx(1.0 / 32.0)
 
 
+def test_config_scheme_and_bracket_mode_reach_the_study(tmp_path):
+    """``run.scheme`` and ``run.bracket_mode`` give the report of the scenario
+    with both replaced, and the manifest names them."""
+    from dataclasses import replace
+
+    from flowtensor.cli import csv_text
+    from flowtensor.kiw_verifier import convergence_study
+    from flowtensor.scenarios import get_scenario
+
+    cfg = write_config(
+        tmp_path,
+        "run.scenario = kiw_ito_pullback_bracket\n"
+        "run.scheme = heun\n"
+        "run.bracket_mode = realized\n",
+    )
+    out = run_cli("--config", str(cfg), "--paths", "6", "--levels", "2", "--out", str(tmp_path),
+                  cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    sc = get_scenario("kiw_ito_pullback_bracket")
+
+    def study(**settings):
+        return csv_text(convergence_study(replace(sc, **settings), levels=2, n_paths=6))
+
+    got = (tmp_path / "kiw_ito_pullback_bracket.csv").read_text()
+    assert got == study(scheme="heun", bracket_mode="realized")
+    # each setting changes the report, so neither is dropped on the way
+    assert got != study(scheme="heun") and got != study(bracket_mode="realized")
+    manifest = json.loads((tmp_path / "kiw_ito_pullback_bracket.manifest.json").read_text())
+    assert manifest["resolved"]["scheme"] == "heun"
+    assert manifest["resolved"]["bracket_mode"] == "realized"
+
+
 @pytest.mark.parametrize(
     "text,fragment",
     [

@@ -59,7 +59,7 @@ def drivers_for(sc, n_paths=None, grid=None):
 
 def flow_and_kpath(sc, n_paths=None):
     d = drivers_for(sc, n_paths)
-    flow = integrate_flow(sc.sde, d, sc.x0, sc.scheme, sc.start_chart)
+    flow = integrate_flow(sc.sde, d, sc.x0, sc.scheme)
     return d, flow, synthesize_K_path(sc, d)
 
 
@@ -180,6 +180,23 @@ def test_restart_selector_is_euler_only():
     sc = scalar_scenario(theorem="KunitaFirst", scheme="heun")
     with pytest.raises(WiringMismatch):
         validate_scenario(sc)
+
+
+@pytest.mark.parametrize("name", ["kunita_sphere_rotation", "kiw_ito_pullback_bracket"])
+@pytest.mark.parametrize("setting", ["scheme", "bracket_mode"])
+def test_unknown_settings_are_refused_before_any_flow(monkeypatch, name, setting):
+    """A scheme or bracket mode outside its choice list is a wiring error,
+    raised before a flow is integrated (also where no bracket is taken)."""
+    sc = replace(get_scenario(name), **{setting: "bogus"})
+    with pytest.raises(WiringMismatch, match="'bogus'"):
+        validate_scenario(sc)
+
+    def no_flow(*args, **kwargs):
+        raise AssertionError("a flow was integrated")
+
+    monkeypatch.setattr(kiw_verifier, "integrate_flow_levels", no_flow)
+    with pytest.raises(WiringMismatch, match="'bogus'"):
+        convergence_study(sc, levels=1, n_paths=2)
 
 
 @pytest.mark.parametrize("where", ["K0", "G"])
@@ -425,7 +442,7 @@ def test_restart_sums_do_not_depend_on_the_batch_size():
     d, flow, kp = flow_and_kpath(sc, n_paths=4)
     full = eval_rhs(sc, flow, kp, d)
     d1 = d.slice_paths(0, 1)
-    flow1 = integrate_flow(sc.sde, d1, sc.x0, sc.scheme, sc.start_chart)
+    flow1 = integrate_flow(sc.sde, d1, sc.x0, sc.scheme)
     one = eval_rhs(sc, flow1, synthesize_K_path(sc, d1), d1)
     assert np.array_equal(one.values[0], full.values[0])
     for key in full.terms:
@@ -439,7 +456,7 @@ def test_push_transport_inverts_the_discrete_flow(name):
     d, flow, _ = flow_and_kpath(sc, n_paths=6)
     assert np.all(flow.completed)
     tp = _push_transport(sc, flow, d)
-    stencil = sc.x0 + tp.eps * tp.offsets
+    stencil = sc.x0 + kiw_verifier._STENCIL_EPS * stencil_offsets(sc.sde.dim)
     for s, target in enumerate(stencil):
         for k in range(flow.grid.npoints):
             fwd = integrate_flow(sc.sde, d, tp.preimages[:, k, :, s].T, sc.scheme)
@@ -459,7 +476,7 @@ def test_stencil_lie_terms_match_the_analytic_jets(name, field, strat):
     """With identity transport the stencil route gives the Lie terms of the field itself."""
     sc = get_scenario(name)
     f = sc.K0 if field == "K0" else sc.G[0]
-    n, eps, order = sc.sde.dim, sc.stencil_eps, 1 if strat else 2
+    n, eps, order = sc.sde.dim, kiw_verifier._STENCIL_EPS, 1 if strat else 2
     offsets = np.random.default_rng(5).uniform(-0.1, 0.1, (n, 2, 3))
     centres = sc.x0[:, None, None] + offsets  # batch (2, 3) around x0
     stencil = stencil_offsets(n).T[:, None, None, :]
@@ -467,8 +484,8 @@ def test_stencil_lie_terms_match_the_analytic_jets(name, field, strat):
     eye = np.broadcast_to(np.eye(n)[:, :, None, None, None], (n, n) + pts.shape[1:])
     t = 0.3
     b_jets, xi_jets = _coeff_jets(sc.sde, sc.sde.jets(t, centres, 0, order), order)
-    got = _stencil_lie_terms(_transported(f, t, pts, eye, eye), f.valence, n, eps, b_jets,
-                             xi_jets, strat)
+    got = _stencil_lie_terms(_transported(f, t, pts, eye, eye), f.valence, n, b_jets, xi_jets,
+                             strat)
     want = _lie_terms(f._jet_last(t, centres, 0, order), b_jets, xi_jets, f.valence, strat)
     assert got.keys() == want.keys()
     for nm in want:
@@ -529,21 +546,23 @@ def test_bridge_identity_between_assemblies(name):
     assert strat_ito_bridge_gap(sc, flow, kp, d) < 1e-10
 
 
-def test_assembly_frees_every_integrand_but_k():
-    """The assembly takes its dict and leaves only K; the sums are those of a copy."""
+def test_assembly_leaves_its_integrands_in_place():
+    """The assembly only reads its dict: the same keys hold the same arrays
+    afterwards, and a second assembly from it gives the same bits."""
     for name, strat in (("kiw_ito_pullback_r2", False), ("kiw_strat_pullback_r2", True)):
         sc = get_scenario(name)
         d, flow, kp = flow_and_kpath(sc, n_paths=5)
         paths = kiw_verifier._pullback_integrand_paths(sc, flow, kp, strat)
         assert len(paths) > 1
         kept = dict(paths)
-        owned = kiw_verifier._assemble_forward_rhs(sc, d, paths, strat, "closed_form")
-        assert list(paths) == ["K"] and paths["K"] is kept["K"]
-        copied = kiw_verifier._assemble_forward_rhs(sc, d, dict(kept), strat, "closed_form")
-        assert np.array_equal(owned.values, copied.values)
-        assert owned.terms.keys() == copied.terms.keys()
-        for key in owned.terms:
-            assert np.array_equal(owned.terms[key], copied.terms[key]), key
+        first = kiw_verifier._assemble_forward_rhs(sc, d, paths, strat)
+        assert list(paths) == list(kept)
+        assert all(paths[key] is kept[key] for key in kept)
+        again = kiw_verifier._assemble_forward_rhs(sc, d, paths, strat)
+        assert np.array_equal(first.values, again.values)
+        assert first.terms.keys() == again.terms.keys()
+        for key in first.terms:
+            assert np.array_equal(first.terms[key], again.terms[key]), key
 
 
 
@@ -577,7 +596,7 @@ def test_path_block_reduction_is_the_whole_array_reduction(monkeypatch, name, bl
     states = {"default": kiw_verifier._JET_BLOCK_STATES, "one state": 1,
               "four paths": 4 * flow.grid.npoints}[block]
     monkeypatch.setattr(kiw_verifier, "_JET_BLOCK_STATES", states)
-    got = kiw_verifier._run_level(sc, d, flow, None)
+    got = kiw_verifier._run_level(sc, d, flow)
     assert np.array_equal(got["residual"], want_residual, equal_nan=True)
     assert got["term_sups"].keys() == want_sups.keys()
     for key, sup in want_sups.items():
