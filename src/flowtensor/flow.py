@@ -38,10 +38,11 @@ coefficients as arrays for the backward step and the correction terms.
 
 :func:`integrate_flow_levels` is the only forward integration loop.  It
 advances the refinement levels of one driver ensemble together over the
-finest grid: every level's columns sit side by side in one state, and a
-step call covers each chart group of the levels that step at that fine
-step, each column with its own level's times, step size and increments.
-:func:`integrate_flow` is its one-level case.
+finest grid: every level's columns sit side by side in one state buffer
+laid out as the step program's rows, and a step call covers each chart
+group of the levels that step at that fine step, each column with its
+own level's times, step size and increments.  :func:`integrate_flow` is
+its one-level case.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ import numpy as np
 import sympy as sp
 
 from . import tensor_calculus
-from .geometry import (R_MAX, ChartAtlas, NoCoveringChart, _batch_first, _batch_last,
+from .geometry import (R_MAX, ChartAtlas, NoCoveringChart, _batch_first,
                        _slot_replace, locate_chart_batch)
 from .stochastics import DrivingPaths, TimeGrid
 from .tensor_calculus import TIME, VectorFieldSpec, _jet_layout, coord_symbols
@@ -295,8 +296,9 @@ def scheme_step(sde: FlowSDE, scheme: str, cid: int, t0: float, t1: float, h: fl
     the Brownian increments ``db`` ``(n_noise, m)``; ``t0``, ``t1`` and ``h``
     are floats or ``(m,)`` arrays, one entry per column.  One call of the
     chart's compiled step program (:meth:`FlowSDE._step_program`) writes
-    every new entry into one buffer; returns ``(u, J, Ji)`` after the
-    step as views of it.
+    every new entry into one buffer, rows in C order: the points, then
+    ``J`` and ``Ji``; returns ``(u, J, Ji)`` after the step as views of
+    it, so the buffer itself is ``u.base``.
     """
     fn, pvals = sde._step_program(cid, scheme, Ji is not None)
     n, batch = sde.dim, u.shape[1:]
@@ -372,7 +374,7 @@ class FlowEnsemble:
     atlas: ChartAtlas
     scheme: str
     path_ids: np.ndarray  # (P,)
-    charts: np.ndarray  # (L+1, P)
+    charts: np.ndarray  # (L+1, P), the smallest unsigned type holding the chart count
     coords: np.ndarray  # (L+1, P, n)
     jac: np.ndarray  # (L+1, P, n, n)
     inv_jac: np.ndarray  # (L+1, P, n, n)
@@ -482,16 +484,29 @@ def integrate_flow_levels(
     ``levels`` are driver ensembles of the same paths (``path_ids``),
     noise count and horizon on nested grids: every step count divides
     the next finer one.  All levels' columns sit side by side in one
-    batch-last state, finest level first, and the loop runs over the
-    finest grid.  A level of ``L_f / r`` steps advances at every ``r``-th
-    fine step, so the levels stepping at a fine step are a leading slice
-    of the columns, and each chart group of that slice is one
-    :func:`scheme_step` call with per-column ``t0``, ``t1``, ``h`` and
-    increments.  The step program is elementwise, so each level's
-    ensemble is bitwise the one it would get on its own; blow-up stops,
-    chart hops (grouped on the charts from before the step) and the
-    final freeze act per column.  Returns one :class:`FlowEnsemble` per
-    level, in the order given.
+    state buffer, finest level first, in the step program's row layout:
+    ``n`` point rows, then the ``n*n`` rows of ``J`` and of ``Jinv``, one
+    column per path and level.  The loop runs over the finest grid.  A
+    level of ``L_f / r`` steps advances at every ``r``-th fine step, so
+    the levels stepping at a fine step are a leading slice of the
+    columns; their increments are written into one buffer, and each
+    chart group of that slice (one group on a single-chart atlas) is one
+    :func:`scheme_step` call on row views of the buffer with per-column
+    ``t0``, ``t1``, ``h`` and increments, whose result is copied back
+    once.  The step program is elementwise, so each level's ensemble is
+    bitwise the one it would get on its own.  After the step calls, the
+    blow-up test and the hop test run once over the stepped live
+    columns, each column against the centre and hop radius of the chart
+    it was stepped in; a chart whose hop radius exceeds ``R_MAX * sqrt(n)``
+    plus the norm of its centre needs no distance test, since a column
+    that far out has already stopped.  Hops are applied chart by chart
+    in ascending order; stops and the final freeze act per column.
+
+    Each level's history is one ``(L+1, n + 2n^2, P)`` array, of which the
+    ensemble's ``coords``, ``jac`` and ``inv_jac`` are views, and its chart
+    ids are held in the smallest unsigned type that holds the atlas's
+    chart count.  Returns one :class:`FlowEnsemble` per level, in the
+    order given.
     """
     _require_scheme_smoothness(sde, scheme)
     levels = tuple(levels)
@@ -512,12 +527,17 @@ def integrate_flow_levels(
     if any(fine % coarse for fine, coarse in zip(steps, steps[1:])):
         raise ValueError(f"levels of {sorted(steps)} steps are not nested grids")
     atlas = sde.atlas
-    n = sde.dim
+    n, nn = sde.dim, sde.dim**2
     P = levels[0].n_paths
     nlev, C = len(levels), len(levels) * P
     ratio = [steps[0] // L for L in steps]
     ratio_col = np.repeat(ratio, P)
     h_col = np.repeat([g.h for g in grids], P)
+    chart_dtype = np.min_scalar_type(len(atlas.charts))
+    one_chart = len(atlas.charts) == 1
+    centres = np.array([ch.center for ch in atlas.charts]).T  # (n, charts)
+    hop_radius = np.array([ch.hop_radius for ch in atlas.charts])
+    tested = hop_radius <= R_MAX * np.sqrt(n) + np.linalg.norm(centres, axis=0)
 
     # every row of x0 starts in the lowest-numbered chart covering it
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), (P, n))
@@ -530,92 +550,109 @@ def integrate_flow_levels(
         grp = cid0 == cid
         u0[:, grp] = atlas.transition_between(start_chart, cid).apply(x0[grp]).T
 
-    # the current state of every column, level after level
-    u = np.tile(u0, nlev)
+    # the current state of every column, level after level: points, J, Jinv
+    state = np.empty((n + 2 * nn, C))
+    state[:n] = np.tile(u0, nlev)
+    state[n:] = np.tile(np.eye(n).reshape(nn, 1), (2, C))
     charts = np.tile(cid0, nlev)
-    J = np.broadcast_to(np.eye(n)[..., None], (n, n, C)).copy()
-    Ji = J.copy()
     active = np.ones(C, dtype=bool)
     stop_step = np.repeat([L + 1 for L in steps], P)
-    # per level: the state history, batch-last, the Brownian paths and the hops
-    hist = [(np.empty((L + 1, n, P)), np.empty((L + 1, P), dtype=int),
-             np.empty((L + 1, n, n, P)), np.empty((L + 1, n, n, P))) for L in steps]
+    # the stepping levels' step times and increments
+    t01, db = np.empty((2, C)), np.empty((sde.n_noise, C))
+    # per level: the state and chart histories, the Brownian paths and the hops
+    hist = [(np.empty((L + 1, n + 2 * nn, P)), np.empty((L + 1, P), dtype=chart_dtype))
+            for L in steps]
     bms = [levels[i].bm for i in order]
     hops: List[List[Tuple[int, int, int, int]]] = [[] for _ in steps]
 
     def store(i: int, row: int):
         cols = slice(i * P, (i + 1) * P)
-        for a, cur in zip(hist[i], (u, charts, J, Ji)):
-            a[row] = cur[..., cols]
+        hist[i][0][row] = state[:, cols]
+        hist[i][1][row] = charts[cols]
 
     for i in range(nlev):
         store(i, 0)
     for k in range(steps[0]):
         m = sum(k % r == 0 for r in ratio)  # the levels stepping now lead
         mP = m * P
-        kcol = k // ratio_col[:mP]
-        live = active[:mP]
-        if live.any():
-            # each level's own times, as TimeGrid.times computes them
-            t0, t1, h = kcol * h_col[:mP], (kcol + 1) * h_col[:mP], h_col[:mP]
-            # each level's increment over its current step, as np.diff takes it
-            db = np.concatenate([(bms[i][:, k // ratio[i] + 1] - bms[i][:, k // ratio[i]]).T
-                                 for i in range(m)], axis=1)
-            before = charts[:mP].copy()  # group on the charts from before the step
-            for cid in np.flatnonzero(np.bincount(before[live])).tolist():
-                idx = np.flatnonzero(live & (before == cid))
-                sel = slice(0, mP) if idx.size == mP else idx
+        live = np.flatnonzero(active[:mP])
+        if live.size:
+            for i in range(m):
+                j, cols = k // ratio[i], slice(i * P, (i + 1) * P)
+                # each level's own times, as TimeGrid.times computes them
+                t01[0, cols], t01[1, cols] = j * grids[i].h, (j + 1) * grids[i].h
+                # each level's increment over its current step, as np.diff takes it
+                np.subtract(bms[i][:, j + 1], bms[i][:, j], out=db[:, cols].T)
+            was = charts[live]  # the chart each live column steps in
+            groups = [(0, live)] if one_chart else [
+                (cid, live[was == cid]) for cid in np.flatnonzero(np.bincount(was)).tolist()]
+            for cid, idx in groups:
+                whole = idx.size == mP
+                sel = slice(0, mP) if whole else idx
                 # take keeps the columns C-contiguous, a trailing fancy index would not
-                un, Jn, Jin = scheme_step(
+                x = state[:, sel] if whole else state.take(idx, axis=1)
+                un, _, _ = scheme_step(
                     sde, scheme, cid,
-                    *(a[..., sel] if idx.size == mP else a.take(idx, axis=-1)
-                      for a in (t0, t1, h, u, J, Ji, db)))
-                # blow-up: non-finite or runaway coordinates stop the path
-                stop = ~(np.abs(un).max(axis=0) <= R_MAX)
-                # chart hops: leaving the 2r ball hands the path to a covering chart
-                ch = atlas.chart(cid)
-                movers = np.flatnonzero(~stop & (ch.dist(un.T) > ch.hop_radius))
-                if movers.size:
-                    new_ids = locate_chart_batch(atlas, un[:, movers].T, cid)
-                    stop[movers[new_ids < 0]] = True
+                    *(a[..., sel] if whole else a.take(idx, axis=-1) for a in (*t01, h_col)),
+                    x[:n], x[n:n + nn].reshape(n, n, -1), x[n + nn:].reshape(n, n, -1),
+                    db[:, sel] if whole else db.take(idx, axis=1))
+                state[:, sel] = un.base  # the one buffer the step's results are views of
+            # blow-up: non-finite or runaway coordinates stop the path
+            pts = state[:n, :mP] if live.size == mP else state[:n].take(live, axis=1)
+            stop = ~(np.abs(pts).max(axis=0) <= R_MAX)
+            # chart hops: leaving the 2r ball hands the path to a covering chart
+            check = np.flatnonzero(~stop & tested[was])
+            if check.size:
+                at = was[check]
+                d = pts.take(check, axis=1) - centres.take(at, axis=1)
+                movers = check[np.sqrt(np.add.reduce(d * d, axis=0)) > hop_radius[at]]
+                for cid in sorted(set(was[movers].tolist())):
+                    grp_m = movers[was[movers] == cid]
+                    new_ids = locate_chart_batch(atlas, pts[:, grp_m].T, cid)
+                    stop[grp_m[new_ids < 0]] = True
                     for nid in sorted(set(new_ids[new_ids >= 0].tolist()) - {cid}):
-                        grp = movers[new_ids == nid]
+                        grp = live[grp_m[new_ids == nid]]
                         fwd = atlas.transition_between(cid, nid)
                         rev = atlas.transition_between(nid, cid)
-                        old_u = un[:, grp].T
+                        old_u = state[:n, grp].T
                         new_u = fwd.apply(old_u)
-                        T = _batch_last(fwd.jacobian(old_u), 1)
-                        Tinv = _batch_last(rev.jacobian(new_u), 1)
-                        un[:, grp] = new_u.T
-                        Jn[..., grp] = _slot_replace(Jn[..., grp], T, 0, 2)
-                        Jin[..., grp] = _slot_replace(Jin[..., grp], Tinv, 1, 2, transpose=True)
-                        charts[idx[grp]] = nid
-                        for c in idx[grp].tolist():
-                            hops[c // P].append((int(kcol[c]) + 1, c % P, cid, nid))
-                u[:, sel], J[..., sel], Ji[..., sel] = un, Jn, Jin
-                if stop.any():
-                    stop_step[idx[stop]] = kcol[idx[stop]] + 1
-                    active[idx[stop]] = False
+                        # batch-last views: the slot kernel reads any strides
+                        T = fwd.jacobian(old_u).transpose(1, 2, 0)
+                        Tinv = rev.jacobian(new_u).transpose(1, 2, 0)
+                        J, Ji = (state[r:r + nn, grp].reshape(n, n, -1) for r in (n, n + nn))
+                        state[:n, grp] = new_u.T
+                        state[n:n + nn, grp] = _slot_replace(J, T, 0, 2).reshape(nn, -1)
+                        state[n + nn:, grp] = _slot_replace(Ji, Tinv, 1, 2,
+                                                            transpose=True).reshape(nn, -1)
+                        charts[grp] = nid
+                        for c in grp.tolist():
+                            hops[c // P].append((k // ratio[c // P] + 1, c % P, cid, nid))
+            if stop.any():
+                stopped = live[stop]
+                stop_step[stopped] = k // ratio_col[stopped] + 1
+                active[stopped] = False
         for i in range(m):
             store(i, k // ratio[i] + 1)
 
     out = []
-    for i, (grid, (coords, chs, jac, inv_jac)) in enumerate(zip(grids, hist)):
+    for i, (grid, (states, chs)) in enumerate(zip(grids, hist)):
         L, st = grid.steps, stop_step[i * P:(i + 1) * P]
         # freeze stopped paths at their last valid state
         for p in np.flatnonzero(st <= L):
-            for a in (coords, chs, jac, inv_jac):
+            for a in (states, chs):
                 a[st[p]:, ..., p] = a[st[p] - 1, ..., p]
-        # path-major views of the batch-last (paths last) state; nothing is copied
+        # path-major views of the history's rows (paths last); nothing is copied
+        jac, inv_jac = (np.moveaxis(states[:, r:r + nn].reshape(L + 1, n, n, P), 3, 1)
+                        for r in (n, n + nn))
         out.append(FlowEnsemble(
             grid=grid,
             atlas=atlas,
             scheme=scheme,
             path_ids=levels[order[i]].path_ids.copy(),
             charts=chs,
-            coords=np.moveaxis(coords, 2, 1),
-            jac=np.moveaxis(jac, 3, 1),
-            inv_jac=np.moveaxis(inv_jac, 3, 1),
+            coords=np.moveaxis(states[:, :n], 2, 1),
+            jac=jac,
+            inv_jac=inv_jac,
             stop_step=np.minimum(st, L + 1),
             hops=tuple(hops[i]),
         ))

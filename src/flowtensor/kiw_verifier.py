@@ -68,6 +68,8 @@ from .stochastics import (
 )
 from .tensor_calculus import (
     TensorFieldSpec,
+    _add_slot_terms,
+    _along,
     _lie_jet,
     fd_jets_from_stencil,
     pair_batch,
@@ -116,6 +118,8 @@ THEOREMS = (
 )
 
 _PUSH_THEOREMS = ("KiwItoPushforward", "KiwStratPushforward")
+# the selectors whose assembly reads the brackets [M^i, B^j] of their drivers
+_BRACKET_THEOREMS = ("KiwItoPullback", "KiwItoPushforward", "ScalarItoWentzell")
 
 # required smoothness per selector: flow regularity k, then the orders
 # demanded of the drift, the noise fields, the tensor and the driver
@@ -227,6 +231,17 @@ def validate_scenario(scenario: Scenario):
             "the intermediate-time restart engine advances with the Euler scheme; "
             "use euler_maruyama for KunitaFirst"
         )
+    if scenario.bracket_mode == "closed_form" and scenario.theorem in _BRACKET_THEOREMS:
+        # [M^i, B^j] is read where noise j is not the zero field; a sigma_int
+        # driver's closed form needs its antiderivative
+        for spec in scenario.mart_specs:
+            if (spec.kind == "sigma_int" and spec.sigma_antideriv is None
+                    and spec.component < sde.n_noise
+                    and not sde.diffusions[spec.component].is_zero()):
+                raise WiringMismatch(
+                    f"martingale driver {spec.name!r} has no closed-form bracket "
+                    f"(no sigma_antideriv); use bracket_mode 'realized'"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -413,30 +428,53 @@ def _lie_terms(jets: Sequence[np.ndarray], b_jets: Optional[Sequence[np.ndarray]
 
     Returns ``val``, ``Lb`` (along the drift), ``Lx<j>`` (along noise j)
     and, unless ``strat``, ``LL``: the second-order terms summed over the
-    noises in j order, ``sum_j L_xi_j L_xi_j``, the only way the Ito
-    correction reads them.  A coefficient whose jets are ``None`` (a zero
-    field, see :func:`_coeff_jets`) contributes no term, and no key.  The
-    field jets must reach order 1 for ``strat`` and order 2 otherwise, as
-    must the noise jets; the drift jets reach order 1.  Every jet and every
-    result is batch-last (see :func:`_lie_jet`); coefficient jets may
-    carry singleton batch axes that broadcast against the field's.
+    noises, ``sum_j L_xi_j L_xi_j K``, the only way the Ito correction
+    reads them.  ``LL`` is taken at value order from sums over the noises,
+    so no derivative of any ``L_xi_j K`` is formed.  With ``E_j = xi_j . grad K``,
+    ``L_xi_j K = E_j + S(K, Dxi_j)`` (``S``, the slot terms of the Lie
+    formula, linear in both arguments, see :func:`_add_slot_terms`) and the
+    noise sums ``Q = sum_j xi_j (x) xi_j`` (the diffusion tensor of the flow),
+    ``v = sum_j Dxi_j xi_j`` and ``F = sum_j D2xi_j[xi_j]``::
+
+        LL = Q : D2K + v . grad K + S(K, F) + sum_j S(E_j + L_xi_j K, Dxi_j)
+
+    A coefficient whose jets are ``None`` (a zero field, see
+    :func:`_coeff_jets`) contributes no term, and no key.  The field jets
+    must reach order 1 for ``strat`` and order 2 otherwise, as must the
+    noise jets; the drift jets reach order 1.  Every jet and every result
+    is batch-last (see :func:`_lie_jet`); coefficient jets may carry
+    singleton batch axes that broadcast against the field's.
     """
-    out = {"val": jets[0]}
+    k = sum(valence)
+    K, dK = jets[0], jets[1]
+    out = {"val": K}
     if b_jets is not None:
         out["Lb"] = _lie_jet(jets[:2], b_jets, valence, 0)[0]
-    for j, xj in enumerate(xi_jets):
-        if xj is None:
-            continue
+    noises = [(j, xj) for j, xj in enumerate(xi_jets) if xj is not None]
+    if not strat and noises:
+        Q = v = F = 0.0
+        for _, xj in noises:
+            xi, Dxi, D2xi = xj[:3]
+            Q = Q + xi[:, None] * xi[None, :]
+            v = v + _along(Dxi, xi, 1)
+            F = F + _along(D2xi, xi, 2)
+        # Q : D2K as a plain multiply-add over the derivative pair
+        head = (slice(None),) * k
+        pairs = list(np.ndindex(*Q.shape[:2]))
+        LL = jets[2][head + pairs[0]] * Q[pairs[0]]
+        for lm in pairs[1:]:
+            LL += jets[2][head + lm] * Q[lm]
+        LL += _along(dK, v, k)
+        _add_slot_terms(LL, K, F, valence)
+        out["LL"] = LL
+    for j, xj in noises:
+        E = _along(dK, xj[0], k)
         if strat:
-            out[f"Lx{j}"] = _lie_jet(jets[:2], xj[:2], valence, 0)[0]
+            out[f"Lx{j}"] = _add_slot_terms(E, K, xj[1], valence)
         else:
-            inner = _lie_jet(jets, xj, valence, 1)
-            out[f"Lx{j}"] = inner[0]
-            second = _lie_jet(inner, xj[:2], valence, 0)[0]
-            if "LL" in out:
-                out["LL"] += second
-            else:
-                out["LL"] = second
+            out[f"Lx{j}"] = _add_slot_terms(E.copy(), K, xj[1], valence)
+            E += out[f"Lx{j}"]
+            _add_slot_terms(out["LL"], E, xj[1], valence)
     return out
 
 

@@ -665,37 +665,59 @@ def _lie_jet(
 ) -> List[np.ndarray]:
     """:func:`lie_jet` on batch-last jets: ``t_jets[m]`` has shape
     ``shape + (n,) * m + batch``, and the results are batch-last too."""
-    r, s = valence
-    k = r + s
+    k = sum(valence)
     if len(t_jets) < out_order + 2 or len(x_jets) < out_order + 2:
         raise InsufficientSmoothness(
             f"jet order {out_order + 1} required on both inputs for a C^{out_order} result"
         )
     X, dX = x_jets[0], x_jets[1]
     T, dT = t_jets[0], t_jets[1]
-    Xcol = X[:, None]  # X as an (n, 1) matrix stack
-    drop_col = (slice(None),) * k + (0,)  # the single index of a contraction with Xcol
-
-    def add_transport(acc, T_m, M, n_extra=0, n_m_extra=0):
-        """Add the slot terms of the Lie formula, taken with ``M``, to ``acc`` in place."""
-        for a in range(r):
-            acc -= _slot_replace(T_m, M, a, k, n_extra, n_m_extra)
-        for b in range(r, k):
-            acc += _slot_replace(T_m, M, b, k, n_extra, n_m_extra, transpose=True)
-        return acc
-
     # value: X^l d_l T  - sum_a T(l@a) d_l X^{i_a} + sum_b T(l@b) d_{j_b} X^l
-    out = [add_transport(_slot_replace(dT, Xcol, k, k + 1, transpose=True)[drop_col], T, dX)]
+    out = [_add_slot_terms(_along(dT, X, k), T, dX, valence)]
     if out_order >= 1:
         # d_m (X^l d_l T) = d_m X^l d_l T + X^l d^2_{lm} T
         term = _slot_replace(dT, dX, k, k + 1, transpose=True)
-        term += _slot_replace(t_jets[2], Xcol, k, k + 2, transpose=True)[drop_col]
+        term += _slot_replace(t_jets[2], X[:, None], k, k + 2, transpose=True)[
+            (slice(None),) * k + (0,)]
         # slot terms differentiated with Leibniz
-        add_transport(term, dT, dX, n_extra=1)
-        out.append(add_transport(term, T, x_jets[2], n_m_extra=1))
+        _add_slot_terms(term, dT, dX, valence, n_extra=1)
+        out.append(_add_slot_terms(term, T, x_jets[2], valence, n_m_extra=1))
     if out_order >= 2:
         raise NotImplementedError("jets beyond first order are not needed here")
     return out
+
+
+def _along(dT: np.ndarray, X: np.ndarray, nslots: int) -> np.ndarray:
+    """The derivative ``X^l d_l T`` of a batch-last ``T`` along the vector stack ``X``.
+
+    ``dT`` has ``nslots`` leading axes of size n (the ones kept), then the
+    derivative direction ``l`` contracted with ``X`` (shape ``(n,) + batch``),
+    then the batch axes.  Returns a new array.
+    """
+    head = (slice(None),) * nslots
+    out = dT[head + (0,)] * X[0]
+    for l in range(1, X.shape[0]):
+        out += dT[head + (l,)] * X[l]
+    return out
+
+
+def _add_slot_terms(acc: np.ndarray, T: np.ndarray, M: np.ndarray, valence: Tuple[int, int],
+                    n_extra: int = 0, n_m_extra: int = 0) -> np.ndarray:
+    """Add the slot terms of the Lie formula, ``S(T, M)``, to ``acc`` in place.
+
+    ``S(T, M) = - sum_a T(l@a) M[i_a, l] + sum_b T(l@b) M[l, j_b]`` over the
+    contravariant slots ``a`` and the covariant slots ``b``; with ``M = DX``
+    it is what ``L_X T`` adds to ``X^l d_l T``.  ``S`` is linear in both
+    arguments.  The extra axes are those of :func:`_slot_replace`.  Returns
+    ``acc``.
+    """
+    r, s = valence
+    k = r + s
+    for a in range(r):
+        acc -= _slot_replace(T, M, a, k, n_extra, n_m_extra)
+    for b in range(r, k):
+        acc += _slot_replace(T, M, b, k, n_extra, n_m_extra, transpose=True)
+    return acc
 
 
 def stencil_offsets(dim: int) -> np.ndarray:

@@ -385,6 +385,36 @@ def test_report_path_errors_come_before_the_study(tmp_path, monkeypatch, argv):
     assert cli.run(argv) == 1
 
 
+def test_closed_form_bracket_without_antiderivative_exits_one(tmp_path, monkeypatch, capsys):
+    """A scenario whose ``sigma_int`` driver has no ``sigma_antideriv`` exits 1
+    with the wiring error, before any driver is drawn, and runs under the
+    realized bracket."""
+    from dataclasses import replace
+
+    from flowtensor import cli, kiw_verifier, scenarios
+
+    sc = scenarios.get_scenario("kiw_ito_pullback_bracket")
+    bare = replace(sc, name="bare_bracket",
+                   mart_specs=(replace(sc.mart_specs[0], sigma_antideriv=None),))
+    monkeypatch.setitem(scenarios._BUILDERS, "bare_bracket", lambda: bare)
+    monkeypatch.chdir(tmp_path)
+    draws = kiw_verifier.build_driving_paths
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drivers drawn for a scenario that fails its wiring check")
+
+    monkeypatch.setattr(kiw_verifier, "build_driving_paths", no_draws)
+    assert cli.run(["bare_bracket", "--paths", "2", "--levels", "2"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'sigma_int' has no closed-form bracket" in err
+    assert not list(tmp_path.iterdir())
+    monkeypatch.setattr(kiw_verifier, "build_driving_paths", draws)
+    write_config(tmp_path, "run.scenario = bare_bracket\nrun.bracket_mode = realized\n"
+                           "run.paths = 2\nrun.levels = 2\n")
+    assert cli.run(["--config", "run.cfg"]) == cli.EXIT_OK
+    assert (tmp_path / "bare_bracket.csv").is_file()
+
+
 @pytest.mark.parametrize("args", [["--list"], ["identity", "--out", None]])
 def test_closed_stdout_exits_one_quietly(tmp_path, args):
     """A reader that closes stdout at once gets no traceback; the reports are still written."""

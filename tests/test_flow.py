@@ -16,6 +16,7 @@ from flowtensor.fields import (
 from flowtensor.flow import (
     COMPLETED,
     STOPPED,
+    FlowEnsemble,
     FlowSDE,
     FlowStopped,
     SchemeSmoothnessMismatch,
@@ -27,7 +28,8 @@ from flowtensor.flow import (
     scheme_step,
     strat_to_ito_correction,
 )
-from flowtensor.geometry import (NoCoveringChart, _slot_replace, euclidean_atlas, sphere_atlas,
+from flowtensor.geometry import (R_MAX, Chart, ChartAtlas, NoCoveringChart, Transition,
+                                 _slot_replace, euclidean_atlas, locate_chart, sphere_atlas,
                                  torus_atlas)
 from flowtensor.scenarios import get_scenario
 from flowtensor.stochastics import DrivingPaths, TimeGrid, build_driving_paths, refine_dyadic
@@ -579,6 +581,123 @@ def test_level_sweep_is_bitwise_each_level_alone(case):
     if case == "kunita_sphere_rotation":
         assert all(len(f.hops) > 0 for f in swept)
     if case == "blowup_cubic":
+        assert all(not f.completed.all() for f in swept)
+
+
+def _matmul_in_order(A, B):
+    """``A @ B`` for ``(n, n)`` matrices, the sum over the inner index in index order."""
+    out = A[:, :1] * B[:1]
+    for l in range(1, A.shape[1]):
+        out = out + A[:, l:l + 1] * B[l:l + 1]
+    return out
+
+
+def _reference_flow(sde, drivers, x0, scheme):
+    """The flow of each path on its own, one step at a time.
+
+    One :func:`scheme_step` call per path and step, with the blow-up test,
+    the hop test against the chart's centre and hop radius, the chart
+    change and the freeze after a stop written out per path.  Hops are
+    listed by step, then by the chart left, the chart entered and the path.
+    """
+    atlas, n, grid = sde.atlas, sde.dim, drivers.grid
+    L, P, times = grid.steps, drivers.n_paths, grid.times()
+    charts = np.empty((L + 1, P), dtype=np.uint8)
+    coords = np.empty((L + 1, P, n))
+    jac, inv_jac = np.empty((L + 1, P, n, n)), np.empty((L + 1, P, n, n))
+    stop_step = np.full(P, L + 1)
+    hops = []
+    x0 = np.broadcast_to(np.asarray(x0, dtype=float), (P, n))
+    for p in range(P):
+        cid = locate_chart(atlas, x0[p], 0)
+        u = x0[p] if cid == 0 else atlas.transition_between(0, cid).apply(x0[p][None])[0]
+        J = Ji = np.eye(n)
+        for k in range(L + 1):
+            charts[k, p], coords[k, p], jac[k, p], inv_jac[k, p] = cid, u, J, Ji
+            if k == L or stop_step[p] <= L:
+                continue
+            db = drivers.bm[p, k + 1] - drivers.bm[p, k]
+            un, Jn, Jin = (a[..., 0] for a in scheme_step(
+                sde, scheme, cid, times[k], times[k + 1], grid.h, u[:, None], J[..., None],
+                Ji[..., None], db[:, None]))
+            stopped = not np.all(np.abs(un) <= R_MAX)
+            ch = atlas.chart(cid)
+            if not stopped and ch.dist(un[None])[0] > ch.hop_radius:
+                try:
+                    nid = locate_chart(atlas, un, cid)
+                except NoCoveringChart:
+                    stopped = True
+                else:
+                    if nid != cid:
+                        fwd, rev = atlas.transition_between(cid, nid), atlas.transition_between(nid, cid)
+                        new_u = fwd.apply(un[None])[0]
+                        Jn = _matmul_in_order(fwd.jacobian(un[None])[0], Jn)
+                        Jin = _matmul_in_order(Jin, rev.jacobian(new_u[None])[0])
+                        hops.append((k + 1, p, cid, nid))
+                        un, cid = new_u, nid
+            if stopped:
+                stop_step[p] = k + 1  # the state stays at step k from here on
+            else:
+                u, J, Ji = un, Jn, Jin
+    return FlowEnsemble(grid=grid, atlas=atlas, scheme=scheme, path_ids=drivers.path_ids.copy(),
+                        charts=charts, coords=coords, jac=jac, inv_jac=inv_jac,
+                        stop_step=stop_step,
+                        hops=tuple(sorted(hops, key=lambda hop: (hop[0], hop[2], hop[3], hop[1]))))
+
+
+def _offset_discs_sde():
+    """Two discs of the plane in its own coordinates, centred at (-1, 0) and
+    (1, 0): charts whose centres differ in chart coordinates.  A fast drift
+    hands paths from the left disc to the right one, and then out of both."""
+    def ident(p):
+        return np.asarray(p, dtype=float)
+
+    def eye(u):
+        return np.broadcast_to(np.eye(2), np.shape(u)[:-1] + (2, 2)).copy()
+
+    same = Transition(apply=ident, jacobian=eye)
+    atlas = ChartAtlas("offset_discs", tuple(
+        Chart(i, 2, np.array([c, 0.0]), 0.8, ident, ident) for i, c in enumerate((-1.0, 1.0))),
+        {(0, 1): same, (1, 0): same})
+    x, y = X2D
+    b = VectorFieldSpec(2, {i: [3 + y**2 / 4, -x / 5] for i in (0, 1)}, 8, None, "b")
+    q = VectorFieldSpec(2, {i: [sp.Rational(1, 2) + x / 8, y / 4] for i in (0, 1)}, 8, None, "q")
+    return FlowSDE(b, [q], atlas)
+
+
+def _torus_sde():
+    atlas = torus_atlas(2)
+    x, y = X2D
+    b = VectorFieldSpec(2, {ch.id: [sp.Rational(7, 10) + y**2 / 5, sp.Rational(3, 10) - x / 4]
+                            for ch in atlas.charts}, 8, None, "b")
+    q = VectorFieldSpec(2, {ch.id: [sp.Rational(1, 3) + x * y / 6, sp.Rational(3, 4)]
+                            for ch in atlas.charts}, 8, None, "q")
+    return FlowSDE(b, [q], atlas)
+
+
+@pytest.mark.parametrize("case", ["kunita_sphere_rotation", "torus", "offset_discs",
+                                  "blowup_cubic"])
+def test_level_sweep_matches_a_plain_per_path_loop(case):
+    """Every level of the sweep equals a per-path, per-step loop that does its
+    own chart hops and stops: every field (chart ids one byte each) and the
+    hops, order included."""
+    if case in ("torus", "offset_discs"):
+        sde = _torus_sde() if case == "torus" else _offset_discs_sde()
+        # torus paths start spread out, so that paths leave different charts at one step
+        x0 = (np.stack([np.linspace(-0.3, 0.3, 10), np.linspace(0.3, -0.3, 10)], axis=1)
+              if case == "torus" else np.array([-1.0, 0.1]))
+        scheme, grid, seed = ("heun" if case == "torus" else "euler_maruyama"), TimeGrid(1.0, 16), 11
+    else:
+        sc = get_scenario(case)
+        sde, x0, scheme, grid, seed = sc.sde, sc.x0, sc.scheme, sc.base_grid, sc.seed
+    ds = _nested_drivers(grid, sde.n_noise, seed, 10, levels=3)
+    swept = integrate_flow_levels(sde, ds, x0, scheme)
+    for d, got in zip(ds, swept):
+        assert got.charts.dtype == np.uint8
+        _assert_same_ensemble(got, _reference_flow(sde, d, x0, scheme))
+    if case != "blowup_cubic":
+        assert all(len(f.hops) > 0 for f in swept)
+    if case in ("offset_discs", "blowup_cubic"):
         assert all(not f.completed.all() for f in swept)
 
 

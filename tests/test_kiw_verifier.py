@@ -10,12 +10,13 @@ from flowtensor.fields import (
     coordinate_one_form,
     gbm_vector_field,
     random_tensor_field,
+    random_vector_field,
     scalar_field,
     tensor_field,
     vector_field,
 )
 from flowtensor.flow import FlowSDE, integrate_flow
-from flowtensor.geometry import euclidean_atlas
+from flowtensor.geometry import _batch_first, _batch_last, euclidean_atlas
 from flowtensor.kiw_verifier import (
     THEOREMS,
     HypothesisViolation,
@@ -43,7 +44,7 @@ from flowtensor.kiw_verifier import (
 )
 from flowtensor.scenarios import get_scenario, list_scenarios, scenario_table
 from flowtensor.stochastics import FvSpec, MartSpec, TimeGrid, build_driving_paths
-from flowtensor.tensor_calculus import coord_symbols, lie_derivative, stencil_offsets
+from flowtensor.tensor_calculus import coord_symbols, lie_derivative, lie_jet, stencil_offsets
 
 
 def drivers_for(sc, n_paths=None, grid=None):
@@ -199,6 +200,28 @@ def test_unknown_settings_are_refused_before_any_flow(monkeypatch, name, setting
         convergence_study(sc, levels=1, n_paths=2)
 
 
+def test_closed_form_bracket_needs_an_antiderivative(monkeypatch):
+    """A ``sigma_int`` martingale driver without ``sigma_antideriv`` has no
+    closed-form bracket: where the selector reads that bracket, it is a
+    wiring error raised before any driver is drawn."""
+    sc = get_scenario("kiw_ito_pullback_bracket")
+    bare = replace(sc, mart_specs=(replace(sc.mart_specs[0], sigma_antideriv=None),))
+    with pytest.raises(WiringMismatch, match="'sigma_int' has no closed-form bracket"):
+        validate_scenario(bare)
+
+    def no_drivers(*args, **kwargs):
+        raise AssertionError("a driver was drawn")
+
+    monkeypatch.setattr(kiw_verifier, "build_driving_paths", no_drivers)
+    with pytest.raises(WiringMismatch, match="closed-form bracket"):
+        convergence_study(bare, levels=2, n_paths=2)
+    # the realized bracket needs no closed form, and a zero noise field takes
+    # no bracket with the driver
+    validate_scenario(replace(bare, bracket_mode="realized"))
+    zero_noise = replace(sc.sde, diffusions=(vector_field(1, [sp.Integer(0)], name="zero"),))
+    validate_scenario(replace(bare, sde=zero_noise))
+
+
 @pytest.mark.parametrize("where", ["K0", "G"])
 def test_kpath_needs_time_independent_fields(where):
     """The flag is found once per field and kept by its copies."""
@@ -345,9 +368,11 @@ def test_jet_integrands_do_not_depend_on_the_block_size(monkeypatch, name):
     # K_t: L_b, L_xi0 and L_xi0 L_xi0, none along the zero second noise;
     # G0: L_xi0 for the bracket.  Pulled back: K0 and G0 (combined into K)
     # and the four Lie terms
-    ("kiw_ito_pullback_r2", {"K", "G0", "LbK", "LxK0", "LLK", "LxG0_0"}, 4, 6),
-    # no drift term, two per noise; pulled back: K and the four Lie terms
-    ("kunita_sphere_rotation", {"K", "LxK0", "LxK1", "LxK2", "LLK"}, 6, 5),
+    # (_lie_jet builds L_b K_t and L_xi0 G0; the L_xi K_t and the summed
+    # correction come from the noise sums of _lie_terms, with no nested jet)
+    ("kiw_ito_pullback_r2", {"K", "G0", "LbK", "LxK0", "LLK", "LxG0_0"}, 2, 6),
+    # no drift term and no driver fields; pulled back: K and the four Lie terms
+    ("kunita_sphere_rotation", {"K", "LxK0", "LxK1", "LxK2", "LLK"}, 0, 5),
 ])
 def test_one_block_builds_each_integrand_once(monkeypatch, name, keys, lie_jets, contractions):
     """The integrands and kernel calls of one block in one chart, counted.
@@ -377,6 +402,61 @@ def test_one_block_builds_each_integrand_once(monkeypatch, name, keys, lie_jets,
         monkeypatch.setattr(kiw_verifier, fn_name, counted(fn_name))
     assert set(_pullback_integrand_paths(sc, flow, kp, strat=False)) == keys
     assert calls == {"_lie_jet": lie_jets, "_contract": contractions}
+
+
+def _symmetric_jets(rng, batch, head, dim, order=2):
+    """Random batch-first jets ``batch + head + (dim,) * m``, m <= ``order``,
+    with symmetric second derivatives."""
+    jets = [rng.standard_normal(batch + head + (dim,) * m) for m in range(order + 1)]
+    jets[2] = (jets[2] + np.swapaxes(jets[2], -1, -2)) / 2
+    return jets
+
+
+VALENCES_UP_TO_THREE_SLOTS = [(r, k - r) for k in range(4) for r in range(k + 1)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("valence", VALENCES_UP_TO_THREE_SLOTS)
+def test_ito_correction_is_the_nested_lie_jet_summed_over_noises(valence, dim):
+    """``LL`` from the noise sums equals ``sum_j L_xi_j (L_xi_j K)`` taken with
+    the public two-pass ``lie_jet`` (its first-order jet, then once more),
+    and every ``L_xi_j K`` is the one-pass ``lie_jet`` bitwise; a ``None``
+    noise adds nothing."""
+    rng = np.random.default_rng(100 * dim + 10 * valence[0] + valence[1])
+    batch = (3, 5)
+    for n_noise in (1, 2, 3):
+        K = _symmetric_jets(rng, batch, (dim,) * sum(valence), dim)
+        xis = [_symmetric_jets(rng, batch, (dim,), dim) for _ in range(n_noise)]
+        xis.insert(n_noise // 2, None)
+        got = _lie_terms([_batch_last(a, 2) for a in K], None,
+                         [None if xj is None else [_batch_last(a, 2) for a in xj] for xj in xis],
+                         valence, strat=False)
+        want = sum(lie_jet(lie_jet(K, xj, valence, 1), xj[:2], valence, 0)[0]
+                   for xj in xis if xj is not None)
+        # entries that cancel to near zero carry the round-off of their
+        # summands, so the scale of the whole array bounds the difference
+        assert_allclose(_batch_first(got["LL"], 2), want, rtol=1e-12,
+                        atol=1e-12 * np.abs(want).max())
+        assert set(got) == {"val", "LL"} | {f"Lx{j}" for j, xj in enumerate(xis) if xj is not None}
+        for j, xj in enumerate(xis):
+            if xj is not None:
+                assert np.array_equal(_batch_first(got[f"Lx{j}"], 2),
+                                      lie_jet(K[:2], xj[:2], valence, 0)[0])
+
+
+@pytest.mark.parametrize("valence, dim", [((0, 0), 2), ((1, 1), 2), ((0, 2), 2), ((2, 1), 1)])
+def test_ito_correction_matches_the_symbolic_second_lie_derivative(valence, dim):
+    """On polynomial fields ``LL`` equals ``lie_derivative`` applied twice,
+    summed over the noises, at random points."""
+    rng = np.random.default_rng(7 + dim + 3 * sum(valence))
+    K = random_tensor_field(valence, dim, rng, degree=3, name="polyK")
+    xis = [random_vector_field(dim, rng, degree=2, prefix=f"q{j}", name=f"xi{j}")
+           for j in range(2)]
+    pts = rng.uniform(-1.0, 1.0, (dim, 9))
+    got = _lie_terms(K._jet_last(0.0, pts, 0, 2), None,
+                     [xi._jet_last(0.0, pts, 0, 2) for xi in xis], valence, strat=False)["LL"]
+    want = sum(lie_derivative(lie_derivative(K, xi), xi).eval_batch(0.0, pts.T) for xi in xis)
+    assert_allclose(_batch_first(got, 1), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 @pytest.mark.parametrize(
