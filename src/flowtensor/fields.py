@@ -1,9 +1,13 @@
 """Built-in tensor and vector fields.
 
 Random fields for the property suites are drawn from fixed symbolic
-templates whose coefficients are parameter symbols; drawing new
-coefficients re-binds parameter values without recompiling, so a suite
-of hundreds of random fields pays the lambdify cost once per template.
+templates whose coefficients are parameter symbols.  Each draw is a new
+field that generates its evaluators on first use, but the program cache
+(see :mod:`flowtensor.tensor_calculus`) keys a program by the template's
+components and parameter names, not by the drawn values: while the cache
+directory is writable, every draw after the first, in this process or a
+later one, loads the template's programs and differentiates, CSE-s and
+prints nothing.
 """
 
 from __future__ import annotations

@@ -48,6 +48,7 @@ its one-level case.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -135,56 +136,90 @@ class FlowSDE:
             k = min(k, xi.smoothness_order - 1)
         return k
 
-    def _program(self, chart: int, noise_order: int):
-        """Flat coefficient expressions of one chart, their parameters and layout.
+    def _layout(self, chart: int, noise_order: int):
+        """Parameters, parameter values and row layout of :meth:`_exprs`, and its row count.
 
-        The drift's value and first partials come first, then the noise
-        fields' values, first partials and (to ``noise_order``) second
-        partials, each stack over all noise fields in turn, components in
-        C order; the layout lists each stack's name, rows and shape.
-        Every field's parameters are renamed to symbols prefixed with its
-        position, so two fields may bind one name to different values.
-        Requesting partials beyond a field's declared smoothness raises
-        ``InsufficientSmoothness``.
+        Found without differentiating.  The layout lists each stack's
+        name, rows and shape: the drift's value and first partials, then
+        the noise fields' values, first partials and (to ``noise_order``)
+        second partials, each stack over all noise fields in turn,
+        components in C order.  Every field's parameters are renamed to
+        symbols prefixed with its position, so two fields may bind one name
+        to different values.  A chart without components raises
+        ``KeyError`` and partials beyond a field's declared smoothness
+        ``InsufficientSmoothness``, as :meth:`_exprs` would.
         """
-        key = (chart, noise_order)
+        key = ("layout", chart, noise_order)
         if key not in self._programs:
             n, N = self.dim, self.n_noise
-            stacks, psyms, pvals = [], [], []
+            psyms, pvals = [], []
+            for k, f in enumerate((self.drift, *self.diffusions)):
+                f._require(chart, 1 if k == 0 else noise_order)
+                psyms += [sp.Symbol(f"c{k}_{s.name}", real=True) for s, _ in f.params]
+                pvals += [v for _, v in f.params]
+            groups = [("b", (n,)), ("Db", (n, n))]
+            groups += [(("xi", "Dxi", "D2xi")[m], (N,) + (n,) * (m + 1))
+                       for m in range(noise_order + 1)]
+            layout, rows = [], 0
+            for nm, shape in groups:
+                layout.append((nm, rows, rows + prod(shape), shape))
+                rows += prod(shape)
+            self._programs[key] = (tuple(psyms), tuple(pvals), layout, rows)
+        return self._programs[key]
+
+    def _exprs(self, chart: int, noise_order: int) -> Tuple[sp.Expr, ...]:
+        """The flat coefficient expressions of one chart, rows as :meth:`_layout` lays them out.
+
+        Differentiates the fields; only a program-cache miss of
+        :meth:`jets` or :meth:`_step_program` calls it.
+        """
+        key = ("exprs", chart, noise_order)
+        if key not in self._programs:
+            n, psyms = self.dim, iter(self._layout(chart, noise_order)[0])
+            stacks = []
             for k, f in enumerate((self.drift, *self.diffusions)):
                 alphas, columns = _jet_layout(n, 1 if k == 0 else noise_order, n)
-                rename = {s: sp.Symbol(f"c{k}_{s.name}", real=True) for s, _ in f.params}
+                rename = {s: next(psyms) for s, _ in f.params}
                 flat = [e.xreplace(rename) for e in f._exprs(chart, alphas)]
                 stacks.append([[flat[c] for c in cols] for cols in columns])
-                psyms += rename.values()
-                pvals += [v for _, v in f.params]
-            groups = [("b", (n,), stacks[0][0]), ("Db", (n, n), stacks[0][1])]
-            groups += [(("xi", "Dxi", "D2xi")[m], (N,) + (n,) * (m + 1),
-                        [e for st in stacks[1:] for e in st[m]]) for m in range(noise_order + 1)]
-            exprs, layout = [], []
-            for nm, shape, rows in groups:
-                layout.append((nm, len(exprs), len(exprs) + len(rows), shape))
-                exprs += rows
-            self._programs[key] = (tuple(exprs), tuple(psyms), tuple(pvals), layout)
+            exprs = stacks[0][0] + stacks[0][1]
+            for m in range(noise_order + 1):
+                exprs += [e for st in stacks[1:] for e in st[m]]
+            self._programs[key] = tuple(exprs)
         return self._programs[key]
+
+    def _key(self, chart: int, psyms: tuple, *kind) -> tuple:
+        """The program-cache key of a program of ``kind`` in ``chart``
+        (see :func:`flowtensor.tensor_calculus._program`): ``kind``, the
+        chart, every coefficient's components there and the names of the
+        renamed parameters ``psyms``."""
+        return (*kind, chart, tuple(tensor_calculus._srepr(f.comps[chart])
+                                    for f in (self.drift, *self.diffusions)),
+                tuple(s.name for s in psyms))
 
     def jets(self, t, pts: np.ndarray, chart: int, noise_order: int) -> Dict[str, np.ndarray]:
         """Drift and noise jets at batch-last points ``pts`` (shape ``(n,) + batch``).
 
-        One compiled call (common subexpressions shared, the function held
-        per chart and noise order) writes every value into one
-        ``(C,) + batch`` buffer, and the results are views of it, batch-last: ``b`` and ``Db`` (drift and its Jacobian,
-        ``Db[i, l] = d_l b^i``), ``xi``, ``Dxi`` and, with ``noise_order``
-        2, ``D2xi`` (leading axis over the noise fields, derivative
-        directions last).
+        One call of a generated program (common subexpressions shared)
+        writes every value into one ``(C,) + batch`` buffer, and the
+        results are views of it, batch-last: ``b`` and ``Db`` (drift and
+        its Jacobian, ``Db[i, l] = d_l b^i``), ``xi``, ``Dxi`` and, with
+        ``noise_order`` 2, ``D2xi`` (leading axis over the noise fields,
+        derivative directions last).  The program is held per chart and
+        noise order; it comes from the program cache, so where an earlier
+        process stored it, nothing is differentiated.
         """
         key = ("jets", chart, noise_order)
         if key not in self._programs:
-            exprs, psyms, pvals, layout = self._program(chart, noise_order)
-            rows = sp.symbols(f"_q0:{len(exprs)}")
-            fn = tensor_calculus._compiled(rows, (TIME,) + coord_symbols(self.dim) + psyms,
-                                           (tuple(zip(rows, exprs)),))
-            self._programs[key] = (fn, pvals, layout, len(exprs))
+            psyms, pvals, layout, rows = self._layout(chart, noise_order)
+
+            def source():
+                q = sp.symbols(f"_q0:{rows}")
+                return tensor_calculus._compiled(q, (TIME,) + coord_symbols(self.dim) + psyms,
+                                                 (tuple(zip(q, self._exprs(chart, noise_order))),))
+
+            fn = tensor_calculus._program(self._key(chart, psyms, "jets", noise_order), source)
+            self._programs[key] = (fn, pvals, layout, rows)
         fn, pvals, layout, rows = self._programs[key]
         pts = np.asarray(pts, dtype=float)
         batch = np.broadcast(t, pts[0]).shape
@@ -194,7 +229,7 @@ class FlowSDE:
         return {nm: buf[a:b].reshape(shape + batch) for nm, a, b, shape in layout}
 
     def _step_program(self, chart: int, scheme: str, with_inv: bool):
-        """The compiled step of ``scheme`` in ``chart`` and its parameter values.
+        """The generated step of ``scheme`` in ``chart`` and its parameter values.
 
         The function takes ``(t0, t1, h, x, db, J, Ji, params)``, each
         array entry an argument of its own in C order (``Ji`` only
@@ -203,62 +238,29 @@ class FlowSDE:
         ``J + M+ J`` and ``Ji - Ji M-`` with ``M+- = (Db +- c+-) h + W`` and
         ``W = sum_j Dxi_j db_j``; Heun writes the same sweep (``Db h + W``)
         at ``(t0, x)`` and, through the bound predictor ``x + du0``, at
-        ``t1``.  The coefficients are the expressions of :meth:`_program`;
+        ``t1``.  The coefficients are the expressions of :meth:`_exprs`;
         the point and ``M`` rows share one common-subexpression pass, and
         the Jacobian products are plain sums over entry symbols of ``M``.
+        An unknown scheme and coefficients too rough for it raise before
+        the program is looked up in the program cache; a hit differentiates
+        and prints nothing.
         """
         key = (chart, scheme, with_inv)
         if key not in self._programs:
             if scheme not in SCHEMES:
                 raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
-            n, N = self.dim, self.n_noise
-            euler = scheme == "euler_maruyama"
-            exprs, psyms, pvals, layout = self._program(chart, 2 if euler else 1)
-            q = {nm: _objects(exprs[a:b], shape) for nm, a, b, shape in layout}
-            xs = _objects(coord_symbols(n), (n,))
-            db = sp.symbols(f"_db0:{N}")
-            J = _objects(sp.symbols(f"_J0:{n}_0:{n}"), (n, n))
-            Ji = _objects(sp.symbols(f"_Ji0:{n}_0:{n}"), (n, n))
-            xi, Dxi = q["xi"], q["Dxi"]
+            noise_order = 2 if scheme == "euler_maruyama" else 1
+            psyms, pvals, layout, _ = self._layout(chart, noise_order)
 
-            def noise_sum(f, shape):
-                return sum((f(j) for j in range(N)), np.zeros(shape, dtype=object))
+            def source():
+                exprs = self._exprs(chart, noise_order)
+                q = {nm: _objects(exprs[a:b], shape) for nm, a, b, shape in layout}
+                outs, args, blocks = _step_exprs(q, scheme, with_inv, self.dim, self.n_noise)
+                return tensor_calculus._compiled(outs, args + psyms, blocks)
 
-            W = noise_sum(lambda j: Dxi[j] * db[j], (n, n))
-            noise = noise_sum(lambda j: xi[j] * db[j], (n,))
-            if euler:
-                D2xi = q["D2xi"]
-                a = q["b"] + noise_sum(lambda j: Dxi[j] @ xi[j], (n,)) / 2
-                sq = noise_sum(lambda j: Dxi[j] @ Dxi[j], (n, n))
-                second = noise_sum(lambda j: D2xi[j] @ xi[j], (n, n))
-                blocks = [[]]
-                u1 = _bind(blocks[0], "u", xs + a * _H + noise)
-                Mp = _bind(blocks[0], "Mp", (q["Db"] + (sq + second) / 2) * _H + W)
-                Jn = J + Mp @ J
-                if with_inv:
-                    Mm = _bind(blocks[0], "Mm", (q["Db"] - (sq - second) / 2) * _H + W)
-                    Jin = Ji - Ji @ Mm
-            else:
-                # the sweep at (t0, x), then at (t1, x + du0) with du0 bound
-                du, M = q["b"] * _H + noise, q["Db"] * _H + W
-                blocks = [[], [], [], []]
-                du0, M0 = _bind(blocks[0], "du0_", du), _bind(blocks[0], "M0_", M)
-                sub = {TIME: _T1, **dict(zip(xs, _bind(blocks[1], "y", xs + du0)))}
-
-                def at_y(arr):
-                    return _objects([e.xreplace(sub) for e in arr.flat], arr.shape)
-
-                du1, M1 = _bind(blocks[2], "du1_", at_y(du)), _bind(blocks[2], "M1_", at_y(M))
-                A0 = _bind(blocks[3], "A0_", M0 @ J)
-                u1 = xs + (du0 + du1) / 2
-                Jn = J + (A0 + M1 @ (J + A0)) / 2
-                if with_inv:
-                    B0 = _bind(blocks[3], "B0_", Ji @ M0)
-                    Jin = Ji - (B0 + (Ji - B0) @ M1) / 2
-            outs = (*u1.flat, *Jn.flat, *(Jin.flat if with_inv else ()))
-            args = (TIME, _T1, _H, *xs, *db, *J.flat, *(Ji.flat if with_inv else ()), *psyms)
-            blocks = tuple(tuple(blk) for blk in blocks if blk)
-            self._programs[key] = (tensor_calculus._compiled(outs, args, blocks), pvals)
+            fn = tensor_calculus._program(self._key(chart, psyms, "step", scheme, with_inv),
+                                            source)
+            self._programs[key] = (fn, pvals)
         return self._programs[key]
 
     def coeffs(self, t, pts: np.ndarray, chart: int, noise_order: int) -> Dict[str, np.ndarray]:
@@ -310,6 +312,57 @@ def scheme_step(sde: FlowSDE, scheme: str, cid: int, t0: float, t1: float, h: fl
     shape = (n, n) + batch
     return (out[:n], out[n:n + n * n].reshape(shape),
             None if Ji is None else out[n + n * n:].reshape(shape))
+
+
+def _step_exprs(q: Dict[str, np.ndarray], scheme: str, with_inv: bool, n: int, N: int):
+    """Outputs, arguments (without the parameters) and bound blocks of a step program.
+
+    ``q`` holds the coefficient stacks of :meth:`FlowSDE._layout` as
+    object arrays; see :meth:`FlowSDE._step_program` for the update.
+    """
+    xs = _objects(coord_symbols(n), (n,))
+    db = sp.symbols(f"_db0:{N}")
+    J = _objects(sp.symbols(f"_J0:{n}_0:{n}"), (n, n))
+    Ji = _objects(sp.symbols(f"_Ji0:{n}_0:{n}"), (n, n))
+    xi, Dxi = q["xi"], q["Dxi"]
+
+    def noise_sum(f, shape):
+        return sum((f(j) for j in range(N)), np.zeros(shape, dtype=object))
+
+    W = noise_sum(lambda j: Dxi[j] * db[j], (n, n))
+    noise = noise_sum(lambda j: xi[j] * db[j], (n,))
+    if scheme == "euler_maruyama":
+        D2xi = q["D2xi"]
+        a = q["b"] + noise_sum(lambda j: Dxi[j] @ xi[j], (n,)) / 2
+        sq = noise_sum(lambda j: Dxi[j] @ Dxi[j], (n, n))
+        second = noise_sum(lambda j: D2xi[j] @ xi[j], (n, n))
+        blocks = [[]]
+        u1 = _bind(blocks[0], "u", xs + a * _H + noise)
+        Mp = _bind(blocks[0], "Mp", (q["Db"] + (sq + second) / 2) * _H + W)
+        Jn = J + Mp @ J
+        if with_inv:
+            Mm = _bind(blocks[0], "Mm", (q["Db"] - (sq - second) / 2) * _H + W)
+            Jin = Ji - Ji @ Mm
+    else:
+        # the sweep at (t0, x), then at (t1, x + du0) with du0 bound
+        du, M = q["b"] * _H + noise, q["Db"] * _H + W
+        blocks = [[], [], [], []]
+        du0, M0 = _bind(blocks[0], "du0_", du), _bind(blocks[0], "M0_", M)
+        sub = {TIME: _T1, **dict(zip(xs, _bind(blocks[1], "y", xs + du0)))}
+
+        def at_y(arr):
+            return _objects([e.xreplace(sub) for e in arr.flat], arr.shape)
+
+        du1, M1 = _bind(blocks[2], "du1_", at_y(du)), _bind(blocks[2], "M1_", at_y(M))
+        A0 = _bind(blocks[3], "A0_", M0 @ J)
+        u1 = xs + (du0 + du1) / 2
+        Jn = J + (A0 + M1 @ (J + A0)) / 2
+        if with_inv:
+            B0 = _bind(blocks[3], "B0_", Ji @ M0)
+            Jin = Ji - (B0 + (Ji - B0) @ M1) / 2
+    outs = (*u1.flat, *Jn.flat, *(Jin.flat if with_inv else ()))
+    args = (TIME, _T1, _H, *xs, *db, *J.flat, *(Ji.flat if with_inv else ()))
+    return outs, args, tuple(tuple(blk) for blk in blocks if blk)
 
 
 def _objects(seq, shape) -> np.ndarray:

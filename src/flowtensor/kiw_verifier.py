@@ -1289,7 +1289,8 @@ def convergence_study(
     levels are reduced coarse to fine.  Paths are sampled from
     counter-based streams and every per-path result is independent of
     the other paths in its chunk, so the report is byte-identical for
-    any ``n_workers``.  Each evaluator compiles on its first call.  A
+    any ``n_workers``.  Each evaluator and step program is generated, or
+    loaded from the program cache, on its first call.  A
     study larger than :data:`MAX_STUDY_STATES` (see
     :func:`study_states`) raises ``ValueError`` before anything is
     allocated.

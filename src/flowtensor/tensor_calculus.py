@@ -1,13 +1,21 @@
 """Tensor fields on charts, Lie derivatives and flow transport contractions.
 
 Fields are stored as sympy expressions per chart in the time symbol
-``t`` and coordinate symbols ``x0, x1, ...``; evaluation lambdifies the
-expressions once (held per field, chart and multi-index) and then works
-on numpy batches.
+``t`` and coordinate symbols ``x0, x1, ...``; evaluation generates one
+numpy program per field, chart and set of partials (held by the field)
+and then works on numpy batches.
 Free symbols other than time and coordinates are field parameters and
-must be bound to floats in ``params``; because parameter values enter
-only at call time, re-drawing random coefficients for a fixed template
-reuses the compiled evaluator.
+must be bound to floats in ``params``; parameter values enter only at
+call time, so they are not part of a program.
+
+Generated programs are kept in the program cache, one file each in
+``$XDG_CACHE_HOME/flowtensor`` (``~/.cache/flowtensor`` by default):
+:func:`_program` loads a program stored there by an earlier process
+instead of differentiating, CSE-ing and printing it again.  An entry's
+name is a sha256 over the code-generation tag (the sources of this
+module and :mod:`flowtensor.flow`, and the sympy, numpy and Python
+versions), the kind of program, its chart and orders, the ``srepr`` of
+every component it reads and the parameter names in order.
 
 Every field declares a ``smoothness_order``: the largest total spatial
 derivative order callers may request.  Asking beyond it raises
@@ -33,14 +41,22 @@ returns batch-last jets.
 
 from __future__ import annotations
 
+import builtins
+import hashlib
+import os
 import string
+import sys
+from contextlib import suppress
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import prod
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 import sympy as sp
+from sympy.printing.numpy import NumPyPrinter
+from sympy.utilities.lambdify import _EvaluatorPrinter
 
 from .geometry import (
     JacobianData,
@@ -89,18 +105,18 @@ def coord_symbols(dim: int) -> Tuple[sp.Symbol, ...]:
     return sp.symbols(f"x0:{dim}", real=True)
 
 
-def _compiled(exprs: Tuple[sp.Expr, ...], args: Tuple[sp.Symbol, ...], blocks: tuple = ()):
-    """``exprs`` lambdified over ``args``; every call compiles anew.
+def _compiled(exprs: Tuple[sp.Expr, ...], args: Tuple[sp.Symbol, ...], blocks: tuple = ()) -> str:
+    """The source of a numpy function of ``args`` returning the list of ``exprs``.
 
-    Callers hold what they compile (:meth:`TensorFieldSpec._evaluator`,
-    :meth:`flowtensor.flow.FlowSDE.jets` and ``_step_program``).
-    ``blocks`` bind symbols before the outputs are computed.  Each block
-    is a tuple of ``(symbol, expr)`` pairs, and one ``sp.cse`` over its
-    right-hand sides shares their common subexpressions.  A block may
-    read the symbols of earlier blocks, and the outputs may read any of
-    them; the outputs themselves are printed as given.  The numpy module
-    object (not the name ``"numpy"``, which star-imports all of numpy
-    into the namespace) resolves the printed function names.
+    The source is printed as ``sp.lambdify(args, list(exprs), modules=np)``
+    prints it, and :func:`_load` runs it in lambdify's namespace, so the
+    function is the one lambdify would build.  ``blocks`` bind symbols
+    before the outputs are computed.  Each block is a tuple of
+    ``(symbol, expr)`` pairs, and one ``sp.cse`` over its right-hand
+    sides shares their common subexpressions.  A block may read the
+    symbols of earlier blocks, and the outputs may read any of them; the
+    outputs themselves are printed as given.  Callers pass what they
+    print to :func:`_program`, which calls it on a cache miss only.
     """
     taken = {s.name for s in args} | {s.name for blk in blocks for s, _ in blk}
     names = (s for s in sp.numbered_symbols("_s") if s.name not in taken)
@@ -109,8 +125,105 @@ def _compiled(exprs: Tuple[sp.Expr, ...], args: Tuple[sp.Symbol, ...], blocks: t
         syms, rhs = zip(*blk)
         repl, reduced = sp.cse(list(rhs), symbols=names)
         prelude += repl + list(zip(syms, reduced))
-    return sp.lambdify(args, list(exprs), modules=np,
-                       cse=(lambda e: (prelude, e)) if blocks else False)
+    printer = NumPyPrinter({"fully_qualified_modules": False, "inline": True,
+                            "allow_unknown_functions": True, "user_functions": {}})
+    return _EvaluatorPrinter(printer).doprint(_FUNCNAME, args, list(exprs), cses=prelude)
+
+
+_FUNCNAME = "_lambdifygenerated"
+_HEADER = "# flowtensor program sha256="
+
+
+def _entry(name: str, source: str) -> str:
+    """The program-cache entry ``name`` holding ``source``: a header line with the
+    sha256 of the name and the source, then the source."""
+    digest = hashlib.sha256((name + "\n" + source).encode()).hexdigest()
+    return f"{_HEADER}{digest}\n{source}"
+
+
+def _load(name: str, entry: str):
+    """The function of the program-cache entry ``name``.
+
+    An entry whose header does not match its name and source (a
+    truncated or empty entry, other code, another program's entry) raises
+    ``ValueError`` instead of loading.  The source runs in the namespace
+    lambdify gives ``modules=np``: the numpy module's own namespace (not
+    the star-import of the name ``"numpy"``, which imports
+    ``numpy.f2py`` among others), ``builtins`` and ``range``.  Hits and
+    misses of :func:`_program` both load through here.
+    """
+    source = entry.partition("\n")[2]
+    if entry != _entry(name, source):
+        raise ValueError(f"{name or 'program'}: not a whole program-cache entry")
+    local: dict = {}
+    exec(compile(source, "<flowtensor program>", "exec"),
+         {**vars(np), "builtins": builtins, "range": range}, local)
+    return local[_FUNCNAME]
+
+
+@lru_cache(maxsize=None)
+def _codegen_tag() -> Optional[str]:
+    """sha256 of what generates the programs besides their key; None without the sources."""
+    here = Path(__file__)
+    try:
+        sources = [here.read_bytes(), here.with_name("flow.py").read_bytes()]
+    except OSError:
+        return None
+    tag = hashlib.sha256(b"".join(sources))
+    tag.update(f"sympy {sp.__version__} numpy {np.__version__} python {sys.version}".encode())
+    return tag.hexdigest()
+
+
+def _cache_dir() -> Path:
+    """``$XDG_CACHE_HOME/flowtensor``, or ``~/.cache/flowtensor`` when that is unset or relative."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(base, "flowtensor")
+
+
+def _program(key: tuple, source: Callable[[], str]):
+    """The function of the generated program that ``key`` names, through the program cache.
+
+    ``key`` holds, as strings and integers, everything besides the
+    code-generation tag that the printed source depends on; ``source``
+    prints it (:func:`_compiled`).  A hit loads the stored entry.  A miss
+    prints the source, stores it and loads it; an entry that cannot be
+    read or loaded is a miss, and one that cannot be written is skipped,
+    so the cache never raises.  Without the sources the code-generation
+    tag hashes, nothing is cached.
+    """
+    tag = _codegen_tag()
+    if tag is None:
+        return _load("", _entry("", source()))
+    name = hashlib.sha256(repr((tag,) + key).encode()).hexdigest()
+    path = _cache_dir() / f"{name}.py"
+    with suppress(OSError, ValueError, SyntaxError, KeyError):
+        return _load(name, path.read_text(encoding="utf-8"))
+    entry = _entry(name, source())
+    _store(path, entry)
+    return _load(name, entry)
+
+
+def _store(path: Path, entry: str):
+    """Write ``entry`` to ``path`` whole or not at all; nothing is raised.
+
+    The directory is made with mode ``0o700``, the entry is written to a
+    temporary file beside ``path`` and renamed into place.
+    """
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+        tmp.write_text(entry, encoding="utf-8")
+        os.replace(tmp, path)
+    except OSError:
+        with suppress(OSError):
+            tmp.unlink()
+
+
+def _srepr(arr: np.ndarray) -> Tuple[str, ...]:
+    """``sp.srepr`` of every entry of an object array, in C order (a program's cache key)."""
+    return tuple(sp.srepr(e) for e in arr.flat)
 
 
 @lru_cache(maxsize=None)
@@ -298,42 +411,58 @@ class TensorFieldSpec:
 
     # -- evaluation --------------------------------------------------------
 
+    def _require(self, chart: int, order: int):
+        """Raise ``KeyError`` without components in ``chart`` and
+        :class:`InsufficientSmoothness` for partials of total order above
+        the declared smoothness."""
+        if chart not in self.comps:
+            raise KeyError(f"field {self.name!r} has no components in chart {chart}")
+        if order > self.smoothness_order:
+            raise InsufficientSmoothness(
+                f"field {self.name!r} is C^{self.smoothness_order}; "
+                f"derivative of order {order} requested"
+            )
+
     def _exprs(self, chart: int, alphas: Tuple[Tuple[int, ...], ...]) -> Tuple[sp.Expr, ...]:
         """Flattened components of every partial ``d^alpha`` in ``alphas``, in order.
 
-        Built anew on each call: :meth:`_evaluator` holds what it compiles
-        from them, and :func:`_partial` memoises each partial.
+        Built anew on each call, after the checks of :meth:`_require`:
+        :meth:`_evaluator` holds what it generates from them, and
+        :func:`_partial` memoises each partial.
         """
-        if chart not in self.comps:
-            raise KeyError(f"field {self.name!r} has no components in chart {chart}")
-        top = max(sum(alpha) for alpha in alphas)
-        if top > self.smoothness_order:
-            raise InsufficientSmoothness(
-                f"field {self.name!r} is C^{self.smoothness_order}; "
-                f"derivative of order {top} requested"
-            )
+        self._require(chart, max(sum(alpha) for alpha in alphas))
         arr = self.comps[chart]
         return tuple(_partial(arr[idx], alpha) for alpha in alphas
                      for idx in (np.ndindex(arr.shape) if arr.shape else [()]))
 
     def _evaluator(self, chart: int, alphas: Tuple[Tuple[int, ...], ...]):
-        """The compiled evaluator of every partial in ``alphas`` and its row count.
+        """The evaluator of every partial in ``alphas`` and its row count.
 
         Held per ``(chart, alphas)``, so a call builds no symbols and
-        hashes no expressions.
+        hashes no expressions.  The checks of :meth:`_require` run first;
+        then the program comes from the program cache (:func:`_program`),
+        keyed by the chart, ``alphas``, the components in ``chart`` and the
+        parameter names, so a hit differentiates nothing and a copy of the
+        field with other parameter values or another name shares the entry.
         """
         key = (chart, alphas)
         held = self._evaluators.get(key)
         if held is None:
-            exprs = self._exprs(chart, alphas)
+            self._require(chart, max(sum(alpha) for alpha in alphas))
             ncomp = prod(self.shape)
-            # the first partial's rows print as given, so a jet's values are
-            # bitwise those of eval_batch; the later rows share subexpressions
-            rest = sp.symbols(f"_d0:{len(exprs) - ncomp}")
             psyms = tuple(s for s, _ in self.params)
-            fn = _compiled(exprs[:ncomp] + rest, (TIME,) + coord_symbols(self.dim) + psyms,
-                           (tuple(zip(rest, exprs[ncomp:])),) if rest else ())
-            held = self._evaluators[key] = (fn, len(exprs))
+
+            def source():
+                exprs = self._exprs(chart, alphas)
+                # the first partial's rows print as given, so a jet's values are
+                # bitwise those of eval_batch; the later rows share subexpressions
+                rest = sp.symbols(f"_d0:{len(exprs) - ncomp}")
+                return _compiled(exprs[:ncomp] + rest, (TIME,) + coord_symbols(self.dim) + psyms,
+                                 (tuple(zip(rest, exprs[ncomp:])),) if rest else ())
+
+            fn = _program(("evaluator", chart, alphas, _srepr(self.comps[chart]),
+                           tuple(s.name for s in psyms)), source)
+            held = self._evaluators[key] = (fn, len(alphas) * ncomp)
         return held
 
     def _eval_flat(self, t, pts: np.ndarray, chart: int,

@@ -141,18 +141,21 @@ def test_fused_coefficients_bind_each_fields_own_parameters():
 
 
 @pytest.mark.parametrize("scheme", ["euler_maruyama", "heun"])
-def test_flow_makes_one_coefficient_call_per_chart_group_and_stage(monkeypatch, scheme):
-    """No per-field jets: one compiled step call per chart group, for either scheme.
+def test_flow_makes_one_coefficient_call_per_chart_group_and_stage(
+        monkeypatch, empty_program_cache, scheme):
+    """No per-field jets: one generated step call per chart group, for either scheme.
 
-    Heun's corrector is part of the same compiled step program as its
-    predictor, so it makes no call of its own; each chart has one program.
+    Heun's corrector is part of the same step program as its predictor,
+    so it makes no call of its own; each chart has one program.  Calls
+    are counted on the functions the program loader returns, so no
+    counting wrapper reaches the program cache.
     """
     sde = make_sphere_sde()
     d = build_driving_paths(TimeGrid(1.0, 32), 3, 35, 16)
-    compiled, calls = tensor_calculus._compiled, []
+    load, calls = tensor_calculus._load, []
 
-    def counting_compiled(*args, **kwargs):
-        fn = compiled(*args, **kwargs)
+    def counting_load(*args):
+        fn = load(*args)
 
         def counted(*a):
             calls.append(fn)
@@ -163,7 +166,7 @@ def test_flow_makes_one_coefficient_call_per_chart_group_and_stage(monkeypatch, 
     def no_field_jets(*args, **kwargs):
         raise AssertionError("the flow read a per-field jet")
 
-    monkeypatch.setattr(tensor_calculus, "_compiled", counting_compiled)
+    monkeypatch.setattr(tensor_calculus, "_load", counting_load)
     monkeypatch.setattr(TensorFieldSpec, "jet_batch", no_field_jets)
     ens = integrate_flow(sde, d, np.array([0.9, 0.5]), scheme)
     assert np.all(ens.completed) and len(ens.hops) > 0

@@ -30,7 +30,7 @@ from flowtensor.kiw_verifier import (
     synthesize_K_path,
     validate_scenario,
 )
-from flowtensor import kiw_verifier
+from flowtensor import kiw_verifier, tensor_calculus
 from flowtensor.kiw_verifier import (
     _pull_path,
     _pullback_integrand_paths,
@@ -470,23 +470,24 @@ def test_rhs_transported_tensor_is_eval_lhs_bitwise(name):
     assert np.array_equal(rhs.transported, eval_lhs(sc, flow, kp, drivers=d))
 
 
-def test_study_compiles_only_the_evaluators_it_reads(monkeypatch):
-    """On the two-chart sphere (Euler, Ito pullback) a study compiles 6 evaluators.
+def test_study_compiles_only_the_evaluators_it_reads(monkeypatch, empty_program_cache):
+    """On the two-chart sphere (Euler, Ito pullback) a study loads 6 programs.
 
     Per chart: the flow coefficients at noise order 2, the step program
     and the tensor's order-2 jet.  The study calls each of them, and a
-    second study compiles nothing more.
+    second study loads nothing more.  Programs are counted at the loader,
+    so no counting wrapper reaches the program cache.
     """
     sc = get_scenario("kunita_sphere_rotation")
     # a fresh FlowSDE and a fresh K0, so no step program and no field
     # evaluator is held from an earlier study
     sc = replace(sc, sde=FlowSDE(sc.sde.drift, sc.sde.diffusions, sc.sde.atlas),
                  K0=sc.K0.with_order(sc.K0.smoothness_order))
-    lambdify, called = sp.lambdify, set()
+    load, called = tensor_calculus._load, set()
     compiled = []
 
-    def recording_lambdify(*args, **kwargs):
-        fn, k = lambdify(*args, **kwargs), len(compiled)
+    def recording_load(*args):
+        fn, k = load(*args), len(compiled)
         compiled.append(k)
 
         def recorded(*a):
@@ -495,7 +496,7 @@ def test_study_compiles_only_the_evaluators_it_reads(monkeypatch):
 
         return recorded
 
-    monkeypatch.setattr(sp, "lambdify", recording_lambdify)
+    monkeypatch.setattr(tensor_calculus, "_load", recording_load)
     convergence_study(sc, levels=1, n_paths=12)
     assert len(compiled) == 6
     assert called == set(compiled)

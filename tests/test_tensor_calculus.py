@@ -143,9 +143,8 @@ def test_jet_values_are_bitwise_eval_batch_and_derivatives_match_a_plain_compile
     jets = f.jet_batch(t, pts, chart, order)
     assert np.array_equal(jets[0], f.eval_batch(t, pts, chart))
     alphas, _ = _jet_layout(f.dim, order, int(np.prod(f.shape)))
-    plain = tensor_calculus._compiled(
-        f._exprs(chart, alphas), (TIME,) + coord_symbols(f.dim) + tuple(s for s, _ in f.params)
-    )
+    plain = sp.lambdify((TIME,) + coord_symbols(f.dim) + tuple(s for s, _ in f.params),
+                        list(f._exprs(chart, alphas)), modules=np)
     want = np.array(np.broadcast_arrays(*plain(t, *pts.T, *(v for _, v in f.params)))).T
     got = f._eval_flat(t, pts.T, chart, alphas).T  # batch-last in and out
     assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
@@ -199,7 +198,8 @@ def test_pullback_field_partials_are_plain_diffs():
                     _plain_partial(arr[idx], alpha)), (f.name, idx, alpha)
 
 
-def test_sphere_setup_study_factors_each_quotient_component_once(monkeypatch):
+def test_sphere_setup_study_factors_each_quotient_component_once(monkeypatch,
+                                                               empty_program_cache):
     """The north and south metric components are the only quotients: 2 factorisations."""
     calls = []
     factor = sp.factor
