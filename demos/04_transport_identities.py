@@ -1,9 +1,10 @@
 """Verifying a pathwise transport identity end to end.
 
-Both sides of the identity are computed independently: the left side
-transports the tensor through the realised flow, the right side
-accumulates the discrete integrals of its expansion (Lie-derivative
-drift and noise terms, driver increments, brackets, second-order term).
+The two sides of the identity are different quantities: the left side
+is the tensor transported through the realised flow, the right side the
+sum of the discrete integrals of its expansion (Lie-derivative drift and
+noise terms, driver increments, brackets, second-order term), which
+starts from the left side's value at time 0.
 Their gap shrinks with the step size at the strong order of the scheme.
 """
 

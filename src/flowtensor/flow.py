@@ -33,8 +33,8 @@ order and every noise jet to second order for Euler (``a``, ``c_plus``,
 ``c_minus``) but only to first order for Heun; one common-subexpression
 pass covers the point update and the tangent matrices ``M`` of the
 Jacobian updates, whose products with ``J`` and ``Jinv`` are plain sums
-over the entries of ``M``.  :meth:`FlowSDE.coeffs` evaluates the same
-coefficients as arrays for the backward step and the correction terms.
+over the entries of ``M``.  :meth:`FlowSDE.jets` evaluates the same
+coefficient jets as arrays for the backward step and the correction terms.
 
 :func:`integrate_flow_levels` is the only forward integration loop.  It
 advances the refinement levels of one driver ensemble together over the
@@ -263,29 +263,6 @@ class FlowSDE:
             self._programs[key] = (fn, pvals)
         return self._programs[key]
 
-    def coeffs(self, t, pts: np.ndarray, chart: int, noise_order: int) -> Dict[str, np.ndarray]:
-        """Scheme coefficients at batch-last points: the :meth:`jets` and,
-        with ``noise_order`` 2, the Ito drift ``a`` and the correction
-        matrices ``cp`` / ``cm``."""
-        out = self.jets(t, pts, chart, noise_order)
-        if noise_order < 2:
-            return out
-        n, N, batch = self.dim, self.n_noise, out["b"].shape[1:]
-        # the (noise j, direction l) terms of sq, second and conv, multiplied at
-        # once, then added in order of (j, l), so no sum depends on the batch size
-        xi, Dxi, D2xi = out["xi"], out["Dxi"], out["D2xi"]
-        dxi = Dxi.swapaxes(1, 2)  # [j, l, i]
-        terms = np.empty((N, n, n, 2 * n + 1) + batch)
-        np.multiply(dxi[:, :, :, None], Dxi[:, :, None], out=terms[:, :, :, :n])
-        np.multiply(D2xi.swapaxes(1, 2), xi[:, :, None, None], out=terms[:, :, :, n:-1])
-        np.multiply(dxi, xi[:, :, None], out=terms[:, :, :, -1])
-        S = np.zeros((n, 2 * n + 1) + batch)
-        for term in terms.reshape((N * n, n, 2 * n + 1) + batch):
-            S += term
-        sq, second, conv = S[:, :n], S[:, n:-1], S[:, -1]
-        out.update(a=out["b"] + 0.5 * conv, cp=0.5 * (sq + second), cm=0.5 * (sq - second))
-        return out
-
 
 def scheme_step(sde: FlowSDE, scheme: str, cid: int, t0: float, t1: float, h: float,
                 u: np.ndarray, J: np.ndarray, Ji: Optional[np.ndarray], db: np.ndarray):
@@ -390,9 +367,21 @@ def _bind(block: list, name: str, exprs: np.ndarray) -> np.ndarray:
 
 def strat_to_ito_correction(sde: FlowSDE, t: float, coords: np.ndarray, chart: int = 0) -> CorrectionTerms:
     """Correction matrices ``c_plus`` / ``c_minus`` at a batch of points."""
-    out = sde.coeffs(t, np.moveaxis(np.asarray(coords, dtype=float), -1, 0), chart, 2)
-    nb = out["cp"].ndim - 2
-    return CorrectionTerms(c_plus=_batch_first(out["cp"], nb), c_minus=_batch_first(out["cm"], nb))
+    q = sde.jets(t, np.moveaxis(np.asarray(coords, dtype=float), -1, 0), chart, 2)
+    n, N, batch = sde.dim, sde.n_noise, q["b"].shape[1:]
+    # the (noise j, direction l) terms of sq and second, multiplied at once,
+    # then added in order of (j, l), so no sum depends on the batch size
+    xi, Dxi, D2xi = q["xi"], q["Dxi"], q["D2xi"]
+    terms = np.empty((N, n, n, 2 * n) + batch)
+    np.multiply(Dxi.swapaxes(1, 2)[:, :, :, None], Dxi[:, :, None], out=terms[:, :, :, :n])
+    np.multiply(D2xi.swapaxes(1, 2), xi[:, :, None, None], out=terms[:, :, :, n:])
+    S = np.zeros((n, 2 * n) + batch)
+    for term in terms.reshape((N * n, n, 2 * n) + batch):
+        S += term
+    sq, second = S[:, :n], S[:, n:]
+    nb = len(batch)
+    return CorrectionTerms(c_plus=_batch_first(0.5 * (sq + second), nb),
+                           c_minus=_batch_first(0.5 * (sq - second), nb))
 
 
 @dataclass(frozen=True)
@@ -728,8 +717,15 @@ def _backward_step(sde: FlowSDE, scheme: str, cid: int, t_left: float, t_right: 
     has shape ``(n, m)`` and ``db`` ``(n_noise, m)``.
     """
     if scheme == "euler_maruyama":
-        k = sde.coeffs(t_left, q, cid, 2)
-        out = q - k["a"] * h
+        # the order-2 program, although D2xi is not read: the order-1 program's
+        # common subexpressions round xi and Dxi differently in the last bits
+        k = sde.jets(t_left, q, cid, 2)
+        # the Ito drift a = b + 1/2 sum_j Dxi_j xi_j, added in order of (j, l)
+        conv = np.zeros_like(k["b"])
+        for j in range(sde.n_noise):
+            for l in range(sde.dim):
+                conv += k["Dxi"][j, :, l] * k["xi"][j, l]
+        out = q - (k["b"] + 0.5 * conv) * h
         for j in range(sde.n_noise):
             out = out - k["xi"][j] * db[j]
             # second-order noise term of the inverse expansion
@@ -738,11 +734,11 @@ def _backward_step(sde: FlowSDE, scheme: str, cid: int, t_left: float, t_right: 
         return out
     # heun: predictor-corrector on the inverse transport equation, run
     # from the right endpoint of the step towards the left
-    k1 = sde.coeffs(t_right, q, cid, 1)
+    k1 = sde.jets(t_right, q, cid, 1)
     pred = q - k1["b"] * h
     for j in range(sde.n_noise):
         pred = pred - k1["xi"][j] * db[j]
-    k0 = sde.coeffs(t_left, pred, cid, 1)
+    k0 = sde.jets(t_left, pred, cid, 1)
     out = q - 0.5 * (k1["b"] + k0["b"]) * h
     for j in range(sde.n_noise):
         out = out - 0.5 * (k1["xi"][j] + k0["xi"][j]) * db[j]

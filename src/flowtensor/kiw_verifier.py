@@ -52,8 +52,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .flow import (SCHEMES, FlowEnsemble, FlowSDE, _backward_step, integrate_flow_levels,
-                   scheme_step)
+from .flow import (SCHEMES, FlowEnsemble, FlowSDE, SchemeSmoothnessMismatch, _backward_step,
+                   _require_scheme_smoothness, integrate_flow_levels, scheme_step)
 from .geometry import _batch_first, _batch_last, _contract, _slot_replace
 from .stochastics import (
     BRACKET_MODES,
@@ -70,7 +70,6 @@ from .tensor_calculus import (
     TensorFieldSpec,
     _add_slot_terms,
     _along,
-    _lie_jet,
     fd_jets_from_stencil,
     pair_batch,
     pullback_batch,
@@ -169,7 +168,12 @@ class Scenario:
 
 
 def validate_scenario(scenario: Scenario):
-    """Check the selector's hypotheses, the driver wiring and the settings."""
+    """Check the selector's hypotheses, the driver wiring and the settings.
+
+    Everything a study would refuse later is refused here, before any
+    driver is drawn: the start point's shape, a time-dependent tensor or
+    driver field, and noise coefficients too rough in time for the scheme.
+    """
     if scenario.theorem not in THEOREMS:
         raise WiringMismatch(
             f"unknown selector {scenario.theorem!r}; choose from {THEOREMS}"
@@ -182,6 +186,10 @@ def validate_scenario(scenario: Scenario):
     req = _REQUIREMENTS[scenario.theorem]
     sde = scenario.sde
     K0 = scenario.K0
+    if scenario.x0.shape != (sde.dim,):
+        raise WiringMismatch(f"start point x0 has shape {scenario.x0.shape}, "
+                             f"the flow needs ({sde.dim},)")
+    _require_time_independent(scenario)
 
     if req["G"] is None and scenario.G:
         raise WiringMismatch(
@@ -209,6 +217,10 @@ def validate_scenario(scenario: Scenario):
             f"(drift C^{req['b']}, noise C^{req['xi']}); "
             f"got drift C^{sde.drift.smoothness_order}, noise C^{worst_xi}"
         )
+    try:
+        _require_scheme_smoothness(sde, scenario.scheme)
+    except SchemeSmoothnessMismatch as e:
+        raise HypothesisViolation(str(e)) from None
     if K0.smoothness_order < req["K"]:
         raise HypothesisViolation(
             f"{scenario.theorem} requires the tensor field C^{req['K']}, "
@@ -251,27 +263,27 @@ def validate_scenario(scenario: Scenario):
 
 @dataclass(frozen=True)
 class KPath:
-    """Realised tensor field path: driver weights for K0 and the G_i.
+    """Realised tensor field path: the driver weights of the G_i.
 
     The driver fields are time-independent, so the discrete integrals
     defining the path collapse exactly: left-point (and trapezoid) sums
     of a constant integrand against a driver equal the driver increment,
     hence ``K(t_k) = K0 + sum_i (A^i_k + M^i_k) G_i`` holds bitwise for
-    the discretised path under both calculi.
+    the discretised path under both calculi.  Each integrand builder
+    weights the jets (or stencil values) of ``K0`` and the ``G_i`` with
+    these weights, in i order, into those of ``K_t``.
     """
 
-    scenario: Scenario
     weights: np.ndarray  # (P, npoints, n_drivers)
 
-    def combine(self, base_vals: np.ndarray, g_vals: Sequence[np.ndarray]) -> np.ndarray:
-        """Weight per-field value paths (P, npoints, comps...) into K values.
 
-        The weighted sum accumulates into ``base_vals``, which is returned.
-        """
-        for i, gv in enumerate(g_vals):
-            w = self.weights[:, :, i]
-            base_vals += w.reshape(w.shape + (1,) * (gv.ndim - 2)) * gv
-        return base_vals
+def _require_time_independent(scenario: Scenario):
+    """The tensor path's time dependence must come from its drivers alone."""
+    if not scenario.K0.is_time_independent():
+        raise WiringMismatch("the tensor field's time dependence must come from the drivers")
+    for g in scenario.G:
+        if not g.is_time_independent():
+            raise WiringMismatch(f"driver field {g.name!r} must be time-independent")
 
 
 def synthesize_K_path(scenario: Scenario, drivers: DrivingPaths) -> KPath:
@@ -282,13 +294,9 @@ def synthesize_K_path(scenario: Scenario, drivers: DrivingPaths) -> KPath:
             f"scenario has {m} driver fields, drivers carry {drivers.fv.shape[1]} "
             f"finite-variation and {drivers.mart.shape[2]} martingale components"
         )
-    if not scenario.K0.is_time_independent():
-        raise WiringMismatch("the tensor field's time dependence must come from the drivers")
-    for g in scenario.G:
-        if not g.is_time_independent():
-            raise WiringMismatch(f"driver field {g.name!r} must be time-independent")
+    _require_time_independent(scenario)
     weights = drivers.fv[None, :, :] + drivers.mart
-    return KPath(scenario=scenario, weights=weights)
+    return KPath(weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +351,8 @@ def _assemble_forward_rhs(
     """Sum the identity's terms from precomputed integrand paths.
 
     ``paths`` maps integrand labels and the transported tensor ``K`` to
-    (P, npoints, comps...) arrays; the sums start from ``K`` at time 0.
+    (P, npoints, comps...) arrays, as :func:`_integrands` labels them; the
+    sums start from ``K`` at time 0.
     The labels are ``G<i>`` (driver field i), ``LbK`` (``L_b K_t``),
     ``LxK<j>`` (``L_xi_j K_t``), ``LxG<i>_<j>`` (``L_xi_j G_i``, read by the
     Ito bracket only) and ``LLK``, the Ito correction summed over the
@@ -429,27 +438,30 @@ def _lie_terms(jets: Sequence[np.ndarray], b_jets: Optional[Sequence[np.ndarray]
     Returns ``val``, ``Lb`` (along the drift), ``Lx<j>`` (along noise j)
     and, unless ``strat``, ``LL``: the second-order terms summed over the
     noises, ``sum_j L_xi_j L_xi_j K``, the only way the Ito correction
-    reads them.  ``LL`` is taken at value order from sums over the noises,
-    so no derivative of any ``L_xi_j K`` is formed.  With ``E_j = xi_j . grad K``,
-    ``L_xi_j K = E_j + S(K, Dxi_j)`` (``S``, the slot terms of the Lie
-    formula, linear in both arguments, see :func:`_add_slot_terms`) and the
-    noise sums ``Q = sum_j xi_j (x) xi_j`` (the diffusion tensor of the flow),
-    ``v = sum_j Dxi_j xi_j`` and ``F = sum_j D2xi_j[xi_j]``::
+    reads them.  A first-order term along ``X`` is ``L_X K = X . grad K +
+    S(K, DX)`` (``S``, the slot terms of the Lie formula, linear in both
+    arguments, see :func:`_add_slot_terms`).  ``LL`` is taken at value
+    order from sums over the noises, so no derivative of any ``L_xi_j K``
+    is formed.  With ``E_j = xi_j . grad K``, the noise sums ``Q = sum_j
+    xi_j (x) xi_j`` (the diffusion tensor of the flow), ``v = sum_j Dxi_j
+    xi_j`` and ``F = sum_j D2xi_j[xi_j]``::
 
         LL = Q : D2K + v . grad K + S(K, F) + sum_j S(E_j + L_xi_j K, Dxi_j)
 
     A coefficient whose jets are ``None`` (a zero field, see
     :func:`_coeff_jets`) contributes no term, and no key.  The field jets
-    must reach order 1 for ``strat`` and order 2 otherwise, as must the
-    noise jets; the drift jets reach order 1.  Every jet and every result
-    is batch-last (see :func:`_lie_jet`); coefficient jets may carry
+    are read only as far as a term needs them: a field with no term
+    passes its values alone, and otherwise they reach order 1 for
+    ``strat`` and order 2 for ``LL``, as must the noise jets; the drift
+    jets reach order 1.  Every jet and every result is batch-last (see
+    :mod:`flowtensor.tensor_calculus`); coefficient jets may carry
     singleton batch axes that broadcast against the field's.
     """
     k = sum(valence)
-    K, dK = jets[0], jets[1]
+    K = jets[0]
     out = {"val": K}
     if b_jets is not None:
-        out["Lb"] = _lie_jet(jets[:2], b_jets, valence, 0)[0]
+        out["Lb"] = _add_slot_terms(_along(jets[1], b_jets[0], k), K, b_jets[1], valence)
     noises = [(j, xj) for j, xj in enumerate(xi_jets) if xj is not None]
     if not strat and noises:
         Q = v = F = 0.0
@@ -464,11 +476,11 @@ def _lie_terms(jets: Sequence[np.ndarray], b_jets: Optional[Sequence[np.ndarray]
         LL = jets[2][head + pairs[0]] * Q[pairs[0]]
         for lm in pairs[1:]:
             LL += jets[2][head + lm] * Q[lm]
-        LL += _along(dK, v, k)
+        LL += _along(jets[1], v, k)
         _add_slot_terms(LL, K, F, valence)
         out["LL"] = LL
     for j, xj in noises:
-        E = _along(dK, xj[0], k)
+        E = _along(jets[1], xj[0], k)
         if strat:
             out[f"Lx{j}"] = _add_slot_terms(E, K, xj[1], valence)
         else:
@@ -478,15 +490,34 @@ def _lie_terms(jets: Sequence[np.ndarray], b_jets: Optional[Sequence[np.ndarray]
     return out
 
 
+def _integrands(k_jets: Sequence[np.ndarray], g_jets: Sequence[Sequence[np.ndarray]],
+                b_jets: Optional[Sequence[np.ndarray]],
+                xi_jets: Sequence[Optional[Sequence[np.ndarray]]], valence: Tuple[int, int],
+                strat: bool) -> Dict[str, np.ndarray]:
+    """Every integrand of the identity, under the labels of :func:`_assemble_forward_rhs`.
+
+    ``k_jets`` are the jets of the driven tensor ``K_t``, weighted by the
+    caller, and ``g_jets`` those of each driver field ``G_i``.  ``K``,
+    ``LbK``, ``LxK<j>`` and ``LLK`` are the :func:`_lie_terms` of ``K_t``;
+    ``G<i>`` and, in the Ito form only, ``LxG<i>_<j>`` are those of
+    ``G_i`` along the noises, with no drift.  The ``G_i`` jets are read
+    to order 1 in the Ito form and at value order otherwise.  Every
+    selector's builder calls this on its own jets, so the transported
+    tensor and its Lie terms always come from the same values.
+    """
+    # val -> K, Lb -> LbK, Lx<j> -> LxK<j>, LL -> LLK
+    out = {"K" if nm == "val" else nm[:2] + "K" + nm[2:]: v
+           for nm, v in _lie_terms(k_jets, b_jets, xi_jets, valence, strat).items()}
+    for i, gj in enumerate(g_jets):
+        lie = _lie_terms(gj, None, () if strat else xi_jets, valence, True)
+        out[f"G{i}"] = lie.pop("val")
+        out.update({f"LxG{i}_{nm[2:]}": v for nm, v in lie.items()})
+    return out
+
+
 def _path_major(a: np.ndarray) -> np.ndarray:
     """A batch-last ``comps + (npoints, P)`` array as a ``(P, npoints) + comps`` view."""
     return np.moveaxis(a, (-1, -2), (0, 1))
-
-
-def _k_label(name: str) -> str:
-    """The integrand label of a :func:`_lie_terms` key taken of ``K_t``:
-    ``Lb`` -> ``LbK``, ``Lx<j>`` -> ``LxK<j>``, ``LL`` -> ``LLK``."""
-    return name[:2] + "K" + name[2:]
 
 
 # largest number of flow states whose jets are held at once: a study level
@@ -500,18 +531,14 @@ def _pullback_integrand_paths(
 ) -> Dict[str, np.ndarray]:
     """Integrand paths for the pullback-family selectors.
 
-    The Lie terms are those of the driven tensor ``K_t`` itself.  At the
-    flow states, chart by chart, the analytic jets of ``K0`` and every
-    ``G_i`` are evaluated and weighted with the states' driver weights
-    into the jets of ``K_t`` (``jK0 + sum_i w_i jG_i``, added in i order
-    as :meth:`KPath.combine` adds values); :func:`_lie_terms` takes them
-    with the flow coefficients' jets (:meth:`FlowSDE.jets`), and the
-    results are pulled back along the flow.  The Ito bracket reads the
-    Lie terms of each ``G_i`` along each noise, which are built from the
-    field's own jets.  ``K`` is combined from the pulled-back values of
-    the fields, as :func:`eval_lhs` combines them, so the two agree
-    bitwise.  The keys are those :func:`_assemble_forward_rhs` reads,
-    without the terms of a zero coefficient field.
+    At the flow states, chart by chart, the analytic jets of ``K0`` and
+    every ``G_i`` are evaluated, and ``K0``'s are weighted with the
+    states' driver weights into the jets of ``K_t`` (``jK0 + sum_i w_i
+    jG_i``, in i order).  :func:`_integrands` takes them with the flow
+    coefficients' jets (:meth:`FlowSDE.jets`), and every integrand, ``K``
+    among them, is pulled back along the flow.  The keys are those
+    :func:`_assemble_forward_rhs` reads, without the terms of a zero
+    coefficient field.
 
     The states are processed in blocks of whole grid rows, at most
     ``_JET_BLOCK_STATES`` of them per block, so the jets of the whole
@@ -562,27 +589,16 @@ def _pullback_integrand_paths(
                     out[..., rows_at, paths_at] = pulled
 
             b_jets, xi_jets = _coeff_jets(sde, sde.jets(t, x, cid, order), order)
-            jets = [f._jet_last(t, x, cid, order) for f in fields]
-            put("K0", jets[0][0])
-            for i, g_jets in enumerate(jets[1:]):
-                put(f"G{i}", g_jets[0])
-                if not strat:
-                    for j, xj in enumerate(xi_jets):
-                        if xj is not None:
-                            put(f"LxG{i}_{j}", _lie_jet(g_jets[:2], xj[:2], valence, 0)[0])
+            k_jets, *g_jets = (f._jet_last(t, x, cid, order) for f in fields)
             # the jets of K_t, accumulated in place into K0's
-            k_jets = jets[0]
-            if scenario.G:
+            if g_jets:
                 w = states(weights)
-                for i, g_jets in enumerate(jets[1:]):
-                    for kj, gj in zip(k_jets, g_jets):
-                        kj += w[i] * gj
-            for nm, v in _lie_terms(k_jets, b_jets, xi_jets, valence, strat).items():
-                if nm != "val":
-                    put(_k_label(nm), v)
-    paths = {key: _path_major(a) for key, a in held.items()}
-    paths["K"] = kpath.combine(paths.pop("K0"), [paths[f"G{i}"] for i in range(len(scenario.G))])
-    return paths
+                for i, gj in enumerate(g_jets):
+                    for kj, gjm in zip(k_jets, gj):
+                        kj += w[i] * gjm
+            for key, v in _integrands(k_jets, g_jets, b_jets, xi_jets, valence, strat).items():
+                put(key, v)
+    return {key: _path_major(a) for key, a in held.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -688,45 +704,29 @@ def _transported(f: TensorFieldSpec, t, pts: np.ndarray, contra: np.ndarray,
     return _contract(f._jet_last(t, pts, 0, 0)[0], f.valence, contra, cov)
 
 
-def _stencil_lie_terms(values: np.ndarray, valence: Tuple[int, int], dim: int,
-                       b_jets: Optional[Sequence[np.ndarray]],
-                       xi_jets: Sequence[Optional[Sequence[np.ndarray]]],
-                       strat: bool) -> Dict[str, np.ndarray]:
-    """:func:`_lie_terms` of a transported field, from its values on a stencil.
-
-    ``values`` is ``shape + batch + (3^dim,)``, the stencil axis last, as
-    :func:`_transported` returns it on a stencil of points.  The values
-    are differentiated across the stencil (:func:`fd_jets_from_stencil`,
-    eps ``_STENCIL_EPS``) and combined with the coefficient jets at the centre;
-    the results are ``shape + batch``.
-    """
-    order = 1 if strat else 2
-    jets = fd_jets_from_stencil(values, dim, _STENCIL_EPS, order, ncomp_axes=sum(valence))
-    return _lie_terms(jets, b_jets, xi_jets, valence, strat)
-
-
 def _pushforward_integrand_paths(
     scenario: Scenario, flow: FlowEnsemble, kpath: KPath, tp: PushTransport, strat: bool
 ) -> Dict[str, np.ndarray]:
     """Integrand paths for the pushforward-family selectors.
 
     The Lie derivatives act on the transported field, so they are taken
-    numerically from stencil jets of the pushed-forward field
-    (:func:`_stencil_lie_terms`); the flow coefficients enter through
-    their analytic jets at the observation point.  ``K0`` and every
-    ``G_i`` are transported on the stencil, and their values there are
-    weighted into those of ``K_t`` (in i order, as :meth:`KPath.combine`
-    adds values) before the Lie terms of ``K_t`` are taken; the Ito
-    bracket reads the Lie terms of each ``G_i`` along each noise.  ``K``
-    combines the fields' values at the stencil centre, as
-    :func:`eval_lhs` does.
+    from finite-difference jets of the pushed-forward field; the flow
+    coefficients enter through their analytic jets at the observation
+    point.  ``K0`` and every ``G_i`` are transported on the stencil, and
+    ``K0``'s stencil values are weighted into those of ``K_t`` (in i
+    order) before anything is differenced, since differencing amplifies
+    round-off.  :func:`_integrands` takes the stencil jets
+    (:func:`fd_jets_from_stencil`, eps ``_STENCIL_EPS``); ``K`` is the
+    jets' value, the weighted stencil centre.
     """
     sde = scenario.sde
     L1 = flow.grid.npoints
     times = flow.grid.times()
     jet_order = 1 if strat else 2
     valence = scenario.K0.valence
-    center = (3**sde.dim - 1) // 2  # the observation point among the stencil_offsets
+
+    def jets(values, order):
+        return fd_jets_from_stencil(values, sde.dim, _STENCIL_EPS, order, ncomp_axes=sum(valence))
 
     # analytic jets of the flow coefficients at the observation point,
     # with a singleton path axis for broadcasting
@@ -735,40 +735,32 @@ def _pushforward_integrand_paths(
     # every field transported on the stencil, shape + (npoints, P, 3^dim)
     k_vals, *g_vals = (_transported(f, times[:, None, None], tp.preimages, tp.jac, tp.inv_jac)
                        for f in (scenario.K0, *scenario.G))
-    paths = {f"G{i}": _path_major(v[..., center].copy()) for i, v in enumerate(g_vals)}
-    paths["K"] = kpath.combine(_path_major(k_vals[..., center].copy()),
-                               [paths[f"G{i}"] for i in range(len(g_vals))])
-    if not strat:
-        for i, v in enumerate(g_vals):
-            lie = _stencil_lie_terms(v, valence, sde.dim, None, xi_jets, True)
-            paths.update({f"LxG{i}_{nm[2:]}": _path_major(a) for nm, a in lie.items()
-                          if nm != "val"})
+    g_jets = [jets(v, 0 if strat else 1) for v in g_vals]
     # the stencil values of K_t, accumulated in place into K0's
     for i, v in enumerate(g_vals):
         k_vals += kpath.weights[:, :, i].T[..., None] * v
     del g_vals
-    lie = _stencil_lie_terms(k_vals, valence, sde.dim, b_jets, xi_jets, strat)
-    paths.update({_k_label(nm): _path_major(a) for nm, a in lie.items() if nm != "val"})
-    return paths
-
-
-def _push_lhs(scenario: Scenario, kpath: KPath, tp: PushTransport, flow: FlowEnsemble) -> np.ndarray:
-    """Pushed-forward tensor values at the observation point, (P, npoints) + comps."""
-    center = (3**scenario.sde.dim - 1) // 2
-    t = flow.grid.times()[:, None]
-
-    def pushed_center(f: TensorFieldSpec) -> np.ndarray:
-        out = _transported(f, t, tp.preimages[..., center], tp.jac[..., center],
-                           tp.inv_jac[..., center])
-        return np.moveaxis(out, (-1, -2), (0, 1))
-
-    base = pushed_center(scenario.K0)
-    return kpath.combine(base, [pushed_center(g) for g in scenario.G])
+    terms = _integrands(jets(k_vals, jet_order), g_jets, b_jets, xi_jets, valence, strat)
+    return {key: _path_major(a) for key, a in terms.items()}
 
 
 # ---------------------------------------------------------------------------
 # public evaluation entry points
 # ---------------------------------------------------------------------------
+
+
+def _integrand_paths(scenario: Scenario, flow: FlowEnsemble, kpath: KPath,
+                     drivers: Optional[DrivingPaths]) -> Tuple[Dict[str, np.ndarray], bool]:
+    """The integrand paths of a pullback- or pushforward-family selector
+    (``KunitaFirst`` takes the pullback builder), and whether its form is
+    Stratonovich."""
+    strat = scenario.theorem in ("KiwStratPullback", "KiwStratPushforward")
+    if scenario.theorem in _PUSH_THEOREMS:
+        if drivers is None:
+            raise WiringMismatch("pushforward evaluation needs the driver paths")
+        tp = _push_transport(scenario, flow, drivers)
+        return _pushforward_integrand_paths(scenario, flow, kpath, tp, strat), strat
+    return _pullback_integrand_paths(scenario, flow, kpath, strat), strat
 
 
 def eval_lhs(
@@ -779,18 +771,13 @@ def eval_lhs(
 ) -> np.ndarray:
     """Transported tensor values on the grid, shape (P, npoints) + comps.
 
-    Pushforward selectors need the ``drivers`` to invert the discrete
-    flow; pullback selectors do not read them.  A study takes the
-    left-hand side from :attr:`RhsResult.transported` instead, which
-    holds the same values bitwise (for ``KunitaFirst`` at the checkpoint
-    times only).
+    This is the ``K`` integrand of the selector's builder (the pullback
+    builder for ``KunitaFirst``), so it is :attr:`RhsResult.transported`
+    bitwise (for ``KunitaFirst`` at the checkpoint times), which a study
+    reads instead.  Pushforward selectors need the ``drivers`` to invert
+    the discrete flow; pullback selectors do not read them.
     """
-    if scenario.theorem in _PUSH_THEOREMS:
-        if drivers is None:
-            raise WiringMismatch("pushforward evaluation needs the driver paths")
-        return _push_lhs(scenario, kpath, _push_transport(scenario, flow, drivers), flow)
-    base = _pull_path(scenario.K0, flow)
-    return kpath.combine(base, [_pull_path(g, flow) for g in scenario.G])
+    return _integrand_paths(scenario, flow, kpath, drivers)[0]["K"]
 
 
 def eval_rhs(
@@ -801,16 +788,9 @@ def eval_rhs(
 ) -> RhsResult:
     """Assemble the identity's right-hand side for every path and grid time,
     the bracket as ``scenario.bracket_mode`` says."""
-    theorem = scenario.theorem
-    if theorem == "KunitaFirst":
+    if scenario.theorem == "KunitaFirst":
         return _kunita_first_rhs(scenario, flow, drivers)
-    if theorem in _PUSH_THEOREMS:
-        strat = theorem == "KiwStratPushforward"
-        tp = _push_transport(scenario, flow, drivers)
-        paths = _pushforward_integrand_paths(scenario, flow, kpath, tp, strat)
-    else:
-        strat = theorem == "KiwStratPullback"
-        paths = _pullback_integrand_paths(scenario, flow, kpath, strat)
+    paths, strat = _integrand_paths(scenario, flow, kpath, drivers)
     return _assemble_forward_rhs(scenario, drivers, paths, strat)
 
 
@@ -872,8 +852,11 @@ def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPa
     are realised by restarting a stencil at s and advancing all restarts
     together with the flow's scheme step (Euler, see validate_scenario);
     at the checkpoint the transported tensor is differentiated across the
-    stencil and the Lie integrands are summed in s, left-point in time and
-    right-point (backward) against the noise.
+    stencil, its Lie integrands are taken from those jets by
+    :func:`_integrands`, and they are summed in s, left-point in time and
+    right-point (backward) against the noise.  The left-hand side is the
+    tensor pulled back along the flow at the checkpoints
+    (:func:`_pull_path`).
     """
     sde = scenario.sde
     grid = flow.grid
@@ -926,22 +909,23 @@ def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPa
             vals = _transported(K0, times[m], Q[:, :nrows].reshape((n,) + batch),
                                 Ai[:, :, :nrows].reshape((n, n) + batch),
                                 A[:, :, :nrows].reshape((n, n) + batch))
-            lie = _stencil_lie_terms(vals, K0.valence, n, *coef, False)
+            jets = fd_jets_from_stencil(vals, n, _STENCIL_EPS, 2, ncomp_axes=sum(K0.valence))
             # restart rows first, for the sums over s
-            lie = {nm: _batch_first(v, 2) for nm, v in lie.items()}
+            lie = {nm: _batch_first(v, 2)
+                   for nm, v in _integrands(jets, (), *coef, K0.valence, False).items()}
             dt_w = np.full((nrows, 1) + comp1, h)
             dt_w[m] = 0.0  # left sum in s: the s = t endpoint never enters
             # an absent term (a zero coefficient field) keeps its zeros
-            if "Lb" in lie:
-                terms["L_b"][:, cp_pos] = _fold_rows(lie["Lb"] * dt_w)
-            if "LL" in lie:
-                terms["L2"][:, cp_pos] = 0.5 * _fold_rows(lie["LL"] * dt_w)
+            if "LbK" in lie:
+                terms["L_b"][:, cp_pos] = _fold_rows(lie["LbK"] * dt_w)
+            if "LLK" in lie:
+                terms["L2"][:, cp_pos] = 0.5 * _fold_rows(lie["LLK"] * dt_w)
             lx_sum = np.zeros((P,) + K0.shape)
             for j in range(sde.n_noise):
-                if f"Lx{j}" in lie:
+                if f"LxK{j}" in lie:
                     dbj = np.moveaxis(drivers.bm[:, 1 : m + 1, j] - drivers.bm[:, :m, j], 1, 0)
                     dbj = dbj.reshape(dbj.shape + comp1)
-                    lx_sum += _fold_rows(lie[f"Lx{j}"][1 : m + 1] * dbj)
+                    lx_sum += _fold_rows(lie[f"LxK{j}"][1 : m + 1] * dbj)
             terms["L_xi"][:, cp_pos] = lx_sum
             out_vals[:, cp_pos] = (
                 K_at_x0
@@ -960,27 +944,24 @@ def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPa
 
 
 def _route_a_integrands(state: Dict, valence: Tuple[int, int]) -> Dict:
-    """Lie-derivative route: build the Lie values from jets, transport, pair."""
+    """Lie-derivative route: the :func:`_integrands` of the jets, transported and paired."""
     r, s = valence
     A, Binv = _batch_last(state["A"], 1), _batch_last(state["Binv"], 1)
-    b, xi = _jets_last(state["b"], 1), [_jets_last(x, 1) for x in state["xi"]]
-    n_noise = len(xi)
+    n_noise, n_fv = len(state["xi"]), len(state["G"])
 
     def paired(T):
         pulled = _batch_first(_contract(T, valence, Binv, A), 1)
         return pair_batch(pulled, valence, state["S"], (s, r))
 
-    lie = _lie_terms(_jets_last(state["K"], 1), b, xi, valence, strat=False)
-    g1 = paired(lie["Lb"])
+    lie = _integrands(_jets_last(state["K"], 1), [_jets_last(g, 1) for g in state["G"]],
+                      _jets_last(state["b"], 1), [_jets_last(x, 1) for x in state["xi"]],
+                      valence, strat=False)
+    g1 = paired(lie["LbK"])
     if n_noise:
-        g1 = g1 + 0.5 * paired(lie["LL"])
-    h2 = [paired(lie[f"Lx{j}"]) for j in range(n_noise)]
-    g2, g3 = {}, []
-    for i, g_jets in enumerate(state["G"]):
-        lie_g = _lie_terms(_jets_last(g_jets, 1), None, xi, valence, strat=True)
-        for j in range(n_noise):
-            g2[(i, j)] = paired(lie_g[f"Lx{j}"])
-        g3.append(paired(lie_g["val"]))
+        g1 = g1 + 0.5 * paired(lie["LLK"])
+    h2 = [paired(lie[f"LxK{j}"]) for j in range(n_noise)]
+    g2 = {(i, j): paired(lie[f"LxG{i}_{j}"]) for i in range(n_fv) for j in range(n_noise)}
+    g3 = [paired(lie[f"G{i}"]) for i in range(n_fv)]
     return {"g1": g1, "h2": h2, "g2": g2, "g3": g3}
 
 

@@ -780,40 +780,27 @@ def lie_jet(
     ``out_order``.
     """
     k = sum(valence)
-    nb = max(np.ndim(t_jets[0]) - k, np.ndim(x_jets[0]) - 1)
-    out = _lie_jet([_batch_last(a, nb, k + m) for m, a in enumerate(t_jets)],
-                   [_batch_last(a, nb, 1 + m) for m, a in enumerate(x_jets)], valence, out_order)
-    return [_batch_first(a, nb) for a in out]
-
-
-def _lie_jet(
-    t_jets: Sequence[np.ndarray],
-    x_jets: Sequence[np.ndarray],
-    valence: Tuple[int, int],
-    out_order: int = 0,
-) -> List[np.ndarray]:
-    """:func:`lie_jet` on batch-last jets: ``t_jets[m]`` has shape
-    ``shape + (n,) * m + batch``, and the results are batch-last too."""
-    k = sum(valence)
     if len(t_jets) < out_order + 2 or len(x_jets) < out_order + 2:
         raise InsufficientSmoothness(
             f"jet order {out_order + 1} required on both inputs for a C^{out_order} result"
         )
-    X, dX = x_jets[0], x_jets[1]
-    T, dT = t_jets[0], t_jets[1]
+    if out_order >= 2:
+        raise NotImplementedError("jets beyond first order are not needed here")
+    nb = max(np.ndim(t_jets[0]) - k, np.ndim(x_jets[0]) - 1)
+    # batch-last, as the slot kernels read them
+    T, dT, *t_rest = [_batch_last(a, nb, k + m) for m, a in enumerate(t_jets)]
+    X, dX, *x_rest = [_batch_last(a, nb, 1 + m) for m, a in enumerate(x_jets)]
     # value: X^l d_l T  - sum_a T(l@a) d_l X^{i_a} + sum_b T(l@b) d_{j_b} X^l
     out = [_add_slot_terms(_along(dT, X, k), T, dX, valence)]
     if out_order >= 1:
         # d_m (X^l d_l T) = d_m X^l d_l T + X^l d^2_{lm} T
         term = _slot_replace(dT, dX, k, k + 1, transpose=True)
-        term += _slot_replace(t_jets[2], X[:, None], k, k + 2, transpose=True)[
+        term += _slot_replace(t_rest[0], X[:, None], k, k + 2, transpose=True)[
             (slice(None),) * k + (0,)]
         # slot terms differentiated with Leibniz
         _add_slot_terms(term, dT, dX, valence, n_extra=1)
-        out.append(_add_slot_terms(term, T, x_jets[2], valence, n_m_extra=1))
-    if out_order >= 2:
-        raise NotImplementedError("jets beyond first order are not needed here")
-    return out
+        out.append(_add_slot_terms(term, T, x_rest[0], valence, n_m_extra=1))
+    return [_batch_first(a, nb) for a in out]
 
 
 def _along(dT: np.ndarray, X: np.ndarray, nslots: int) -> np.ndarray:
@@ -863,9 +850,9 @@ def fd_jets_from_stencil(
     ``shape`` spans the leading ``ncomp_axes`` component axes and the
     trailing stencil axis is enumerated as in :func:`stencil_offsets`.
     Returns the value and derivative stacks at the centre as new arrays,
-    the m-th of shape ``shape + (dim,) * m + batch`` as :func:`_lie_jet`
-    reads them; the mixed second derivatives use the four corner points
-    of each coordinate plane.
+    the m-th of shape ``shape + (dim,) * m + batch``, as the verifier's
+    Lie terms read them; the mixed second derivatives use the four corner
+    points of each coordinate plane.
     """
     values = np.asarray(values, dtype=float)
     npoints = 3**dim

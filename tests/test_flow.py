@@ -20,6 +20,7 @@ from flowtensor.flow import (
     FlowSDE,
     FlowStopped,
     SchemeSmoothnessMismatch,
+    _backward_step,
     integrate_flow,
     integrate_flow_levels,
     inverse_flow_residual,
@@ -99,32 +100,52 @@ def test_correction_terms_quadratic_noise():
     assert_allclose(c.c_minus, [[0.25]], atol=1e-14)
 
 
+def _ito_coefficients(q):
+    """The Ito drift ``a`` and the correction matrices ``cp`` / ``cm`` from
+    batch-last order-2 jets, by einsum over the noises."""
+    xi, Dxi, D2xi = q["xi"], q["Dxi"], q["D2xi"]
+    sq = np.einsum("jil...,jlk...->ik...", Dxi, Dxi)
+    second = np.einsum("jl...,jilk...->ik...", xi, D2xi)
+    return {"a": q["b"] + 0.5 * np.einsum("jil...,jl...->i...", Dxi, xi),
+            "cp": 0.5 * (sq + second), "cm": 0.5 * (sq - second)}
+
+
 @pytest.mark.parametrize("noise_order", [1, 2])
 @pytest.mark.parametrize(
     "name, chart",
     [("kunita_sphere_rotation", 0), ("kunita_sphere_rotation", 1), ("kiw_ito_pullback_r2", 0)],
 )
 def test_fused_coefficients_match_field_jets_and_matmul_formulas(name, chart, noise_order):
-    """One compiled call gives the per-field jets and the Ito terms of the old matmuls."""
+    """One compiled call gives the per-field jets; from the order-2 jets the
+    correction matrices and the Euler backward step's Ito drift are the
+    matmul formulas'."""
     sde = get_scenario(name).sde
-    pts = np.random.default_rng(5).uniform(-0.8, 0.8, (40, 2))
-    t = 0.3
-    got = sde.coeffs(t, pts.T, chart, noise_order)
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-0.8, 0.8, (40, 2))
+    t, h = 0.3, 0.01
+    got = sde.jets(t, pts.T, chart, noise_order)
     b, Db = sde.drift.jet_batch(t, pts, chart, 1)
     jets = [xi.jet_batch(t, pts, chart, noise_order) for xi in sde.diffusions]
     want = {"b": b, "Db": Db}
     for m, nm in enumerate(("xi", "Dxi", "D2xi")[: noise_order + 1]):
         want[nm] = np.array([j[m] for j in jets])
-    if noise_order == 2:
-        xi, Dxi, D2xi = want["xi"], want["Dxi"], want["D2xi"]
-        conv = 0.5 * np.sum(Dxi @ xi[..., None], axis=0)[..., 0]
-        second = np.sum(xi[..., None, None, :] @ D2xi, axis=0)[..., 0, :]
-        sq = np.sum(Dxi @ Dxi, axis=0)
-        want.update(a=b + conv, cp=0.5 * (sq + second), cm=0.5 * (sq - second))
     assert set(got) == set(want)
     for key, val in want.items():
         batch_axis = 1 if key in ("xi", "Dxi", "D2xi") else 0  # after the noise axis
         assert_allclose(np.moveaxis(got[key], -1, batch_axis), val, rtol=1e-13, err_msg=key)
+    if noise_order == 2:
+        ito = _ito_coefficients(got)
+        c = strat_to_ito_correction(sde, t, pts, chart)
+        assert_allclose(c.c_plus, np.moveaxis(ito["cp"], -1, 0), rtol=1e-13)
+        assert_allclose(c.c_minus, np.moveaxis(ito["cm"], -1, 0), rtol=1e-13)
+        db = rng.normal(0.0, np.sqrt(h), (sde.n_noise, 40))
+        back = pts.T - ito["a"] * h
+        for j in range(sde.n_noise):
+            back -= got["xi"][j] * db[j]
+            for l in range(sde.n_noise):
+                back += np.einsum("il...,l...->i...", got["Dxi"][j], got["xi"][l]) * db[j] * db[l]
+        assert_allclose(_backward_step(sde, "euler_maruyama", chart, t, t + h, h, pts.T, db),
+                        back, rtol=1e-13)
 
 
 def test_fused_coefficients_bind_each_fields_own_parameters():
@@ -133,11 +154,12 @@ def test_fused_coefficients_bind_each_fields_own_parameters():
     slow = vector_field(1, [w * X1D[0]], params={w: 0.5}, name="slow")
     fast = vector_field(1, [w * X1D[0]], params={w: 2.0}, name="fast")
     sde = FlowSDE(zero_drift(1), [slow, fast], euclidean_atlas(1))
-    q = sde.coeffs(0.0, np.array([[1.5]]), 0, 2)
+    q = sde.jets(0.0, np.array([[1.5]]), 0, 2)
     assert_allclose(q["xi"][:, 0, 0], [0.75, 3.0], rtol=1e-15)
     assert_allclose(q["Dxi"][:, 0, 0, 0], [0.5, 2.0], rtol=1e-15)
     # c_plus = 1/2 sum_j w_j^2 for linear noise
-    assert_allclose(q["cp"][0, 0, 0], 0.5 * (0.25 + 4.0), rtol=1e-15)
+    c = strat_to_ito_correction(sde, 0.0, np.array([1.5]))
+    assert_allclose(c.c_plus[0, 0], 0.5 * (0.25 + 4.0), rtol=1e-15)
 
 
 @pytest.mark.parametrize("scheme", ["euler_maruyama", "heun"])
@@ -176,7 +198,8 @@ def test_flow_makes_one_coefficient_call_per_chart_group_and_stage(
 
 
 def _numpy_step(sde, scheme, cid, t0, t1, h, u, J, Ji, db):
-    """Reference step: the Euler and Heun updates in numpy, from coeffs and the slot kernel."""
+    """Reference step: the Euler and Heun updates in numpy, from the coefficient
+    jets, the einsum Ito coefficients and the slot kernel."""
 
     def sweep(q, drift):
         du = q[drift] * h
@@ -187,16 +210,17 @@ def _numpy_step(sde, scheme, cid, t0, t1, h, u, J, Ji, db):
         return du, W
 
     if scheme == "euler_maruyama":
-        q = sde.coeffs(t0, u, cid, 2)
+        q = sde.jets(t0, u, cid, 2)
+        q.update(_ito_coefficients(q))
         du, W = sweep(q, "a")
         Jn = J + _slot_replace(J, (q["Db"] + q["cp"]) * h + W, 0, 2)
         Jin = None if Ji is None else Ji - _slot_replace(Ji, (q["Db"] - q["cm"]) * h + W, 1, 2,
                                                          transpose=True)
         return u + du, Jn, Jin
-    q0 = sde.coeffs(t0, u, cid, 1)
+    q0 = sde.jets(t0, u, cid, 1)
     du0, W0 = sweep(q0, "b")
     M0 = q0["Db"] * h + W0
-    q1 = sde.coeffs(t1, u + du0, cid, 1)
+    q1 = sde.jets(t1, u + du0, cid, 1)
     du1, W1 = sweep(q1, "b")
     M1 = q1["Db"] * h + W1
     A0 = _slot_replace(J, M0, 0, 2)

@@ -34,17 +34,18 @@ from flowtensor import kiw_verifier, tensor_calculus
 from flowtensor.kiw_verifier import (
     _pull_path,
     _pullback_integrand_paths,
+    _pushforward_integrand_paths,
     _coeff_jets,
     _lie_terms,
     _push_transport,
     _random_jet_states,
     _route_a_integrands,
-    _stencil_lie_terms,
     _transported,
 )
 from flowtensor.scenarios import get_scenario, list_scenarios, scenario_table
 from flowtensor.stochastics import FvSpec, MartSpec, TimeGrid, build_driving_paths
-from flowtensor.tensor_calculus import coord_symbols, lie_derivative, lie_jet, stencil_offsets
+from flowtensor.tensor_calculus import (coord_symbols, fd_jets_from_stencil, lie_derivative,
+                                       lie_jet, stencil_offsets)
 
 
 def drivers_for(sc, n_paths=None, grid=None):
@@ -222,6 +223,39 @@ def test_closed_form_bracket_needs_an_antiderivative(monkeypatch):
     validate_scenario(replace(bare, sde=zero_noise))
 
 
+def refused_before_drivers(monkeypatch, sc, error, match):
+    """``validate_scenario`` raises, and so does a study, before any driver is drawn."""
+    with pytest.raises(error, match=match):
+        validate_scenario(sc)
+
+    def no_drivers(*args, **kwargs):
+        raise AssertionError("a driver was drawn")
+
+    monkeypatch.setattr(kiw_verifier, "build_driving_paths", no_drivers)
+    with pytest.raises(error, match=match):
+        convergence_study(sc, levels=2, n_paths=2)
+
+
+def test_time_dependent_tensor_field_is_refused_before_any_driver(monkeypatch):
+    timed = tensor_field((0, 1), 1, [sp.Symbol("t", real=True) * coord_symbols(1)[0]],
+                         name="tdx")
+    refused_before_drivers(monkeypatch, scalar_scenario(K0=timed), WiringMismatch,
+                           "time dependence")
+
+
+def test_heun_refuses_noise_rough_in_time_before_any_driver(monkeypatch):
+    rough = vector_field(1, [0.3 * coord_symbols(1)[0]], name="rough", time_c1=False)
+    sde = FlowSDE(vector_field(1, [sp.Integer(0)], name="rest"), [rough], euclidean_atlas(1))
+    sc = scalar_scenario(sde=sde, scheme="heun")
+    refused_before_drivers(monkeypatch, sc, HypothesisViolation, "'rough'")
+    validate_scenario(replace(sc, scheme="euler_maruyama"))
+
+
+def test_start_point_of_the_wrong_length_is_refused_before_any_driver(monkeypatch):
+    refused_before_drivers(monkeypatch, scalar_scenario(x0=np.array([1.0, 2.0])),
+                           WiringMismatch, r"x0 has shape \(2,\)")
+
+
 @pytest.mark.parametrize("where", ["K0", "G"])
 def test_kpath_needs_time_independent_fields(where):
     """The flag is found once per field and kept by its copies."""
@@ -296,19 +330,28 @@ def _symbolic_integrand_paths(sc, flow, kp, strat):
     the ``LxG`` terms are built for the Ito bracket only.
     """
     fields = [sc.K0, *sc.G]
+
+    def weighted(vals):
+        """The values of ``K_t`` from those of ``K0`` and the ``G_i``."""
+        out = vals[0]
+        for i, v in enumerate(vals[1:]):
+            w = kp.weights[:, :, i]
+            out = out + w.reshape(w.shape + (1,) * (v.ndim - 2)) * v
+        return out
+
     val = [_pull_path(f, flow) for f in fields]
-    paths = {"K": kp.combine(val[0], val[1:])}
+    paths = {"K": weighted(val)}
     paths.update({f"G{i}": v for i, v in enumerate(val[1:])})
     lb = [_pull_path(lie_derivative(f, sc.sde.drift), flow) for f in fields]
-    paths["LbK"] = kp.combine(lb[0], lb[1:])
+    paths["LbK"] = weighted(lb)
     for j, xi in enumerate(sc.sde.diffusions):
         lx_fields = [lie_derivative(f, xi) for f in fields]
         lx = [_pull_path(f, flow) for f in lx_fields]
-        paths[f"LxK{j}"] = kp.combine(lx[0], lx[1:])
+        paths[f"LxK{j}"] = weighted(lx)
         if not strat:
             paths.update({f"LxG{i}_{j}": v for i, v in enumerate(lx[1:])})
             ll = [_pull_path(lie_derivative(f, xi), flow) for f in lx_fields]
-            llk = kp.combine(ll[0], ll[1:])
+            llk = weighted(ll)
             paths["LLK"] = llk if j == 0 else paths["LLK"] + llk
     return paths
 
@@ -364,17 +407,15 @@ def test_jet_integrands_do_not_depend_on_the_block_size(monkeypatch, name):
         assert np.array_equal(default[key], rowwise[key]), key
 
 
-@pytest.mark.parametrize("name,keys,lie_jets,contractions", [
-    # K_t: L_b, L_xi0 and L_xi0 L_xi0, none along the zero second noise;
-    # G0: L_xi0 for the bracket.  Pulled back: K0 and G0 (combined into K)
+@pytest.mark.parametrize("name,keys,lie_terms,contractions", [
+    # _lie_terms of K_t (L_b, L_xi0 and L_xi0 L_xi0, none along the zero
+    # second noise) and of G0 (L_xi0 for the bracket); pulled back: K, G0
     # and the four Lie terms
-    # (_lie_jet builds L_b K_t and L_xi0 G0; the L_xi K_t and the summed
-    # correction come from the noise sums of _lie_terms, with no nested jet)
     ("kiw_ito_pullback_r2", {"K", "G0", "LbK", "LxK0", "LLK", "LxG0_0"}, 2, 6),
     # no drift term and no driver fields; pulled back: K and the four Lie terms
-    ("kunita_sphere_rotation", {"K", "LxK0", "LxK1", "LxK2", "LLK"}, 0, 5),
+    ("kunita_sphere_rotation", {"K", "LxK0", "LxK1", "LxK2", "LLK"}, 1, 5),
 ])
-def test_one_block_builds_each_integrand_once(monkeypatch, name, keys, lie_jets, contractions):
+def test_one_block_builds_each_integrand_once(monkeypatch, name, keys, lie_terms, contractions):
     """The integrands and kernel calls of one block in one chart, counted.
 
     A zero coefficient field gets no integrand, and the Ito correction is
@@ -387,7 +428,7 @@ def test_one_block_builds_each_integrand_once(monkeypatch, name, keys, lie_jets,
     d, flow, kp = flow_and_kpath(sc, n_paths=4)
     assert flow.charts.size <= kiw_verifier._JET_BLOCK_STATES
     assert np.all(flow.charts == flow.charts[0, 0])
-    calls = {"_lie_jet": 0, "_contract": 0}
+    calls = {"_lie_terms": 0, "_contract": 0}
 
     def counted(name):
         fn = getattr(kiw_verifier, name)
@@ -401,7 +442,7 @@ def test_one_block_builds_each_integrand_once(monkeypatch, name, keys, lie_jets,
     for fn_name in calls:
         monkeypatch.setattr(kiw_verifier, fn_name, counted(fn_name))
     assert set(_pullback_integrand_paths(sc, flow, kp, strat=False)) == keys
-    assert calls == {"_lie_jet": lie_jets, "_contract": contractions}
+    assert calls == {"_lie_terms": lie_terms, "_contract": contractions}
 
 
 def _symmetric_jets(rng, batch, head, dim, order=2):
@@ -459,15 +500,35 @@ def test_ito_correction_matches_the_symbolic_second_lie_derivative(valence, dim)
     assert_allclose(_batch_first(got, 1), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
-@pytest.mark.parametrize(
-    "name", ["kiw_ito_pullback_r2", "kunita_sphere_rotation", "kiw_ito_pushforward_r2"]
-)
+@pytest.mark.parametrize("name", [
+    "kiw_ito_pullback_r2", "kunita_sphere_rotation", "kiw_ito_pushforward_r2",
+    "kunita_first_gbm", "kiw_strat_pullback_r2", "kiw_strat_pushforward_r2",
+    "scalar_itowentzell_r2",
+])
 def test_rhs_transported_tensor_is_eval_lhs_bitwise(name):
-    """A study level takes its left-hand side from the integrands' K path."""
+    """A study level takes its left-hand side from the integrands' K path
+    (``KunitaFirst`` at its checkpoint times)."""
     sc = get_scenario(name)
     d, flow, kp = flow_and_kpath(sc, n_paths=12)
     rhs = eval_rhs(sc, flow, kp, d)
-    assert np.array_equal(rhs.transported, eval_lhs(sc, flow, kp, drivers=d))
+    lhs = eval_lhs(sc, flow, kp, drivers=d)
+    if rhs.checkpoint_indices is not None:
+        lhs = lhs[:, rhs.checkpoint_indices]
+    assert np.array_equal(rhs.transported, lhs)
+
+
+@pytest.mark.parametrize("name,pullback", [("kiw_ito_pushforward_r2", "KiwItoPullback"),
+                                           ("kiw_strat_pushforward_r2", "KiwStratPullback")])
+def test_pullback_and_pushforward_builders_make_the_same_integrands(name, pullback):
+    """Both builders hand the assembly the same labels, of the same shapes."""
+    sc = get_scenario(name)
+    d, flow, kp = flow_and_kpath(sc, n_paths=3)
+    strat = pullback == "KiwStratPullback"
+    push = _pushforward_integrand_paths(sc, flow, kp, _push_transport(sc, flow, d), strat)
+    pull = _pullback_integrand_paths(replace(sc, theorem=pullback), flow, kp, strat)
+    assert set(push) == set(pull)
+    for key, val in push.items():
+        assert val.shape == pull[key].shape, key
 
 
 def test_study_compiles_only_the_evaluators_it_reads(monkeypatch, empty_program_cache):
@@ -565,8 +626,9 @@ def test_stencil_lie_terms_match_the_analytic_jets(name, field, strat):
     eye = np.broadcast_to(np.eye(n)[:, :, None, None, None], (n, n) + pts.shape[1:])
     t = 0.3
     b_jets, xi_jets = _coeff_jets(sc.sde, sc.sde.jets(t, centres, 0, order), order)
-    got = _stencil_lie_terms(_transported(f, t, pts, eye, eye), f.valence, n, b_jets, xi_jets,
-                             strat)
+    jets = fd_jets_from_stencil(_transported(f, t, pts, eye, eye), n, eps, order,
+                                ncomp_axes=sum(f.valence))
+    got = _lie_terms(jets, b_jets, xi_jets, f.valence, strat)
     want = _lie_terms(f._jet_last(t, centres, 0, order), b_jets, xi_jets, f.valence, strat)
     assert got.keys() == want.keys()
     for nm in want:

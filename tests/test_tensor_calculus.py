@@ -25,7 +25,7 @@ from flowtensor.fields import (
     tensor_field,
     vector_field,
 )
-from flowtensor.geometry import JacobianData, TensorValue
+from flowtensor.geometry import JacobianData, TensorValue, _batch_first
 from flowtensor.tensor_calculus import (
     InsufficientSmoothness,
     TensorFieldSpec,
@@ -46,7 +46,7 @@ from flowtensor.tensor_calculus import (
 from flowtensor import scenarios, tensor_calculus
 from flowtensor.kiw_verifier import convergence_study
 from flowtensor.scenarios import get_scenario
-from flowtensor.tensor_calculus import TIME, _contract, _jet_layout, _lie_jet, _slot_replace
+from flowtensor.tensor_calculus import TIME, _contract, _jet_layout, _slot_replace
 
 X0, X1 = coord_symbols(2)
 
@@ -350,8 +350,9 @@ def test_lie_jet_from_fd_stencil():
     xv = np.moveaxis(X.eval_batch(0.0, flat, 0).reshape(6, 9, 2), -1, 0)
     t_jets = fd_jets_from_stencil(kv, 2, eps, order=1, ncomp_axes=1)
     x_jets = fd_jets_from_stencil(xv, 2, eps, order=1, ncomp_axes=1)
-    got = _lie_jet(t_jets, x_jets, (0, 1))[0]
-    want = lie_derivative(K, X).eval_batch(0.0, pts, 0).T
+    got = lie_jet([_batch_first(a, 1) for a in t_jets], [_batch_first(a, 1) for a in x_jets],
+                  (0, 1))[0]
+    want = lie_derivative(K, X).eval_batch(0.0, pts, 0)
     assert_allclose(got, want, atol=1e-7)
 
 
