@@ -505,13 +505,13 @@ def integrate_flow(
     drivers: DrivingPaths,
     x0: np.ndarray,
     scheme: str = "euler_maruyama",
-    start_chart: int = 0,
 ) -> FlowEnsemble:
     """Integrate the flow and its variational equations for all driver paths.
 
-    The one-level case of :func:`integrate_flow_levels`.
+    The one-level case of :func:`integrate_flow_levels`; ``x0`` is given in
+    chart 0.
     """
-    return integrate_flow_levels(sde, (drivers,), x0, scheme, start_chart)[0]
+    return integrate_flow_levels(sde, (drivers,), x0, scheme)[0]
 
 
 def integrate_flow_levels(
@@ -519,13 +519,14 @@ def integrate_flow_levels(
     levels: Sequence[DrivingPaths],
     x0: np.ndarray,
     scheme: str = "euler_maruyama",
-    start_chart: int = 0,
 ) -> Tuple[FlowEnsemble, ...]:
     """Integrate the flow on nested grids of the same paths in one time loop.
 
     ``levels`` are driver ensembles of the same paths (``path_ids``),
     noise count and horizon on nested grids: every step count divides
-    the next finer one.  All levels' columns sit side by side in one
+    the next finer one.  ``x0``, one point or one per path, is given in
+    chart 0, and each path starts in the lowest-numbered chart covering
+    it (:class:`NoCoveringChart` where none does).  All levels' columns sit side by side in one
     state buffer, finest level first, in the step program's row layout:
     ``n`` point rows, then the ``n*n`` rows of ``J`` and of ``Jinv``, one
     column per path and level.  The loop runs over the finest grid.  A
@@ -581,16 +582,16 @@ def integrate_flow_levels(
     hop_radius = np.array([ch.hop_radius for ch in atlas.charts])
     tested = hop_radius <= R_MAX * np.sqrt(n) + np.linalg.norm(centres, axis=0)
 
-    # every row of x0 starts in the lowest-numbered chart covering it
+    # every row of x0, given in chart 0, starts in the lowest-numbered chart covering it
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), (P, n))
-    cid0 = locate_chart_batch(atlas, x0, start_chart)
+    cid0 = locate_chart_batch(atlas, x0, 0)
     if np.any(cid0 < 0):
-        raise NoCoveringChart(f"start point {x0[np.argmin(cid0)]} (chart {start_chart}) "
+        raise NoCoveringChart(f"start point {x0[np.argmin(cid0)]} (chart 0) "
                               f"not in any inner ball of {atlas.name!r}")
     u0 = x0.T.copy()
-    for cid in set(cid0.tolist()) - {start_chart}:
+    for cid in set(cid0.tolist()) - {0}:
         grp = cid0 == cid
-        u0[:, grp] = atlas.transition_between(start_chart, cid).apply(x0[grp]).T
+        u0[:, grp] = atlas.transition_between(0, cid).apply(x0[grp]).T
 
     # the current state of every column, level after level: points, J, Jinv
     state = np.empty((n + 2 * nn, C))
@@ -809,7 +810,6 @@ def jacobian_fd_check(
     drivers: DrivingPaths,
     x0: np.ndarray,
     scheme: str,
-    start_chart: int = 0,
     eps: float = 1.0e-5,
 ) -> float:
     """Worst relative deviation of the variational Jacobian from a
@@ -823,15 +823,15 @@ def jacobian_fd_check(
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
-    base = integrate_flow(sde, drivers, x0, scheme, start_chart)
+    base = integrate_flow(sde, drivers, x0, scheme)
     worst = 0.0
     valid = base.stop_step[None, :] > np.arange(base.grid.npoints)[:, None]
     fd = np.empty(base.coords.shape + (n,))  # (L+1, P, n_out, n_in)
     for i in range(n):
         e = np.zeros(n)
         e[i] = eps
-        plus = integrate_flow(sde, drivers, x0 + e, scheme, start_chart)
-        minus = integrate_flow(sde, drivers, x0 - e, scheme, start_chart)
+        plus = integrate_flow(sde, drivers, x0 + e, scheme)
+        minus = integrate_flow(sde, drivers, x0 - e, scheme)
         fd[..., i] = (plus.coords - minus.coords) / (2.0 * eps)
         valid &= plus.stop_step[None, :] > np.arange(base.grid.npoints)[:, None]
         valid &= minus.stop_step[None, :] > np.arange(base.grid.npoints)[:, None]

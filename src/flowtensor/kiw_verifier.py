@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,7 +72,6 @@ from .tensor_calculus import (
     _along,
     fd_jets_from_stencil,
     pair_batch,
-    pullback_batch,
     stencil_offsets,
 )
 
@@ -300,29 +299,8 @@ def synthesize_K_path(scenario: Scenario, drivers: DrivingPaths) -> KPath:
 
 
 # ---------------------------------------------------------------------------
-# trajectory evaluation helpers
+# integrands and their assembly
 # ---------------------------------------------------------------------------
-
-
-def _eval_along_flow(f: TensorFieldSpec, flow: FlowEnsemble, cols=slice(None)) -> np.ndarray:
-    """Field values along the trajectory states at the grid times ``cols``
-    (all by default), shape (times, P) + comps."""
-    charts = flow.charts[cols]
-    tgrid = np.broadcast_to(flow.grid.times()[cols, None], charts.shape)
-    coords = flow.coords[cols]
-    out = np.empty(charts.shape + f.shape)
-    for cid in np.unique(charts).tolist():
-        mask = charts == cid
-        out[mask] = f.eval_batch(tgrid[mask], coords[mask], cid)
-    return out
-
-
-def _pull_path(f: TensorFieldSpec, flow: FlowEnsemble, cols=slice(None)) -> np.ndarray:
-    """Pullback of a field along the flow at the grid times ``cols`` (all by
-    default), shape (P, times) + comps."""
-    vals = _eval_along_flow(f, flow, cols)
-    pulled = pullback_batch(vals, f.valence, flow.jac[cols], flow.inv_jac[cols])
-    return np.swapaxes(pulled, 0, 1)
 
 
 def _sup_per_path(term: np.ndarray) -> np.ndarray:
@@ -337,7 +315,7 @@ class RhsResult:
     values: np.ndarray  # (P, npoints or checkpoints) + comps
     terms: Dict[str, np.ndarray]
     # the transported tensor path K, the identity's left-hand side, at the
-    # grid times of ``values``
+    # grid times of ``values``, from the builder that made the Lie terms
     transported: np.ndarray
     checkpoint_indices: Optional[np.ndarray] = None  # set by KunitaFirst
 
@@ -493,8 +471,9 @@ def _lie_terms(jets: Sequence[np.ndarray], b_jets: Optional[Sequence[np.ndarray]
 def _integrands(k_jets: Sequence[np.ndarray], g_jets: Sequence[Sequence[np.ndarray]],
                 b_jets: Optional[Sequence[np.ndarray]],
                 xi_jets: Sequence[Optional[Sequence[np.ndarray]]], valence: Tuple[int, int],
-                strat: bool) -> Dict[str, np.ndarray]:
-    """Every integrand of the identity, under the labels of :func:`_assemble_forward_rhs`.
+                strat: bool) -> Iterator[Tuple[str, np.ndarray]]:
+    """Yield every integrand of the identity, as ``(label, array)`` pairs
+    under the labels of :func:`_assemble_forward_rhs`.
 
     ``k_jets`` are the jets of the driven tensor ``K_t``, weighted by the
     caller, and ``g_jets`` those of each driver field ``G_i``.  ``K``,
@@ -503,16 +482,19 @@ def _integrands(k_jets: Sequence[np.ndarray], g_jets: Sequence[Sequence[np.ndarr
     ``G_i`` along the noises, with no drift.  The ``G_i`` jets are read
     to order 1 in the Ito form and at value order otherwise.  Every
     selector's builder calls this on its own jets, so the transported
-    tensor and its Lie terms always come from the same values.
+    tensor and its Lie terms always come from the same values.  Each term
+    is popped as it is handed on, and a field's terms are built only once
+    those before them have been taken.
     """
-    # val -> K, Lb -> LbK, Lx<j> -> LxK<j>, LL -> LLK
-    out = {"K" if nm == "val" else nm[:2] + "K" + nm[2:]: v
-           for nm, v in _lie_terms(k_jets, b_jets, xi_jets, valence, strat).items()}
+    lie = _lie_terms(k_jets, b_jets, xi_jets, valence, strat)
+    for nm in list(lie):
+        # val -> K, Lb -> LbK, Lx<j> -> LxK<j>, LL -> LLK
+        yield "K" if nm == "val" else nm[:2] + "K" + nm[2:], lie.pop(nm)
     for i, gj in enumerate(g_jets):
         lie = _lie_terms(gj, None, () if strat else xi_jets, valence, True)
-        out[f"G{i}"] = lie.pop("val")
-        out.update({f"LxG{i}_{nm[2:]}": v for nm, v in lie.items()})
-    return out
+        yield f"G{i}", lie.pop("val")
+        for nm in list(lie):
+            yield f"LxG{i}_{nm[2:]}", lie.pop(nm)
 
 
 def _path_major(a: np.ndarray) -> np.ndarray:
@@ -536,7 +518,7 @@ def _pullback_integrand_paths(
     states' driver weights into the jets of ``K_t`` (``jK0 + sum_i w_i
     jG_i``, in i order).  :func:`_integrands` takes them with the flow
     coefficients' jets (:meth:`FlowSDE.jets`), and every integrand, ``K``
-    among them, is pulled back along the flow.  The keys are those
+    among them, is pulled back along the flow as it arrives.  The keys are those
     :func:`_assemble_forward_rhs` reads, without the terms of a zero
     coefficient field.
 
@@ -596,7 +578,7 @@ def _pullback_integrand_paths(
                 for i, gj in enumerate(g_jets):
                     for kj, gjm in zip(k_jets, gj):
                         kj += w[i] * gjm
-            for key, v in _integrands(k_jets, g_jets, b_jets, xi_jets, valence, strat).items():
+            for key, v in _integrands(k_jets, g_jets, b_jets, xi_jets, valence, strat):
                 put(key, v)
     return {key: _path_major(a) for key, a in held.items()}
 
@@ -697,11 +679,34 @@ def _push_transport(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPath
     return PushTransport(preimages=preimages, jac=jac, inv_jac=inv_jac, newton_residual_max=worst)
 
 
-def _transported(f: TensorFieldSpec, t, pts: np.ndarray, contra: np.ndarray,
-                 cov: np.ndarray) -> np.ndarray:
-    """Field values at the batch-last ``pts`` (chart 0), each slot transported
-    (:func:`_contract`); the result is ``f.shape + batch``."""
-    return _contract(f._jet_last(t, pts, 0, 0)[0], f.valence, contra, cov)
+def _stencil_integrands(scenario: Scenario, t, pts: np.ndarray, contra: np.ndarray,
+                        cov: np.ndarray, weights, coef,
+                        strat: bool) -> Iterator[Tuple[str, np.ndarray]]:
+    """The :func:`_integrands` pairs, with the coefficient jets ``coef``, of
+    ``K0`` and every ``G_i`` at the stencil points ``pts`` (chart 0, ``(n,) +
+    batch + (3^n,)``, stencil axis last), each slot transported by ``contra``
+    and ``cov`` (:func:`_contract`) and differenced by :func:`fd_jets_from_stencil`.
+
+    ``K0``'s values are weighted into those of ``K_t`` (``+= weights[i] *
+    G_i``, in i order) before anything is differenced, since differencing
+    amplifies round-off, so ``K`` is the weighted stencil centre.
+    """
+    valence = scenario.K0.valence
+
+    def transported(f):
+        return _contract(f._jet_last(t, pts, 0, 0)[0], valence, contra, cov)
+
+    def jets(values, order):
+        return fd_jets_from_stencil(values, scenario.sde.dim, _STENCIL_EPS, order,
+                                    ncomp_axes=sum(valence))
+
+    k_vals = transported(scenario.K0)
+    g_jets = []
+    for i, g in enumerate(scenario.G):
+        v = transported(g)
+        k_vals += weights[i] * v
+        g_jets.append(jets(v, 0 if strat else 1))
+    return _integrands(jets(k_vals, 1 if strat else 2), g_jets, *coef, valence, strat)
 
 
 def _pushforward_integrand_paths(
@@ -710,38 +715,20 @@ def _pushforward_integrand_paths(
     """Integrand paths for the pushforward-family selectors.
 
     The Lie derivatives act on the transported field, so they are taken
-    from finite-difference jets of the pushed-forward field; the flow
-    coefficients enter through their analytic jets at the observation
-    point.  ``K0`` and every ``G_i`` are transported on the stencil, and
-    ``K0``'s stencil values are weighted into those of ``K_t`` (in i
-    order) before anything is differenced, since differencing amplifies
-    round-off.  :func:`_integrands` takes the stencil jets
-    (:func:`fd_jets_from_stencil`, eps ``_STENCIL_EPS``); ``K`` is the
-    jets' value, the weighted stencil centre.
+    from the stencil jets of the field pushed forward from the Newton
+    preimages (:func:`_stencil_integrands`); the flow coefficients enter
+    through their analytic jets at the observation point.
     """
     sde = scenario.sde
-    L1 = flow.grid.npoints
     times = flow.grid.times()
-    jet_order = 1 if strat else 2
-    valence = scenario.K0.valence
-
-    def jets(values, order):
-        return fd_jets_from_stencil(values, sde.dim, _STENCIL_EPS, order, ncomp_axes=sum(valence))
-
+    order = 1 if strat else 2
     # analytic jets of the flow coefficients at the observation point,
     # with a singleton path axis for broadcasting
-    q = sde.jets(times, np.broadcast_to(scenario.x0[:, None], (sde.dim, L1)), 0, jet_order)
-    b_jets, xi_jets = _coeff_jets(sde, {k: v[..., None] for k, v in q.items()}, jet_order)
-    # every field transported on the stencil, shape + (npoints, P, 3^dim)
-    k_vals, *g_vals = (_transported(f, times[:, None, None], tp.preimages, tp.jac, tp.inv_jac)
-                       for f in (scenario.K0, *scenario.G))
-    g_jets = [jets(v, 0 if strat else 1) for v in g_vals]
-    # the stencil values of K_t, accumulated in place into K0's
-    for i, v in enumerate(g_vals):
-        k_vals += kpath.weights[:, :, i].T[..., None] * v
-    del g_vals
-    terms = _integrands(jets(k_vals, jet_order), g_jets, b_jets, xi_jets, valence, strat)
-    return {key: _path_major(a) for key, a in terms.items()}
+    q = sde.jets(times, np.broadcast_to(scenario.x0[:, None], (sde.dim, times.size)), 0, order)
+    coef = _coeff_jets(sde, {k: v[..., None] for k, v in q.items()}, order)
+    pairs = _stencil_integrands(scenario, times[:, None, None], tp.preimages, tp.jac, tp.inv_jac,
+                                kpath.weights.T[..., None], coef, strat)
+    return {key: _path_major(a) for key, a in pairs}
 
 
 # ---------------------------------------------------------------------------
@@ -772,10 +759,10 @@ def eval_lhs(
     """Transported tensor values on the grid, shape (P, npoints) + comps.
 
     This is the ``K`` integrand of the selector's builder (the pullback
-    builder for ``KunitaFirst``), so it is :attr:`RhsResult.transported`
-    bitwise (for ``KunitaFirst`` at the checkpoint times), which a study
-    reads instead.  Pushforward selectors need the ``drivers`` to invert
-    the discrete flow; pullback selectors do not read them.
+    builder for ``KunitaFirst``, whose restart from time 0 is the flow), so
+    it is :attr:`RhsResult.transported` bitwise (for ``KunitaFirst`` at the
+    live checkpoint times), which a study reads instead.  Pushforward
+    selectors need the ``drivers``; pullback selectors do not read them.
     """
     return _integrand_paths(scenario, flow, kpath, drivers)[0]["K"]
 
@@ -852,11 +839,11 @@ def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPa
     are realised by restarting a stencil at s and advancing all restarts
     together with the flow's scheme step (Euler, see validate_scenario);
     at the checkpoint the transported tensor is differentiated across the
-    stencil, its Lie integrands are taken from those jets by
-    :func:`_integrands`, and they are summed in s, left-point in time and
-    right-point (backward) against the noise.  The left-hand side is the
-    tensor pulled back along the flow at the checkpoints
-    (:func:`_pull_path`).
+    stencil by :func:`_stencil_integrands`, and the Lie integrands are
+    summed in s, left-point in time and right-point (backward) against the
+    noise.  The left-hand side is the centre ``K`` of the restart from time
+    0, the flow itself (same step, same increments) up to a path's stop;
+    :func:`_sup_residual_per_path` masks the checkpoints past it.
     """
     sde = scenario.sde
     grid = flow.grid
@@ -881,6 +868,7 @@ def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPa
     q = sde.jets(times, np.broadcast_to(scenario.x0[:, None], (n, L + 1)), 0, 2)
 
     out_vals = np.zeros((P, cps.size) + K0.shape)
+    lhs = np.empty((P, cps.size) + K0.shape)
     terms = {
         "L_b": np.zeros((P, cps.size) + K0.shape),
         "L_xi": np.zeros((P, cps.size) + K0.shape),
@@ -906,13 +894,12 @@ def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPa
             nrows = m + 1
             batch = (nrows, P, S)
             coef = _coeff_jets(sde, {k: v[..., :nrows, None] for k, v in q.items()}, 2)
-            vals = _transported(K0, times[m], Q[:, :nrows].reshape((n,) + batch),
-                                Ai[:, :, :nrows].reshape((n, n) + batch),
-                                A[:, :, :nrows].reshape((n, n) + batch))
-            jets = fd_jets_from_stencil(vals, n, _STENCIL_EPS, 2, ncomp_axes=sum(K0.valence))
+            pairs = _stencil_integrands(scenario, times[m], Q[:, :nrows].reshape((n,) + batch),
+                                        Ai[:, :, :nrows].reshape((n, n) + batch),
+                                        A[:, :, :nrows].reshape((n, n) + batch), (), coef, False)
             # restart rows first, for the sums over s
-            lie = {nm: _batch_first(v, 2)
-                   for nm, v in _integrands(jets, (), *coef, K0.valence, False).items()}
+            lie = {nm: _batch_first(v, 2) for nm, v in pairs}
+            lhs[:, cp_pos] = lie["K"][0]  # the restart from time 0
             dt_w = np.full((nrows, 1) + comp1, h)
             dt_w[m] = 0.0  # left sum in s: the s = t endpoint never enters
             # an absent term (a zero coefficient field) keeps its zeros
@@ -934,8 +921,7 @@ def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPa
                 + terms["L2"][:, cp_pos]
             )
             cp_pos += 1
-    return RhsResult(values=out_vals, terms=terms, checkpoint_indices=cps,
-                     transported=_pull_path(K0, flow, cps))
+    return RhsResult(values=out_vals, terms=terms, checkpoint_indices=cps, transported=lhs)
 
 
 # ---------------------------------------------------------------------------
@@ -953,9 +939,9 @@ def _route_a_integrands(state: Dict, valence: Tuple[int, int]) -> Dict:
         pulled = _batch_first(_contract(T, valence, Binv, A), 1)
         return pair_batch(pulled, valence, state["S"], (s, r))
 
-    lie = _integrands(_jets_last(state["K"], 1), [_jets_last(g, 1) for g in state["G"]],
-                      _jets_last(state["b"], 1), [_jets_last(x, 1) for x in state["xi"]],
-                      valence, strat=False)
+    lie = dict(_integrands(_jets_last(state["K"], 1), [_jets_last(g, 1) for g in state["G"]],
+                           _jets_last(state["b"], 1), [_jets_last(x, 1) for x in state["xi"]],
+                           valence, strat=False))
     g1 = paired(lie["LbK"])
     if n_noise:
         g1 = g1 + 0.5 * paired(lie["LLK"])

@@ -105,13 +105,22 @@ def coord_symbols(dim: int) -> Tuple[sp.Symbol, ...]:
     return sp.symbols(f"x0:{dim}", real=True)
 
 
+class _Printer(NumPyPrinter):
+    """lambdify's numpy printer, but a ``Float`` prints at round-trip precision
+    (``repr``), not with sympy's 15 significant digits."""
+
+    def _print_Float(self, expr):
+        return repr(float(expr))
+
+
 def _compiled(exprs: Tuple[sp.Expr, ...], args: Tuple[sp.Symbol, ...], blocks: tuple = ()) -> str:
     """The source of a numpy function of ``args`` returning the list of ``exprs``.
 
     The source is printed as ``sp.lambdify(args, list(exprs), modules=np)``
-    prints it, and :func:`_load` runs it in lambdify's namespace, so the
-    function is the one lambdify would build.  ``blocks`` bind symbols
-    before the outputs are computed.  Each block is a tuple of
+    prints it, except that floats print at round-trip precision
+    (:class:`_Printer`), and :func:`_load` runs it in lambdify's namespace,
+    so the function is the one lambdify would build but for its floats.  ``blocks``
+    bind symbols before the outputs are computed.  Each block is a tuple of
     ``(symbol, expr)`` pairs, and one ``sp.cse`` over its right-hand
     sides shares their common subexpressions.  A block may read the
     symbols of earlier blocks, and the outputs may read any of them; the
@@ -125,8 +134,8 @@ def _compiled(exprs: Tuple[sp.Expr, ...], args: Tuple[sp.Symbol, ...], blocks: t
         syms, rhs = zip(*blk)
         repl, reduced = sp.cse(list(rhs), symbols=names)
         prelude += repl + list(zip(syms, reduced))
-    printer = NumPyPrinter({"fully_qualified_modules": False, "inline": True,
-                            "allow_unknown_functions": True, "user_functions": {}})
+    printer = _Printer({"fully_qualified_modules": False, "inline": True,
+                        "allow_unknown_functions": True, "user_functions": {}})
     return _EvaluatorPrinter(printer).doprint(_FUNCNAME, args, list(exprs), cses=prelude)
 
 

@@ -15,7 +15,7 @@ from flowtensor.fields import (
     tensor_field,
     vector_field,
 )
-from flowtensor.flow import FlowSDE, integrate_flow
+from flowtensor.flow import FlowEnsemble, FlowSDE, integrate_flow
 from flowtensor.geometry import _batch_first, _batch_last, euclidean_atlas
 from flowtensor.kiw_verifier import (
     THEOREMS,
@@ -32,20 +32,20 @@ from flowtensor.kiw_verifier import (
 )
 from flowtensor import kiw_verifier, tensor_calculus
 from flowtensor.kiw_verifier import (
-    _pull_path,
     _pullback_integrand_paths,
     _pushforward_integrand_paths,
     _coeff_jets,
+    _integrands,
     _lie_terms,
     _push_transport,
     _random_jet_states,
     _route_a_integrands,
-    _transported,
+    _stencil_integrands,
 )
 from flowtensor.scenarios import get_scenario, list_scenarios, scenario_table
 from flowtensor.stochastics import FvSpec, MartSpec, TimeGrid, build_driving_paths
-from flowtensor.tensor_calculus import (coord_symbols, fd_jets_from_stencil, lie_derivative,
-                                       lie_jet, stencil_offsets)
+from flowtensor.tensor_calculus import (TensorFieldSpec, coord_symbols, lie_derivative, lie_jet,
+                                       pullback_batch, stencil_offsets)
 
 
 def drivers_for(sc, n_paths=None, grid=None):
@@ -322,6 +322,27 @@ def pullback_scenario(name):
                    mart_specs=sc.mart_specs + (MartSpec("mart_bm0", "bm", component=0),))
 
 
+def _eval_along_flow(f: TensorFieldSpec, flow: FlowEnsemble, cols=slice(None)) -> np.ndarray:
+    """Field values along the trajectory states at the grid times ``cols``
+    (all by default), shape (times, P) + comps."""
+    charts = flow.charts[cols]
+    tgrid = np.broadcast_to(flow.grid.times()[cols, None], charts.shape)
+    coords = flow.coords[cols]
+    out = np.empty(charts.shape + f.shape)
+    for cid in np.unique(charts).tolist():
+        mask = charts == cid
+        out[mask] = f.eval_batch(tgrid[mask], coords[mask], cid)
+    return out
+
+
+def _pull_path(f: TensorFieldSpec, flow: FlowEnsemble, cols=slice(None)) -> np.ndarray:
+    """Pullback of a field along the flow at the grid times ``cols`` (all by
+    default), shape (P, times) + comps."""
+    vals = _eval_along_flow(f, flow, cols)
+    pulled = pullback_batch(vals, f.valence, flow.jac[cols], flow.inv_jac[cols])
+    return np.swapaxes(pulled, 0, 1)
+
+
 def _symbolic_integrand_paths(sc, flow, kp, strat):
     """Reference integrands: symbolic Lie fields evaluated and pulled back.
 
@@ -445,6 +466,34 @@ def test_one_block_builds_each_integrand_once(monkeypatch, name, keys, lie_terms
     assert calls == {"_lie_terms": lie_terms, "_contract": contractions}
 
 
+def test_integrands_hand_on_the_tensor_terms_before_the_driver_fields(monkeypatch):
+    """``_integrands`` hands its terms on one at a time: no ``G_i`` Lie
+    terms are built before every term of ``K_t`` has been taken."""
+    rng = np.random.default_rng(17)
+    valence, dim, batch = (1, 1), 2, (3, 5)
+    k_jets = [_batch_last(a, 2) for a in _symmetric_jets(rng, batch, (dim, dim), dim)]
+    g_jets = [[_batch_last(a, 2) for a in _symmetric_jets(rng, batch, (dim, dim), dim)[:2]]
+              for _ in range(2)]
+    b_jets = [_batch_last(a, 2) for a in _symmetric_jets(rng, batch, (dim,), dim)[:2]]
+    xi_jets = [[_batch_last(a, 2) for a in _symmetric_jets(rng, batch, (dim,), dim)]
+               for _ in range(2)]
+    lie_terms, taken, taken_at_g_calls = kiw_verifier._lie_terms, [], []
+
+    def recording(jets, *args):
+        if jets is not k_jets:
+            taken_at_g_calls.append(list(taken))
+        return lie_terms(jets, *args)
+
+    monkeypatch.setattr(kiw_verifier, "_lie_terms", recording)
+    for key, _ in _integrands(k_jets, g_jets, b_jets, xi_jets, valence, False):
+        taken.append(key)
+    k_labels = {"K", "LbK", "LLK", "LxK0", "LxK1"}
+    g_labels = [{f"G{i}", f"LxG{i}_0", f"LxG{i}_1"} for i in range(2)]
+    assert sorted(taken) == sorted(k_labels | g_labels[0] | g_labels[1])
+    # each G_i's terms are built once every term before them has been taken
+    assert [set(seen) for seen in taken_at_g_calls] == [k_labels, k_labels | g_labels[0]]
+
+
 def _symmetric_jets(rng, batch, head, dim, order=2):
     """Random batch-first jets ``batch + head + (dim,) * m``, m <= ``order``,
     with symmetric second derivatives."""
@@ -500,15 +549,25 @@ def test_ito_correction_matches_the_symbolic_second_lie_derivative(valence, dim)
     assert_allclose(_batch_first(got, 1), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
+KUNITA_FIRST_R2 = "kunita_first_r2"
+
+
 @pytest.mark.parametrize("name", [
     "kiw_ito_pullback_r2", "kunita_sphere_rotation", "kiw_ito_pushforward_r2",
-    "kunita_first_gbm", "kiw_strat_pullback_r2", "kiw_strat_pushforward_r2",
+    "kunita_first_gbm", KUNITA_FIRST_R2, "kiw_strat_pullback_r2", "kiw_strat_pushforward_r2",
     "scalar_itowentzell_r2",
 ])
 def test_rhs_transported_tensor_is_eval_lhs_bitwise(name):
     """A study level takes its left-hand side from the integrands' K path
-    (``KunitaFirst`` at its checkpoint times)."""
-    sc = get_scenario(name)
+    (``KunitaFirst`` at its checkpoint times, where its restart from time 0
+    reproduces the flow, in 1-D and, on the flow of ``kiw_ito_pushforward_r2``
+    without its driver field, in 2-D)."""
+    if name == KUNITA_FIRST_R2:
+        sc = replace(get_scenario("kiw_ito_pushforward_r2"), name=name, theorem="KunitaFirst",
+                     G=(), fv_specs=(), mart_specs=())
+        validate_scenario(sc)
+    else:
+        sc = get_scenario(name)
     d, flow, kp = flow_and_kpath(sc, n_paths=12)
     rhs = eval_rhs(sc, flow, kp, d)
     lhs = eval_lhs(sc, flow, kp, drivers=d)
@@ -615,7 +674,7 @@ def test_push_transport_inverts_the_discrete_flow(name):
     ("kunita_first_gbm", "K0", False),
 ])
 def test_stencil_lie_terms_match_the_analytic_jets(name, field, strat):
-    """With identity transport the stencil route gives the Lie terms of the field itself."""
+    """With identity transports the stencil step gives the integrands of the field itself."""
     sc = get_scenario(name)
     f = sc.K0 if field == "K0" else sc.G[0]
     n, eps, order = sc.sde.dim, kiw_verifier._STENCIL_EPS, 1 if strat else 2
@@ -625,11 +684,10 @@ def test_stencil_lie_terms_match_the_analytic_jets(name, field, strat):
     pts = centres[..., None] + eps * stencil
     eye = np.broadcast_to(np.eye(n)[:, :, None, None, None], (n, n) + pts.shape[1:])
     t = 0.3
-    b_jets, xi_jets = _coeff_jets(sc.sde, sc.sde.jets(t, centres, 0, order), order)
-    jets = fd_jets_from_stencil(_transported(f, t, pts, eye, eye), n, eps, order,
-                                ncomp_axes=sum(f.valence))
-    got = _lie_terms(jets, b_jets, xi_jets, f.valence, strat)
-    want = _lie_terms(f._jet_last(t, centres, 0, order), b_jets, xi_jets, f.valence, strat)
+    coef = _coeff_jets(sc.sde, sc.sde.jets(t, centres, 0, order), order)
+    # the field alone, with no driver fields to weight in
+    got = dict(_stencil_integrands(replace(sc, K0=f, G=()), t, pts, eye, eye, (), coef, strat))
+    want = dict(_integrands(f._jet_last(t, centres, 0, order), (), *coef, f.valence, strat))
     assert got.keys() == want.keys()
     for nm in want:
         assert_allclose(got[nm], want[nm], rtol=1e-6, atol=1e-6, err_msg=nm)

@@ -13,7 +13,8 @@ import sympy as sp
 from numpy.testing import assert_allclose
 
 from flowtensor import scenarios, tensor_calculus
-from flowtensor.fields import random_tensor_field, rotation_field_2d, scalar_field, vector_field
+from flowtensor.fields import (constant_vector_field, linear_vector_field, random_tensor_field,
+                              rotation_field_2d, scalar_field, vector_field)
 from flowtensor.flow import FlowSDE
 from flowtensor.geometry import euclidean_atlas
 from flowtensor.kiw_verifier import convergence_study, validate_scenario
@@ -225,3 +226,15 @@ def test_printed_source_is_lambdify_source():
     args = (tensor_calculus.TIME,) + coord_symbols(2)
     want = inspect.getsource(sp.lambdify(args, list(exprs), modules=np))
     assert tensor_calculus._compiled(exprs, args) == want
+
+
+def test_float_coefficients_print_at_round_trip_precision():
+    """A field's float constants reach its program unrounded: sympy writes a
+    ``Float`` with 15 significant digits, so ``1/3`` would become
+    0.333333333333333 and ``0.1 + 0.2`` would become 0.3."""
+    third = linear_vector_field([[1.0 / 3.0]], name="third")
+    assert third.eval_batch(0.0, np.array([[1.0]]))[0, 0] == 1.0 / 3.0
+    shifted = constant_vector_field([0.1 + 0.2], name="shifted")
+    assert shifted.eval_batch(0.0, np.array([[0.0]]))[0, 0] == 0.1 + 0.2
+    x = sp.Float(0.1 + 0.2) * coord_symbols(1)[0]
+    assert "0.30000000000000004*x0" in tensor_calculus._compiled((x,), coord_symbols(1))
