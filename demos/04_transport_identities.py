@@ -15,7 +15,6 @@ from flowtensor.kiw_verifier import (
     convergence_study,
     eval_lhs,
     eval_rhs,
-    synthesize_K_path,
 )
 from flowtensor.scenarios import get_scenario, list_scenarios
 from flowtensor.stochastics import build_driving_paths
@@ -32,9 +31,8 @@ drivers = build_driving_paths(
     fv_specs=sc.fv_specs, mart_specs=sc.mart_specs,
 )
 flow = integrate_flow(sc.sde, drivers, sc.x0, sc.scheme)
-kpath = synthesize_K_path(sc, drivers)
-lhs = eval_lhs(sc, flow, kpath)
-rhs = eval_rhs(sc, flow, kpath, drivers)
+lhs = eval_lhs(sc, flow, drivers)
+rhs = eval_rhs(sc, flow, drivers)
 print("time   pullback   assembled   exp(B_t)")
 times = drivers.grid.times()
 for k in (0, 4, 8, 12, 16):

@@ -85,7 +85,6 @@ from .kiw_verifier import (
     eval_lhs,
     eval_rhs,
     expanded_integrand_check,
-    synthesize_K_path,
 )
 from .scenarios import get_scenario, list_scenarios
 
@@ -140,7 +139,6 @@ __all__ = [
     "eval_lhs",
     "eval_rhs",
     "expanded_integrand_check",
-    "synthesize_K_path",
     "get_scenario",
     "list_scenarios",
 ]

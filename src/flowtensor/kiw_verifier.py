@@ -5,21 +5,27 @@ A :class:`Scenario` packages a flow equation, a tensor field path
     K(t, x) = K(0, x) + sum_i (A^i_t + M^i_t) G_i(x)
 
 driven by finite-variation and martingale drivers, and a transport
-identity selector.  For each realised driver path the left-hand side
-(the transported tensor at the start point, or the pushed-forward
-tensor at the observation point) and the right-hand side (the sum of
-the identity's integral terms, discretised with left-point or trapezoid
-sums as the identity's calculus dictates) are evaluated on the whole
-grid, and the residual is their sup-norm difference.  Halving the step
-with bridge refinement and refitting the residual exposes the strong
-order of the integration scheme; the identities themselves hold
-pathwise, so the residual must shrink at that order.  A study refines
-the drivers of every level first, integrates all levels' flows in one
-sweep of the finest grid (:func:`flowtensor.flow.integrate_flow_levels`)
-and then reduces the levels coarse to fine, dropping each level's
-drivers and flow once it is reduced.  A level is reduced in blocks of
-whole paths (:func:`_run_level`), so a level's integrands and term
-series exist for one block of paths at a time.  A study reads every
+identity selector.  Both sides of the identity are functions of the
+scenario, a flow and the drivers it was integrated with; the weights
+``A^i + M^i`` of ``K`` are read off those drivers.  For each realised
+driver path the left-hand side (the transported tensor at the start
+point, or the pushed-forward tensor at the observation point) and the
+right-hand side (the sum of the identity's integral terms, discretised
+with left-point or trapezoid sums as the identity's calculus dictates)
+are evaluated on the whole grid, and the residual is their sup-norm
+difference.  Every integrand, term series and sum is batch-last,
+``comps + (npoints, P)``, from the integrand builders to the per-path
+sups; only :func:`eval_lhs` and :func:`eval_rhs` return path-major
+views.  Halving the step with bridge refinement and refitting the
+residual exposes the strong order of the integration scheme; the
+identities themselves hold pathwise, so the residual must shrink at
+that order.  A study refines the drivers of every level first,
+integrates all levels' flows in one sweep of the finest grid
+(:func:`flowtensor.flow.integrate_flow_levels`) and then reduces the
+levels coarse to fine, dropping each level's drivers and flow once it
+is reduced.  A level is reduced in blocks of whole paths
+(:func:`_run_level`), so a level's integrands and term series exist
+for one block of paths at a time.  A study reads every
 setting from its :class:`Scenario`; a variant, such as another scheme,
 is studied as ``dataclasses.replace(scenario, ...)``.
 
@@ -80,13 +86,11 @@ __all__ = [
     "WiringMismatch",
     "THEOREMS",
     "Scenario",
-    "KPath",
     "PushTransport",
     "RhsResult",
     "LevelStats",
     "ResidualReport",
     "validate_scenario",
-    "synthesize_K_path",
     "eval_lhs",
     "eval_rhs",
     "strat_ito_bridge_gap",
@@ -256,24 +260,8 @@ def validate_scenario(scenario: Scenario):
 
 
 # ---------------------------------------------------------------------------
-# tensor field path synthesis
+# integrands and their assembly
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KPath:
-    """Realised tensor field path: the driver weights of the G_i.
-
-    The driver fields are time-independent, so the discrete integrals
-    defining the path collapse exactly: left-point (and trapezoid) sums
-    of a constant integrand against a driver equal the driver increment,
-    hence ``K(t_k) = K0 + sum_i (A^i_k + M^i_k) G_i`` holds bitwise for
-    the discretised path under both calculi.  Each integrand builder
-    weights the jets (or stencil values) of ``K0`` and the ``G_i`` with
-    these weights, in i order, into those of ``K_t``.
-    """
-
-    weights: np.ndarray  # (P, npoints, n_drivers)
 
 
 def _require_time_independent(scenario: Scenario):
@@ -285,8 +273,18 @@ def _require_time_independent(scenario: Scenario):
             raise WiringMismatch(f"driver field {g.name!r} must be time-independent")
 
 
-def synthesize_K_path(scenario: Scenario, drivers: DrivingPaths) -> KPath:
-    """Accumulate the driver weights of the tensor field path."""
+def _driver_weights(scenario: Scenario, drivers: DrivingPaths) -> np.ndarray:
+    """The weights ``A^i + M^i`` of the driver fields in ``K_t``, batch-last
+    ``(n_drivers, npoints, P)``, from the drivers they are read with.
+
+    The driver fields are time-independent, so the discrete integrals
+    defining the path collapse exactly: left-point (and trapezoid) sums
+    of a constant integrand against a driver equal the driver increment,
+    hence ``K(t_k) = K0 + sum_i (A^i_k + M^i_k) G_i`` holds bitwise for
+    the discretised path under both calculi.  Each integrand builder
+    weights the jets (or stencil values) of ``K0`` and the ``G_i`` with
+    these weights, in i order, into those of ``K_t``.
+    """
     m = len(scenario.G)
     if drivers.fv.shape[1] != m or drivers.mart.shape[2] != m:
         raise WiringMismatch(
@@ -294,25 +292,25 @@ def synthesize_K_path(scenario: Scenario, drivers: DrivingPaths) -> KPath:
             f"finite-variation and {drivers.mart.shape[2]} martingale components"
         )
     _require_time_independent(scenario)
-    weights = drivers.fv[None, :, :] + drivers.mart
-    return KPath(weights=weights)
-
-
-# ---------------------------------------------------------------------------
-# integrands and their assembly
-# ---------------------------------------------------------------------------
+    return drivers.fv.T[:, :, None] + drivers.mart.T
 
 
 def _sup_per_path(term: np.ndarray) -> np.ndarray:
-    """Sup over grid and components, one value per path."""
-    return np.max(np.abs(term), axis=tuple(range(1, term.ndim)))
+    """Sup over components and grid of a batch-last ``comps + (npoints, P)``
+    array, one value per path."""
+    return np.max(np.abs(term), axis=tuple(range(term.ndim - 1)))
 
 
 @dataclass(frozen=True)
 class RhsResult:
-    """Right-hand side values plus the individual cumulative terms."""
+    """Right-hand side values plus the individual cumulative terms.
 
-    values: np.ndarray  # (P, npoints or checkpoints) + comps
+    A study reads every array batch-last, ``comps + (npoints or
+    checkpoints, P)``; :func:`eval_rhs` returns them path-major, ``(P,
+    npoints or checkpoints) + comps``.
+    """
+
+    values: np.ndarray
     terms: Dict[str, np.ndarray]
     # the transported tensor path K, the identity's left-hand side, at the
     # grid times of ``values``, from the builder that made the Lie terms
@@ -329,8 +327,10 @@ def _assemble_forward_rhs(
     """Sum the identity's terms from precomputed integrand paths.
 
     ``paths`` maps integrand labels and the transported tensor ``K`` to
-    (P, npoints, comps...) arrays, as :func:`_integrands` labels them; the
-    sums start from ``K`` at time 0.
+    batch-last ``comps + (npoints, P)`` arrays, as :func:`_integrands`
+    labels them, and every term series and sum keeps that layout, time on
+    axis -2; the integrators go in as ``(npoints, P)`` or ``(npoints, 1)``
+    views.  The sums start from ``K`` at time 0.
     The labels are ``G<i>`` (driver field i), ``LbK`` (``L_b K_t``),
     ``LxK<j>`` (``L_xi_j K_t``), ``LxG<i>_<j>`` (``L_xi_j G_i``, read by the
     Ito bracket only) and ``LLK``, the Ito correction summed over the
@@ -346,7 +346,7 @@ def _assemble_forward_rhs(
     is only read.
     """
     sign = -1.0 if scenario.theorem in _PUSH_THEOREMS else 1.0
-    t = drivers.times()
+    t = drivers.times()[:, None]
     nG = len(scenario.G)
     nB = drivers.n_noise
     mint = stratonovich_integral if strat else ito_integral
@@ -360,31 +360,32 @@ def _assemble_forward_rhs(
         acc = None
         for key, integrator in parts:
             if key in paths:
-                part = integrate(paths[key], integrator, axis=1)
+                part = integrate(paths[key], integrator, axis=-2)
                 acc = part if acc is None else acc + part
         return np.zeros_like(K) if acc is None else acc
 
     if nG:
-        terms["G_dA"] = sum(fv_integral(paths[f"G{i}"], drivers.fv[:, i], axis=1)
+        terms["G_dA"] = sum(fv_integral(paths[f"G{i}"], drivers.fv[:, i, None], axis=-2)
                             for i in range(nG))
-        terms["G_dM"] = sum(mint(paths[f"G{i}"], drivers.mart[:, :, i], axis=1)
+        terms["G_dM"] = sum(mint(paths[f"G{i}"], drivers.mart[:, :, i].T, axis=-2)
                             for i in range(nG))
 
     terms["L_b"] = sign * summed(fv_integral, [("LbK", t)])
 
     if nB:
-        terms["L_xi"] = sign * summed(mint, ((f"LxK{j}", drivers.bm[:, :, j]) for j in range(nB)))
+        terms["L_xi"] = sign * summed(mint, ((f"LxK{j}", drivers.bm[:, :, j].T)
+                                             for j in range(nB)))
         if not strat:
             if nG:
                 terms["bracket"] = sign * summed(fv_integral, (
-                    (f"LxG{i}_{j}", drivers.bracket_with_bm(i, j, scenario.bracket_mode))
+                    (f"LxG{i}_{j}", drivers.bracket_with_bm(i, j, scenario.bracket_mode).T)
                     for i in range(nG)
                     for j in range(nB) if f"LxG{i}_{j}" in paths
                 ))
             terms["L2"] = 0.5 * summed(fv_integral, [("LLK", t)])
 
     order = ("G_dA", "G_dM", "L_b", "L_xi", "bracket", "L2")
-    values = K[:, :1] + sum(terms[k] for k in order if k in terms)
+    values = K[..., :1, :] + sum(terms[k] for k in order if k in terms)
     return RhsResult(values=values, terms=terms, transported=K)
 
 
@@ -497,11 +498,6 @@ def _integrands(k_jets: Sequence[np.ndarray], g_jets: Sequence[Sequence[np.ndarr
             yield f"LxG{i}_{nm[2:]}", lie.pop(nm)
 
 
-def _path_major(a: np.ndarray) -> np.ndarray:
-    """A batch-last ``comps + (npoints, P)`` array as a ``(P, npoints) + comps`` view."""
-    return np.moveaxis(a, (-1, -2), (0, 1))
-
-
 # largest number of flow states whose jets are held at once: a study level
 # is reduced in blocks of whole paths below this bound, and the pullback
 # integrands are built in blocks of whole grid rows below it
@@ -509,18 +505,18 @@ _JET_BLOCK_STATES = 8192
 
 
 def _pullback_integrand_paths(
-    scenario: Scenario, flow: FlowEnsemble, kpath: KPath, strat: bool
+    scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPaths, strat: bool
 ) -> Dict[str, np.ndarray]:
     """Integrand paths for the pullback-family selectors.
 
     At the flow states, chart by chart, the analytic jets of ``K0`` and
     every ``G_i`` are evaluated, and ``K0``'s are weighted with the
-    states' driver weights into the jets of ``K_t`` (``jK0 + sum_i w_i
-    jG_i``, in i order).  :func:`_integrands` takes them with the flow
-    coefficients' jets (:meth:`FlowSDE.jets`), and every integrand, ``K``
-    among them, is pulled back along the flow as it arrives.  The keys are those
-    :func:`_assemble_forward_rhs` reads, without the terms of a zero
-    coefficient field.
+    states' driver weights (:func:`_driver_weights`) into the jets of
+    ``K_t`` (``jK0 + sum_i w_i jG_i``, in i order).  :func:`_integrands`
+    takes them with the flow coefficients' jets (:meth:`FlowSDE.jets`),
+    and every integrand, ``K`` among them, is pulled back along the flow
+    as it arrives.  The keys are those :func:`_assemble_forward_rhs`
+    reads, without the terms of a zero coefficient field.
 
     The states are processed in blocks of whole grid rows, at most
     ``_JET_BLOCK_STATES`` of them per block, so the jets of the whole
@@ -528,7 +524,7 @@ def _pullback_integrand_paths(
     states, Jacobians and weights are gathered once, the jets are whole
     rows of one compiled call, and each integrand is held as
     ``comps + (npoints, P)``, so a block in one chart is written as one
-    contiguous slice.  The results are ``(P, npoints) + comps`` views.
+    contiguous slice.
     """
     sde = scenario.sde
     order = 1 if strat else 2
@@ -539,7 +535,7 @@ def _pullback_integrand_paths(
     # batch-last views of the flow states: component axes, then (npoints, P)
     coords = np.moveaxis(flow.coords, 2, 0)
     jac, inv_jac = (np.moveaxis(a, (2, 3), (0, 1)) for a in (flow.jac, flow.inv_jac))
-    weights = np.moveaxis(kpath.weights, (0, 1), (-1, -2))  # (n_drivers, npoints, P)
+    weights = _driver_weights(scenario, drivers)
     shape = scenario.K0.shape
     held: Dict[str, np.ndarray] = {}
     rows = max(1, _JET_BLOCK_STATES // P)
@@ -580,7 +576,7 @@ def _pullback_integrand_paths(
                         kj += w[i] * gjm
             for key, v in _integrands(k_jets, g_jets, b_jets, xi_jets, valence, strat):
                 put(key, v)
-    return {key: _path_major(a) for key, a in held.items()}
+    return held
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +650,7 @@ def _push_transport(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPath
         db_j = (drivers.bm[:, j, :] - drivers.bm[:, j - 1, :]).T  # (N, P)
         # compress keeps the columns C-contiguous, a trailing fancy index would not
         db = np.broadcast_to(db_j[:, None, :, None], (drivers.n_noise, L, P, S)).reshape(
-            drivers.n_noise, -1
+            drivers.n_noise, L * P * S
         ).compress(sel, axis=-1)
         v = q.compress(sel, axis=-1)
         u = _backward_step(sde, flow.scheme, 0, times[j - 1], times[j], h, v, db)
@@ -710,25 +706,28 @@ def _stencil_integrands(scenario: Scenario, t, pts: np.ndarray, contra: np.ndarr
 
 
 def _pushforward_integrand_paths(
-    scenario: Scenario, flow: FlowEnsemble, kpath: KPath, tp: PushTransport, strat: bool
+    scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPaths, strat: bool
 ) -> Dict[str, np.ndarray]:
-    """Integrand paths for the pushforward-family selectors.
+    """Integrand paths for the pushforward-family selectors, batch-last
+    ``comps + (npoints, P)``.
 
     The Lie derivatives act on the transported field, so they are taken
     from the stencil jets of the field pushed forward from the Newton
-    preimages (:func:`_stencil_integrands`); the flow coefficients enter
-    through their analytic jets at the observation point.
+    preimages (:func:`_push_transport`, :func:`_stencil_integrands`); the
+    flow coefficients enter through their analytic jets at the
+    observation point.
     """
     sde = scenario.sde
     times = flow.grid.times()
     order = 1 if strat else 2
+    weights = _driver_weights(scenario, drivers)
+    tp = _push_transport(scenario, flow, drivers)
     # analytic jets of the flow coefficients at the observation point,
     # with a singleton path axis for broadcasting
     q = sde.jets(times, np.broadcast_to(scenario.x0[:, None], (sde.dim, times.size)), 0, order)
     coef = _coeff_jets(sde, {k: v[..., None] for k, v in q.items()}, order)
-    pairs = _stencil_integrands(scenario, times[:, None, None], tp.preimages, tp.jac, tp.inv_jac,
-                                kpath.weights.T[..., None], coef, strat)
-    return {key: _path_major(a) for key, a in pairs}
+    return dict(_stencil_integrands(scenario, times[:, None, None], tp.preimages, tp.jac,
+                                    tp.inv_jac, weights[..., None], coef, strat))
 
 
 # ---------------------------------------------------------------------------
@@ -736,53 +735,54 @@ def _pushforward_integrand_paths(
 # ---------------------------------------------------------------------------
 
 
-def _integrand_paths(scenario: Scenario, flow: FlowEnsemble, kpath: KPath,
-                     drivers: Optional[DrivingPaths]) -> Tuple[Dict[str, np.ndarray], bool]:
-    """The integrand paths of a pullback- or pushforward-family selector
-    (``KunitaFirst`` takes the pullback builder), and whether its form is
-    Stratonovich."""
+def _integrand_paths(scenario: Scenario, flow: FlowEnsemble,
+                     drivers: DrivingPaths) -> Tuple[Dict[str, np.ndarray], bool]:
+    """The batch-last integrand paths of a pullback- or pushforward-family
+    selector (``KunitaFirst`` takes the pullback builder), and whether its
+    form is Stratonovich."""
     strat = scenario.theorem in ("KiwStratPullback", "KiwStratPushforward")
-    if scenario.theorem in _PUSH_THEOREMS:
-        if drivers is None:
-            raise WiringMismatch("pushforward evaluation needs the driver paths")
-        tp = _push_transport(scenario, flow, drivers)
-        return _pushforward_integrand_paths(scenario, flow, kpath, tp, strat), strat
-    return _pullback_integrand_paths(scenario, flow, kpath, strat), strat
+    build = (_pushforward_integrand_paths if scenario.theorem in _PUSH_THEOREMS
+             else _pullback_integrand_paths)
+    return build(scenario, flow, drivers, strat), strat
 
 
-def eval_lhs(
-    scenario: Scenario,
-    flow: FlowEnsemble,
-    kpath: KPath,
-    drivers: Optional[DrivingPaths] = None,
-) -> np.ndarray:
+def _rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPaths) -> RhsResult:
+    """The right-hand side of :func:`eval_rhs`, every array batch-last."""
+    if scenario.theorem == "KunitaFirst":
+        return _kunita_first_rhs(scenario, flow, drivers)
+    paths, strat = _integrand_paths(scenario, flow, drivers)
+    return _assemble_forward_rhs(scenario, drivers, paths, strat)
+
+
+def _path_major(a: np.ndarray) -> np.ndarray:
+    """A batch-last ``comps + (npoints, P)`` array as a ``(P, npoints) + comps`` view."""
+    return np.moveaxis(a, (-1, -2), (0, 1))
+
+
+def eval_lhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPaths) -> np.ndarray:
     """Transported tensor values on the grid, shape (P, npoints) + comps.
 
     This is the ``K`` integrand of the selector's builder (the pullback
     builder for ``KunitaFirst``, whose restart from time 0 is the flow), so
     it is :attr:`RhsResult.transported` bitwise (for ``KunitaFirst`` at the
-    live checkpoint times), which a study reads instead.  Pushforward
-    selectors need the ``drivers``; pullback selectors do not read them.
+    live checkpoint times), which a study reads instead.  The driver
+    weights of ``K_t`` come from ``drivers``, as does the pushforward
+    transport.
     """
-    return _integrand_paths(scenario, flow, kpath, drivers)[0]["K"]
+    return _path_major(_integrand_paths(scenario, flow, drivers)[0]["K"])
 
 
-def eval_rhs(
-    scenario: Scenario,
-    flow: FlowEnsemble,
-    kpath: KPath,
-    drivers: DrivingPaths,
-) -> RhsResult:
+def eval_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPaths) -> RhsResult:
     """Assemble the identity's right-hand side for every path and grid time,
-    the bracket as ``scenario.bracket_mode`` says."""
-    if scenario.theorem == "KunitaFirst":
-        return _kunita_first_rhs(scenario, flow, drivers)
-    paths, strat = _integrand_paths(scenario, flow, kpath, drivers)
-    return _assemble_forward_rhs(scenario, drivers, paths, strat)
+    the bracket as ``scenario.bracket_mode`` says, from the flow and the
+    drivers it was integrated with; the arrays are path-major, ``(P,
+    npoints or checkpoints) + comps``."""
+    rhs = _rhs(scenario, flow, drivers)
+    return replace(rhs, values=_path_major(rhs.values), transported=_path_major(rhs.transported),
+                   terms={k: _path_major(v) for k, v in rhs.terms.items()})
 
 
-def strat_ito_bridge_gap(scenario: Scenario, flow: FlowEnsemble, kpath: KPath,
-                         drivers: DrivingPaths) -> float:
+def strat_ito_bridge_gap(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPaths) -> float:
     """Worst pathwise gap in the discrete calculus-conversion identity.
 
     The trapezoid-sum assembly minus the left-sum assembly must equal
@@ -790,23 +790,24 @@ def strat_ito_bridge_gap(scenario: Scenario, flow: FlowEnsemble, kpath: KPath,
     minus the realized-bracket and second-order terms, exactly up to
     floating-point accumulation.  This is an identity of the discrete
     sums, not a convergence statement, so it is checked with the
-    realized bracket.
+    realized bracket.  Without noise the bracket and second-order terms
+    are absent and read as zero.
     """
     if scenario.theorem not in ("KiwStratPullback", "KiwItoPullback"):
         raise WiringMismatch("the bridge identity applies to the transported-tensor selectors")
-    paths = _pullback_integrand_paths(scenario, flow, kpath, strat=False)
+    paths = _pullback_integrand_paths(scenario, flow, drivers, strat=False)
     realized = replace(scenario, bracket_mode="realized")
     ito = _assemble_forward_rhs(realized, drivers, paths, False)
     strat = _assemble_forward_rhs(realized, drivers, paths, True)
 
     correction = np.zeros_like(ito.values)
     for i in range(len(scenario.G)):
-        correction += 0.5 * covariation(paths[f"G{i}"], drivers.mart[:, :, i], axis=1)
+        correction += 0.5 * covariation(paths[f"G{i}"], drivers.mart[:, :, i].T, axis=-2)
     for j in range(drivers.n_noise):
         if f"LxK{j}" in paths:  # absent along a zero noise field
-            correction += 0.5 * covariation(paths[f"LxK{j}"], drivers.bm[:, :, j], axis=1)
+            correction += 0.5 * covariation(paths[f"LxK{j}"], drivers.bm[:, :, j].T, axis=-2)
     gap = strat.values - ito.values - (
-        correction - ito.terms.get("bracket", 0.0) - ito.terms["L2"]
+        correction - ito.terms.get("bracket", 0.0) - ito.terms.get("L2", 0.0)
     )
     return float(np.max(np.abs(gap)))
 
@@ -821,41 +822,43 @@ def _checkpoint_indices(L: int, count: int) -> np.ndarray:
 
 
 def _fold_rows(x: np.ndarray) -> np.ndarray:
-    """Sum over axis 0, one row after another from zero.
+    """Sum over axis -2, one row after another from zero.
 
-    ``np.sum(x, axis=0)`` sums pairwise when the rest of ``x`` holds one
-    element, so a one-path batch would round differently from a larger one.
+    ``np.sum`` sums pairwise when the rest of ``x`` holds one element, so a
+    one-path batch would round differently from a larger one.
     """
-    acc = np.zeros(x.shape[1:])
-    for row in x:
-        acc += row
+    acc = np.zeros(x.shape[:-2] + x.shape[-1:])
+    for k in range(x.shape[-2]):
+        acc += x[..., k, :]
     return acc
 
 
 def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPaths) -> RhsResult:
-    """Right-hand side of the intermediate-time transport identity.
+    """Right-hand side of the intermediate-time transport identity, batch-last.
 
     For each checkpoint time t the flow maps from every grid time s to t
     are realised by restarting a stencil at s and advancing all restarts
     together with the flow's scheme step (Euler, see validate_scenario);
     at the checkpoint the transported tensor is differentiated across the
-    stencil by :func:`_stencil_integrands`, and the Lie integrands are
-    summed in s, left-point in time and right-point (backward) against the
-    noise.  The left-hand side is the centre ``K`` of the restart from time
-    0, the flow itself (same step, same increments) up to a path's stop;
-    :func:`_sup_residual_per_path` masks the checkpoints past it.
+    stencil by :func:`_stencil_integrands`, and the Lie integrands,
+    ``comps + (restarts, P)``, are summed in s, left-point in time and
+    right-point (backward) against the noise.  The left-hand side is the
+    centre ``K`` of the restart from time 0, the flow itself (same step,
+    same increments) up to a path's stop; :func:`_sup_residual_per_path`
+    masks the checkpoints past it.  Every array of the result is ``comps +
+    (checkpoints, P)``.
     """
     sde = scenario.sde
     grid = flow.grid
     L, h = grid.steps, grid.h
     times = grid.times()
     n = sde.dim
+    N = drivers.n_noise
     P = flow.n_paths
     offsets = stencil_offsets(n)
     S = offsets.shape[0]
     cps = _checkpoint_indices(L, _N_CHECKPOINTS)
     K0 = scenario.K0
-    comp1 = (1,) * len(K0.shape)
     stencil = scenario.x0[None, :] + _STENCIL_EPS * offsets
 
     # batch-last: Q[:, s] is the restart-s stencil advanced to the current time,
@@ -867,22 +870,15 @@ def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPa
     # coefficient jets at the observation point for every restart time
     q = sde.jets(times, np.broadcast_to(scenario.x0[:, None], (n, L + 1)), 0, 2)
 
-    out_vals = np.zeros((P, cps.size) + K0.shape)
-    lhs = np.empty((P, cps.size) + K0.shape)
-    terms = {
-        "L_b": np.zeros((P, cps.size) + K0.shape),
-        "L_xi": np.zeros((P, cps.size) + K0.shape),
-        "L2": np.zeros((P, cps.size) + K0.shape),
-    }
-    K_at_x0 = K0.eval_batch(0.0, scenario.x0[None, :], 0)[0]
-    cp_pos = 0
+    shape = K0.shape + (cps.size, P)
+    out_vals, lhs = np.empty(shape), np.empty(shape)
+    terms = {"L_b": np.zeros(shape), "L_xi": np.zeros(shape), "L2": np.zeros(shape)}
+    K_at_x0 = K0.eval_batch(0.0, scenario.x0[None, :], 0)[0][..., None]
 
     for m in range(L + 1):
         if m > 0:
             db = (drivers.bm[:, m, :] - drivers.bm[:, m - 1, :]).T
-            dbr = np.broadcast_to(db[:, None, :, None], (drivers.n_noise, m, P, S)).reshape(
-                drivers.n_noise, -1
-            )
+            dbr = np.broadcast_to(db[:, None, :, None], (N, m, P, S)).reshape(N, m * P * S)
             newrows, newA, newAi = scheme_step(
                 sde, flow.scheme, 0, times[m - 1], times[m], h, Q[:, :m].reshape(n, -1),
                 A[:, :, :m].reshape(n, n, -1), Ai[:, :, :m].reshape(n, n, -1), dbr
@@ -890,37 +886,29 @@ def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPa
             Q[:, :m] = newrows.reshape(n, m, P * S)
             A[:, :, :m] = newA.reshape(n, n, m, P * S)
             Ai[:, :, :m] = newAi.reshape(n, n, m, P * S)
-        if cp_pos < cps.size and m == cps[cp_pos]:
-            nrows = m + 1
-            batch = (nrows, P, S)
-            coef = _coeff_jets(sde, {k: v[..., :nrows, None] for k, v in q.items()}, 2)
-            pairs = _stencil_integrands(scenario, times[m], Q[:, :nrows].reshape((n,) + batch),
-                                        Ai[:, :, :nrows].reshape((n, n) + batch),
-                                        A[:, :, :nrows].reshape((n, n) + batch), (), coef, False)
-            # restart rows first, for the sums over s
-            lie = {nm: _batch_first(v, 2) for nm, v in pairs}
-            lhs[:, cp_pos] = lie["K"][0]  # the restart from time 0
-            dt_w = np.full((nrows, 1) + comp1, h)
-            dt_w[m] = 0.0  # left sum in s: the s = t endpoint never enters
-            # an absent term (a zero coefficient field) keeps its zeros
-            if "LbK" in lie:
-                terms["L_b"][:, cp_pos] = _fold_rows(lie["LbK"] * dt_w)
-            if "LLK" in lie:
-                terms["L2"][:, cp_pos] = 0.5 * _fold_rows(lie["LLK"] * dt_w)
-            lx_sum = np.zeros((P,) + K0.shape)
-            for j in range(sde.n_noise):
-                if f"LxK{j}" in lie:
-                    dbj = np.moveaxis(drivers.bm[:, 1 : m + 1, j] - drivers.bm[:, :m, j], 1, 0)
-                    dbj = dbj.reshape(dbj.shape + comp1)
-                    lx_sum += _fold_rows(lie[f"LxK{j}"][1 : m + 1] * dbj)
-            terms["L_xi"][:, cp_pos] = lx_sum
-            out_vals[:, cp_pos] = (
-                K_at_x0
-                + terms["L_b"][:, cp_pos]
-                + terms["L_xi"][:, cp_pos]
-                + terms["L2"][:, cp_pos]
-            )
-            cp_pos += 1
+        if m not in cps:
+            continue
+        c = np.searchsorted(cps, m)
+        nrows = m + 1
+        batch = (nrows, P, S)
+        coef = _coeff_jets(sde, {k: v[..., :nrows, None] for k, v in q.items()}, 2)
+        lie = dict(_stencil_integrands(scenario, times[m], Q[:, :nrows].reshape((n,) + batch),
+                                       Ai[:, :, :nrows].reshape((n, n) + batch),
+                                       A[:, :, :nrows].reshape((n, n) + batch), (), coef, False))
+        lhs[..., c, :] = lie["K"][..., 0, :]  # the restart from time 0
+        dt_w = np.full((nrows, 1), h)
+        dt_w[m] = 0.0  # left sum in s: the s = t endpoint never enters
+        # an absent term (a zero coefficient field) keeps its zeros
+        if "LbK" in lie:
+            terms["L_b"][..., c, :] = _fold_rows(lie["LbK"] * dt_w)
+        if "LLK" in lie:
+            terms["L2"][..., c, :] = 0.5 * _fold_rows(lie["LLK"] * dt_w)
+        for j in range(sde.n_noise):
+            if f"LxK{j}" in lie:
+                dbj = (drivers.bm[:, 1 : m + 1, j] - drivers.bm[:, :m, j]).T
+                terms["L_xi"][..., c, :] += _fold_rows(lie[f"LxK{j}"][..., 1:, :] * dbj)
+        out_vals[..., c, :] = (K_at_x0 + terms["L_b"][..., c, :] + terms["L_xi"][..., c, :]
+                               + terms["L2"][..., c, :])
     return RhsResult(values=out_vals, terms=terms, checkpoint_indices=cps, transported=lhs)
 
 
@@ -1158,14 +1146,15 @@ class ResidualReport:
 
 def _sup_residual_per_path(rhs: RhsResult, flow: FlowEnsemble) -> np.ndarray:
     """Sup over live grid times of the worst component deviation between
-    the transported tensor and the right-hand side, per path."""
+    the transported tensor and the right-hand side, per path, from a
+    batch-last :class:`RhsResult`."""
     lhs = rhs.transported
     kidx = rhs.checkpoint_indices
     if kidx is None:
-        kidx = np.arange(lhs.shape[1])
-    dev = np.max(np.abs(lhs - rhs.values), axis=tuple(range(2, lhs.ndim)))
-    live = flow.stop_step[:, None] > kidx[None, :]
-    return np.max(np.where(live, dev, 0.0), axis=1)
+        kidx = np.arange(lhs.shape[-2])
+    dev = np.max(np.abs(lhs - rhs.values), axis=tuple(range(lhs.ndim - 2)))
+    live = flow.stop_step[None, :] > kidx[:, None]
+    return np.max(np.where(live, dev, 0.0), axis=0)
 
 
 def _run_level(scenario: Scenario, drivers: DrivingPaths, flow: FlowEnsemble) -> Dict:
@@ -1173,19 +1162,19 @@ def _run_level(scenario: Scenario, drivers: DrivingPaths, flow: FlowEnsemble) ->
 
     The level is reduced in blocks of whole paths, each of at most
     ``_JET_BLOCK_STATES`` flow states (at least one path): the block's
-    right-hand side is assembled by :func:`eval_rhs` and reduced to
-    per-path sups before the next block is built, so a study never holds
-    a level's integrands or term series for all its paths.  Every
-    per-path result is independent of the other paths in its block (see
-    :func:`convergence_study`), so the sups do not depend on the block
-    size.
+    right-hand side is assembled batch-last from path slices of the flow
+    and the drivers (:func:`_rhs`, the arrays of :func:`eval_rhs` before
+    they are made path-major) and reduced to per-path sups before the
+    next block is built, so a study never holds a level's integrands or
+    term series for all its paths.  Every per-path result is independent
+    of the other paths in its block (see :func:`convergence_study`), so
+    the sups do not depend on the block size.
     """
     size = max(1, _JET_BLOCK_STATES // flow.grid.npoints)
     residual, term_sups = [], []
     for start in range(0, flow.n_paths, size):
-        d = drivers.slice_paths(start, start + size)
         f = flow.slice_paths(start, start + size)
-        rhs = eval_rhs(scenario, f, synthesize_K_path(scenario, d), d)
+        rhs = _rhs(scenario, f, drivers.slice_paths(start, start + size))
         residual.append(_sup_residual_per_path(rhs, f))
         term_sups.append({k: _sup_per_path(v) for k, v in rhs.terms.items()})
         del rhs  # before the next block is built

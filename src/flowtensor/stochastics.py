@@ -318,20 +318,13 @@ def refine_dyadic(paths: DrivingPaths) -> DrivingPaths:
 
 
 def _check_and_expand(integrand: np.ndarray, integrator: np.ndarray, axis: int):
+    """Both paths as float arrays, and the time axis counted from the end."""
     f = np.asarray(integrand, dtype=float)
     X = np.asarray(integrator, dtype=float)
-    axis = axis % f.ndim
-    if X.shape[-1] != f.shape[axis]:
-        raise GridMismatch(
-            f"integrand has {f.shape[axis]} grid points on axis {axis}, integrator {X.shape[-1]}"
-        )
-    if X.ndim > axis + 1:
-        raise GridMismatch(
-            f"integrator with {X.ndim} axes cannot align with time axis {axis}"
-        )
-    # align the integrator's time axis with ``axis`` and let it broadcast
-    # over leading batch axes and trailing component axes of the integrand
-    X = X.reshape((1,) * (axis + 1 - X.ndim) + X.shape + (1,) * (f.ndim - axis - 1))
+    axis = axis % f.ndim - f.ndim
+    if X.ndim < -axis or X.shape[axis] != f.shape[axis]:
+        raise GridMismatch(f"integrator of shape {X.shape} does not align with the "
+                           f"{f.shape[axis]} grid points on axis {axis} of the integrand")
     return f, X, axis
 
 
@@ -353,35 +346,39 @@ def ito_integral(integrand: np.ndarray, integrator: np.ndarray, axis: int = -1) 
     """Left-point (Ito) sums, cumulative along the grid.
 
     Only integrand values strictly left of each increment enter the sum,
-    so the last grid value of the integrand is never read.
+    so the last grid value of the integrand is never read.  The integrator
+    broadcasts against the integrand as numpy aligns shapes, from the
+    right, so ``axis`` counts from the end on both: a ``comps + (npoints,
+    P)`` integrand at ``axis=-2`` takes an ``(npoints, P)`` or ``(npoints,
+    1)`` integrator, a ``(P, npoints)`` integrand at ``axis=-1`` a ``(P,
+    npoints)`` one.  An integrator with fewer axes, or another length on
+    the time axis, raises :class:`GridMismatch`.
     """
     f, X, axis = _check_and_expand(integrand, integrator, axis)
     left = f[_sl(f.ndim, axis, slice(None, -1))]
     dX = np.diff(X, axis=axis)
-    return _cumsum_from_zero(left * dX, axis % f.ndim)
+    return _cumsum_from_zero(left * dX, axis)
 
 
 def stratonovich_integral(integrand: np.ndarray, integrator: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Midpoint (trapezoid in the integrand) sums, cumulative along the grid."""
+    """Midpoint (trapezoid in the integrand) sums, cumulative along the grid,
+    aligned as in :func:`ito_integral`."""
     f, X, axis = _check_and_expand(integrand, integrator, axis)
     left = f[_sl(f.ndim, axis, slice(None, -1))]
     right = f[_sl(f.ndim, axis, slice(1, None))]
     dX = np.diff(X, axis=axis)
-    return _cumsum_from_zero(0.5 * (left + right) * dX, axis % f.ndim)
+    return _cumsum_from_zero(0.5 * (left + right) * dX, axis)
 
 
 def fv_integral(integrand: np.ndarray, integrator: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Pathwise integral against a finite-variation driver (left sums)."""
+    """Pathwise integral against a finite-variation driver (left sums),
+    aligned as in :func:`ito_integral`."""
     return ito_integral(integrand, integrator, axis)
 
 
 def covariation(x: np.ndarray, y: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Discrete quadratic covariation ``sum dX dY``, cumulative.
-
-    ``x`` may carry trailing component axes after the time axis; ``y`` is
-    a plain path whose last axis is time (it broadcasts like the
-    integrator of :func:`ito_integral`).
-    """
+    """Discrete quadratic covariation ``sum dX dY``, cumulative; ``y``
+    aligns with ``x`` as the integrator of :func:`ito_integral` does."""
     x, y, axis = _check_and_expand(x, y, axis)
     steps = np.diff(x, axis=axis) * np.diff(y, axis=axis)
     return _cumsum_from_zero(steps, axis)

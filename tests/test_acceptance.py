@@ -34,7 +34,6 @@ from flowtensor.kiw_verifier import (
     eval_lhs,
     eval_rhs,
     strat_ito_bridge_gap,
-    synthesize_K_path,
     validate_scenario,
 )
 from flowtensor.scenarios import get_scenario
@@ -145,9 +144,8 @@ def test_criterion_04_static_reduction_and_sphere_order(criterion):
     sc = get_scenario("kunita_sphere_rotation")
     d = drivers_for(sc, n_paths=16)
     flow = integrate_flow(sc.sde, d, sc.x0, sc.scheme)
-    kp = synthesize_K_path(sc, d)
-    moving = eval_rhs(replace(sc, theorem="KiwItoPullback"), flow, kp, d)
-    static = eval_rhs(sc, flow, kp, d)
+    moving = eval_rhs(replace(sc, theorem="KiwItoPullback"), flow, d)
+    static = eval_rhs(sc, flow, d)
     bitwise = np.array_equal(moving.values, static.values)
     rep = convergence_study(sc, levels=4)
     elapsed = time.perf_counter() - t0
@@ -173,8 +171,7 @@ def test_criterion_05_ito_pullback_order_and_lognormal_closed_form(criterion):
     hs, rmss = [], []
     for lvl in range(4):
         flow = integrate_flow(gbm.sde, d, gbm.x0, gbm.scheme)
-        kp = synthesize_K_path(gbm, d)
-        lhs = eval_lhs(gbm, flow, kp)
+        lhs = eval_lhs(gbm, flow, d)
         dev = np.max(np.abs(lhs[:, :, 0] - np.exp(d.bm[:, :, 0])), axis=1)
         hs.append(d.grid.h)
         rmss.append(float(np.sqrt(np.mean(dev**2))))
@@ -223,8 +220,7 @@ def test_criterion_07_midpoint_scheme_band_and_bridge(criterion):
     rep = convergence_study(replace(canon, theorem="KiwItoPullback"), levels=4)
     d = drivers_for(canon)
     flow = integrate_flow(canon.sde, d, canon.x0, canon.scheme)
-    kp = synthesize_K_path(canon, d)
-    gap = strat_ito_bridge_gap(canon, flow, kp, d)
+    gap = strat_ito_bridge_gap(canon, flow, d)
     elapsed = time.perf_counter() - t0
     criterion(
         7,

@@ -253,6 +253,25 @@ def test_config_inline_gbm_line_scenario(tmp_path):
     assert (tmp_path / "log_line.csv").exists()
 
 
+@pytest.mark.parametrize("theorem", ["KiwItoPushforward", "KunitaFirst"])
+def test_config_inline_noiseless_stencil_scenario(tmp_path, theorem):
+    """An inline flow with no noise field runs on the stencil selectors."""
+    cfg = write_config(
+        tmp_path,
+        "scenario.name = still\n"
+        "scenario.atlas = euclidean:2\n"
+        f"scenario.theorem = {theorem}\n"
+        "scenario.drift = rotation:1\n"
+        "run.paths = 3\n"
+        "run.levels = 2\n"
+        f"run.out = {tmp_path}\n",
+    )
+    out = run_cli("--config", str(cfg), cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    _, rows = read_csv(tmp_path / "still.csv")
+    assert len(rows) == 2 and all(np.isfinite(float(r["rms_sup_residual"])) for r in rows)
+
+
 def test_config_steps_override_scales_h(tmp_path):
     cfg = write_config(
         tmp_path,

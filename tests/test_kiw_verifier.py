@@ -27,7 +27,6 @@ from flowtensor.kiw_verifier import (
     eval_rhs,
     expanded_integrand_check,
     strat_ito_bridge_gap,
-    synthesize_K_path,
     validate_scenario,
 )
 from flowtensor import kiw_verifier, tensor_calculus
@@ -35,6 +34,8 @@ from flowtensor.kiw_verifier import (
     _pullback_integrand_paths,
     _pushforward_integrand_paths,
     _coeff_jets,
+    _driver_weights,
+    _path_major,
     _integrands,
     _lie_terms,
     _push_transport,
@@ -59,10 +60,9 @@ def drivers_for(sc, n_paths=None, grid=None):
     )
 
 
-def flow_and_kpath(sc, n_paths=None):
+def drivers_and_flow(sc, n_paths=None):
     d = drivers_for(sc, n_paths)
-    flow = integrate_flow(sc.sde, d, sc.x0, sc.scheme)
-    return d, flow, synthesize_K_path(sc, d)
+    return d, integrate_flow(sc.sde, d, sc.x0, sc.scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +257,9 @@ def test_start_point_of_the_wrong_length_is_refused_before_any_driver(monkeypatc
 
 
 @pytest.mark.parametrize("where", ["K0", "G"])
-def test_kpath_needs_time_independent_fields(where):
-    """The flag is found once per field and kept by its copies."""
+def test_rhs_needs_time_independent_fields(where):
+    """The flag is found once per field and kept by its copies, and the
+    right-hand side refuses a time-dependent field."""
     from flowtensor.tensor_calculus import TIME
 
     x = coord_symbols(1)[0]
@@ -272,19 +273,29 @@ def test_kpath_needs_time_independent_fields(where):
             sc = scalar_scenario(theorem="KiwItoPullback", G=(field,),
                                  fv_specs=(FvSpec("t", lambda t: t),),
                                  mart_specs=(MartSpec("zero", "zero"),))
-        d = drivers_for(sc)
+        d, flow = drivers_and_flow(sc, n_paths=2)
         with pytest.raises(WiringMismatch, match="time"):
-            synthesize_K_path(sc, d)
+            eval_rhs(sc, flow, d)
     still = tensor_field((0, 1), 1, [a * x], params={a: 1.0}, name="xdx")
     assert all(f.is_time_independent() for f in (still, still.with_order(1),
                                                   still.with_params({a: 3.0})))
 
 
-def test_kpath_weights_are_driver_sums():
+def test_driver_weights_are_driver_sums():
     sc = get_scenario("kiw_ito_pullback_r2")
     d = drivers_for(sc, n_paths=6)
-    kp = synthesize_K_path(sc, d)
-    assert np.array_equal(kp.weights, d.fv[None, :, :] + d.mart)
+    want = np.moveaxis(d.fv[None, :, :] + d.mart, (0, 1), (-1, -2))  # (n_drivers, npoints, P)
+    assert np.array_equal(_driver_weights(sc, d), want)
+
+
+def test_rhs_refuses_drivers_of_another_driver_count():
+    """The weights of ``K_t`` come from the drivers, so drivers of another
+    scenario's wiring are refused, not read."""
+    sc = get_scenario("kiw_ito_pullback_r2")
+    d, flow = drivers_and_flow(sc, n_paths=2)
+    other = replace(d, fv=d.fv[:, :0], mart=d.mart[:, :, :0])
+    with pytest.raises(WiringMismatch, match="1 driver fields"):
+        eval_rhs(sc, flow, other)
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +306,9 @@ def test_kpath_weights_are_driver_sums():
 def test_static_reduction_is_bitwise():
     """With no driver fields the moving-tensor selector collapses exactly."""
     sc = get_scenario("kunita_sphere_rotation")
-    d, flow, kp = flow_and_kpath(sc, n_paths=16)
-    a = eval_rhs(sc, flow, kp, d)
-    b = eval_rhs(replace(sc, theorem="KiwItoPullback"), flow, kp, d)
+    d, flow = drivers_and_flow(sc, n_paths=16)
+    a = eval_rhs(sc, flow, d)
+    b = eval_rhs(replace(sc, theorem="KiwItoPullback"), flow, d)
     assert np.array_equal(a.values, b.values)
 
 
@@ -343,8 +354,9 @@ def _pull_path(f: TensorFieldSpec, flow: FlowEnsemble, cols=slice(None)) -> np.n
     return np.swapaxes(pulled, 0, 1)
 
 
-def _symbolic_integrand_paths(sc, flow, kp, strat):
-    """Reference integrands: symbolic Lie fields evaluated and pulled back.
+def _symbolic_integrand_paths(sc, flow, d, strat):
+    """Reference integrands, path-major: symbolic Lie fields evaluated and
+    pulled back.
 
     Every term of every coefficient field is built, zero fields too; the
     Ito correction is one ``LLK``, summed over the noises in order, and
@@ -356,7 +368,7 @@ def _symbolic_integrand_paths(sc, flow, kp, strat):
         """The values of ``K_t`` from those of ``K0`` and the ``G_i``."""
         out = vals[0]
         for i, v in enumerate(vals[1:]):
-            w = kp.weights[:, :, i]
+            w = d.fv[None, :, i] + d.mart[:, :, i]
             out = out + w.reshape(w.shape + (1,) * (v.ndim - 2)) * v
         return out
 
@@ -396,12 +408,12 @@ def test_jet_integrands_match_symbolic_lie_fields(name, n_paths):
     references are exact zeros.
     """
     sc = pullback_scenario(name)
-    d, flow, kp = flow_and_kpath(sc, n_paths=n_paths)
+    d, flow = drivers_and_flow(sc, n_paths=n_paths)
     if len(sc.atlas.charts) > 1:
         assert len(flow.hops) > 0  # both charts' components are exercised
     strat = sc.theorem == "KiwStratPullback"
-    got = _pullback_integrand_paths(sc, flow, kp, strat)
-    want = _symbolic_integrand_paths(sc, flow, kp, strat)
+    got = {key: _path_major(v) for key, v in _pullback_integrand_paths(sc, flow, d, strat).items()}
+    want = _symbolic_integrand_paths(sc, flow, d, strat)
     assert set(got) <= set(want)
     for key in set(want) - set(got):
         assert not np.any(want[key]), key
@@ -417,12 +429,12 @@ def test_jet_integrands_match_symbolic_lie_fields(name, n_paths):
 @pytest.mark.parametrize("name", ["kunita_sphere_rotation", "kiw_ito_pullback_r2"])
 def test_jet_integrands_do_not_depend_on_the_block_size(monkeypatch, name):
     sc = get_scenario(name)
-    d, flow, kp = flow_and_kpath(sc, n_paths=12)
+    d, flow = drivers_and_flow(sc, n_paths=12)
     if len(sc.atlas.charts) > 1:
         assert len(flow.hops) > 0
-    default = _pullback_integrand_paths(sc, flow, kp, strat=False)
+    default = _pullback_integrand_paths(sc, flow, d, strat=False)
     monkeypatch.setattr(kiw_verifier, "_JET_BLOCK_STATES", 1)  # one grid row per block
-    rowwise = _pullback_integrand_paths(sc, flow, kp, strat=False)
+    rowwise = _pullback_integrand_paths(sc, flow, d, strat=False)
     assert set(default) == set(rowwise)
     for key in default:
         assert np.array_equal(default[key], rowwise[key]), key
@@ -446,7 +458,7 @@ def test_one_block_builds_each_integrand_once(monkeypatch, name, keys, lie_terms
     if len(sc.atlas.charts) > 1:
         # near the chart centre over a short horizon the paths stay in chart 0
         sc = replace(sc, x0=np.array([0.1, 0.2]), base_grid=TimeGrid(0.25, 8))
-    d, flow, kp = flow_and_kpath(sc, n_paths=4)
+    d, flow = drivers_and_flow(sc, n_paths=4)
     assert flow.charts.size <= kiw_verifier._JET_BLOCK_STATES
     assert np.all(flow.charts == flow.charts[0, 0])
     calls = {"_lie_terms": 0, "_contract": 0}
@@ -462,7 +474,7 @@ def test_one_block_builds_each_integrand_once(monkeypatch, name, keys, lie_terms
 
     for fn_name in calls:
         monkeypatch.setattr(kiw_verifier, fn_name, counted(fn_name))
-    assert set(_pullback_integrand_paths(sc, flow, kp, strat=False)) == keys
+    assert set(_pullback_integrand_paths(sc, flow, d, strat=False)) == keys
     assert calls == {"_lie_terms": lie_terms, "_contract": contractions}
 
 
@@ -568,9 +580,9 @@ def test_rhs_transported_tensor_is_eval_lhs_bitwise(name):
         validate_scenario(sc)
     else:
         sc = get_scenario(name)
-    d, flow, kp = flow_and_kpath(sc, n_paths=12)
-    rhs = eval_rhs(sc, flow, kp, d)
-    lhs = eval_lhs(sc, flow, kp, drivers=d)
+    d, flow = drivers_and_flow(sc, n_paths=12)
+    rhs = eval_rhs(sc, flow, d)
+    lhs = eval_lhs(sc, flow, d)
     if rhs.checkpoint_indices is not None:
         lhs = lhs[:, rhs.checkpoint_indices]
     assert np.array_equal(rhs.transported, lhs)
@@ -581,10 +593,10 @@ def test_rhs_transported_tensor_is_eval_lhs_bitwise(name):
 def test_pullback_and_pushforward_builders_make_the_same_integrands(name, pullback):
     """Both builders hand the assembly the same labels, of the same shapes."""
     sc = get_scenario(name)
-    d, flow, kp = flow_and_kpath(sc, n_paths=3)
+    d, flow = drivers_and_flow(sc, n_paths=3)
     strat = pullback == "KiwStratPullback"
-    push = _pushforward_integrand_paths(sc, flow, kp, _push_transport(sc, flow, d), strat)
-    pull = _pullback_integrand_paths(replace(sc, theorem=pullback), flow, kp, strat)
+    push = _pushforward_integrand_paths(sc, flow, d, strat)
+    pull = _pullback_integrand_paths(replace(sc, theorem=pullback), flow, d, strat)
     assert set(push) == set(pull)
     for key, val in push.items():
         assert val.shape == pull[key].shape, key
@@ -640,11 +652,11 @@ def test_chunk_count_does_not_change_the_report(name):
 def test_restart_sums_do_not_depend_on_the_batch_size():
     """KunitaFirst: a one-path slice gives path 0 of a 4-path run, bitwise."""
     sc = get_scenario("kunita_first_gbm")
-    d, flow, kp = flow_and_kpath(sc, n_paths=4)
-    full = eval_rhs(sc, flow, kp, d)
+    d, flow = drivers_and_flow(sc, n_paths=4)
+    full = eval_rhs(sc, flow, d)
     d1 = d.slice_paths(0, 1)
     flow1 = integrate_flow(sc.sde, d1, sc.x0, sc.scheme)
-    one = eval_rhs(sc, flow1, synthesize_K_path(sc, d1), d1)
+    one = eval_rhs(sc, flow1, d1)
     assert np.array_equal(one.values[0], full.values[0])
     for key in full.terms:
         assert np.array_equal(one.terms[key][0], full.terms[key][0]), key
@@ -654,7 +666,7 @@ def test_restart_sums_do_not_depend_on_the_batch_size():
 def test_push_transport_inverts_the_discrete_flow(name):
     """Forward runs from the preimages land on the stencil with the same Jacobians."""
     sc = get_scenario(name)
-    d, flow, _ = flow_and_kpath(sc, n_paths=6)
+    d, flow = drivers_and_flow(sc, n_paths=6)
     assert np.all(flow.completed)
     tp = _push_transport(sc, flow, d)
     stencil = sc.x0 + kiw_verifier._STENCIL_EPS * stencil_offsets(sc.sde.dim)
@@ -697,45 +709,45 @@ def test_stencil_lie_terms_match_the_analytic_jets(name, field, strat):
 def test_push_transport_reports_its_newton_residual(name):
     """The worst |f(u) - v| after the Newton iterations is kept, and it is tiny."""
     sc = get_scenario(name)
-    d, flow, _ = flow_and_kpath(sc, n_paths=6)
+    d, flow = drivers_and_flow(sc, n_paths=6)
     tp = _push_transport(sc, flow, d)
     assert 0.0 <= tp.newton_residual_max <= 1e-12
 
 
 def test_scalar_selector_shares_the_tensor_code_path():
     sc = get_scenario("scalar_itowentzell_r2")
-    d, flow, kp = flow_and_kpath(sc, n_paths=16)
-    a = eval_rhs(sc, flow, kp, d)
-    b = eval_rhs(replace(sc, theorem="KiwItoPullback"), flow, kp, d)
+    d, flow = drivers_and_flow(sc, n_paths=16)
+    a = eval_rhs(sc, flow, d)
+    b = eval_rhs(replace(sc, theorem="KiwItoPullback"), flow, d)
     assert np.array_equal(a.values, b.values)
-    assert np.array_equal(eval_lhs(sc, flow, kp), eval_lhs(replace(sc, theorem="KiwItoPullback"), flow, kp))
+    assert np.array_equal(eval_lhs(sc, flow, d), eval_lhs(replace(sc, theorem="KiwItoPullback"), flow, d))
 
 
 def test_scalar_lhs_is_direct_composition():
     sc = get_scenario("scalar_itowentzell_r2")
-    d, flow, kp = flow_and_kpath(sc, n_paths=8)
-    lhs = eval_lhs(sc, flow, kp)
+    d, flow = drivers_and_flow(sc, n_paths=8)
+    lhs = eval_lhs(sc, flow, d)
     times = d.grid.times()
     for k in (0, 3, d.grid.steps):
         base = sc.K0.eval_batch(times[k], flow.coords[k], 0)
         for i, g in enumerate(sc.G):
-            base = base + kp.weights[:, k, i] * g.eval_batch(times[k], flow.coords[k], 0)
+            base = base + (d.fv[k, i] + d.mart[:, k, i]) * g.eval_batch(times[k], flow.coords[k], 0)
         assert np.array_equal(lhs[:, k], base)
 
 
 def test_pullback_of_coordinate_form_is_the_jacobian_row():
     sc = get_scenario("gbm_oneform")
-    d, flow, kp = flow_and_kpath(sc, n_paths=8)
-    lhs = eval_lhs(sc, flow, kp)
+    d, flow = drivers_and_flow(sc, n_paths=8)
+    lhs = eval_lhs(sc, flow, d)
     # in one dimension the pullback of dx scales by the flow Jacobian
     assert_allclose(lhs[:, :, 0], flow.jac[:, :, 0, 0].T, atol=1e-15)
 
 
 def test_linear_coefficients_telescope_to_zero_residual():
     sc = get_scenario("gbm_oneform")
-    d, flow, kp = flow_and_kpath(sc)
-    lhs = eval_lhs(sc, flow, kp)
-    rhs = eval_rhs(sc, flow, kp, d)
+    d, flow = drivers_and_flow(sc)
+    lhs = eval_lhs(sc, flow, d)
+    rhs = eval_rhs(sc, flow, d)
     assert np.max(np.abs(lhs - rhs.values)) < 1e-12
 
 
@@ -743,8 +755,35 @@ def test_linear_coefficients_telescope_to_zero_residual():
 def test_bridge_identity_between_assemblies(name):
     """Holds with absent terms too: ``kiw_ito_pullback_r2`` has no ``LxK1``."""
     sc = pullback_scenario(name)
-    d, flow, kp = flow_and_kpath(sc)
-    assert strat_ito_bridge_gap(sc, flow, kp, d) < 1e-10
+    d, flow = drivers_and_flow(sc)
+    assert strat_ito_bridge_gap(sc, flow, d) < 1e-10
+
+
+def test_bridge_gap_without_noise_is_zero():
+    """A noiseless pullback flow has no ``L2`` term, read as zero."""
+    sc = replace(get_scenario("deterministic_drift"), theorem="KiwItoPullback")
+    d, flow = drivers_and_flow(sc)
+    assert strat_ito_bridge_gap(sc, flow, d) == 0.0
+
+
+def noiseless(name, theorem):
+    """A registered scenario's flow and tensor, with no noise field and no drivers."""
+    sc = get_scenario(name)
+    return replace(sc, name=f"{name}_noiseless", theorem=theorem,
+                   sde=FlowSDE(sc.sde.drift, (), sc.sde.atlas), G=(), fv_specs=(), mart_specs=())
+
+
+@pytest.mark.parametrize("name,theorem", [
+    ("kiw_ito_pushforward_r2", "KiwItoPushforward"),
+    ("kiw_strat_pushforward_r2", "KiwStratPushforward"),
+    ("kiw_ito_pushforward_r2", "KunitaFirst"),
+])
+def test_stencil_selectors_study_a_noiseless_flow(name, theorem):
+    """With no noise field the stencil routes converge at first order, the
+    floor acceptance criterion 8 sets for a noiseless flow."""
+    rep = convergence_study(noiseless(name, theorem), levels=3, n_paths=4)
+    assert all(np.isfinite(lvl.rms_sup_residual) for lvl in rep.levels)
+    assert rep.fitted_order >= 0.9
 
 
 def test_assembly_leaves_its_integrands_in_place():
@@ -752,8 +791,8 @@ def test_assembly_leaves_its_integrands_in_place():
     afterwards, and a second assembly from it gives the same bits."""
     for name, strat in (("kiw_ito_pullback_r2", False), ("kiw_strat_pullback_r2", True)):
         sc = get_scenario(name)
-        d, flow, kp = flow_and_kpath(sc, n_paths=5)
-        paths = kiw_verifier._pullback_integrand_paths(sc, flow, kp, strat)
+        d, flow = drivers_and_flow(sc, n_paths=5)
+        paths = kiw_verifier._pullback_integrand_paths(sc, flow, d, strat)
         assert len(paths) > 1
         kept = dict(paths)
         first = kiw_verifier._assemble_forward_rhs(sc, d, paths, strat)
@@ -792,8 +831,8 @@ def test_path_block_reduction_is_the_whole_array_reduction(monkeypatch, name, bl
     pushforward wavefronts.
     """
     sc = get_scenario(name)
-    d, flow, kp = flow_and_kpath(sc, n_paths=6)
-    want_residual, want_sups = _whole_array_reductions(eval_rhs(sc, flow, kp, d), flow.stop_step)
+    d, flow = drivers_and_flow(sc, n_paths=6)
+    want_residual, want_sups = _whole_array_reductions(eval_rhs(sc, flow, d), flow.stop_step)
     states = {"default": kiw_verifier._JET_BLOCK_STATES, "one state": 1,
               "four paths": 4 * flow.grid.npoints}[block]
     monkeypatch.setattr(kiw_verifier, "_JET_BLOCK_STATES", states)
@@ -809,7 +848,7 @@ def test_path_block_reduction_is_the_whole_array_reduction(monkeypatch, name, bl
 def test_flow_path_slice_keeps_each_path():
     """A path slice of a flow is the flow of those paths, its hops renumbered."""
     sc = get_scenario("kunita_sphere_rotation")
-    _, flow, _ = flow_and_kpath(sc, n_paths=12)
+    _, flow = drivers_and_flow(sc, n_paths=12)
     assert len({p for _, p, _, _ in flow.hops}) > 1
     part = flow.slice_paths(3, 9)
     assert part.n_paths == 6 and np.array_equal(part.path_ids, flow.path_ids[3:9])
@@ -822,7 +861,7 @@ def test_flow_path_slice_keeps_each_path():
 
 # bytes a study may use per state of its path block, on top of its flows and
 # drivers: the jets, Lie terms and pullbacks of one block and the integrands,
-# term series and sums that eval_rhs assembles from them
+# term series and sums of the block's right-hand side
 BLOCK_STATE_BYTES = 256 * 8
 
 
@@ -868,15 +907,15 @@ def test_study_needs_a_level_and_a_path():
 
 def test_bridge_rejects_pushforward_selectors():
     sc = get_scenario("kiw_ito_pushforward_r2")
-    d, flow, kp = flow_and_kpath(sc, n_paths=4)
+    d, flow = drivers_and_flow(sc, n_paths=4)
     with pytest.raises(WiringMismatch):
-        strat_ito_bridge_gap(sc, flow, kp, d)
+        strat_ito_bridge_gap(sc, flow, d)
 
 
 def test_rhs_reports_every_term_series():
     sc = get_scenario("kiw_ito_pullback_r2")
-    d, flow, kp = flow_and_kpath(sc, n_paths=8)
-    out = eval_rhs(sc, flow, kp, d)
+    d, flow = drivers_and_flow(sc, n_paths=8)
+    out = eval_rhs(sc, flow, d)
     assert {"G_dA", "G_dM", "L_b", "L_xi", "bracket", "L2"} <= set(out.terms)
     for name, series in out.terms.items():
         assert series.shape[:2] == (8, d.grid.npoints)
@@ -968,14 +1007,14 @@ def test_blowup_scenario_reports_nan_rms():
 
 def test_restart_selector_checkpoints():
     sc = get_scenario("kunita_first_gbm")
-    d, flow, kp = flow_and_kpath(sc, n_paths=8)
-    out = eval_rhs(sc, flow, kp, d)
+    d, flow = drivers_and_flow(sc, n_paths=8)
+    out = eval_rhs(sc, flow, d)
     idx = out.checkpoint_indices
     assert idx is not None
     assert np.all(np.diff(idx) > 0)
     assert idx[0] > 0 and idx[-1] <= d.grid.steps
     assert out.values.shape[:2] == (8, len(idx))
-    lhs = eval_lhs(sc, flow, kp)
+    lhs = eval_lhs(sc, flow, d)
     residual = np.abs(lhs[:, idx] - out.values)
     assert np.max(residual) < 1.0
     # the study's left-hand side: the transported tensor at the checkpoints only

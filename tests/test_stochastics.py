@@ -194,9 +194,34 @@ def test_quadratic_variation_concentrates():
     assert rms_err < 3.0 * np.sqrt(2.0 * g.h * g.horizon)
 
 
-def test_integrals_reject_mismatched_grids():
-    with pytest.raises(GridMismatch):
-        ito_integral(np.zeros((2, 5)), np.zeros((2, 6)))
+INTEGRALS = [ito_integral, stratonovich_integral, fv_integral, covariation]
+
+
+@pytest.mark.parametrize("integrand,integrator,axis", [
+    ((2, 5), (2, 6), -1),  # path-major, another grid
+    ((3, 5, 4), (6, 4), -2),  # batch-last, another grid
+    ((3, 5, 4), (5,), -2),  # batch-last, no path axis to align with
+], ids=["path-major length", "batch-last length", "batch-last axes"])
+def test_integrals_reject_mismatched_grids(integrand, integrator, axis):
+    for integral in INTEGRALS:
+        with pytest.raises(GridMismatch):
+            integral(np.zeros(integrand), np.zeros(integrator), axis=axis)
+
+
+@pytest.mark.parametrize("integral", INTEGRALS)
+@pytest.mark.parametrize("width", ["P", "1"])
+def test_batch_last_integrals_are_the_path_major_ones(integral, width):
+    """Each component of a ``comps + (npoints, P)`` integrand, integrated at
+    axis -2 against an ``(npoints, P)`` or ``(npoints, 1)`` integrator, is
+    bitwise the transposed path-major ``(P, npoints)`` result."""
+    rng = np.random.default_rng(11)
+    comps, npoints, P = (2, 3), 9, 4
+    f = rng.standard_normal(comps + (npoints, P))
+    X = np.cumsum(rng.standard_normal((npoints, P if width == "P" else 1)), axis=0)
+    got = integral(f, X, axis=-2)
+    assert got.shape == f.shape
+    for c in np.ndindex(*comps):
+        assert np.array_equal(got[c], integral(f[c].T, X.T, axis=-1).T), c
 
 
 # ---------------------------------------------------------------------------
