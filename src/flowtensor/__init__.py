@@ -67,13 +67,10 @@ from .stochastics import (
 from .flow import (
     CorrectionTerms,
     FlowEnsemble,
-    FlowPath,
     FlowSDE,
-    FlowStopped,
     SchemeSmoothnessMismatch,
     integrate_flow,
     integrate_flow_levels,
-    inverse_flow_residual,
     strat_to_ito_correction,
 )
 from .kiw_verifier import (
@@ -123,13 +120,10 @@ __all__ = [
     "stratonovich_integral",
     "CorrectionTerms",
     "FlowEnsemble",
-    "FlowPath",
     "FlowSDE",
-    "FlowStopped",
     "SchemeSmoothnessMismatch",
     "integrate_flow",
     "integrate_flow_levels",
-    "inverse_flow_residual",
     "strat_to_ito_correction",
     "HypothesisViolation",
     "ResidualReport",

@@ -62,16 +62,13 @@ from .tensor_calculus import TIME, VectorFieldSpec, _jet_layout, coord_symbols
 
 __all__ = [
     "SchemeSmoothnessMismatch",
-    "FlowStopped",
     "CorrectionTerms",
     "FlowSDE",
-    "FlowPath",
     "FlowEnsemble",
     "integrate_flow",
     "integrate_flow_levels",
     "scheme_step",
     "strat_to_ito_correction",
-    "inverse_flow_residual",
     "inverse_flow_residual_ensemble",
     "jacobian_fd_check",
     "SCHEMES",
@@ -79,19 +76,12 @@ __all__ = [
 
 SCHEMES = ("euler_maruyama", "heun")
 
-COMPLETED = "completed"
-STOPPED = "stopped"
-
 # the step program's end time and step size
 _T1, _H = sp.Symbol("_t1"), sp.Symbol("_h")
 
 
 class SchemeSmoothnessMismatch(Exception):
     """Scheme requires more coefficient regularity than the fields declare."""
-
-
-class FlowStopped(Exception):
-    """Path data past the blow-up step was requested."""
 
 
 @dataclass(frozen=True)
@@ -385,32 +375,14 @@ def strat_to_ito_correction(sde: FlowSDE, t: float, coords: np.ndarray, chart: i
 
 
 @dataclass(frozen=True)
-class FlowPath:
-    """One realised flow trajectory with its transport data."""
-
-    grid: TimeGrid
-    atlas: ChartAtlas
-    scheme: str
-    path_id: int
-    charts: np.ndarray  # (L+1,)
-    coords: np.ndarray  # (L+1, n)
-    jac: np.ndarray  # (L+1, n, n)
-    inv_jac: np.ndarray  # (L+1, n, n)
-    status: str
-    stop_step: int  # first invalid step for stopped paths, npoints otherwise
-    hops: Tuple[Tuple[int, int, int], ...]  # (step, from chart, to chart)
-
-    def state(self, k: int):
-        if k >= self.stop_step:
-            raise FlowStopped(
-                f"path {self.path_id} stopped at step {self.stop_step}, state {k} requested"
-            )
-        return self.charts[k], self.coords[k], self.jac[k], self.inv_jac[k]
-
-
-@dataclass(frozen=True)
 class FlowEnsemble:
-    """Realised flow trajectories for a whole driver ensemble."""
+    """Realised flow trajectories for a whole driver ensemble.
+
+    The one flow type: one path is the one-path slice
+    ``slice_paths(p, p + 1)``, whose ``completed``, ``stop_step`` and
+    renumbered ``hops`` say whether and where that path stopped and where
+    it changed charts.
+    """
 
     grid: TimeGrid
     atlas: ChartAtlas
@@ -433,22 +405,6 @@ class FlowEnsemble:
 
     def blowup_fraction(self) -> float:
         return float(1.0 - np.mean(self.completed))
-
-    def path(self, pos: int) -> FlowPath:
-        hops = tuple((k, a, b) for (k, p, a, b) in self.hops if p == pos)
-        return FlowPath(
-            grid=self.grid,
-            atlas=self.atlas,
-            scheme=self.scheme,
-            path_id=int(self.path_ids[pos]),
-            charts=self.charts[:, pos],
-            coords=self.coords[:, pos],
-            jac=self.jac[:, pos],
-            inv_jac=self.inv_jac[:, pos],
-            status=COMPLETED if self.stop_step[pos] >= self.grid.npoints else STOPPED,
-            stop_step=int(self.stop_step[pos]),
-            hops=hops,
-        )
 
     def slice_paths(self, start: int, stop: int) -> "FlowEnsemble":
         """The paths at positions ``start:stop``, as views; hops renumbered."""
@@ -752,7 +708,9 @@ def inverse_flow_residual_ensemble(flow: FlowEnsemble, sde: FlowSDE, drivers: Dr
     For every grid time t_k the endpoint phi_{t_k}(x) is pushed back to
     time zero through per-step mirrors of the forward scheme, and the
     Euclidean distance to x is reported; shape (P, L+1), zero column at
-    k = 0 and for stopped paths entries past the stop are zero.
+    k = 0 and for stopped paths entries past the stop are zero.  One
+    path's residual is that of its one-path slice, ``flow.slice_paths(p,
+    p + 1)`` with ``drivers.slice_paths(p, p + 1)``.
     """
     if len(flow.atlas.charts) != 1:
         raise NotImplementedError("inverse reconstruction is supported on single-chart atlases")
@@ -782,27 +740,6 @@ def inverse_flow_residual_ensemble(flow: FlowEnsemble, sde: FlowSDE, drivers: Dr
     dist = np.linalg.norm(recon - x0.T[:, None, :], axis=0)
     residual[:, 1:] = np.where(live[1:], dist, 0.0).T
     return residual
-
-
-def inverse_flow_residual(fp: FlowPath, sde: FlowSDE, drivers: DrivingPaths) -> np.ndarray:
-    """Per-path inverse reconstruction residual on the grid (length L+1)."""
-    if fp.status != COMPLETED:
-        raise FlowStopped(f"path {fp.path_id} stopped at step {fp.stop_step}")
-    pos = int(np.flatnonzero(drivers.path_ids == fp.path_id)[0])
-    single = drivers.slice_paths(pos, pos + 1)
-    ens = FlowEnsemble(
-        grid=fp.grid,
-        atlas=fp.atlas,
-        scheme=fp.scheme,
-        path_ids=np.array([fp.path_id]),
-        charts=fp.charts[:, None],
-        coords=fp.coords[:, None, :],
-        jac=fp.jac[:, None, :, :],
-        inv_jac=fp.inv_jac[:, None, :, :],
-        stop_step=np.array([fp.stop_step]),
-        hops=tuple((k, 0, a, b) for (k, a, b) in fp.hops),
-    )
-    return inverse_flow_residual_ensemble(ens, sde, single)[0]
 
 
 def jacobian_fd_check(

@@ -31,30 +31,41 @@ is studied as ``dataclasses.replace(scenario, ...)``.
 
 Selectors
 ---------
-``KiwItoPullback``      transported tensor, Ito form (bracket and
-                        second-order Lie terms present).
-``KunitaSecond``        the same assembly with a static tensor field
-                        (no drivers).
-``ScalarItoWentzell``   scalar case of the pullback identity.
-``KiwStratPullback``    Stratonovich form: trapezoid sums against the
-                        martingale drivers and the noise, no bracket or
-                        second-order terms.
-``KiwItoPushforward``   pushed-forward tensor, Ito form; the Lie
-                        derivatives act outside the transport, so the
-                        integrands come from finite-difference jets of
-                        the transported field.
-``KiwStratPushforward`` Stratonovich form of the pushforward identity.
-``KunitaFirst``         transport from intermediate times: the flow is
-                        restarted on a stencil at every grid time and
-                        the noise integrals use right-point (backward)
-                        sums.
+Every selector is one row of the table ``_SELECTORS``, and every
+per-selector decision reads that row.  ``THEOREMS`` lists its names.  The
+columns are:
+
+``route``     how the tensor is carried: ``pullback`` (the transported
+              tensor, from analytic jets at the flow states),
+              ``pushforward`` (the pushed-forward tensor, from
+              finite-difference jets of the field transported on a stencil
+              by the Newton-inverted flow; the Lie terms change sign) or
+              ``restart`` (``KunitaFirst``: the flow restarted on a stencil
+              at every grid time, right-point sums against the noise).
+              Every route but ``pullback`` needs a single-chart atlas, and
+              ``restart`` the Euler scheme.
+``strat``     whether the form is Stratonovich (trapezoid sums against the
+              martingale drivers and the noise, no bracket or second-order
+              terms).  The closed-form bracket is read by the Ito rows with
+              driver fields.
+``k``         the flow regularity: drift ``C^k``, noise ``C^(k+1)``
+              (:meth:`FlowSDE.available_k`).
+``K``, ``G``  the smoothness of the tensor field and of the driver fields;
+              ``G`` is None where the identity takes a static tensor field.
+``valence``   the one valence the selector takes (``ScalarItoWentzell``,
+              the scalar case of the pullback identity), else None.
+
+``KiwItoPullback``, ``KiwStratPullback``, ``KiwItoPushforward`` and
+``KiwStratPushforward`` are the two transports in both calculi;
+``KunitaSecond`` is the pullback with a static tensor field and
+``KunitaFirst`` the transport from intermediate times.
 """
 
 from __future__ import annotations
 
 import string
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -109,32 +120,27 @@ class WiringMismatch(Exception):
     """Scenario wiring (drivers, valences, charts) is inconsistent."""
 
 
-THEOREMS = (
-    "KiwItoPullback",
-    "KiwItoPushforward",
-    "KiwStratPullback",
-    "KiwStratPushforward",
-    "KunitaSecond",
-    "KunitaFirst",
-    "ScalarItoWentzell",
-)
+class _Selector(NamedTuple):
+    """One row of the selector table (see the module docstring)."""
 
-_PUSH_THEOREMS = ("KiwItoPushforward", "KiwStratPushforward")
-# the selectors whose assembly reads the brackets [M^i, B^j] of their drivers
-_BRACKET_THEOREMS = ("KiwItoPullback", "KiwItoPushforward", "ScalarItoWentzell")
+    route: str  # "pullback", "pushforward" or "restart"
+    strat: bool
+    k: int
+    K: int
+    G: Optional[int]
+    valence: Optional[Tuple[int, int]] = None
 
-# required smoothness per selector: flow regularity k, then the orders
-# demanded of the drift, the noise fields, the tensor and the driver
-# fields.  G is None where the identity takes a static tensor field.
-_REQUIREMENTS = {
-    "KiwItoPullback": dict(k=1, b=1, xi=2, K=2, G=2),
-    "ScalarItoWentzell": dict(k=1, b=1, xi=2, K=2, G=2),
-    "KunitaSecond": dict(k=1, b=1, xi=2, K=2, G=None),
-    "KiwItoPushforward": dict(k=3, b=3, xi=4, K=2, G=1),
-    "KiwStratPullback": dict(k=4, b=4, xi=5, K=3, G=2),
-    "KiwStratPushforward": dict(k=4, b=4, xi=5, K=3, G=2),
-    "KunitaFirst": dict(k=3, b=3, xi=4, K=2, G=None),
+
+_SELECTORS = {
+    "KiwItoPullback": _Selector("pullback", False, k=1, K=2, G=2),
+    "KiwItoPushforward": _Selector("pushforward", False, k=3, K=2, G=1),
+    "KiwStratPullback": _Selector("pullback", True, k=4, K=3, G=2),
+    "KiwStratPushforward": _Selector("pushforward", True, k=4, K=3, G=2),
+    "KunitaSecond": _Selector("pullback", False, k=1, K=2, G=None),
+    "KunitaFirst": _Selector("restart", False, k=3, K=2, G=None),
+    "ScalarItoWentzell": _Selector("pullback", False, k=1, K=2, G=2, valence=(0, 0)),
 }
+THEOREMS = tuple(_SELECTORS)
 
 
 @dataclass(frozen=True)
@@ -170,23 +176,27 @@ class Scenario:
         return self.sde.atlas
 
 
+def _row(scenario: Scenario) -> _Selector:
+    """The row of ``scenario``'s selector in the selector table."""
+    if scenario.theorem not in _SELECTORS:
+        raise WiringMismatch(f"unknown selector {scenario.theorem!r}; choose from {THEOREMS}")
+    return _SELECTORS[scenario.theorem]
+
+
 def validate_scenario(scenario: Scenario):
     """Check the selector's hypotheses, the driver wiring and the settings.
 
     Everything a study would refuse later is refused here, before any
     driver is drawn: the start point's shape, a time-dependent tensor or
     driver field, and noise coefficients too rough in time for the scheme.
+    The hypotheses are those of the selector's row of ``_SELECTORS``.
     """
-    if scenario.theorem not in THEOREMS:
-        raise WiringMismatch(
-            f"unknown selector {scenario.theorem!r}; choose from {THEOREMS}"
-        )
+    sel = _row(scenario)
     if scenario.scheme not in SCHEMES:
         raise WiringMismatch(f"unknown scheme {scenario.scheme!r}; choose from {SCHEMES}")
     if scenario.bracket_mode not in BRACKET_MODES:
         raise WiringMismatch(f"unknown bracket mode {scenario.bracket_mode!r}; "
                              f"choose from {BRACKET_MODES}")
-    req = _REQUIREMENTS[scenario.theorem]
     sde = scenario.sde
     K0 = scenario.K0
     if scenario.x0.shape != (sde.dim,):
@@ -194,7 +204,7 @@ def validate_scenario(scenario: Scenario):
                              f"the flow needs ({sde.dim},)")
     _require_time_independent(scenario)
 
-    if req["G"] is None and scenario.G:
+    if sel.G is None and scenario.G:
         raise WiringMismatch(
             f"{scenario.theorem} applies to a static tensor field; remove the driver fields"
         )
@@ -208,45 +218,42 @@ def validate_scenario(scenario: Scenario):
             raise WiringMismatch(
                 f"driver field {g.name!r} has valence {g.valence}, tensor has {K0.valence}"
             )
-    if scenario.theorem == "ScalarItoWentzell" and K0.valence != (0, 0):
-        raise WiringMismatch(f"scalar selector needs a (0, 0) field, got valence {K0.valence}")
+    if sel.valence is not None and K0.valence != sel.valence:
+        raise WiringMismatch(f"{scenario.theorem} needs a {sel.valence} field, "
+                             f"got valence {K0.valence}")
 
-    if sde.drift.smoothness_order < req["b"] or any(
-        xi.smoothness_order < req["xi"] for xi in sde.diffusions
-    ):
-        worst_xi = min((xi.smoothness_order for xi in sde.diffusions), default=req["xi"])
+    if sde.available_k() < sel.k:
+        worst_xi = min((xi.smoothness_order for xi in sde.diffusions), default=sel.k + 1)
         raise HypothesisViolation(
-            f"{scenario.theorem} requires flow regularity k = {req['k']} "
-            f"(drift C^{req['b']}, noise C^{req['xi']}); "
+            f"{scenario.theorem} requires flow regularity k = {sel.k} "
+            f"(drift C^{sel.k}, noise C^{sel.k + 1}); "
             f"got drift C^{sde.drift.smoothness_order}, noise C^{worst_xi}"
         )
     try:
         _require_scheme_smoothness(sde, scenario.scheme)
     except SchemeSmoothnessMismatch as e:
         raise HypothesisViolation(str(e)) from None
-    if K0.smoothness_order < req["K"]:
+    if K0.smoothness_order < sel.K:
         raise HypothesisViolation(
-            f"{scenario.theorem} requires the tensor field C^{req['K']}, "
+            f"{scenario.theorem} requires the tensor field C^{sel.K}, "
             f"got C^{K0.smoothness_order}"
         )
-    if req["G"] is not None:
-        for g in scenario.G:
-            if g.smoothness_order < req["G"]:
-                raise HypothesisViolation(
-                    f"{scenario.theorem} requires driver fields C^{req['G']}, "
-                    f"{g.name!r} is C^{g.smoothness_order}"
-                )
-    if scenario.theorem in _PUSH_THEOREMS or scenario.theorem == "KunitaFirst":
-        if len(scenario.atlas.charts) != 1:
-            raise WiringMismatch(
-                f"{scenario.theorem} evaluation is implemented on single-chart atlases"
+    for g in scenario.G:
+        if g.smoothness_order < sel.G:
+            raise HypothesisViolation(
+                f"{scenario.theorem} requires driver fields C^{sel.G}, "
+                f"{g.name!r} is C^{g.smoothness_order}"
             )
-    if scenario.theorem == "KunitaFirst" and scenario.scheme != "euler_maruyama":
+    if sel.route != "pullback" and len(scenario.atlas.charts) != 1:
+        raise WiringMismatch(
+            f"{scenario.theorem} evaluation is implemented on single-chart atlases"
+        )
+    if sel.route == "restart" and scenario.scheme != "euler_maruyama":
         raise WiringMismatch(
             "the intermediate-time restart engine advances with the Euler scheme; "
-            "use euler_maruyama for KunitaFirst"
+            f"use euler_maruyama for {scenario.theorem}"
         )
-    if scenario.bracket_mode == "closed_form" and scenario.theorem in _BRACKET_THEOREMS:
+    if scenario.bracket_mode == "closed_form" and not sel.strat and sel.G is not None:
         # [M^i, B^j] is read where noise j is not the zero field; a sigma_int
         # driver's closed form needs its antiderivative
         for spec in scenario.mart_specs:
@@ -336,16 +343,20 @@ def _assemble_forward_rhs(
     Ito bracket only) and ``LLK``, the Ito correction summed over the
     noises, ``sum_j L_xi_j L_xi_j K_t``.  An absent Lie label is a term
     that vanishes identically (its coefficient field is zero, see
-    :func:`_coeff_jets`); the identity's term series are reported all the
-    same, as zeros where nothing enters them.  The pullback and
-    pushforward variants share this assembly; the transport direction
-    only changes how the integrand paths were produced and the sign of
-    the Lie terms.  Pure time integrals always use left sums; trapezoid
-    sums apply only to the martingale and noise integrators of the
+    :func:`_coeff_jets`), and its series is reported as zeros.  Which
+    series are reported depends on the flow and the drivers alone:
+    ``L_b`` always, ``G_dA`` and ``G_dM`` with driver fields, ``L_xi``
+    with a noise field and, in the Ito form, ``L2`` with a noise field and
+    ``bracket`` with a noise field and driver fields; the restart route of
+    ``KunitaFirst`` follows the same rule.  The pullback and pushforward
+    variants share this assembly; the transport direction only changes
+    how the integrand paths were produced and the sign of the Lie terms
+    (the route of the selector's row in ``_SELECTORS``).  Pure time
+    integrals always use left sums; trapezoid sums apply only to the martingale and noise integrators of the
     Stratonovich form, which never reads the ``LxG`` entries.  ``paths``
     is only read.
     """
-    sign = -1.0 if scenario.theorem in _PUSH_THEOREMS else 1.0
+    sign = -1.0 if _row(scenario).route == "pushforward" else 1.0
     t = drivers.times()[:, None]
     nG = len(scenario.G)
     nB = drivers.n_noise
@@ -737,18 +748,16 @@ def _pushforward_integrand_paths(
 
 def _integrand_paths(scenario: Scenario, flow: FlowEnsemble,
                      drivers: DrivingPaths) -> Tuple[Dict[str, np.ndarray], bool]:
-    """The batch-last integrand paths of a pullback- or pushforward-family
-    selector (``KunitaFirst`` takes the pullback builder), and whether its
-    form is Stratonovich."""
-    strat = scenario.theorem in ("KiwStratPullback", "KiwStratPushforward")
-    build = (_pushforward_integrand_paths if scenario.theorem in _PUSH_THEOREMS
-             else _pullback_integrand_paths)
-    return build(scenario, flow, drivers, strat), strat
+    """The batch-last integrand paths of the selector's route (the restart
+    route takes the pullback builder), and whether its form is Stratonovich."""
+    sel = _row(scenario)
+    build = _pushforward_integrand_paths if sel.route == "pushforward" else _pullback_integrand_paths
+    return build(scenario, flow, drivers, sel.strat), sel.strat
 
 
 def _rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPaths) -> RhsResult:
     """The right-hand side of :func:`eval_rhs`, every array batch-last."""
-    if scenario.theorem == "KunitaFirst":
+    if _row(scenario).route == "restart":
         return _kunita_first_rhs(scenario, flow, drivers)
     paths, strat = _integrand_paths(scenario, flow, drivers)
     return _assemble_forward_rhs(scenario, drivers, paths, strat)
@@ -791,10 +800,12 @@ def strat_ito_bridge_gap(scenario: Scenario, flow: FlowEnsemble, drivers: Drivin
     floating-point accumulation.  This is an identity of the discrete
     sums, not a convergence statement, so it is checked with the
     realized bracket.  Without noise the bracket and second-order terms
-    are absent and read as zero.
+    are absent and read as zero.  It applies to every selector of the
+    ``pullback`` route, whatever its own calculus.
     """
-    if scenario.theorem not in ("KiwStratPullback", "KiwItoPullback"):
-        raise WiringMismatch("the bridge identity applies to the transported-tensor selectors")
+    if _row(scenario).route != "pullback":
+        raise WiringMismatch(f"the bridge identity applies to the pullback selectors, "
+                             f"not to {scenario.theorem}")
     paths = _pullback_integrand_paths(scenario, flow, drivers, strat=False)
     realized = replace(scenario, bracket_mode="realized")
     ito = _assemble_forward_rhs(realized, drivers, paths, False)
@@ -872,7 +883,9 @@ def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPa
 
     shape = K0.shape + (cps.size, P)
     out_vals, lhs = np.empty(shape), np.empty(shape)
-    terms = {"L_b": np.zeros(shape), "L_xi": np.zeros(shape), "L2": np.zeros(shape)}
+    terms = {"L_b": np.zeros(shape)}
+    if N:  # as _assemble_forward_rhs reports them: L_xi and L2 only with a noise field
+        terms.update(L_xi=np.zeros(shape), L2=np.zeros(shape))
     K_at_x0 = K0.eval_batch(0.0, scenario.x0[None, :], 0)[0][..., None]
 
     for m in range(L + 1):
@@ -907,8 +920,9 @@ def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPa
             if f"LxK{j}" in lie:
                 dbj = (drivers.bm[:, 1 : m + 1, j] - drivers.bm[:, :m, j]).T
                 terms["L_xi"][..., c, :] += _fold_rows(lie[f"LxK{j}"][..., 1:, :] * dbj)
-        out_vals[..., c, :] = (K_at_x0 + terms["L_b"][..., c, :] + terms["L_xi"][..., c, :]
-                               + terms["L2"][..., c, :])
+        out_vals[..., c, :] = K_at_x0
+        for series in terms.values():  # added in the order L_b, L_xi, L2
+            out_vals[..., c, :] += series[..., c, :]
     return RhsResult(values=out_vals, terms=terms, checkpoint_indices=cps, transported=lhs)
 
 

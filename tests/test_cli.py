@@ -255,7 +255,8 @@ def test_config_inline_gbm_line_scenario(tmp_path):
 
 @pytest.mark.parametrize("theorem", ["KiwItoPushforward", "KunitaFirst"])
 def test_config_inline_noiseless_stencil_scenario(tmp_path, theorem):
-    """An inline flow with no noise field runs on the stencil selectors."""
+    """An inline flow with no noise field runs on the stencil selectors, and
+    both report the term series of the assembly's rule: ``L_b`` alone."""
     cfg = write_config(
         tmp_path,
         "scenario.name = still\n"
@@ -268,7 +269,9 @@ def test_config_inline_noiseless_stencil_scenario(tmp_path, theorem):
     )
     out = run_cli("--config", str(cfg), cwd=tmp_path)
     assert out.returncode == 0, out.stderr
-    _, rows = read_csv(tmp_path / "still.csv")
+    header, rows = read_csv(tmp_path / "still.csv")
+    assert header == ["level", "h", "rms_sup_residual", "fitted_order", "term_L_b",
+                      "jac_consistency_max"]
     assert len(rows) == 2 and all(np.isfinite(float(r["rms_sup_residual"])) for r in rows)
 
 

@@ -14,16 +14,12 @@ from flowtensor.fields import (
     vector_field,
 )
 from flowtensor.flow import (
-    COMPLETED,
-    STOPPED,
     FlowEnsemble,
     FlowSDE,
-    FlowStopped,
     SchemeSmoothnessMismatch,
     _backward_step,
     integrate_flow,
     integrate_flow_levels,
-    inverse_flow_residual,
     inverse_flow_residual_ensemble,
     jacobian_fd_check,
     scheme_step,
@@ -399,12 +395,16 @@ def test_inverse_reconstruction_residual_decays():
 
 
 def test_inverse_residual_per_path_matches_ensemble():
+    """One path's residual is its one-path slice's, bitwise its row of the whole."""
     sde = make_swirl_sde()
     d = build_driving_paths(TimeGrid(1.0, 8), 2, 14, 3)
     ens = integrate_flow(sde, d, np.array([0.1, 0.2]), "euler_maruyama")
     whole = inverse_flow_residual_ensemble(ens, sde, d)
-    single = inverse_flow_residual(ens.path(1), sde, d)
-    assert_allclose(single, whole[1], atol=1e-14)
+    for p in range(3):
+        single = inverse_flow_residual_ensemble(ens.slice_paths(p, p + 1), sde,
+                                                d.slice_paths(p, p + 1))
+        assert single.shape == (1, 9)
+        assert np.array_equal(single[0], whole[p])
 
 
 def test_inverse_reconstruction_rejects_multi_chart_atlases():
@@ -492,19 +492,20 @@ def test_cubic_drift_blows_up_and_freezes_state():
     ens = integrate_flow(sde, d, np.array([1.6]), "euler_maruyama")
     assert ens.blowup_fraction() == 1.0
     assert np.all(np.isfinite(ens.coords))
-    fp = ens.path(0)
-    assert fp.status == STOPPED
-    with pytest.raises(FlowStopped):
-        fp.state(ens.grid.npoints - 1)
-    with pytest.raises(FlowStopped):
-        inverse_flow_residual(fp, sde, d)
+    one = ens.slice_paths(0, 1)
+    assert not one.completed[0]
+    stop = int(one.stop_step[0])
+    assert 0 < stop < ens.grid.npoints
+    # frozen at the last valid state from the stop on
+    assert np.all(one.coords[stop:, 0] == one.coords[stop - 1, 0])
 
 
 def test_tame_flow_reports_completed_status():
     sde = make_swirl_sde()
     d = build_driving_paths(TimeGrid(1.0, 8), 2, 1, 2)
     ens = integrate_flow(sde, d, np.array([0.0, 0.0]), "euler_maruyama")
-    assert ens.path(0).status == COMPLETED
+    one = ens.slice_paths(0, 1)
+    assert one.completed[0] and one.stop_step[0] == ens.grid.npoints
     assert np.all(ens.completed)
 
 

@@ -104,6 +104,37 @@ def test_validation_names_the_smoothness_gap():
         validate_scenario(sc)
 
 
+# each selector's registered scenario and the flow regularity k its row asks
+SELECTOR_ROWS = {
+    "KiwItoPullback": ("kiw_ito_pullback_r2", 1),
+    "KiwItoPushforward": ("kiw_ito_pushforward_r2", 3),
+    "KiwStratPullback": ("kiw_strat_pullback_r2", 4),
+    "KiwStratPushforward": ("kiw_strat_pushforward_r2", 4),
+    "KunitaSecond": ("kunita_sphere_rotation", 1),
+    "KunitaFirst": ("kunita_first_gbm", 3),
+    "ScalarItoWentzell": ("scalar_itowentzell_r2", 1),
+}
+
+
+def with_flow_orders(sc, drift, noise):
+    """``sc`` with its drift declared ``C^drift`` and every noise field ``C^noise``."""
+    sde = sc.sde
+    return replace(sc, sde=replace(sde, drift=sde.drift.with_order(drift),
+                                   diffusions=[xi.with_order(noise) for xi in sde.diffusions]))
+
+
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_flow_regularity_is_drift_ck_and_noise_ck1(theorem):
+    """Drift ``C^k`` with noise ``C^(k+1)`` passes; one order less on either is refused."""
+    name, k = SELECTOR_ROWS[theorem]
+    sc = get_scenario(name)
+    assert sc.theorem == theorem and sc.sde.n_noise > 0
+    validate_scenario(with_flow_orders(sc, k, k + 1))
+    for drift, noise in ((k - 1, k + 1), (k, k)):
+        with pytest.raises(HypothesisViolation, match=f"{theorem} requires flow regularity k = {k}"):
+            validate_scenario(with_flow_orders(sc, drift, noise))
+
+
 @pytest.mark.parametrize("name", ["kiw_ito_pullback_bracket", "scalar_itowentzell_r2"])
 def test_ito_pullback_selectors_need_c2_driver_fields(name):
     # the Ito assembly reads L_xi L_xi G_i, two derivatives of each driver field
@@ -171,17 +202,21 @@ def test_scalar_selector_needs_scalar_data():
         validate_scenario(sc)
 
 
-def test_pushforward_needs_single_chart():
+@pytest.mark.parametrize("theorem", ["KiwItoPushforward", "KiwStratPushforward", "KunitaFirst"])
+def test_pushforward_needs_single_chart(theorem):
+    """Every route but the pullback refuses the two-chart sphere atlas."""
     sphere = get_scenario("kunita_sphere_rotation")
-    sc = replace(sphere, theorem="KiwItoPushforward")
-    with pytest.raises(WiringMismatch):
+    sc = replace(sphere, theorem=theorem)
+    with pytest.raises(WiringMismatch, match=f"{theorem} evaluation is implemented on single-chart"):
         validate_scenario(sc)
 
 
-def test_restart_selector_is_euler_only():
-    sc = scalar_scenario(theorem="KunitaFirst", scheme="heun")
-    with pytest.raises(WiringMismatch):
-        validate_scenario(sc)
+@pytest.mark.parametrize("registered", [False, True])
+def test_restart_selector_is_euler_only(registered):
+    sc = (get_scenario("kunita_first_gbm") if registered
+          else scalar_scenario(theorem="KunitaFirst"))
+    with pytest.raises(WiringMismatch, match="use euler_maruyama for KunitaFirst"):
+        validate_scenario(replace(sc, scheme="heun"))
 
 
 @pytest.mark.parametrize("name", ["kunita_sphere_rotation", "kiw_ito_pullback_bracket"])
@@ -751,9 +786,12 @@ def test_linear_coefficients_telescope_to_zero_residual():
     assert np.max(np.abs(lhs - rhs.values)) < 1e-12
 
 
-@pytest.mark.parametrize("name", ["kiw_strat_pullback_r2", "kiw_ito_pullback_r2", TWO_DRIVERS])
+@pytest.mark.parametrize("name", ["kiw_strat_pullback_r2", "kiw_ito_pullback_r2", TWO_DRIVERS,
+                                  "kunita_sphere_rotation", "scalar_itowentzell_r2"])
 def test_bridge_identity_between_assemblies(name):
-    """Holds with absent terms too: ``kiw_ito_pullback_r2`` has no ``LxK1``."""
+    """Holds on every pullback selector, whatever its own calculus, chart
+    hops included (``kunita_sphere_rotation``), and with absent terms too:
+    ``kiw_ito_pullback_r2`` has no ``LxK1``."""
     sc = pullback_scenario(name)
     d, flow = drivers_and_flow(sc)
     assert strat_ito_bridge_gap(sc, flow, d) < 1e-10
@@ -853,9 +891,11 @@ def test_flow_path_slice_keeps_each_path():
     part = flow.slice_paths(3, 9)
     assert part.n_paths == 6 and np.array_equal(part.path_ids, flow.path_ids[3:9])
     for pos in range(6):
-        want, got = flow.path(pos + 3), part.path(pos)
-        assert got.hops == want.hops and got.stop_step == want.stop_step
-        for attr in ("charts", "coords", "jac", "inv_jac"):
+        # one path is a one-path slice, of the whole flow or of the part
+        want, got = flow.slice_paths(pos + 3, pos + 4), part.slice_paths(pos, pos + 1)
+        assert got.hops == want.hops
+        assert got.hops == tuple((k, 0, a, b) for k, p, a, b in flow.hops if p == pos + 3)
+        for attr in ("path_ids", "stop_step", "charts", "coords", "jac", "inv_jac"):
             assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
 
 
@@ -905,10 +945,12 @@ def test_study_needs_a_level_and_a_path():
         convergence_study(sc, levels=1, n_paths=0)
 
 
-def test_bridge_rejects_pushforward_selectors():
-    sc = get_scenario("kiw_ito_pushforward_r2")
+@pytest.mark.parametrize("name", ["kiw_ito_pushforward_r2", "kunita_first_gbm"])
+def test_bridge_rejects_pushforward_selectors(name):
+    """The bridge identity is one of the pullback route's assemblies."""
+    sc = get_scenario(name)
     d, flow = drivers_and_flow(sc, n_paths=4)
-    with pytest.raises(WiringMismatch):
+    with pytest.raises(WiringMismatch, match=sc.theorem):
         strat_ito_bridge_gap(sc, flow, d)
 
 
