@@ -8,10 +8,11 @@ the convergence study and writes two files into the output directory:
 ``<scenario>.csv``
     One row per refinement level with the columns ``level``, ``h``,
     ``rms_sup_residual``, ``fitted_order``, one ``term_<name>`` column
-    per identity term (mean over paths of the per-path sup magnitude)
-    and ``jac_consistency_max``.  Full float precision, ``.`` decimal
-    separator, LF line endings, fixed column order, so repeated runs
-    with the same configuration and seed are byte-identical.
+    per identity term (the mean over paths of the per-path sup magnitude
+    over the rows before the path's stop) and ``jac_consistency_max``.
+    Full float precision, ``.`` decimal separator, LF line endings, fixed
+    column order, so repeated runs with the same configuration and seed
+    are byte-identical.
 ``<scenario>.manifest.json``
     The resolved configuration, seed and library version.
 

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import prod
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 import sympy as sp
@@ -376,12 +376,17 @@ def strat_to_ito_correction(sde: FlowSDE, t: float, coords: np.ndarray, chart: i
 
 @dataclass(frozen=True)
 class FlowEnsemble:
-    """Realised flow trajectories for a whole driver ensemble.
+    """Realised flow trajectories for a whole driver ensemble: the record
+    of one sweep of :func:`integrate_flow_levels`.
 
-    The one flow type: one path is the one-path slice
-    ``slice_paths(p, p + 1)``, whose ``completed``, ``stop_step`` and
-    renumbered ``hops`` say whether and where that path stopped and where
-    it changed charts.
+    ``states`` is the history in the step program's row layout, ``(L+1,
+    n + 2n^2, P)``: the points, then the rows of ``J`` and of ``Jinv``.
+    Everything else is read off the record: ``coords``, ``jac`` and
+    ``inv_jac`` are path-major views of ``states``, ``hops`` comes from
+    ``charts`` and ``live`` from ``stop_step``.  Row ``k`` of path ``p``
+    is live iff ``k < stop_step[p]``; rows from the stop on repeat the last
+    live row.  The one flow type: one path is the one-path slice
+    ``slice_paths(p, p + 1)``.
     """
 
     grid: TimeGrid
@@ -389,15 +394,50 @@ class FlowEnsemble:
     scheme: str
     path_ids: np.ndarray  # (P,)
     charts: np.ndarray  # (L+1, P), the smallest unsigned type holding the chart count
-    coords: np.ndarray  # (L+1, P, n)
-    jac: np.ndarray  # (L+1, P, n, n)
-    inv_jac: np.ndarray  # (L+1, P, n, n)
+    states: np.ndarray  # (L+1, n + 2n^2, P): points, then the rows of J and of Jinv
     stop_step: np.ndarray  # (P,), npoints where the path completed
-    hops: Tuple[Tuple[int, int, int, int], ...]  # (step, path pos, from, to)
 
     @property
     def n_paths(self) -> int:
-        return self.coords.shape[1]
+        return self.stop_step.shape[0]
+
+    @property
+    def coords(self) -> np.ndarray:
+        """The points, a path-major ``(L+1, P, n)`` view of ``states``."""
+        return np.moveaxis(self.states[:, :self.atlas.dim], 2, 1)
+
+    @property
+    def jac(self) -> np.ndarray:
+        """The forward Jacobians, a path-major ``(L+1, P, n, n)`` view of ``states``."""
+        return self._matrices(0)
+
+    @property
+    def inv_jac(self) -> np.ndarray:
+        """The inverse Jacobians, a path-major ``(L+1, P, n, n)`` view of ``states``."""
+        return self._matrices(1)
+
+    def _matrices(self, i: int) -> np.ndarray:
+        """Matrix block ``i`` of ``states`` (0: ``J``, 1: ``Jinv``), path-major."""
+        L1, _, P = self.states.shape
+        n = self.atlas.dim
+        r = n + i * n * n
+        return np.moveaxis(self.states[:, r:r + n * n].reshape(L1, n, n, P), 3, 1)
+
+    @property
+    def live(self) -> np.ndarray:
+        """``(L+1, P)``: whether row ``k`` of path ``p`` lies before its stop."""
+        return np.arange(self.grid.npoints)[:, None] < self.stop_step
+
+    @property
+    def hops(self) -> Tuple[Tuple[int, int, int, int], ...]:
+        """Every chart change as ``(step, path pos, from, to)``, by step, then
+        chart left, chart entered and path.  Rows from a stop on repeat the
+        last live row, so they change no chart."""
+        k, p = np.nonzero(self.charts[1:] != self.charts[:-1])
+        frm, to = self.charts[k, p], self.charts[k + 1, p]
+        order = np.lexsort((p, to, frm, k))
+        return tuple(zip((k[order] + 1).tolist(), p[order].tolist(),
+                         frm[order].tolist(), to[order].tolist()))
 
     @property
     def completed(self) -> np.ndarray:
@@ -407,29 +447,18 @@ class FlowEnsemble:
         return float(1.0 - np.mean(self.completed))
 
     def slice_paths(self, start: int, stop: int) -> "FlowEnsemble":
-        """The paths at positions ``start:stop``, as views; hops renumbered."""
-        return replace(
-            self,
-            path_ids=self.path_ids[start:stop],
-            charts=self.charts[:, start:stop],
-            coords=self.coords[:, start:stop],
-            jac=self.jac[:, start:stop],
-            inv_jac=self.inv_jac[:, start:stop],
-            stop_step=self.stop_step[start:stop],
-            hops=tuple((k, p - start, a, b) for (k, p, a, b) in self.hops if start <= p < stop),
-        )
+        """The paths at positions ``start:stop``, as views."""
+        return replace(self, path_ids=self.path_ids[start:stop],
+                       charts=self.charts[:, start:stop], states=self.states[..., start:stop],
+                       stop_step=self.stop_step[start:stop])
 
     def jac_consistency_max(self) -> float:
         """Worst ``|J Jinv - I|`` over all live states."""
         # batch-last views: integrate_flow stores the Jacobians that way
         J, Ji = (np.moveaxis(a, (2, 3), (0, 1)) for a in (self.jac, self.inv_jac))
         dev = np.abs(_slot_replace(Ji, J, 0, 2) - np.eye(J.shape[0])[..., None, None])
-        live = self._live_mask()
+        live = self.live
         return float(np.max(dev.max(axis=(0, 1))[live])) if np.any(live) else 0.0
-
-    def _live_mask(self) -> np.ndarray:
-        ks = np.arange(self.grid.npoints)[:, None]
-        return ks < self.stop_step[None, :]
 
 
 def _require_scheme_smoothness(sde: FlowSDE, scheme: str):
@@ -501,11 +530,11 @@ def integrate_flow_levels(
     that far out has already stopped.  Hops are applied chart by chart
     in ascending order; stops and the final freeze act per column.
 
-    Each level's history is one ``(L+1, n + 2n^2, P)`` array, of which the
-    ensemble's ``coords``, ``jac`` and ``inv_jac`` are views, and its chart
-    ids are held in the smallest unsigned type that holds the atlas's
-    chart count.  Returns one :class:`FlowEnsemble` per level, in the
-    order given.
+    Each level's history is one ``(L+1, n + 2n^2, P)`` array, the
+    ensemble's ``states``, and its chart ids are held in the smallest
+    unsigned type that holds the atlas's chart count; its hops are read off
+    those.  Returns one :class:`FlowEnsemble` per level, in the order
+    given.
     """
     _require_scheme_smoothness(sde, scheme)
     levels = tuple(levels)
@@ -558,11 +587,10 @@ def integrate_flow_levels(
     stop_step = np.repeat([L + 1 for L in steps], P)
     # the stepping levels' step times and increments
     t01, db = np.empty((2, C)), np.empty((sde.n_noise, C))
-    # per level: the state and chart histories, the Brownian paths and the hops
+    # per level: the state and chart histories and the Brownian paths
     hist = [(np.empty((L + 1, n + 2 * nn, P)), np.empty((L + 1, P), dtype=chart_dtype))
             for L in steps]
     bms = [levels[i].bm for i in order]
-    hops: List[List[Tuple[int, int, int, int]]] = [[] for _ in steps]
 
     def store(i: int, row: int):
         cols = slice(i * P, (i + 1) * P)
@@ -624,8 +652,6 @@ def integrate_flow_levels(
                         state[n + nn:, grp] = _slot_replace(Ji, Tinv, 1, 2,
                                                             transpose=True).reshape(nn, -1)
                         charts[grp] = nid
-                        for c in grp.tolist():
-                            hops[c // P].append((k // ratio[c // P] + 1, c % P, cid, nid))
             if stop.any():
                 stopped = live[stop]
                 stop_step[stopped] = k // ratio_col[stopped] + 1
@@ -640,21 +666,9 @@ def integrate_flow_levels(
         for p in np.flatnonzero(st <= L):
             for a in (states, chs):
                 a[st[p]:, ..., p] = a[st[p] - 1, ..., p]
-        # path-major views of the history's rows (paths last); nothing is copied
-        jac, inv_jac = (np.moveaxis(states[:, r:r + nn].reshape(L + 1, n, n, P), 3, 1)
-                        for r in (n, n + nn))
-        out.append(FlowEnsemble(
-            grid=grid,
-            atlas=atlas,
-            scheme=scheme,
-            path_ids=levels[order[i]].path_ids.copy(),
-            charts=chs,
-            coords=np.moveaxis(states[:, :n], 2, 1),
-            jac=jac,
-            inv_jac=inv_jac,
-            stop_step=np.minimum(st, L + 1),
-            hops=tuple(hops[i]),
-        ))
+        out.append(FlowEnsemble(grid=grid, atlas=atlas, scheme=scheme,
+                                path_ids=levels[order[i]].path_ids.copy(), charts=chs,
+                                states=states, stop_step=np.minimum(st, L + 1)))
     return tuple(out[order.index(i)] for i in range(nlev))
 
 
@@ -707,39 +721,33 @@ def inverse_flow_residual_ensemble(flow: FlowEnsemble, sde: FlowSDE, drivers: Dr
 
     For every grid time t_k the endpoint phi_{t_k}(x) is pushed back to
     time zero through per-step mirrors of the forward scheme, and the
-    Euclidean distance to x is reported; shape (P, L+1), zero column at
-    k = 0 and for stopped paths entries past the stop are zero.  One
-    path's residual is that of its one-path slice, ``flow.slice_paths(p,
-    p + 1)`` with ``drivers.slice_paths(p, p + 1)``.
+    Euclidean distance to x is reported; shape (P, L+1), zero at k = 0 and
+    on the rows that are not ``flow.live``.  One path's residual is that of
+    its one-path slice, ``flow.slice_paths(p, p + 1)`` with
+    ``drivers.slice_paths(p, p + 1)``.  ``flow`` is only read.
     """
     if len(flow.atlas.charts) != 1:
         raise NotImplementedError("inverse reconstruction is supported on single-chart atlases")
     grid = flow.grid
-    L = grid.steps
-    P = flow.n_paths
-    n = flow.coords.shape[2]
-    h = grid.h
+    L, P, n = grid.steps, flow.n_paths, flow.atlas.dim
     times = grid.times()
-    live = flow.stop_step[None, :] > np.arange(L + 1)[:, None]  # (L+1, P)
+    live = flow.live
 
-    # wavefront, batch-last: column (k-1) * P + p holds the current
-    # preimage of phi_{t_k}(x_p)
-    q = np.moveaxis(flow.coords[1:], 2, 0).copy().reshape(n, L * P)
-    residual = np.zeros((P, L + 1))
+    # wavefront over the flow's rows, batch-last: column k * P + p holds the
+    # current preimage of phi_{t_k}(x_p); row 0 is never peeled
+    q = np.moveaxis(flow.states[:, :n], 1, 0).copy().reshape(n, -1)
+    rows = np.repeat(np.arange(L + 1), P)
     for j in range(L, 0, -1):
-        sel = np.repeat(np.arange(1, L + 1) >= j, P) & live[1:].reshape(-1)
+        sel = (rows >= j) & live.ravel()
         if not np.any(sel):
             continue
-        db = np.tile((drivers.bm[:, j, :] - drivers.bm[:, j - 1, :]).T, L)
+        db = np.tile((drivers.bm[:, j, :] - drivers.bm[:, j - 1, :]).T, L + 1)
         q[:, sel] = _backward_step(
-            sde, flow.scheme, 0, times[j - 1], times[j], h, q.compress(sel, axis=-1),
+            sde, flow.scheme, 0, times[j - 1], times[j], grid.h, q.compress(sel, axis=-1),
             db.compress(sel, axis=-1)
         )
-    x0 = flow.coords[0]  # (P, n)
-    recon = q.reshape(n, L, P)
-    dist = np.linalg.norm(recon - x0.T[:, None, :], axis=0)
-    residual[:, 1:] = np.where(live[1:], dist, 0.0).T
-    return residual
+    dist = np.linalg.norm(q.reshape(n, L + 1, P) - flow.states[0, :n, None], axis=0)
+    return np.where(live, dist, 0.0).T
 
 
 def jacobian_fd_check(
@@ -762,7 +770,7 @@ def jacobian_fd_check(
     n = x0.size
     base = integrate_flow(sde, drivers, x0, scheme)
     worst = 0.0
-    valid = base.stop_step[None, :] > np.arange(base.grid.npoints)[:, None]
+    valid = base.live
     fd = np.empty(base.coords.shape + (n,))  # (L+1, P, n_out, n_in)
     for i in range(n):
         e = np.zeros(n)
@@ -770,8 +778,7 @@ def jacobian_fd_check(
         plus = integrate_flow(sde, drivers, x0 + e, scheme)
         minus = integrate_flow(sde, drivers, x0 - e, scheme)
         fd[..., i] = (plus.coords - minus.coords) / (2.0 * eps)
-        valid &= plus.stop_step[None, :] > np.arange(base.grid.npoints)[:, None]
-        valid &= minus.stop_step[None, :] > np.arange(base.grid.npoints)[:, None]
+        valid &= plus.live & minus.live
         valid &= (plus.charts == base.charts) & (minus.charts == base.charts)
     dev = np.abs(fd - base.jac)
     scale = np.maximum(1.0, np.abs(base.jac))

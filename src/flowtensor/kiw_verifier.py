@@ -302,12 +302,6 @@ def _driver_weights(scenario: Scenario, drivers: DrivingPaths) -> np.ndarray:
     return drivers.fv.T[:, :, None] + drivers.mart.T
 
 
-def _sup_per_path(term: np.ndarray) -> np.ndarray:
-    """Sup over components and grid of a batch-last ``comps + (npoints, P)``
-    array, one value per path."""
-    return np.max(np.abs(term), axis=tuple(range(term.ndim - 1)))
-
-
 @dataclass(frozen=True)
 class RhsResult:
     """Right-hand side values plus the individual cumulative terms.
@@ -532,20 +526,20 @@ def _pullback_integrand_paths(
     The states are processed in blocks of whole grid rows, at most
     ``_JET_BLOCK_STATES`` of them per block, so the jets of the whole
     ensemble never exist at once.  Everything is batch-last: each block's
-    states, Jacobians and weights are gathered once, the jets are whole
-    rows of one compiled call, and each integrand is held as
-    ``comps + (npoints, P)``, so a block in one chart is written as one
-    contiguous slice.
+    rows of the flow's history (points, ``J`` and ``Jinv``) are gathered
+    in one go and its weights once, the jets are whole rows of one
+    compiled call, and each integrand is held as ``comps + (npoints,
+    P)``, so a block in one chart is written as one contiguous slice.
     """
     sde = scenario.sde
     order = 1 if strat else 2
     valence = scenario.K0.valence
     fields = (scenario.K0, *scenario.G)
     L1, P = flow.charts.shape
+    n = sde.dim
     times = flow.grid.times()
-    # batch-last views of the flow states: component axes, then (npoints, P)
-    coords = np.moveaxis(flow.coords, 2, 0)
-    jac, inv_jac = (np.moveaxis(a, (2, 3), (0, 1)) for a in (flow.jac, flow.inv_jac))
+    # a batch-last view of the flow's history: its rows, then (npoints, P)
+    hist = np.moveaxis(flow.states, 1, 0)
     weights = _driver_weights(scenario, drivers)
     shape = scenario.K0.shape
     held: Dict[str, np.ndarray] = {}
@@ -564,7 +558,8 @@ def _pullback_integrand_paths(
                 return a if whole else a.compress(mask.ravel(), axis=-1)
 
             t = states(np.broadcast_to(times[:, None], (L1, P)))
-            x, A, Ai = (states(a) for a in (coords, jac, inv_jac))
+            X = states(hist)  # the points, then the rows of J and of Jinv
+            x, A, Ai = X[:n], X[n:n + n * n].reshape(n, n, -1), X[n + n * n:].reshape(n, n, -1)
 
             def put(key, v):
                 """Pull ``v`` back and write it into the integrand ``key``."""
@@ -627,8 +622,10 @@ class PushTransport:
 def _push_transport(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPaths) -> PushTransport:
     """Invert the discrete flow on a stencil, one scheme step at a time.
 
-    All target times are inverted together in a wavefront: stage j peels
-    the step over [t_{j-1}, t_j] off every row that still contains it.
+    All target times are inverted together in a wavefront laid over the
+    flow's rows: stage j peels the step over [t_{j-1}, t_j] off every live
+    row (``flow.live``) that still contains it, so row 0 is never peeled
+    and a row past a path's stop keeps the stencil and the identity.
     Each step map is inverted by Newton iteration with a fixed iteration
     count (no data-dependent stopping, so results do not depend on how
     paths are batched), seeded by the mirrored backward step.
@@ -637,32 +634,31 @@ def _push_transport(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPath
     grid = flow.grid
     L, h = grid.steps, grid.h
     times = grid.times()
-    n = sde.dim
+    n, N = sde.dim, drivers.n_noise
     P = flow.n_paths
     offsets = stencil_offsets(n)
     S = offsets.shape[0]
-    live = flow.completed
+    cols = (L + 1) * P * S
 
     stencil = scenario.x0[None, :] + _STENCIL_EPS * offsets  # (S, n)
-    # batch-last wavefront: column ((k-1) * P + p) * S + s holds stencil
-    # point s of path p pulled back from time t_k
-    q = np.broadcast_to(stencil.T[:, None, None, :], (n, L, P, S)).reshape(n, -1).copy()
-    A = np.broadcast_to(np.eye(n)[..., None], (n, n, L * P * S)).copy()
-    rows_k = np.repeat(np.arange(1, L + 1), P * S)
-    live_rows = np.tile(np.repeat(live, S), L)
+    # batch-last wavefront: column (k * P + p) * S + s holds stencil point s
+    # of path p pulled back from time t_k
+    q = np.broadcast_to(stencil.T[:, None, None, :], (n, L + 1, P, S)).reshape(n, cols).copy()
+    A = np.broadcast_to(np.eye(n)[..., None], (n, n, cols)).copy()
+    rows_k = np.repeat(np.arange(L + 1), P * S)
+    live = np.repeat(flow.live.reshape(-1), S)
     # the tangent of the step map is the Jacobian update of an identity seed
     eye = np.eye(n)[..., None]
     worst = 0.0
 
     for j in range(L, 0, -1):
-        sel = (rows_k >= j) & live_rows
+        sel = (rows_k >= j) & live
         if not np.any(sel):
             continue
         db_j = (drivers.bm[:, j, :] - drivers.bm[:, j - 1, :]).T  # (N, P)
         # compress keeps the columns C-contiguous, a trailing fancy index would not
-        db = np.broadcast_to(db_j[:, None, :, None], (drivers.n_noise, L, P, S)).reshape(
-            drivers.n_noise, L * P * S
-        ).compress(sel, axis=-1)
+        db = np.broadcast_to(db_j[:, None, :, None], (N, L + 1, P, S)).reshape(N, cols).compress(
+            sel, axis=-1)
         v = q.compress(sel, axis=-1)
         u = _backward_step(sde, flow.scheme, 0, times[j - 1], times[j], h, v, db)
         for _ in range(_NEWTON_ITERS):
@@ -675,15 +671,11 @@ def _push_transport(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPath
         q[:, sel] = u
         A[..., sel] = _slot_replace(A.compress(sel, axis=-1), Dfinal, 1, 2, transpose=True)
 
-    preimages = np.empty((n, L + 1, P, S))
-    preimages[:, 0] = stencil.T[:, None, :]
-    preimages[:, 1:] = q.reshape(n, L, P, S)
-    jac = np.empty((n, n, L + 1, P, S))
-    jac[:, :, 0] = np.eye(n)[..., None, None]
-    jac[:, :, 1:] = A.reshape(n, n, L, P, S)
+    jac = A.reshape(n, n, L + 1, P, S)
     # np.linalg.inv reads the matrices from the trailing axes of a view
     inv_jac = np.moveaxis(np.linalg.inv(np.moveaxis(jac, (0, 1), (-2, -1))), (-2, -1), (0, 1))
-    return PushTransport(preimages=preimages, jac=jac, inv_jac=inv_jac, newton_residual_max=worst)
+    return PushTransport(preimages=q.reshape(n, L + 1, P, S), jac=jac, inv_jac=inv_jac,
+                         newton_residual_max=worst)
 
 
 def _stencil_integrands(scenario: Scenario, t, pts: np.ndarray, contra: np.ndarray,
@@ -855,8 +847,8 @@ def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPa
     ``comps + (restarts, P)``, are summed in s, left-point in time and
     right-point (backward) against the noise.  The left-hand side is the
     centre ``K`` of the restart from time 0, the flow itself (same step,
-    same increments) up to a path's stop; :func:`_sup_residual_per_path`
-    masks the checkpoints past it.  Every array of the result is ``comps +
+    same increments) up to a path's stop; a study masks the checkpoints
+    past it (:func:`_run_level`).  Every array of the result is ``comps +
     (checkpoints, P)``.
     """
     sde = scenario.sde
@@ -1158,16 +1150,11 @@ class ResidualReport:
         return out
 
 
-def _sup_residual_per_path(rhs: RhsResult, flow: FlowEnsemble) -> np.ndarray:
-    """Sup over live grid times of the worst component deviation between
-    the transported tensor and the right-hand side, per path, from a
-    batch-last :class:`RhsResult`."""
-    lhs = rhs.transported
-    kidx = rhs.checkpoint_indices
-    if kidx is None:
-        kidx = np.arange(lhs.shape[-2])
-    dev = np.max(np.abs(lhs - rhs.values), axis=tuple(range(lhs.ndim - 2)))
-    live = flow.stop_step[None, :] > kidx[:, None]
+def _live_sup(a: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Sup over components and live rows of a batch-last ``comps + (rows,
+    P)`` array, one value per path; ``live`` is the ``(rows, P)`` mask of
+    :attr:`FlowEnsemble.live` at those rows."""
+    dev = np.max(np.abs(a), axis=tuple(range(a.ndim - 2)))
     return np.max(np.where(live, dev, 0.0), axis=0)
 
 
@@ -1178,8 +1165,8 @@ def _run_level(scenario: Scenario, drivers: DrivingPaths, flow: FlowEnsemble) ->
     ``_JET_BLOCK_STATES`` flow states (at least one path): the block's
     right-hand side is assembled batch-last from path slices of the flow
     and the drivers (:func:`_rhs`, the arrays of :func:`eval_rhs` before
-    they are made path-major) and reduced to per-path sups before the
-    next block is built, so a study never holds a level's integrands or
+    they are made path-major) and reduced to per-path sups over the live
+    rows (:func:`_live_sup`) before the next block is built, so a study never holds a level's integrands or
     term series for all its paths.  Every per-path result is independent
     of the other paths in its block (see :func:`convergence_study`), so
     the sups do not depend on the block size.
@@ -1189,8 +1176,9 @@ def _run_level(scenario: Scenario, drivers: DrivingPaths, flow: FlowEnsemble) ->
     for start in range(0, flow.n_paths, size):
         f = flow.slice_paths(start, start + size)
         rhs = _rhs(scenario, f, drivers.slice_paths(start, start + size))
-        residual.append(_sup_residual_per_path(rhs, f))
-        term_sups.append({k: _sup_per_path(v) for k, v in rhs.terms.items()})
+        live = f.live if rhs.checkpoint_indices is None else f.live[rhs.checkpoint_indices]
+        residual.append(_live_sup(rhs.transported - rhs.values, live))
+        term_sups.append({k: _live_sup(v, live) for k, v in rhs.terms.items()})
         del rhs  # before the next block is built
     return {
         "residual": np.concatenate(residual),

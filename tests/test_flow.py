@@ -407,6 +407,19 @@ def test_inverse_residual_per_path_matches_ensemble():
         assert np.array_equal(single[0], whole[p])
 
 
+def test_inverse_residual_leaves_the_flow_unchanged():
+    """The wavefront works on a copy, for a whole flow and for a one-path
+    slice, whose rows would reshape to a view of the flow."""
+    sde = make_swirl_sde()
+    d = build_driving_paths(TimeGrid(1.0, 8), 2, 14, 3)
+    ens = integrate_flow(sde, d, np.array([0.1, 0.2]), "euler_maruyama")
+    kept = ens.states.copy()
+    inverse_flow_residual_ensemble(ens, sde, d)
+    assert np.array_equal(ens.states, kept)
+    inverse_flow_residual_ensemble(ens.slice_paths(1, 2), sde, d.slice_paths(1, 2))
+    assert np.array_equal(ens.states, kept)
+
+
 def test_inverse_reconstruction_rejects_multi_chart_atlases():
     sde = FlowSDE(
         sphere_rotation_fields((1.0, 0.0, 0.0))[0],
@@ -582,11 +595,10 @@ def _time_dependent_sde():
 
 def _assert_same_ensemble(got, want):
     assert got.grid == want.grid and got.scheme == want.scheme and got.atlas is want.atlas
-    for field in ("path_ids", "charts", "coords", "jac", "inv_jac", "stop_step"):
+    for field in ("path_ids", "charts", "states", "stop_step"):
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype and a.shape == b.shape, field
         assert np.array_equal(a, b), field
-    assert got.hops == want.hops  # order included
 
 
 @pytest.mark.parametrize("case", ["kunita_sphere_rotation", "kiw_strat_pullback_r2",
@@ -625,14 +637,14 @@ def _reference_flow(sde, drivers, x0, scheme):
 
     One :func:`scheme_step` call per path and step, with the blow-up test,
     the hop test against the chart's centre and hop radius, the chart
-    change and the freeze after a stop written out per path.  Hops are
-    listed by step, then by the chart left, the chart entered and the path.
+    change and the freeze after a stop written out per path.  Returns the
+    flow and the hops it recorded as it made them, listed by step, then by
+    the chart left, the chart entered and the path.
     """
     atlas, n, grid = sde.atlas, sde.dim, drivers.grid
     L, P, times = grid.steps, drivers.n_paths, grid.times()
     charts = np.empty((L + 1, P), dtype=np.uint8)
-    coords = np.empty((L + 1, P, n))
-    jac, inv_jac = np.empty((L + 1, P, n, n)), np.empty((L + 1, P, n, n))
+    states = np.empty((L + 1, n + 2 * n * n, P))
     stop_step = np.full(P, L + 1)
     hops = []
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), (P, n))
@@ -641,7 +653,7 @@ def _reference_flow(sde, drivers, x0, scheme):
         u = x0[p] if cid == 0 else atlas.transition_between(0, cid).apply(x0[p][None])[0]
         J = Ji = np.eye(n)
         for k in range(L + 1):
-            charts[k, p], coords[k, p], jac[k, p], inv_jac[k, p] = cid, u, J, Ji
+            charts[k, p], states[k, :, p] = cid, np.concatenate([u, J.ravel(), Ji.ravel()])
             if k == L or stop_step[p] <= L:
                 continue
             db = drivers.bm[p, k + 1] - drivers.bm[p, k]
@@ -667,10 +679,9 @@ def _reference_flow(sde, drivers, x0, scheme):
                 stop_step[p] = k + 1  # the state stays at step k from here on
             else:
                 u, J, Ji = un, Jn, Jin
-    return FlowEnsemble(grid=grid, atlas=atlas, scheme=scheme, path_ids=drivers.path_ids.copy(),
-                        charts=charts, coords=coords, jac=jac, inv_jac=inv_jac,
-                        stop_step=stop_step,
-                        hops=tuple(sorted(hops, key=lambda hop: (hop[0], hop[2], hop[3], hop[1]))))
+    flow = FlowEnsemble(grid=grid, atlas=atlas, scheme=scheme, path_ids=drivers.path_ids.copy(),
+                        charts=charts, states=states, stop_step=stop_step)
+    return flow, tuple(sorted(hops, key=lambda hop: (hop[0], hop[2], hop[3], hop[1])))
 
 
 def _offset_discs_sde():
@@ -707,8 +718,8 @@ def _torus_sde():
                                   "blowup_cubic"])
 def test_level_sweep_matches_a_plain_per_path_loop(case):
     """Every level of the sweep equals a per-path, per-step loop that does its
-    own chart hops and stops: every field (chart ids one byte each) and the
-    hops, order included."""
+    own chart hops and stops: every field (chart ids one byte each), and the
+    hops read off the chart ids are those the loop recorded, order included."""
     if case in ("torus", "offset_discs"):
         sde = _torus_sde() if case == "torus" else _offset_discs_sde()
         # torus paths start spread out, so that paths leave different charts at one step
@@ -722,7 +733,9 @@ def test_level_sweep_matches_a_plain_per_path_loop(case):
     swept = integrate_flow_levels(sde, ds, x0, scheme)
     for d, got in zip(ds, swept):
         assert got.charts.dtype == np.uint8
-        _assert_same_ensemble(got, _reference_flow(sde, d, x0, scheme))
+        want, hops = _reference_flow(sde, d, x0, scheme)
+        _assert_same_ensemble(got, want)
+        assert got.hops == hops
     if case != "blowup_cubic":
         assert all(len(f.hops) > 0 for f in swept)
     if case in ("offset_discs", "blowup_cubic"):

@@ -845,14 +845,17 @@ def test_assembly_leaves_its_integrands_in_place():
 
 
 def _whole_array_reductions(rhs, stop_step):
-    """A level's residual and term sups, reduced from the whole arrays of ``rhs``."""
+    """A level's residual and term sups, reduced from the whole arrays of
+    ``rhs`` over the rows before each path's stop."""
     lhs = rhs.transported
     P, rows = lhs.shape[:2]
     kidx = rhs.checkpoint_indices if rhs.checkpoint_indices is not None else np.arange(rows)
-    dev = np.max(np.abs(lhs - rhs.values).reshape(P, rows, -1), axis=2)
     live = stop_step[:, None] > kidx[None, :]
-    residual = np.max(np.where(live, dev, 0.0), axis=1)
-    return residual, {k: np.max(np.abs(v).reshape(P, -1), axis=1) for k, v in rhs.terms.items()}
+
+    def sup(a):
+        return np.max(np.where(live, np.max(np.abs(a).reshape(P, rows, -1), axis=2), 0.0), axis=1)
+
+    return sup(lhs - rhs.values), {k: sup(v) for k, v in rhs.terms.items()}
 
 
 @pytest.mark.parametrize("block", ["default", "one state", "four paths"])
@@ -883,6 +886,57 @@ def test_path_block_reduction_is_the_whole_array_reduction(monkeypatch, name, bl
         assert not np.all(flow.completed)
 
 
+def test_stopped_path_sups_are_those_of_its_live_rows():
+    """A stopped path's residual and term sups (``blowup_cubic``) equal,
+    bitwise, those of the same path on a grid that ends before its stop."""
+    sc = get_scenario("blowup_cubic")
+    d, flow = drivers_and_flow(sc, n_paths=6)
+    got = kiw_verifier._run_level(sc, d, flow)
+    h = flow.grid.h
+    assert not np.any(flow.completed)
+    for p, stop in enumerate(flow.stop_step.tolist()):
+        grid = TimeGrid(h * (stop - 1), stop - 1)
+        short = build_driving_paths(grid, sc.sde.n_noise, sc.seed, 1, path_ids=d.path_ids[p:p + 1])
+        assert np.array_equal(short.bm[0], d.bm[p, :stop])  # the same Brownian prefix
+        alone = integrate_flow(sc.sde, short, sc.x0, sc.scheme)
+        assert alone.completed[0]
+        want = kiw_verifier._run_level(sc, short, alone)
+        assert got["residual"][p] == want["residual"][0]
+        assert got["term_sups"].keys() == want["term_sups"].keys()
+        for key, sup in want["term_sups"].items():
+            assert got["term_sups"][key][p] == sup[0], key
+
+
+def _cubic_drift_variant(name):
+    """The push-forward scenario ``name`` with a cubic drift, whose paths stop."""
+    sc = get_scenario(name)
+    x = coord_symbols(2)[0]
+    sde = FlowSDE(vector_field(2, [x**3, 0.15 * x], name="cubic_drift"), sc.sde.diffusions,
+                  sc.atlas)
+    return replace(sc, sde=sde, x0=np.array([1.6, -0.2]), base_grid=TimeGrid(1.0, 16))
+
+
+@pytest.mark.parametrize("name,stops", [("kiw_ito_pushforward_r2", {8}),
+                                        ("kiw_strat_pushforward_r2", {5, 6})])
+def test_pushforward_peels_every_live_row_of_a_stopped_path(name, stops):
+    """On the live rows of stopped paths the push-forward's transported tensor
+    and right-hand side equal, bitwise, those of a run on a grid that ends
+    before the earliest stop, with the same drivers' Brownian prefix."""
+    sc = _cubic_drift_variant(name)
+    d, flow = drivers_and_flow(sc, n_paths=6)
+    stopped = np.flatnonzero(~flow.completed)
+    assert set(flow.stop_step[stopped].tolist()) == stops
+    k = int(flow.stop_step.min())
+    grid = TimeGrid(flow.grid.h * (k - 1), k - 1)
+    short = drivers_for(sc, n_paths=6, grid=grid)
+    assert np.array_equal(short.bm, d.bm[:, :k])
+    alone = integrate_flow(sc.sde, short, sc.x0, sc.scheme)
+    assert np.all(alone.completed)
+    got, want = eval_rhs(sc, flow, d), eval_rhs(sc, alone, short)
+    for attr in ("transported", "values"):
+        assert np.array_equal(getattr(got, attr)[stopped, :k], getattr(want, attr)[stopped]), attr
+
+
 def test_flow_path_slice_keeps_each_path():
     """A path slice of a flow is the flow of those paths, its hops renumbered."""
     sc = get_scenario("kunita_sphere_rotation")
@@ -895,7 +949,7 @@ def test_flow_path_slice_keeps_each_path():
         want, got = flow.slice_paths(pos + 3, pos + 4), part.slice_paths(pos, pos + 1)
         assert got.hops == want.hops
         assert got.hops == tuple((k, 0, a, b) for k, p, a, b in flow.hops if p == pos + 3)
-        for attr in ("path_ids", "stop_step", "charts", "coords", "jac", "inv_jac"):
+        for attr in ("path_ids", "stop_step", "charts", "states"):
             assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
 
 
