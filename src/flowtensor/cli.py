@@ -234,6 +234,9 @@ def _inline_vector_field(
     dim = atlas.dim
     xs = coord_symbols(dim)
     zero = [sp.Integer(0)] * dim
+    most = {"zero": 0, "rotation": 1, "gbm": 1}.get(name, len(params))
+    if len(params) > most:
+        raise ConfigError(f"{where}: {name} takes at most {most} parameter(s), got {len(params)}")
     if name == "zero":
         return _vector_over_charts(atlas, zero, "zero")
     if name == "constant":
@@ -294,6 +297,8 @@ def _inline_k0(spec: str, atlas: ChartAtlas, kind: str) -> TensorFieldSpec:
     name, _, arg = spec.partition(":")
     dim = atlas.dim
     xs = coord_symbols(dim)
+    if arg and name in ("metric", "position_one_form"):
+        raise ConfigError(f"scenario.K0: {name} takes no parameters, got {arg!r}")
     if name == "metric":
         if kind == "sphere2":
             return sphere_round_metric()

@@ -27,14 +27,20 @@ one of the acceptance checks.
 integration, the Newton inversion of the pushforward transport and the
 restart wavefront all call it.  It works on batch-last arrays (component
 axes first, points last) and makes one compiled call per step
-(:meth:`FlowSDE._step_program`, one program per chart, scheme and
-whether ``Jinv`` is advanced).  The program takes the drift jet to first
-order and every noise jet to second order for Euler (``a``, ``c_plus``,
-``c_minus``) but only to first order for Heun; one common-subexpression
-pass covers the point update and the tangent matrices ``M`` of the
-Jacobian updates, whose products with ``J`` and ``Jinv`` are plain sums
-over the entries of ``M``.  :meth:`FlowSDE.jets` evaluates the same
-coefficient jets as arrays for the backward step and the correction terms.
+(:meth:`FlowSDE._step_program`, one program per chart, scheme, whether
+``Jinv`` is advanced and ``order``).  The program takes the drift jet to
+first order and every noise jet to second order for Euler (``a``,
+``c_plus``, ``c_minus``) but only to first order for Heun; one
+common-subexpression pass covers the point update and the tangent
+matrices ``M`` of the Jacobian updates, whose products with ``J`` and
+``Jinv`` are plain sums over the entries of ``M``.  A program of
+``order`` r above 1 also emits the step map's derivative stacks ``D^m f``,
+m = 1..r, from ``sp.diff`` of the unbound point update in one extra
+bound block, so its point and ``J`` rows are bitwise those of order 1:
+the sweep and the Newton iterations run order 1, and the transport
+wavefronts compose the stacks into the jets of the discrete flow map.
+:meth:`FlowSDE.jets` evaluates the coefficient jets as arrays for the
+backward step and the correction terms.
 
 :func:`integrate_flow_levels` is the only forward integration loop.  It
 advances the refinement levels of one driver ensemble together over the
@@ -49,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import prod
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import sympy as sp
@@ -218,44 +224,51 @@ class FlowSDE:
             buf[i] = v
         return {nm: buf[a:b].reshape(shape + batch) for nm, a, b, shape in layout}
 
-    def _step_program(self, chart: int, scheme: str, with_inv: bool):
+    def _step_program(self, chart: int, scheme: str, with_inv: bool, order: int = 1):
         """The generated step of ``scheme`` in ``chart`` and its parameter values.
 
         The function takes ``(t0, t1, h, x, db, J, Ji, params)``, each
         array entry an argument of its own in C order (``Ji`` only
         ``with_inv``), and returns the rows of the new points, then of the
-        new ``J`` and ``Ji``.  Euler writes ``u + a h + sum_j xi_j db_j``,
-        ``J + M+ J`` and ``Ji - Ji M-`` with ``M+- = (Db +- c+-) h + W`` and
-        ``W = sum_j Dxi_j db_j``; Heun writes the same sweep (``Db h + W``)
-        at ``(t0, x)`` and, through the bound predictor ``x + du0``, at
-        ``t1``.  The coefficients are the expressions of :meth:`_exprs`;
-        the point and ``M`` rows share one common-subexpression pass, and
-        the Jacobian products are plain sums over entry symbols of ``M``.
-        An unknown scheme and coefficients too rough for it raise before
-        the program is looked up in the program cache; a hit differentiates
+        new ``J`` and ``Ji``, then, for ``order`` r above 1, of the step
+        map's derivative stacks ``D^m f``, m = 1..r.  Euler writes ``u + a h
+        + sum_j xi_j db_j``, ``J + M+ J`` and ``Ji - Ji M-`` with ``M+- =
+        (Db +- c+-) h + W`` and ``W = sum_j Dxi_j db_j``; Heun writes the
+        same sweep (``Db h + W``) at ``(t0, x)`` and, through the bound
+        predictor ``x + du0``, at ``t1``.  The coefficients are the
+        expressions of :meth:`_exprs`; the point and ``M`` rows share one
+        common-subexpression pass, and the Jacobian products are plain sums
+        over entry symbols of ``M``.  An unknown scheme and coefficients too
+        rough for it raise before the program is looked up in the program
+        cache: Euler differentiates the drift ``order`` times and the noise
+        once more, Heun each field ``order`` times.  A hit differentiates
         and prints nothing.
         """
-        key = (chart, scheme, with_inv)
+        key = (chart, scheme, with_inv, order)
         if key not in self._programs:
             if scheme not in SCHEMES:
                 raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
             noise_order = 2 if scheme == "euler_maruyama" else 1
+            # Euler's drift a reads Dxi, so its noise fields take one order more
+            for k, f in enumerate((self.drift, *self.diffusions)):
+                f._require(chart, order + (noise_order - 1 if k else 0))
             psyms, pvals, layout, _ = self._layout(chart, noise_order)
 
             def source():
                 exprs = self._exprs(chart, noise_order)
                 q = {nm: _objects(exprs[a:b], shape) for nm, a, b, shape in layout}
-                outs, args, blocks = _step_exprs(q, scheme, with_inv, self.dim, self.n_noise)
+                outs, args, blocks = _step_exprs(q, scheme, with_inv, self.dim, self.n_noise, order)
                 return tensor_calculus._compiled(outs, args + psyms, blocks)
 
-            fn = tensor_calculus._program(self._key(chart, psyms, "step", scheme, with_inv),
-                                            source)
+            fn = tensor_calculus._program(
+                self._key(chart, psyms, "step", scheme, with_inv, order), source)
             self._programs[key] = (fn, pvals)
         return self._programs[key]
 
 
 def scheme_step(sde: FlowSDE, scheme: str, cid: int, t0: float, t1: float, h: float,
-                u: np.ndarray, J: np.ndarray, Ji: Optional[np.ndarray], db: np.ndarray):
+                u: np.ndarray, J: np.ndarray, Ji: Optional[np.ndarray], db: np.ndarray,
+                order: int = 1):
     """One step of ``scheme`` over ``[t0, t1]`` for points ``u`` in chart ``cid``.
 
     Advances the points, the forward Jacobians ``J`` by the exact tangent
@@ -266,22 +279,29 @@ def scheme_step(sde: FlowSDE, scheme: str, cid: int, t0: float, t1: float, h: fl
     are floats or ``(m,)`` arrays, one entry per column.  One call of the
     chart's compiled step program (:meth:`FlowSDE._step_program`) writes
     every new entry into one buffer, rows in C order: the points, then
-    ``J`` and ``Ji``; returns ``(u, J, Ji)`` after the step as views of
-    it, so the buffer itself is ``u.base``.
+    ``J`` and ``Ji``, then for ``order`` r above 1 the derivative stacks
+    ``D^k f`` of the step map ``f`` at ``u``, k = 1..r, each of shape ``(n,)
+    * (k + 1)`` followed by the batch; returns ``(u, J, Ji, *stacks)`` after
+    the step as views of it, so the buffer itself is ``u.base``.
     """
-    fn, pvals = sde._step_program(cid, scheme, Ji is not None)
+    fn, pvals = sde._step_program(cid, scheme, Ji is not None, order)
     n, batch = sde.dim, u.shape[1:]
     inv = () if Ji is None else Ji.reshape((n * n,) + Ji.shape[2:])
     rows = fn(t0, t1, h, *u, *db, *J.reshape((n * n,) + J.shape[2:]), *inv, *pvals)
     out = np.empty((len(rows),) + batch)
     for i, v in enumerate(rows):
         out[i] = v
-    shape = (n, n) + batch
-    return (out[:n], out[n:n + n * n].reshape(shape),
-            None if Ji is None else out[n + n * n:].reshape(shape))
+    shape, r = (n, n) + batch, n + n * n * (1 + (Ji is not None))
+    views = [out[:n], out[n:n + n * n].reshape(shape),
+             None if Ji is None else out[n + n * n:r].reshape(shape)]
+    for m in range(2, order + 2) if order > 1 else ():
+        views.append(out[r:r + n**m].reshape((n,) * m + batch))
+        r += n**m
+    return tuple(views)
 
 
-def _step_exprs(q: Dict[str, np.ndarray], scheme: str, with_inv: bool, n: int, N: int):
+def _step_exprs(q: Dict[str, np.ndarray], scheme: str, with_inv: bool, n: int, N: int,
+                order: int):
     """Outputs, arguments (without the parameters) and bound blocks of a step program.
 
     ``q`` holds the coefficient stacks of :meth:`FlowSDE._layout` as
@@ -304,7 +324,8 @@ def _step_exprs(q: Dict[str, np.ndarray], scheme: str, with_inv: bool, n: int, N
         sq = noise_sum(lambda j: Dxi[j] @ Dxi[j], (n, n))
         second = noise_sum(lambda j: D2xi[j] @ xi[j], (n, n))
         blocks = [[]]
-        u1 = _bind(blocks[0], "u", xs + a * _H + noise)
+        f = xs + a * _H + noise
+        u1 = _bind(blocks[0], "u", f)
         Mp = _bind(blocks[0], "Mp", (q["Db"] + (sq + second) / 2) * _H + W)
         Jn = J + Mp @ J
         if with_inv:
@@ -315,21 +336,43 @@ def _step_exprs(q: Dict[str, np.ndarray], scheme: str, with_inv: bool, n: int, N
         du, M = q["b"] * _H + noise, q["Db"] * _H + W
         blocks = [[], [], [], []]
         du0, M0 = _bind(blocks[0], "du0_", du), _bind(blocks[0], "M0_", M)
-        sub = {TIME: _T1, **dict(zip(xs, _bind(blocks[1], "y", xs + du0)))}
+        y = _bind(blocks[1], "y", xs + du0)
 
-        def at_y(arr):
+        def at(arr, ys):
+            """``arr`` at ``(t1, ys)``."""
+            sub = {TIME: _T1, **dict(zip(xs, ys))}
             return _objects([e.xreplace(sub) for e in arr.flat], arr.shape)
 
-        du1, M1 = _bind(blocks[2], "du1_", at_y(du)), _bind(blocks[2], "M1_", at_y(M))
+        du1, M1 = _bind(blocks[2], "du1_", at(du, y)), _bind(blocks[2], "M1_", at(M, y))
         A0 = _bind(blocks[3], "A0_", M0 @ J)
         u1 = xs + (du0 + du1) / 2
         Jn = J + (A0 + M1 @ (J + A0)) / 2
         if with_inv:
             B0 = _bind(blocks[3], "B0_", Ji @ M0)
             Jin = Ji - (B0 + (Ji - B0) @ M1) / 2
+        # the predictor-corrector composite, its predictor not bound
+        f = xs + (du + at(du, xs + du)) / 2
     outs = (*u1.flat, *Jn.flat, *(Jin.flat if with_inv else ()))
+    if order > 1:
+        blocks.append([])
+        outs += tuple(e for D in _derivative_stacks(f, order, blocks[-1]) for e in D.flat)
     args = (TIME, _T1, _H, *xs, *db, *J.flat, *(Ji.flat if with_inv else ()))
     return outs, args, tuple(tuple(blk) for blk in blocks if blk)
+
+
+def _derivative_stacks(f: np.ndarray, order: int, block: list) -> List[np.ndarray]:
+    """``D^m f``, m = 1..``order``, of the vector of expressions ``f``.
+
+    Each distinct partial (:func:`flowtensor.tensor_calculus._partial`) is
+    bound once in ``block`` (:func:`_bind`), in the order of a field jet's
+    rows (:func:`_jet_layout`); the stacks are object arrays of shape
+    ``(n,) * (m + 1)`` whose symmetric entries share it.
+    """
+    n = len(f)
+    alphas, columns = _jet_layout(n, order, n)
+    parts = [tensor_calculus._partial(e, alpha) for alpha in alphas[1:] for e in f]
+    flat = _bind(block, "Df", _objects(parts, (len(parts),)))
+    return [flat[cols - n].reshape((n,) * (m + 1)) for m, cols in enumerate(columns) if m]
 
 
 def _objects(seq, shape) -> np.ndarray:

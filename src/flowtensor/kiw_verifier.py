@@ -37,11 +37,16 @@ columns are:
 
 ``route``     how the tensor is carried: ``pullback`` (the transported
               tensor, from analytic jets at the flow states),
-              ``pushforward`` (the pushed-forward tensor, from
-              finite-difference jets of the field transported on a stencil
-              by the Newton-inverted flow; the Lie terms change sign) or
-              ``restart`` (``KunitaFirst``: the flow restarted on a stencil
-              at every grid time, right-point sums against the noise).
+              ``pushforward`` (the pushed-forward tensor at the observation
+              point, from analytic jets at the Newton preimages of the
+              inverted flow; the Lie terms change sign) or ``restart``
+              (``KunitaFirst``: the flow restarted from the observation
+              point at every grid time, right-point sums against the
+              noise).  Every route reads the same analytic jets: the two
+              transport routes pull the flow coefficients back through the
+              exact jets of the discrete flow map and push every integrand
+              forward by naturality (:func:`_transported_integrands`), and
+              their contravariant slots take the exact inverse of ``J``.
               Every route but ``pullback`` needs a single-chart atlas, and
               ``restart`` the Euler scheme.
 ``strat``     whether the form is Stratonovich (trapezoid sums against the
@@ -83,14 +88,7 @@ from .stochastics import (
     refine_dyadic,
     stratonovich_integral,
 )
-from .tensor_calculus import (
-    TensorFieldSpec,
-    _add_slot_terms,
-    _along,
-    fd_jets_from_stencil,
-    pair_batch,
-    stencil_offsets,
-)
+from .tensor_calculus import TensorFieldSpec, _add_slot_terms, _along, pair_batch
 
 __all__ = [
     "HypothesisViolation",
@@ -133,7 +131,7 @@ class _Selector(NamedTuple):
 
 _SELECTORS = {
     "KiwItoPullback": _Selector("pullback", False, k=1, K=2, G=2),
-    "KiwItoPushforward": _Selector("pushforward", False, k=3, K=2, G=1),
+    "KiwItoPushforward": _Selector("pushforward", False, k=3, K=2, G=2),
     "KiwStratPullback": _Selector("pullback", True, k=4, K=3, G=2),
     "KiwStratPushforward": _Selector("pushforward", True, k=4, K=3, G=2),
     "KunitaSecond": _Selector("pullback", False, k=1, K=2, G=None),
@@ -289,8 +287,8 @@ def _driver_weights(scenario: Scenario, drivers: DrivingPaths) -> np.ndarray:
     of a constant integrand against a driver equal the driver increment,
     hence ``K(t_k) = K0 + sum_i (A^i_k + M^i_k) G_i`` holds bitwise for
     the discretised path under both calculi.  Each integrand builder
-    weights the jets (or stencil values) of ``K0`` and the ``G_i`` with
-    these weights, in i order, into those of ``K_t``.
+    weights the jets of ``K0`` and the ``G_i`` with these weights, in i
+    order, into those of ``K_t``.
     """
     m = len(scenario.G)
     if drivers.fv.shape[1] != m or drivers.mart.shape[2] != m:
@@ -520,8 +518,11 @@ def _pullback_integrand_paths(
     ``K_t`` (``jK0 + sum_i w_i jG_i``, in i order).  :func:`_integrands`
     takes them with the flow coefficients' jets (:meth:`FlowSDE.jets`),
     and every integrand, ``K`` among them, is pulled back along the flow
-    as it arrives.  The keys are those :func:`_assemble_forward_rhs`
-    reads, without the terms of a zero coefficient field.
+    as it arrives: covariant slots with ``J``, contravariant ones with the
+    flow's ``Jinv`` or, on the restart route (``KunitaFirst``'s left-hand
+    side), with the exact inverse of ``J``.  The keys are those
+    :func:`_assemble_forward_rhs` reads, without the terms of a zero
+    coefficient field.
 
     The states are processed in blocks of whole grid rows, at most
     ``_JET_BLOCK_STATES`` of them per block, so the jets of the whole
@@ -560,6 +561,8 @@ def _pullback_integrand_paths(
             t = states(np.broadcast_to(times[:, None], (L1, P)))
             X = states(hist)  # the points, then the rows of J and of Jinv
             x, A, Ai = X[:n], X[n:n + n * n].reshape(n, n, -1), X[n + n * n:].reshape(n, n, -1)
+            if _row(scenario).route == "restart":  # the exact inverse of J
+                Ai = _inverse(A)
 
             def put(key, v):
                 """Pull ``v`` back and write it into the integrand ``key``."""
@@ -591,121 +594,187 @@ def _pullback_integrand_paths(
 
 
 _NEWTON_ITERS = 6
-# spacing of the (-eps, 0, +eps)^dim stencil around the observation point
-# that the pushforward and KunitaFirst routes differentiate across
-_STENCIL_EPS = 1.0e-4
 # grid times at which KunitaFirst checks its identity, spread over the grid
 _N_CHECKPOINTS = 8
 
 
+def _inverse(A: np.ndarray) -> np.ndarray:
+    """The matrix inverse of every matrix of the batch-last stack ``A``."""
+    # np.linalg.inv reads the matrices from the trailing axes of a view
+    return np.moveaxis(np.linalg.inv(np.moveaxis(A, (0, 1), (-2, -1))), (-2, -1), (0, 1))
+
+
+def _compose(outer: Sequence[np.ndarray], inner: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """The jets of ``o ∘ i`` by the chain rule, to the order of ``outer``.
+
+    A map's jets are its derivative stacks ``[Dm, D^2 m, ...]``, batch-last,
+    ``D^r m`` of shape ``(n,) * (r + 1) + batch`` with the derivative
+    directions after the component; ``outer`` holds those of ``o`` at
+    ``i(p)``, ``inner`` those of ``i`` at ``p`` (at least as many), up to
+    order 3.  Every product is an elementwise multiply-add
+    (:func:`_slot_replace`), so each column is independent of the batch.
+    """
+    Do, Di = outer[0], inner[0]
+
+    def along(T, slots):
+        """``T`` with its direction slots ``slots`` contracted with ``Di``."""
+        for slot in slots:
+            T = _slot_replace(T, Di, slot, T.ndim - Di.ndim + 2, transpose=True)
+        return T
+
+    out = [along(Do, (1,))]
+    if len(outer) > 1:
+        out.append(along(outer[1], (1, 2)) + _slot_replace(inner[1], Do, 0, 3))
+    if len(outer) > 2:
+        # W[i, a, b, c] = D^2 o[D^2 i[., a, b], Di[., c]], once per pairing of (a, b, c)
+        W = _slot_replace(inner[1], along(outer[1], (2,)), 0, 3, n_m_extra=1)
+        out.append(along(outer[2], (1, 2, 3)) + W + W.swapaxes(2, 3) + np.moveaxis(W, 3, 1)
+                   + _slot_replace(inner[2], Do, 0, 4))
+    return out
+
+
+def _inverse_jets(jets: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """The jets of ``g = m^-1`` at ``m(p)`` from those of ``m`` at ``p``.
+
+    ``Dg`` is the exact inverse of ``Dm``; each higher order follows from
+    ``D^r (g ∘ m) = 0``: with ``D^r g`` left out, :func:`_compose` gives the
+    rest of that derivative, ``c``, and ``D^r g = -c[Dg, ..., Dg]``
+    (``D^2 g = -Dg D^2 m[Dg, Dg]`` at order 2).
+    """
+    out = [_inverse(jets[0])]
+    for r in range(1, len(jets)):
+        c = _compose(out + [np.zeros_like(jets[r])], jets)[r]
+        for slot in range(1, r + 2):
+            c = _slot_replace(c, out[0], slot, r + 2, transpose=True)
+        out.append(-c)
+    return out
+
+
+def _pulled_vector_jets(X: Sequence[np.ndarray], jets: Sequence[np.ndarray],
+                        Dinv: np.ndarray) -> List[np.ndarray]:
+    """The jets of ``Y = m^* X = Dm^-1 X∘m`` at ``p``, to the order of ``X``'s.
+
+    ``X`` holds the vector field's jets at ``m(p)`` (value, then first and
+    possibly second order), ``jets`` those of ``m`` at ``p`` (one order
+    more) and
+    ``Dinv`` the inverse of ``Dm``.  ``Dm Y = X∘m`` is differentiated
+    once and twice, each time solved with ``Dinv``:
+
+        Dm DY = D(X∘m) - D^2 m[Y]
+        Dm D^2 Y = D^2(X∘m) - D^3 m[Y] - D^2 m[DY] - (D^2 m[DY])^T
+    """
+    def solve(R):
+        return _slot_replace(R, Dinv, 0, R.ndim - Dinv.ndim + 2)
+
+    out = [solve(X[0])]
+    XM = _compose(X[1:], jets)  # the jets of X∘m
+    out.append(solve(XM[0] - _along(jets[1], out[0], 2)))
+    if len(X) > 2:
+        S = _slot_replace(jets[1], out[1], 1, 3, transpose=True)
+        out.append(solve(XM[1] - _along(jets[2], out[0], 3) - S - S.swapaxes(1, 2)))
+    return out
+
+
 @dataclass(frozen=True)
 class PushTransport:
-    """Preimages and transport Jacobians for pushforward evaluation.
+    """Preimages and flow-map jets for pushforward evaluation.
 
-    Batch-last, as the wavefront computes them: ``preimages[:, k, p, s]``
-    is the inverse of the discrete flow map up to time t_k applied to
-    stencil point s around the observation point, ``x0 + _STENCIL_EPS *
-    stencil_offsets(dim)[s]`` (the centre ``s = (3**dim - 1) // 2`` is
-    ``x0`` itself); ``jac[:, :, k, p, s]`` is the forward Jacobian
-    accumulated along that preimage trajectory and ``inv_jac`` its
-    matrix inverse.  ``newton_residual_max`` is the worst
+    Batch-last, as the wavefront computes them: ``preimages[:, k, p]`` is
+    the inverse of path p's discrete flow map up to time t_k applied to the
+    observation point, and ``jets[r - 1]``, of shape ``(n,) * (r + 1) +
+    (npoints, P)``, is the r-th derivative stack of that flow map at the
+    preimage (see :func:`_compose`).  ``newton_residual_max`` is the worst
     ``|f(u) - v|`` left by the Newton inversions of the step maps ``f``,
     over every stage, live point and coordinate.
     """
 
-    preimages: np.ndarray  # (n, npoints, P, S)
-    jac: np.ndarray  # (n, n, npoints, P, S)
-    inv_jac: np.ndarray
+    preimages: np.ndarray  # (n, npoints, P)
+    jets: Tuple[np.ndarray, ...]
     newton_residual_max: float
 
 
 def _push_transport(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPaths) -> PushTransport:
-    """Invert the discrete flow on a stencil, one scheme step at a time.
+    """Invert the discrete flow at the observation point, one scheme step at a time.
 
     All target times are inverted together in a wavefront laid over the
     flow's rows: stage j peels the step over [t_{j-1}, t_j] off every live
     row (``flow.live``) that still contains it, so row 0 is never peeled
-    and a row past a path's stop keeps the stencil and the identity.
-    Each step map is inverted by Newton iteration with a fixed iteration
-    count (no data-dependent stopping, so results do not depend on how
-    paths are batched), seeded by the mirrored backward step.
+    and a row past a path's stop keeps the observation point and the
+    identity jets.  Each step map is inverted by Newton iteration with a
+    fixed iteration count (no data-dependent stopping, so results do not
+    depend on how paths are batched), seeded by the mirrored backward
+    step.  One step call at the converged preimage gives the step map's
+    jets, and the row's jets become those of the accumulated map composed
+    with the step map, to one order above the fields' jets (2 in the
+    Stratonovich form, 3 in the Ito form), since the pulled-back
+    coefficients' jets of order r read the map's of order r + 1
+    (:func:`_pulled_vector_jets`).
     """
     sde = scenario.sde
     grid = flow.grid
     L, h = grid.steps, grid.h
     times = grid.times()
-    n, N = sde.dim, drivers.n_noise
-    P = flow.n_paths
-    offsets = stencil_offsets(n)
-    S = offsets.shape[0]
-    cols = (L + 1) * P * S
+    n, P = sde.dim, flow.n_paths
+    cols = (L + 1) * P
+    order = 2 if _row(scenario).strat else 3
 
-    stencil = scenario.x0[None, :] + _STENCIL_EPS * offsets  # (S, n)
-    # batch-last wavefront: column (k * P + p) * S + s holds stencil point s
-    # of path p pulled back from time t_k
-    q = np.broadcast_to(stencil.T[:, None, None, :], (n, L + 1, P, S)).reshape(n, cols).copy()
-    A = np.broadcast_to(np.eye(n)[..., None], (n, n, cols)).copy()
-    rows_k = np.repeat(np.arange(L + 1), P * S)
-    live = np.repeat(flow.live.reshape(-1), S)
+    # batch-last wavefront: column k * P + p holds path p's row k
+    q = np.broadcast_to(scenario.x0[:, None], (n, cols)).copy()
+    jets = [np.broadcast_to(np.eye(n)[..., None], (n, n, cols)).copy()]
+    jets += [np.zeros((n,) * (r + 2) + (cols,)) for r in range(1, order)]
+    live = flow.live.reshape(-1)
     # the tangent of the step map is the Jacobian update of an identity seed
     eye = np.eye(n)[..., None]
     worst = 0.0
 
     for j in range(L, 0, -1):
-        sel = (rows_k >= j) & live
+        sel = live & (np.arange(cols) >= j * P)  # the live rows from j on
         if not np.any(sel):
             continue
-        db_j = (drivers.bm[:, j, :] - drivers.bm[:, j - 1, :]).T  # (N, P)
         # compress keeps the columns C-contiguous, a trailing fancy index would not
-        db = np.broadcast_to(db_j[:, None, :, None], (N, L + 1, P, S)).reshape(N, cols).compress(
-            sel, axis=-1)
+        db = np.tile((drivers.bm[:, j] - drivers.bm[:, j - 1]).T, L + 1).compress(sel, axis=-1)
         v = q.compress(sel, axis=-1)
         u = _backward_step(sde, flow.scheme, 0, times[j - 1], times[j], h, v, db)
         for _ in range(_NEWTON_ITERS):
             fu, Du, _ = scheme_step(sde, flow.scheme, 0, times[j - 1], times[j], h, u, eye,
                                     None, db)
             u = u - np.linalg.solve(np.moveaxis(Du, -1, 0), (fu - v).T[..., None])[..., 0].T
-        fu, Dfinal, _ = scheme_step(sde, flow.scheme, 0, times[j - 1], times[j], h, u, eye,
-                                    None, db)
+        fu, _, _, *step = scheme_step(sde, flow.scheme, 0, times[j - 1], times[j], h, u, eye,
+                                      None, db, order)
         worst = max(worst, float(np.max(np.abs(fu - v))))
         q[:, sel] = u
-        A[..., sel] = _slot_replace(A.compress(sel, axis=-1), Dfinal, 1, 2, transpose=True)
+        for a, c in zip(jets, _compose([a.compress(sel, axis=-1) for a in jets], step)):
+            a[..., sel] = c
 
-    jac = A.reshape(n, n, L + 1, P, S)
-    # np.linalg.inv reads the matrices from the trailing axes of a view
-    inv_jac = np.moveaxis(np.linalg.inv(np.moveaxis(jac, (0, 1), (-2, -1))), (-2, -1), (0, 1))
-    return PushTransport(preimages=q.reshape(n, L + 1, P, S), jac=jac, inv_jac=inv_jac,
-                         newton_residual_max=worst)
+    return PushTransport(q.reshape(n, L + 1, P),
+                         tuple(a.reshape(a.shape[:-1] + (L + 1, P)) for a in jets), worst)
 
 
-def _stencil_integrands(scenario: Scenario, t, pts: np.ndarray, contra: np.ndarray,
-                        cov: np.ndarray, weights, coef,
-                        strat: bool) -> Iterator[Tuple[str, np.ndarray]]:
-    """The :func:`_integrands` pairs, with the coefficient jets ``coef``, of
-    ``K0`` and every ``G_i`` at the stencil points ``pts`` (chart 0, ``(n,) +
-    batch + (3^n,)``, stencil axis last), each slot transported by ``contra``
-    and ``cov`` (:func:`_contract`) and differenced by :func:`fd_jets_from_stencil`.
+def _transported_integrands(scenario: Scenario, t, p: np.ndarray, jets: Sequence[np.ndarray],
+                            Dinv: np.ndarray, weights, coef,
+                            strat: bool) -> Iterator[Tuple[str, np.ndarray]]:
+    """The :func:`_integrands` pairs of the field pushed forward by a map ``m``.
 
-    ``K0``'s values are weighted into those of ``K_t`` (``+= weights[i] *
-    G_i``, in i order) before anything is differenced, since differencing
-    amplifies round-off, so ``K`` is the weighted stencil centre.
+    By naturality, ``L_X (m_* T) = m_* (L_{m^* X} T)``.  So the analytic
+    jets of ``K0`` and every ``G_i`` are evaluated at the points ``p``
+    (chart 0, ``(n,) + batch``), and ``K0``'s are weighted with ``weights``
+    into those of ``K_t`` (``jK0 + sum_i w_i jG_i``, in i order), as the
+    pullback builder does; the coefficient jets ``coef``
+    (:func:`_coeff_jets`, at ``m(p)``) are pulled back through the jets of
+    ``m`` at ``p`` (:func:`_pulled_vector_jets`); and every integrand of
+    :func:`_integrands` is pushed forward with ``Dm = jets[0]`` on the
+    contravariant slots and ``Dinv``, its inverse, on the covariant ones.
     """
     valence = scenario.K0.valence
-
-    def transported(f):
-        return _contract(f._jet_last(t, pts, 0, 0)[0], valence, contra, cov)
-
-    def jets(values, order):
-        return fd_jets_from_stencil(values, scenario.sde.dim, _STENCIL_EPS, order,
-                                    ncomp_axes=sum(valence))
-
-    k_vals = transported(scenario.K0)
-    g_jets = []
-    for i, g in enumerate(scenario.G):
-        v = transported(g)
-        k_vals += weights[i] * v
-        g_jets.append(jets(v, 0 if strat else 1))
-    return _integrands(jets(k_vals, 1 if strat else 2), g_jets, *coef, valence, strat)
+    order = 1 if strat else 2
+    k_jets, *g_jets = (f._jet_last(t, p, 0, order) for f in (scenario.K0, *scenario.G))
+    for i, gj in enumerate(g_jets):
+        for kj, gjm in zip(k_jets, gj):
+            kj += weights[i] * gjm
+    b_jets, *xi_jets = (None if X is None else _pulled_vector_jets(X, jets, Dinv)
+                        for X in (coef[0], *coef[1]))
+    for key, v in _integrands(k_jets, g_jets, b_jets, xi_jets, valence, strat):
+        yield key, _contract(v, valence, jets[0], Dinv)
 
 
 def _pushforward_integrand_paths(
@@ -714,11 +783,11 @@ def _pushforward_integrand_paths(
     """Integrand paths for the pushforward-family selectors, batch-last
     ``comps + (npoints, P)``.
 
-    The Lie derivatives act on the transported field, so they are taken
-    from the stencil jets of the field pushed forward from the Newton
-    preimages (:func:`_push_transport`, :func:`_stencil_integrands`); the
-    flow coefficients enter through their analytic jets at the
-    observation point.
+    The Lie derivatives act on the pushed-forward field, so they are
+    those of :func:`_transported_integrands` at the Newton preimages of
+    the observation point, with the jets of the flow map there
+    (:func:`_push_transport`) and the flow coefficients' analytic jets at
+    the observation point.
     """
     sde = scenario.sde
     times = flow.grid.times()
@@ -729,8 +798,8 @@ def _pushforward_integrand_paths(
     # with a singleton path axis for broadcasting
     q = sde.jets(times, np.broadcast_to(scenario.x0[:, None], (sde.dim, times.size)), 0, order)
     coef = _coeff_jets(sde, {k: v[..., None] for k, v in q.items()}, order)
-    return dict(_stencil_integrands(scenario, times[:, None, None], tp.preimages, tp.jac,
-                                    tp.inv_jac, weights[..., None], coef, strat))
+    return dict(_transported_integrands(scenario, times[:, None], tp.preimages, tp.jets,
+                                        _inverse(tp.jets[0]), weights, coef, strat))
 
 
 # ---------------------------------------------------------------------------
@@ -764,9 +833,10 @@ def eval_lhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPaths) -> n
     """Transported tensor values on the grid, shape (P, npoints) + comps.
 
     This is the ``K`` integrand of the selector's builder (the pullback
-    builder for ``KunitaFirst``, whose restart from time 0 is the flow), so
-    it is :attr:`RhsResult.transported` bitwise (for ``KunitaFirst`` at the
-    live checkpoint times), which a study reads instead.  The driver
+    builder for ``KunitaFirst``, whose restart from time 0 is the flow,
+    with the exact inverse of ``J`` on the contravariant slots), so it is
+    :attr:`RhsResult.transported` bitwise (for ``KunitaFirst`` at the live
+    checkpoint times), which a study reads instead.  The driver
     weights of ``K_t`` come from ``drivers``, as does the pushforward
     transport.
     """
@@ -840,35 +910,38 @@ def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPa
     """Right-hand side of the intermediate-time transport identity, batch-last.
 
     For each checkpoint time t the flow maps from every grid time s to t
-    are realised by restarting a stencil at s and advancing all restarts
-    together with the flow's scheme step (Euler, see validate_scenario);
-    at the checkpoint the transported tensor is differentiated across the
-    stencil by :func:`_stencil_integrands`, and the Lie integrands,
-    ``comps + (restarts, P)``, are summed in s, left-point in time and
-    right-point (backward) against the noise.  The left-hand side is the
-    centre ``K`` of the restart from time 0, the flow itself (same step,
-    same increments) up to a path's stop; a study masks the checkpoints
-    past it (:func:`_run_level`).  Every array of the result is ``comps +
-    (checkpoints, P)``.
+    are realised by restarting at the observation point at s and advancing
+    all restarts together with the flow's scheme step (Euler, see
+    validate_scenario), their jets composed with the step map's
+    (:func:`_compose`, to order 3, as on the push-forward route in the Ito
+    form).  At the checkpoint the pulled-back tensor is the tensor pushed
+    forward by the inverse map, whose jets follow from the
+    implicit-function rules (:func:`_inverse_jets`), so
+    :func:`_transported_integrands` gives the Lie integrands, ``comps +
+    (restarts, P)``; they are summed in s, left-point in time and
+    right-point (backward) against the noise.  The restart's first-order
+    jet is the step program's own ``J`` update, so the restart from time
+    0 is the flow itself (same step, same increments) up to a path's stop,
+    and the left-hand side, its ``K``, is :func:`eval_lhs`'s; a study masks
+    the checkpoints past the stop (:func:`_run_level`).  Every array of
+    the result is ``comps + (checkpoints, P)``.
     """
     sde = scenario.sde
     grid = flow.grid
     L, h = grid.steps, grid.h
     times = grid.times()
     n = sde.dim
-    N = drivers.n_noise
     P = flow.n_paths
-    offsets = stencil_offsets(n)
-    S = offsets.shape[0]
     cps = _checkpoint_indices(L, _N_CHECKPOINTS)
     K0 = scenario.K0
-    stencil = scenario.x0[None, :] + _STENCIL_EPS * offsets
+    order = 2 if _row(scenario).strat else 3  # as on the push-forward route
 
-    # batch-last: Q[:, s] is the restart-s stencil advanced to the current time,
-    # A[:, :, s] and Ai[:, :, s] its accumulated (inverse) variational state
-    Q = np.broadcast_to(stencil.T[:, None, None, :], (n, L + 1, P, S)).reshape(n, L + 1, -1).copy()
-    A = np.broadcast_to(np.eye(n)[..., None, None], (n, n, L + 1, P * S)).copy()
-    Ai = A.copy()
+    # batch-last: column s * P + p of Q holds path p's restart at time s
+    # advanced to the current time, that of jets[r - 1] the r-th derivative
+    # stack of its map; the restarts before m are the first m * P columns
+    Q = np.broadcast_to(scenario.x0[:, None], (n, (L + 1) * P)).copy()
+    jets = [np.broadcast_to(np.eye(n)[..., None], (n, n, (L + 1) * P)).copy()]
+    jets += [np.zeros((n,) * (r + 2) + ((L + 1) * P,)) for r in range(1, order)]
 
     # coefficient jets at the observation point for every restart time
     q = sde.jets(times, np.broadcast_to(scenario.x0[:, None], (n, L + 1)), 0, 2)
@@ -876,30 +949,26 @@ def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPa
     shape = K0.shape + (cps.size, P)
     out_vals, lhs = np.empty(shape), np.empty(shape)
     terms = {"L_b": np.zeros(shape)}
-    if N:  # as _assemble_forward_rhs reports them: L_xi and L2 only with a noise field
+    if drivers.n_noise:  # as _assemble_forward_rhs reports them: L_xi, L2 only with noise
         terms.update(L_xi=np.zeros(shape), L2=np.zeros(shape))
     K_at_x0 = K0.eval_batch(0.0, scenario.x0[None, :], 0)[0][..., None]
 
     for m in range(L + 1):
         if m > 0:
-            db = (drivers.bm[:, m, :] - drivers.bm[:, m - 1, :]).T
-            dbr = np.broadcast_to(db[:, None, :, None], (N, m, P, S)).reshape(N, m * P * S)
-            newrows, newA, newAi = scheme_step(
-                sde, flow.scheme, 0, times[m - 1], times[m], h, Q[:, :m].reshape(n, -1),
-                A[:, :, :m].reshape(n, n, -1), Ai[:, :, :m].reshape(n, n, -1), dbr
-            )
-            Q[:, :m] = newrows.reshape(n, m, P * S)
-            A[:, :, :m] = newA.reshape(n, n, m, P * S)
-            Ai[:, :, :m] = newAi.reshape(n, n, m, P * S)
+            db = np.tile((drivers.bm[:, m] - drivers.bm[:, m - 1]).T, m)
+            u, J, _, *step = scheme_step(sde, flow.scheme, 0, times[m - 1], times[m], h,
+                                         Q[:, :m * P], jets[0][..., :m * P], None, db, order)
+            new = [J, *_compose(step, [a[..., :m * P] for a in jets])[1:]]
+            for a, b in zip([Q, *jets], [u, *new]):
+                a[..., :m * P] = b
         if m not in cps:
             continue
         c = np.searchsorted(cps, m)
         nrows = m + 1
-        batch = (nrows, P, S)
         coef = _coeff_jets(sde, {k: v[..., :nrows, None] for k, v in q.items()}, 2)
-        lie = dict(_stencil_integrands(scenario, times[m], Q[:, :nrows].reshape((n,) + batch),
-                                       Ai[:, :, :nrows].reshape((n, n) + batch),
-                                       A[:, :, :nrows].reshape((n, n) + batch), (), coef, False))
+        x, *fwd = (a[..., :nrows * P].reshape(a.shape[:-1] + (nrows, P)) for a in (Q, *jets))
+        lie = dict(_transported_integrands(scenario, times[m], x, _inverse_jets(fwd), fwd[0], (),
+                                           coef, False))
         lhs[..., c, :] = lie["K"][..., 0, :]  # the restart from time 0
         dt_w = np.full((nrows, 1), h)
         dt_w[m] = 0.0  # left sum in s: the s = t endpoint never enters

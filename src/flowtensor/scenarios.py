@@ -365,7 +365,7 @@ def _kiw_ito_pushforward_r2() -> Scenario:
     return Scenario(
         name="kiw_ito_pushforward_r2",
         description="forward transport observed at a fixed point: the discrete flow maps "
-        "are inverted exactly on a stencil and the Lie terms act on the "
+        "are inverted exactly there and the Lie terms act on the "
         "transported tensor",
         theorem="KiwItoPushforward",
         sde=sde,

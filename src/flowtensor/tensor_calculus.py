@@ -32,11 +32,11 @@ is then an n-term elementwise multiply-add over the contracted index,
 with the batch axis as the inner loop.  The public batch-first
 functions (``lie_jet``, ``pullback_batch``, ``pushforward_batch``) move
 the batch axes to the end at entry and back at exit.  The verifier's
-integrand chains stay batch-last from end to end: the pull-back route
-from the analytic jets to the pulled-back terms, and the stencil route
-(push-forward and restart selectors) from the stencil values through
-:func:`fd_jets_from_stencil`, which takes the stencil axis last and
-returns batch-last jets.
+integrand chains stay batch-last from end to end, from the analytic
+jets to the transported terms.  Every selector reads the same jets: the
+pull-back route at the flow states, and the push-forward and restart
+routes at the transported point, with the flow coefficients pulled back
+through the exact jets of the discrete flow map.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import prod
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 import sympy as sp
@@ -84,8 +84,6 @@ __all__ = [
     "pushforward_batch",
     "pair_batch",
     "lie_jet",
-    "fd_jets_from_stencil",
-    "stencil_offsets",
 ]
 
 
@@ -843,56 +841,3 @@ def _add_slot_terms(acc: np.ndarray, T: np.ndarray, M: np.ndarray, valence: Tupl
     for b in range(r, k):
         acc += _slot_replace(T, M, b, k, n_extra, n_m_extra, transpose=True)
     return acc
-
-
-def stencil_offsets(dim: int) -> np.ndarray:
-    """Lexicographic (-1, 0, +1)^dim offsets, shape (3^dim, dim)."""
-    return np.array(list(product((-1.0, 0.0, 1.0), repeat=dim)))
-
-
-def fd_jets_from_stencil(
-    values: np.ndarray, dim: int, eps: float, order: int = 2, ncomp_axes: int = 0
-) -> List[np.ndarray]:
-    """Central-difference jets from values on a (-eps, 0, +eps)^dim stencil.
-
-    Batch-last: ``values`` has shape ``shape + batch + (3^dim,)``, where
-    ``shape`` spans the leading ``ncomp_axes`` component axes and the
-    trailing stencil axis is enumerated as in :func:`stencil_offsets`.
-    Returns the value and derivative stacks at the centre as new arrays,
-    the m-th of shape ``shape + (dim,) * m + batch``, as the verifier's
-    Lie terms read them; the mixed second derivatives use the four corner
-    points of each coordinate plane.
-    """
-    values = np.asarray(values, dtype=float)
-    npoints = 3**dim
-    if values.ndim < ncomp_axes + 1 or values.shape[-1] != npoints:
-        raise ShapeMismatch(
-            f"expected a trailing stencil axis of length {npoints} after {ncomp_axes} "
-            f"component axes in {values.shape}"
-        )
-    comp = (slice(None),) * ncomp_axes  # index prefix of the component axes
-
-    def at(*steps: Tuple[int, int]) -> np.ndarray:
-        """Values at the centre moved by ``sign`` along each ``(direction, sign)``."""
-        idx = (npoints - 1) // 2 + sum(sign * 3 ** (dim - 1 - k) for k, sign in steps)
-        return values[..., idx]
-
-    out = [at().copy()]  # not a view, so the stencil values can be freed
-    shape, batch = out[0].shape[:ncomp_axes], out[0].shape[ncomp_axes:]
-    if order >= 1:
-        d1 = np.empty(shape + (dim,) + batch)
-        for k in range(dim):
-            d1[comp + (k,)] = (at((k, 1)) - at((k, -1))) / (2.0 * eps)
-        out.append(d1)
-    if order >= 2:
-        d2 = np.empty(shape + (dim, dim) + batch)
-        for k in range(dim):
-            d2[comp + (k, k)] = (at((k, 1)) - 2.0 * at() + at((k, -1))) / eps**2
-            for l in range(k + 1, dim):
-                mixed = (at((k, 1), (l, 1)) - at((k, 1), (l, -1)) - at((k, -1), (l, 1))
-                         + at((k, -1), (l, -1))) / (4.0 * eps**2)
-                d2[comp + (k, l)] = d2[comp + (l, k)] = mixed
-        out.append(d2)
-    if order >= 3:
-        raise NotImplementedError("stencil jets beyond second order are not needed here")
-    return out

@@ -254,8 +254,8 @@ def test_config_inline_gbm_line_scenario(tmp_path):
 
 
 @pytest.mark.parametrize("theorem", ["KiwItoPushforward", "KunitaFirst"])
-def test_config_inline_noiseless_stencil_scenario(tmp_path, theorem):
-    """An inline flow with no noise field runs on the stencil selectors, and
+def test_config_inline_noiseless_transport_scenario(tmp_path, theorem):
+    """An inline flow with no noise field runs on the transport selectors, and
     both report the term series of the assembly's rule: ``L_b`` alone."""
     cfg = write_config(
         tmp_path,
@@ -435,6 +435,31 @@ def test_closed_form_bracket_without_antiderivative_exits_one(tmp_path, monkeypa
                            "run.paths = 2\nrun.levels = 2\n")
     assert cli.run(["--config", "run.cfg"]) == cli.EXIT_OK
     assert (tmp_path / "bare_bracket.csv").is_file()
+
+
+@pytest.mark.parametrize("dim,line,key", [
+    (2, "scenario.noise.0 = zero:5", "scenario.noise.0"),
+    (2, "scenario.noise.0 = rotation:1,2", "scenario.noise.0"),
+    (2, "scenario.drift = rotation:1,2", "scenario.drift"),
+    (1, "scenario.noise.0 = gbm:0.3,0.4", "scenario.noise.0"),
+    (2, "scenario.K0 = metric:7", "scenario.K0"),
+    (2, "scenario.K0 = position_one_form:3", "scenario.K0"),
+])
+def test_inline_field_specs_refuse_surplus_parameters(tmp_path, monkeypatch, capsys, dim, line,
+                                                      key):
+    """A field spec given parameters it does not take exits 1 naming its key,
+    before anything is written; without the surplus the run goes through."""
+    from flowtensor import cli
+
+    monkeypatch.chdir(tmp_path)
+    head = f"scenario.name = extra\nscenario.atlas = euclidean:{dim}\nrun.paths = 2\n"
+    write_config(tmp_path, f"{head}run.levels = 1\n{line}\n")
+    assert cli.run(["--config", "run.cfg"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert key in err and "takes" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+    write_config(tmp_path, f"{head}run.levels = 1\n{line.partition(':')[0]}\n")
+    assert cli.run(["--config", "run.cfg"]) == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("args", [["--list"], ["identity", "--out", None]])

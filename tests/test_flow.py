@@ -262,6 +262,63 @@ def test_step_program_matches_the_numpy_reference(name, chart, scheme, with_inv,
             assert_allclose(g, w, rtol=1e-13, atol=0, err_msg=what)
 
 
+@pytest.mark.parametrize("scheme", ["euler_maruyama", "heun"])
+@pytest.mark.parametrize("order", [2, 3])
+def test_step_map_jets_are_the_derivatives_of_the_step_points(scheme, order):
+    """An order-r step gives the point and ``J`` rows of order 1 bitwise, and
+    its stacks ``D^m f`` are the central differences of the stepped points
+    (``D^1 f``, ``D^2 f``) and of the stacks one order lower."""
+    sde = make_swirl_sde()
+    rng = np.random.default_rng(3)
+    n, m, eps = 2, 30, 1e-4
+    u = rng.uniform(-0.8, 0.8, (n, m))
+    db = rng.normal(0.0, 0.1, (sde.n_noise, m))
+    J = np.eye(n)[..., None] + rng.normal(0.0, 0.2, (n, n, m))
+    u1, J1, Ji1, *jets = scheme_step(sde, scheme, 0, 0.3, 0.31, 0.01, u, J, None, db, order)
+    assert Ji1 is None and len(jets) == order
+    base = scheme_step(sde, scheme, 0, 0.3, 0.31, 0.01, u, J, None, db)
+    assert np.array_equal(u1, base[0]) and np.array_equal(J1, base[1])
+    e = np.eye(n)[:, [0]], np.eye(n)[:, [1]]
+
+    def diff(f):
+        """Central differences of ``f`` at ``u``, direction last before the batch."""
+        return np.stack([(f(u + eps * d) - f(u - eps * d)) / (2 * eps) for d in e], axis=-2)
+
+    assert_allclose(jets[0], diff(lambda x: scheme_step(sde, scheme, 0, 0.3, 0.31, 0.01, x, J,
+                                                        None, db)[0]), atol=1e-9)
+    assert_allclose(jets[1], diff(lambda x: scheme_step(sde, scheme, 0, 0.3, 0.31, 0.01, x, J,
+                                                        None, db, 2)[3]), atol=1e-9)
+    if order == 3:
+        assert_allclose(jets[2], diff(lambda x: scheme_step(sde, scheme, 0, 0.3, 0.31, 0.01, x,
+                                                            J, None, db, 3)[4]), atol=1e-9)
+
+
+@pytest.mark.parametrize("scheme", ["euler_maruyama", "heun"])
+def test_affine_coefficients_give_vanishing_higher_step_jets(scheme):
+    """With affine drift and noise the step map is affine: its higher jets are exactly 0."""
+    X, Y = X2D
+    noise = vector_field(2, [Y / 4 + sp.Rational(1, 2), -X / 3], name="affine_noise")
+    sde = FlowSDE(linear_vector_field([[0.1, -0.4], [0.3, 0.2]]), [noise], euclidean_atlas(2))
+    u = np.random.default_rng(0).uniform(-1.0, 1.0, (2, 5))
+    _, _, _, _, D2f, D3f = scheme_step(sde, scheme, 0, 0.0, 0.1, 0.1, u, np.eye(2)[..., None],
+                                       None, np.full((1, 5), 0.3), 3)
+    assert not D2f.any() and not D3f.any()
+
+
+def test_step_jets_need_the_derivatives_they_read():
+    """Euler's order-3 step differentiates the noise four times, so a ``C^3``
+    noise field is refused before anything is differentiated; Heun's takes
+    it."""
+    noise = vector_field(2, [X2D[1], X2D[0]], name="n").with_order(3)
+    sde = FlowSDE(rotation_field_2d(), (noise,), euclidean_atlas(2))
+    with pytest.raises(InsufficientSmoothness):
+        sde._step_program(0, "euler_maruyama", False, 3)
+    sde._step_program(0, "euler_maruyama", False, 2)
+    sde._step_program(0, "heun", False, 3)
+    with pytest.raises(InsufficientSmoothness):
+        sde._step_program(0, "heun", False, 4)
+
+
 def test_correction_terms_sum_over_noises():
     sde = FlowSDE(
         zero_drift(1), [gbm_vector_field(1.0), gbm_vector_field(1.0)], euclidean_atlas(1)

@@ -1,5 +1,7 @@
 """Transport identities: scenario wiring, dual-route checks, assemblies."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -34,19 +36,21 @@ from flowtensor.kiw_verifier import (
     _pullback_integrand_paths,
     _pushforward_integrand_paths,
     _coeff_jets,
+    _compose,
     _driver_weights,
     _path_major,
     _integrands,
+    _inverse_jets,
     _lie_terms,
     _push_transport,
     _random_jet_states,
     _route_a_integrands,
-    _stencil_integrands,
+    _transported_integrands,
 )
 from flowtensor.scenarios import get_scenario, list_scenarios, scenario_table
 from flowtensor.stochastics import FvSpec, MartSpec, TimeGrid, build_driving_paths
 from flowtensor.tensor_calculus import (TensorFieldSpec, coord_symbols, lie_derivative, lie_jet,
-                                       pullback_batch, stencil_offsets)
+                                       pullback_batch)
 
 
 def drivers_for(sc, n_paths=None, grid=None):
@@ -142,6 +146,15 @@ def test_ito_pullback_selectors_need_c2_driver_fields(name):
     rough = replace(sc, G=(sc.G[0].with_order(1),) + sc.G[1:])
     with pytest.raises(HypothesisViolation, match=sc.theorem):
         validate_scenario(rough)
+
+
+def test_ito_pushforward_needs_c2_driver_fields():
+    """``L_xi L_xi`` of the pushed-forward ``K_t`` differentiates each driver
+    field twice at the Newton preimages, so a ``C^1`` field is refused."""
+    sc = get_scenario("kiw_ito_pushforward_r2")
+    validate_scenario(replace(sc, G=(sc.G[0].with_order(2),)))
+    with pytest.raises(HypothesisViolation, match="driver fields C\\^2"):
+        validate_scenario(replace(sc, G=(sc.G[0].with_order(1),)))
 
 
 def scalar_scenario(**overrides):
@@ -699,18 +712,37 @@ def test_restart_sums_do_not_depend_on_the_batch_size():
 
 @pytest.mark.parametrize("name", ["kiw_ito_pushforward_r2", "kiw_strat_pushforward_r2"])
 def test_push_transport_inverts_the_discrete_flow(name):
-    """Forward runs from the preimages land on the stencil with the same Jacobians."""
+    """Forward runs from the preimages land on the observation point with the
+    Jacobians of ``jets[0]``; ``jets[1]`` (and ``jets[2]`` in the Ito form)
+    are the central differences of forward runs from the preimages moved by
+    ``+-eps e_i``."""
     sc = get_scenario(name)
     d, flow = drivers_and_flow(sc, n_paths=6)
     assert np.all(flow.completed)
     tp = _push_transport(sc, flow, d)
-    stencil = sc.x0 + kiw_verifier._STENCIL_EPS * stencil_offsets(sc.sde.dim)
-    for s, target in enumerate(stencil):
-        for k in range(flow.grid.npoints):
-            fwd = integrate_flow(sc.sde, d, tp.preimages[:, k, :, s].T, sc.scheme)
-            assert_allclose(fwd.coords[k], np.broadcast_to(target, (6, 2)), rtol=0, atol=1e-12)
-            assert_allclose(fwd.jac[k], np.moveaxis(tp.jac[:, :, k, :, s], -1, 0), rtol=0,
-                            atol=1e-12)
+    n = sc.sde.dim
+    assert len(tp.jets) == (3 if sc.theorem == "KiwItoPushforward" else 2)
+    e = np.eye(n)
+
+    def jac(k, *moves):
+        """The forward Jacobians at time t_k from the preimages moved by ``moves``."""
+        x = tp.preimages[:, k, :].T + sum(moves, np.zeros(n))
+        return np.moveaxis(integrate_flow(sc.sde, d, x, sc.scheme).jac[k], 0, -1)
+
+    for k in range(flow.grid.npoints):
+        fwd = integrate_flow(sc.sde, d, tp.preimages[:, k, :].T, sc.scheme)
+        assert_allclose(fwd.coords[k], np.broadcast_to(sc.x0, (6, n)), rtol=0, atol=1e-12)
+        assert_allclose(np.moveaxis(fwd.jac[k], 0, -1), tp.jets[0][:, :, k], rtol=0, atol=1e-12)
+        eps = 1e-4
+        for i in range(n):
+            d2 = (jac(k, eps * e[i]) - jac(k, -eps * e[i])) / (2 * eps)
+            assert_allclose(d2, tp.jets[1][:, :, i, k], rtol=0, atol=1e-7)
+        if len(tp.jets) > 2:
+            eps = 1e-3
+            for i, l in np.ndindex(n, n):
+                d3 = (jac(k, eps * e[i], eps * e[l]) - jac(k, eps * e[i], -eps * e[l])
+                      - jac(k, -eps * e[i], eps * e[l]) + jac(k, -eps * e[i], -eps * e[l]))
+                assert_allclose(d3 / (4 * eps**2), tp.jets[2][:, :, i, l, k], rtol=0, atol=1e-6)
 
 
 @pytest.mark.parametrize("name,field,strat", [
@@ -720,24 +752,67 @@ def test_push_transport_inverts_the_discrete_flow(name):
     ("kiw_strat_pushforward_r2", "G0", True),
     ("kunita_first_gbm", "K0", False),
 ])
-def test_stencil_lie_terms_match_the_analytic_jets(name, field, strat):
-    """With identity transports the stencil step gives the integrands of the field itself."""
+def test_identity_map_jets_give_the_analytic_integrands(name, field, strat):
+    """Pushed forward by the identity map, a field's transported integrands
+    are the :func:`_integrands` of its analytic jets, bitwise."""
     sc = get_scenario(name)
     f = sc.K0 if field == "K0" else sc.G[0]
-    n, eps, order = sc.sde.dim, kiw_verifier._STENCIL_EPS, 1 if strat else 2
-    offsets = np.random.default_rng(5).uniform(-0.1, 0.1, (n, 2, 3))
-    centres = sc.x0[:, None, None] + offsets  # batch (2, 3) around x0
-    stencil = stencil_offsets(n).T[:, None, None, :]
-    pts = centres[..., None] + eps * stencil
-    eye = np.broadcast_to(np.eye(n)[:, :, None, None, None], (n, n) + pts.shape[1:])
+    n, order = sc.sde.dim, 1 if strat else 2
+    pts = sc.x0[:, None, None] + np.random.default_rng(5).uniform(-0.1, 0.1, (n, 2, 3))
+    jets = [np.broadcast_to(np.eye(n)[:, :, None, None], (n, n, 2, 3))]
+    jets += [np.zeros((n,) * (r + 2) + (2, 3)) for r in range(1, order + 1)]
     t = 0.3
-    coef = _coeff_jets(sc.sde, sc.sde.jets(t, centres, 0, order), order)
+    coef = _coeff_jets(sc.sde, sc.sde.jets(t, pts, 0, order), order)
     # the field alone, with no driver fields to weight in
-    got = dict(_stencil_integrands(replace(sc, K0=f, G=()), t, pts, eye, eye, (), coef, strat))
-    want = dict(_integrands(f._jet_last(t, centres, 0, order), (), *coef, f.valence, strat))
+    got = dict(_transported_integrands(replace(sc, K0=f, G=()), t, pts, jets, jets[0], (), coef,
+                                       strat))
+    want = dict(_integrands(f._jet_last(t, pts, 0, order), (), *coef, f.valence, strat))
     assert got.keys() == want.keys()
     for nm in want:
-        assert_allclose(got[nm], want[nm], rtol=1e-6, atol=1e-6, err_msg=nm)
+        assert np.array_equal(got[nm], want[nm]), nm
+
+
+def random_map_jets(n, rng, batch=(7,)):
+    """Jets ``[Dm, D^2 m, D^3 m]`` of a random map, batch-last, each stack
+    symmetric in its derivative directions and ``Dm`` near the identity."""
+    def symmetric(a, m):
+        """The mean of ``a`` over the orders of its ``m`` derivative axes."""
+        perms = list(permutations(range(1, m + 1)))
+        return sum(np.transpose(a, (0, *p, *range(m + 1, a.ndim))) for p in perms) / len(perms)
+
+    eye = np.eye(n).reshape((n, n) + (1,) * len(batch))
+    jets = [eye + 0.2 * rng.standard_normal((n, n) + batch)]
+    jets += [symmetric(rng.standard_normal((n,) * (m + 1) + batch), m) for m in (2, 3)]
+    return jets
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_inverse_jets_compose_to_the_identity(n):
+    """The inverse map's jets composed with the map's are the identity jets."""
+    m = random_map_jets(n, np.random.default_rng(n))
+    ident = _compose(_inverse_jets(m), m)
+    assert_allclose(ident[0], np.broadcast_to(np.eye(n)[..., None], ident[0].shape), atol=1e-12)
+    for r in (1, 2):
+        assert_allclose(ident[r], 0.0, atol=1e-11)
+    # and the other way round, at the image point
+    back = _compose(m, _inverse_jets(m))
+    for r in (1, 2):
+        assert_allclose(back[r], 0.0, atol=1e-11)
+
+
+def test_kunita_first_transports_a_mixed_tensor_with_the_exact_inverse():
+    """On a (1, 1) field the restart from time 0 carries ``K0`` back with the
+    flow's ``J`` on the covariant slot and its exact inverse on the
+    contravariant one, not with the scheme's ``Jinv``."""
+    sc = replace(get_scenario("kiw_ito_pushforward_r2"), name=KUNITA_FIRST_R2,
+                 theorem="KunitaFirst", G=(), fv_specs=(), mart_specs=())
+    d, flow = drivers_and_flow(sc, n_paths=5)
+    rhs = eval_rhs(sc, flow, d)
+    cps = rhs.checkpoint_indices
+    vals = _eval_along_flow(sc.K0, flow, cps)
+    want = pullback_batch(vals, sc.K0.valence, flow.jac[cps], np.linalg.inv(flow.jac[cps]))
+    assert_allclose(rhs.transported, np.swapaxes(want, 0, 1), rtol=1e-13, atol=1e-15)
+    assert flow.jac_consistency_max() > 1e-6  # the scheme's Jinv is not the inverse of J
 
 
 @pytest.mark.parametrize("name", ["kiw_ito_pushforward_r2", "kiw_strat_pushforward_r2"])
@@ -816,9 +891,9 @@ def noiseless(name, theorem):
     ("kiw_strat_pushforward_r2", "KiwStratPushforward"),
     ("kiw_ito_pushforward_r2", "KunitaFirst"),
 ])
-def test_stencil_selectors_study_a_noiseless_flow(name, theorem):
-    """With no noise field the stencil routes converge at first order, the
-    floor acceptance criterion 8 sets for a noiseless flow."""
+def test_transport_selectors_study_a_noiseless_flow(name, theorem):
+    """With no noise field the push-forward and restart routes converge at
+    first order, the floor acceptance criterion 8 sets for a noiseless flow."""
     rep = convergence_study(noiseless(name, theorem), levels=3, n_paths=4)
     assert all(np.isfinite(lvl.rms_sup_residual) for lvl in rep.levels)
     assert rep.fitted_order >= 0.9

@@ -25,13 +25,12 @@ from flowtensor.fields import (
     tensor_field,
     vector_field,
 )
-from flowtensor.geometry import JacobianData, TensorValue, _batch_first
+from flowtensor.geometry import JacobianData, TensorValue
 from flowtensor.tensor_calculus import (
     InsufficientSmoothness,
     TensorFieldSpec,
     ValenceMismatch,
     coord_symbols,
-    fd_jets_from_stencil,
     lie_derivative,
     lie_derivative_fd_oracle,
     lie_jet,
@@ -41,7 +40,6 @@ from flowtensor.tensor_calculus import (
     pullback_batch,
     pushforward,
     pushforward_batch,
-    stencil_offsets,
 )
 from flowtensor import scenarios, tensor_calculus
 from flowtensor.kiw_verifier import convergence_study
@@ -335,59 +333,6 @@ def test_lie_jet_first_derivative_consistency():
     got = lie_jet(K.jet_batch(0.0, pts, 0, 2), X.jet_batch(0.0, pts, 0, 2), (0, 1), 1)[1]
     want = lie_derivative(K, X).jet_batch(0.0, pts, 0, 1)[1]
     assert_allclose(got, want, rtol=1e-11, atol=1e-11)
-
-
-def test_lie_jet_from_fd_stencil():
-    rng = np.random.default_rng(23)
-    K = random_tensor_field((0, 1), 2, rng, kind="trig", scale=0.5)
-    X = random_vector_field(2, rng, kind="trig", scale=0.5)
-    pts = rng.uniform(-0.4, 0.4, size=(6, 2))
-    eps = 1e-4
-    lattice = pts[:, None, :] + eps * stencil_offsets(2)[None, :, :]
-    flat = lattice.reshape(-1, 2)
-    # batch-last stencil values: components, points, stencil
-    kv = np.moveaxis(K.eval_batch(0.0, flat, 0).reshape(6, 9, 2), -1, 0)
-    xv = np.moveaxis(X.eval_batch(0.0, flat, 0).reshape(6, 9, 2), -1, 0)
-    t_jets = fd_jets_from_stencil(kv, 2, eps, order=1, ncomp_axes=1)
-    x_jets = fd_jets_from_stencil(xv, 2, eps, order=1, ncomp_axes=1)
-    got = lie_jet([_batch_first(a, 1) for a in t_jets], [_batch_first(a, 1) for a in x_jets],
-                  (0, 1))[0]
-    want = lie_derivative(K, X).eval_batch(0.0, pts, 0)
-    assert_allclose(got, want, atol=1e-7)
-
-
-def test_fd_jets_are_batch_last_and_pointwise():
-    """Two batch axes and a (1, 1) field give per-point calls' jets bitwise."""
-    vals = np.random.default_rng(31).standard_normal((2, 2, 3, 4, 9))
-    jets = fd_jets_from_stencil(vals, 2, 1e-3, order=2, ncomp_axes=2)
-    assert [a.shape for a in jets] == [(2, 2, 3, 4), (2, 2, 2, 3, 4), (2, 2, 2, 2, 3, 4)]
-    for i, j in product(range(3), range(4)):
-        one = fd_jets_from_stencil(vals[:, :, i, j], 2, 1e-3, order=2, ncomp_axes=2)
-        for a, b in zip(jets, one):
-            assert np.array_equal(a[..., i, j], b)
-
-
-def test_fd_jets_reproduce_polynomial_derivatives():
-    # quadratic data: order-2 central differences are exact up to roundoff
-    eps = 1e-3
-    offs = stencil_offsets(2) * eps
-    vals = 2.0 + offs[:, 0] + 3.0 * offs[:, 1] + offs[:, 0] * offs[:, 1]
-    v, d1, d2 = fd_jets_from_stencil(vals, 2, eps, order=2)
-    assert_allclose(v, 2.0, rtol=1e-12)
-    assert_allclose(d1, [1.0, 3.0], rtol=1e-9)
-    assert_allclose(d2, [[0.0, 1.0], [1.0, 0.0]], atol=1e-9)
-
-
-def test_fd_jets_reproduce_polynomial_derivatives_in_three_dimensions():
-    eps = 1e-3
-    offs = stencil_offsets(3).T * eps  # (3, 27)
-    grad = np.array([1.0, -2.0, 0.5])
-    hess = np.array([[2.0, 0.3, -1.0], [0.3, -4.0, 0.7], [-1.0, 0.7, 6.0]])
-    vals = 1.5 + grad @ offs + 0.5 * np.einsum("is,ij,js->s", offs, hess, offs)
-    v, d1, d2 = fd_jets_from_stencil(vals, 3, eps, order=2)
-    assert_allclose(v, 1.5, rtol=1e-12)
-    assert_allclose(d1, grad, rtol=1e-9)
-    assert_allclose(d2, hess, rtol=1e-6, atol=1e-6)
 
 
 def test_lie_jet_needs_one_extra_jet_order():
