@@ -25,9 +25,10 @@ integrates all levels' flows in one sweep of the finest grid
 levels coarse to fine, dropping each level's drivers and flow once it
 is reduced.  A level is reduced in blocks of whole paths
 (:func:`_run_level`), so a level's integrands and term series exist
-for one block of paths at a time.  A study reads every
-setting from its :class:`Scenario`; a variant, such as another scheme,
-is studied as ``dataclasses.replace(scenario, ...)``.
+for one block of paths at a time; that block is the one memory bound,
+and every integrand builder takes the flow it is given in one piece.
+A study reads every setting from its :class:`Scenario`; a variant, such
+as another scheme, is studied as ``dataclasses.replace(scenario, ...)``.
 
 Selectors
 ---------
@@ -47,6 +48,9 @@ columns are:
               exact jets of the discrete flow map and push every integrand
               forward by naturality (:func:`_transported_integrands`), and
               their contravariant slots take the exact inverse of ``J``.
+              Every route builds its integrands in one pipeline,
+              :func:`_route_integrands`, and differs only in its
+              coefficient jets and the matrix pair that carries them.
               Every route but ``pullback`` needs a single-chart atlas, and
               ``restart`` the Euler scheme.
 ``strat``     whether the form is Stratonovich (trapezoid sums against the
@@ -501,9 +505,36 @@ def _integrands(k_jets: Sequence[np.ndarray], g_jets: Sequence[Sequence[np.ndarr
             yield f"LxG{i}_{nm[2:]}", lie.pop(nm)
 
 
+def _route_integrands(scenario: Scenario, t, x: np.ndarray, cid: int, coef, w,
+                      contra: np.ndarray, cov: np.ndarray,
+                      strat: bool) -> Iterator[Tuple[str, np.ndarray]]:
+    """The :func:`_integrands` pairs of one route, carried by ``(contra, cov)``.
+
+    The one integrand pipeline of every route: the analytic jets of
+    ``K0`` and every ``G_i`` are evaluated at the points ``x`` (chart
+    ``cid``, ``(n,) + batch``), ``K0``'s are weighted with the driver
+    weights ``w`` (:func:`_driver_weights`) into those of ``K_t`` (``jK0 +
+    sum_i w_i jG_i``, in i order), :func:`_integrands` takes them with the
+    coefficient jets ``coef`` (``(b_jets, xi_jets)``, as
+    :func:`_coeff_jets` gives them), and every integrand is contracted as
+    it arrives, ``contra`` on the contravariant slots and ``cov`` on the
+    covariant ones.  The routes differ only in where ``coef`` comes from
+    and in the matrix pair.
+    """
+    valence = scenario.K0.valence
+    order = 1 if strat else 2
+    k_jets, *g_jets = (f._jet_last(t, x, cid, order) for f in (scenario.K0, *scenario.G))
+    # the jets of K_t, accumulated in place into K0's
+    for i, gj in enumerate(g_jets):
+        for kj, gjm in zip(k_jets, gj):
+            kj += w[i] * gjm
+    for key, v in _integrands(k_jets, g_jets, *coef, valence, strat):
+        yield key, _contract(v, valence, contra, cov)
+
+
 # largest number of flow states whose jets are held at once: a study level
-# is reduced in blocks of whole paths below this bound, and the pullback
-# integrands are built in blocks of whole grid rows below it
+# is reduced in blocks of whole paths below this bound (:func:`_run_level`),
+# and every integrand builder takes the flow it is given in one piece
 _JET_BLOCK_STATES = 8192
 
 
@@ -512,79 +543,46 @@ def _pullback_integrand_paths(
 ) -> Dict[str, np.ndarray]:
     """Integrand paths for the pullback-family selectors.
 
-    At the flow states, chart by chart, the analytic jets of ``K0`` and
-    every ``G_i`` are evaluated, and ``K0``'s are weighted with the
-    states' driver weights (:func:`_driver_weights`) into the jets of
-    ``K_t`` (``jK0 + sum_i w_i jG_i``, in i order).  :func:`_integrands`
-    takes them with the flow coefficients' jets (:meth:`FlowSDE.jets`),
-    and every integrand, ``K`` among them, is pulled back along the flow
-    as it arrives: covariant slots with ``J``, contravariant ones with the
-    flow's ``Jinv`` or, on the restart route (``KunitaFirst``'s left-hand
-    side), with the exact inverse of ``J``.  The keys are those
+    Chart by chart, :func:`_route_integrands` takes the flow states, the
+    flow coefficients' jets there (:meth:`FlowSDE.jets`) and the states'
+    driver weights, and pulls every integrand, ``K`` among them, back
+    along the flow: covariant slots with ``J``, contravariant ones with
+    the flow's ``Jinv`` or, on the restart route (``KunitaFirst``'s
+    left-hand side), with the exact inverse of ``J``.  The keys are those
     :func:`_assemble_forward_rhs` reads, without the terms of a zero
     coefficient field.
 
-    The states are processed in blocks of whole grid rows, at most
-    ``_JET_BLOCK_STATES`` of them per block, so the jets of the whole
-    ensemble never exist at once.  Everything is batch-last: each block's
-    rows of the flow's history (points, ``J`` and ``Jinv``) are gathered
-    in one go and its weights once, the jets are whole rows of one
-    compiled call, and each integrand is held as ``comps + (npoints,
-    P)``, so a block in one chart is written as one contiguous slice.
+    The flow is taken in one piece; a study bounds what it holds by
+    passing one block of whole paths at a time (:func:`_run_level`).
+    Everything is batch-last and flat: column ``k * P + p`` is path p's
+    row k, a chart's states are one flat column index into the flow's
+    history (points, ``J`` and ``Jinv``), gathered with ``take`` (all
+    columns, when the chart holds every state), and each integrand is
+    held as ``comps + (npoints, P)`` and written through its flat view.
     """
     sde = scenario.sde
     order = 1 if strat else 2
-    valence = scenario.K0.valence
-    fields = (scenario.K0, *scenario.G)
-    L1, P = flow.charts.shape
     n = sde.dim
-    times = flow.grid.times()
-    # a batch-last view of the flow's history: its rows, then (npoints, P)
-    hist = np.moveaxis(flow.states, 1, 0)
-    weights = _driver_weights(scenario, drivers)
+    cols = flow.charts.size
+    # the flow's history (its rows), the times and the weights, flat
+    hist = np.moveaxis(flow.states, 1, 0).reshape(-1, cols)
+    times = np.repeat(flow.grid.times(), flow.n_paths)
+    weights = _driver_weights(scenario, drivers).reshape(-1, cols)
     shape = scenario.K0.shape
     held: Dict[str, np.ndarray] = {}
-    rows = max(1, _JET_BLOCK_STATES // P)
-    for k0 in range(0, L1, rows):
-        blk = slice(k0, k0 + rows)
-        charts = flow.charts[blk]
-        for cid in np.unique(charts).tolist():
-            mask = charts == cid
-            whole = bool(mask.all())
-            rows_at, paths_at = np.nonzero(mask)  # in the states' (row, path) order
-
-            def states(a):
-                """The block's states in this chart, batch-last and C-contiguous."""
-                a = a[..., blk, :].reshape(a.shape[:-2] + (-1,))
-                return a if whole else a.compress(mask.ravel(), axis=-1)
-
-            t = states(np.broadcast_to(times[:, None], (L1, P)))
-            X = states(hist)  # the points, then the rows of J and of Jinv
-            x, A, Ai = X[:n], X[n:n + n * n].reshape(n, n, -1), X[n + n * n:].reshape(n, n, -1)
-            if _row(scenario).route == "restart":  # the exact inverse of J
-                Ai = _inverse(A)
-
-            def put(key, v):
-                """Pull ``v`` back and write it into the integrand ``key``."""
-                if key not in held:
-                    held[key] = np.empty(shape + (L1, P))
-                out = held[key][..., blk, :]
-                pulled = _contract(v, valence, Ai, A)
-                if whole:
-                    out[...] = pulled.reshape(out.shape)
-                else:
-                    out[..., rows_at, paths_at] = pulled
-
-            b_jets, xi_jets = _coeff_jets(sde, sde.jets(t, x, cid, order), order)
-            k_jets, *g_jets = (f._jet_last(t, x, cid, order) for f in fields)
-            # the jets of K_t, accumulated in place into K0's
-            if g_jets:
-                w = states(weights)
-                for i, gj in enumerate(g_jets):
-                    for kj, gjm in zip(k_jets, gj):
-                        kj += w[i] * gjm
-            for key, v in _integrands(k_jets, g_jets, b_jets, xi_jets, valence, strat):
-                put(key, v)
+    for cid in np.unique(flow.charts).tolist():
+        idx = np.flatnonzero(flow.charts == cid)
+        whole = idx.size == cols
+        at = slice(None) if whole else idx
+        t, X, w = (a if whole else a.take(idx, axis=-1) for a in (times, hist, weights))
+        x, A, Ai = X[:n], X[n:n + n * n].reshape(n, n, -1), X[n + n * n:].reshape(n, n, -1)
+        if _row(scenario).route == "restart":  # the exact inverse of J
+            Ai = _inverse(A)
+        coef = _coeff_jets(sde, sde.jets(t, x, cid, order), order)
+        for key, v in _route_integrands(scenario, t, x, cid, coef, w, Ai, A, strat):
+            if key not in held:
+                held[key] = np.empty(shape + flow.charts.shape)
+            held[key].reshape(shape + (cols,))[..., at] = v
     return held
 
 
@@ -755,26 +753,18 @@ def _transported_integrands(scenario: Scenario, t, p: np.ndarray, jets: Sequence
                             strat: bool) -> Iterator[Tuple[str, np.ndarray]]:
     """The :func:`_integrands` pairs of the field pushed forward by a map ``m``.
 
-    By naturality, ``L_X (m_* T) = m_* (L_{m^* X} T)``.  So the analytic
-    jets of ``K0`` and every ``G_i`` are evaluated at the points ``p``
-    (chart 0, ``(n,) + batch``), and ``K0``'s are weighted with ``weights``
-    into those of ``K_t`` (``jK0 + sum_i w_i jG_i``, in i order), as the
-    pullback builder does; the coefficient jets ``coef``
-    (:func:`_coeff_jets`, at ``m(p)``) are pulled back through the jets of
-    ``m`` at ``p`` (:func:`_pulled_vector_jets`); and every integrand of
-    :func:`_integrands` is pushed forward with ``Dm = jets[0]`` on the
-    contravariant slots and ``Dinv``, its inverse, on the covariant ones.
+    By naturality, ``L_X (m_* T) = m_* (L_{m^* X} T)``.  So the
+    coefficient jets ``coef`` (:func:`_coeff_jets`, at ``m(p)``) are
+    pulled back through the jets of ``m`` at ``p``
+    (:func:`_pulled_vector_jets`), and :func:`_route_integrands` takes them
+    at the points ``p`` (chart 0, ``(n,) + batch``) with the driver
+    weights ``weights`` and pushes every integrand forward with ``Dm =
+    jets[0]`` on the contravariant slots and ``Dinv``, its inverse, on the
+    covariant ones.
     """
-    valence = scenario.K0.valence
-    order = 1 if strat else 2
-    k_jets, *g_jets = (f._jet_last(t, p, 0, order) for f in (scenario.K0, *scenario.G))
-    for i, gj in enumerate(g_jets):
-        for kj, gjm in zip(k_jets, gj):
-            kj += weights[i] * gjm
     b_jets, *xi_jets = (None if X is None else _pulled_vector_jets(X, jets, Dinv)
                         for X in (coef[0], *coef[1]))
-    for key, v in _integrands(k_jets, g_jets, b_jets, xi_jets, valence, strat):
-        yield key, _contract(v, valence, jets[0], Dinv)
+    return _route_integrands(scenario, t, p, 0, (b_jets, xi_jets), weights, jets[0], Dinv, strat)
 
 
 def _pushforward_integrand_paths(
@@ -838,7 +828,9 @@ def eval_lhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPaths) -> n
     :attr:`RhsResult.transported` bitwise (for ``KunitaFirst`` at the live
     checkpoint times), which a study reads instead.  The driver
     weights of ``K_t`` come from ``drivers``, as does the pushforward
-    transport.
+    transport.  The flow is evaluated in one piece, so what this holds
+    grows with its path count; a study passes one path block at a time
+    (:func:`_run_level`).
     """
     return _path_major(_integrand_paths(scenario, flow, drivers)[0]["K"])
 
@@ -847,7 +839,8 @@ def eval_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPaths) -> R
     """Assemble the identity's right-hand side for every path and grid time,
     the bracket as ``scenario.bracket_mode`` says, from the flow and the
     drivers it was integrated with; the arrays are path-major, ``(P,
-    npoints or checkpoints) + comps``."""
+    npoints or checkpoints) + comps``.  Like :func:`eval_lhs`, it takes
+    the flow in one piece."""
     rhs = _rhs(scenario, flow, drivers)
     return replace(rhs, values=_path_major(rhs.values), transported=_path_major(rhs.transported),
                    terms={k: _path_major(v) for k, v in rhs.terms.items()})
@@ -863,7 +856,8 @@ def strat_ito_bridge_gap(scenario: Scenario, flow: FlowEnsemble, drivers: Drivin
     sums, not a convergence statement, so it is checked with the
     realized bracket.  Without noise the bracket and second-order terms
     are absent and read as zero.  It applies to every selector of the
-    ``pullback`` route, whatever its own calculus.
+    ``pullback`` route, whatever its own calculus, and takes the flow in
+    one piece, as :func:`eval_lhs` does.
     """
     if _row(scenario).route != "pullback":
         raise WiringMismatch(f"the bridge identity applies to the pullback selectors, "
@@ -913,8 +907,8 @@ def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPa
     are realised by restarting at the observation point at s and advancing
     all restarts together with the flow's scheme step (Euler, see
     validate_scenario), their jets composed with the step map's
-    (:func:`_compose`, to order 3, as on the push-forward route in the Ito
-    form).  At the checkpoint the pulled-back tensor is the tensor pushed
+    (:func:`_compose`, one order above the fields' jets, which the
+    selector's calculus sets, as on the push-forward route).  At the checkpoint the pulled-back tensor is the tensor pushed
     forward by the inverse map, whose jets follow from the
     implicit-function rules (:func:`_inverse_jets`), so
     :func:`_transported_integrands` gives the Lie integrands, ``comps +
@@ -934,17 +928,18 @@ def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPa
     P = flow.n_paths
     cps = _checkpoint_indices(L, _N_CHECKPOINTS)
     K0 = scenario.K0
-    order = 2 if _row(scenario).strat else 3  # as on the push-forward route
+    strat = _row(scenario).strat
+    order = 1 if strat else 2  # the fields' jets; the map's reach one order more
 
     # batch-last: column s * P + p of Q holds path p's restart at time s
     # advanced to the current time, that of jets[r - 1] the r-th derivative
     # stack of its map; the restarts before m are the first m * P columns
     Q = np.broadcast_to(scenario.x0[:, None], (n, (L + 1) * P)).copy()
     jets = [np.broadcast_to(np.eye(n)[..., None], (n, n, (L + 1) * P)).copy()]
-    jets += [np.zeros((n,) * (r + 2) + ((L + 1) * P,)) for r in range(1, order)]
+    jets += [np.zeros((n,) * (r + 2) + ((L + 1) * P,)) for r in range(1, order + 1)]
 
     # coefficient jets at the observation point for every restart time
-    q = sde.jets(times, np.broadcast_to(scenario.x0[:, None], (n, L + 1)), 0, 2)
+    q = sde.jets(times, np.broadcast_to(scenario.x0[:, None], (n, L + 1)), 0, order)
 
     shape = K0.shape + (cps.size, P)
     out_vals, lhs = np.empty(shape), np.empty(shape)
@@ -957,7 +952,7 @@ def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPa
         if m > 0:
             db = np.tile((drivers.bm[:, m] - drivers.bm[:, m - 1]).T, m)
             u, J, _, *step = scheme_step(sde, flow.scheme, 0, times[m - 1], times[m], h,
-                                         Q[:, :m * P], jets[0][..., :m * P], None, db, order)
+                                         Q[:, :m * P], jets[0][..., :m * P], None, db, order + 1)
             new = [J, *_compose(step, [a[..., :m * P] for a in jets])[1:]]
             for a, b in zip([Q, *jets], [u, *new]):
                 a[..., :m * P] = b
@@ -965,10 +960,10 @@ def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPa
             continue
         c = np.searchsorted(cps, m)
         nrows = m + 1
-        coef = _coeff_jets(sde, {k: v[..., :nrows, None] for k, v in q.items()}, 2)
+        coef = _coeff_jets(sde, {k: v[..., :nrows, None] for k, v in q.items()}, order)
         x, *fwd = (a[..., :nrows * P].reshape(a.shape[:-1] + (nrows, P)) for a in (Q, *jets))
         lie = dict(_transported_integrands(scenario, times[m], x, _inverse_jets(fwd), fwd[0], (),
-                                           coef, False))
+                                           coef, strat))
         lhs[..., c, :] = lie["K"][..., 0, :]  # the restart from time 0
         dt_w = np.full((nrows, 1), h)
         dt_w[m] = 0.0  # left sum in s: the s = t endpoint never enters
@@ -1257,19 +1252,6 @@ def _run_level(scenario: Scenario, drivers: DrivingPaths, flow: FlowEnsemble) ->
     }
 
 
-def _run_levels(scenario: Scenario, drivers: List[DrivingPaths]) -> List[Dict]:
-    """Every level of one path set: one flow sweep, then the levels coarse to fine.
-
-    Each level's drivers and flow are dropped as soon as it is reduced.
-    """
-    flows = list(integrate_flow_levels(scenario.sde, drivers, scenario.x0, scenario.scheme))
-    parts = []
-    for lvl in range(len(drivers)):
-        parts.append(_run_level(scenario, drivers[lvl], flows[lvl]))
-        drivers[lvl] = flows[lvl] = None
-    return parts
-
-
 # Largest number of flow states one study may hold: its path count times
 # the grid points of all its levels.  87 times the largest pinned study
 # (kunita_sphere_rotation: 200 paths over 65 + 129 + 257 + 513 grid
@@ -1352,8 +1334,12 @@ def convergence_study(
     bounds = np.linspace(0, P, min(n_workers, P) + 1).astype(int)
     chunks = [[d.slice_paths(a, b) for d in drivers] for a, b in zip(bounds[:-1], bounds[1:])]
     del drivers
-    per_chunk = [_run_levels(scenario, ds) for ds in chunks]
-    per_level = [[parts[lvl] for parts in per_chunk] for lvl in range(levels)]
+    per_level = [[] for _ in range(levels)]
+    for ds in chunks:  # one sweep, then the levels coarse to fine, each dropped once reduced
+        flows = list(integrate_flow_levels(scenario.sde, ds, scenario.x0, scenario.scheme))
+        for lvl in range(levels):
+            per_level[lvl].append(_run_level(scenario, ds[lvl], flows[lvl]))
+            ds[lvl] = flows[lvl] = None
 
     stats: List[LevelStats] = []
     for lvl, parts in enumerate(per_level):

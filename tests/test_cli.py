@@ -1,13 +1,25 @@
-"""End-to-end CLI behaviour: exit codes, golden bytes, config parsing."""
+"""End-to-end CLI behaviour: exit codes, golden bytes, config parsing.
 
+Most runs call :func:`flowtensor.cli.run` in this process (:func:`run_cli`).
+A subprocess is kept where the process is the subject: ``main()`` and its
+exit code, a closed stdout, the ``python -m`` entry point, and the two
+byte-for-byte comparisons of separate runs, whose module state (compiled
+programs, the loaded program cache) must not be shared.
+"""
+
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from flowtensor import cli
 
 CLI = [sys.executable, "-m", "flowtensor.cli"]
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -20,11 +32,37 @@ def cli_env(env=None):
     return full_env
 
 
-def run_cli(*args, cwd, env=None):
-    """Run the CLI in ``cwd``, so a wrongly accepted run writes nowhere else."""
+def run_cli_process(*args, cwd, env=None):
+    """Run ``python -m flowtensor.cli`` in ``cwd``, in a process of its own."""
     return subprocess.run(
         CLI + list(args), capture_output=True, text=True, env=cli_env(env), cwd=cwd
     )
+
+
+def run_cli(*args, cwd, env=None):
+    """Run the CLI in ``cwd``, so a wrongly accepted run writes nowhere else.
+
+    In process: :func:`cli.run` with ``cwd`` as the working directory and
+    ``env`` set, both undone afterwards.  The result is a
+    ``CompletedProcess``, as :func:`run_cli_process`'s: the exit code (an
+    argparse exit's too) and the text written to stdout and stderr, every
+    warning raised on the way among the latter.  An uncaught exception is
+    not turned into an exit code; it fails the test with its traceback.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        mp.chdir(cwd)
+        for key, value in (env or {}).items():
+            mp.setenv(key, value)
+        warnings.simplefilter("default")
+        try:
+            code = cli.run(list(args))
+        except SystemExit as e:
+            code = e.code
+    for w in caught:
+        err.write(warnings.formatwarning(w.message, w.category, w.filename, w.lineno, w.line))
+    return subprocess.CompletedProcess(list(args), code, out.getvalue(), err.getvalue())
 
 
 def read_csv(path):
@@ -119,7 +157,8 @@ def test_unknown_scenario_exits_one_and_names_known(tmp_path):
 
 
 def test_low_regularity_scenario_fails_validation(tmp_path):
-    out = run_cli("kiw_push_lowreg", "--out", str(tmp_path), cwd=tmp_path)
+    # through main() and the python -m entry point, so the exit code is the process's
+    out = run_cli_process("kiw_push_lowreg", "--out", str(tmp_path), cwd=tmp_path)
     assert out.returncode == 2
     assert "hypothesis violation" in out.stderr
     assert "k = 3" in out.stderr
@@ -143,7 +182,7 @@ def test_blowup_scenario_exits_three_but_reports(tmp_path):
 def test_same_config_same_bytes(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out_dir in (a, b):
-        r = run_cli(
+        r = run_cli_process(
             "kiw_ito_pullback_bracket",
             "--out", str(out_dir), "--paths", "16", "--levels", "2", cwd=tmp_path,
         )
@@ -158,7 +197,7 @@ def test_same_config_same_bytes(tmp_path):
 def test_worker_count_does_not_change_bytes(tmp_path):
     a, b = tmp_path / "serial", tmp_path / "pooled"
     for out_dir, workers in ((a, "1"), (b, "8")):
-        r = run_cli(
+        r = run_cli_process(
             "kiw_ito_pullback_bracket",
             "--out", str(out_dir), "--paths", "24", "--levels", "2",
             env={"FLOWTENSOR_WORKERS": workers}, cwd=tmp_path,

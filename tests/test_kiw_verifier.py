@@ -474,18 +474,37 @@ def test_jet_integrands_match_symbolic_lie_fields(name, n_paths):
         assert_allclose(val, want[key], rtol=1e-11, atol=1e-11 * scale, err_msg=key)
 
 
-@pytest.mark.parametrize("name", ["kunita_sphere_rotation", "kiw_ito_pullback_r2"])
-def test_jet_integrands_do_not_depend_on_the_block_size(monkeypatch, name):
+# path slices of a 12-path flow: a short one, a one-path one and the rest
+PATH_SLICES = ((0, 5), (5, 6), (6, 12))
+
+
+@pytest.mark.parametrize("name", ["kunita_sphere_rotation", "kiw_ito_pullback_r2",
+                                  "kiw_strat_pushforward_r2", "kunita_first_gbm"])
+def test_jet_integrands_do_not_depend_on_the_block_size(name):
+    """The integrands of a whole flow are, bitwise, those of its path slices
+    side by side, the property :func:`_run_level`'s path blocks rely on.
+
+    The pull-back route is read off :func:`_pullback_integrand_paths` (the
+    sphere with chart hops, the Ito pull-back with driver weights), the
+    push-forward and restart routes off :func:`eval_rhs`, path-major.
+    """
     sc = get_scenario(name)
     d, flow = drivers_and_flow(sc, n_paths=12)
     if len(sc.atlas.charts) > 1:
         assert len(flow.hops) > 0
-    default = _pullback_integrand_paths(sc, flow, d, strat=False)
-    monkeypatch.setattr(kiw_verifier, "_JET_BLOCK_STATES", 1)  # one grid row per block
-    rowwise = _pullback_integrand_paths(sc, flow, d, strat=False)
-    assert set(default) == set(rowwise)
-    for key in default:
-        assert np.array_equal(default[key], rowwise[key]), key
+
+    def arrays(f, dr):
+        """The route's arrays for the flow ``f``, and their path axis."""
+        if kiw_verifier._row(sc).route == "pullback":
+            return _pullback_integrand_paths(sc, f, dr, strat=False), -1
+        rhs = eval_rhs(sc, f, dr)
+        return {"values": rhs.values, "transported": rhs.transported, **rhs.terms}, 0
+
+    whole, axis = arrays(flow, d)
+    parts = [arrays(flow.slice_paths(a, b), d.slice_paths(a, b))[0] for a, b in PATH_SLICES]
+    assert all(set(part) == set(whole) for part in parts)
+    for key in whole:
+        assert np.array_equal(whole[key], np.concatenate([p[key] for p in parts], axis=axis)), key
 
 
 @pytest.mark.parametrize("name,keys,lie_terms,contractions", [
@@ -497,19 +516,21 @@ def test_jet_integrands_do_not_depend_on_the_block_size(monkeypatch, name):
     ("kunita_sphere_rotation", {"K", "LxK0", "LxK1", "LxK2", "LLK"}, 1, 5),
 ])
 def test_one_block_builds_each_integrand_once(monkeypatch, name, keys, lie_terms, contractions):
-    """The integrands and kernel calls of one block in one chart, counted.
+    """The integrands and kernel calls of one block, counted per chart group.
 
-    A zero coefficient field gets no integrand, and the Ito correction is
-    pulled back once, summed over the noises.
+    The pull-back route runs :func:`_route_integrands` once per chart the
+    states fall in, and the counts below are per chart.  A zero
+    coefficient field gets no integrand, and the Ito correction is pulled
+    back once, summed over the noises.
     """
     sc = get_scenario(name)
+    cases = [(sc, 4, 1)]  # (scenario, paths, chart groups)
     if len(sc.atlas.charts) > 1:
-        # near the chart centre over a short horizon the paths stay in chart 0
-        sc = replace(sc, x0=np.array([0.1, 0.2]), base_grid=TimeGrid(0.25, 8))
-    d, flow = drivers_and_flow(sc, n_paths=4)
-    assert flow.charts.size <= kiw_verifier._JET_BLOCK_STATES
-    assert np.all(flow.charts == flow.charts[0, 0])
-    calls = {"_lie_terms": 0, "_contract": 0}
+        # near the chart centre over a short horizon the paths stay in chart 0;
+        # from the registered start point they visit both charts
+        cases = [(replace(sc, x0=np.array([0.1, 0.2]), base_grid=TimeGrid(0.25, 8)), 4, 1),
+                 (sc, 12, 2)]
+    calls = {"_route_integrands": 0, "_lie_terms": 0, "_contract": 0}
 
     def counted(name):
         fn = getattr(kiw_verifier, name)
@@ -522,8 +543,13 @@ def test_one_block_builds_each_integrand_once(monkeypatch, name, keys, lie_terms
 
     for fn_name in calls:
         monkeypatch.setattr(kiw_verifier, fn_name, counted(fn_name))
-    assert set(_pullback_integrand_paths(sc, flow, d, strat=False)) == keys
-    assert calls == {"_lie_terms": lie_terms, "_contract": contractions}
+    for case, n_paths, groups in cases:
+        d, flow = drivers_and_flow(case, n_paths=n_paths)
+        assert np.unique(flow.charts).size == groups
+        calls.update(dict.fromkeys(calls, 0))
+        assert set(_pullback_integrand_paths(case, flow, d, strat=False)) == keys
+        assert calls == {"_route_integrands": groups, "_lie_terms": lie_terms * groups,
+                         "_contract": contractions * groups}
 
 
 def test_integrands_hand_on_the_tensor_terms_before_the_driver_fields(monkeypatch):
@@ -939,7 +965,7 @@ def test_path_block_reduction_is_the_whole_array_reduction(monkeypatch, name, bl
     """A study level's sups are bitwise those of one whole-level :func:`eval_rhs`.
 
     At the default block size (one block of all six paths), at one state
-    (one path per block, its integrands built one grid row at a time) and
+    (one path per block) and
     at four paths per block (so the last block is short): stopped
     paths (``blowup_cubic``), the trapezoid sums (``kiw_strat_pullback_r2``),
     driver weights and the bracket (``kiw_ito_pullback_r2``), chart hops
