@@ -197,13 +197,18 @@ class FlowSDE:
         """Drift and noise jets at batch-last points ``pts`` (shape ``(n,) + batch``).
 
         One call of a generated program (common subexpressions shared)
-        writes every value into one ``(C,) + batch`` buffer, and the
-        results are views of it, batch-last: ``b`` and ``Db`` (drift and
-        its Jacobian, ``Db[i, l] = d_l b^i``), ``xi``, ``Dxi`` and, with
-        ``noise_order`` 2, ``D2xi`` (leading axis over the noise fields,
-        derivative directions last).  The program is held per chart and
-        noise order; it comes from the program cache, so where an earlier
-        process stored it, nothing is differentiated.
+        gives every value, batch-last, in layout order: ``b`` and ``Db``
+        (drift and its Jacobian, ``Db[i, l] = d_l b^i``), ``xi``, ``Dxi``
+        and, with ``noise_order`` 2, ``D2xi`` (leading axis over the noise
+        fields, derivative directions last).  The program returns a
+        constant entry as a 0-d value.  A stack whose every entry is
+        constant (a zero drift, the second partials of a quadratic field)
+        is held once, with singleton batch axes that broadcast; the other
+        stacks are views of one ``(C,) + batch`` buffer holding their rows
+        alone (one buffer, not one array per stack, which raised the peak
+        RSS of a ``kiw_ito_pullback_r2`` study).  The program is held per
+        chart and noise order; it comes from the program cache, so where an
+        earlier process stored it, nothing is differentiated.
         """
         key = ("jets", chart, noise_order)
         if key not in self._programs:
@@ -215,14 +220,23 @@ class FlowSDE:
                                                  (tuple(zip(q, self._exprs(chart, noise_order))),))
 
             fn = tensor_calculus._program(self._key(chart, psyms, "jets", noise_order), source)
-            self._programs[key] = (fn, pvals, layout, rows)
-        fn, pvals, layout, rows = self._programs[key]
+            self._programs[key] = (fn, pvals, layout)
+        fn, pvals, layout = self._programs[key]
         pts = np.asarray(pts, dtype=float)
         batch = np.broadcast(t, pts[0]).shape
-        buf = np.empty((rows,) + batch)
-        for i, v in enumerate(fn(t, *pts, *pvals)):
-            buf[i] = v
-        return {nm: buf[a:b].reshape(shape + batch) for nm, a, b, shape in layout}
+        vals = fn(t, *pts, *pvals)
+        varying = {nm for nm, a, b, _ in layout if any(np.ndim(v) for v in vals[a:b])}
+        buf = np.empty((sum(b - a for nm, a, b, _ in layout if nm in varying),) + batch)
+        out, r = {}, 0
+        for nm, a, b, shape in layout:
+            if nm not in varying:
+                out[nm] = np.array(vals[a:b], dtype=float).reshape(shape + (1,) * len(batch))
+                continue
+            for i, v in enumerate(vals[a:b], r):
+                buf[i] = v
+            out[nm] = buf[r:r + b - a].reshape(shape + batch)
+            r += b - a
+        return out
 
     def _step_program(self, chart: int, scheme: str, with_inv: bool, order: int = 1):
         """The generated step of ``scheme`` in ``chart`` and its parameter values.
@@ -400,8 +414,10 @@ def _bind(block: list, name: str, exprs: np.ndarray) -> np.ndarray:
 
 def strat_to_ito_correction(sde: FlowSDE, t: float, coords: np.ndarray, chart: int = 0) -> CorrectionTerms:
     """Correction matrices ``c_plus`` / ``c_minus`` at a batch of points."""
-    q = sde.jets(t, np.moveaxis(np.asarray(coords, dtype=float), -1, 0), chart, 2)
-    n, N, batch = sde.dim, sde.n_noise, q["b"].shape[1:]
+    pts = np.moveaxis(np.asarray(coords, dtype=float), -1, 0)
+    q = sde.jets(t, pts, chart, 2)
+    # a constant stack of q carries singleton batch axes, which the products broadcast
+    n, N, batch = sde.dim, sde.n_noise, np.broadcast(t, pts[0]).shape
     # the (noise j, direction l) terms of sq and second, multiplied at once,
     # then added in order of (j, l), so no sum depends on the batch size
     xi, Dxi, D2xi = q["xi"], q["Dxi"], q["D2xi"]
@@ -735,7 +751,7 @@ def _backward_step(sde: FlowSDE, scheme: str, cid: int, t_left: float, t_right: 
         # common subexpressions round xi and Dxi differently in the last bits
         k = sde.jets(t_left, q, cid, 2)
         # the Ito drift a = b + 1/2 sum_j Dxi_j xi_j, added in order of (j, l)
-        conv = np.zeros_like(k["b"])
+        conv = np.zeros(q.shape)  # k["b"] may be a constant stack, with a singleton batch axis
         for j in range(sde.n_noise):
             for l in range(sde.dim):
                 conv += k["Dxi"][j, :, l] * k["xi"][j, l]

@@ -570,7 +570,7 @@ def _pullback_integrand_paths(
     weights = _driver_weights(scenario, drivers).reshape(-1, cols)
     shape = scenario.K0.shape
     held: Dict[str, np.ndarray] = {}
-    for cid in np.unique(flow.charts).tolist():
+    for cid in np.flatnonzero(np.bincount(flow.charts.ravel())).tolist():
         idx = np.flatnonzero(flow.charts == cid)
         whole = idx.size == cols
         at = slice(None) if whole else idx
@@ -885,7 +885,8 @@ def strat_ito_bridge_gap(scenario: Scenario, flow: FlowEnsemble, drivers: Drivin
 
 
 def _checkpoint_indices(L: int, count: int) -> np.ndarray:
-    return np.unique(np.round(np.linspace(0, L, count + 1)).astype(int)[1:])
+    idx = np.round(np.linspace(0, L, count + 1)).astype(int)[1:]
+    return idx[np.diff(idx, prepend=-1) > 0]  # sorted, so a repeat follows its first
 
 
 def _fold_rows(x: np.ndarray) -> np.ndarray:
@@ -1230,15 +1231,19 @@ def _run_level(scenario: Scenario, drivers: DrivingPaths, flow: FlowEnsemble) ->
     right-hand side is assembled batch-last from path slices of the flow
     and the drivers (:func:`_rhs`, the arrays of :func:`eval_rhs` before
     they are made path-major) and reduced to per-path sups over the live
-    rows (:func:`_live_sup`) before the next block is built, so a study never holds a level's integrands or
-    term series for all its paths.  Every per-path result is independent
-    of the other paths in its block (see :func:`convergence_study`), so
-    the sups do not depend on the block size.
+    rows (:func:`_live_sup`) before the next block is built, so a study
+    never holds a level's integrands or term series for all its paths.
+    The Jacobian monitor is taken per block too, and its max kept, so no
+    temporary spans the level's Jacobians.  Every per-path result is
+    independent of the other paths in its block (see
+    :func:`convergence_study`), so the sups and the monitor do not depend
+    on the block size.
     """
     size = max(1, _JET_BLOCK_STATES // flow.grid.npoints)
-    residual, term_sups = [], []
+    residual, term_sups, jac_max = [], [], 0.0
     for start in range(0, flow.n_paths, size):
         f = flow.slice_paths(start, start + size)
+        jac_max = max(jac_max, f.jac_consistency_max())
         rhs = _rhs(scenario, f, drivers.slice_paths(start, start + size))
         live = f.live if rhs.checkpoint_indices is None else f.live[rhs.checkpoint_indices]
         residual.append(_live_sup(rhs.transported - rhs.values, live))
@@ -1247,7 +1252,7 @@ def _run_level(scenario: Scenario, drivers: DrivingPaths, flow: FlowEnsemble) ->
     return {
         "residual": np.concatenate(residual),
         "term_sups": {k: np.concatenate([s[k] for s in term_sups]) for k in term_sups[0]},
-        "jac_max": flow.jac_consistency_max(),
+        "jac_max": jac_max,
         "completed": flow.completed,
     }
 
@@ -1292,8 +1297,12 @@ def convergence_study(
     ``n_paths`` and ``seed`` stand in for the scenario's fields when
     given; every other setting, the scheme and the bracket estimator
     among them, is the scenario's own.  The drivers of every level are
-    refined first, then the paths are split into ``min(n_workers,
-    n_paths)`` chunks, run one after another.  For each chunk one sweep
+    refined first.  Refinement keeps the coarse Brownian samples bitwise,
+    so the study holds one Brownian record, the finest level's, and every
+    coarser level's ``bm`` is a strided view of it (each level keeps its
+    own ``mart``: a ``sigma_int`` driver is re-accumulated on each grid).
+    Then the paths are split into ``min(n_workers, n_paths)`` chunks, run
+    one after another.  For each chunk one sweep
     (:func:`integrate_flow_levels`) integrates all levels' flows and the
     levels are reduced coarse to fine.  Paths are sampled from
     counter-based streams and every per-path result is independent of
@@ -1330,6 +1339,9 @@ def convergence_study(
     )]
     while len(drivers) < levels:
         drivers.append(refine_dyadic(drivers[-1]))
+    # one Brownian record: the coarse levels' paths as views of the finest
+    bm = drivers[-1].bm
+    drivers = [replace(d, bm=bm[:, ::2**(levels - 1 - lvl)]) for lvl, d in enumerate(drivers)]
     grids = [d.grid for d in drivers]
     bounds = np.linspace(0, P, min(n_workers, P) + 1).astype(int)
     chunks = [[d.slice_paths(a, b) for d in drivers] for a, b in zip(bounds[:-1], bounds[1:])]

@@ -96,6 +96,12 @@ def test_correction_terms_quadratic_noise():
     assert_allclose(c.c_minus, [[0.25]], atol=1e-14)
 
 
+def _full_jets(q, batch):
+    """The stacks of :meth:`FlowSDE.jets` broadcast to ``batch``: a constant
+    stack comes with singleton batch axes."""
+    return {k: np.broadcast_to(v, v.shape[:v.ndim - len(batch)] + batch) for k, v in q.items()}
+
+
 def _ito_coefficients(q):
     """The Ito drift ``a`` and the correction matrices ``cp`` / ``cm`` from
     batch-last order-2 jets, by einsum over the noises."""
@@ -112,14 +118,14 @@ def _ito_coefficients(q):
     [("kunita_sphere_rotation", 0), ("kunita_sphere_rotation", 1), ("kiw_ito_pullback_r2", 0)],
 )
 def test_fused_coefficients_match_field_jets_and_matmul_formulas(name, chart, noise_order):
-    """One compiled call gives the per-field jets; from the order-2 jets the
-    correction matrices and the Euler backward step's Ito drift are the
-    matmul formulas'."""
+    """One compiled call gives the per-field jets (each stack broadcast to the
+    batch); from the order-2 jets the correction matrices and the Euler
+    backward step's Ito drift are the matmul formulas'."""
     sde = get_scenario(name).sde
     rng = np.random.default_rng(5)
     pts = rng.uniform(-0.8, 0.8, (40, 2))
     t, h = 0.3, 0.01
-    got = sde.jets(t, pts.T, chart, noise_order)
+    got = _full_jets(sde.jets(t, pts.T, chart, noise_order), (40,))
     b, Db = sde.drift.jet_batch(t, pts, chart, 1)
     jets = [xi.jet_batch(t, pts, chart, noise_order) for xi in sde.diffusions]
     want = {"b": b, "Db": Db}
@@ -142,6 +148,29 @@ def test_fused_coefficients_match_field_jets_and_matmul_formulas(name, chart, no
                 back += np.einsum("il...,l...->i...", got["Dxi"][j], got["xi"][l]) * db[j] * db[l]
         assert_allclose(_backward_step(sde, "euler_maruyama", chart, t, t + h, h, pts.T, db),
                         back, rtol=1e-13)
+
+
+@pytest.mark.parametrize("chart", [0, 1])
+def test_constant_coefficient_stacks_are_held_once(chart):
+    """The sphere's zero drift and the rotations' second partials are
+    constant: ``b``, ``Db`` and ``D2xi`` come back with singleton batch axes
+    and equal the fields' jets, while ``xi`` and ``Dxi`` take the batch."""
+    sde = get_scenario("kunita_sphere_rotation").sde
+    pts = np.random.default_rng(7).uniform(-0.8, 0.8, (2, 3, 5))
+    t = 0.3
+    q = sde.jets(t, pts, chart, 2)
+    assert list(q) == ["b", "Db", "xi", "Dxi", "D2xi"]
+    n, N = sde.dim, sde.n_noise
+    assert q["b"].shape == (n, 1, 1) and q["Db"].shape == (n, n, 1, 1)
+    assert q["D2xi"].shape == (N, n, n, n, 1, 1)
+    assert q["xi"].shape == (N, n, 3, 5) and q["Dxi"].shape == (N, n, n, 3, 5)
+    # the fields' jets, batch-first, at the 15 points
+    flat = pts.reshape(n, -1).T
+    b, Db = sde.drift.jet_batch(t, flat, chart, 1)
+    D2xi = np.array([xi.jet_batch(t, flat, chart, 2)[2] for xi in sde.diffusions])
+    for got, want in ((q["b"], b), (q["Db"], Db), (q["D2xi"], np.moveaxis(D2xi, 1, 0))):
+        assert np.array_equal(np.broadcast_to(got[..., 0], got.shape[:-2] + (15,)),
+                              np.moveaxis(want, 0, -1))
 
 
 def test_fused_coefficients_bind_each_fields_own_parameters():
@@ -206,17 +235,17 @@ def _numpy_step(sde, scheme, cid, t0, t1, h, u, J, Ji, db):
         return du, W
 
     if scheme == "euler_maruyama":
-        q = sde.jets(t0, u, cid, 2)
+        q = _full_jets(sde.jets(t0, u, cid, 2), u.shape[1:])
         q.update(_ito_coefficients(q))
         du, W = sweep(q, "a")
         Jn = J + _slot_replace(J, (q["Db"] + q["cp"]) * h + W, 0, 2)
         Jin = None if Ji is None else Ji - _slot_replace(Ji, (q["Db"] - q["cm"]) * h + W, 1, 2,
                                                          transpose=True)
         return u + du, Jn, Jin
-    q0 = sde.jets(t0, u, cid, 1)
+    q0 = _full_jets(sde.jets(t0, u, cid, 1), u.shape[1:])
     du0, W0 = sweep(q0, "b")
     M0 = q0["Db"] * h + W0
-    q1 = sde.jets(t1, u + du0, cid, 1)
+    q1 = _full_jets(sde.jets(t1, u + du0, cid, 1), u.shape[1:])
     du1, W1 = sweep(q1, "b")
     M1 = q1["Db"] * h + W1
     A0 = _slot_replace(J, M0, 0, 2)

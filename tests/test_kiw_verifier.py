@@ -1,6 +1,10 @@
 """Transport identities: scenario wiring, dual-route checks, assemblies."""
 
+import os
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +21,7 @@ from flowtensor.fields import (
     tensor_field,
     vector_field,
 )
-from flowtensor.flow import FlowEnsemble, FlowSDE, integrate_flow
+from flowtensor.flow import FlowEnsemble, FlowSDE, integrate_flow, integrate_flow_levels
 from flowtensor.geometry import _batch_first, _batch_last, euclidean_atlas
 from flowtensor.kiw_verifier import (
     THEOREMS,
@@ -48,7 +52,7 @@ from flowtensor.kiw_verifier import (
     _transported_integrands,
 )
 from flowtensor.scenarios import get_scenario, list_scenarios, scenario_table
-from flowtensor.stochastics import FvSpec, MartSpec, TimeGrid, build_driving_paths
+from flowtensor.stochastics import FvSpec, MartSpec, TimeGrid, build_driving_paths, refine_dyadic
 from flowtensor.tensor_calculus import (TensorFieldSpec, coord_symbols, lie_derivative, lie_jet,
                                        pullback_batch)
 
@@ -1086,6 +1090,101 @@ def test_study_holds_its_flows_drivers_and_one_block(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < held + allowance, (peak, held, allowance)
+
+
+def test_study_holds_one_brownian_record_and_broadcast_constant_jets(monkeypatch):
+    """The tighter memory guard: the study of
+    :func:`test_study_holds_its_flows_drivers_and_one_block`, with the finest
+    Brownian path counted once (the coarse levels are views of it) and half
+    the block allowance (the sphere's constant coefficient stacks, its zero
+    drift and the rotations' second partials, take no rows of a block).  A
+    study that stores every level's Brownian path apart, or fills constant
+    stacks into per-state rows, exceeds it.
+    """
+    import tracemalloc
+
+    monkeypatch.setattr(kiw_verifier, "_JET_BLOCK_STATES", 1024)
+    sc = replace(get_scenario("kunita_sphere_rotation"), n_paths=64)
+    convergence_study(sc, levels=1)  # compiles every evaluator the study reads
+    n, N = sc.sde.dim, sc.sde.n_noise
+    states = kiw_verifier.study_states(sc.n_paths, sc.base_grid.steps, 4)
+    finest = kiw_verifier.study_states(sc.n_paths, sc.base_grid.steps * 8, 1)
+    # per state: coordinates, chart id, Jacobian and inverse, the martingale
+    # drivers; per state of the finest level: the Brownian path
+    held = (states * (n + 1 + 2 * n * n + len(sc.mart_specs)) + finest * N) * 8
+    allowance = kiw_verifier._JET_BLOCK_STATES * BLOCK_STATE_BYTES // 2
+    tracemalloc.start()
+    try:
+        convergence_study(sc, levels=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < held + allowance, (peak, held, allowance)
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_coarse_brownian_levels_are_views_of_the_finest(monkeypatch, n_workers):
+    """Each chunk of a study hands the sweep coarse Brownian paths that share
+    memory with the finest and equal, bitwise, those :func:`refine_dyadic`
+    draws; each level keeps its own martingale drivers."""
+    sc = replace(get_scenario("kiw_ito_pullback_r2"), n_paths=8)
+    seen, sweep = [], kiw_verifier.integrate_flow_levels
+
+    def recording(sde, levels, *args):
+        seen.append(list(levels))
+        return sweep(sde, levels, *args)
+
+    monkeypatch.setattr(kiw_verifier, "integrate_flow_levels", recording)
+    convergence_study(sc, levels=3, n_workers=n_workers)
+    want = [drivers_for(sc)]
+    want += [refine_dyadic(want[0])]
+    want += [refine_dyadic(want[1])]
+    assert len(seen) == n_workers
+    start = 0
+    for ds in seen:
+        stop = start + ds[0].n_paths
+        for lvl, d in enumerate(ds):
+            assert np.array_equal(d.bm, want[lvl].bm[start:stop])
+            assert np.array_equal(d.mart, want[lvl].mart[start:stop])
+            if lvl < 2:
+                assert np.shares_memory(d.bm, ds[2].bm)
+                assert not np.shares_memory(d.mart, ds[2].mart)
+        start = stop
+    assert start == sc.n_paths
+
+
+@pytest.mark.parametrize("name", [n for n in list_scenarios() if n != "kiw_push_lowreg"])
+def test_jacobian_monitor_per_block_is_the_whole_level_monitor(monkeypatch, name):
+    """A study takes the Jacobian monitor per path block and keeps the max;
+    at one path per block each level's value is bitwise the whole level's,
+    stopped paths (``blowup_cubic``) included."""
+    sc = replace(get_scenario(name), n_paths=6)
+    flows = integrate_flow_levels(sc.sde, [drivers_for(sc), refine_dyadic(drivers_for(sc))],
+                                  sc.x0, sc.scheme)
+    monkeypatch.setattr(kiw_verifier, "_JET_BLOCK_STATES", 1)
+    report = convergence_study(sc, levels=2)
+    for st, flow in zip(report.levels, flows):
+        assert st.jac_consistency_max == flow.jac_consistency_max()
+    if name == "blowup_cubic":
+        assert not np.all(flows[0].completed)
+
+
+def test_a_study_does_not_import_numpy_ma():
+    """No study step needs ``numpy.ma`` (``np.unique`` imports it)."""
+    code = ("import sys\n"
+            "from dataclasses import replace\n"
+            "from flowtensor.kiw_verifier import convergence_study\n"
+            "from flowtensor.scenarios import get_scenario\n"
+            "sc = replace(get_scenario('kunita_sphere_rotation'), n_paths=8)\n"
+            "convergence_study(sc, levels=1)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split() == ["False"]
+
 
 def test_study_rejects_an_out_of_range_seed():
     with pytest.raises(ValueError, match="seed"):

@@ -1,12 +1,19 @@
-"""``tools/report_digests.py`` prints one report digest per registered scenario and seed."""
+"""``tools/report_digests.py`` prints one report digest per registered scenario and seed.
 
+The tool's ``main`` runs in the test process, as ``tests/test_cli.py``'s
+``run_cli`` runs the CLI, with its stdout captured.
+"""
+
+import contextlib
 import hashlib
+import importlib.util
+import io
 import json
-import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from flowtensor.flow import integrate_flow
 from flowtensor.kiw_verifier import convergence_study
@@ -16,11 +23,27 @@ from flowtensor.stochastics import build_driving_paths
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "report_digests.py"
 
 
+def _load_tool():
+    """The tool as a module; ``sys.path``, which it extends by ``src``, is restored."""
+    spec = importlib.util.spec_from_file_location("report_digests", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "path", list(sys.path))
+        spec.loader.exec_module(tool)
+    return tool
+
+
+_TOOL = _load_tool()
+
+
 def _stdout(tmp_path, *args) -> str:
-    out = subprocess.run([sys.executable, str(TOOL), *args], cwd=tmp_path,
-                         capture_output=True, text=True, timeout=600)
-    assert out.returncode == 0, out.stderr
-    return out.stdout
+    """What the tool's ``main(args)`` prints, run in process in ``tmp_path``;
+    it must return normally."""
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.chdir(tmp_path)
+        assert _TOOL.main(list(args)) is None
+    return out.getvalue()
 
 
 def _run(tmp_path, *args):
