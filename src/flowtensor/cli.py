@@ -16,9 +16,10 @@ the convergence study and writes two files into the output directory:
 ``<scenario>.manifest.json``
     The resolved configuration, seed and library version.
 
-Exit codes: 0 success, 1 configuration / file trouble (a stdout closed
-before the output is printed counts as file trouble), 2 a scenario
-failed its hypothesis validation, 3 more than half the paths blew up.
+Exit codes: 0 success, 1 usage, configuration or file trouble (a stdout
+closed before the output is printed counts as file trouble), 2 a
+scenario failed its hypothesis validation, 3 more than half the paths
+blew up.
 
 Config keys (all optional unless noted)::
 
@@ -36,7 +37,8 @@ Config keys (all optional unless noted)::
     scenario.theorem  identity selector, e.g. KunitaSecond
     scenario.atlas    euclidean:<dim> | torus:<dim> | sphere2
     scenario.drift    field spec, see below
-    scenario.noise.<j>  field spec for the j-th noise (j = 0, 1, ...)
+    scenario.noise.<j>  field spec for the j-th noise (j = 0, 1, ..., no
+                        leading zeros)
     scenario.K0       metric | one_form:<i> | position_one_form
     scenario.x0       comma-separated start coordinates, in a chart
     scenario.horizon  finite time horizon > 0 (default 1.0)
@@ -60,6 +62,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -151,8 +154,8 @@ def _check_keys(cfg: Dict[str, str]):
         if key in _RUN_KEYS or key in _SCENARIO_KEYS:
             continue
         if key.startswith("scenario.noise."):
-            tail = key[len("scenario.noise."):]
-            if tail.isdigit():
+            # an index as _inline_noises prints it back: ASCII, no leading zeros
+            if re.fullmatch(r"0|[1-9][0-9]*", key[len("scenario.noise."):]):
                 continue
         raise ConfigError(f"unknown config key {key!r}")
 
@@ -573,8 +576,17 @@ def _list_text(machine: bool) -> str:
     return "\n".join(lines)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a usage error exits ``EXIT_CONFIG``, not 2,
+    which is the code of a hypothesis violation."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="flowtensor",
         description="run a transport-identity convergence study and write CSV reports",
     )

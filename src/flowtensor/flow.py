@@ -205,8 +205,9 @@ class FlowSDE:
         constant (a zero drift, the second partials of a quadratic field)
         is held once, with singleton batch axes that broadcast; the other
         stacks are views of one ``(C,) + batch`` buffer holding their rows
-        alone (one buffer, not one array per stack, which raised the peak
-        RSS of a ``kiw_ito_pullback_r2`` study).  The program is held per
+        alone (:func:`flowtensor.tensor_calculus._fill`; one buffer, not one
+        array per stack, which raised the peak RSS of a
+        ``kiw_ito_pullback_r2`` study).  The program is held per
         chart and noise order; it comes from the program cache, so where an
         earlier process stored it, nothing is differentiated.
         """
@@ -226,14 +227,13 @@ class FlowSDE:
         batch = np.broadcast(t, pts[0]).shape
         vals = fn(t, *pts, *pvals)
         varying = {nm for nm, a, b, _ in layout if any(np.ndim(v) for v in vals[a:b])}
-        buf = np.empty((sum(b - a for nm, a, b, _ in layout if nm in varying),) + batch)
+        buf = tensor_calculus._fill(
+            [v for nm, a, b, _ in layout if nm in varying for v in vals[a:b]], batch)
         out, r = {}, 0
         for nm, a, b, shape in layout:
             if nm not in varying:
                 out[nm] = np.array(vals[a:b], dtype=float).reshape(shape + (1,) * len(batch))
                 continue
-            for i, v in enumerate(vals[a:b], r):
-                buf[i] = v
             out[nm] = buf[r:r + b - a].reshape(shape + batch)
             r += b - a
         return out
@@ -302,9 +302,7 @@ def scheme_step(sde: FlowSDE, scheme: str, cid: int, t0: float, t1: float, h: fl
     n, batch = sde.dim, u.shape[1:]
     inv = () if Ji is None else Ji.reshape((n * n,) + Ji.shape[2:])
     rows = fn(t0, t1, h, *u, *db, *J.reshape((n * n,) + J.shape[2:]), *inv, *pvals)
-    out = np.empty((len(rows),) + batch)
-    for i, v in enumerate(rows):
-        out[i] = v
+    out = tensor_calculus._fill(rows, batch)
     shape, r = (n, n) + batch, n + n * n * (1 + (Ji is not None))
     views = [out[:n], out[n:n + n * n].reshape(shape),
              None if Ji is None else out[n + n * n:r].reshape(shape)]

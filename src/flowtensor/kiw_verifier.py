@@ -889,18 +889,6 @@ def _checkpoint_indices(L: int, count: int) -> np.ndarray:
     return idx[np.diff(idx, prepend=-1) > 0]  # sorted, so a repeat follows its first
 
 
-def _fold_rows(x: np.ndarray) -> np.ndarray:
-    """Sum over axis -2, one row after another from zero.
-
-    ``np.sum`` sums pairwise when the rest of ``x`` holds one element, so a
-    one-path batch would round differently from a larger one.
-    """
-    acc = np.zeros(x.shape[:-2] + x.shape[-1:])
-    for k in range(x.shape[-2]):
-        acc += x[..., k, :]
-    return acc
-
-
 def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPaths) -> RhsResult:
     """Right-hand side of the intermediate-time transport identity, batch-last.
 
@@ -968,15 +956,19 @@ def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPa
         lhs[..., c, :] = lie["K"][..., 0, :]  # the restart from time 0
         dt_w = np.full((nrows, 1), h)
         dt_w[m] = 0.0  # left sum in s: the s = t endpoint never enters
-        # an absent term (a zero coefficient field) keeps its zeros
+        # an absent term (a zero coefficient field) keeps its zeros.  The sums
+        # over s add row after row (np.cumsum), as the discrete integrals do:
+        # np.sum adds pairwise when a row holds one path, so a one-path batch
+        # would round differently from a larger one
         if "LbK" in lie:
-            terms["L_b"][..., c, :] = _fold_rows(lie["LbK"] * dt_w)
+            terms["L_b"][..., c, :] = np.cumsum(lie["LbK"] * dt_w, axis=-2)[..., -1, :]
         if "LLK" in lie:
-            terms["L2"][..., c, :] = 0.5 * _fold_rows(lie["LLK"] * dt_w)
-        for j in range(sde.n_noise):
+            terms["L2"][..., c, :] = 0.5 * np.cumsum(lie["LLK"] * dt_w, axis=-2)[..., -1, :]
+        for j in range(sde.n_noise if m else 0):  # no increment enters at t = 0
             if f"LxK{j}" in lie:
                 dbj = (drivers.bm[:, 1 : m + 1, j] - drivers.bm[:, :m, j]).T
-                terms["L_xi"][..., c, :] += _fold_rows(lie[f"LxK{j}"][..., 1:, :] * dbj)
+                terms["L_xi"][..., c, :] += np.cumsum(lie[f"LxK{j}"][..., 1:, :] * dbj,
+                                                      axis=-2)[..., -1, :]
         out_vals[..., c, :] = K_at_x0
         for series in terms.values():  # added in the order L_b, L_xi, L2
             out_vals[..., c, :] += series[..., c, :]

@@ -2,8 +2,10 @@
 
 Fields are stored as sympy expressions per chart in the time symbol
 ``t`` and coordinate symbols ``x0, x1, ...``; evaluation generates one
-numpy program per field, chart and set of partials (held by the field)
-and then works on numpy batches.
+numpy program per field, chart and jet order (held by the field), which
+returns the full stacks ``D^0 .. D^order`` row by row, and then works on
+numpy batches: :func:`_fill` writes a program's rows into one buffer,
+for the field jets as for the flow's coefficient and step programs.
 Free symbols other than time and coordinates are field parameters and
 must be bound to floats in ``params``; parameter values enter only at
 call time, so they are not part of a program.
@@ -228,6 +230,18 @@ def _store(path: Path, entry: str):
             tmp.unlink()
 
 
+def _fill(rows: Sequence, batch: Tuple[int, ...]) -> np.ndarray:
+    """The rows a generated program returns, written into one new ``(len(rows),) + batch`` array.
+
+    Row ``i`` is ``rows[i]`` broadcast to ``batch``; a program returns a
+    constant entry as a 0-d value, which fills its row.
+    """
+    out = np.empty((len(rows),) + batch)
+    for i, v in enumerate(rows):
+        out[i] = v
+    return out
+
+
 def _srepr(arr: np.ndarray) -> Tuple[str, ...]:
     """``sp.srepr`` of every entry of an object array, in C order (a program's cache key)."""
     return tuple(sp.srepr(e) for e in arr.flat)
@@ -305,7 +319,9 @@ def _jet_layout(dim: int, order: int, ncomp: int):
     Returns ``(alphas, columns)``: ``alphas`` lists every distinct
     multi-index of total order at most ``order``, and ``columns[m]`` maps
     each (component, direction tuple) of the order-``m`` stack, in C
-    order, to its column in the flat output of ``_eval_flat(alphas)``.
+    order, to its row among the flattened partials of ``alphas``
+    (:meth:`TensorFieldSpec._exprs`), the partial its sorted directions
+    name.
     """
     dirs = [d for m in range(order + 1) for d in combinations_with_replacement(range(dim), m)]
     row = {d: i for i, d in enumerate(dirs)}
@@ -353,7 +369,7 @@ class TensorFieldSpec:
         self.comps = {
             int(cid): _as_expr_array(c, self.valence, self.dim) for cid, c in comps.items()
         }
-        self._evaluators: Dict[tuple, tuple] = {}
+        self._evaluators: Dict[Tuple[int, int], Callable] = {}
         syms = set()
         for arr in self.comps.values():
             for idx in np.ndindex(arr.shape) if arr.shape else [()]:
@@ -442,61 +458,45 @@ class TensorFieldSpec:
         return tuple(_partial(arr[idx], alpha) for alpha in alphas
                      for idx in (np.ndindex(arr.shape) if arr.shape else [()]))
 
-    def _evaluator(self, chart: int, alphas: Tuple[Tuple[int, ...], ...]):
-        """The evaluator of every partial in ``alphas`` and its row count.
+    def _evaluator(self, chart: int, order: int):
+        """The evaluator of the stacks ``D^0 .. D^order`` in ``chart``.
 
-        Held per ``(chart, alphas)``, so a call builds no symbols and
-        hashes no expressions.  The checks of :meth:`_require` run first;
-        then the program comes from the program cache (:func:`_program`),
-        keyed by the chart, ``alphas``, the components in ``chart`` and the
-        parameter names, so a hit differentiates nothing and a copy of the
-        field with other parameter values or another name shares the entry.
+        Its program returns every entry of each stack in C order, one stack
+        after the other.  The value rows print as given, so an order-0
+        program is the value program itself and every jet's values are
+        bitwise :meth:`eval_batch`'s; each distinct partial of order 1 or
+        more (:func:`_jet_layout`) is bound once, in one
+        common-subexpression block, and read at each of its symmetric
+        entries.  Held per ``(chart, order)``, so a call builds no symbols
+        and hashes no expressions.  The checks of :meth:`_require` run
+        first; then the program comes from the program cache
+        (:func:`_program`), keyed by the chart, ``order``, the components in
+        ``chart`` and the parameter names, so a hit differentiates nothing
+        and a copy of the field with other parameter values or another name
+        shares the entry.
         """
-        key = (chart, alphas)
-        held = self._evaluators.get(key)
-        if held is None:
-            self._require(chart, max(sum(alpha) for alpha in alphas))
+        fn = self._evaluators.get((chart, order))
+        if fn is None:
+            self._require(chart, order)
             ncomp = prod(self.shape)
+            alphas, columns = _jet_layout(self.dim, order, ncomp)
             psyms = tuple(s for s, _ in self.params)
 
             def source():
                 exprs = self._exprs(chart, alphas)
-                # the first partial's rows print as given, so a jet's values are
-                # bitwise those of eval_batch; the later rows share subexpressions
-                rest = sp.symbols(f"_d0:{len(exprs) - ncomp}")
-                return _compiled(exprs[:ncomp] + rest, (TIME,) + coord_symbols(self.dim) + psyms,
-                                 (tuple(zip(rest, exprs[ncomp:])),) if rest else ())
+                d = sp.symbols(f"_d0:{len(exprs) - ncomp}")
+                rows = exprs[:ncomp] + tuple(d[c - ncomp] for cols in columns[1:] for c in cols)
+                return _compiled(rows, (TIME,) + coord_symbols(self.dim) + psyms,
+                                 (tuple(zip(d, exprs[ncomp:])),) if d else ())
 
-            fn = _program(("evaluator", chart, alphas, _srepr(self.comps[chart]),
-                           tuple(s.name for s in psyms)), source)
-            held = self._evaluators[key] = (fn, len(alphas) * ncomp)
-        return held
-
-    def _eval_flat(self, t, pts: np.ndarray, chart: int,
-                   alphas: Tuple[Tuple[int, ...], ...]) -> np.ndarray:
-        """Evaluate every partial in ``alphas`` with one compiled call.
-
-        Batch-last: ``pts`` has shape ``(dim,) + batch`` and the result
-        ``(len(alphas) * ncomp,) + batch``, the flattened components of each
-        partial, one partial after the other, each row written whole.
-        """
-        fn, rows = self._evaluator(chart, alphas)
-        batch = np.broadcast_shapes(np.shape(t), np.shape(pts)[1:])
-        out = np.empty((rows,) + batch)
-        for i, v in enumerate(fn(t, *pts, *(v for _, v in self.params))):
-            out[i] = v
-        return out
-
-    def _batch_first_flat(self, t, coords, chart: int, alpha: Tuple[int, ...]) -> np.ndarray:
-        """One partial at batch-first ``coords``, batch-first (a view)."""
-        coords = np.asarray(coords, dtype=float)
-        flat = self._eval_flat(t, np.moveaxis(coords, -1, 0), chart, (alpha,))
-        batch = flat.shape[1:]
-        return _batch_first(flat.reshape(self.shape + batch), len(batch))
+            fn = self._evaluators[(chart, order)] = _program(
+                ("field jets", chart, order, _srepr(self.comps[chart]),
+                 tuple(s.name for s in psyms)), source)
+        return fn
 
     def eval_batch(self, t, coords: np.ndarray, chart: int = 0) -> np.ndarray:
         """Component values on a batch of points; shape ``batch + self.shape``."""
-        return self._batch_first_flat(t, coords, chart, (0,) * self.dim)
+        return self.partial_batch(t, coords, chart, (0,) * self.dim)
 
     def eval(self, t: float, coords: np.ndarray, chart: int = 0) -> TensorValue:
         return TensorValue(self.valence, self.eval_batch(t, np.asarray(coords, float), chart))
@@ -504,25 +504,37 @@ class TensorFieldSpec:
     def partial_batch(
         self, t, coords: np.ndarray, chart: int, alpha: Sequence[int]
     ) -> np.ndarray:
-        """Spatial partial ``d^alpha`` of every component on a batch."""
+        """Spatial partial ``d^alpha`` of every component on a batch.
+
+        The entry of the order-``|alpha|`` jet :meth:`_jet_last` that
+        ``alpha`` names, batch-first (a view).
+        """
         alpha = tuple(int(a) for a in alpha)
         if len(alpha) != self.dim:
             raise ShapeMismatch(f"alpha {alpha} has wrong length for dim {self.dim}")
-        return self._batch_first_flat(t, coords, chart, alpha)
+        coords = np.asarray(coords, dtype=float)
+        stack = self._jet_last(t, np.moveaxis(coords, -1, 0), chart, sum(alpha))[-1]
+        dirs = tuple(k for k, m in enumerate(alpha) for _ in range(m))
+        entry = stack[(slice(None),) * self.order + dirs]
+        return _batch_first(entry, entry.ndim - self.order)
 
     def _jet_last(self, t, pts: np.ndarray, chart: int, order: int) -> List[np.ndarray]:
         """:meth:`jet_batch` batch-last: ``pts`` has shape ``(dim,) + batch``
-        and the m-th stack ``self.shape + (dim,) * m + batch``."""
-        if order > self.smoothness_order:
-            raise InsufficientSmoothness(
-                f"field {self.name!r} is C^{self.smoothness_order}; jet order {order} requested"
-            )
-        alphas, columns = _jet_layout(self.dim, order, prod(self.shape))
-        flat = self._eval_flat(t, pts, chart, alphas)
-        batch = flat.shape[1:]
-        # whole rows, so each stack is C-contiguous
-        return [np.take(flat, cols, axis=0).reshape(self.shape + (self.dim,) * m + batch)
-                for m, cols in enumerate(columns)]
+        and the m-th stack ``self.shape + (dim,) * m + batch``.
+
+        One call of :meth:`_evaluator`'s program writes every entry once
+        into one buffer (:func:`_fill`); the stacks are C-contiguous views
+        of it.
+        """
+        fn = self._evaluator(chart, order)
+        buf = _fill(fn(t, *pts, *(v for _, v in self.params)),
+                    np.broadcast_shapes(np.shape(t), np.shape(pts)[1:]))
+        stacks, r = [], 0
+        for m in range(order + 1):
+            shape = self.shape + (self.dim,) * m
+            stacks.append(buf[r:r + prod(shape)].reshape(shape + buf.shape[1:]))
+            r += prod(shape)
+        return stacks
 
     def jet_batch(self, t, coords: np.ndarray, chart: int, order: int) -> List[np.ndarray]:
         """Value and derivative stacks up to ``order``.
@@ -531,7 +543,8 @@ class TensorFieldSpec:
         ``batch + self.shape + (dim,) * m`` and the trailing axes are the
         differentiation directions (symmetric by construction).  Every
         distinct partial is evaluated once, all of them in one compiled
-        call.  The stacks are C-contiguous copies of :meth:`_jet_last`'s.
+        call.  The stacks are C-contiguous batch-first copies of
+        :meth:`_jet_last`'s.
         """
         coords = np.asarray(coords, dtype=float)
         jets = self._jet_last(t, np.moveaxis(coords, -1, 0), chart, order)

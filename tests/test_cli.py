@@ -156,6 +156,22 @@ def test_unknown_scenario_exits_one_and_names_known(tmp_path):
     assert "identity" in out.stderr
 
 
+@pytest.mark.parametrize(
+    "args, fragment",
+    [(("--paths", "x", "identity"), "argument --paths: invalid int value: 'x'"),
+     (("--bogus",), "unrecognized arguments: --bogus"),
+     (("identity", "extra"), "unrecognized arguments: extra")],
+)
+def test_usage_errors_exit_one(tmp_path, args, fragment):
+    """A usage error exits 1 with argparse's usage line and message; 2 is a hypothesis violation."""
+    out = run_cli(*args, cwd=tmp_path)
+    assert out.returncode == 1
+    assert out.stderr.startswith("usage: flowtensor")
+    assert f"flowtensor: error: {fragment}" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert run_cli("--help", cwd=tmp_path).returncode == 0
+
+
 def test_low_regularity_scenario_fails_validation(tmp_path):
     # through main() and the python -m entry point, so the exit code is the process's
     out = run_cli_process("kiw_push_lowreg", "--out", str(tmp_path), cwd=tmp_path)
@@ -401,6 +417,11 @@ def test_config_scheme_and_bracket_mode_reach_the_study(tmp_path):
         # ``file`` is a file in the run's working directory
         ("run.scenario = identity\nrun.out = file\n", "run.out: 'file' is not a directory"),
         ("run.scenario = identity\nrun.out = file/sub\n", "run.out: 'file' is not a directory"),
+        # a noise index is ASCII decimal without leading zeros
+        ("scenario.name = x\nscenario.atlas = euclidean:1\nscenario.noise.00 = zero\n",
+         "unknown config key 'scenario.noise.00'"),
+        ("scenario.name = x\nscenario.atlas = euclidean:1\nscenario.noise.\u00b2 = zero\n",
+         "unknown config key 'scenario.noise.\u00b2'"),
     ],
 )
 def test_config_errors_exit_one(tmp_path, text, fragment):

@@ -1065,41 +1065,18 @@ BLOCK_STATE_BYTES = 256 * 8
 
 
 def test_study_holds_its_flows_drivers_and_one_block(monkeypatch):
-    """The memory guard: no level's integrands or term series are held for
-    all its paths at once.
+    """The memory guards, on one traced study.
 
     A 64-path ``kunita_sphere_rotation`` study of four levels, after a set-up
     study, in 1024-state blocks (one path of the 513-point finest level per
-    block); whole-level arrays take far more than the allowance.
-    """
-    import tracemalloc
-
-    monkeypatch.setattr(kiw_verifier, "_JET_BLOCK_STATES", 1024)
-    sc = replace(get_scenario("kunita_sphere_rotation"), n_paths=64)
-    convergence_study(sc, levels=1)  # compiles every evaluator the study reads
-    n, N = sc.sde.dim, sc.sde.n_noise
-    states = kiw_verifier.study_states(sc.n_paths, sc.base_grid.steps, 4)
-    # per state: coordinates, chart id, Jacobian and inverse; the Brownian path
-    # and the martingale drivers (the sphere has no driver fields)
-    held = states * (n + 1 + 2 * n * n + N + len(sc.mart_specs)) * 8
-    allowance = kiw_verifier._JET_BLOCK_STATES * BLOCK_STATE_BYTES
-    tracemalloc.start()
-    try:
-        convergence_study(sc, levels=4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < held + allowance, (peak, held, allowance)
-
-
-def test_study_holds_one_brownian_record_and_broadcast_constant_jets(monkeypatch):
-    """The tighter memory guard: the study of
-    :func:`test_study_holds_its_flows_drivers_and_one_block`, with the finest
-    Brownian path counted once (the coarse levels are views of it) and half
-    the block allowance (the sphere's constant coefficient stacks, its zero
-    drift and the rotations' second partials, take no rows of a block).  A
-    study that stores every level's Brownian path apart, or fills constant
-    stacks into per-state rows, exceeds it.
+    block).  The loose bound holds no level's integrands or term series for
+    all its paths at once: whole-level arrays take far more than the block
+    allowance.  The tight bound counts the finest Brownian path once (the
+    coarse levels are views of it) and half the block allowance (the
+    sphere's constant coefficient stacks, its zero drift and the rotations'
+    second partials, take no rows of a block): a study that stores every
+    level's Brownian path apart, or fills constant stacks into per-state
+    rows, exceeds it.
     """
     import tracemalloc
 
@@ -1110,16 +1087,21 @@ def test_study_holds_one_brownian_record_and_broadcast_constant_jets(monkeypatch
     states = kiw_verifier.study_states(sc.n_paths, sc.base_grid.steps, 4)
     finest = kiw_verifier.study_states(sc.n_paths, sc.base_grid.steps * 8, 1)
     # per state: coordinates, chart id, Jacobian and inverse, the martingale
-    # drivers; per state of the finest level: the Brownian path
-    held = (states * (n + 1 + 2 * n * n + len(sc.mart_specs)) + finest * N) * 8
-    allowance = kiw_verifier._JET_BLOCK_STATES * BLOCK_STATE_BYTES // 2
+    # drivers (the sphere has no driver fields)
+    per_state = n + 1 + 2 * n * n + len(sc.mart_specs)
+    allowance = kiw_verifier._JET_BLOCK_STATES * BLOCK_STATE_BYTES
+    # the Brownian path: per state of every level, or per state of the finest
+    loose = states * (per_state + N) * 8 + allowance
+    tight = (states * per_state + finest * N) * 8 + allowance // 2
     tracemalloc.start()
     try:
         convergence_study(sc, levels=4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < held + allowance, (peak, held, allowance)
+    assert peak < loose, f"more than one block held: peak {peak} B, bound {loose} B"
+    assert peak < tight, (f"a Brownian path per level or constant stacks in per-state rows: "
+                          f"peak {peak} B, bound {tight} B")
 
 
 @pytest.mark.parametrize("n_workers", [1, 2])

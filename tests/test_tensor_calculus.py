@@ -28,7 +28,6 @@ from flowtensor.fields import (
 from flowtensor.geometry import JacobianData, TensorValue
 from flowtensor.tensor_calculus import (
     InsufficientSmoothness,
-    TensorFieldSpec,
     ValenceMismatch,
     coord_symbols,
     lie_derivative,
@@ -69,25 +68,59 @@ def test_jet_batch_matches_hand_derivatives():
     assert_allclose(d2[0], [[2 * -2.0, 2 * 1.5], [2 * 1.5, 0.0]])
 
 
+def _recording_load(monkeypatch):
+    """Wrap ``tensor_calculus._load``; returns the list of loaded names and
+    the list that each call of a loaded program appends its name to."""
+    load, loaded, called = tensor_calculus._load, [], []
+
+    def recording(name, entry):
+        fn = load(name, entry)
+        loaded.append(name)
+        return lambda *a: called.append(name) or fn(*a)
+
+    monkeypatch.setattr(tensor_calculus, "_load", recording)
+    return loaded, called
+
+
+def _directions(alpha):
+    """The sorted derivative directions of the multi-index ``alpha``."""
+    return tuple(k for k, m in enumerate(alpha) for _ in range(m))
+
+
 def test_jet_batch_evaluates_each_distinct_partial_once(monkeypatch):
     f = random_tensor_field((1, 1), 2, np.random.default_rng(5), kind="trig", scale=0.6)
-    calls = []
-    original = TensorFieldSpec._eval_flat
-
-    def counting(self, t, coords, chart, alphas):
-        calls.append(alphas)
-        return original(self, t, coords, chart, alphas)
-
-    monkeypatch.setattr(TensorFieldSpec, "_eval_flat", counting)
+    loaded, called = _recording_load(monkeypatch)
     pts = np.random.default_rng(6).uniform(-0.7, 0.7, size=(5, 2))
     _, d1, d2 = f.jet_batch(0.0, pts, 0, 2)
     # one compiled call: the value, two first partials and the three
     # distinct second partials
-    assert len(calls) == 1
-    assert len(calls[0]) == 6
-    assert len(set(calls[0])) == 6
+    assert len(loaded) == 1
+    assert len(called) == 1
+    assert len(_jet_layout(2, 2, 4)[0]) == 6
     assert np.array_equal(d2, np.swapaxes(d2, -1, -2))
     assert_allclose(d2[..., 0, 1], f.partial_batch(0.0, pts, 0, (1, 1)), rtol=0, atol=0)
+
+
+def test_one_program_per_chart_and_order_writes_its_stacks_into_one_buffer(monkeypatch):
+    """eval_batch, partial_batch and jet_batch of one chart and order load one
+    program between them, and each partial is its jet's entry bitwise."""
+    f = random_tensor_field((1, 1), 2, np.random.default_rng(8), kind="trig", scale=0.6)
+    loaded, _ = _recording_load(monkeypatch)
+    pts = np.random.default_rng(9).uniform(-0.7, 0.7, size=(5, 2))
+    value = f.eval_batch(0.0, pts, 0)
+    assert np.array_equal(f.partial_batch(0.0, pts, 0, (0, 0)), value)
+    assert np.array_equal(f.jet_batch(0.0, pts, 0, 0)[0], value)
+    assert len(loaded) == 1
+    for alpha in _jet_layout(2, 2, 4)[0]:
+        m = sum(alpha)
+        want = f.jet_batch(0.0, pts, 0, m)[m][(Ellipsis,) + _directions(alpha)]
+        assert np.array_equal(f.partial_batch(0.0, pts, 0, alpha), want), alpha
+    assert len(loaded) == 3  # orders 0, 1 and 2
+    stacks = f._jet_last(0.0, pts.T, 0, 2)
+    buf = stacks[0].base
+    assert buf.size == sum(a.size for a in stacks)
+    for a in stacks:
+        assert a.base is buf and a.flags.c_contiguous
 
 
 def test_jet_order_capped_by_smoothness():
@@ -140,11 +173,14 @@ def test_jet_values_are_bitwise_eval_batch_and_derivatives_match_a_plain_compile
     t = 0.4
     jets = f.jet_batch(t, pts, chart, order)
     assert np.array_equal(jets[0], f.eval_batch(t, pts, chart))
-    alphas, _ = _jet_layout(f.dim, order, int(np.prod(f.shape)))
+    alphas, columns = _jet_layout(f.dim, order, int(np.prod(f.shape)))
     plain = sp.lambdify((TIME,) + coord_symbols(f.dim) + tuple(s for s, _ in f.params),
                         list(f._exprs(chart, alphas)), modules=np)
     want = np.array(np.broadcast_arrays(*plain(t, *pts.T, *(v for _, v in f.params)))).T
-    got = f._eval_flat(t, pts.T, chart, alphas).T  # batch-last in and out
+    # each distinct partial's rows, read from the stacks at the layout's positions
+    got = np.empty((len(pts), len(alphas) * int(np.prod(f.shape))))
+    for cols, stack in zip(columns, f._jet_last(t, pts.T, chart, order)):
+        got[:, cols] = stack.reshape(len(cols), len(pts)).T
     assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
 
