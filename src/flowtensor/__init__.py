@@ -6,9 +6,9 @@ The package is organised in layers:
     Charts, atlases (Euclidean space, flat torus, round sphere) and
     pointwise tensor transformation under chart changes.
 ``tensor_calculus``
-    Symbolic tensor fields per chart, Lie derivatives (symbolic and a
-    finite-difference oracle), pullback / pushforward contractions and
-    full pairings with test tensors.
+    Symbolic tensor fields per chart, their analytic jets, Lie
+    derivatives (symbolic and a finite-difference oracle) and pullback
+    contractions.
 ``stochastics``
     Time grids, counter-based Gaussian streams, Brownian drivers with
     dyadic refinement, and the discrete Ito / Stratonovich / covariation
@@ -48,9 +48,7 @@ from .tensor_calculus import (
     VectorFieldSpec,
     lie_derivative,
     lie_derivative_fd_oracle,
-    pair,
     pullback,
-    pushforward,
 )
 from .stochastics import (
     DrivingPaths,
@@ -65,13 +63,11 @@ from .stochastics import (
     stratonovich_integral,
 )
 from .flow import (
-    CorrectionTerms,
     FlowEnsemble,
     FlowSDE,
     SchemeSmoothnessMismatch,
     integrate_flow,
     integrate_flow_levels,
-    strat_to_ito_correction,
 )
 from .kiw_verifier import (
     HypothesisViolation,
@@ -81,7 +77,6 @@ from .kiw_verifier import (
     convergence_study,
     eval_lhs,
     eval_rhs,
-    expanded_integrand_check,
 )
 from .scenarios import get_scenario, list_scenarios
 
@@ -105,9 +100,7 @@ __all__ = [
     "VectorFieldSpec",
     "lie_derivative",
     "lie_derivative_fd_oracle",
-    "pair",
     "pullback",
-    "pushforward",
     "DrivingPaths",
     "GridMismatch",
     "RngStream",
@@ -118,13 +111,11 @@ __all__ = [
     "refine_dyadic",
     "sample_brownian",
     "stratonovich_integral",
-    "CorrectionTerms",
     "FlowEnsemble",
     "FlowSDE",
     "SchemeSmoothnessMismatch",
     "integrate_flow",
     "integrate_flow_levels",
-    "strat_to_ito_correction",
     "HypothesisViolation",
     "ResidualReport",
     "Scenario",
@@ -132,7 +123,6 @@ __all__ = [
     "convergence_study",
     "eval_lhs",
     "eval_rhs",
-    "expanded_integrand_check",
     "get_scenario",
     "list_scenarios",
 ]

@@ -51,6 +51,11 @@ Field specs are ``name`` or ``name:p1,p2,...``: ``zero``,
 atlas the noise spec ``sphere_rotation:rx,ry,rz`` which expands to the
 three rotation generators.  Inline scenarios carry no tensor-path
 drivers, so selectors that need them reduce to their static forms.
+Every number of a field spec, of ``scenario.x0`` and of
+``scenario.horizon`` must be finite: ``nan`` or ``inf`` exits 1 with
+the key named.  A finite parameter so large that the flow overflows,
+such as ``sphere_rotation:1e300,1.1,0.7``, gives ``inf`` in the step
+program, as an array entry would, and the paths blow up (exit 3).
 
 A study may hold at most ``MAX_STUDY_STATES`` flow states (paths times
 the grid points of all levels, see
@@ -170,10 +175,14 @@ def _as_int(cfg: Dict[str, str], key: str) -> Optional[int]:
 
 
 def _as_float(val: str, where: str) -> float:
+    """A finite float; ``nan`` and ``inf`` are refused like non-numbers."""
     try:
-        return float(val)
+        x = float(val)
     except ValueError:
         raise ConfigError(f"{where}: expected a number, got {val!r}")
+    if not np.isfinite(x):
+        raise ConfigError(f"{where}: expected a finite number, got {val!r}")
+    return x
 
 
 def _as_floats(val: str, where: str) -> List[float]:
@@ -370,9 +379,9 @@ def _build_inline_scenario(cfg: Dict[str, str]) -> Scenario:
     else:
         x0 = np.array(atlas.charts[0].center, dtype=float)
     horizon = _as_float(cfg.get("scenario.horizon", "1.0"), "scenario.horizon")
-    if not 0 < horizon < np.inf:
+    if horizon <= 0:
         raise ConfigError(
-            f"scenario.horizon: expected a finite positive number, got {cfg['scenario.horizon']!r}"
+            f"scenario.horizon: expected a positive number, got {cfg['scenario.horizon']!r}"
         )
     steps = _positive_int(cfg.get("scenario.steps", "16"), "scenario.steps")
     scheme = _as_choice(cfg, "scenario.scheme", SCHEMES) or "euler_maruyama"

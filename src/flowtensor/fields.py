@@ -25,8 +25,6 @@ __all__ = [
     "DEFAULT_SMOOTHNESS",
     "tensor_field",
     "vector_field",
-    "scalar_field",
-    "constant_vector_field",
     "linear_vector_field",
     "rotation_field_2d",
     "gbm_vector_field",
@@ -49,15 +47,6 @@ def tensor_field(valence, dim, comps, smoothness_order=DEFAULT_SMOOTHNESS, param
 
 def vector_field(dim, comps, smoothness_order=DEFAULT_SMOOTHNESS, params=None, name="", time_c1=True):
     return VectorFieldSpec(dim, {0: comps}, smoothness_order, params, name, time_c1)
-
-
-def scalar_field(dim, expr, smoothness_order=DEFAULT_SMOOTHNESS, params=None, name=""):
-    return tensor_field((0, 0), dim, expr, smoothness_order, params, name)
-
-
-def constant_vector_field(vec: Sequence[float], name: str = "const") -> VectorFieldSpec:
-    vec = list(vec)
-    return vector_field(len(vec), [sp.Float(v) for v in vec], name=name)
 
 
 def linear_vector_field(matrix: np.ndarray, name: str = "linear") -> VectorFieldSpec:

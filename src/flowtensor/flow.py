@@ -16,7 +16,9 @@ Jacobian equations in Ito form picks up the correction matrices
 
 with dJ = (Db + c_plus) J dt + ...  and  dJinv = -Jinv (Db - c_minus) dt - ...;
 the signs are fixed by the requirement that d(Jinv J) has vanishing
-drift, and are exercised against closed-form linear flows in the tests.
+drift.  With zero drift and zero increments, an Euler step of size h
+gives (J' - J)/h = c_plus J and (Jinv' - Jinv)/h = c_minus Jinv, which is
+how the tests read both matrices off :func:`scheme_step`.
 
 The Jacobian update of either scheme is the exact tangent map of its
 point update, so a finite-difference derivative of the discrete flow
@@ -40,7 +42,7 @@ bound block, so its point and ``J`` rows are bitwise those of order 1:
 the sweep and the Newton iterations run order 1, and the transport
 wavefronts compose the stacks into the jets of the discrete flow map.
 :meth:`FlowSDE.jets` evaluates the coefficient jets as arrays for the
-backward step and the correction terms.
+backward step and the verifier's integrands.
 
 :func:`integrate_flow_levels` is the only forward integration loop.  It
 advances the refinement levels of one driver ensemble together over the
@@ -61,20 +63,17 @@ import numpy as np
 import sympy as sp
 
 from . import tensor_calculus
-from .geometry import (R_MAX, ChartAtlas, NoCoveringChart, _batch_first,
-                       _slot_replace, locate_chart_batch)
+from .geometry import R_MAX, ChartAtlas, NoCoveringChart, _slot_replace, locate_chart_batch
 from .stochastics import DrivingPaths, TimeGrid
 from .tensor_calculus import TIME, VectorFieldSpec, _jet_layout, coord_symbols
 
 __all__ = [
     "SchemeSmoothnessMismatch",
-    "CorrectionTerms",
     "FlowSDE",
     "FlowEnsemble",
     "integrate_flow",
     "integrate_flow_levels",
     "scheme_step",
-    "strat_to_ito_correction",
     "inverse_flow_residual_ensemble",
     "jacobian_fd_check",
     "SCHEMES",
@@ -88,14 +87,6 @@ _T1, _H = sp.Symbol("_t1"), sp.Symbol("_h")
 
 class SchemeSmoothnessMismatch(Exception):
     """Scheme requires more coefficient regularity than the fields declare."""
-
-
-@dataclass(frozen=True)
-class CorrectionTerms:
-    """Ito correction matrices for the Jacobian equations."""
-
-    c_plus: np.ndarray
-    c_minus: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -408,27 +399,6 @@ def _bind(block: list, name: str, exprs: np.ndarray) -> np.ndarray:
         else:
             block.append((out.flat[k], e))
     return out
-
-
-def strat_to_ito_correction(sde: FlowSDE, t: float, coords: np.ndarray, chart: int = 0) -> CorrectionTerms:
-    """Correction matrices ``c_plus`` / ``c_minus`` at a batch of points."""
-    pts = np.moveaxis(np.asarray(coords, dtype=float), -1, 0)
-    q = sde.jets(t, pts, chart, 2)
-    # a constant stack of q carries singleton batch axes, which the products broadcast
-    n, N, batch = sde.dim, sde.n_noise, np.broadcast(t, pts[0]).shape
-    # the (noise j, direction l) terms of sq and second, multiplied at once,
-    # then added in order of (j, l), so no sum depends on the batch size
-    xi, Dxi, D2xi = q["xi"], q["Dxi"], q["D2xi"]
-    terms = np.empty((N, n, n, 2 * n) + batch)
-    np.multiply(Dxi.swapaxes(1, 2)[:, :, :, None], Dxi[:, :, None], out=terms[:, :, :, :n])
-    np.multiply(D2xi.swapaxes(1, 2), xi[:, :, None, None], out=terms[:, :, :, n:])
-    S = np.zeros((n, 2 * n) + batch)
-    for term in terms.reshape((N * n, n, 2 * n) + batch):
-        S += term
-    sq, second = S[:, :n], S[:, n:]
-    nb = len(batch)
-    return CorrectionTerms(c_plus=_batch_first(0.5 * (sq + second), nb),
-                           c_minus=_batch_first(0.5 * (sq - second), nb))
 
 
 @dataclass(frozen=True)

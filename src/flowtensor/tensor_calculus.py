@@ -25,17 +25,17 @@ derivative order callers may request.  Asking beyond it raises
 with deliberately capped regularity fail fast instead of silently using
 derivatives the hypotheses do not grant.
 
-Every slot contraction (pullback, pushforward, the slot terms of
-:func:`lie_jet`) runs one kernel, ``_slot_replace`` and ``_contract``
-from :mod:`flowtensor.geometry`, on batch-last arrays: the component and
-derivative axes come first, the batch axes trail (any number of them,
-equal in number on every operand, singletons broadcast).  A contraction
-is then an n-term elementwise multiply-add over the contracted index,
-with the batch axis as the inner loop.  The public batch-first
-functions (``lie_jet``, ``pullback_batch``, ``pushforward_batch``) move
-the batch axes to the end at entry and back at exit.  The verifier's
-integrand chains stay batch-last from end to end, from the analytic
-jets to the transported terms.  Every selector reads the same jets: the
+Every slot contraction (pullback, the slot terms of the Lie formula,
+:func:`_add_slot_terms`) runs one kernel, ``_slot_replace`` and
+``_contract`` from :mod:`flowtensor.geometry`, on batch-last arrays: the
+component and derivative axes come first, the batch axes trail (any
+number of them, equal in number on every operand, singletons
+broadcast).  A contraction is then an n-term elementwise multiply-add
+over the contracted index, with the batch axis as the inner loop.  The
+public batch-first ``pullback_batch`` moves the batch axes to the end
+at entry and back at exit.  The verifier's integrand chains stay
+batch-last from end to end, from the analytic jets to the transported
+terms.  Every selector reads the same jets: the
 pull-back route at the flow states, and the push-forward and restart
 routes at the transported point, with the flow coefficients pulled back
 through the exact jets of the discrete flow map.
@@ -46,7 +46,6 @@ from __future__ import annotations
 import builtins
 import hashlib
 import os
-import string
 import sys
 from contextlib import suppress
 from functools import lru_cache
@@ -80,12 +79,7 @@ __all__ = [
     "lie_derivative",
     "lie_derivative_fd_oracle",
     "pullback",
-    "pushforward",
-    "pair",
     "pullback_batch",
-    "pushforward_batch",
-    "pair_batch",
-    "lie_jet",
 ]
 
 
@@ -301,13 +295,20 @@ def _as_expr_array(comps, valence: Tuple[int, int], dim: int) -> np.ndarray:
     return arr
 
 
-def _canonical_params(params: Optional[Mapping]) -> Tuple[Tuple[sp.Symbol, float], ...]:
+def _canonical_params(params: Optional[Mapping]) -> Tuple[Tuple[sp.Symbol, np.float64], ...]:
+    """``params`` as ``(symbol, value)`` pairs sorted by name.
+
+    The values are numpy floats, as the arrays they meet in a generated
+    program are: a power of a Python float that overflows raises
+    ``OverflowError``, where a numpy float gives ``inf``, which stops the
+    path as a blow-up.
+    """
     if not params:
         return ()
     items = []
     for k, v in params.items():
         sym = sp.Symbol(k, real=True) if isinstance(k, str) else k
-        items.append((sym, float(v)))
+        items.append((sym, np.float64(v)))
     items.sort(key=lambda kv: kv[0].name)
     return tuple(items)
 
@@ -716,8 +717,6 @@ def lie_derivative_fd_oracle(
 # transport contractions
 # ---------------------------------------------------------------------------
 
-_LETTERS = string.ascii_lowercase
-
 
 def _contract_batch_first(comps, valence, contra_mat, cov_mat) -> np.ndarray:
     """:func:`_contract` on batch-first arrays, whose batch axes broadcast as numpy's do."""
@@ -740,13 +739,6 @@ def pullback_batch(
     return _contract_batch_first(comps, valence, inv_jac, jac)
 
 
-def pushforward_batch(
-    comps: np.ndarray, valence: Tuple[int, int], jac: np.ndarray, inv_jac: np.ndarray
-) -> np.ndarray:
-    """Pushforward contraction (inverse transport): slots swap matrices."""
-    return _contract_batch_first(comps, valence, jac, inv_jac)
-
-
 def pullback(value: TensorValue, data: JacobianData) -> TensorValue:
     """Pull a tensor at the image point back to the base point of ``data``."""
     return TensorValue(
@@ -754,73 +746,9 @@ def pullback(value: TensorValue, data: JacobianData) -> TensorValue:
     )
 
 
-def pushforward(value: TensorValue, data: JacobianData) -> TensorValue:
-    """Push a tensor at the base point forward to the image point of ``data``."""
-    return TensorValue(
-        value.valence, pushforward_batch(value.components, value.valence, data.jac, data.inv_jac)
-    )
-
-
-def pair_batch(
-    K: np.ndarray, valK: Tuple[int, int], S: np.ndarray, valS: Tuple[int, int]
-) -> np.ndarray:
-    """Full contraction of a (r, s) tensor with an (s, r) test tensor."""
-    r, s = valK
-    if valS != (s, r):
-        raise ValenceMismatch(f"test tensor valence {valS}, expected {(s, r)}")
-    if r + s == 0:
-        return np.asarray(K, dtype=float) * np.asarray(S, dtype=float)
-    kl = _LETTERS[: r + s]
-    sl = kl[r:] + kl[:r]
-    return np.einsum(f"...{kl},...{sl}->...", K, S)
-
-
-def pair(K: TensorValue, S: TensorValue) -> float:
-    """Scalar pairing ``K^I_J S^J_I``."""
-    return float(pair_batch(K.components, K.valence, S.components, S.valence))
-
-
 # ---------------------------------------------------------------------------
-# pointwise Lie derivative from numeric jets
+# Lie terms from numeric jets
 # ---------------------------------------------------------------------------
-
-
-def lie_jet(
-    t_jets: Sequence[np.ndarray],
-    x_jets: Sequence[np.ndarray],
-    valence: Tuple[int, int],
-    out_order: int = 0,
-) -> List[np.ndarray]:
-    """Lie derivative from pointwise jets, no symbolic input.
-
-    ``t_jets[m]`` has shape ``batch + shape + (n,) * m`` (trailing axes
-    are derivative directions), ``x_jets[m]`` likewise with
-    ``shape = (n,)``.  Needs jets of order ``out_order + 1`` on both
-    inputs and returns ``[value, first derivative, ...]`` up to
-    ``out_order``.
-    """
-    k = sum(valence)
-    if len(t_jets) < out_order + 2 or len(x_jets) < out_order + 2:
-        raise InsufficientSmoothness(
-            f"jet order {out_order + 1} required on both inputs for a C^{out_order} result"
-        )
-    if out_order >= 2:
-        raise NotImplementedError("jets beyond first order are not needed here")
-    nb = max(np.ndim(t_jets[0]) - k, np.ndim(x_jets[0]) - 1)
-    # batch-last, as the slot kernels read them
-    T, dT, *t_rest = [_batch_last(a, nb, k + m) for m, a in enumerate(t_jets)]
-    X, dX, *x_rest = [_batch_last(a, nb, 1 + m) for m, a in enumerate(x_jets)]
-    # value: X^l d_l T  - sum_a T(l@a) d_l X^{i_a} + sum_b T(l@b) d_{j_b} X^l
-    out = [_add_slot_terms(_along(dT, X, k), T, dX, valence)]
-    if out_order >= 1:
-        # d_m (X^l d_l T) = d_m X^l d_l T + X^l d^2_{lm} T
-        term = _slot_replace(dT, dX, k, k + 1, transpose=True)
-        term += _slot_replace(t_rest[0], X[:, None], k, k + 2, transpose=True)[
-            (slice(None),) * k + (0,)]
-        # slot terms differentiated with Leibniz
-        _add_slot_terms(term, dT, dX, valence, n_extra=1)
-        out.append(_add_slot_terms(term, T, x_rest[0], valence, n_m_extra=1))
-    return [_batch_first(a, nb) for a in out]
 
 
 def _along(dT: np.ndarray, X: np.ndarray, nslots: int) -> np.ndarray:

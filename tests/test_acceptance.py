@@ -30,10 +30,8 @@ from flowtensor.flow import (
 from flowtensor.geometry import euclidean_atlas
 from flowtensor.kiw_verifier import (
     convergence_study,
-    expanded_integrand_check,
     eval_lhs,
     eval_rhs,
-    strat_ito_bridge_gap,
     validate_scenario,
 )
 from flowtensor.scenarios import get_scenario
@@ -50,6 +48,7 @@ from flowtensor.tensor_calculus import (
     lie_derivative,
     lie_derivative_fd_oracle,
 )
+from references import expanded_integrand_check, strat_ito_bridge_gap
 
 
 def drivers_for(sc, n_paths=None):

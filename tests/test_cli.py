@@ -401,6 +401,17 @@ def test_config_scheme_and_bracket_mode_reach_the_study(tmp_path):
         ("scenario.name = x\nscenario.atlas = euclidean:1\nscenario.x0 = 1e300\n",
          "scenario.x0"),
         ("scenario.name = x\nscenario.atlas = sphere2\nscenario.x0 = 1e300,0\n", "scenario.x0"),
+        # a field parameter is a finite number
+        ("scenario.name = x\nscenario.atlas = sphere2\n"
+         "scenario.noise.0 = sphere_rotation:nan,1.1,0.7\n", "scenario.noise.0"),
+        ("scenario.name = x\nscenario.atlas = euclidean:1\nscenario.noise.0 = gbm:inf\n",
+         "scenario.noise.0"),
+        ("scenario.name = x\nscenario.atlas = euclidean:2\nscenario.drift = constant:nan,0\n",
+         "scenario.drift"),
+        ("scenario.name = x\nscenario.atlas = euclidean:2\nscenario.noise.0 = linear:1,0,0,-inf\n",
+         "scenario.noise.0"),
+        ("scenario.name = x\nscenario.atlas = euclidean:2\nscenario.drift = rotation:nan\n",
+         "scenario.drift"),
         ("run.scenario = identity\nrun.levels = 0\n", "run.levels"),
         ("run.scenario = identity\nrun.levels = 64\n", "run.levels: a study of 64 levels"),
         ("run.scenario = identity\nrun.paths = 100000000000000000000000\n",
@@ -438,6 +449,19 @@ def test_config_errors_exit_one(tmp_path, text, fragment):
     assert "Warning" not in out.stderr
     assert all(out_dir in p.parents for p in set(tmp_path.rglob("*")) - before)
     assert not (tmp_path.parent / "x.csv").exists()
+
+
+def test_an_overflowing_field_parameter_blows_up_the_paths(tmp_path):
+    """A finite parameter whose square overflows becomes ``inf`` in the step
+    program, as an array entry would, and the paths blow up: exit 3, no
+    traceback."""
+    cfg = write_config(tmp_path, "scenario.name = big\nscenario.atlas = sphere2\n"
+                                 "scenario.noise.0 = sphere_rotation:1e300,1.1,0.7\n"
+                                 "run.paths = 4\nrun.levels = 2\n")
+    out = run_cli("--config", str(cfg), "--out", str(tmp_path), cwd=tmp_path)
+    assert out.returncode == 3
+    assert "blew up" in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 @pytest.mark.parametrize("out_arg", ["file", "file/sub"])

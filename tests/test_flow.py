@@ -23,7 +23,6 @@ from flowtensor.flow import (
     inverse_flow_residual_ensemble,
     jacobian_fd_check,
     scheme_step,
-    strat_to_ito_correction,
 )
 from flowtensor.geometry import (R_MAX, Chart, ChartAtlas, NoCoveringChart, Transition,
                                  _slot_replace, euclidean_atlas, locate_chart, sphere_atlas,
@@ -79,21 +78,38 @@ def test_available_k_tracks_coefficient_smoothness():
     assert sde.n_noise == 1
 
 
+def euler_jacobian_rates(sde, pts, chart=0, t=0.0):
+    """``(J' - J) / h`` and ``(Jinv' - Jinv) / h`` of one Euler step of
+    :func:`scheme_step` from ``J = Jinv = I`` with zero increments, batch-first.
+
+    The step writes ``J + (Db + c_plus) h J`` and ``Jinv - Jinv (Db - c_minus) h``,
+    so these are ``Db + c_plus`` and ``c_minus - Db``: the correction matrices
+    themselves where the drift is zero.  The step size is 1, so each entry
+    carries only the rounding of ``1 + rate`` on the diagonal.
+    """
+    u = np.asarray(pts, dtype=float).T
+    (n, m), h = u.shape, 1.0
+    eye = np.broadcast_to(np.eye(n)[..., None], (n, n, m))
+    _, J, Ji = scheme_step(sde, "euler_maruyama", chart, t, t + h, h, u, eye, eye,
+                           np.zeros((sde.n_noise, m)))
+    return np.moveaxis((J - eye) / h, -1, 0), np.moveaxis((Ji - eye) / h, -1, 0)
+
+
 def test_correction_terms_linear_noise():
     # xi = x d/dx gives c_plus = c_minus = 1/2
     sde = FlowSDE(zero_drift(1), [gbm_vector_field(1.0)], euclidean_atlas(1))
-    c = strat_to_ito_correction(sde, 0.0, np.array([1.7]))
-    assert_allclose(c.c_plus, [[0.5]], atol=1e-14)
-    assert_allclose(c.c_minus, [[0.5]], atol=1e-14)
+    c_plus, c_minus = euler_jacobian_rates(sde, [[1.7]])
+    assert_allclose(c_plus, [[[0.5]]], atol=1e-14)
+    assert_allclose(c_minus, [[[0.5]]], atol=1e-14)
 
 
 def test_correction_terms_quadratic_noise():
     # xi = x^2/2 d/dx at x = 1: first and second derivative parts split
     xi = vector_field(1, [X1D[0] ** 2 / 2], name="quad")
     sde = FlowSDE(zero_drift(1), [xi], euclidean_atlas(1))
-    c = strat_to_ito_correction(sde, 0.0, np.array([1.0]))
-    assert_allclose(c.c_plus, [[0.75]], atol=1e-14)
-    assert_allclose(c.c_minus, [[0.25]], atol=1e-14)
+    c_plus, c_minus = euler_jacobian_rates(sde, [[1.0]])
+    assert_allclose(c_plus, [[[0.75]]], atol=1e-14)
+    assert_allclose(c_minus, [[[0.25]]], atol=1e-14)
 
 
 def _full_jets(q, batch):
@@ -137,9 +153,10 @@ def test_fused_coefficients_match_field_jets_and_matmul_formulas(name, chart, no
         assert_allclose(np.moveaxis(got[key], -1, batch_axis), val, rtol=1e-13, err_msg=key)
     if noise_order == 2:
         ito = _ito_coefficients(got)
-        c = strat_to_ito_correction(sde, t, pts, chart)
-        assert_allclose(c.c_plus, np.moveaxis(ito["cp"], -1, 0), rtol=1e-13)
-        assert_allclose(c.c_minus, np.moveaxis(ito["cm"], -1, 0), rtol=1e-13)
+        plus, minus = euler_jacobian_rates(sde, pts, chart, t)
+        # an entry near 0 carries the rounding of 1 + rate, below 1e-15
+        assert_allclose(plus, np.moveaxis(got["Db"] + ito["cp"], -1, 0), rtol=1e-13, atol=1e-15)
+        assert_allclose(minus, np.moveaxis(ito["cm"] - got["Db"], -1, 0), rtol=1e-13, atol=1e-15)
         db = rng.normal(0.0, np.sqrt(h), (sde.n_noise, 40))
         back = pts.T - ito["a"] * h
         for j in range(sde.n_noise):
@@ -183,8 +200,8 @@ def test_fused_coefficients_bind_each_fields_own_parameters():
     assert_allclose(q["xi"][:, 0, 0], [0.75, 3.0], rtol=1e-15)
     assert_allclose(q["Dxi"][:, 0, 0, 0], [0.5, 2.0], rtol=1e-15)
     # c_plus = 1/2 sum_j w_j^2 for linear noise
-    c = strat_to_ito_correction(sde, 0.0, np.array([1.5]))
-    assert_allclose(c.c_plus[0, 0], 0.5 * (0.25 + 4.0), rtol=1e-15)
+    c_plus, _ = euler_jacobian_rates(sde, [[1.5]])
+    assert_allclose(c_plus[0, 0, 0], 0.5 * (0.25 + 4.0), rtol=1e-15)
 
 
 @pytest.mark.parametrize("scheme", ["euler_maruyama", "heun"])
@@ -352,8 +369,8 @@ def test_correction_terms_sum_over_noises():
     sde = FlowSDE(
         zero_drift(1), [gbm_vector_field(1.0), gbm_vector_field(1.0)], euclidean_atlas(1)
     )
-    c = strat_to_ito_correction(sde, 0.0, np.array([0.4]))
-    assert_allclose(c.c_plus, [[1.0]], atol=1e-14)
+    c_plus, _ = euler_jacobian_rates(sde, [[0.4]])
+    assert_allclose(c_plus, [[[1.0]]], atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +646,7 @@ def test_heun_reads_only_first_order_noise_jets():
     assert np.all(ens.completed)
     # c_plus needs the second derivative of the noise field
     with pytest.raises(InsufficientSmoothness):
-        strat_to_ito_correction(sde, 0.0, np.array([0.2]))
+        sde.jets(0.0, np.array([[0.2]]), 0, 2)
 
 
 def test_heun_requires_c1_time_dependence_of_noise():

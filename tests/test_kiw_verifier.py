@@ -17,7 +17,6 @@ from flowtensor.fields import (
     gbm_vector_field,
     random_tensor_field,
     random_vector_field,
-    scalar_field,
     tensor_field,
     vector_field,
 )
@@ -31,8 +30,6 @@ from flowtensor.kiw_verifier import (
     convergence_study,
     eval_lhs,
     eval_rhs,
-    expanded_integrand_check,
-    strat_ito_bridge_gap,
     validate_scenario,
 )
 from flowtensor import kiw_verifier, tensor_calculus
@@ -47,14 +44,14 @@ from flowtensor.kiw_verifier import (
     _inverse_jets,
     _lie_terms,
     _push_transport,
-    _random_jet_states,
-    _route_a_integrands,
     _transported_integrands,
 )
 from flowtensor.scenarios import get_scenario, list_scenarios, scenario_table
 from flowtensor.stochastics import FvSpec, MartSpec, TimeGrid, build_driving_paths, refine_dyadic
-from flowtensor.tensor_calculus import (TensorFieldSpec, coord_symbols, lie_derivative, lie_jet,
+from flowtensor.tensor_calculus import (TensorFieldSpec, coord_symbols, lie_derivative,
                                        pullback_batch)
+from references import (_random_jet_states, _route_a_integrands, expanded_integrand_check, lie_jet,
+                        strat_ito_bridge_gap)
 
 
 def drivers_for(sc, n_paths=None, grid=None):
@@ -599,7 +596,7 @@ VALENCES_UP_TO_THREE_SLOTS = [(r, k - r) for k in range(4) for r in range(k + 1)
 @pytest.mark.parametrize("valence", VALENCES_UP_TO_THREE_SLOTS)
 def test_ito_correction_is_the_nested_lie_jet_summed_over_noises(valence, dim):
     """``LL`` from the noise sums equals ``sum_j L_xi_j (L_xi_j K)`` taken with
-    the public two-pass ``lie_jet`` (its first-order jet, then once more),
+    the two-pass reference ``lie_jet`` (its first-order jet, then once more),
     and every ``L_xi_j K`` is the one-pass ``lie_jet`` bitwise; a ``None``
     noise adds nothing."""
     rng = np.random.default_rng(100 * dim + 10 * valence[0] + valence[1])

@@ -13,8 +13,8 @@ import sympy as sp
 from numpy.testing import assert_allclose
 
 from flowtensor import scenarios, tensor_calculus
-from flowtensor.fields import (constant_vector_field, linear_vector_field, random_tensor_field,
-                              rotation_field_2d, scalar_field, vector_field)
+from flowtensor.fields import (linear_vector_field, random_tensor_field, rotation_field_2d,
+                              tensor_field, vector_field)
 from flowtensor.flow import FlowSDE
 from flowtensor.geometry import euclidean_atlas
 from flowtensor.kiw_verifier import convergence_study, validate_scenario
@@ -102,7 +102,7 @@ def test_a_damaged_entry_is_rebuilt_and_overwritten(damage, empty_program_cache)
     pts = np.random.default_rng(2).uniform(-1.0, 1.0, (7, 2))
 
     def field(e):
-        return scalar_field(2, e, name="f")
+        return tensor_field((0, 0), 2, e, name="f")
 
     want = _jets(field(X0**2 * X1 + sp.sin(X1)), pts)
     (entry,) = empty_program_cache.glob("*.py")
@@ -131,7 +131,7 @@ def test_key_holds_components_and_parameter_names_not_values_or_names(empty_prog
     pts = np.array([[0.5, -1.5], [2.0, 0.25]])
 
     def evaluate(expr, params, name):
-        return scalar_field(2, expr, params=params, name=name).eval_batch(0.0, pts, 0)
+        return tensor_field((0, 0), 2, expr, params=params, name=name).eval_batch(0.0, pts, 0)
 
     assert_allclose(evaluate(a * X0**2 + X1, {a: 1.0}, "f"), [-1.25, 4.25])
     first = _entries(empty_program_cache)
@@ -174,7 +174,7 @@ def test_flow_programs_are_keyed_by_components_and_parameter_names(empty_program
 
 
 def test_checks_raise_with_a_warm_cache(empty_program_cache):
-    f = scalar_field(2, X0**2 * X1, smoothness_order=2, name="f")
+    f = tensor_field((0, 0), 2, X0**2 * X1, smoothness_order=2, name="f")
     pts = np.zeros((1, 2))
     f.jet_batch(0.0, pts, 0, 2)
     f.partial_batch(0.0, pts, 0, (1, 1))
@@ -188,7 +188,7 @@ def test_checks_raise_with_a_warm_cache(empty_program_cache):
     with pytest.raises(InsufficientSmoothness):
         rough.partial_batch(0.0, pts, 0, (1, 1))
     with pytest.raises(KeyError):
-        scalar_field(2, X0**2 * X1, smoothness_order=2, name="f").eval_batch(0.0, pts, 7)
+        tensor_field((0, 0), 2, X0**2 * X1, smoothness_order=2, name="f").eval_batch(0.0, pts, 7)
     rough_sde = FlowSDE(rotation_field_2d(), (noise.with_order(1),), euclidean_atlas(2))
     with pytest.raises(InsufficientSmoothness):
         rough_sde._step_program(0, "euler_maruyama", True)
@@ -234,7 +234,7 @@ def test_float_coefficients_print_at_round_trip_precision():
     0.333333333333333 and ``0.1 + 0.2`` would become 0.3."""
     third = linear_vector_field([[1.0 / 3.0]], name="third")
     assert third.eval_batch(0.0, np.array([[1.0]]))[0, 0] == 1.0 / 3.0
-    shifted = constant_vector_field([0.1 + 0.2], name="shifted")
+    shifted = vector_field(1, [sp.Float(0.1 + 0.2)], name="shifted")
     assert shifted.eval_batch(0.0, np.array([[0.0]]))[0, 0] == 0.1 + 0.2
     x = sp.Float(0.1 + 0.2) * coord_symbols(1)[0]
     assert "0.30000000000000004*x0" in tensor_calculus._compiled((x,), coord_symbols(1))
