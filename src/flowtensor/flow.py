@@ -83,6 +83,8 @@ SCHEMES = ("euler_maruyama", "heun")
 
 # the step program's end time and step size
 _T1, _H = sp.Symbol("_t1"), sp.Symbol("_h")
+# the names of the coefficient stacks, the drift's and the noise fields' by order
+_DRIFT_STACKS, _NOISE_STACKS = ("b", "Db"), ("xi", "Dxi", "D2xi")
 
 
 class SchemeSmoothnessMismatch(Exception):
@@ -127,12 +129,12 @@ class FlowSDE:
         """Parameters, parameter values and row layout of :meth:`_exprs`, and its row count.
 
         Found without differentiating.  The layout lists each stack's
-        name, rows and shape: the drift's value and first partials, then
-        the noise fields' values, first partials and (to ``noise_order``)
-        second partials, each stack over all noise fields in turn,
-        components in C order.  Every field's parameters are renamed to
-        symbols prefixed with its position, so two fields may bind one name
-        to different values.  A chart without components raises
+        name, noise field (None for the drift's), rows and shape: the
+        drift's value and first partials, then each noise field's values,
+        then each one's first partials and (to ``noise_order``) second
+        partials, components in C order.  Every field's parameters are
+        renamed to symbols prefixed with its position, so two fields may
+        bind one name to different values.  A chart without components raises
         ``KeyError`` and partials beyond a field's declared smoothness
         ``InsufficientSmoothness``, as :meth:`_exprs` would.
         """
@@ -144,12 +146,12 @@ class FlowSDE:
                 f._require(chart, 1 if k == 0 else noise_order)
                 psyms += [sp.Symbol(f"c{k}_{s.name}", real=True) for s, _ in f.params]
                 pvals += [v for _, v in f.params]
-            groups = [("b", (n,)), ("Db", (n, n))]
-            groups += [(("xi", "Dxi", "D2xi")[m], (N,) + (n,) * (m + 1))
-                       for m in range(noise_order + 1)]
+            groups = [("b", None, (n,)), ("Db", None, (n, n))]
+            groups += [(_NOISE_STACKS[m], j, (n,) * (m + 1))
+                       for m in range(noise_order + 1) for j in range(N)]
             layout, rows = [], 0
-            for nm, shape in groups:
-                layout.append((nm, rows, rows + prod(shape), shape))
+            for nm, j, shape in groups:
+                layout.append((nm, j, rows, rows + prod(shape), shape))
                 rows += prod(shape)
             self._programs[key] = (tuple(psyms), tuple(pvals), layout, rows)
         return self._programs[key]
@@ -184,23 +186,29 @@ class FlowSDE:
                                     for f in (self.drift, *self.diffusions)),
                 tuple(s.name for s in psyms))
 
-    def jets(self, t, pts: np.ndarray, chart: int, noise_order: int) -> Dict[str, np.ndarray]:
+    def jets(self, t, pts: np.ndarray, chart: int, noise_order: int) -> Dict[str, object]:
         """Drift and noise jets at batch-last points ``pts`` (shape ``(n,) + batch``).
 
         One call of a generated program (common subexpressions shared)
-        gives every value, batch-last, in layout order: ``b`` and ``Db``
-        (drift and its Jacobian, ``Db[i, l] = d_l b^i``), ``xi``, ``Dxi``
-        and, with ``noise_order`` 2, ``D2xi`` (leading axis over the noise
-        fields, derivative directions last).  The program returns a
-        constant entry as a 0-d value.  A stack whose every entry is
-        constant (a zero drift, the second partials of a quadratic field)
-        is held once, with singleton batch axes that broadcast; the other
-        stacks are views of one ``(C,) + batch`` buffer holding their rows
-        alone (:func:`flowtensor.tensor_calculus._fill`; one buffer, not one
-        array per stack, which raised the peak RSS of a
-        ``kiw_ito_pullback_r2`` study).  The program is held per
-        chart and noise order; it comes from the program cache, so where an
-        earlier process stored it, nothing is differentiated.
+        gives every value, batch-last: ``b`` and ``Db`` (drift and its
+        Jacobian, ``Db[i, l] = d_l b^i``), then ``xi``, ``Dxi`` and, with
+        ``noise_order`` 2, ``D2xi``, each a tuple with one stack per noise
+        field (``xi[j]`` of shape ``(n,) + batch``, ``Dxi[j]`` ``(n, n) +
+        batch``, derivative directions last).  Each stack, the drift's and
+        every noise field's of every order, is laid out on its own.  A
+        stack whose every entry is constant (a zero drift, a zero noise
+        field, the second partials of a linear field) is held once, with
+        singleton batch axes that broadcast; the other stacks are views of
+        one ``(C,) + batch`` buffer holding their rows alone
+        (:func:`flowtensor.tensor_calculus._fill`; one buffer, not one array
+        per stack, which raised the peak RSS of a ``kiw_ito_pullback_r2``
+        study).  Which stacks are constant is decided once per program and
+        per kind of arguments (whether ``t`` and the points are arrays: a
+        stack that reads only ``t`` is constant for a scalar time), from
+        the rows of the first such call: the program returns a constant
+        entry as a 0-d value.  The program is held per chart and noise
+        order; it comes from the program cache, so where an earlier
+        process stored it, nothing is differentiated.
         """
         key = ("jets", chart, noise_order)
         if key not in self._programs:
@@ -217,16 +225,21 @@ class FlowSDE:
         pts = np.asarray(pts, dtype=float)
         batch = np.broadcast(t, pts[0]).shape
         vals = fn(t, *pts, *pvals)
-        varying = {nm for nm, a, b, _ in layout if any(np.ndim(v) for v in vals[a:b])}
-        buf = tensor_calculus._fill(
-            [v for nm, a, b, _ in layout if nm in varying for v in vals[a:b]], batch)
-        out, r = {}, 0
-        for nm, a, b, shape in layout:
-            if nm not in varying:
-                out[nm] = np.array(vals[a:b], dtype=float).reshape(shape + (1,) * len(batch))
-                continue
-            out[nm] = buf[r:r + b - a].reshape(shape + batch)
-            r += b - a
+        kind = ("jets layout", chart, noise_order, np.ndim(t) > 0, pts.ndim > 1)
+        if kind not in self._programs:
+            varying = [any(np.ndim(v) for v in vals[a:b]) for _, _, a, b, _ in layout]
+            rows = [i for (_, _, a, b, _), var in zip(layout, varying) if var for i in range(a, b)]
+            self._programs[kind] = (varying, rows)
+        varying, rows = self._programs[kind]
+        buf = tensor_calculus._fill([vals[i] for i in rows], batch)
+        out, r = dict.fromkeys(_DRIFT_STACKS + _NOISE_STACKS[:noise_order + 1], ()), 0
+        for (nm, j, a, b, shape), var in zip(layout, varying):
+            if var:
+                v = buf[r:r + b - a].reshape(shape + batch)
+                r += b - a
+            else:
+                v = np.array(vals[a:b], dtype=float).reshape(shape + (1,) * len(batch))
+            out[nm] = v if j is None else out[nm] + (v,)
         return out
 
     def _step_program(self, chart: int, scheme: str, with_inv: bool, order: int = 1):
@@ -261,7 +274,10 @@ class FlowSDE:
 
             def source():
                 exprs = self._exprs(chart, noise_order)
-                q = {nm: _objects(exprs[a:b], shape) for nm, a, b, shape in layout}
+                q = dict.fromkeys(_DRIFT_STACKS + _NOISE_STACKS[:noise_order + 1], ())
+                for nm, j, a, b, shape in layout:  # a noise stack: one per field
+                    v = _objects(exprs[a:b], shape)
+                    q[nm] = v if j is None else q[nm] + (v,)
                 outs, args, blocks = _step_exprs(q, scheme, with_inv, self.dim, self.n_noise, order)
                 return tensor_calculus._compiled(outs, args + psyms, blocks)
 
@@ -308,7 +324,8 @@ def _step_exprs(q: Dict[str, np.ndarray], scheme: str, with_inv: bool, n: int, N
     """Outputs, arguments (without the parameters) and bound blocks of a step program.
 
     ``q`` holds the coefficient stacks of :meth:`FlowSDE._layout` as
-    object arrays; see :meth:`FlowSDE._step_program` for the update.
+    object arrays, each noise stack as a tuple of one per field; see
+    :meth:`FlowSDE._step_program` for the update.
     """
     xs = _objects(coord_symbols(n), (n,))
     db = sp.symbols(f"_db0:{N}")
@@ -551,11 +568,14 @@ def integrate_flow_levels(
     once.  The step program is elementwise, so each level's ensemble is
     bitwise the one it would get on its own.  After the step calls, the
     blow-up test and the hop test run once over the stepped live
-    columns, each column against the centre and hop radius of the chart
-    it was stepped in; a chart whose hop radius exceeds ``R_MAX * sqrt(n)``
-    plus the norm of its centre needs no distance test, since a column
-    that far out has already stopped.  Hops are applied chart by chart
-    in ascending order; stops and the final freeze act per column.
+    columns.  A column blows up, and its path stops, where a coordinate
+    is not finite or exceeds ``R_MAX``, or an entry of ``J`` or ``Jinv`` is
+    not finite.  The hop test takes each column against the centre and
+    hop radius of the chart it was stepped in; a chart whose hop radius
+    exceeds ``R_MAX * sqrt(n)`` plus the norm of its centre needs no
+    distance test, since a column that far out has already stopped.
+    Hops are applied chart by chart in ascending order; stops and the
+    final freeze act per column.
 
     Each level's history is one ``(L+1, n + 2n^2, P)`` array, the
     ensemble's ``states``, and its chart ids are held in the smallest
@@ -651,9 +671,11 @@ def integrate_flow_levels(
                     x[:n], x[n:n + nn].reshape(n, n, -1), x[n + nn:].reshape(n, n, -1),
                     db[:, sel] if whole else db.take(idx, axis=1))
                 state[:, sel] = un.base  # the one buffer the step's results are views of
-            # blow-up: non-finite or runaway coordinates stop the path
-            pts = state[:n, :mP] if live.size == mP else state[:n].take(live, axis=1)
-            stop = ~(np.abs(pts).max(axis=0) <= R_MAX)
+            # blow-up: non-finite or runaway coordinates, or a non-finite J or
+            # Jinv, stop the path
+            rows = state[:, :mP] if live.size == mP else state.take(live, axis=1)
+            pts = rows[:n]
+            stop = ~(np.abs(pts).max(axis=0) <= R_MAX) | ~np.isfinite(rows[n:]).all(axis=0)
             # chart hops: leaving the 2r ball hands the path to a covering chart
             check = np.flatnonzero(~stop & tested[was])
             if check.size:
@@ -719,10 +741,10 @@ def _backward_step(sde: FlowSDE, scheme: str, cid: int, t_left: float, t_right: 
         # common subexpressions round xi and Dxi differently in the last bits
         k = sde.jets(t_left, q, cid, 2)
         # the Ito drift a = b + 1/2 sum_j Dxi_j xi_j, added in order of (j, l)
-        conv = np.zeros(q.shape)  # k["b"] may be a constant stack, with a singleton batch axis
+        conv = np.zeros(q.shape)  # a stack of k may be constant, with a singleton batch axis
         for j in range(sde.n_noise):
             for l in range(sde.dim):
-                conv += k["Dxi"][j, :, l] * k["xi"][j, l]
+                conv += k["Dxi"][j][:, l] * k["xi"][j][l]
         out = q - (k["b"] + 0.5 * conv) * h
         for j in range(sde.n_noise):
             out = out - k["xi"][j] * db[j]

@@ -110,9 +110,7 @@ class JacobianData:
     """Forward and inverse Jacobian of a map at one point.
 
     ``jac`` is the derivative of the forward map at ``base``; ``inv_jac``
-    the derivative of the inverse map at ``image``.  The product
-    ``jac @ inv_jac`` should stay close to the identity; ``consistency``
-    reports how far it drifts.
+    the derivative of the inverse map at ``image``.
     """
 
     jac: np.ndarray
@@ -129,11 +127,6 @@ class JacobianData:
         object.__setattr__(self, "inv_jac", inv)
         object.__setattr__(self, "base", np.asarray(self.base, dtype=float))
         object.__setattr__(self, "image", np.asarray(self.image, dtype=float))
-
-    def consistency(self) -> float:
-        """Max-norm distance of ``jac @ inv_jac`` from the identity."""
-        n = self.jac.shape[0]
-        return float(np.max(np.abs(self.jac @ self.inv_jac - np.eye(n))))
 
 
 def _slot_replace(T: np.ndarray, M: np.ndarray, slot: int, nslots: int, n_extra: int = 0,

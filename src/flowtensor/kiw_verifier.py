@@ -73,7 +73,7 @@ columns are:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -392,9 +392,10 @@ def _assemble_forward_rhs(
     return RhsResult(values=values, terms=terms, transported=K)
 
 
-def _coeff_jets(sde: FlowSDE, q: Dict[str, np.ndarray], order: int):
+def _coeff_jets(sde: FlowSDE, q: Dict[str, object], order: int):
     """Drift and per-noise jets, as :func:`_lie_terms` reads them, from
-    :meth:`FlowSDE.jets` views (batch-last already, so nothing is copied).
+    the stacks of :meth:`FlowSDE.jets` (batch-last already, one per noise
+    field, so nothing is copied).
 
     A coefficient field whose components are all 0 (:meth:`TensorFieldSpec.is_zero`)
     gets ``None`` in place of its jets: its Lie terms vanish identically
@@ -467,33 +468,42 @@ def _lie_terms(jets: Sequence[np.ndarray], b_jets: Optional[Sequence[np.ndarray]
     return out
 
 
-def _integrands(k_jets: Sequence[np.ndarray], g_jets: Sequence[Sequence[np.ndarray]],
+def _integrands(k_jets: Sequence[np.ndarray], g_jets: Iterable[Sequence[np.ndarray]],
                 b_jets: Optional[Sequence[np.ndarray]],
                 xi_jets: Sequence[Optional[Sequence[np.ndarray]]], valence: Tuple[int, int],
                 strat: bool) -> Iterator[Tuple[str, np.ndarray]]:
     """Yield every integrand of the identity, as ``(label, array)`` pairs
     under the labels of :func:`_assemble_forward_rhs`.
 
-    ``k_jets`` are the jets of the driven tensor ``K_t``, weighted by the
-    caller, and ``g_jets`` those of each driver field ``G_i``.  ``K``,
-    ``LbK``, ``LxK<j>`` and ``LLK`` are the :func:`_lie_terms` of ``K_t``;
-    ``G<i>`` and, in the Ito form only, ``LxG<i>_<j>`` are those of
-    ``G_i`` along the noises, with no drift.  The ``G_i`` jets are read
+    ``g_jets`` gives the jets of each driver field ``G_i`` in i order, and
+    ``k_jets`` are those of the driven tensor ``K_t``, read only once
+    ``g_jets`` is exhausted.  The driver fields come first: ``G<i>`` and,
+    in the Ito form only, ``LxG<i>_<j>`` are the :func:`_lie_terms` of
+    ``G_i`` along the noises, with no drift; then ``K``, ``LbK``,
+    ``LxK<j>`` and ``LLK`` are those of ``K_t``.  The ``G_i`` jets are read
     to order 1 in the Ito form and at value order otherwise.  Every
     selector's builder calls this on its own jets, so the transported
     tensor and its Lie terms always come from the same values.  Each term
     is popped as it is handed on, and a field's terms are built only once
-    those before them have been taken.
+    those before them have been taken.  No reference to a ``G_i``'s jets
+    is kept past its :func:`_lie_terms`, so its buffer lives only as long
+    as its value term ``G<i>``, a view of it: fed by a generator that
+    evaluates each ``G_i``, weights it into ``k_jets`` and keeps no
+    reference (:func:`_route_integrands`), a block holds one driver
+    field's jets at a time, and none while ``K_t``'s terms are built.
     """
+    i = 0  # a count, not enumerate, whose result tuple would hold the last jets
+    for gj in g_jets:
+        lie = _lie_terms(gj, None, () if strat else xi_jets, valence, True)
+        del gj  # from here on only its value term, a view, holds the jets
+        yield f"G{i}", lie.pop("val")
+        for nm in list(lie):
+            yield f"LxG{i}_{nm[2:]}", lie.pop(nm)
+        i += 1
     lie = _lie_terms(k_jets, b_jets, xi_jets, valence, strat)
     for nm in list(lie):
         # val -> K, Lb -> LbK, Lx<j> -> LxK<j>, LL -> LLK
         yield "K" if nm == "val" else nm[:2] + "K" + nm[2:], lie.pop(nm)
-    for i, gj in enumerate(g_jets):
-        lie = _lie_terms(gj, None, () if strat else xi_jets, valence, True)
-        yield f"G{i}", lie.pop("val")
-        for nm in list(lie):
-            yield f"LxG{i}_{nm[2:]}", lie.pop(nm)
 
 
 def _route_integrands(scenario: Scenario, t, x: np.ndarray, cid: int, coef, w,
@@ -501,26 +511,38 @@ def _route_integrands(scenario: Scenario, t, x: np.ndarray, cid: int, coef, w,
                       strat: bool) -> Iterator[Tuple[str, np.ndarray]]:
     """The :func:`_integrands` pairs of one route, carried by ``(contra, cov)``.
 
-    The one integrand pipeline of every route: the analytic jets of
-    ``K0`` and every ``G_i`` are evaluated at the points ``x`` (chart
-    ``cid``, ``(n,) + batch``), ``K0``'s are weighted with the driver
-    weights ``w`` (:func:`_driver_weights`) into those of ``K_t`` (``jK0 +
-    sum_i w_i jG_i``, in i order), :func:`_integrands` takes them with the
-    coefficient jets ``coef`` (``(b_jets, xi_jets)``, as
-    :func:`_coeff_jets` gives them), and every integrand is contracted as
-    it arrives, ``contra`` on the contravariant slots and ``cov`` on the
-    covariant ones.  The routes differ only in where ``coef`` comes from
-    and in the matrix pair.
+    The one integrand pipeline of every route.  The analytic jets of
+    ``K0`` are evaluated at the points ``x`` (chart ``cid``, ``(n,) +
+    batch``); then, driver field by driver field, in i order, the jets of
+    ``G_i`` are evaluated there and weighted with the driver weights ``w``
+    (:func:`_driver_weights`) into ``K0``'s, which become those of ``K_t =
+    K0 + sum_i w_i G_i``, and ``G_i``'s own integrands are built and handed
+    on; its jets are released once its value term has been contracted.
+    ``K_t``'s terms come last
+    (:func:`_integrands` takes the coefficient jets ``coef``, ``(b_jets,
+    xi_jets)`` as :func:`_coeff_jets` gives them), so a block holds the
+    jets of ``K0`` and of one driver field at a time.  Every integrand is
+    contracted as it arrives, ``contra`` on the contravariant slots and
+    ``cov`` on the covariant ones.  The routes differ only in where
+    ``coef`` comes from and in the matrix pair.
     """
     valence = scenario.K0.valence
     order = 1 if strat else 2
-    k_jets, *g_jets = (f._jet_last(t, x, cid, order) for f in (scenario.K0, *scenario.G))
-    # the jets of K_t, accumulated in place into K0's
-    for i, gj in enumerate(g_jets):
-        for kj, gjm in zip(k_jets, gj):
-            kj += w[i] * gjm
-    for key, v in _integrands(k_jets, g_jets, *coef, valence, strat):
+    k_jets = scenario.K0._jet_last(t, x, cid, order)
+
+    def driver_jets():
+        # indices, not zip or enumerate, whose loop variables would keep the
+        # last field's stacks, and with them its buffer, alive; and the jets
+        # leave through a list, so this frame holds none while they are read
+        for i in range(len(scenario.G)):
+            gj = [scenario.G[i]._jet_last(t, x, cid, order)]
+            for m in range(len(k_jets)):
+                k_jets[m] += w[i] * gj[0][m]
+            yield gj.pop()
+
+    for key, v in _integrands(k_jets, driver_jets(), *coef, valence, strat):
         yield key, _contract(v, valence, contra, cov)
+        del v  # a field's value may be a view of its jets
 
 
 # largest number of flow states whose jets are held at once: a study level
@@ -574,6 +596,7 @@ def _pullback_integrand_paths(
             if key not in held:
                 held[key] = np.empty(shape + flow.charts.shape)
             held[key].reshape(shape + (cols,))[..., at] = v
+            del v  # held no longer while the next term is built; a scalar value views its jets
     return held
 
 
@@ -775,10 +798,10 @@ def _pushforward_integrand_paths(
     order = 1 if strat else 2
     weights = _driver_weights(scenario, drivers)
     tp = _push_transport(scenario, flow, drivers)
-    # analytic jets of the flow coefficients at the observation point,
-    # with a singleton path axis for broadcasting
-    q = sde.jets(times, np.broadcast_to(scenario.x0[:, None], (sde.dim, times.size)), 0, order)
-    coef = _coeff_jets(sde, {k: v[..., None] for k, v in q.items()}, order)
+    # analytic jets of the flow coefficients at the observation point, on a
+    # singleton path axis that broadcasts
+    x0 = np.broadcast_to(scenario.x0[:, None, None], (sde.dim, times.size, 1))
+    coef = _coeff_jets(sde, sde.jets(times[:, None], x0, 0, order), order)
     return dict(_transported_integrands(scenario, times[:, None], tp.preimages, tp.jets,
                                         _inverse(tp.jets[0]), weights, coef, strat))
 
@@ -885,8 +908,10 @@ def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPa
     jets = [np.broadcast_to(np.eye(n)[..., None], (n, n, (L + 1) * P)).copy()]
     jets += [np.zeros((n,) * (r + 2) + ((L + 1) * P,)) for r in range(1, order + 1)]
 
-    # coefficient jets at the observation point for every restart time
-    q = sde.jets(times, np.broadcast_to(scenario.x0[:, None], (n, L + 1)), 0, order)
+    # coefficient jets at the observation point for every restart time, on a
+    # singleton path axis that broadcasts
+    x0 = np.broadcast_to(scenario.x0[:, None, None], (n, L + 1, 1))
+    coef_all = _coeff_jets(sde, sde.jets(times[:, None], x0, 0, order), order)
 
     shape = K0.shape + (cps.size, P)
     out_vals, lhs = np.empty(shape), np.empty(shape)
@@ -907,10 +932,11 @@ def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPa
             continue
         c = np.searchsorted(cps, m)
         nrows = m + 1
-        coef = _coeff_jets(sde, {k: v[..., :nrows, None] for k, v in q.items()}, order)
+        b_jets, *xi_jets = (None if X is None else [a[..., :nrows, :] for a in X]
+                            for X in (coef_all[0], *coef_all[1]))
         x, *fwd = (a[..., :nrows * P].reshape(a.shape[:-1] + (nrows, P)) for a in (Q, *jets))
         lie = dict(_transported_integrands(scenario, times[m], x, _inverse_jets(fwd), fwd[0], (),
-                                           coef, strat))
+                                           (b_jets, xi_jets), strat))
         lhs[..., c, :] = lie["K"][..., 0, :]  # the restart from time 0
         dt_w = np.full((nrows, 1), h)
         dt_w[m] = 0.0  # left sum in s: the s = t endpoint never enters

@@ -379,7 +379,7 @@ class TensorFieldSpec:
         missing = syms - allowed
         if missing:
             raise ValueError(f"unbound symbols {sorted(map(str, missing))} in field {name!r}")
-        # copies (with_order, with_params) keep the expressions, hence the flag
+        # copies (with_order) keep the expressions, hence the flag
         self._time_independent = TIME not in syms
 
     # -- structure ---------------------------------------------------------
@@ -407,22 +407,6 @@ class TensorFieldSpec:
         out.__dict__.update(self.__dict__)
         out.smoothness_order = int(smoothness_order)
         out._evaluators = {}
-        return out
-
-    def with_params(self, params: Mapping) -> "TensorFieldSpec":
-        """Copy with parameter values replaced (same expressions).
-
-        Only declared parameters can be rebound: the copy shares the
-        compiled evaluators, whose signatures are fixed.
-        """
-        new, given = dict(self.params), _canonical_params(params)
-        unknown = sorted(k.name for k, _ in given if k not in new)
-        if unknown:
-            raise ValueError(f"field {self.name!r} declares no parameter(s) {unknown}")
-        new.update(given)
-        out = object.__new__(type(self))
-        out.__dict__.update(self.__dict__)
-        out.params = tuple(sorted(new.items(), key=lambda kv: kv[0].name))
         return out
 
     def is_zero(self) -> bool:

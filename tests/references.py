@@ -15,22 +15,54 @@ can check the package against it:
   expands the product rule over the coordinate factors;
 - :func:`strat_ito_bridge_gap`, the discrete calculus-conversion identity
   between the trapezoid and left-point assemblies of the pull-back route
-  (criterion 7).
+  (criterion 7);
+- :func:`with_params`, a copy of a field with other parameter values,
+  which criterion 1 draws its random fields with, and
+  :func:`jacobian_consistency`, the pointwise form of the flow's
+  Jacobian monitor.
 """
 
 import string
 from dataclasses import replace
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from flowtensor.flow import FlowEnsemble
-from flowtensor.geometry import _batch_first, _batch_last, _contract, _slot_replace
+from flowtensor.geometry import JacobianData, _batch_first, _batch_last, _contract, _slot_replace
 from flowtensor.kiw_verifier import (Scenario, WiringMismatch, _assemble_forward_rhs, _integrands,
                                      _pullback_integrand_paths, _row)
 from flowtensor.stochastics import DrivingPaths, covariation
-from flowtensor.tensor_calculus import (InsufficientSmoothness, ValenceMismatch,
-                                        _add_slot_terms, _along, _contract_batch_first)
+from flowtensor.tensor_calculus import (InsufficientSmoothness, TensorFieldSpec, ValenceMismatch,
+                                        _add_slot_terms, _along, _canonical_params,
+                                        _contract_batch_first)
+
+# ---------------------------------------------------------------------------
+# fields and Jacobians
+# ---------------------------------------------------------------------------
+
+
+def with_params(field: TensorFieldSpec, params: Mapping) -> TensorFieldSpec:
+    """A copy of ``field`` with parameter values replaced (same expressions).
+
+    Only declared parameters can be rebound: the copy shares the
+    compiled evaluators, whose signatures are fixed.
+    """
+    new, given = dict(field.params), _canonical_params(params)
+    unknown = sorted(k.name for k, _ in given if k not in new)
+    if unknown:
+        raise ValueError(f"field {field.name!r} declares no parameter(s) {unknown}")
+    new.update(given)
+    out = object.__new__(type(field))
+    out.__dict__.update(field.__dict__)
+    out.params = tuple(sorted(new.items(), key=lambda kv: kv[0].name))
+    return out
+
+
+def jacobian_consistency(data: JacobianData) -> float:
+    """Max-norm distance of ``data.jac @ data.inv_jac`` from the identity."""
+    n = data.jac.shape[0]
+    return float(np.max(np.abs(data.jac @ data.inv_jac - np.eye(n))))
 
 # ---------------------------------------------------------------------------
 # contractions

@@ -48,7 +48,7 @@ from flowtensor.tensor_calculus import (
     lie_derivative,
     lie_derivative_fd_oracle,
 )
-from references import expanded_integrand_check, strat_ito_bridge_gap
+from references import expanded_integrand_check, strat_ito_bridge_gap, with_params
 
 
 def drivers_for(sc, n_paths=None):
@@ -84,9 +84,9 @@ def test_criterion_01_lie_derivative_against_flow_oracle(criterion):
         for _ in range(20):
             kv = dict(zip(ksyms, 0.8 * rng.standard_normal(len(ksyms))))
             xv = dict(zip(xsyms, 0.8 * rng.standard_normal(len(xsyms))))
-            K = K0.with_params(kv)
-            X = X0.with_params(xv)
-            D = D0.with_params({**kv, **xv})
+            K = with_params(K0, kv)
+            X = with_params(X0, xv)
+            D = with_params(D0, {**kv, **xv})
             pt = rng.uniform(-0.7, 0.7, size=2)
             sym = D.eval(0.0, pt).components
             fd = lie_derivative_fd_oracle(K, X, 0.0, pt, eps=1e-4).components

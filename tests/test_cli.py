@@ -464,6 +464,19 @@ def test_an_overflowing_field_parameter_blows_up_the_paths(tmp_path):
     assert "Traceback" not in out.stderr
 
 
+def test_an_overflowing_jacobian_blows_up_the_paths(tmp_path):
+    """From the origin, where both fields vanish, the points stay finite
+    while the drift's Jacobian entry of 1e300 overflows ``J``: the
+    non-finite ``J`` stops each path as a blow-up, exit 3, no traceback."""
+    cfg = write_config(tmp_path, "scenario.name = stiff\nscenario.atlas = euclidean:2\n"
+                                 "scenario.drift = linear:1e300,0,0,1\n"
+                                 "scenario.noise.0 = rotation:1\nrun.paths = 4\nrun.levels = 2\n")
+    out = run_cli("--config", str(cfg), "--out", str(tmp_path), cwd=tmp_path)
+    assert out.returncode == 3
+    assert "blew up" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 @pytest.mark.parametrize("out_arg", ["file", "file/sub"])
 def test_out_flag_naming_a_file_exits_one(tmp_path, out_arg):
     (tmp_path / "file").write_text("")

@@ -113,9 +113,14 @@ def test_correction_terms_quadratic_noise():
 
 
 def _full_jets(q, batch):
-    """The stacks of :meth:`FlowSDE.jets` broadcast to ``batch``: a constant
-    stack comes with singleton batch axes."""
-    return {k: np.broadcast_to(v, v.shape[:v.ndim - len(batch)] + batch) for k, v in q.items()}
+    """The stacks of :meth:`FlowSDE.jets` broadcast to ``batch`` (a constant
+    stack comes with singleton batch axes), each noise stack's per-field
+    stacks on one leading noise axis."""
+    def full(v):
+        return np.broadcast_to(v, v.shape[:v.ndim - len(batch)] + batch)
+
+    return {k: np.array([full(s) for s in v]) if isinstance(v, tuple) else full(v)
+            for k, v in q.items()}
 
 
 def _ito_coefficients(q):
@@ -169,9 +174,11 @@ def test_fused_coefficients_match_field_jets_and_matmul_formulas(name, chart, no
 
 @pytest.mark.parametrize("chart", [0, 1])
 def test_constant_coefficient_stacks_are_held_once(chart):
-    """The sphere's zero drift and the rotations' second partials are
-    constant: ``b``, ``Db`` and ``D2xi`` come back with singleton batch axes
-    and equal the fields' jets, while ``xi`` and ``Dxi`` take the batch."""
+    """The sphere's zero drift, the rotations' second partials and the
+    first partials of the rotation about the polar axis, which is linear
+    in both charts, are constant: ``b``, ``Db``, every field's ``D2xi`` and
+    the third field's ``Dxi`` come back with singleton batch axes and equal
+    the fields' jets, while the other stacks take the batch."""
     sde = get_scenario("kunita_sphere_rotation").sde
     pts = np.random.default_rng(7).uniform(-0.8, 0.8, (2, 3, 5))
     t = 0.3
@@ -179,15 +186,43 @@ def test_constant_coefficient_stacks_are_held_once(chart):
     assert list(q) == ["b", "Db", "xi", "Dxi", "D2xi"]
     n, N = sde.dim, sde.n_noise
     assert q["b"].shape == (n, 1, 1) and q["Db"].shape == (n, n, 1, 1)
-    assert q["D2xi"].shape == (N, n, n, n, 1, 1)
-    assert q["xi"].shape == (N, n, 3, 5) and q["Dxi"].shape == (N, n, n, 3, 5)
+    assert all(len(q[nm]) == N for nm in ("xi", "Dxi", "D2xi"))
+    assert [a.shape for a in q["D2xi"]] == [(n, n, n, 1, 1)] * N
+    assert [a.shape for a in q["xi"]] == [(n, 3, 5)] * N
+    assert [a.shape for a in q["Dxi"]] == [(n, n, 3, 5)] * 2 + [(n, n, 1, 1)]
     # the fields' jets, batch-first, at the 15 points
     flat = pts.reshape(n, -1).T
     b, Db = sde.drift.jet_batch(t, flat, chart, 1)
-    D2xi = np.array([xi.jet_batch(t, flat, chart, 2)[2] for xi in sde.diffusions])
-    for got, want in ((q["b"], b), (q["Db"], Db), (q["D2xi"], np.moveaxis(D2xi, 1, 0))):
+    jets = [xi.jet_batch(t, flat, chart, 2) for xi in sde.diffusions]
+    for got, want in ((q["b"], b), (q["Db"], Db), (q["Dxi"][2], jets[2][1]),
+                      *zip(q["D2xi"], [j[2] for j in jets])):
         assert np.array_equal(np.broadcast_to(got[..., 0], got.shape[:-2] + (15,)),
                               np.moveaxis(want, 0, -1))
+
+
+@pytest.mark.parametrize("t", [0.3, np.linspace(0.0, 1.0, 6)])
+def test_a_zero_noise_field_takes_no_per_state_rows(t):
+    """``kiw_ito_pullback_r2``'s second noise field is zero: each of its
+    stacks is held once, with singleton batch axes, for a scalar time and
+    for per-state times, while the first field's stacks take the batch, as
+    views of one buffer.  A second call reads the layout the first
+    decided, and a call with a scalar time after one with per-state times
+    has its own."""
+    sde = get_scenario("kiw_ito_pullback_r2").sde
+    assert [xi.is_zero() for xi in sde.diffusions] == [False, True]
+    n = sde.dim
+    pts = np.random.default_rng(3).uniform(-0.8, 0.8, (n, 6))
+    for _ in range(2):
+        q = sde.jets(t, pts, 0, 2)
+        for m, nm in enumerate(("xi", "Dxi", "D2xi")):
+            live, zero = q[nm]
+            assert live.shape == (n,) * (m + 1) + (6,), nm
+            assert zero.shape == (n,) * (m + 1) + (1,), nm
+            assert not np.any(zero), nm
+        buf = q["xi"][0].base
+        assert all(q[nm][0].base is buf for nm in ("Dxi", "D2xi"))
+        # the varying stacks alone: the drift's, and the first field's of every order
+        assert buf.shape == (n + n * n + n + n * n + n**3, 6)
 
 
 def test_fused_coefficients_bind_each_fields_own_parameters():
@@ -197,8 +232,8 @@ def test_fused_coefficients_bind_each_fields_own_parameters():
     fast = vector_field(1, [w * X1D[0]], params={w: 2.0}, name="fast")
     sde = FlowSDE(zero_drift(1), [slow, fast], euclidean_atlas(1))
     q = sde.jets(0.0, np.array([[1.5]]), 0, 2)
-    assert_allclose(q["xi"][:, 0, 0], [0.75, 3.0], rtol=1e-15)
-    assert_allclose(q["Dxi"][:, 0, 0, 0], [0.5, 2.0], rtol=1e-15)
+    assert_allclose([xi[0, 0] for xi in q["xi"]], [0.75, 3.0], rtol=1e-15)
+    assert_allclose([Dxi[0, 0, 0] for Dxi in q["Dxi"]], [0.5, 2.0], rtol=1e-15)
     # c_plus = 1/2 sum_j w_j^2 for linear noise
     c_plus, _ = euler_jacobian_rates(sde, [[1.5]])
     assert_allclose(c_plus[0, 0, 0], 0.5 * (0.25 + 4.0), rtol=1e-15)

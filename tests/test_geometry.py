@@ -22,6 +22,8 @@ from flowtensor.geometry import (
     transition,
 )
 
+from references import jacobian_consistency
+
 
 def transform_by_loops(comps, valence, jac, inv_jac):
     """Index-by-index reference transform, no einsum."""
@@ -127,9 +129,9 @@ def test_transform_composes(seed):
 
 def test_jacobian_data_consistency_measure():
     jd = JacobianData(np.diag([2.0, 4.0]), np.diag([0.5, 0.25]), np.zeros(2), np.zeros(2))
-    assert jd.consistency() == 0.0
+    assert jacobian_consistency(jd) == 0.0
     jd2 = JacobianData(np.diag([2.0, 4.0]), np.diag([0.5, 0.5]), np.zeros(2), np.zeros(2))
-    assert_allclose(jd2.consistency(), 1.0)
+    assert_allclose(jacobian_consistency(jd2), 1.0)
 
 
 # ---------------------------------------------------------------------------

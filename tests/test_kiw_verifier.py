@@ -51,7 +51,7 @@ from flowtensor.stochastics import FvSpec, MartSpec, TimeGrid, build_driving_pat
 from flowtensor.tensor_calculus import (TensorFieldSpec, coord_symbols, lie_derivative,
                                        pullback_batch)
 from references import (_random_jet_states, _route_a_integrands, expanded_integrand_check, lie_jet,
-                        strat_ito_bridge_gap)
+                        strat_ito_bridge_gap, with_params)
 
 
 def drivers_for(sc, n_paths=None, grid=None):
@@ -314,7 +314,7 @@ def test_rhs_needs_time_independent_fields(where):
     x = coord_symbols(1)[0]
     a = sp.Symbol("a")
     timed = tensor_field((0, 1), 1, [a * TIME * x], params={a: 1.0}, name="tdx")
-    for field in (timed, timed.with_order(2), timed.with_params({a: 2.0})):
+    for field in (timed, timed.with_order(2), with_params(timed, {a: 2.0})):
         assert not field.is_time_independent()
         if where == "K0":
             sc = scalar_scenario(K0=field)
@@ -327,7 +327,7 @@ def test_rhs_needs_time_independent_fields(where):
             eval_rhs(sc, flow, d)
     still = tensor_field((0, 1), 1, [a * x], params={a: 1.0}, name="xdx")
     assert all(f.is_time_independent() for f in (still, still.with_order(1),
-                                                  still.with_params({a: 3.0})))
+                                                  with_params(still, {a: 3.0})))
 
 
 def test_driver_weights_are_driver_sums():
@@ -553,9 +553,11 @@ def test_one_block_builds_each_integrand_once(monkeypatch, name, keys, lie_terms
                          "_contract": contractions * groups}
 
 
-def test_integrands_hand_on_the_tensor_terms_before_the_driver_fields(monkeypatch):
-    """``_integrands`` hands its terms on one at a time: no ``G_i`` Lie
-    terms are built before every term of ``K_t`` has been taken."""
+def test_integrands_hand_on_each_driver_field_before_the_tensor_terms(monkeypatch):
+    """``_integrands`` hands its terms on one at a time, driver fields first:
+    each field's Lie terms, those of ``G_1`` and then those of ``K_t``, are
+    built once every term before them has been taken, and ``K_t``'s jets
+    are read only after the last driver field's."""
     rng = np.random.default_rng(17)
     valence, dim, batch = (1, 1), 2, (3, 5)
     k_jets = [_batch_last(a, 2) for a in _symmetric_jets(rng, batch, (dim, dim), dim)]
@@ -564,21 +566,68 @@ def test_integrands_hand_on_the_tensor_terms_before_the_driver_fields(monkeypatc
     b_jets = [_batch_last(a, 2) for a in _symmetric_jets(rng, batch, (dim,), dim)[:2]]
     xi_jets = [[_batch_last(a, 2) for a in _symmetric_jets(rng, batch, (dim,), dim)]
                for _ in range(2)]
-    lie_terms, taken, taken_at_g_calls = kiw_verifier._lie_terms, [], []
+    lie_terms, taken, taken_at_calls, handed = kiw_verifier._lie_terms, [], [], []
 
     def recording(jets, *args):
-        if jets is not k_jets:
-            taken_at_g_calls.append(list(taken))
+        taken_at_calls.append(("K" if jets is k_jets else "G", list(taken)))
         return lie_terms(jets, *args)
 
+    def fields():
+        for gj in g_jets:
+            handed.append(list(taken))
+            yield gj
+
     monkeypatch.setattr(kiw_verifier, "_lie_terms", recording)
-    for key, _ in _integrands(k_jets, g_jets, b_jets, xi_jets, valence, False):
+    for key, _ in _integrands(k_jets, fields(), b_jets, xi_jets, valence, False):
         taken.append(key)
     k_labels = {"K", "LbK", "LLK", "LxK0", "LxK1"}
     g_labels = [{f"G{i}", f"LxG{i}_0", f"LxG{i}_1"} for i in range(2)]
     assert sorted(taken) == sorted(k_labels | g_labels[0] | g_labels[1])
-    # each G_i's terms are built once every term before them has been taken
-    assert [set(seen) for seen in taken_at_g_calls] == [k_labels, k_labels | g_labels[0]]
+    # each field's terms are built once every term before them has been taken
+    assert [(f, set(seen)) for f, seen in taken_at_calls] == [
+        ("G", set()), ("G", g_labels[0]), ("K", g_labels[0] | g_labels[1])]
+    # the next field's jets are asked for only once the previous field's terms are taken
+    assert [set(seen) for seen in handed] == [set(), g_labels[0]]
+
+
+@pytest.mark.parametrize("name", ["kiw_ito_pullback_r2", "kiw_strat_pullback_r2",
+                                  "scalar_itowentzell_r2", "kiw_ito_pushforward_r2"])
+def test_driver_field_jets_are_released_after_their_value_term(monkeypatch, name):
+    """A driver field's jet buffer lives only until its value term, a view
+    of it, has been contracted: no other integrand, ``G_i``'s own Lie terms
+    among them, is contracted while it is alive, and when ``K_t``'s Lie
+    terms are built no driver field's buffer is alive any more."""
+    import weakref
+
+    sc = get_scenario(name)
+    d, flow = drivers_and_flow(sc, n_paths=3)
+    jet_last, lie_terms, contract = (TensorFieldSpec._jet_last, kiw_verifier._lie_terms,
+                                     kiw_verifier._contract)
+    buffers, checked, contracted = [], [], []
+
+    def g_buffers():
+        return [b for is_k0, ref in buffers if not is_k0 for b in [ref()] if b is not None]
+
+    def recording_jets(field, *args):
+        jets = jet_last(field, *args)
+        buffers.append((field is sc.K0, weakref.ref(jets[0].base)))
+        return jets
+
+    def recording_terms(jets, *args):
+        if any(is_k0 and ref() is jets[0].base for is_k0, ref in buffers):
+            checked.append([ref() is None for is_k0, ref in buffers if not is_k0])
+        return lie_terms(jets, *args)
+
+    def recording_contract(v, *args):
+        contracted.append(all(np.may_share_memory(v, b) for b in g_buffers()))
+        return contract(v, *args)
+
+    monkeypatch.setattr(TensorFieldSpec, "_jet_last", recording_jets)
+    monkeypatch.setattr(kiw_verifier, "_lie_terms", recording_terms)
+    monkeypatch.setattr(kiw_verifier, "_contract", recording_contract)
+    assert eval_rhs(sc, flow, d).terms
+    assert checked and all(seen == [True] * len(sc.G) for seen in checked)
+    assert contracted and all(contracted)
 
 
 def _symmetric_jets(rng, batch, head, dim, order=2):
@@ -1099,6 +1148,44 @@ def test_study_holds_its_flows_drivers_and_one_block(monkeypatch):
     assert peak < loose, f"more than one block held: peak {peak} B, bound {loose} B"
     assert peak < tight, (f"a Brownian path per level or constant stacks in per-state rows: "
                           f"peak {peak} B, bound {tight} B")
+
+
+def test_a_driven_tensor_study_holds_one_driver_field_and_the_varying_coefficients():
+    """The memory guard of a driven tensor, ``K_t = K0 + (A + M) G0``.
+
+    The pinned ``kiw_ito_pullback_r2`` study of four levels, after a set-up
+    study, in blocks of ``_JET_BLOCK_STATES``.  Beside the flows and
+    drivers of every level, a block may hold the order-2 jets of ``K0``
+    and of one driver field at a time, the latter twice while its
+    program's rows are copied into its buffer, and the coefficient stacks
+    that vary from state to state: the drift's and the first noise
+    field's, none of the zero second noise field's.  A block that keeps
+    ``G0``'s jets alive through ``K_t``'s Lie terms, or fills the zero
+    field's stacks into per-state rows, exceeds it.
+    """
+    import tracemalloc
+
+    sc = get_scenario("kiw_ito_pullback_r2")
+    assert [xi.is_zero() for xi in sc.sde.diffusions] == [False, True]
+    convergence_study(sc, levels=1)  # compiles every evaluator the study reads
+    n, N = sc.sde.dim, sc.sde.n_noise
+    states = kiw_verifier.study_states(sc.n_paths, sc.base_grid.steps, 4)
+    finest = kiw_verifier.study_states(sc.n_paths, sc.base_grid.steps * 8, 1)
+    # per state: coordinates, chart id, Jacobian and inverse, the driver weights
+    per_state = n + 1 + 2 * n * n + len(sc.fv_specs) + len(sc.mart_specs)
+    jet_rows = n ** sum(sc.K0.valence) * (1 + n + n * n)
+    # the drift's value and partials, the first noise field's to second order
+    coef_rows = n + n * n + n + n * n + n**3
+    allowance = kiw_verifier._JET_BLOCK_STATES * 8 * (3 * jet_rows + coef_rows)
+    bound = (states * per_state + finest * N) * 8 + allowance
+    tracemalloc.start()
+    try:
+        convergence_study(sc, levels=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (f"a driver field's jets held through K_t's terms, or per-state rows "
+                          f"for a constant coefficient stack: peak {peak} B, bound {bound} B")
 
 
 @pytest.mark.parametrize("n_workers", [1, 2])
