@@ -55,7 +55,9 @@ Every number of a field spec, of ``scenario.x0`` and of
 ``scenario.horizon`` must be finite: ``nan`` or ``inf`` exits 1 with
 the key named.  A finite parameter so large that the flow overflows,
 such as ``sphere_rotation:1e300,1.1,0.7``, gives ``inf`` in the step
-program, as an array entry would, and the paths blow up (exit 3).
+program, as an array entry would, and the paths blow up (exit 3)
+without a numpy warning (a study reports non-finite values, see
+:func:`flowtensor.kiw_verifier.convergence_study`).
 
 A study may hold at most ``MAX_STUDY_STATES`` flow states (paths times
 the grid points of all levels, see

@@ -289,7 +289,7 @@ class FlowSDE:
 
 def scheme_step(sde: FlowSDE, scheme: str, cid: int, t0: float, t1: float, h: float,
                 u: np.ndarray, J: np.ndarray, Ji: Optional[np.ndarray], db: np.ndarray,
-                order: int = 1):
+                order: int = 1, out: Optional[np.ndarray] = None):
     """One step of ``scheme`` over ``[t0, t1]`` for points ``u`` in chart ``cid``.
 
     Advances the points, the forward Jacobians ``J`` by the exact tangent
@@ -303,13 +303,18 @@ def scheme_step(sde: FlowSDE, scheme: str, cid: int, t0: float, t1: float, h: fl
     ``J`` and ``Ji``, then for ``order`` r above 1 the derivative stacks
     ``D^k f`` of the step map ``f`` at ``u``, k = 1..r, each of shape ``(n,)
     * (k + 1)`` followed by the batch; returns ``(u, J, Ji, *stacks)`` after
-    the step as views of it, so the buffer itself is ``u.base``.
+    the step as views of it, so the buffer itself is ``u.base``.  Given
+    ``out``, of shape ``(rows,) + batch``, the rows are written there
+    instead.  It may be the rows ``u``, ``J`` and ``Ji`` are views of, as in
+    the sweep: every new row is computed before the first is written, and
+    each new row adds to its own old row, so none is another's argument
+    unchanged (:func:`flowtensor.tensor_calculus._fill`).
     """
     fn, pvals = sde._step_program(cid, scheme, Ji is not None, order)
     n, batch = sde.dim, u.shape[1:]
     inv = () if Ji is None else Ji.reshape((n * n,) + Ji.shape[2:])
     rows = fn(t0, t1, h, *u, *db, *J.reshape((n * n,) + J.shape[2:]), *inv, *pvals)
-    out = tensor_calculus._fill(rows, batch)
+    out = tensor_calculus._fill(rows, batch, out)
     shape, r = (n, n) + batch, n + n * n * (1 + (Ji is not None))
     views = [out[:n], out[n:n + n * n].reshape(shape),
              None if Ji is None else out[n + n * n:r].reshape(shape)]
@@ -423,14 +428,20 @@ class FlowEnsemble:
     """Realised flow trajectories for a whole driver ensemble: the record
     of one sweep of :func:`integrate_flow_levels`.
 
-    ``states`` is the history in the step program's row layout, ``(L+1,
-    n + 2n^2, P)``: the points, then the rows of ``J`` and of ``Jinv``.
-    Everything else is read off the record: ``coords``, ``jac`` and
-    ``inv_jac`` are path-major views of ``states``, ``hops`` comes from
-    ``charts`` and ``live`` from ``stop_step``.  Row ``k`` of path ``p``
-    is live iff ``k < stop_step[p]``; rows from the stop on repeat the last
-    live row.  The one flow type: one path is the one-path slice
-    ``slice_paths(p, p + 1)``.
+    The history is two arrays in the step program's row layout:
+    ``states``, ``(L+1, n + n^2, P)``, the points and the rows of ``J``,
+    and ``inv_states``, ``(L+1, n^2, P)``, the rows of ``Jinv``.  Only a
+    contravariant slot on the pull-back route and the Jacobian monitor
+    read ``Jinv``, so where its route reads none a study releases it once
+    the monitor is taken, as ``replace(flow, inv_states=None)``;
+    ``inv_jac`` and :meth:`jac_consistency_max` of such a record raise
+    ``ValueError``.  Everything else is read off the record:
+    ``coords`` and ``jac`` are path-major views of ``states``, ``inv_jac``
+    of ``inv_states``, ``hops`` comes from ``charts`` and ``live`` from
+    ``stop_step``.  Row ``k`` of path ``p`` is live iff ``k <
+    stop_step[p]``; rows from the stop on repeat the last live row.  The
+    one flow type: one path is the one-path slice ``slice_paths(p, p +
+    1)``.
     """
 
     grid: TimeGrid
@@ -438,7 +449,8 @@ class FlowEnsemble:
     scheme: str
     path_ids: np.ndarray  # (P,)
     charts: np.ndarray  # (L+1, P), the smallest unsigned type holding the chart count
-    states: np.ndarray  # (L+1, n + 2n^2, P): points, then the rows of J and of Jinv
+    states: np.ndarray  # (L+1, n + n^2, P): points, then the rows of J
+    inv_states: Optional[np.ndarray]  # (L+1, n^2, P): the rows of Jinv, None once released
     stop_step: np.ndarray  # (P,), npoints where the path completed
 
     @property
@@ -453,19 +465,25 @@ class FlowEnsemble:
     @property
     def jac(self) -> np.ndarray:
         """The forward Jacobians, a path-major ``(L+1, P, n, n)`` view of ``states``."""
-        return self._matrices(0)
+        return self._matrices(self.states[:, self.atlas.dim:])
 
     @property
     def inv_jac(self) -> np.ndarray:
-        """The inverse Jacobians, a path-major ``(L+1, P, n, n)`` view of ``states``."""
-        return self._matrices(1)
+        """The inverse Jacobians, a path-major ``(L+1, P, n, n)`` view of ``inv_states``."""
+        return self._matrices(self._inv_rows())
 
-    def _matrices(self, i: int) -> np.ndarray:
-        """Matrix block ``i`` of ``states`` (0: ``J``, 1: ``Jinv``), path-major."""
-        L1, _, P = self.states.shape
+    def _inv_rows(self) -> np.ndarray:
+        """``inv_states``; ``ValueError`` where the record's ``Jinv`` was released."""
+        if self.inv_states is None:
+            raise ValueError("this flow record's inverse Jacobians were released; a study "
+                             "keeps them only where a contravariant slot is pulled back")
+        return self.inv_states
+
+    def _matrices(self, rows: np.ndarray) -> np.ndarray:
+        """The ``(L+1, n^2, P)`` rows of a matrix history, path-major ``(L+1, P, n, n)``."""
+        L1, _, P = rows.shape
         n = self.atlas.dim
-        r = n + i * n * n
-        return np.moveaxis(self.states[:, r:r + n * n].reshape(L1, n, n, P), 3, 1)
+        return np.moveaxis(rows.reshape(L1, n, n, P), 3, 1)
 
     @property
     def live(self) -> np.ndarray:
@@ -492,12 +510,14 @@ class FlowEnsemble:
 
     def slice_paths(self, start: int, stop: int) -> "FlowEnsemble":
         """The paths at positions ``start:stop``, as views."""
+        inv = None if self.inv_states is None else self.inv_states[..., start:stop]
         return replace(self, path_ids=self.path_ids[start:stop],
                        charts=self.charts[:, start:stop], states=self.states[..., start:stop],
-                       stop_step=self.stop_step[start:stop])
+                       inv_states=inv, stop_step=self.stop_step[start:stop])
 
     def jac_consistency_max(self) -> float:
-        """Worst ``|J Jinv - I|`` over all live states."""
+        """Worst ``|J Jinv - I|`` over all live states (``ValueError`` where
+        ``Jinv`` was released)."""
         # batch-last views: integrate_flow stores the Jacobians that way
         J, Ji = (np.moveaxis(a, (2, 3), (0, 1)) for a in (self.jac, self.inv_jac))
         dev = np.abs(_slot_replace(Ji, J, 0, 2) - np.eye(J.shape[0])[..., None, None])
@@ -564,9 +584,10 @@ def integrate_flow_levels(
     columns; their increments are written into one buffer, and each
     chart group of that slice (one group on a single-chart atlas) is one
     :func:`scheme_step` call on row views of the buffer with per-column
-    ``t0``, ``t1``, ``h`` and increments, whose result is copied back
-    once.  The step program is elementwise, so each level's ensemble is
-    bitwise the one it would get on its own.  After the step calls, the
+    ``t0``, ``t1``, ``h`` and increments.  A group that covers the whole
+    slice writes its result into the slice's rows; any other group's is
+    copied back once.  The step program is elementwise, so each level's
+    ensemble is bitwise the one it would get on its own.  After the step calls, the
     blow-up test and the hop test run once over the stepped live
     columns.  A column blows up, and its path stops, where a coordinate
     is not finite or exceeds ``R_MAX``, or an entry of ``J`` or ``Jinv`` is
@@ -577,11 +598,13 @@ def integrate_flow_levels(
     Hops are applied chart by chart in ascending order; stops and the
     final freeze act per column.
 
-    Each level's history is one ``(L+1, n + 2n^2, P)`` array, the
-    ensemble's ``states``, and its chart ids are held in the smallest
-    unsigned type that holds the atlas's chart count; its hops are read off
-    those.  Returns one :class:`FlowEnsemble` per level, in the order
-    given.
+    Each level's history is two arrays, stored from the state buffer at
+    each of its steps: ``states``, ``(L+1, n + n^2, P)``, the point and
+    ``J`` rows, and ``inv_states``, ``(L+1, n^2, P)``, the ``Jinv`` rows,
+    so that a caller whose readers take no ``Jinv`` can drop it alone.
+    Its chart ids are held in the smallest unsigned type that holds the
+    atlas's chart count; its hops are read off those.  Returns one
+    :class:`FlowEnsemble` per level, in the order given.
     """
     _require_scheme_smoothness(sde, scheme)
     levels = tuple(levels)
@@ -634,15 +657,18 @@ def integrate_flow_levels(
     stop_step = np.repeat([L + 1 for L in steps], P)
     # the stepping levels' step times and increments
     t01, db = np.empty((2, C)), np.empty((sde.n_noise, C))
-    # per level: the state and chart histories and the Brownian paths
-    hist = [(np.empty((L + 1, n + 2 * nn, P)), np.empty((L + 1, P), dtype=chart_dtype))
-            for L in steps]
+    # per level: the point and J, the Jinv and the chart histories, and the
+    # Brownian paths
+    hist = [(np.empty((L + 1, n + nn, P)), np.empty((L + 1, nn, P)),
+             np.empty((L + 1, P), dtype=chart_dtype)) for L in steps]
     bms = [levels[i].bm for i in order]
 
     def store(i: int, row: int):
         cols = slice(i * P, (i + 1) * P)
-        hist[i][0][row] = state[:, cols]
-        hist[i][1][row] = charts[cols]
+        states, inv, chs = hist[i]
+        states[row] = state[:n + nn, cols]
+        inv[row] = state[n + nn:, cols]
+        chs[row] = charts[cols]
 
     for i in range(nlev):
         store(i, 0)
@@ -669,8 +695,9 @@ def integrate_flow_levels(
                     sde, scheme, cid,
                     *(a[..., sel] if whole else a.take(idx, axis=-1) for a in (*t01, h_col)),
                     x[:n], x[n:n + nn].reshape(n, n, -1), x[n + nn:].reshape(n, n, -1),
-                    db[:, sel] if whole else db.take(idx, axis=1))
-                state[:, sel] = un.base  # the one buffer the step's results are views of
+                    db[:, sel] if whole else db.take(idx, axis=1), out=x if whole else None)
+                if not whole:
+                    state[:, idx] = un.base  # the one buffer the step's results are views of
             # blow-up: non-finite or runaway coordinates, or a non-finite J or
             # Jinv, stop the path
             rows = state[:, :mP] if live.size == mP else state.take(live, axis=1)
@@ -709,15 +736,15 @@ def integrate_flow_levels(
             store(i, k // ratio[i] + 1)
 
     out = []
-    for i, (grid, (states, chs)) in enumerate(zip(grids, hist)):
+    for i, (grid, (states, inv, chs)) in enumerate(zip(grids, hist)):
         L, st = grid.steps, stop_step[i * P:(i + 1) * P]
         # freeze stopped paths at their last valid state
         for p in np.flatnonzero(st <= L):
-            for a in (states, chs):
+            for a in (states, inv, chs):
                 a[st[p]:, ..., p] = a[st[p] - 1, ..., p]
         out.append(FlowEnsemble(grid=grid, atlas=atlas, scheme=scheme,
                                 path_ids=levels[order[i]].path_ids.copy(), charts=chs,
-                                states=states, stop_step=np.minimum(st, L + 1)))
+                                states=states, inv_states=inv, stop_step=np.minimum(st, L + 1)))
     return tuple(out[order.index(i)] for i in range(nlev))
 
 

@@ -21,9 +21,11 @@ residual exposes the strong order of the integration scheme; the
 identities themselves hold pathwise, so the residual must shrink at
 that order.  A study refines the drivers of every level first,
 integrates all levels' flows in one sweep of the finest grid
-(:func:`flowtensor.flow.integrate_flow_levels`) and then reduces the
-levels coarse to fine, dropping each level's drivers and flow once it
-is reduced.  A level is reduced in blocks of whole paths
+(:func:`flowtensor.flow.integrate_flow_levels`), takes every level's
+Jacobian monitor, releases the flows' ``Jinv`` histories where no
+contravariant slot on the pull-back route reads them and then reduces
+the levels coarse to fine, dropping each level's drivers and flow once
+it is reduced.  A level is reduced in blocks of whole paths
 (:func:`_run_level`), so a level's integrands and term series exist
 for one block of paths at a time; that block is the one memory bound,
 and every integrand builder takes the flow it is given in one piece.
@@ -551,6 +553,12 @@ def _route_integrands(scenario: Scenario, t, x: np.ndarray, cid: int, coef, w,
 _JET_BLOCK_STATES = 8192
 
 
+def _reads_flow_inverse(scenario: Scenario) -> bool:
+    """Whether the study's integrands read the flow's ``Jinv``: only a
+    contravariant slot of ``K0`` on the pull-back route does."""
+    return _row(scenario).route == "pullback" and scenario.K0.valence[0] > 0
+
+
 def _pullback_integrand_paths(
     scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPaths, strat: bool
 ) -> Dict[str, np.ndarray]:
@@ -559,26 +567,30 @@ def _pullback_integrand_paths(
     Chart by chart, :func:`_route_integrands` takes the flow states, the
     flow coefficients' jets there (:meth:`FlowSDE.jets`) and the states'
     driver weights, and pulls every integrand, ``K`` among them, back
-    along the flow: covariant slots with ``J``, contravariant ones with
-    the flow's ``Jinv`` or, on the restart route (``KunitaFirst``'s
-    left-hand side), with the exact inverse of ``J``.  The keys are those
+    along the flow: covariant slots with ``J`` and contravariant ones, if
+    ``K0`` has any, with the flow's ``Jinv`` (:func:`_reads_flow_inverse`)
+    or, on the restart route (``KunitaFirst``'s left-hand side), with the
+    exact inverse of ``J``.  The keys are those
     :func:`_assemble_forward_rhs` reads, without the terms of a zero
     coefficient field.
 
     The flow is taken in one piece; a study bounds what it holds by
     passing one block of whole paths at a time (:func:`_run_level`).
     Everything is batch-last and flat: column ``k * P + p`` is path p's
-    row k, a chart's states are one flat column index into the flow's
-    history (points, ``J`` and ``Jinv``), gathered with ``take`` (all
-    columns, when the chart holds every state), and each integrand is
-    held as ``comps + (npoints, P)`` and written through its flat view.
+    row k, and a chart's states are one flat column index into the rows
+    read of the flow's history (the points and ``J``, and ``Jinv`` where
+    it is read), gathered with ``take`` (all columns, when the chart holds
+    every state); each integrand is held as ``comps + (npoints, P)`` and
+    written through its flat view.
     """
     sde = scenario.sde
     order = 1 if strat else 2
     n = sde.dim
     cols = flow.charts.size
-    # the flow's history (its rows), the times and the weights, flat
-    hist = np.moveaxis(flow.states, 1, 0).reshape(-1, cols)
+    contra = scenario.K0.valence[0] > 0
+    # the rows read of the flow's history, the times and the weights, flat
+    hist = [np.moveaxis(a, 1, 0).reshape(-1, cols) for a in (
+        (flow.states, flow._inv_rows()) if _reads_flow_inverse(scenario) else (flow.states,))]
     times = np.repeat(flow.grid.times(), flow.n_paths)
     weights = _driver_weights(scenario, drivers).reshape(-1, cols)
     shape = scenario.K0.shape
@@ -587,10 +599,11 @@ def _pullback_integrand_paths(
         idx = np.flatnonzero(flow.charts == cid)
         whole = idx.size == cols
         at = slice(None) if whole else idx
-        t, X, w = (a if whole else a.take(idx, axis=-1) for a in (times, hist, weights))
-        x, A, Ai = X[:n], X[n:n + n * n].reshape(n, n, -1), X[n + n * n:].reshape(n, n, -1)
-        if _row(scenario).route == "restart":  # the exact inverse of J
-            Ai = _inverse(A)
+        t, w, X, *Xi = (a if whole else a.take(idx, axis=-1) for a in (times, weights, *hist))
+        x, A = X[:n], X[n:].reshape(n, n, -1)
+        Ai = None  # no contravariant slot reads it
+        if contra:  # the flow's Jinv, or on the restart route the exact inverse of J
+            Ai = Xi[0].reshape(n, n, -1) if Xi else _inverse(A)
         coef = _coeff_jets(sde, sde.jets(t, x, cid, order), order)
         for key, v in _route_integrands(scenario, t, x, cid, coef, w, Ai, A, strat):
             if key not in held:
@@ -1015,17 +1028,16 @@ def _run_level(scenario: Scenario, drivers: DrivingPaths, flow: FlowEnsemble) ->
     they are made path-major) and reduced to per-path sups over the live
     rows (:func:`_live_sup`) before the next block is built, so a study
     never holds a level's integrands or term series for all its paths.
-    The Jacobian monitor is taken per block too, and its max kept, so no
-    temporary spans the level's Jacobians.  Every per-path result is
-    independent of the other paths in its block (see
-    :func:`convergence_study`), so the sups and the monitor do not depend
-    on the block size.
+    Every per-path result is independent of the other paths in its block
+    (see :func:`convergence_study`), so the sups do not depend on the
+    block size.  The flow's ``Jinv`` is read only where
+    :func:`_reads_flow_inverse` says so; :func:`convergence_study` has
+    taken the Jacobian monitor (:func:`_jacobian_monitor`) before.
     """
     size = max(1, _JET_BLOCK_STATES // flow.grid.npoints)
-    residual, term_sups, jac_max = [], [], 0.0
+    residual, term_sups = [], []
     for start in range(0, flow.n_paths, size):
         f = flow.slice_paths(start, start + size)
-        jac_max = max(jac_max, f.jac_consistency_max())
         rhs = _rhs(scenario, f, drivers.slice_paths(start, start + size))
         live = f.live if rhs.checkpoint_indices is None else f.live[rhs.checkpoint_indices]
         residual.append(_live_sup(rhs.transported - rhs.values, live))
@@ -1034,9 +1046,20 @@ def _run_level(scenario: Scenario, drivers: DrivingPaths, flow: FlowEnsemble) ->
     return {
         "residual": np.concatenate(residual),
         "term_sups": {k: np.concatenate([s[k] for s in term_sups]) for k in term_sups[0]},
-        "jac_max": jac_max,
         "completed": flow.completed,
     }
+
+
+def _jacobian_monitor(flow: FlowEnsemble) -> float:
+    """``flow.jac_consistency_max()``, taken in the path blocks of
+    :func:`_run_level` and maxed block by block, so no temporary spans the
+    level's Jacobians; every path's value is its own, so the result does
+    not depend on the block size."""
+    size = max(1, _JET_BLOCK_STATES // flow.grid.npoints)
+    jac_max = 0.0
+    for start in range(0, flow.n_paths, size):
+        jac_max = max(jac_max, flow.slice_paths(start, start + size).jac_consistency_max())
+    return jac_max
 
 
 # Largest number of flow states one study may hold: its path count times
@@ -1067,6 +1090,7 @@ def study_states(n_paths: int, steps: int, levels: int) -> int:
     return states
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def convergence_study(
     scenario: Scenario,
     levels: int = 4,
@@ -1085,8 +1109,15 @@ def convergence_study(
     own ``mart``: a ``sigma_int`` driver is re-accumulated on each grid).
     Then the paths are split into ``min(n_workers, n_paths)`` chunks, run
     one after another.  For each chunk one sweep
-    (:func:`integrate_flow_levels`) integrates all levels' flows and the
-    levels are reduced coarse to fine.  Paths are sampled from
+    (:func:`integrate_flow_levels`) integrates all levels' flows; then
+    every level's Jacobian monitor is taken (:func:`_jacobian_monitor`)
+    and, unless the route reads it (:func:`_reads_flow_inverse`), every
+    flow's ``Jinv`` history is released, so the levels, reduced coarse to
+    fine, hold only their points, ``J`` and charts.  A level's drivers and
+    flow are dropped once it is reduced.  Non-finite values are an
+    outcome a study reports (a path that blows up stops, and a residual
+    may be ``inf`` or ``nan``), so numpy's overflow and invalid-value
+    warnings are off while it runs.  Paths are sampled from
     counter-based streams and every per-path result is independent of
     the other paths in its chunk, so the report is byte-identical for
     any ``n_workers``.  Each evaluator and step program is generated, or
@@ -1129,10 +1160,15 @@ def convergence_study(
     chunks = [[d.slice_paths(a, b) for d in drivers] for a, b in zip(bounds[:-1], bounds[1:])]
     del drivers
     per_level = [[] for _ in range(levels)]
-    for ds in chunks:  # one sweep, then the levels coarse to fine, each dropped once reduced
+    keep_inv = _reads_flow_inverse(scenario)
+    for ds in chunks:  # one sweep, the monitors, then the levels coarse to fine
         flows = list(integrate_flow_levels(scenario.sde, ds, scenario.x0, scenario.scheme))
-        for lvl in range(levels):
-            per_level[lvl].append(_run_level(scenario, ds[lvl], flows[lvl]))
+        jac_max = [_jacobian_monitor(f) for f in flows]
+        if not keep_inv:
+            flows = [replace(f, inv_states=None) for f in flows]
+        for lvl in range(levels):  # each level's drivers and flow dropped once reduced
+            per_level[lvl].append(dict(_run_level(scenario, ds[lvl], flows[lvl]),
+                                       jac_max=jac_max[lvl]))
             ds[lvl] = flows[lvl] = None
 
     stats: List[LevelStats] = []

@@ -224,13 +224,18 @@ def _store(path: Path, entry: str):
             tmp.unlink()
 
 
-def _fill(rows: Sequence, batch: Tuple[int, ...]) -> np.ndarray:
-    """The rows a generated program returns, written into one new ``(len(rows),) + batch`` array.
+def _fill(rows: Sequence, batch: Tuple[int, ...], out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The rows a generated program returns, written into ``out`` or, by
+    default, one new ``(len(rows),) + batch`` array, which is returned.
 
     Row ``i`` is ``rows[i]`` broadcast to ``batch``; a program returns a
-    constant entry as a 0-d value, which fills its row.
+    constant entry as a 0-d value, which fills its row.  ``out`` may be
+    the buffer of the program's arguments: the program computes every row
+    before the first is written, so only a row that returns another
+    row's argument unchanged would read a written row.
     """
-    out = np.empty((len(rows),) + batch)
+    if out is None:
+        out = np.empty((len(rows),) + batch)
     for i, v in enumerate(rows):
         out[i] = v
     return out

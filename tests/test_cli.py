@@ -451,17 +451,21 @@ def test_config_errors_exit_one(tmp_path, text, fragment):
     assert not (tmp_path.parent / "x.csv").exists()
 
 
-def test_an_overflowing_field_parameter_blows_up_the_paths(tmp_path):
+@pytest.mark.parametrize("atlas,noise", [("sphere2", "sphere_rotation:1e300,1.1,0.7"),
+                                         ("euclidean:1", "gbm:1e300")])
+def test_an_overflowing_field_parameter_blows_up_the_paths(tmp_path, atlas, noise):
     """A finite parameter whose square overflows becomes ``inf`` in the step
     program, as an array entry would, and the paths blow up: exit 3, no
-    traceback."""
-    cfg = write_config(tmp_path, "scenario.name = big\nscenario.atlas = sphere2\n"
-                                 "scenario.noise.0 = sphere_rotation:1e300,1.1,0.7\n"
-                                 "run.paths = 4\nrun.levels = 2\n")
+    traceback, and no ``RuntimeWarning`` among the warnings :func:`run_cli`
+    records, since non-finite values are what a blown-up study reports
+    (numpy's overflow and invalid-value checks are off while it runs)."""
+    cfg = write_config(tmp_path, f"scenario.name = big\nscenario.atlas = {atlas}\n"
+                                 f"scenario.noise.0 = {noise}\nrun.paths = 4\nrun.levels = 2\n")
     out = run_cli("--config", str(cfg), "--out", str(tmp_path), cwd=tmp_path)
     assert out.returncode == 3
     assert "blew up" in out.stderr
     assert "Traceback" not in out.stderr
+    assert "RuntimeWarning" not in out.stderr, out.stderr
 
 
 def test_an_overflowing_jacobian_blows_up_the_paths(tmp_path):

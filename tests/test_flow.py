@@ -1,5 +1,7 @@
 """Stochastic flows with variational Jacobians: schemes, hops, inverses."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -375,6 +377,27 @@ def test_step_map_jets_are_the_derivatives_of_the_step_points(scheme, order):
 
 
 @pytest.mark.parametrize("scheme", ["euler_maruyama", "heun"])
+def test_a_step_written_over_its_own_rows_is_the_step(scheme):
+    """With ``out`` the rows that the points, ``J`` and ``Jinv`` are views of, as
+    the sweep passes a leading column slice of its state buffer, the step
+    writes there, bitwise, the rows it returns in a new buffer without
+    ``out``, returns views of them and leaves the other columns alone."""
+    sde = make_swirl_sde()
+    rng = np.random.default_rng(5)
+    n, m = 2, 30
+    state = np.concatenate([rng.uniform(-0.8, 0.8, (n, m + 7)),
+                            np.tile(np.eye(n).reshape(-1, 1), (2, m + 7))
+                            + rng.normal(0.0, 0.2, (2 * n * n, m + 7))])
+    kept, x = state.copy(), state[:, :m]
+    db = rng.normal(0.0, 0.1, (sde.n_noise, m))
+    args = (x[:n], x[n:n + n * n].reshape(n, n, m), x[n + n * n:].reshape(n, n, m), db)
+    want = scheme_step(sde, scheme, 0, 0.3, 0.31, 0.01, *args)[0].base
+    got = scheme_step(sde, scheme, 0, 0.3, 0.31, 0.01, *args, out=x)
+    assert np.array_equal(x, want) and np.array_equal(state[:, m:], kept[:, m:])
+    assert all(np.shares_memory(g, x) for g in got)
+
+
+@pytest.mark.parametrize("scheme", ["euler_maruyama", "heun"])
 def test_affine_coefficients_give_vanishing_higher_step_jets(scheme):
     """With affine drift and noise the step map is affine: its higher jets are exactly 0."""
     X, Y = X2D
@@ -543,6 +566,21 @@ def test_inverse_residual_per_path_matches_ensemble():
                                                 d.slice_paths(p, p + 1))
         assert single.shape == (1, 9)
         assert np.array_equal(single[0], whole[p])
+
+
+def test_a_released_jinv_history_is_not_read():
+    """A record without its ``Jinv`` rows keeps its points, ``J`` and slices,
+    and refuses ``inv_jac`` and the monitor with a ``ValueError``."""
+    d = build_driving_paths(TimeGrid(1.0, 8), 2, 14, 3)
+    ens = integrate_flow(make_swirl_sde(), d, np.array([0.1, 0.2]), "euler_maruyama")
+    assert ens.inv_states.shape == (9, 4, 3) and ens.states.shape == (9, 6, 3)
+    bare = replace(ens, inv_states=None).slice_paths(1, 3)
+    assert bare.inv_states is None
+    assert np.array_equal(bare.jac, ens.jac[:, 1:3]) and np.array_equal(bare.coords,
+                                                                        ens.coords[:, 1:3])
+    for read in (lambda: bare.inv_jac, bare.jac_consistency_max):
+        with pytest.raises(ValueError, match="inverse Jacobians were released"):
+            read()
 
 
 def test_inverse_residual_leaves_the_flow_unchanged():
@@ -733,7 +771,7 @@ def _time_dependent_sde():
 
 def _assert_same_ensemble(got, want):
     assert got.grid == want.grid and got.scheme == want.scheme and got.atlas is want.atlas
-    for field in ("path_ids", "charts", "states", "stop_step"):
+    for field in ("path_ids", "charts", "states", "inv_states", "stop_step"):
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype and a.shape == b.shape, field
         assert np.array_equal(a, b), field
@@ -782,7 +820,7 @@ def _reference_flow(sde, drivers, x0, scheme):
     atlas, n, grid = sde.atlas, sde.dim, drivers.grid
     L, P, times = grid.steps, drivers.n_paths, grid.times()
     charts = np.empty((L + 1, P), dtype=np.uint8)
-    states = np.empty((L + 1, n + 2 * n * n, P))
+    states, inv_states = np.empty((L + 1, n + n * n, P)), np.empty((L + 1, n * n, P))
     stop_step = np.full(P, L + 1)
     hops = []
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), (P, n))
@@ -791,7 +829,8 @@ def _reference_flow(sde, drivers, x0, scheme):
         u = x0[p] if cid == 0 else atlas.transition_between(0, cid).apply(x0[p][None])[0]
         J = Ji = np.eye(n)
         for k in range(L + 1):
-            charts[k, p], states[k, :, p] = cid, np.concatenate([u, J.ravel(), Ji.ravel()])
+            charts[k, p], states[k, :, p] = cid, np.concatenate([u, J.ravel()])
+            inv_states[k, :, p] = Ji.ravel()
             if k == L or stop_step[p] <= L:
                 continue
             db = drivers.bm[p, k + 1] - drivers.bm[p, k]
@@ -818,7 +857,8 @@ def _reference_flow(sde, drivers, x0, scheme):
             else:
                 u, J, Ji = un, Jn, Jin
     flow = FlowEnsemble(grid=grid, atlas=atlas, scheme=scheme, path_ids=drivers.path_ids.copy(),
-                        charts=charts, states=states, stop_step=stop_step)
+                        charts=charts, states=states, inv_states=inv_states,
+                        stop_step=stop_step)
     return flow, tuple(sorted(hops, key=lambda hop: (hop[0], hop[2], hop[3], hop[1])))
 
 

@@ -1122,7 +1122,11 @@ def test_study_holds_its_flows_drivers_and_one_block(monkeypatch):
     sphere's constant coefficient stacks, its zero drift and the rotations'
     second partials, take no rows of a block): a study that stores every
     level's Brownian path apart, or fills constant stacks into per-state
-    rows, exceeds it.
+    rows, exceeds it.  The reduction bound holds from the first level's
+    reduction on, once the sweep and the monitors are done: the sphere's
+    (0,2) metric reads no ``Jinv``, so each state holds ``n + n^2`` flow
+    rows, not the sweep's ``n + 2n^2``; a study that keeps the released
+    ``Jinv`` history exceeds it.
     """
     import tracemalloc
 
@@ -1139,15 +1143,28 @@ def test_study_holds_its_flows_drivers_and_one_block(monkeypatch):
     # the Brownian path: per state of every level, or per state of the finest
     loose = states * (per_state + N) * 8 + allowance
     tight = (states * per_state + finest * N) * 8 + allowance // 2
+    reduction = (states * (per_state - n * n) + finest * N) * 8 + allowance // 2
+    run_level, swept = kiw_verifier._run_level, []
+
+    def first_level_resets_the_peak(*args):
+        if not swept:
+            swept.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+        return run_level(*args)
+
+    monkeypatch.setattr(kiw_verifier, "_run_level", first_level_resets_the_peak)
     tracemalloc.start()
     try:
         convergence_study(sc, levels=4)
-        peak = tracemalloc.get_traced_memory()[1]
+        reduced = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    peak = max(swept[0], reduced)
     assert peak < loose, f"more than one block held: peak {peak} B, bound {loose} B"
     assert peak < tight, (f"a Brownian path per level or constant stacks in per-state rows: "
                           f"peak {peak} B, bound {tight} B")
+    assert reduced < reduction, (f"the Jinv history held through the reduction: peak {reduced} "
+                                 f"B, bound {reduction} B")
 
 
 def test_a_driven_tensor_study_holds_one_driver_field_and_the_varying_coefficients():
@@ -1233,6 +1250,48 @@ def test_jacobian_monitor_per_block_is_the_whole_level_monitor(monkeypatch, name
         assert st.jac_consistency_max == flow.jac_consistency_max()
     if name == "blowup_cubic":
         assert not np.all(flows[0].completed)
+
+
+@pytest.mark.parametrize("name", ["kunita_sphere_rotation", "kiw_ito_pullback_r2"])
+def test_the_monitor_is_the_sweeps_whether_jinv_is_released_or_kept(monkeypatch, name):
+    """Each level's ``jac_consistency_max`` is, bitwise, that of the sweep's
+    record on the study's drivers: the study takes it before it releases
+    the ``Jinv`` history (the sphere's (0,2) metric) or keeps it
+    (``kiw_ito_pullback_r2``'s (1,1) field), in two chunks of several path
+    blocks at the finest level."""
+    monkeypatch.setattr(kiw_verifier, "_JET_BLOCK_STATES", 4096)
+    sc = get_scenario(name)
+    drivers = [drivers_for(sc)]
+    while len(drivers) < 4:
+        drivers.append(refine_dyadic(drivers[-1]))
+    flows = integrate_flow_levels(sc.sde, drivers, sc.x0, sc.scheme)
+    assert flows[-1].grid.npoints * sc.n_paths > 2 * kiw_verifier._JET_BLOCK_STATES
+    report = convergence_study(sc, levels=4, n_workers=2)
+    assert [st.jac_consistency_max for st in report.levels] == \
+        [f.jac_consistency_max() for f in flows]
+
+
+# the registered scenarios whose study pulls a contravariant slot back, the
+# only ones that read the flow's Jinv: the (1,1) fields on the pull-back route
+_READ_JINV = {"deterministic_drift", "kiw_ito_pullback_r2", "kiw_strat_pullback_r2"}
+
+
+@pytest.mark.parametrize("name", [n for n in list_scenarios() if n != "kiw_push_lowreg"])
+def test_a_study_releases_jinv_exactly_where_nothing_reads_it(monkeypatch, name):
+    """Every block's right-hand side gets the flow's ``Jinv`` history on the
+    (1,1) pull-back scenarios and on no other: not on the (0,k) pull-backs
+    (the sphere among them), the push-forward (1,1) fields, which take the
+    exact inverse, or the restart route."""
+    sc = replace(get_scenario(name), n_paths=4)
+    seen, rhs = [], kiw_verifier._rhs
+
+    def recording(scenario, flow, drivers):
+        seen.append(flow.inv_states is not None)
+        return rhs(scenario, flow, drivers)
+
+    monkeypatch.setattr(kiw_verifier, "_rhs", recording)
+    convergence_study(sc, levels=2)
+    assert len(seen) >= 2 and set(seen) == {name in _READ_JINV}
 
 
 def test_a_study_does_not_import_numpy_ma():

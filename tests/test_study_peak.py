@@ -54,3 +54,17 @@ def test_study_peak_grows_with_the_paths():
     small, large = _lines(*names, "--paths", "2"), _lines(*names, "--paths", "16")
     assert list(small) == list(large) == names
     assert all(float(small[nm]) < float(large[nm]) for nm in names)
+
+
+def test_the_sweep_peak_stands_beside_the_study_peak():
+    """With ``--sweep`` a line gains the traced peak of the study's flow
+    sweep alone, below the study's own, which holds the drivers beside the
+    sweep; a refusal keeps its one field."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert _TOOL.main(["kunita_sphere_rotation", "kiw_push_lowreg", "--paths", "4",
+                           "--levels", "2", "--sweep"]) is None
+    sphere, refused = (line.split() for line in out.getvalue().splitlines())
+    assert refused == ["kiw_push_lowreg", "HypothesisViolation"]
+    assert sphere[0] == "kunita_sphere_rotation" and len(sphere) == 3
+    assert 0.0 < float(sphere[2]) < float(sphere[1])

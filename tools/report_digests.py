@@ -61,16 +61,22 @@ def report_digest(sc, levels: int) -> str:
     return hashlib.md5(repr(convergence_study(sc, levels=levels)).encode()).hexdigest()
 
 
-def flow_digest(sc, levels: int) -> str:
-    """The md5 of every level's flow record in the scenario's study, as
-    :func:`convergence_study` validates the scenario and draws its drivers."""
+def study_drivers(sc, levels: int) -> list:
+    """The drivers of every level of the scenario's study, coarse to fine, as
+    :func:`convergence_study` validates the scenario and draws them."""
     validate_scenario(sc)
     drivers = [build_driving_paths(sc.base_grid, sc.sde.n_noise, sc.seed, sc.n_paths,
                                    sc.fv_specs, sc.mart_specs)]
     while len(drivers) < levels:
         drivers.append(refine_dyadic(drivers[-1]))
+    return drivers
+
+
+def flow_digest(sc, levels: int) -> str:
+    """The md5 of every level's flow record in the scenario's study, on
+    :func:`study_drivers`."""
     md5 = hashlib.md5()
-    for flow in integrate_flow_levels(sc.sde, drivers, sc.x0, sc.scheme):
+    for flow in integrate_flow_levels(sc.sde, study_drivers(sc, levels), sc.x0, sc.scheme):
         for name in ("coords", "jac", "inv_jac", "charts", "stop_step"):
             md5.update(np.ascontiguousarray(getattr(flow, name)).tobytes())
         md5.update(repr(flow.hops).encode())
