@@ -3,12 +3,13 @@
 The package is organised in layers:
 
 ``geometry``
-    Charts, atlases (Euclidean space, flat torus, round sphere) and
-    pointwise tensor transformation under chart changes.
+    Charts, atlases (Euclidean space, flat torus, round sphere),
+    pointwise tensor transformation under chart changes and the one
+    batch-last contraction kernel every transport runs.
 ``tensor_calculus``
-    Symbolic tensor fields per chart, their analytic jets, Lie
-    derivatives (symbolic and a finite-difference oracle) and pullback
-    contractions.
+    Symbolic tensor fields per chart, their analytic jets (evaluated
+    batch-last) and Lie derivatives (symbolic and a finite-difference
+    oracle).
 ``stochastics``
     Time grids, counter-based Gaussian streams, Brownian drivers with
     dyadic refinement, and the discrete Ito / Stratonovich / covariation
@@ -29,7 +30,6 @@ The package is organised in layers:
 from .geometry import (
     Chart,
     ChartAtlas,
-    JacobianData,
     NoCoveringChart,
     OutsideOverlap,
     ShapeMismatch,
@@ -48,7 +48,6 @@ from .tensor_calculus import (
     VectorFieldSpec,
     lie_derivative,
     lie_derivative_fd_oracle,
-    pullback,
 )
 from .stochastics import (
     DrivingPaths,
@@ -83,7 +82,6 @@ from .scenarios import get_scenario, list_scenarios
 __all__ = [
     "Chart",
     "ChartAtlas",
-    "JacobianData",
     "NoCoveringChart",
     "OutsideOverlap",
     "ShapeMismatch",
@@ -100,7 +98,6 @@ __all__ = [
     "VectorFieldSpec",
     "lie_derivative",
     "lie_derivative_fd_oracle",
-    "pullback",
     "DrivingPaths",
     "GridMismatch",
     "RngStream",

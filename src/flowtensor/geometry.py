@@ -12,16 +12,17 @@ for valence ``(r, s)`` (``r`` contravariant slots first, then ``s``
 covariant slots).  A scalar has valence ``(0, 0)`` and a 0-d array.
 
 ``_slot_replace`` and ``_contract`` are the package's one contraction
-kernel: :func:`transform_tensor`, every transport contraction in
+kernel: :func:`transform_tensor` (a single point, the pull-back of the
+finite-difference Lie oracle included), every transport contraction in
 ``tensor_calculus`` and ``kiw_verifier`` and the Jacobian updates of
-the flow's scheme step call them.  They work on
-batch-last arrays, whose batch axes trail the component axes.
+the flow's scheme step call them.  They work on batch-last arrays, whose
+batch axes trail the component axes; a single point has no batch axis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -30,7 +31,6 @@ __all__ = [
     "OutsideOverlap",
     "ShapeMismatch",
     "TensorValue",
-    "JacobianData",
     "Chart",
     "ChartAtlas",
     "transform_tensor",
@@ -89,45 +89,6 @@ class TensorValue:
     def dim(self) -> int:
         return self.components.shape[0] if self.components.ndim else 0
 
-    def __add__(self, other: "TensorValue") -> "TensorValue":
-        if self.valence != other.valence:
-            raise ShapeMismatch(f"cannot add valences {self.valence} and {other.valence}")
-        return TensorValue(self.valence, self.components + other.components)
-
-    def __sub__(self, other: "TensorValue") -> "TensorValue":
-        if self.valence != other.valence:
-            raise ShapeMismatch(f"cannot subtract valences {self.valence} and {other.valence}")
-        return TensorValue(self.valence, self.components - other.components)
-
-    def __mul__(self, c: float) -> "TensorValue":
-        return TensorValue(self.valence, self.components * c)
-
-    __rmul__ = __mul__
-
-
-@dataclass(frozen=True)
-class JacobianData:
-    """Forward and inverse Jacobian of a map at one point.
-
-    ``jac`` is the derivative of the forward map at ``base``; ``inv_jac``
-    the derivative of the inverse map at ``image``.
-    """
-
-    jac: np.ndarray
-    inv_jac: np.ndarray
-    base: np.ndarray
-    image: np.ndarray
-
-    def __post_init__(self):
-        jac = np.asarray(self.jac, dtype=float)
-        inv = np.asarray(self.inv_jac, dtype=float)
-        if jac.shape != inv.shape or jac.ndim != 2 or jac.shape[0] != jac.shape[1]:
-            raise ShapeMismatch(f"jacobian shapes {jac.shape} / {inv.shape}")
-        object.__setattr__(self, "jac", jac)
-        object.__setattr__(self, "inv_jac", inv)
-        object.__setattr__(self, "base", np.asarray(self.base, dtype=float))
-        object.__setattr__(self, "image", np.asarray(self.image, dtype=float))
-
 
 def _slot_replace(T: np.ndarray, M: np.ndarray, slot: int, nslots: int, n_extra: int = 0,
                   n_m_extra: int = 0, transpose: bool = False) -> np.ndarray:
@@ -171,24 +132,6 @@ def _contract(comp, valence, contra_mat, cov_mat, mods=None):
         mat = mods.get(slot, default) if mods else default
         out = _slot_replace(out, mat, slot, r + s, transpose=slot >= r)
     return out
-
-
-def _batch_last(a, nb: int, core: Optional[int] = None) -> np.ndarray:
-    """C-contiguous copy of ``a`` with its ``nb`` leading batch axes moved to the end.
-
-    With ``core`` (the number of trailing non-batch axes) given, ``a`` may
-    carry fewer batch axes; it is padded with leading singletons first, as
-    numpy broadcasting aligns leading batch axes.
-    """
-    a = np.asarray(a, dtype=float)
-    if core is not None:
-        a = a.reshape((1,) * (nb + core - a.ndim) + a.shape)
-    return np.asarray(np.moveaxis(a, range(nb), range(a.ndim - nb, a.ndim)), order="C")
-
-
-def _batch_first(a: np.ndarray, nb: int) -> np.ndarray:
-    """View of ``a`` with its ``nb`` trailing batch axes moved to the front."""
-    return np.moveaxis(a, range(a.ndim - nb, a.ndim), range(nb))
 
 
 def transform_tensor(value: TensorValue, jac: np.ndarray, inv_jac: np.ndarray) -> TensorValue:

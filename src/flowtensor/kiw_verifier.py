@@ -931,7 +931,7 @@ def _kunita_first_rhs(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPa
     terms = {"L_b": np.zeros(shape)}
     if drivers.n_noise:  # as _assemble_forward_rhs reports them: L_xi, L2 only with noise
         terms.update(L_xi=np.zeros(shape), L2=np.zeros(shape))
-    K_at_x0 = K0.eval_batch(0.0, scenario.x0[None, :], 0)[0][..., None]
+    K_at_x0 = K0._jet_last(0.0, scenario.x0, 0, 0)[0][..., None]
 
     for m in range(L + 1):
         if m > 0:

@@ -25,17 +25,19 @@ derivative order callers may request.  Asking beyond it raises
 with deliberately capped regularity fail fast instead of silently using
 derivatives the hypotheses do not grant.
 
-Every slot contraction (pullback, the slot terms of the Lie formula,
-:func:`_add_slot_terms`) runs one kernel, ``_slot_replace`` and
-``_contract`` from :mod:`flowtensor.geometry`, on batch-last arrays: the
-component and derivative axes come first, the batch axes trail (any
-number of them, equal in number on every operand, singletons
-broadcast).  A contraction is then an n-term elementwise multiply-add
-over the contracted index, with the batch axis as the inner loop.  The
-public batch-first ``pullback_batch`` moves the batch axes to the end
-at entry and back at exit.  The verifier's integrand chains stay
-batch-last from end to end, from the analytic jets to the transported
-terms.  Every selector reads the same jets: the
+Fields evaluate through one method, :meth:`TensorFieldSpec._jet_last`,
+on batch-last points: the coordinate axis first, then any batch axes,
+or none for a single point (:meth:`TensorFieldSpec.eval`).  Every slot
+contraction (the oracle's pull-back through :func:`transform_tensor`,
+the slot terms of the Lie formula, :func:`_add_slot_terms`) runs one
+kernel, ``_slot_replace`` and ``_contract`` from
+:mod:`flowtensor.geometry`, on batch-last arrays: the component and
+derivative axes come first, the batch axes trail (any number of them,
+equal in number on every operand, singletons broadcast).  A contraction
+is then an n-term elementwise multiply-add over the contracted index,
+with the batch axis as the inner loop.  The verifier's integrand chains
+stay batch-last from end to end, from the analytic jets to the
+transported terms.  Every selector reads the same jets: the
 pull-back route at the flow states, and the push-forward and restart
 routes at the transported point, with the flow coefficients pulled back
 through the exact jets of the discrete flow map.
@@ -59,15 +61,7 @@ import sympy as sp
 from sympy.printing.numpy import NumPyPrinter
 from sympy.utilities.lambdify import _EvaluatorPrinter
 
-from .geometry import (
-    JacobianData,
-    ShapeMismatch,
-    TensorValue,
-    _batch_first,
-    _batch_last,
-    _contract,
-    _slot_replace,
-)
+from .geometry import ShapeMismatch, TensorValue, _slot_replace, transform_tensor
 
 __all__ = [
     "InsufficientSmoothness",
@@ -78,8 +72,6 @@ __all__ = [
     "VectorFieldSpec",
     "lie_derivative",
     "lie_derivative_fd_oracle",
-    "pullback",
-    "pullback_batch",
 ]
 
 
@@ -253,8 +245,8 @@ def _partial(e: sp.Expr, alpha: Tuple[int, ...]) -> sp.Expr:
     Memoised, so equal components and repeated multi-indices are
     differentiated once.  Each partial is taken from the bare expression:
     ``diff(diff(e, x), x)`` comes out larger than ``diff(e, x, 2)``.
-    ``alpha == 0`` returns ``e`` as given, so a jet's value rows are
-    bitwise those of :meth:`TensorFieldSpec.eval_batch`.  Every other
+    ``alpha == 0`` returns ``e`` as given, so a jet's value rows are the
+    components as given.  Every other
     partial differentiates :func:`_diff_form` of ``e``: a component that
     divides by an expression of the coordinates is differentiated in
     factored form when that form counts no more operations
@@ -454,7 +446,7 @@ class TensorFieldSpec:
         Its program returns every entry of each stack in C order, one stack
         after the other.  The value rows print as given, so an order-0
         program is the value program itself and every jet's values are
-        bitwise :meth:`eval_batch`'s; each distinct partial of order 1 or
+        bitwise :meth:`eval`'s; each distinct partial of order 1 or
         more (:func:`_jet_layout`) is bound once, in one
         common-subexpression block, and read at each of its symmetric
         entries.  Held per ``(chart, order)``, so a call builds no symbols
@@ -484,37 +476,29 @@ class TensorFieldSpec:
                  tuple(s.name for s in psyms)), source)
         return fn
 
-    def eval_batch(self, t, coords: np.ndarray, chart: int = 0) -> np.ndarray:
-        """Component values on a batch of points; shape ``batch + self.shape``."""
-        return self.partial_batch(t, coords, chart, (0,) * self.dim)
-
     def eval(self, t: float, coords: np.ndarray, chart: int = 0) -> TensorValue:
-        return TensorValue(self.valence, self.eval_batch(t, np.asarray(coords, float), chart))
+        """The components at one point ``coords`` of shape ``(dim,)``: the
+        order-0 stack of :meth:`_jet_last`, which takes it with no batch axis."""
+        return TensorValue(self.valence, self._jet_last(t, self._point(coords), chart, 0)[0])
 
-    def partial_batch(
-        self, t, coords: np.ndarray, chart: int, alpha: Sequence[int]
-    ) -> np.ndarray:
-        """Spatial partial ``d^alpha`` of every component on a batch.
-
-        The entry of the order-``|alpha|`` jet :meth:`_jet_last` that
-        ``alpha`` names, batch-first (a view).
-        """
-        alpha = tuple(int(a) for a in alpha)
-        if len(alpha) != self.dim:
-            raise ShapeMismatch(f"alpha {alpha} has wrong length for dim {self.dim}")
+    def _point(self, coords) -> np.ndarray:
+        """``coords`` as one point of this field's charts; :class:`ShapeMismatch`
+        unless its shape is ``(dim,)``."""
         coords = np.asarray(coords, dtype=float)
-        stack = self._jet_last(t, np.moveaxis(coords, -1, 0), chart, sum(alpha))[-1]
-        dirs = tuple(k for k, m in enumerate(alpha) for _ in range(m))
-        entry = stack[(slice(None),) * self.order + dirs]
-        return _batch_first(entry, entry.ndim - self.order)
+        if coords.shape != (self.dim,):
+            raise ShapeMismatch(f"field {self.name!r} takes a point of shape ({self.dim},), "
+                                f"got {coords.shape}")
+        return coords
 
     def _jet_last(self, t, pts: np.ndarray, chart: int, order: int) -> List[np.ndarray]:
-        """:meth:`jet_batch` batch-last: ``pts`` has shape ``(dim,) + batch``
-        and the m-th stack ``self.shape + (dim,) * m + batch``.
+        """Value and derivative stacks up to ``order``, batch-last.
 
-        One call of :meth:`_evaluator`'s program writes every entry once
-        into one buffer (:func:`_fill`); the stacks are C-contiguous views
-        of it.
+        ``pts`` has shape ``(dim,) + batch``, where ``batch`` may be empty
+        (one point), and the m-th stack ``self.shape + (dim,) * m + batch``:
+        the axes after the components are the differentiation directions
+        (symmetric by construction).  One call of :meth:`_evaluator`'s
+        program writes every entry once into one buffer (:func:`_fill`);
+        the stacks are C-contiguous views of it.
         """
         fn = self._evaluator(chart, order)
         buf = _fill(fn(t, *pts, *(v for _, v in self.params)),
@@ -525,21 +509,6 @@ class TensorFieldSpec:
             stacks.append(buf[r:r + prod(shape)].reshape(shape + buf.shape[1:]))
             r += prod(shape)
         return stacks
-
-    def jet_batch(self, t, coords: np.ndarray, chart: int, order: int) -> List[np.ndarray]:
-        """Value and derivative stacks up to ``order``.
-
-        Returns ``[T, dT, d2T, ...]`` where the m-th entry has shape
-        ``batch + self.shape + (dim,) * m`` and the trailing axes are the
-        differentiation directions (symmetric by construction).  Every
-        distinct partial is evaluated once, all of them in one compiled
-        call.  The stacks are C-contiguous batch-first copies of
-        :meth:`_jet_last`'s.
-        """
-        coords = np.asarray(coords, dtype=float)
-        jets = self._jet_last(t, np.moveaxis(coords, -1, 0), chart, order)
-        nb = jets[0].ndim - self.order
-        return [np.ascontiguousarray(_batch_first(a, nb)) for a in jets]
 
     def __repr__(self):
         return (
@@ -650,9 +619,7 @@ def _freeze_time_rhs(X: TensorFieldSpec, t: float, chart: int):
     """Right-hand sides y' = X(t, y) and J' = DX(t, y) J at frozen time."""
 
     def rhs(y: np.ndarray, J: np.ndarray):
-        jets = X.jet_batch(t, y[None, :], chart, 1)
-        v = jets[0][0]
-        dv = jets[1][0]  # dv[i, l] = d_l X^i
+        v, dv = X._jet_last(t, y, chart, 1)  # dv[i, l] = d_l X^i
         return v, dv @ J
 
     return rhs
@@ -684,10 +651,12 @@ def lie_derivative_fd_oracle(
     time ``t``) with classical Runge-Kutta, transports ``K`` back through
     the flow and central-differences the two pullbacks.  Independent of
     the symbolic route: no symbolic differentiation of ``K`` occurs.
+    ``coords`` is one point of shape ``(dim,)``, which ``K`` and ``X``
+    share; any other shape raises :class:`ShapeMismatch`.
     """
     if X.valence != (1, 0):
         raise ValenceMismatch(f"direction field has valence {X.valence}, expected (1, 0)")
-    coords = np.asarray(coords, dtype=float)
+    coords = X._point(K._point(coords))
     rhs = _freeze_time_rhs(X, t, chart)
     pulled = []
     for sign in (+1.0, -1.0):
@@ -696,43 +665,8 @@ def lie_derivative_fd_oracle(
         h = sign * eps / nsteps
         for _ in range(nsteps):
             y, J = _rk4_flow_step(rhs, y, J, h)
-        value = K.eval(t, y, chart)
-        data = JacobianData(jac=J, inv_jac=np.linalg.inv(J), base=coords, image=y)
-        pulled.append(pullback(value, data))
+        pulled.append(transform_tensor(K.eval(t, y, chart), np.linalg.inv(J), J))
     return TensorValue(K.valence, (pulled[0].components - pulled[1].components) / (2.0 * eps))
-
-
-# ---------------------------------------------------------------------------
-# transport contractions
-# ---------------------------------------------------------------------------
-
-
-def _contract_batch_first(comps, valence, contra_mat, cov_mat) -> np.ndarray:
-    """:func:`_contract` on batch-first arrays, whose batch axes broadcast as numpy's do."""
-    k = sum(valence)
-    nb = max(np.ndim(comps) - k, np.ndim(contra_mat) - 2, np.ndim(cov_mat) - 2)
-    out = _contract(_batch_last(comps, nb, k), valence, _batch_last(contra_mat, nb, 2),
-                    _batch_last(cov_mat, nb, 2))
-    return _batch_first(out, nb)
-
-
-def pullback_batch(
-    comps: np.ndarray, valence: Tuple[int, int], jac: np.ndarray, inv_jac: np.ndarray
-) -> np.ndarray:
-    """Pullback contraction on batched components.
-
-    ``comps`` are tensor components at the image point, ``jac`` the flow
-    Jacobian at the base point and ``inv_jac`` its inverse; contravariant
-    slots contract with ``inv_jac``, covariant slots with ``jac``.
-    """
-    return _contract_batch_first(comps, valence, inv_jac, jac)
-
-
-def pullback(value: TensorValue, data: JacobianData) -> TensorValue:
-    """Pull a tensor at the image point back to the base point of ``data``."""
-    return TensorValue(
-        value.valence, pullback_batch(value.components, value.valence, data.jac, data.inv_jac)
-    )
 
 
 # ---------------------------------------------------------------------------

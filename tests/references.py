@@ -7,8 +7,8 @@ can check the package against it:
 - :func:`lie_jet`, the two-pass Lie derivative from pointwise jets, which
   the tests of ``kiw_verifier._lie_terms`` compare against;
 - :func:`pair_batch`, the full contraction of a tensor with a test
-  tensor, and :func:`pushforward_batch`, the transport that
-  ``tensor_calculus.pullback_batch`` inverts;
+  tensor, and :func:`pushforward_batch`, the transport that the
+  pull-back (``transform_tensor(v, inv_jac, jac)``) inverts;
 - :func:`expanded_integrand_check`, which compares two assemblies of the
   paired integrands of the Ito-form identity on random jet data
   (criterion 2): route A takes the package's ``_integrands``, route B
@@ -19,23 +19,25 @@ can check the package against it:
 - :func:`with_params`, a copy of a field with other parameter values,
   which criterion 1 draws its random fields with, and
   :func:`jacobian_consistency`, the pointwise form of the flow's
-  Jacobian monitor.
+  Jacobian monitor;
+- the batch-first layer the package no longer has: :func:`batch_last`,
+  :func:`batch_first` and :func:`contract_batch_first`, for the tests
+  whose data put the batch axes first.
 """
 
 import string
 from dataclasses import replace
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from flowtensor.flow import FlowEnsemble
-from flowtensor.geometry import JacobianData, _batch_first, _batch_last, _contract, _slot_replace
+from flowtensor.geometry import _contract, _slot_replace
 from flowtensor.kiw_verifier import (Scenario, WiringMismatch, _assemble_forward_rhs, _integrands,
                                      _pullback_integrand_paths, _row)
 from flowtensor.stochastics import DrivingPaths, covariation
 from flowtensor.tensor_calculus import (InsufficientSmoothness, TensorFieldSpec, ValenceMismatch,
-                                        _add_slot_terms, _along, _canonical_params,
-                                        _contract_batch_first)
+                                        _add_slot_terms, _along, _canonical_params)
 
 # ---------------------------------------------------------------------------
 # fields and Jacobians
@@ -59,22 +61,49 @@ def with_params(field: TensorFieldSpec, params: Mapping) -> TensorFieldSpec:
     return out
 
 
-def jacobian_consistency(data: JacobianData) -> float:
-    """Max-norm distance of ``data.jac @ data.inv_jac`` from the identity."""
-    n = data.jac.shape[0]
-    return float(np.max(np.abs(data.jac @ data.inv_jac - np.eye(n))))
+def jacobian_consistency(jac: np.ndarray, inv_jac: np.ndarray) -> float:
+    """Max-norm distance of ``jac @ inv_jac`` from the identity."""
+    return float(np.max(np.abs(jac @ inv_jac - np.eye(jac.shape[0]))))
 
 # ---------------------------------------------------------------------------
 # contractions
 # ---------------------------------------------------------------------------
 
 
+def batch_last(a, nb: int, core: Optional[int] = None) -> np.ndarray:
+    """C-contiguous copy of ``a`` with its ``nb`` leading batch axes moved to the end.
+
+    With ``core`` (the number of trailing non-batch axes) given, ``a`` may
+    carry fewer batch axes; it is padded with leading singletons first, as
+    numpy broadcasting aligns leading batch axes.
+    """
+    a = np.asarray(a, dtype=float)
+    if core is not None:
+        a = a.reshape((1,) * (nb + core - a.ndim) + a.shape)
+    return np.asarray(np.moveaxis(a, range(nb), range(a.ndim - nb, a.ndim)), order="C")
+
+
+def batch_first(a: np.ndarray, nb: int) -> np.ndarray:
+    """View of ``a`` with its ``nb`` trailing batch axes moved to the front."""
+    return np.moveaxis(a, range(a.ndim - nb, a.ndim), range(nb))
+
+
+def contract_batch_first(comps, valence, contra_mat, cov_mat) -> np.ndarray:
+    """``_contract`` on batch-first arrays, whose batch axes broadcast as numpy's do;
+    ``contract_batch_first(comps, valence, inv_jac, jac)`` is the pull-back."""
+    k = sum(valence)
+    nb = max(np.ndim(comps) - k, np.ndim(contra_mat) - 2, np.ndim(cov_mat) - 2)
+    out = _contract(batch_last(comps, nb, k), valence, batch_last(contra_mat, nb, 2),
+                    batch_last(cov_mat, nb, 2))
+    return batch_first(out, nb)
+
+
 def pushforward_batch(
     comps: np.ndarray, valence: Tuple[int, int], jac: np.ndarray, inv_jac: np.ndarray
 ) -> np.ndarray:
-    """Pushforward contraction (inverse transport): the slots of
-    ``pullback_batch`` with the matrices swapped."""
-    return _contract_batch_first(comps, valence, jac, inv_jac)
+    """Pushforward contraction (inverse transport): the slots of the
+    pull-back with the matrices swapped."""
+    return contract_batch_first(comps, valence, jac, inv_jac)
 
 
 def pair_batch(
@@ -104,11 +133,12 @@ def lie_jet(
 ) -> List[np.ndarray]:
     """Lie derivative from pointwise jets, no symbolic input.
 
-    ``t_jets[m]`` has shape ``batch + shape + (n,) * m`` (trailing axes
-    are derivative directions), ``x_jets[m]`` likewise with
-    ``shape = (n,)``.  Needs jets of order ``out_order + 1`` on both
-    inputs and returns ``[value, first derivative, ...]`` up to
-    ``out_order``.
+    ``t_jets[m]`` has shape ``shape + (n,) * m + batch``, batch-last as
+    :meth:`TensorFieldSpec._jet_last` returns it (the axes after the
+    components are derivative directions), ``x_jets[m]`` likewise with
+    ``shape = (n,)``; both carry the same number of batch axes.  Needs
+    jets of order ``out_order + 1`` on both inputs and returns ``[value,
+    first derivative, ...]`` up to ``out_order``, batch-last.
     """
     k = sum(valence)
     if len(t_jets) < out_order + 2 or len(x_jets) < out_order + 2:
@@ -117,10 +147,8 @@ def lie_jet(
         )
     if out_order >= 2:
         raise NotImplementedError("jets beyond first order are not needed here")
-    nb = max(np.ndim(t_jets[0]) - k, np.ndim(x_jets[0]) - 1)
-    # batch-last, as the slot kernels read them
-    T, dT, *t_rest = [_batch_last(a, nb, k + m) for m, a in enumerate(t_jets)]
-    X, dX, *x_rest = [_batch_last(a, nb, 1 + m) for m, a in enumerate(x_jets)]
+    T, dT, *t_rest = t_jets
+    X, dX, *x_rest = x_jets
     # value: X^l d_l T  - sum_a T(l@a) d_l X^{i_a} + sum_b T(l@b) d_{j_b} X^l
     out = [_add_slot_terms(_along(dT, X, k), T, dX, valence)]
     if out_order >= 1:
@@ -131,7 +159,7 @@ def lie_jet(
         # slot terms differentiated with Leibniz
         _add_slot_terms(term, dT, dX, valence, n_extra=1)
         out.append(_add_slot_terms(term, T, x_rest[0], valence, n_m_extra=1))
-    return [_batch_first(a, nb) for a in out]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -179,17 +207,17 @@ def strat_ito_bridge_gap(scenario: Scenario, flow: FlowEnsemble, drivers: Drivin
 
 def _jets_last(jets: Sequence[np.ndarray], nb: int) -> List[np.ndarray]:
     """Batch-last copies of a jet's stacks, whose ``nb`` leading axes are batch."""
-    return [_batch_last(a, nb) for a in jets]
+    return [batch_last(a, nb) for a in jets]
 
 
 def _route_a_integrands(state: Dict, valence: Tuple[int, int]) -> Dict:
     """Lie-derivative route: the ``_integrands`` of the jets, transported and paired."""
     r, s = valence
-    A, Binv = _batch_last(state["A"], 1), _batch_last(state["Binv"], 1)
+    A, Binv = batch_last(state["A"], 1), batch_last(state["Binv"], 1)
     n_noise, n_fv = len(state["xi"]), len(state["G"])
 
     def paired(T):
-        pulled = _batch_first(_contract(T, valence, Binv, A), 1)
+        pulled = batch_first(_contract(T, valence, Binv, A), 1)
         return pair_batch(pulled, valence, state["S"], (s, r))
 
     lie = dict(_integrands(_jets_last(state["K"], 1), [_jets_last(g, 1) for g in state["G"]],
@@ -235,12 +263,12 @@ def _route_b_integrands(state: Dict, valence: Tuple[int, int]) -> Dict:
     noise_A = [np.einsum("...ql,...lj->...qj", dxi, A) for (_, dxi, _) in state["xi"]]
     noise_psi = [-np.einsum("...ip,...pl->...il", Binv, dxi) for (_, dxi, _) in state["xi"]]
 
-    A_last, Binv_last = _batch_last(A, 1), _batch_last(Binv, 1)
+    A_last, Binv_last = batch_last(A, 1), batch_last(Binv, 1)
 
     def paired(T, mods=None):
         # the slot matrices and their overrides transform like the pullback's
-        mods = {slot: _batch_last(m, 1) for slot, m in (mods or {}).items()}
-        pulled = _batch_first(_contract(_batch_last(T, 1), valence, Binv_last, A_last, mods), 1)
+        mods = {slot: batch_last(m, 1) for slot, m in (mods or {}).items()}
+        pulled = batch_first(_contract(batch_last(T, 1), valence, Binv_last, A_last, mods), 1)
         return pair_batch(pulled, valence, S, (s, r))
 
     def mod_for(slot, j):

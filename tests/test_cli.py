@@ -615,3 +615,155 @@ def test_scenario_argument_conflicts_with_inline_config(tmp_path):
 def test_no_scenario_at_all_exits_one(tmp_path):
     out = run_cli("--out", str(tmp_path), cwd=tmp_path)
     assert out.returncode == 1
+
+
+# ---------------------------------------------------------------------------
+# malformed values, key by key
+# ---------------------------------------------------------------------------
+
+_RUN_BASE = {"run.scenario": "identity", "run.paths": "2", "run.levels": "1"}
+_INLINE_BASE = {"scenario.name": "x", "scenario.atlas": "euclidean:2", "run.paths": "2",
+                "run.levels": "1"}
+_LINE = {"scenario.atlas": "euclidean:1"}
+_SPHERE = {"scenario.atlas": "sphere2"}
+_EMPTY = "empty key or value"
+_INT = "expected an integer"
+_POSITIVE = "expected a positive integer"
+_NUMBER = "expected a number"
+_FINITE = "expected a finite number"
+_BLOWUP = "more than half the paths blew up"
+_TOO_BIG = "more than MAX_STUDY_STATES"
+
+# (key, value, other keys, exit code, message fragment); an empty value is
+# the line ``key =``.  A row that exits 0 or 3 is a value the CLI accepts:
+# a negative rate or coordinate is legal, and a finite parameter so large
+# that the flow overflows blows the paths up.
+MALFORMED = [
+    ("run.scenario", "", {}, 1, _EMPTY),
+    ("run.scenario", "nan", {}, 1, "unknown scenario 'nan'"),
+    ("run.scenario", "identity,identity", {}, 1, "unknown scenario"),
+    *[("run.seed", v, {}, 1, f"run.seed: {_INT}") for v in
+      ("abc", "nan", "inf", "-inf", "1e300", "1.5", "1,2")],
+    ("run.seed", "", {}, 1, _EMPTY),
+    ("run.seed", "-1", {}, 1, "run.seed: expected an integer in [0, 2**64)"),
+    ("run.seed", "18446744073709551616", {}, 1, "run.seed: expected an integer in [0, 2**64)"),
+    *[(key, v, {}, 1, f"{key}: {_INT}") for key in ("run.paths", "run.levels", "run.steps")
+      for v in ("abc", "nan", "inf", "-inf", "1e300", "1.5", "1,2")],
+    *[(key, "", {}, 1, _EMPTY) for key in ("run.paths", "run.levels", "run.steps")],
+    *[(key, v, {}, 1, f"{key}: {key[4:]} must be >= 1") for key in
+      ("run.paths", "run.levels", "run.steps") for v in ("-1", "0")],
+    *[(key, "100000000000000000000000", {}, 1, _TOO_BIG) for key in
+      ("run.paths", "run.levels", "run.steps")],
+    *[(key, v, {}, 1, f"{key}: expected one of") for key in ("run.scheme", "run.bracket_mode")
+      for v in ("nan", "-1", "heun,heun")],
+    *[(key, "", {}, 1, _EMPTY) for key in ("run.scheme", "run.bracket_mode", "run.out")],
+    ("run.out", "file", {}, 1, "run.out: 'file' is not a directory"),
+    ("scenario.name", "", {}, 1, _EMPTY),
+    ("scenario.name", "../x", {}, 1, "scenario.name: expected a plain file name"),
+    ("scenario.name", "..", {}, 1, "scenario.name: expected a plain file name"),
+    ("scenario.theorem", "", {}, 1, _EMPTY),
+    ("scenario.theorem", "nan", {}, 1, "unknown selector 'nan'"),
+    ("scenario.theorem", "KunitaSecond,KunitaSecond", {}, 1, "unknown selector"),
+    ("scenario.atlas", "", {}, 1, _EMPTY),
+    ("scenario.atlas", "nan", {}, 1, "scenario.atlas: unknown atlas"),
+    ("scenario.atlas", "euclidean", {}, 1, "scenario.atlas: euclidean needs a dimension"),
+    *[("scenario.atlas", f"{atlas}:{v}", {}, 1, f"scenario.atlas: {_POSITIVE}")
+      for atlas in ("euclidean", "torus")
+      for v in ("abc", "nan", "inf", "-inf", "1e300", "-1", "0", "1.5", "2,2")],
+    ("scenario.atlas", "sphere2:1", {}, 1, "scenario.atlas: sphere2 takes no parameter"),
+    *[(key, "", {}, 1, _EMPTY) for key in ("scenario.drift", "scenario.noise.0", "scenario.K0",
+                                           "scenario.x0", "scenario.horizon",
+                                           "scenario.steps", "scenario.scheme")],
+    ("scenario.drift", "nan", {}, 1, "scenario.drift: unknown field 'nan'"),
+    ("scenario.drift", "zero:5", {}, 1, "scenario.drift: zero takes at most 0"),
+    ("scenario.drift", "constant", {}, 1, "scenario.drift: constant needs 2 components"),
+    ("scenario.drift", "constant:1", {}, 1, "scenario.drift: constant needs 2 components"),
+    ("scenario.drift", "constant:1,2,3", {}, 1, "scenario.drift: constant needs 2 components"),
+    ("scenario.drift", "constant:abc,0", {}, 1, f"scenario.drift: {_NUMBER}"),
+    *[("scenario.drift", f"constant:{v},0", {}, 1, f"scenario.drift: {_FINITE}")
+      for v in ("nan", "inf", "-inf")],
+    ("scenario.drift", "constant:1e300,0", {}, 3, _BLOWUP),
+    ("scenario.drift", "constant:-1,0", {}, 0, ""),
+    ("scenario.drift", "linear:1,0,0", {}, 1, "scenario.drift: linear needs 4 row-major"),
+    ("scenario.drift", "linear:1,0,0,0,0", {}, 1, "scenario.drift: linear needs 4 row-major"),
+    ("scenario.drift", "linear:abc,0,0,0", {}, 1, f"scenario.drift: {_NUMBER}"),
+    *[("scenario.drift", f"linear:{v},0,0,0", {}, 1, f"scenario.drift: {_FINITE}")
+      for v in ("nan", "inf", "-inf")],
+    ("scenario.drift", "linear:1e300,0,0,1e300", {}, 3, _BLOWUP),
+    ("scenario.drift", "linear:-1,0,0,-1", {}, 0, ""),
+    ("scenario.drift", "linear:1,0,0,1", _SPHERE, 1, "linear fields need the euclidean atlas"),
+    ("scenario.drift", "rotation:abc", {}, 1, f"scenario.drift: {_NUMBER}"),
+    *[("scenario.drift", f"rotation:{v}", {}, 1, f"scenario.drift: {_FINITE}")
+      for v in ("nan", "inf", "-inf")],
+    ("scenario.drift", "rotation:1e300", {}, 3, _BLOWUP),
+    ("scenario.drift", "rotation:-1", {}, 0, ""),
+    ("scenario.drift", "rotation:1,2", {}, 1, "scenario.drift: rotation takes at most 1"),
+    ("scenario.drift", "gbm:1", {}, 1, "scenario.drift: gbm needs the one-dimensional"),
+    ("scenario.noise.0", "gbm:abc", _LINE, 1, f"scenario.noise.0: {_NUMBER}"),
+    *[("scenario.noise.0", f"gbm:{v}", _LINE, 1, f"scenario.noise.0: {_FINITE}")
+      for v in ("nan", "inf", "-inf")],
+    ("scenario.noise.0", "gbm:1e300", _LINE, 3, _BLOWUP),
+    ("scenario.noise.0", "gbm:-1", _LINE, 0, ""),
+    ("scenario.noise.0", "gbm:0.3,0.4", _LINE, 1, "scenario.noise.0: gbm takes at most 1"),
+    ("scenario.noise.0", "rotation:1", _LINE, 1, "rotation needs the planar euclidean atlas"),
+    ("scenario.noise.0", "sphere_rotation:1,1,1", _LINE, 1, "sphere_rotation needs the sphere2"),
+    ("scenario.noise.0", "sphere_rotation:1,2", _SPHERE, 1, "sphere_rotation takes three rates"),
+    ("scenario.noise.0", "sphere_rotation:1,2,3,4", _SPHERE, 1,
+     "sphere_rotation takes three rates"),
+    ("scenario.noise.0", "sphere_rotation:abc,1,1", _SPHERE, 1, f"scenario.noise.0: {_NUMBER}"),
+    *[("scenario.noise.0", f"sphere_rotation:{v},1,1", _SPHERE, 1,
+       f"scenario.noise.0: {_FINITE}") for v in ("nan", "inf", "-inf")],
+    ("scenario.noise.0", "sphere_rotation:1e300,1.1,0.7", _SPHERE, 3, _BLOWUP),
+    ("scenario.noise.0", "sphere_rotation:-1,1,1", _SPHERE, 0, ""),
+    ("scenario.noise.0", "constant:1,1", _SPHERE, 1, "constant fields are not defined on the"),
+    ("scenario.noise.0", "zero:1", _SPHERE, 1, "scenario.noise.0: zero takes at most 0"),
+    ("scenario.K0", "nan", {}, 1, "scenario.K0: unknown field 'nan'"),
+    ("scenario.K0", "metric:7", {}, 1, "scenario.K0: metric takes no parameters"),
+    ("scenario.K0", "position_one_form:3", {}, 1,
+     "scenario.K0: position_one_form takes no parameters"),
+    *[("scenario.K0", f"one_form:{v}", {}, 1, "scenario.K0: one_form needs an index")
+      for v in ("abc", "nan", "inf", "-inf", "1e300", "1.5", "0,1")],
+    *[("scenario.K0", f"one_form:{v}", {}, 1, "scenario.K0: one_form index out of range")
+      for v in ("-1", "2")],
+    ("scenario.K0", "one_form:0", _SPHERE, 1, "one_form is not defined on the sphere charts"),
+    ("scenario.K0", "position_one_form", _SPHERE, 1, "position_one_form needs the euclidean"),
+    ("scenario.x0", "abc,0", {}, 1, f"scenario.x0: {_NUMBER}"),
+    *[("scenario.x0", f"{v},0", atlas, 1, f"scenario.x0: {_FINITE}")
+      for v in ("nan", "inf", "-inf") for atlas in ({}, _SPHERE)],
+    *[("scenario.x0", "1e300,0", atlas, 1, "scenario.x0: '1e300,0' lies in no chart")
+      for atlas in ({}, _SPHERE)],
+    *[("scenario.x0", "-1,0", atlas, 0, "") for atlas in ({}, _SPHERE)],
+    ("scenario.x0", "1", {}, 1, "scenario.x0: expected 2 coordinates"),
+    ("scenario.x0", "1,2,3", {}, 1, "scenario.x0: expected 2 coordinates"),
+    *[("scenario.horizon", v, {}, 1, f"scenario.horizon: {_NUMBER}") for v in ("abc", "1,2")],
+    *[("scenario.horizon", v, {}, 1, f"scenario.horizon: {_FINITE}")
+      for v in ("nan", "inf", "-inf")],
+    *[("scenario.horizon", v, {}, 1, "scenario.horizon: expected a positive number")
+      for v in ("-1", "0")],
+    *[("scenario.steps", v, {}, 1, f"scenario.steps: {_POSITIVE}")
+      for v in ("abc", "nan", "inf", "-inf", "1e300", "-1", "0", "1.5", "1,2")],
+    ("scenario.steps", "100000000000000000000000", {}, 1, _TOO_BIG),
+    *[("scenario.scheme", v, {}, 1, "scenario.scheme: expected one of")
+      for v in ("nan", "rk4", "heun,heun")],
+]
+
+
+@pytest.mark.parametrize("key,value,others,code,fragment", MALFORMED,
+                         ids=[f"{key}={value}" + "".join(f",{v}" for v in others.values())
+                              for key, value, others, _, _ in MALFORMED])
+def test_malformed_values_end_with_their_exit_code_and_no_traceback(tmp_path, key, value,
+                                                                    others, code, fragment):
+    """Every config key and inline field spec, given the malformed values that
+    apply to it, ends with its documented exit code and a message that names
+    the trouble, never with a traceback or a numpy warning."""
+    cfg = dict(_RUN_BASE if key.startswith("run.") else _INLINE_BASE, **others)
+    cfg.pop(key, None)
+    text = "".join(f"{k} = {v}\n" for k, v in cfg.items()) + f"{key} = {value}\n"
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "file").write_text("")
+    out = run_cli("--config", str(write_config(tmp_path, text)), cwd=out_dir)
+    assert out.returncode == code, out.stderr
+    assert fragment in out.stderr
+    assert "Traceback" not in out.stderr
+    assert "Warning" not in out.stderr, out.stderr

@@ -149,15 +149,14 @@ def test_fused_coefficients_match_field_jets_and_matmul_formulas(name, chart, no
     pts = rng.uniform(-0.8, 0.8, (40, 2))
     t, h = 0.3, 0.01
     got = _full_jets(sde.jets(t, pts.T, chart, noise_order), (40,))
-    b, Db = sde.drift.jet_batch(t, pts, chart, 1)
-    jets = [xi.jet_batch(t, pts, chart, noise_order) for xi in sde.diffusions]
+    b, Db = sde.drift._jet_last(t, pts.T, chart, 1)
+    jets = [xi._jet_last(t, pts.T, chart, noise_order) for xi in sde.diffusions]
     want = {"b": b, "Db": Db}
     for m, nm in enumerate(("xi", "Dxi", "D2xi")[: noise_order + 1]):
         want[nm] = np.array([j[m] for j in jets])
     assert set(got) == set(want)
     for key, val in want.items():
-        batch_axis = 1 if key in ("xi", "Dxi", "D2xi") else 0  # after the noise axis
-        assert_allclose(np.moveaxis(got[key], -1, batch_axis), val, rtol=1e-13, err_msg=key)
+        assert_allclose(got[key], val, rtol=1e-13, err_msg=key)
     if noise_order == 2:
         ito = _ito_coefficients(got)
         plus, minus = euler_jacobian_rates(sde, pts, chart, t)
@@ -192,14 +191,13 @@ def test_constant_coefficient_stacks_are_held_once(chart):
     assert [a.shape for a in q["D2xi"]] == [(n, n, n, 1, 1)] * N
     assert [a.shape for a in q["xi"]] == [(n, 3, 5)] * N
     assert [a.shape for a in q["Dxi"]] == [(n, n, 3, 5)] * 2 + [(n, n, 1, 1)]
-    # the fields' jets, batch-first, at the 15 points
-    flat = pts.reshape(n, -1).T
-    b, Db = sde.drift.jet_batch(t, flat, chart, 1)
-    jets = [xi.jet_batch(t, flat, chart, 2) for xi in sde.diffusions]
+    # the fields' jets at the 15 points
+    flat = pts.reshape(n, -1)
+    b, Db = sde.drift._jet_last(t, flat, chart, 1)
+    jets = [xi._jet_last(t, flat, chart, 2) for xi in sde.diffusions]
     for got, want in ((q["b"], b), (q["Db"], Db), (q["Dxi"][2], jets[2][1]),
                       *zip(q["D2xi"], [j[2] for j in jets])):
-        assert np.array_equal(np.broadcast_to(got[..., 0], got.shape[:-2] + (15,)),
-                              np.moveaxis(want, 0, -1))
+        assert np.array_equal(np.broadcast_to(got[..., 0], got.shape[:-2] + (15,)), want)
 
 
 @pytest.mark.parametrize("t", [0.3, np.linspace(0.0, 1.0, 6)])
@@ -268,7 +266,7 @@ def test_flow_makes_one_coefficient_call_per_chart_group_and_stage(
         raise AssertionError("the flow read a per-field jet")
 
     monkeypatch.setattr(tensor_calculus, "_load", counting_load)
-    monkeypatch.setattr(TensorFieldSpec, "jet_batch", no_field_jets)
+    monkeypatch.setattr(TensorFieldSpec, "_jet_last", no_field_jets)
     ens = integrate_flow(sde, d, np.array([0.9, 0.5]), scheme)
     assert np.all(ens.completed) and len(ens.hops) > 0
     groups = sum(np.unique(row).size for row in ens.charts[:-1])

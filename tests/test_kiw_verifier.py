@@ -21,7 +21,7 @@ from flowtensor.fields import (
     vector_field,
 )
 from flowtensor.flow import FlowEnsemble, FlowSDE, integrate_flow, integrate_flow_levels
-from flowtensor.geometry import _batch_first, _batch_last, euclidean_atlas
+from flowtensor.geometry import euclidean_atlas
 from flowtensor.kiw_verifier import (
     THEOREMS,
     HypothesisViolation,
@@ -48,10 +48,9 @@ from flowtensor.kiw_verifier import (
 )
 from flowtensor.scenarios import get_scenario, list_scenarios, scenario_table
 from flowtensor.stochastics import FvSpec, MartSpec, TimeGrid, build_driving_paths, refine_dyadic
-from flowtensor.tensor_calculus import (TensorFieldSpec, coord_symbols, lie_derivative,
-                                       pullback_batch)
-from references import (_random_jet_states, _route_a_integrands, expanded_integrand_check, lie_jet,
-                        strat_ito_bridge_gap, with_params)
+from flowtensor.tensor_calculus import TensorFieldSpec, coord_symbols, lie_derivative
+from references import (_random_jet_states, _route_a_integrands, batch_last, contract_batch_first,
+                        expanded_integrand_check, lie_jet, strat_ito_bridge_gap, with_params)
 
 
 def drivers_for(sc, n_paths=None, grid=None):
@@ -391,7 +390,7 @@ def _eval_along_flow(f: TensorFieldSpec, flow: FlowEnsemble, cols=slice(None)) -
     out = np.empty(charts.shape + f.shape)
     for cid in np.unique(charts).tolist():
         mask = charts == cid
-        out[mask] = f.eval_batch(tgrid[mask], coords[mask], cid)
+        out[mask] = np.moveaxis(f._jet_last(tgrid[mask], coords[mask].T, cid, 0)[0], -1, 0)
     return out
 
 
@@ -399,7 +398,7 @@ def _pull_path(f: TensorFieldSpec, flow: FlowEnsemble, cols=slice(None)) -> np.n
     """Pullback of a field along the flow at the grid times ``cols`` (all by
     default), shape (P, times) + comps."""
     vals = _eval_along_flow(f, flow, cols)
-    pulled = pullback_batch(vals, f.valence, flow.jac[cols], flow.inv_jac[cols])
+    pulled = contract_batch_first(vals, f.valence, flow.inv_jac[cols], flow.jac[cols])
     return np.swapaxes(pulled, 0, 1)
 
 
@@ -560,11 +559,11 @@ def test_integrands_hand_on_each_driver_field_before_the_tensor_terms(monkeypatc
     are read only after the last driver field's."""
     rng = np.random.default_rng(17)
     valence, dim, batch = (1, 1), 2, (3, 5)
-    k_jets = [_batch_last(a, 2) for a in _symmetric_jets(rng, batch, (dim, dim), dim)]
-    g_jets = [[_batch_last(a, 2) for a in _symmetric_jets(rng, batch, (dim, dim), dim)[:2]]
+    k_jets = [batch_last(a, 2) for a in _symmetric_jets(rng, batch, (dim, dim), dim)]
+    g_jets = [[batch_last(a, 2) for a in _symmetric_jets(rng, batch, (dim, dim), dim)[:2]]
               for _ in range(2)]
-    b_jets = [_batch_last(a, 2) for a in _symmetric_jets(rng, batch, (dim,), dim)[:2]]
-    xi_jets = [[_batch_last(a, 2) for a in _symmetric_jets(rng, batch, (dim,), dim)]
+    b_jets = [batch_last(a, 2) for a in _symmetric_jets(rng, batch, (dim,), dim)[:2]]
+    xi_jets = [[batch_last(a, 2) for a in _symmetric_jets(rng, batch, (dim,), dim)]
                for _ in range(2)]
     lie_terms, taken, taken_at_calls, handed = kiw_verifier._lie_terms, [], [], []
 
@@ -651,23 +650,20 @@ def test_ito_correction_is_the_nested_lie_jet_summed_over_noises(valence, dim):
     rng = np.random.default_rng(100 * dim + 10 * valence[0] + valence[1])
     batch = (3, 5)
     for n_noise in (1, 2, 3):
-        K = _symmetric_jets(rng, batch, (dim,) * sum(valence), dim)
-        xis = [_symmetric_jets(rng, batch, (dim,), dim) for _ in range(n_noise)]
+        K = [batch_last(a, 2) for a in _symmetric_jets(rng, batch, (dim,) * sum(valence), dim)]
+        xis = [[batch_last(a, 2) for a in _symmetric_jets(rng, batch, (dim,), dim)]
+               for _ in range(n_noise)]
         xis.insert(n_noise // 2, None)
-        got = _lie_terms([_batch_last(a, 2) for a in K], None,
-                         [None if xj is None else [_batch_last(a, 2) for a in xj] for xj in xis],
-                         valence, strat=False)
+        got = _lie_terms(K, None, xis, valence, strat=False)
         want = sum(lie_jet(lie_jet(K, xj, valence, 1), xj[:2], valence, 0)[0]
                    for xj in xis if xj is not None)
         # entries that cancel to near zero carry the round-off of their
         # summands, so the scale of the whole array bounds the difference
-        assert_allclose(_batch_first(got["LL"], 2), want, rtol=1e-12,
-                        atol=1e-12 * np.abs(want).max())
+        assert_allclose(got["LL"], want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
         assert set(got) == {"val", "LL"} | {f"Lx{j}" for j, xj in enumerate(xis) if xj is not None}
         for j, xj in enumerate(xis):
             if xj is not None:
-                assert np.array_equal(_batch_first(got[f"Lx{j}"], 2),
-                                      lie_jet(K[:2], xj[:2], valence, 0)[0])
+                assert np.array_equal(got[f"Lx{j}"], lie_jet(K[:2], xj[:2], valence, 0)[0])
 
 
 @pytest.mark.parametrize("valence, dim", [((0, 0), 2), ((1, 1), 2), ((0, 2), 2), ((2, 1), 1)])
@@ -681,8 +677,8 @@ def test_ito_correction_matches_the_symbolic_second_lie_derivative(valence, dim)
     pts = rng.uniform(-1.0, 1.0, (dim, 9))
     got = _lie_terms(K._jet_last(0.0, pts, 0, 2), None,
                      [xi._jet_last(0.0, pts, 0, 2) for xi in xis], valence, strat=False)["LL"]
-    want = sum(lie_derivative(lie_derivative(K, xi), xi).eval_batch(0.0, pts.T) for xi in xis)
-    assert_allclose(_batch_first(got, 1), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    want = sum(lie_derivative(lie_derivative(K, xi), xi)._jet_last(0.0, pts, 0, 0)[0] for xi in xis)
+    assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 KUNITA_FIRST_R2 = "kunita_first_r2"
@@ -886,7 +882,7 @@ def test_kunita_first_transports_a_mixed_tensor_with_the_exact_inverse():
     rhs = eval_rhs(sc, flow, d)
     cps = rhs.checkpoint_indices
     vals = _eval_along_flow(sc.K0, flow, cps)
-    want = pullback_batch(vals, sc.K0.valence, flow.jac[cps], np.linalg.inv(flow.jac[cps]))
+    want = contract_batch_first(vals, sc.K0.valence, np.linalg.inv(flow.jac[cps]), flow.jac[cps])
     assert_allclose(rhs.transported, np.swapaxes(want, 0, 1), rtol=1e-13, atol=1e-15)
     assert flow.jac_consistency_max() > 1e-6  # the scheme's Jinv is not the inverse of J
 
@@ -915,9 +911,10 @@ def test_scalar_lhs_is_direct_composition():
     lhs = eval_lhs(sc, flow, d)
     times = d.grid.times()
     for k in (0, 3, d.grid.steps):
-        base = sc.K0.eval_batch(times[k], flow.coords[k], 0)
+        base = sc.K0._jet_last(times[k], flow.coords[k].T, 0, 0)[0]
         for i, g in enumerate(sc.G):
-            base = base + (d.fv[k, i] + d.mart[:, k, i]) * g.eval_batch(times[k], flow.coords[k], 0)
+            base = base + (d.fv[k, i] + d.mart[:, k, i]) * g._jet_last(times[k], flow.coords[k].T,
+                                                                       0, 0)[0]
         assert np.array_equal(lhs[:, k], base)
 
 

@@ -93,7 +93,7 @@ def test_a_cold_setup_derives_and_prints(empty_program_cache, monkeypatch):
 
 
 def _jets(f, pts):
-    return f.jet_batch(0.3, pts, 0, 2)
+    return f._jet_last(0.3, pts.T, 0, 2)
 
 
 @pytest.mark.parametrize("damage", ["truncated", "cut at a line", "empty", "other code",
@@ -131,7 +131,8 @@ def test_key_holds_components_and_parameter_names_not_values_or_names(empty_prog
     pts = np.array([[0.5, -1.5], [2.0, 0.25]])
 
     def evaluate(expr, params, name):
-        return tensor_field((0, 0), 2, expr, params=params, name=name).eval_batch(0.0, pts, 0)
+        return tensor_field((0, 0), 2, expr, params=params, name=name)._jet_last(0.0, pts.T, 0,
+                                                                                 0)[0]
 
     assert_allclose(evaluate(a * X0**2 + X1, {a: 1.0}, "f"), [-1.25, 4.25])
     first = _entries(empty_program_cache)
@@ -176,8 +177,8 @@ def test_flow_programs_are_keyed_by_components_and_parameter_names(empty_program
 def test_checks_raise_with_a_warm_cache(empty_program_cache):
     f = tensor_field((0, 0), 2, X0**2 * X1, smoothness_order=2, name="f")
     pts = np.zeros((1, 2))
-    f.jet_batch(0.0, pts, 0, 2)
-    f.partial_batch(0.0, pts, 0, (1, 1))
+    f._jet_last(0.0, pts.T, 0, 2)
+    f.eval(0.0, pts[0], 0)
     noise = vector_field(2, [X1, X0], smoothness_order=2, name="n")
     sde = FlowSDE(rotation_field_2d(), (noise,), euclidean_atlas(2))
     sde._step_program(0, "euler_maruyama", True)
@@ -186,9 +187,9 @@ def test_checks_raise_with_a_warm_cache(empty_program_cache):
 
     rough = f.with_order(1)
     with pytest.raises(InsufficientSmoothness):
-        rough.partial_batch(0.0, pts, 0, (1, 1))
+        rough._jet_last(0.0, pts.T, 0, 2)
     with pytest.raises(KeyError):
-        tensor_field((0, 0), 2, X0**2 * X1, smoothness_order=2, name="f").eval_batch(0.0, pts, 7)
+        tensor_field((0, 0), 2, X0**2 * X1, smoothness_order=2, name="f").eval(0.0, pts[0], 7)
     rough_sde = FlowSDE(rotation_field_2d(), (noise.with_order(1),), euclidean_atlas(2))
     with pytest.raises(InsufficientSmoothness):
         rough_sde._step_program(0, "euler_maruyama", True)
@@ -206,16 +207,16 @@ def test_a_second_random_draw_compiles_nothing(empty_program_cache, monkeypatch)
     rng = np.random.default_rng(11)
     pts = rng.uniform(-1.0, 1.0, (6, 2))
     first = random_tensor_field((0, 1), 2, rng, kind="trig")
-    first.jet_batch(0.0, pts, 0, 2)
+    first._jet_last(0.0, pts.T, 0, 2)
     calls = _sympy_work(monkeypatch)
     second = random_tensor_field((0, 1), 2, rng, kind="trig")
-    got = second.jet_batch(0.0, pts, 0, 2)
+    got = second._jet_last(0.0, pts.T, 0, 2)
     assert calls == []
     comps = second.comps[0]
     for i in range(2):
         want = sp.lambdify(coord_symbols(2) + tuple(s for s, _ in second.params), comps[i],
                            modules=np)(*pts.T, *(v for _, v in second.params))
-        assert_allclose(got[0][:, i], want, rtol=1e-13)
+        assert_allclose(got[0][i], want, rtol=1e-13)
 
 
 def test_printed_source_is_lambdify_source():
@@ -233,8 +234,8 @@ def test_float_coefficients_print_at_round_trip_precision():
     ``Float`` with 15 significant digits, so ``1/3`` would become
     0.333333333333333 and ``0.1 + 0.2`` would become 0.3."""
     third = linear_vector_field([[1.0 / 3.0]], name="third")
-    assert third.eval_batch(0.0, np.array([[1.0]]))[0, 0] == 1.0 / 3.0
+    assert third.eval(0.0, np.array([1.0])).components[0] == 1.0 / 3.0
     shifted = vector_field(1, [sp.Float(0.1 + 0.2)], name="shifted")
-    assert shifted.eval_batch(0.0, np.array([[0.0]]))[0, 0] == 0.1 + 0.2
+    assert shifted.eval(0.0, np.array([0.0])).components[0] == 0.1 + 0.2
     x = sp.Float(0.1 + 0.2) * coord_symbols(1)[0]
     assert "0.30000000000000004*x0" in tensor_calculus._compiled((x,), coord_symbols(1))
