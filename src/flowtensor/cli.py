@@ -9,7 +9,11 @@ the convergence study and writes two files into the output directory:
     One row per refinement level with the columns ``level``, ``h``,
     ``rms_sup_residual``, ``fitted_order``, one ``term_<name>`` column
     per identity term (the mean over paths of the per-path sup magnitude
-    over the rows before the path's stop) and ``jac_consistency_max``.
+    over the rows before the path's stop) and ``jac_consistency_max``
+    (the worst ``|J Jinv - I|`` over the live flow states: ``Jinv`` is the
+    flow's integrated inverse Jacobian where a contravariant slot on the
+    pull-back route reads it, else the exact inverse of ``J``, so there
+    the column is the round-off of that inverse).
     Full float precision, ``.`` decimal separator, LF line endings, fixed
     column order, so repeated runs with the same configuration and seed
     are byte-identical.
@@ -35,7 +39,8 @@ Config keys (all optional unless noted)::
     scenario.name     name for an inline scenario (required inline), a plain
                       file name: no / or \\, not . or ..
     scenario.theorem  identity selector, e.g. KunitaSecond
-    scenario.atlas    euclidean:<dim> | torus:<dim> | sphere2
+    scenario.atlas    euclidean:<dim> | torus:<dim> | sphere2, with
+                      1 <= dim <= MAX_INLINE_DIM (8)
     scenario.drift    field spec, see below
     scenario.noise.<j>  field spec for the j-th noise (j = 0, 1, ..., no
                         leading zeros)
@@ -103,6 +108,12 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_HYPOTHESIS = 2
 EXIT_BLOWUP = 3
+
+# Largest dimension of an inline euclidean or torus atlas.  Set-up grows
+# about as dim**4 (the metric's order-2 jet has dim**4 entries) and a torus
+# has 2**dim charts; at 8 a 2-path, 1-level run of either takes about 1.3 s
+# on an empty program cache, at euclidean:24 it took 18 s.
+MAX_INLINE_DIM = 8
 
 _RUN_KEYS = {
     "run.scenario",
@@ -217,12 +228,14 @@ def _positive_int(arg: str, where: str) -> int:
 
 def _inline_atlas(spec: str) -> Tuple[ChartAtlas, str]:
     name, _, arg = spec.partition(":")
-    if name == "euclidean":
-        if not arg:
+    if name in ("euclidean", "torus"):
+        if name == "euclidean" and not arg:
             raise ConfigError("scenario.atlas: euclidean needs a dimension, e.g. euclidean:2")
-        return euclidean_atlas(_positive_int(arg, "scenario.atlas")), name
-    if name == "torus":
-        return torus_atlas(_positive_int(arg or "2", "scenario.atlas")), name
+        dim = _positive_int(arg or "2", "scenario.atlas")  # checked before the atlas is built
+        if dim > MAX_INLINE_DIM:
+            raise ConfigError(f"scenario.atlas: dimension {dim} exceeds "
+                              f"MAX_INLINE_DIM = {MAX_INLINE_DIM}")
+        return (euclidean_atlas if name == "euclidean" else torus_atlas)(dim), name
     if name == "sphere2":
         if arg:
             raise ConfigError("scenario.atlas: sphere2 takes no parameter")

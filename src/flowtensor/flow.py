@@ -7,9 +7,10 @@ The flow map solves (in Stratonovich form)
 ``euler_maruyama`` integrates the equivalent Ito equation whose drift
 carries the conversion term ``b + 1/2 sum_j (Dxi_j) xi_j``;  ``heun``
 integrates the Stratonovich form directly with a predictor-corrector
-step.  Both schemes advance the forward Jacobian J = Dphi and the
-inverse Jacobian Jinv = Dpsi(phi) alongside the point.  The drift of the
-Jacobian equations in Ito form picks up the correction matrices
+step.  Both schemes advance the forward Jacobian J = Dphi alongside the
+point and, where a caller reads it, the inverse Jacobian Jinv =
+Dpsi(phi).  The drift of the Jacobian equations in Ito form picks up the
+correction matrices
 
     c_plus  = 1/2 sum_j (Dxi_j Dxi_j + (D2xi_j) xi_j)
     c_minus = 1/2 sum_j (Dxi_j Dxi_j - (D2xi_j) xi_j)
@@ -63,7 +64,8 @@ import numpy as np
 import sympy as sp
 
 from . import tensor_calculus
-from .geometry import R_MAX, ChartAtlas, NoCoveringChart, _slot_replace, locate_chart_batch
+from .geometry import (R_MAX, ChartAtlas, NoCoveringChart, _inverse, _slot_replace,
+                       locate_chart_batch)
 from .stochastics import DrivingPaths, TimeGrid
 from .tensor_calculus import TIME, VectorFieldSpec, _jet_layout, coord_symbols
 
@@ -430,12 +432,11 @@ class FlowEnsemble:
 
     The history is two arrays in the step program's row layout:
     ``states``, ``(L+1, n + n^2, P)``, the points and the rows of ``J``,
-    and ``inv_states``, ``(L+1, n^2, P)``, the rows of ``Jinv``.  Only a
-    contravariant slot on the pull-back route and the Jacobian monitor
-    read ``Jinv``, so where its route reads none a study releases it once
-    the monitor is taken, as ``replace(flow, inv_states=None)``;
-    ``inv_jac`` and :meth:`jac_consistency_max` of such a record raise
-    ``ValueError``.  Everything else is read off the record:
+    and ``inv_states``, ``(L+1, n^2, P)``, the rows of ``Jinv``, or None
+    where the sweep did not integrate ``Jinv``: a study integrates it only
+    where a contravariant slot on the pull-back route reads it, and
+    ``inv_jac`` of a record without it raises ``ValueError``.  Everything
+    else is read off the record:
     ``coords`` and ``jac`` are path-major views of ``states``, ``inv_jac``
     of ``inv_states``, ``hops`` comes from ``charts`` and ``live`` from
     ``stop_step``.  Row ``k`` of path ``p`` is live iff ``k <
@@ -450,7 +451,7 @@ class FlowEnsemble:
     path_ids: np.ndarray  # (P,)
     charts: np.ndarray  # (L+1, P), the smallest unsigned type holding the chart count
     states: np.ndarray  # (L+1, n + n^2, P): points, then the rows of J
-    inv_states: Optional[np.ndarray]  # (L+1, n^2, P): the rows of Jinv, None once released
+    inv_states: Optional[np.ndarray]  # (L+1, n^2, P): the rows of Jinv, None if not integrated
     stop_step: np.ndarray  # (P,), npoints where the path completed
 
     @property
@@ -473,10 +474,10 @@ class FlowEnsemble:
         return self._matrices(self._inv_rows())
 
     def _inv_rows(self) -> np.ndarray:
-        """``inv_states``; ``ValueError`` where the record's ``Jinv`` was released."""
+        """``inv_states``; ``ValueError`` where the sweep did not integrate ``Jinv``."""
         if self.inv_states is None:
-            raise ValueError("this flow record's inverse Jacobians were released; a study "
-                             "keeps them only where a contravariant slot is pulled back")
+            raise ValueError("this flow record carries no inverse Jacobians; integrate it "
+                             "with with_inv=True where a contravariant slot is pulled back")
         return self.inv_states
 
     def _matrices(self, rows: np.ndarray) -> np.ndarray:
@@ -516,10 +517,14 @@ class FlowEnsemble:
                        inv_states=inv, stop_step=self.stop_step[start:stop])
 
     def jac_consistency_max(self) -> float:
-        """Worst ``|J Jinv - I|`` over all live states (``ValueError`` where
-        ``Jinv`` was released)."""
+        """Worst ``|J Jinv - I|`` over all live states.  ``Jinv`` is the
+        sweep's where it was integrated; elsewhere it is the closed-form
+        inverse of ``J`` (:func:`flowtensor.geometry._inverse`), the one a
+        contravariant slot would take, whose round-off grows with the
+        condition number of ``J``."""
         # batch-last views: integrate_flow stores the Jacobians that way
-        J, Ji = (np.moveaxis(a, (2, 3), (0, 1)) for a in (self.jac, self.inv_jac))
+        J = np.moveaxis(self.jac, (2, 3), (0, 1))
+        Ji = _inverse(J) if self.inv_states is None else np.moveaxis(self.inv_jac, (2, 3), (0, 1))
         dev = np.abs(_slot_replace(Ji, J, 0, 2) - np.eye(J.shape[0])[..., None, None])
         live = self.live
         return float(np.max(dev.max(axis=(0, 1))[live])) if np.any(live) else 0.0
@@ -568,42 +573,44 @@ def integrate_flow_levels(
     levels: Sequence[DrivingPaths],
     x0: np.ndarray,
     scheme: str = "euler_maruyama",
+    with_inv: bool = True,
 ) -> Tuple[FlowEnsemble, ...]:
     """Integrate the flow on nested grids of the same paths in one time loop.
 
-    ``levels`` are driver ensembles of the same paths (``path_ids``),
-    noise count and horizon on nested grids: every step count divides
-    the next finer one.  ``x0``, one point or one per path, is given in
-    chart 0, and each path starts in the lowest-numbered chart covering
-    it (:class:`NoCoveringChart` where none does).  All levels' columns sit side by side in one
-    state buffer, finest level first, in the step program's row layout:
-    ``n`` point rows, then the ``n*n`` rows of ``J`` and of ``Jinv``, one
-    column per path and level.  The loop runs over the finest grid.  A
-    level of ``L_f / r`` steps advances at every ``r``-th fine step, so
-    the levels stepping at a fine step are a leading slice of the
-    columns; their increments are written into one buffer, and each
-    chart group of that slice (one group on a single-chart atlas) is one
-    :func:`scheme_step` call on row views of the buffer with per-column
-    ``t0``, ``t1``, ``h`` and increments.  A group that covers the whole
-    slice writes its result into the slice's rows; any other group's is
-    copied back once.  The step program is elementwise, so each level's
-    ensemble is bitwise the one it would get on its own.  After the step calls, the
-    blow-up test and the hop test run once over the stepped live
-    columns.  A column blows up, and its path stops, where a coordinate
-    is not finite or exceeds ``R_MAX``, or an entry of ``J`` or ``Jinv`` is
-    not finite.  The hop test takes each column against the centre and
-    hop radius of the chart it was stepped in; a chart whose hop radius
-    exceeds ``R_MAX * sqrt(n)`` plus the norm of its centre needs no
-    distance test, since a column that far out has already stopped.
-    Hops are applied chart by chart in ascending order; stops and the
-    final freeze act per column.
+    ``levels`` are driver ensembles of the same paths (``path_ids``), noise
+    count and horizon on nested grids: every step count divides the next
+    finer one.  ``x0``, one point or one per path, is given in chart 0, and
+    each path starts in the lowest-numbered chart covering it
+    (:class:`NoCoveringChart` where none does).  ``Jinv`` is integrated only
+    ``with_inv``.  All levels' columns sit side by side in one state buffer,
+    finest level first, in the step program's row layout: ``n`` point rows,
+    then the ``n*n`` rows of ``J`` and, ``with_inv``, of ``Jinv``, one
+    column per path and level.  The loop runs over the finest grid.  A level
+    of ``L_f / r`` steps advances at every ``r``-th fine step, so the levels
+    stepping at a fine step are a leading slice of the columns; their
+    increments are written into one buffer, and each chart group of that
+    slice (one group on a single-chart atlas) is one :func:`scheme_step`
+    call on row views of the buffer with per-column ``t0``, ``t1``, ``h``
+    and increments.  A group that covers the whole slice writes its result
+    into the slice's rows; any other group's is copied back once.  The step
+    program is elementwise, so each level's ensemble is bitwise the one it
+    would get on its own.  After the step calls, the blow-up test and the
+    hop test run once over the stepped live columns.  A column blows up, and
+    its path stops, where a coordinate is not finite or exceeds ``R_MAX``,
+    or an entry of ``J`` or of an integrated ``Jinv`` is not finite.  The
+    hop test takes each column against the centre and hop radius of the
+    chart it was stepped in; a chart whose hop radius exceeds ``R_MAX *
+    sqrt(n)`` plus the norm of its centre needs no distance test, since a
+    column that far out has already stopped.  Hops are applied chart by
+    chart in ascending order, and only ``with_inv`` does a hop build the reverse
+    transition Jacobian that carries ``Jinv``; stops and the final freeze
+    act per column.
 
-    Each level's history is two arrays, stored from the state buffer at
-    each of its steps: ``states``, ``(L+1, n + n^2, P)``, the point and
-    ``J`` rows, and ``inv_states``, ``(L+1, n^2, P)``, the ``Jinv`` rows,
-    so that a caller whose readers take no ``Jinv`` can drop it alone.
-    Its chart ids are held in the smallest unsigned type that holds the
-    atlas's chart count; its hops are read off those.  Returns one
+    Each level's history is stored from the state buffer at each of its
+    steps: ``states``, ``(L+1, n + n^2, P)``, the point and ``J`` rows, and,
+    ``with_inv``, ``inv_states``, ``(L+1, n^2, P)``, the ``Jinv`` rows (None
+    otherwise).  Its chart ids are held in the smallest unsigned type that
+    holds the atlas's chart count; its hops are read off those.  Returns one
     :class:`FlowEnsemble` per level, in the order given.
     """
     _require_scheme_smoothness(sde, scheme)
@@ -648,10 +655,10 @@ def integrate_flow_levels(
         grp = cid0 == cid
         u0[:, grp] = atlas.transition_between(0, cid).apply(x0[grp]).T
 
-    # the current state of every column, level after level: points, J, Jinv
-    state = np.empty((n + 2 * nn, C))
+    # the current state of every column, level after level: points, J and Jinv
+    state = np.empty((n + (1 + with_inv) * nn, C))
     state[:n] = np.tile(u0, nlev)
-    state[n:] = np.tile(np.eye(n).reshape(nn, 1), (2, C))
+    state[n:] = np.tile(np.eye(n).reshape(nn, 1), (1 + with_inv, C))
     charts = np.tile(cid0, nlev)
     active = np.ones(C, dtype=bool)
     stop_step = np.repeat([L + 1 for L in steps], P)
@@ -659,7 +666,7 @@ def integrate_flow_levels(
     t01, db = np.empty((2, C)), np.empty((sde.n_noise, C))
     # per level: the point and J, the Jinv and the chart histories, and the
     # Brownian paths
-    hist = [(np.empty((L + 1, n + nn, P)), np.empty((L + 1, nn, P)),
+    hist = [(np.empty((L + 1, n + nn, P)), np.empty((L + 1, nn, P)) if with_inv else None,
              np.empty((L + 1, P), dtype=chart_dtype)) for L in steps]
     bms = [levels[i].bm for i in order]
 
@@ -667,7 +674,8 @@ def integrate_flow_levels(
         cols = slice(i * P, (i + 1) * P)
         states, inv, chs = hist[i]
         states[row] = state[:n + nn, cols]
-        inv[row] = state[n + nn:, cols]
+        if with_inv:
+            inv[row] = state[n + nn:, cols]
         chs[row] = charts[cols]
 
     for i in range(nlev):
@@ -694,12 +702,13 @@ def integrate_flow_levels(
                 un, _, _ = scheme_step(
                     sde, scheme, cid,
                     *(a[..., sel] if whole else a.take(idx, axis=-1) for a in (*t01, h_col)),
-                    x[:n], x[n:n + nn].reshape(n, n, -1), x[n + nn:].reshape(n, n, -1),
+                    x[:n], x[n:n + nn].reshape(n, n, -1),
+                    x[n + nn:].reshape(n, n, -1) if with_inv else None,
                     db[:, sel] if whole else db.take(idx, axis=1), out=x if whole else None)
                 if not whole:
                     state[:, idx] = un.base  # the one buffer the step's results are views of
             # blow-up: non-finite or runaway coordinates, or a non-finite J or
-            # Jinv, stop the path
+            # integrated Jinv, stop the path
             rows = state[:, :mP] if live.size == mP else state.take(live, axis=1)
             pts = rows[:n]
             stop = ~(np.abs(pts).max(axis=0) <= R_MAX) | ~np.isfinite(rows[n:]).all(axis=0)
@@ -716,17 +725,18 @@ def integrate_flow_levels(
                     for nid in sorted(set(new_ids[new_ids >= 0].tolist()) - {cid}):
                         grp = live[grp_m[new_ids == nid]]
                         fwd = atlas.transition_between(cid, nid)
-                        rev = atlas.transition_between(nid, cid)
                         old_u = state[:n, grp].T
                         new_u = fwd.apply(old_u)
                         # batch-last views: the slot kernel reads any strides
                         T = fwd.jacobian(old_u).transpose(1, 2, 0)
-                        Tinv = rev.jacobian(new_u).transpose(1, 2, 0)
-                        J, Ji = (state[r:r + nn, grp].reshape(n, n, -1) for r in (n, n + nn))
+                        J = state[n:n + nn, grp].reshape(n, n, -1)
                         state[:n, grp] = new_u.T
                         state[n:n + nn, grp] = _slot_replace(J, T, 0, 2).reshape(nn, -1)
-                        state[n + nn:, grp] = _slot_replace(Ji, Tinv, 1, 2,
-                                                            transpose=True).reshape(nn, -1)
+                        if with_inv:
+                            Tinv = atlas.transition_between(nid, cid).jacobian(new_u)
+                            Ji = state[n + nn:, grp].reshape(n, n, -1)
+                            state[n + nn:, grp] = _slot_replace(
+                                Ji, Tinv.transpose(1, 2, 0), 1, 2, transpose=True).reshape(nn, -1)
                         charts[grp] = nid
             if stop.any():
                 stopped = live[stop]
@@ -740,7 +750,7 @@ def integrate_flow_levels(
         L, st = grid.steps, stop_step[i * P:(i + 1) * P]
         # freeze stopped paths at their last valid state
         for p in np.flatnonzero(st <= L):
-            for a in (states, inv, chs):
+            for a in (states, inv, chs) if with_inv else (states, chs):
                 a[st[p]:, ..., p] = a[st[p] - 1, ..., p]
         out.append(FlowEnsemble(grid=grid, atlas=atlas, scheme=scheme,
                                 path_ids=levels[order[i]].path_ids.copy(), charts=chs,

@@ -15,8 +15,10 @@ covariant slots).  A scalar has valence ``(0, 0)`` and a 0-d array.
 kernel: :func:`transform_tensor` (a single point, the pull-back of the
 finite-difference Lie oracle included), every transport contraction in
 ``tensor_calculus`` and ``kiw_verifier`` and the Jacobian updates of
-the flow's scheme step call them.  They work on batch-last arrays, whose
-batch axes trail the component axes; a single point has no batch axis.
+the flow's scheme step call them.  ``_inverse`` is the one inverse of a
+stack of Jacobians, closed form for n <= 2.  They work on batch-last
+arrays, whose batch axes trail the component axes; a single point has
+no batch axis.
 """
 
 from __future__ import annotations
@@ -115,6 +117,42 @@ def _slot_replace(T: np.ndarray, M: np.ndarray, slot: int, nslots: int, n_extra:
         else:
             out += Tl * Ml
     return out
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _inverse(A: np.ndarray) -> np.ndarray:
+    """The matrix inverse of every matrix of the batch-last stack ``A``,
+    shape ``(n, n) + batch``.
+
+    For n = 1 and 2 it is the adjugate over the determinant, written entry
+    by entry on the batch axes, so no axis is moved or copied.  Its
+    relative error is at most about ``cond * eps`` per matrix (tested
+    against ``np.linalg.inv`` to ``4 * cond * eps`` up to a condition
+    number of 1e8).  For n of 3 or more it is ``np.linalg.inv``: a 3 x 3
+    adjugate's determinant sums cofactors that each carry ``eps * |A|^2``
+    of round-off, which can grow to ``cond^2 * eps`` relative.  For every
+    n a singular matrix gives non-finite entries in its own column of the
+    batch alone, where ``np.linalg.inv`` would raise for the whole stack.
+    """
+    if A.shape[0] > 2:
+        # np.linalg.inv reads the matrices from the trailing axes of a view
+        M = np.moveaxis(A, (0, 1), (-2, -1))
+        try:
+            inv = np.linalg.inv(M)
+        except np.linalg.LinAlgError:  # one singular matrix: invert one matrix at a time
+            inv = np.full(M.shape, np.nan)
+            for k in np.ndindex(M.shape[:-2]):
+                try:
+                    inv[k] = np.linalg.inv(M[k])
+                except np.linalg.LinAlgError:
+                    pass
+        return np.moveaxis(inv, (-2, -1), (0, 1))
+    if A.shape[0] == 1:
+        return 1.0 / A
+    adj = np.empty(A.shape)
+    adj[0, 0], adj[0, 1], adj[1, 0], adj[1, 1] = A[1, 1], -A[0, 1], -A[1, 0], A[0, 0]
+    adj /= A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+    return adj
 
 
 def _contract(comp, valence, contra_mat, cov_mat, mods=None):

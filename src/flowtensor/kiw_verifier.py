@@ -21,12 +21,11 @@ residual exposes the strong order of the integration scheme; the
 identities themselves hold pathwise, so the residual must shrink at
 that order.  A study refines the drivers of every level first,
 integrates all levels' flows in one sweep of the finest grid
-(:func:`flowtensor.flow.integrate_flow_levels`), takes every level's
-Jacobian monitor, releases the flows' ``Jinv`` histories where no
-contravariant slot on the pull-back route reads them and then reduces
-the levels coarse to fine, dropping each level's drivers and flow once
-it is reduced.  A level is reduced in blocks of whole paths
-(:func:`_run_level`), so a level's integrands and term series exist
+(:func:`flowtensor.flow.integrate_flow_levels`), which integrates the
+flows' ``Jinv`` only where a contravariant slot on the pull-back route
+reads it, and then reduces the levels coarse to fine, dropping each
+level's drivers and flow once it is reduced.  A level is reduced in
+blocks of whole paths (:func:`_run_level`), so a level's integrands and term series exist
 for one block of paths at a time; that block is the one memory bound,
 and every integrand builder takes the flow it is given in one piece.
 A study reads every setting from its :class:`Scenario`; a variant, such
@@ -81,7 +80,7 @@ import numpy as np
 
 from .flow import (SCHEMES, FlowEnsemble, FlowSDE, SchemeSmoothnessMismatch, _backward_step,
                    _require_scheme_smoothness, integrate_flow_levels, scheme_step)
-from .geometry import _contract, _slot_replace
+from .geometry import _contract, _inverse, _slot_replace
 from .stochastics import (
     BRACKET_MODES,
     DrivingPaths,
@@ -623,12 +622,6 @@ _NEWTON_ITERS = 6
 _N_CHECKPOINTS = 8
 
 
-def _inverse(A: np.ndarray) -> np.ndarray:
-    """The matrix inverse of every matrix of the batch-last stack ``A``."""
-    # np.linalg.inv reads the matrices from the trailing axes of a view
-    return np.moveaxis(np.linalg.inv(np.moveaxis(A, (0, 1), (-2, -1))), (-2, -1), (0, 1))
-
-
 def _compose(outer: Sequence[np.ndarray], inner: Sequence[np.ndarray]) -> List[np.ndarray]:
     """The jets of ``o ∘ i`` by the chain rule, to the order of ``outer``.
 
@@ -710,7 +703,8 @@ class PushTransport:
     (npoints, P)``, is the r-th derivative stack of that flow map at the
     preimage (see :func:`_compose`).  ``newton_residual_max`` is the worst
     ``|f(u) - v|`` left by the Newton inversions of the step maps ``f``,
-    over every stage, live point and coordinate.
+    over every stage, live point and coordinate; NaN where a step map's
+    Jacobian was singular.
     """
 
     preimages: np.ndarray  # (n, npoints, P)
@@ -763,10 +757,10 @@ def _push_transport(scenario: Scenario, flow: FlowEnsemble, drivers: DrivingPath
         for _ in range(_NEWTON_ITERS):
             fu, Du, _ = scheme_step(sde, flow.scheme, 0, times[j - 1], times[j], h, u, eye,
                                     None, db)
-            u = u - np.linalg.solve(np.moveaxis(Du, -1, 0), (fu - v).T[..., None])[..., 0].T
+            u = u - _slot_replace(fu - v, _inverse(Du), 0, 1)
         fu, _, _, *step = scheme_step(sde, flow.scheme, 0, times[j - 1], times[j], h, u, eye,
                                       None, db, order)
-        worst = max(worst, float(np.max(np.abs(fu - v))))
+        worst = float(np.maximum(worst, np.max(np.abs(fu - v))))  # keeps a NaN, unlike max
         q[:, sel] = u
         for a, c in zip(jets, _compose([a.compress(sel, axis=-1) for a in jets], step)):
             a[..., sel] = c
@@ -1030,14 +1024,17 @@ def _run_level(scenario: Scenario, drivers: DrivingPaths, flow: FlowEnsemble) ->
     never holds a level's integrands or term series for all its paths.
     Every per-path result is independent of the other paths in its block
     (see :func:`convergence_study`), so the sups do not depend on the
-    block size.  The flow's ``Jinv`` is read only where
-    :func:`_reads_flow_inverse` says so; :func:`convergence_study` has
-    taken the Jacobian monitor (:func:`_jacobian_monitor`) before.
+    block size.  The Jacobian monitor
+    (:meth:`FlowEnsemble.jac_consistency_max`) is taken in the same
+    blocks and maxed block by block, so no temporary spans the level's
+    Jacobians, and it equals the whole level's, NaN included (the
+    monitor of a singular ``J`` without ``Jinv``).
     """
     size = max(1, _JET_BLOCK_STATES // flow.grid.npoints)
-    residual, term_sups = [], []
+    residual, term_sups, jac = [], [], []
     for start in range(0, flow.n_paths, size):
         f = flow.slice_paths(start, start + size)
+        jac.append(f.jac_consistency_max())
         rhs = _rhs(scenario, f, drivers.slice_paths(start, start + size))
         live = f.live if rhs.checkpoint_indices is None else f.live[rhs.checkpoint_indices]
         residual.append(_live_sup(rhs.transported - rhs.values, live))
@@ -1047,19 +1044,8 @@ def _run_level(scenario: Scenario, drivers: DrivingPaths, flow: FlowEnsemble) ->
         "residual": np.concatenate(residual),
         "term_sups": {k: np.concatenate([s[k] for s in term_sups]) for k in term_sups[0]},
         "completed": flow.completed,
+        "jac_max": float(np.max(jac)),  # np.max, unlike max, keeps a NaN
     }
-
-
-def _jacobian_monitor(flow: FlowEnsemble) -> float:
-    """``flow.jac_consistency_max()``, taken in the path blocks of
-    :func:`_run_level` and maxed block by block, so no temporary spans the
-    level's Jacobians; every path's value is its own, so the result does
-    not depend on the block size."""
-    size = max(1, _JET_BLOCK_STATES // flow.grid.npoints)
-    jac_max = 0.0
-    for start in range(0, flow.n_paths, size):
-        jac_max = max(jac_max, flow.slice_paths(start, start + size).jac_consistency_max())
-    return jac_max
 
 
 # Largest number of flow states one study may hold: its path count times
@@ -1109,22 +1095,19 @@ def convergence_study(
     own ``mart``: a ``sigma_int`` driver is re-accumulated on each grid).
     Then the paths are split into ``min(n_workers, n_paths)`` chunks, run
     one after another.  For each chunk one sweep
-    (:func:`integrate_flow_levels`) integrates all levels' flows; then
-    every level's Jacobian monitor is taken (:func:`_jacobian_monitor`)
-    and, unless the route reads it (:func:`_reads_flow_inverse`), every
-    flow's ``Jinv`` history is released, so the levels, reduced coarse to
-    fine, hold only their points, ``J`` and charts.  A level's drivers and
-    flow are dropped once it is reduced.  Non-finite values are an
-    outcome a study reports (a path that blows up stops, and a residual
-    may be ``inf`` or ``nan``), so numpy's overflow and invalid-value
-    warnings are off while it runs.  Paths are sampled from
-    counter-based streams and every per-path result is independent of
-    the other paths in its chunk, so the report is byte-identical for
-    any ``n_workers``.  Each evaluator and step program is generated, or
-    loaded from the program cache, on its first call.  A
-    study larger than :data:`MAX_STUDY_STATES` (see
-    :func:`study_states`) raises ``ValueError`` before anything is
-    allocated.
+    (:func:`integrate_flow_levels`) integrates all levels' flows, with
+    ``Jinv`` only where the route reads it (:func:`_reads_flow_inverse`), so
+    elsewhere the levels, reduced coarse to fine, hold only their points,
+    ``J`` and charts.  A level's drivers and flow are dropped once it is
+    reduced.  Non-finite values are an outcome a study reports (a path that
+    blows up stops, and a residual may be ``inf`` or ``nan``), so numpy's
+    overflow and invalid-value warnings are off while it runs.  Paths are
+    sampled from counter-based streams and every per-path result is
+    independent of the other paths in its chunk, so the report is
+    byte-identical for any ``n_workers``.  Each evaluator and step program
+    is generated, or loaded from the program cache, on its first call.  A
+    study larger than :data:`MAX_STUDY_STATES` (see :func:`study_states`)
+    raises ``ValueError`` before anything is allocated.
     """
     kw = {}
     if n_paths is not None:
@@ -1160,15 +1143,12 @@ def convergence_study(
     chunks = [[d.slice_paths(a, b) for d in drivers] for a, b in zip(bounds[:-1], bounds[1:])]
     del drivers
     per_level = [[] for _ in range(levels)]
-    keep_inv = _reads_flow_inverse(scenario)
-    for ds in chunks:  # one sweep, the monitors, then the levels coarse to fine
-        flows = list(integrate_flow_levels(scenario.sde, ds, scenario.x0, scenario.scheme))
-        jac_max = [_jacobian_monitor(f) for f in flows]
-        if not keep_inv:
-            flows = [replace(f, inv_states=None) for f in flows]
+    with_inv = _reads_flow_inverse(scenario)
+    for ds in chunks:  # one sweep, then the levels coarse to fine
+        flows = list(integrate_flow_levels(scenario.sde, ds, scenario.x0, scenario.scheme,
+                                           with_inv=with_inv))
         for lvl in range(levels):  # each level's drivers and flow dropped once reduced
-            per_level[lvl].append(dict(_run_level(scenario, ds[lvl], flows[lvl]),
-                                       jac_max=jac_max[lvl]))
+            per_level[lvl].append(_run_level(scenario, ds[lvl], flows[lvl]))
             ds[lvl] = flows[lvl] = None
 
     stats: List[LevelStats] = []
@@ -1190,7 +1170,7 @@ def convergence_study(
                 else float("nan"),
                 max_sup_residual=float(np.max(residual[completed])) if any_live else float("nan"),
                 term_means={k: float(np.mean(v)) for k, v in term_sups.items()},
-                jac_consistency_max=max(p["jac_max"] for p in parts),
+                jac_consistency_max=float(np.max([p["jac_max"] for p in parts])),
                 blowup_fraction=float(1.0 - np.mean(completed)),
             )
         )

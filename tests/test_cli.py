@@ -599,6 +599,23 @@ def test_oversized_study_flag_exits_one(tmp_path, flag, value):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_singular_jacobian_reads_nan_in_the_monitor(tmp_path, dim):
+    """A drift of ``-x / h`` zeroes every ``J`` at the first step of level 0.
+    The metric reads no ``Jinv``, so the monitor inverts ``J`` itself: the
+    singular ``J`` reads NaN there, on the closed form (n = 2) and on
+    ``np.linalg.inv`` (n = 3) alike, and the run still exits 0."""
+    rows = ",".join("-16" if i == j else "0" for i in range(dim) for j in range(dim))
+    cfg = write_config(tmp_path, f"scenario.name = sing\nscenario.atlas = euclidean:{dim}\n"
+                       f"scenario.drift = linear:{rows}\nscenario.x0 = {','.join(['0.3'] * dim)}\n"
+                       "run.paths = 2\nrun.levels = 2\n")
+    out = run_cli("--config", str(cfg), "--out", str(tmp_path / "out"), cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    rows = (tmp_path / "out" / "sing.csv").read_text().splitlines()
+    assert rows[0].endswith(",jac_consistency_max")
+    assert rows[1].endswith(",nan") and not rows[2].endswith(",nan")
+
+
 def test_missing_config_file_exits_one(tmp_path):
     out = run_cli("--config", str(tmp_path / "absent.cfg"), cwd=tmp_path)
     assert out.returncode == 1
@@ -670,6 +687,10 @@ MALFORMED = [
     *[("scenario.atlas", f"{atlas}:{v}", {}, 1, f"scenario.atlas: {_POSITIVE}")
       for atlas in ("euclidean", "torus")
       for v in ("abc", "nan", "inf", "-inf", "1e300", "-1", "0", "1.5", "2,2")],
+    *[("scenario.atlas", f"{atlas}:{v}", {}, 1, f"scenario.atlas: dimension {v} exceeds "
+       "MAX_INLINE_DIM = 8") for atlas in ("euclidean", "torus")
+      for v in ("9", "24", "100000000000000000000000")],
+    ("scenario.atlas", "euclidean:8", {"scenario.x0": ",".join(["0"] * 8)}, 0, ""),
     ("scenario.atlas", "sphere2:1", {}, 1, "scenario.atlas: sphere2 takes no parameter"),
     *[(key, "", {}, 1, _EMPTY) for key in ("scenario.drift", "scenario.noise.0", "scenario.K0",
                                            "scenario.x0", "scenario.horizon",

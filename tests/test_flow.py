@@ -29,7 +29,7 @@ from flowtensor.flow import (
 from flowtensor.geometry import (R_MAX, Chart, ChartAtlas, NoCoveringChart, Transition,
                                  _slot_replace, euclidean_atlas, locate_chart, sphere_atlas,
                                  torus_atlas)
-from flowtensor.scenarios import get_scenario
+from flowtensor.scenarios import get_scenario, list_scenarios
 from flowtensor.stochastics import DrivingPaths, TimeGrid, build_driving_paths, refine_dyadic
 from flowtensor.tensor_calculus import (
     InsufficientSmoothness,
@@ -566,19 +566,42 @@ def test_inverse_residual_per_path_matches_ensemble():
         assert np.array_equal(single[0], whole[p])
 
 
-def test_a_released_jinv_history_is_not_read():
-    """A record without its ``Jinv`` rows keeps its points, ``J`` and slices,
-    and refuses ``inv_jac`` and the monitor with a ``ValueError``."""
+def test_a_flow_without_jinv_refuses_inv_jac_and_monitors_the_exact_inverse():
+    """A sweep without ``Jinv`` stores no ``Jinv`` rows; its record keeps its
+    points, ``J`` and slices, refuses ``inv_jac`` with a ``ValueError``, and
+    its monitor reads the round-off of the closed-form inverse of ``J``
+    where the scheme's ``Jinv`` drifts by far more."""
+    sde, x0 = make_swirl_sde(), np.array([0.1, 0.2])
     d = build_driving_paths(TimeGrid(1.0, 8), 2, 14, 3)
-    ens = integrate_flow(make_swirl_sde(), d, np.array([0.1, 0.2]), "euler_maruyama")
+    ens = integrate_flow(sde, d, x0, "euler_maruyama")
+    bare = integrate_flow_levels(sde, (d,), x0, "euler_maruyama", with_inv=False)[0]
     assert ens.inv_states.shape == (9, 4, 3) and ens.states.shape == (9, 6, 3)
-    bare = replace(ens, inv_states=None).slice_paths(1, 3)
-    assert bare.inv_states is None
-    assert np.array_equal(bare.jac, ens.jac[:, 1:3]) and np.array_equal(bare.coords,
-                                                                        ens.coords[:, 1:3])
-    for read in (lambda: bare.inv_jac, bare.jac_consistency_max):
-        with pytest.raises(ValueError, match="inverse Jacobians were released"):
-            read()
+    part = bare.slice_paths(1, 3)
+    assert bare.inv_states is None and part.inv_states is None
+    assert bare.states.shape == (9, 6, 3) and np.array_equal(part.coords, ens.coords[:, 1:3])
+    assert_allclose(part.jac, ens.jac[:, 1:3], rtol=1e-14, atol=0.0)
+    with pytest.raises(ValueError, match="carries no inverse Jacobians"):
+        part.inv_jac
+    assert bare.jac_consistency_max() < 1e-14
+    assert ens.jac_consistency_max() > 1e-6
+
+
+def test_the_monitor_flags_a_near_singular_jacobian():
+    """Where ``Jinv`` is not integrated, one live ``J`` of condition number
+    1e12 lifts the monitor above 1e-6: the closed-form inverse loses about
+    ``cond * eps``."""
+    sde, x0 = make_swirl_sde(), np.array([0.1, 0.2])
+    d = build_driving_paths(TimeGrid(1.0, 8), 2, 14, 3)
+    bare = integrate_flow_levels(sde, (d,), x0, "euler_maruyama", with_inv=False)[0]
+
+    def rot(a):
+        return np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+
+    J = rot(0.5) @ np.diag([2.0, 2.0e-12]) @ rot(2.0)
+    assert np.linalg.cond(J) == pytest.approx(1e12, rel=1e-3)
+    states = bare.states.copy()
+    states[5, 2:, 1] = J.ravel()
+    assert replace(bare, states=states).jac_consistency_max() > 1e-6
 
 
 def test_inverse_residual_leaves_the_flow_unchanged():
@@ -888,6 +911,27 @@ def _torus_sde():
     q = VectorFieldSpec(2, {ch.id: [sp.Rational(1, 3) + x * y / 6, sp.Rational(3, 4)]
                             for ch in atlas.charts}, 8, None, "q")
     return FlowSDE(b, [q], atlas)
+
+
+@pytest.mark.parametrize("name", list_scenarios())
+def test_a_sweep_without_jinv_matches_the_sweep_with_it(name):
+    """Without ``Jinv`` the sweep takes the step program that advances none:
+    the points, charts, stops and hops are bitwise those of the sweep with
+    ``Jinv``, and ``J`` agrees within 1e-14 of each state's largest entry
+    (the two programs share their common subexpressions differently)."""
+    sc = get_scenario(name)
+    ds = _nested_drivers(sc.base_grid, sc.sde.n_noise, sc.seed, 16, levels=3)
+    full = integrate_flow_levels(sc.sde, ds, sc.x0, sc.scheme)
+    bare = integrate_flow_levels(sc.sde, ds, sc.x0, sc.scheme, with_inv=False)
+    n = sc.sde.dim
+    for got, want in zip(bare, full):
+        assert got.inv_states is None and got.states.shape == want.states.shape
+        for field in ("charts", "coords", "stop_step"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        assert got.hops == want.hops
+        scale = np.abs(want.states[:, n:]).max(axis=1)
+        assert np.all(np.abs(got.states[:, n:] - want.states[:, n:]).max(axis=1)
+                      <= 1e-14 * scale)
 
 
 @pytest.mark.parametrize("case", ["kunita_sphere_rotation", "torus", "offset_discs",

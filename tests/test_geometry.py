@@ -1,5 +1,7 @@
 """Charts, atlases and pointwise tensor component transforms."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,7 @@ from flowtensor.geometry import (
     transform_tensor,
     transition,
     _contract,
+    _inverse,
 )
 
 from references import jacobian_consistency
@@ -135,6 +138,81 @@ def test_transform_at_one_point_is_the_kernel_on_a_singleton_batch(valence):
 def test_jacobian_consistency_measure():
     assert jacobian_consistency(np.diag([2.0, 4.0]), np.diag([0.5, 0.25])) == 0.0
     assert_allclose(jacobian_consistency(np.diag([2.0, 4.0]), np.diag([0.5, 0.5])), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the small-matrix inverse
+# ---------------------------------------------------------------------------
+
+
+def _conditioned_stack(n, conds, seed):
+    """A batch-last ``(n, n, m)`` stack, one matrix ``U diag(s) V`` per
+    condition number: ``U`` and ``V`` orthogonal, ``s`` geometric from 1
+    down to ``1 / cond``, all scaled by a factor in [0.1, 10]."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    for c in conds:
+        u, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        v, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        mats.append(u @ np.diag(np.geomspace(1.0, 1.0 / c, n) * rng.uniform(0.1, 10.0)) @ v)
+    return np.moveaxis(np.array(mats), 0, -1)
+
+
+def _lapack_inverse(A):
+    return np.moveaxis(np.linalg.inv(np.moveaxis(A, -1, 0)), 0, -1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_inverse_is_lapacks_within_four_cond_eps(n):
+    """On stacks of condition numbers from 1 to 1e8 every inverse is within
+    ``4 * cond * eps`` of ``np.linalg.inv``'s, relative to its largest entry
+    (the 2 x 2 adjugate measured at most 1.2 cond eps), and a strided view
+    of a stack gives its copy's inverse bitwise."""
+    A = _conditioned_stack(n, np.logspace(0, 8, 200), seed=n)
+    got, want = _inverse(A), _lapack_inverse(A)
+    cond = np.linalg.cond(np.moveaxis(A, -1, 0))
+    err = np.abs(got - want).max(axis=(0, 1)) / np.abs(want).max(axis=(0, 1))
+    assert np.all(err <= 4.0 * cond * np.finfo(float).eps)
+    view = np.moveaxis(np.moveaxis(A, -1, 0).copy(), 0, -1)[..., ::3]
+    assert not view.flags.c_contiguous
+    assert np.array_equal(_inverse(view), _inverse(np.ascontiguousarray(view)))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_inverse_of_three_or_more_is_lapacks(n):
+    """From n = 3 on the inverse is ``np.linalg.inv``'s, bitwise: a 3 x 3
+    adjugate's determinant loses up to ``cond^2 * eps``."""
+    A = _conditioned_stack(n, np.logspace(0, 8, 20), seed=n)
+    assert np.array_equal(_inverse(A), _lapack_inverse(A))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_a_singular_matrix_spoils_only_its_own_column(n):
+    """A singular matrix gives non-finite entries in its own column alone,
+    without a warning or an error; every other column is the one it gets
+    without the singular matrix, bitwise."""
+    A = _conditioned_stack(n, np.full(5, 10.0), seed=7)
+    A[..., 2] = np.outer(np.arange(n), np.arange(n, 0.0, -1.0))  # its first row is zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _inverse(A)
+    assert not np.isfinite(got[..., 2]).any()
+    rest = [0, 1, 3, 4]
+    assert np.array_equal(got[..., rest], _inverse(A[..., rest]))
+
+
+def test_a_tiny_invertible_matrix_beside_a_singular_one_is_inverted():
+    """A 3 x 3 matrix of entries near 1e-110 has a determinant that
+    underflows to 0, yet LAPACK inverts it; beside a singular matrix it
+    still gets its inverse, and only the singular one reads non-finite."""
+    A = _conditioned_stack(3, np.full(3, 10.0), seed=11)
+    A[..., 0] *= 1e-110
+    A[..., 1] = 0.0
+    assert np.linalg.det(A[..., 0]) == 0.0
+    got = _inverse(A)
+    assert np.array_equal(got[..., 0], np.linalg.inv(A[..., 0]))
+    assert not np.isfinite(got[..., 1]).any()
+    assert np.array_equal(got[..., 2], np.linalg.inv(A[..., 2]))
 
 
 # ---------------------------------------------------------------------------

@@ -896,6 +896,24 @@ def test_push_transport_reports_its_newton_residual(name):
     assert 0.0 <= tp.newton_residual_max <= 1e-12
 
 
+def test_a_singular_newton_jacobian_reads_nan_in_the_newton_residual(monkeypatch):
+    """A step map whose Jacobian is singular at one column makes that
+    column's Newton update non-finite, and the residual keeps the NaN
+    instead of reading clean."""
+    sc = get_scenario("kiw_ito_pushforward_r2")
+    d, flow = drivers_and_flow(sc, n_paths=6)
+    step = kiw_verifier.scheme_step
+
+    def singular_tangent(*args, **kw):
+        out = step(*args, **kw)
+        if len(args) == 10:  # a Newton iteration's call, which asks for no jets
+            out[1][..., 0] = 0.0
+        return out
+
+    monkeypatch.setattr(kiw_verifier, "scheme_step", singular_tangent)
+    assert np.isnan(_push_transport(sc, flow, d).newton_residual_max)
+
+
 def test_scalar_selector_shares_the_tensor_code_path():
     sc = get_scenario("scalar_itowentzell_r2")
     d, flow = drivers_and_flow(sc, n_paths=16)
@@ -1210,9 +1228,9 @@ def test_coarse_brownian_levels_are_views_of_the_finest(monkeypatch, n_workers):
     sc = replace(get_scenario("kiw_ito_pullback_r2"), n_paths=8)
     seen, sweep = [], kiw_verifier.integrate_flow_levels
 
-    def recording(sde, levels, *args):
+    def recording(sde, levels, *args, **kwargs):
         seen.append(list(levels))
-        return sweep(sde, levels, *args)
+        return sweep(sde, levels, *args, **kwargs)
 
     monkeypatch.setattr(kiw_verifier, "integrate_flow_levels", recording)
     convergence_study(sc, levels=3, n_workers=n_workers)
@@ -1233,14 +1251,20 @@ def test_coarse_brownian_levels_are_views_of_the_finest(monkeypatch, n_workers):
     assert start == sc.n_paths
 
 
+# the registered scenarios whose study pulls a contravariant slot back, the
+# only ones whose sweep integrates Jinv: the (1,1) fields on the pull-back route
+_READ_JINV = {"deterministic_drift", "kiw_ito_pullback_r2", "kiw_strat_pullback_r2"}
+
+
 @pytest.mark.parametrize("name", [n for n in list_scenarios() if n != "kiw_push_lowreg"])
 def test_jacobian_monitor_per_block_is_the_whole_level_monitor(monkeypatch, name):
     """A study takes the Jacobian monitor per path block and keeps the max;
     at one path per block each level's value is bitwise the whole level's,
-    stopped paths (``blowup_cubic``) included."""
+    on the sweep the study runs (with ``Jinv`` exactly where a pull-back
+    reads it), stopped paths (``blowup_cubic``) included."""
     sc = replace(get_scenario(name), n_paths=6)
     flows = integrate_flow_levels(sc.sde, [drivers_for(sc), refine_dyadic(drivers_for(sc))],
-                                  sc.x0, sc.scheme)
+                                  sc.x0, sc.scheme, with_inv=name in _READ_JINV)
     monkeypatch.setattr(kiw_verifier, "_JET_BLOCK_STATES", 1)
     report = convergence_study(sc, levels=2)
     for st, flow in zip(report.levels, flows):
@@ -1250,31 +1274,27 @@ def test_jacobian_monitor_per_block_is_the_whole_level_monitor(monkeypatch, name
 
 
 @pytest.mark.parametrize("name", ["kunita_sphere_rotation", "kiw_ito_pullback_r2"])
-def test_the_monitor_is_the_sweeps_whether_jinv_is_released_or_kept(monkeypatch, name):
+def test_the_monitor_is_the_sweeps_whether_jinv_is_integrated_or_not(monkeypatch, name):
     """Each level's ``jac_consistency_max`` is, bitwise, that of the sweep's
-    record on the study's drivers: the study takes it before it releases
-    the ``Jinv`` history (the sphere's (0,2) metric) or keeps it
-    (``kiw_ito_pullback_r2``'s (1,1) field), in two chunks of several path
-    blocks at the finest level."""
+    record on the study's drivers, in two chunks of several path blocks at
+    the finest level: ``|J _inverse(J) - I|`` where the sweep integrates
+    no ``Jinv`` (the sphere's (0,2) metric), ``|J Jinv - I|`` where it
+    does (``kiw_ito_pullback_r2``'s (1,1) field)."""
     monkeypatch.setattr(kiw_verifier, "_JET_BLOCK_STATES", 4096)
     sc = get_scenario(name)
     drivers = [drivers_for(sc)]
     while len(drivers) < 4:
         drivers.append(refine_dyadic(drivers[-1]))
-    flows = integrate_flow_levels(sc.sde, drivers, sc.x0, sc.scheme)
+    flows = integrate_flow_levels(sc.sde, drivers, sc.x0, sc.scheme,
+                                  with_inv=name in _READ_JINV)
     assert flows[-1].grid.npoints * sc.n_paths > 2 * kiw_verifier._JET_BLOCK_STATES
     report = convergence_study(sc, levels=4, n_workers=2)
     assert [st.jac_consistency_max for st in report.levels] == \
         [f.jac_consistency_max() for f in flows]
 
 
-# the registered scenarios whose study pulls a contravariant slot back, the
-# only ones that read the flow's Jinv: the (1,1) fields on the pull-back route
-_READ_JINV = {"deterministic_drift", "kiw_ito_pullback_r2", "kiw_strat_pullback_r2"}
-
-
 @pytest.mark.parametrize("name", [n for n in list_scenarios() if n != "kiw_push_lowreg"])
-def test_a_study_releases_jinv_exactly_where_nothing_reads_it(monkeypatch, name):
+def test_a_study_integrates_jinv_exactly_where_a_pullback_reads_it(monkeypatch, name):
     """Every block's right-hand side gets the flow's ``Jinv`` history on the
     (1,1) pull-back scenarios and on no other: not on the (0,k) pull-backs
     (the sphere among them), the push-forward (1,1) fields, which take the

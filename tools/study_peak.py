@@ -23,12 +23,14 @@ line gains a third field,
 
     <name> <peak in MiB> <sweep peak in MiB>
 
-the traced peak of :func:`integrate_flow_levels` alone on the drivers the
-study draws, built as ``tools/report_digests.py --flows`` builds them
-before the trace starts.  A study holds its drivers beside its sweep, so
-where the study's peak exceeds the sweep's by about the drivers' size,
-the sweep binds the study; by more, the reduction of its levels does.
-The package is imported from the ``src`` directory beside this script.
+the traced peak of :func:`integrate_flow_levels` alone on the drivers
+the study draws, built as ``tools/report_digests.py --flows`` builds
+them before the trace starts, and with ``Jinv`` where the study
+integrates it (:func:`flowtensor.kiw_verifier._reads_flow_inverse`).  A
+study holds its drivers beside its sweep, so where the study's peak
+exceeds the sweep's by about the drivers' size, the sweep binds the
+study; by more, the reduction of its levels does.  The package is
+imported from the ``src`` directory beside this script.
 """
 
 import argparse
@@ -43,7 +45,7 @@ sys.path.insert(0, str(HERE))
 
 from flowtensor.flow import integrate_flow_levels  # noqa: E402
 from flowtensor.kiw_verifier import (HypothesisViolation, WiringMismatch,  # noqa: E402
-                                     convergence_study)
+                                     _reads_flow_inverse, convergence_study)
 from flowtensor.scenarios import get_scenario, list_scenarios  # noqa: E402
 from report_digests import study_drivers  # noqa: E402
 
@@ -69,7 +71,8 @@ def sweep_peak(sc, levels: int) -> int:
     """The traced peak, in bytes, of the sweep of ``sc``'s study of
     ``levels`` levels on its drivers, drawn untraced."""
     drivers = study_drivers(sc, levels)
-    return _traced_peak(lambda: integrate_flow_levels(sc.sde, drivers, sc.x0, sc.scheme))
+    return _traced_peak(lambda: integrate_flow_levels(sc.sde, drivers, sc.x0, sc.scheme,
+                                                      with_inv=_reads_flow_inverse(sc)))
 
 
 def main(argv=None):
